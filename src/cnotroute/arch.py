@@ -1,9 +1,10 @@
 """Architecture graphs, all-pairs shortest paths, and reduction trees.
 
 An architecture is an undirected connected graph of physical qubits.
-Distance and successor tables are built once per graph; Steiner-style
-reduction trees are grown on demand and memoized per terminal set, since
-cost-table construction re-roots the same grown tree at every node.
+Distance and successor tables are built once per graph.  Steiner-style
+reduction trees are grown on demand into one cache entry per terminal
+set, which also memoizes the tree rooted at each terminal: cost-table
+construction roots the same grown tree at every node it spans.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ class ArchGraph:
             adj[v].append(u)
         self.adj = tuple(tuple(sorted(a)) for a in adj)
         self.dist, self.succ = floyd_warshall_with_path(n, norm)
-        self._grow_cache: Dict[FrozenSet[int], dict] = {}
-        self._tree_cache: Dict[Tuple[FrozenSet[int], int], ReductionTree] = {}
+        # terminal set -> (grown tree, Steiner points, root -> ReductionTree)
+        self._steiner_cache: Dict[FrozenSet[int], tuple] = {}
 
     def is_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -127,82 +128,89 @@ class ArchGraph:
 
 
 class ReductionTree:
-    """Rooted tree inside an architecture graph with terminal bookkeeping.
+    """Tree inside an architecture graph, rooted at a terminal, as an op plan.
 
-    ``parent`` maps every non-root vertex to its parent; terminals and
-    steiner_points partition the vertex set.  ``schedule`` is the
-    post-order operation plan consumed by the row-graph reducers: one
-    ("SWAP", child, parent) entry per Steiner parent's first-visited
-    child, ("ADD", parent, child) everywhere else.
+    ``schedule`` is the post-order (ascending children) plan consumed by
+    the row-graph reducers: ("SWAP", child, parent) for each Steiner
+    parent's first child, ("ADD", parent, child) everywhere else.
+    ``schedule_cost`` weighs SWAP 3, ADD 1; when all leaves are
+    terminals it is |V| - 1 + 2|S| for every root.  ``parent``,
+    ``vertices``, ``steiner_points`` and ``post_order`` are derived from
+    the schedule on demand.  The constructor roots the child -> parent
+    map given through the same walk as ``gen_steiner``.
     """
 
-    __slots__ = ("root", "parent", "terminals", "steiner_points", "vertices",
-                 "post_order", "schedule", "schedule_cost")
+    __slots__ = ("root", "terminals", "schedule", "schedule_cost")
 
     def __init__(self, root: int, parent: Dict[int, int], terminals):
         if root in parent:
             raise ValueError("root must not have a parent")
-        children: Dict[int, List[int]] = {v: [] for v in parent}
-        children[root] = []
+        adjacency: Dict[int, List[int]] = {root: []}
         for c, p in parent.items():
-            children.setdefault(p, []).append(c)
-        for kids in children.values():
-            kids.sort()
-        _finish_tree(self, root, dict(parent), children, terminals)
+            adjacency.setdefault(c, []).append(p)
+            adjacency.setdefault(p, []).append(c)
+        for nbs in adjacency.values():
+            nbs.sort()
+        term = frozenset(terminals) & adjacency.keys()
+        if root not in term:
+            raise ValueError("root must be a terminal")
+        self.root = root
+        self.terminals = term
+        self.schedule, self.schedule_cost = _walk(
+            adjacency, adjacency.keys() - term, root)
+        if len(self.schedule) != len(adjacency) - 1:
+            raise ValueError("parent links must form one tree under the root")
+
+    @property
+    def post_order(self) -> Tuple[int, ...]:
+        return tuple(a if kind == SWAP_OP else b
+                     for kind, a, b in self.schedule) + (self.root,)
+
+    @property
+    def vertices(self) -> FrozenSet[int]:
+        return frozenset(self.post_order)
+
+    @property
+    def steiner_points(self) -> FrozenSet[int]:
+        return self.vertices - self.terminals
+
+    @property
+    def parent(self) -> Dict[int, int]:
+        return dict(self.edge_list())
 
     def edge_list(self) -> List[Tuple[int, int]]:
-        return [(c, p) for c, p in self.parent.items()]
+        """(child, parent) pairs in post-order."""
+        return [(a, b) if kind == SWAP_OP else (b, a)
+                for kind, a, b in self.schedule]
 
     def __repr__(self) -> str:
         return (f"ReductionTree(root={self.root}, vertices={sorted(self.vertices)}, "
                 f"steiner={sorted(self.steiner_points)})")
 
 
-def _finish_tree(tree: ReductionTree, root: int, parent: Dict[int, int],
-                 children: Dict[int, List[int]], terminals) -> None:
-    """Fill a ReductionTree's slots from parent/children maps.
+def _walk(adjacency, steiner, root: int) -> Tuple[tuple, int]:
+    """Root an undirected tree at ``root``: its schedule and schedule cost.
 
-    Children lists must already be in ascending node order; the schedule
-    swaps each Steiner parent with its first-visited child and adds
-    everywhere else.
+    Pushing each node's children in ascending order makes one stack walk
+    a pre-order with descending children; reversed, that is the
+    post-order with ascending children.  A child's op is fixed as its
+    parent is expanded: a Steiner parent swaps with its first child.
     """
-    tree.root = root
-    tree.parent = parent
-    vertices = frozenset(children)
-    tree.vertices = vertices
-    term = frozenset(terminals) & vertices
-    tree.terminals = term
-    steiner = vertices - term
-    tree.steiner_points = steiner
-    if root not in term:
-        raise ValueError("root must be a terminal")
-    # Post-order with ascending children == reversed pre-order with
-    # descending children, which needs only one plain stack.
-    pre: List[int] = []
-    stack = [root]
-    pop = stack.pop
-    push = stack.extend
-    add = pre.append
+    pre = []
+    swaps = 0
+    stack = [(root, -1, None)]
     while stack:
-        node = pop()
-        add(node)
-        push(children[node])
+        node, up, op = stack.pop()
+        if op is not None:
+            pre.append(op)
+        swap = node in steiner
+        for c in adjacency[node]:
+            if c != up:
+                stack.append((c, node, (SWAP_OP, c, node) if swap else (ADD_OP, node, c)))
+                swaps += swap
+                swap = False
     pre.reverse()
-    tree.post_order = tuple(pre)
-    sched = []
-    cost = 0
-    for u in pre:
-        if u == root:
-            break
-        p = parent[u]
-        if p in steiner and children[p][0] == u:
-            sched.append((SWAP_OP, u, p))
-            cost += 3
-        else:
-            sched.append((ADD_OP, p, u))
-            cost += 1
-    tree.schedule = tuple(sched)
-    tree.schedule_cost = cost
+    return tuple(pre), len(pre) + 2 * swaps
 
 
 def nearest_neighbours(first, second, dist) -> Tuple[int, int]:
@@ -233,16 +241,24 @@ def _add_path(adjacency: dict, path: Sequence[int]) -> None:
 
 
 def _grow_steiner_graph(g: ArchGraph, terminals: FrozenSet[int]) -> dict:
-    """Grow a tree-like graph spanning the terminals from shortest paths.
+    """Grow a tree spanning the terminals from shortest paths.
 
-    Returns an adjacency map node -> sorted neighbour tuple, ready for
-    deterministic BFS rooting.
+    A shortest path joins the nearest pair of terminals, then each
+    remaining terminal u nearest the tree joins its nearest tree node v.
+    The result is a tree whose leaves are all terminals: an interior
+    node w of a u-v path is strictly nearer to u than v, so were it a
+    tree node or a terminal, (u, w) or (w, v) would be a nearer pair.
+    Each path thus meets the tree only at v, and only its ends other
+    than v, all terminals, are left with one neighbour.
+
+    Returns an adjacency map node -> sorted neighbour tuple; raises
+    AssertionError if the result is not such a tree.
     """
-    adjacency: dict = {}
-    remaining = set(terminals)
     if len(terminals) == 1:
         (only,) = terminals
         return {only: ()}
+    adjacency: dict = {}
+    remaining = set(terminals)
     u, v = nearest_neighbours(terminals, terminals, g.dist)
     _add_path(adjacency, path_from_successors(g.succ, u, v))
     remaining -= adjacency.keys()
@@ -250,79 +266,46 @@ def _grow_steiner_graph(g: ArchGraph, terminals: FrozenSet[int]) -> dict:
         u, v = nearest_neighbours(remaining, adjacency.keys(), g.dist)
         _add_path(adjacency, path_from_successors(g.succ, u, v))
         remaining -= adjacency.keys()
-    return {node: tuple(sorted(nbs)) for node, nbs in adjacency.items()}
+    grown = {node: tuple(sorted(nbs)) for node, nbs in adjacency.items()}
+    if (sum(map(len, grown.values())) != 2 * (len(grown) - 1)
+            or any(len(nbs) == 1 and node not in terminals
+                   for node, nbs in grown.items())):
+        raise AssertionError(
+            f"grown graph for terminals {sorted(terminals)} is not a tree "
+            "with terminal leaves")
+    return grown
 
 
-def _treefy(adjacency: dict, terminals: FrozenSet[int], root: int) -> ReductionTree:
-    """Root the grown graph at ``root`` by BFS, then prune useless leaves.
-
-    BFS drops any cycle-closing edge picked up by overlapping shortest
-    paths.  Branches ending in non-terminal leaves contribute nothing to
-    a reduction and would corrupt it, so they are removed.
-    """
-    parent: Dict[int, int] = {root: root}
-    order = [root]
-    for node in order:  # grows during iteration: FIFO BFS
-        for nb in adjacency[node]:
-            if nb not in parent:
-                parent[nb] = node
-                order.append(nb)
-    del parent[root]
-    nchild = dict.fromkeys(order, 0)
-    for p in parent.values():
-        nchild[p] += 1
-    prune = [v for v in order if nchild[v] == 0 and v not in terminals]
-    removed = set()
-    while prune:
-        leaf = prune.pop()
-        removed.add(leaf)
-        p = parent.pop(leaf)
-        nchild[p] -= 1
-        if nchild[p] == 0 and p not in terminals:
-            prune.append(p)
-    if removed:
-        order = [v for v in order if v not in removed]
-    children: Dict[int, List[int]] = {v: [] for v in order}
-    for v in order:
-        if v != root:
-            children[parent[v]].append(v)
-    # BFS discovers each node's children consecutively in ascending
-    # order, so the lists are already sorted.
-    tree = ReductionTree.__new__(ReductionTree)
-    _finish_tree(tree, root, parent, children, terminals)
-    return tree
-
-
-_TREE_CACHE_CAP = 20000
 _GROW_CACHE_CAP = 4000
 
 
 def gen_steiner(g: ArchGraph, terminals, root: int) -> ReductionTree:
     """Approximate Steiner tree spanning ``terminals``, rooted at ``root``.
 
-    Grows a tree-like graph by repeatedly joining the nearest remaining
-    terminal to the partial tree along a shortest path, then converts it
-    to a rooted tree by BFS.  Results are memoized per (terminals, root):
-    the grown graph is root-independent, and the cost table re-roots the
-    same terminal set at every candidate node.  Caches are dropped
-    wholesale past a size cap; sustained benchmark runs would otherwise
-    accumulate trees without bound.
+    The tree is grown once per terminal set and cached on ``g`` with its
+    Steiner points and a root -> ReductionTree memo; a new root costs
+    one stack walk.  ``schedule_cost`` is the same for every root.  Past
+    ``_GROW_CACHE_CAP`` terminal sets the cache, memos included, is
+    dropped wholesale; sustained runs would otherwise grow it unbounded.
     """
     key = frozenset(terminals)
-    if root not in key:
-        raise ValueError(f"root {root} not in terminal set")
-    tree = g._tree_cache.get((key, root))
+    cache = g._steiner_cache
+    entry = cache.get(key)
+    if entry is None:
+        if len(cache) >= _GROW_CACHE_CAP:
+            cache.clear()
+        grown = _grow_steiner_graph(g, key)
+        entry = cache[key] = (grown, frozenset(grown) - key, {})
+    tree = entry[2].get(root)
     if tree is None:
-        grown = g._grow_cache.get(key)
-        if grown is None:
-            if len(g._grow_cache) >= _GROW_CACHE_CAP:
-                g._grow_cache.clear()
-            grown = _grow_steiner_graph(g, key)
-            g._grow_cache[key] = grown
-        if len(g._tree_cache) >= _TREE_CACHE_CAP:
-            g._tree_cache.clear()
-        tree = _treefy(grown, key, root)
-        g._tree_cache[(key, root)] = tree
+        if root not in key:
+            raise ValueError(f"root {root} not in terminal set")
+        grown, steiner, trees = entry
+        tree = ReductionTree.__new__(ReductionTree)
+        tree.root = root
+        tree.terminals = key
+        tree.schedule, tree.schedule_cost = _walk(grown, steiner, root)
+        trees[root] = tree
     return tree
 
 
@@ -345,16 +328,23 @@ def parse_arch_json(text: str, source: str = "<arch>") -> Tuple[ArchGraph, Optio
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ArchFileError(f"{source}: not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ArchFileError(f"{source}: top level must be a JSON object")
     for field in ("name", "nodes", "edges"):
         if field not in data:
             raise ArchFileError(f"{source}: missing field {field!r}")
-    names = list(data["nodes"])
+    names = data["nodes"]
+    if not (isinstance(names, list) and all(isinstance(nm, str) for nm in names)):
+        raise ArchFileError(f"{source}: nodes must be a list of name strings")
     if len(set(names)) != len(names):
         raise ArchFileError(f"{source}: duplicate node names")
     index = {nm: i for i, nm in enumerate(names)}
+    if not isinstance(data["edges"], list):
+        raise ArchFileError(f"{source}: edges must be a list of [name, name] pairs")
     edges = []
     for pair in data["edges"]:
-        if len(pair) != 2:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(nm, str) for nm in pair)):
             raise ArchFileError(f"{source}: malformed edge {pair!r}")
         a, b = pair
         if a not in index or b not in index:
@@ -368,8 +358,10 @@ def parse_arch_json(text: str, source: str = "<arch>") -> Tuple[ArchGraph, Optio
     if "initial_mapping" in data:
         n = len(names)
         mapping = [-1] * n
+        if not isinstance(data["initial_mapping"], list):
+            raise ArchFileError(f"{source}: initial_mapping must be a list of [wire, name] pairs")
         for pair in data["initial_mapping"]:
-            if len(pair) != 2:
+            if not (isinstance(pair, list) and len(pair) == 2):
                 raise ArchFileError(f"{source}: malformed mapping entry {pair!r}")
             wire, node = pair
             if not (isinstance(wire, str) and wire.startswith("w")):
@@ -380,7 +372,7 @@ def parse_arch_json(text: str, source: str = "<arch>") -> Tuple[ArchGraph, Optio
                 raise ArchFileError(f"{source}: wire label {wire!r} must look like 'w3'")
             if not 0 <= w < n:
                 raise ArchFileError(f"{source}: wire {wire!r} out of range")
-            if node not in index:
+            if not isinstance(node, str) or node not in index:
                 raise ArchFileError(f"{source}: mapping names unknown node {node!r}")
             if mapping[w] != -1:
                 raise ArchFileError(f"{source}: wire {wire!r} mapped twice")

@@ -166,9 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--no-postprocess", action="store_true")
     b.add_argument("--timing", action="store_true",
                    help="include wall time in JSON output")
-    fmt = b.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--table", action="store_true")
+    b.add_argument("--json", action="store_true",
+                   help="print the report as JSON instead of a table")
     b.set_defaults(func=_cmd_bench)
 
     a = sub.add_parser("arch", help="inspect the architecture registry")

@@ -1,0 +1,38 @@
+"""Architecture files with values of the wrong JSON type."""
+
+import json
+
+import pytest
+
+from cnotroute.arch import ArchFileError, parse_arch_json
+
+GOOD = {
+    "name": "toy",
+    "nodes": ["A", "B", "C"],
+    "edges": [["A", "B"], ["B", "C"]],
+    "initial_mapping": [["w1", "B"], ["w2", "A"], ["w3", "C"]],
+}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "JSON object"),
+    (5, "JSON object"),
+    ({**GOOD, "nodes": 5}, "nodes must be a list"),
+    ({**GOOD, "nodes": "ABC"}, "nodes must be a list"),
+    ({**GOOD, "nodes": ["A", 1, "C"]}, "nodes must be a list"),
+    ({**GOOD, "nodes": ["A", ["B"], "C"]}, "nodes must be a list"),
+    ({**GOOD, "edges": 5}, "edges must be a list"),
+    ({**GOOD, "edges": {"A": "B"}}, "edges must be a list"),
+    ({**GOOD, "edges": [["A", "B"], "BC"]}, "malformed edge"),
+    ({**GOOD, "edges": [["A", "B"], 7]}, "malformed edge"),
+    ({**GOOD, "edges": [["A", "B"], ["B", "C", "A"]]}, "malformed edge"),
+    ({**GOOD, "edges": [["A", "B"], [["B"], "C"]]}, "malformed edge"),
+    ({**GOOD, "initial_mapping": 5}, "initial_mapping must be a list"),
+    ({**GOOD, "initial_mapping": {"w1": "A"}}, "initial_mapping must be a list"),
+    ({**GOOD, "initial_mapping": [["w1", "B"], 3, ["w3", "C"]]}, "malformed mapping"),
+    ({**GOOD, "initial_mapping": [["w1", ["B"]], ["w2", "A"], ["w3", "C"]]},
+     "unknown node"),
+])
+def test_wrong_types_raise_arch_file_error(doc, message):
+    with pytest.raises(ArchFileError, match=message):
+        parse_arch_json(json.dumps(doc))

@@ -1,7 +1,12 @@
 """Command-line interface: route, verify, bench, arch subcommands."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import cnotroute
 from cnotroute.cli import main
 from cnotroute.circuit import parse_circuit
 
@@ -136,3 +141,19 @@ def test_missing_file_reports_error(capsys):
     rc = main(["route", "nope.txt", "--arch", "9-square"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_arch_file_with_wrong_types_is_an_error_not_a_traceback(tmp_path):
+    arch = tmp_path / "bad.json"
+    arch.write_text(json.dumps({"name": "x", "nodes": 5, "edges": []}))
+    circ = tmp_path / "c.txt"
+    circ.write_text("qubits 5\ncnot 0 1\n")
+    src = str(Path(cnotroute.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "cnotroute.cli", "route", "--arch", str(arch), str(circ)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert "error:" in done.stderr and "nodes must be a list" in done.stderr
+    assert "Traceback" not in done.stderr

@@ -1,0 +1,107 @@
+"""Steiner tree rooting against a BFS reference written here.
+
+For random connected graphs and terminal sets, the grown graph must be a
+tree with terminal leaves, and every root's schedule must match the one
+built from a BFS rooting with ascending children.
+"""
+
+import random
+
+import pytest
+
+from cnotroute.arch import ReductionTree, gen_steiner, _grow_steiner_graph
+
+from conftest import random_connected_graph
+
+
+def _check_tree_with_terminal_leaves(g, grown, terminals):
+    assert terminals <= grown.keys()
+    edges = {(min(a, b), max(a, b)) for a, nbs in grown.items() for b in nbs}
+    assert len(edges) == len(grown) - 1
+    for a, b in edges:
+        assert g.is_edge(a, b)
+    start = next(iter(grown))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        x = frontier.pop()
+        for y in grown[x]:
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    assert seen == grown.keys()
+    for node, nbs in grown.items():
+        if len(nbs) == 1:
+            assert node in terminals
+
+
+def _reference_schedule(grown, terminals, root):
+    """BFS parents, ascending children, recursive post-order."""
+    parent = {root: None}
+    order = [root]
+    for x in order:
+        for y in sorted(grown[x]):
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    children = {x: sorted(y for y in order if parent[y] == x) for x in order}
+
+    post = []
+
+    def visit(x):
+        for y in children[x]:
+            visit(y)
+        post.append(x)
+
+    visit(root)
+    schedule = []
+    cost = 0
+    for u in post[:-1]:
+        p = parent[u]
+        if p not in terminals and children[p][0] == u:
+            schedule.append(("SWAP", u, p))
+            cost += 3
+        else:
+            schedule.append(("ADD", p, u))
+            cost += 1
+    return tuple(schedule), cost, tuple(post), parent
+
+
+def _samples(seed, graphs):
+    rng = random.Random(seed)
+    for _ in range(graphs):
+        n = rng.randrange(1, 21)
+        g = random_connected_graph(rng, n, extra=rng.randrange(2 * n + 1))
+        for _ in range(3):
+            yield g, frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
+
+
+def test_every_root_matches_bfs_reference():
+    count = 0
+    for g, terminals in _samples(2011, 200):
+        grown = _grow_steiner_graph(g, terminals)
+        _check_tree_with_terminal_leaves(g, grown, terminals)
+        steiner = grown.keys() - terminals
+        for root in sorted(terminals):
+            schedule, cost, post, parent = _reference_schedule(
+                grown, terminals, root)
+            for _ in range(2):  # the second call is served by the memo
+                tree = gen_steiner(g, terminals, root)
+                assert tree.schedule == schedule
+                assert tree.schedule_cost == cost
+                assert tree.schedule_cost == len(grown) - 1 + 2 * len(steiner)
+            assert tree.post_order == post
+            assert tree.vertices == grown.keys()
+            assert tree.steiner_points == steiner
+            del parent[root]
+            assert tree.parent == parent
+            rebuilt = ReductionTree(root, tree.parent, terminals)
+            assert rebuilt.schedule == schedule
+            assert rebuilt.schedule_cost == cost
+            count += 1
+    assert count > 1000
+
+
+def test_reduction_tree_rejects_links_not_reaching_root():
+    with pytest.raises(ValueError, match="one tree"):
+        ReductionTree(0, {1: 2, 2: 1}, {0, 1})
