@@ -244,12 +244,15 @@ def _grow_steiner_graph(g: ArchGraph, terminals: FrozenSet[int]) -> dict:
     """Grow a tree spanning the terminals from shortest paths.
 
     A shortest path joins the nearest pair of terminals, then each
-    remaining terminal u nearest the tree joins its nearest tree node v.
-    The result is a tree whose leaves are all terminals: an interior
-    node w of a u-v path is strictly nearer to u than v, so were it a
-    tree node or a terminal, (u, w) or (w, v) would be a nearer pair.
-    Each path thus meets the tree only at v, and only its ends other
-    than v, all terminals, are left with one neighbour.
+    remaining terminal u nearest the tree joins its nearest tree node v,
+    ties broken to the smallest (distance, u, v).  Each remaining
+    terminal keeps its (distance, nearest tree node) pair, updated with
+    only the nodes each new path adds.  The result is a tree whose leaves
+    are all terminals: an interior node w of a u-v path is strictly
+    nearer to u than v, so were it a tree node or a terminal, (u, w) or
+    (w, v) would be a nearer pair.  Each path thus meets the tree only
+    at v, and only its ends other than v, all terminals, are left with
+    one neighbour.
 
     Returns an adjacency map node -> sorted neighbour tuple; raises
     AssertionError if the result is not such a tree.
@@ -257,15 +260,25 @@ def _grow_steiner_graph(g: ArchGraph, terminals: FrozenSet[int]) -> dict:
     if len(terminals) == 1:
         (only,) = terminals
         return {only: ()}
+    dist = g.dist
     adjacency: dict = {}
-    remaining = set(terminals)
-    u, v = nearest_neighbours(terminals, terminals, g.dist)
-    _add_path(adjacency, path_from_successors(g.succ, u, v))
-    remaining -= adjacency.keys()
-    while remaining:
-        u, v = nearest_neighbours(remaining, adjacency.keys(), g.dist)
-        _add_path(adjacency, path_from_successors(g.succ, u, v))
-        remaining -= adjacency.keys()
+    nearest = {t: (INF, -1) for t in terminals}
+    u, v = nearest_neighbours(terminals, terminals, dist)
+    while True:
+        path = path_from_successors(g.succ, u, v)
+        _add_path(adjacency, path)
+        for w in path:
+            nearest.pop(w, None)
+        if not nearest:
+            break
+        for t, (d0, w0) in nearest.items():
+            dt = dist[t]
+            for w in path:
+                d = dt[w]
+                if d < d0 or (d == d0 and w < w0):
+                    d0, w0 = d, w
+            nearest[t] = (d0, w0)
+        _, u, v = min((d, t, w) for t, (d, w) in nearest.items())
     grown = {node: tuple(sorted(nbs)) for node, nbs in adjacency.items()}
     if (sum(map(len, grown.values())) != 2 * (len(grown) - 1)
             or any(len(nbs) == 1 and node not in terminals

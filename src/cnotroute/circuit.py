@@ -195,6 +195,8 @@ def parse_mapping_json(text: str, names: Sequence[str],
             raise CircuitFormatError(f"{source}: wire label {wire!r} must look like 'w3'")
         if not 0 <= w < n:
             raise CircuitFormatError(f"{source}: wire {wire!r} out of range")
+        if not isinstance(node, str):
+            raise CircuitFormatError(f"{source}: node name {node!r} must be a string")
         if node not in index:
             raise CircuitFormatError(f"{source}: unknown node {node!r}")
         if nodes[w] != -1:

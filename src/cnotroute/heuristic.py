@@ -2,21 +2,35 @@
 
 Every iteration of the synthesizer prices each remaining reduction
 (node, basis vector) by actually running it -- tracked reduction plus
-recovery -- and rolling it back, then commits the candidate whose
-resulting state has the cheapest perfect node-to-basis assignment.
+recovery -- on a scratch copy of the rows, then commits the candidate
+whose resulting state has the cheapest perfect node-to-basis assignment.
+
+Only the *open block* of the cost table is priced: the non-basic nodes
+against the basis indices e whose inverse row is not a unit vector.  A
+basic node u holding e_f is the only support of row f of the inverse
+(the unique row combination yielding e_f is {u}), so row f is the unit
+vector e_u and column f of the full table has a single finite entry,
+(u, f) = 0.  Every finite assignment therefore pins u to f at cost 0,
+and a non-basic node can never be sent to f.  Basic nodes and pinned
+indices are in bijection, so the block is square; its minimum
+assignment total equals the full table's, and its cheapest entries are
+the full table's cheapest entries over non-basic rows, in the same
+order.  ``build_cost_table`` and ``cost`` remain the full-table
+reference and share ``_pair_cost`` with the block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from scipy.optimize import linear_sum_assignment
 
 from .arch import gen_steiner
 from .gf2 import SingularMatrixError, invert, vec_support
-from .rowgraph import (RowGraph, RowOp, apply_recovery, apply_schedule_tracked,
-                       reduction_recovery, tree_reduce_tracked, undo_operations)
+from .rowgraph import (SWAP, RowGraph, RowOp, apply_recovery,
+                       apply_schedule_tracked, reduction_recovery,
+                       tree_reduce_tracked)
 
 
 class AssignmentError(ValueError):
@@ -39,41 +53,52 @@ def infinite_cost(n: int) -> int:
 
 @dataclass(frozen=True)
 class CostTable:
-    """entries[u][e] = op weight to reduce node u to basis vector e."""
+    """entries[i][j] = op weight to reduce node nodes[i] to columns[j].
+
+    ``columns`` are basis indices and ``n`` is the graph size.  The full
+    table labels its rows and columns 0..n-1 (the default); the open
+    block labels the non-basic nodes and unpinned basis indices it
+    keeps, both ascending.
+    """
 
     n: int
     entries: Tuple[Tuple[int, ...], ...]
     infinite: int
-    supports: Tuple[Tuple[int, ...], ...]  # reachable terminal set per e
+    supports: Tuple[Tuple[int, ...], ...]  # reachable terminal set per column
+    nodes: Optional[Tuple[int, ...]] = None
+    columns: Optional[Tuple[int, ...]] = None
+
+    def __post_init__(self):
+        for field in ("nodes", "columns"):
+            if getattr(self, field) is None:
+                object.__setattr__(self, field, tuple(range(len(self.entries))))
 
 
 @dataclass(frozen=True)
 class Assignment:
-    by_node: Tuple[int, ...]
+    by_node: Tuple[int, ...]  # basis index per table row, in row order
     total: int
 
 
 def _pair_cost(rows: List[int], graph, u: int, e: int,
                terminals: FrozenSet[int]) -> int:
-    """Price reducing u to e, leaving the rows untouched."""
+    """Price reducing u to e on a scratch copy of the rows."""
     tree = gen_steiner(graph, terminals, u)
-    ops, tracked = apply_schedule_tracked(rows, tree.schedule, u)
-    recover = apply_recovery(rows, ops, tracked)
+    work = rows[:]
+    ops, tracked = apply_schedule_tracked(work, tree.schedule, u)
     total = tree.schedule_cost
-    for kind, _, _ in recover:
-        total += 3 if kind == "SWAP" else 1
-    undo_operations(rows, recover)
-    undo_operations(rows, ops)
+    for kind, _, _ in apply_recovery(work, ops, tracked):
+        total += 3 if kind == SWAP else 1
     return total
 
 
 def cost(rg: RowGraph, u: int, e: int) -> int:
     """Reduction cost for one (node, basis vector) pair.
 
-    Runs the tracked reduction and recovery, counts op weight (SWAP
-    counts as 3), and rolls the state back bit-for-bit.  Returns the
-    table's infinite sentinel when no row combination containing u
-    yields e.
+    Runs the tracked reduction and recovery on a copy of the rows and
+    counts op weight (SWAP counts as 3); the row graph is untouched.
+    Returns the table's infinite sentinel when no row combination
+    containing u yields e.
     """
     n = rg.graph.n
     inv = invert(rg.matrix())
@@ -112,23 +137,69 @@ def build_cost_table(rg: RowGraph) -> CostTable:
                      tuple(supports))
 
 
+def _open_block(rg: RowGraph) -> CostTable:
+    """The cost table restricted to non-basic nodes x unpinned basis indices."""
+    graph = rg.graph
+    n = graph.n
+    inv = invert(rg.matrix())
+    if inv is None:
+        raise SingularMatrixError("row graph is not reversible")
+    rows = rg.rows
+    # rows of an invertible matrix are nonzero, so r & (r - 1) == 0 means unit
+    nodes = [u for u, r in enumerate(rows) if r & (r - 1)]
+    position = [-1] * n
+    for i, u in enumerate(nodes):
+        position[u] = i
+    sentinel = infinite_cost(n)
+    entries = [[sentinel] * len(nodes) for _ in nodes]
+    columns = []
+    supports = []
+    for e, row in enumerate(inv.rows):
+        if not row & (row - 1):
+            continue
+        j = len(columns)
+        columns.append(e)
+        sup = vec_support(row)
+        supports.append(sup)
+        terminals = frozenset(sup)
+        for u in sup:
+            i = position[u]
+            if i >= 0:
+                entries[i][j] = _pair_cost(rows, graph, u, e, terminals)
+    return CostTable(n, tuple(tuple(r) for r in entries), sentinel,
+                     tuple(supports), tuple(nodes), tuple(columns))
+
+
 def hungarian_assign(table: CostTable) -> Assignment:
-    """Minimum-total bijection node -> basis index over the cost table."""
-    row_ind, col_ind = linear_sum_assignment(table.entries)
-    by_node = [0] * table.n
+    """Minimum-total bijection of the table's rows onto its columns."""
+    entries = table.entries
+    if not entries:
+        return Assignment((), 0)
+    row_ind, col_ind = linear_sum_assignment(entries)
+    by_node = [0] * len(entries)
     total = 0
     for r, c in zip(row_ind, col_ind):
-        value = table.entries[r][c]
+        value = entries[r][c]
         if value >= table.infinite:
             raise AssignmentError("no finite perfect assignment exists")
-        by_node[r] = int(c)
+        by_node[r] = table.columns[c]
         total += value
     return Assignment(tuple(by_node), total)
 
 
 def loss(rg: RowGraph) -> int:
     """Total cost of the cheapest node-to-basis assignment."""
-    return hungarian_assign(build_cost_table(rg)).total
+    return hungarian_assign(_open_block(rg)).total
+
+
+def _cheapest(block: CostTable) -> List[Tuple[int, int, Tuple[int, ...]]]:
+    """(node, basis, support) of the block's minimum entries, node-major."""
+    best = min(min(r) for r in block.entries)
+    if best >= block.infinite:
+        raise AssignmentError("no reducible pair found; state corrupt")
+    return [(block.nodes[i], block.columns[j], block.supports[j])
+            for i, r in enumerate(block.entries)
+            for j, c in enumerate(r) if c == best]
 
 
 def _reduce_pair(rg: RowGraph, u: int, e: int,
@@ -141,42 +212,37 @@ def _reduce_pair(rg: RowGraph, u: int, e: int,
 def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
     """Reduce the row graph to basic form, greedily and with look-ahead.
 
-    Loop until basic: price every reduction of a node still holding a
-    non-unit row, shortlist the cheapest ones, trial-run each (reduce,
-    recover, score the resulting state's loss, roll back) and commit the
-    one with the smallest loss.  Ties break to the lowest (node, basis)
-    pair.  Each commit makes at least one more node basic, so the loop
-    runs at most n times.
+    Loop until basic: price the open block, shortlist its cheapest
+    entries, trial-run each (reduce, recover, score the resulting
+    state's loss, roll back) and commit the one with the smallest loss.
+    Ties break to the lowest (node, basis) pair.  The winner's trial
+    block is the committed state's block, so it serves as the next
+    iteration's table.  Each commit makes at least one more node basic,
+    so the loop runs at most n times.
     """
-    n = rg.graph.n
     if invert(rg.matrix()) is None:
         raise SingularMatrixError("row graph is not reversible")
     start = rg.mark()
-    while True:
-        rows = rg.rows
-        non_unit = [u for u in range(n)
-                    if not (rows[u] and rows[u] & (rows[u] - 1) == 0)]
-        if not non_unit:
-            break
-        table = build_cost_table(rg)
-        best_cost = min(table.entries[u][e] for u in non_unit for e in range(n))
-        if best_cost >= table.infinite:
-            raise AssignmentError("no reducible pair found; state corrupt")
-        candidates = [(u, e) for u in non_unit for e in range(n)
-                      if table.entries[u][e] == best_cost]
-        if len(candidates) == 1:
-            chosen = candidates[0]
-        else:
-            chosen = None
+    block = None
+    while not rg.is_basic():
+        if block is None:
+            block = _open_block(rg)
+        candidates = _cheapest(block)
+        chosen = candidates[0]
+        block = None
+        if len(candidates) > 1:
             best_loss = None
-            for u, e in candidates:
+            for candidate in candidates:
+                u, e, sup = candidate
                 mark = rg.mark()
-                _reduce_pair(rg, u, e, frozenset(table.supports[e]))
-                trial_loss = loss(rg)
+                _reduce_pair(rg, u, e, frozenset(sup))
+                trial = _open_block(rg)
+                trial_loss = hungarian_assign(trial).total
                 rg.undo_to(mark)
                 if best_loss is None or trial_loss < best_loss:
                     best_loss = trial_loss
-                    chosen = (u, e)
-        u, e = chosen
-        _reduce_pair(rg, u, e, frozenset(table.supports[e]))
+                    chosen = candidate
+                    block = trial
+        u, e, sup = chosen
+        _reduce_pair(rg, u, e, frozenset(sup))
     return list(rg.op_log[start:])

@@ -6,9 +6,9 @@ adjacent rows (three CNOTs).  The reducers below rewrite the state until
 every node holds a standard basis vector ("basic" form), logging the
 operations so they can be emitted as a circuit.
 
-The tuple-level ``apply_*``/``undo_operations`` helpers mutate a raw row
-list without touching the op log; cost evaluation calls them thousands
-of times per synthesis and rolls every mutation back.
+The tuple-level ``apply_*`` helpers mutate a raw row list without
+touching the op log; cost evaluation calls them thousands of times per
+synthesis, each time on a scratch copy of the rows.
 """
 
 from __future__ import annotations
@@ -149,15 +149,6 @@ def apply_recovery(rows: List[int], operations, tracked: Set[int]) -> list:
                 tracked.discard(n2)
                 recover.append((SWAP, n1, n2))
     return recover
-
-
-def undo_operations(rows: List[int], operations) -> None:
-    """Invert a run of operations (each op is its own inverse)."""
-    for kind, a, b in reversed(operations):
-        if kind == ADD:
-            rows[a] ^= rows[b]
-        else:
-            rows[a], rows[b] = rows[b], rows[a]
 
 
 def _check_tree(rg: RowGraph, tree: ReductionTree) -> int:

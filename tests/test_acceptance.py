@@ -6,6 +6,7 @@ gate-count bound, regression, and dominance criteria reuse its data.
 Run with ``pytest tests/test_acceptance.py -s`` to watch the lines.
 """
 
+import os
 import random
 import time
 from itertools import permutations, product
@@ -39,10 +40,13 @@ PAPER_MEANS_256 = {
 
 @pytest.fixture(scope="session")
 def sweep():
+    # pooled trials equal sequential ones (test_worker_pool_matches_sequential)
+    jobs = os.cpu_count() or 1
     reports = {}
     started = time.perf_counter()
     for arch in list_architectures():
-        reports[arch] = run_benchmark(BenchConfig(arch=arch, seed=SWEEP_SEED))
+        reports[arch] = run_benchmark(BenchConfig(arch=arch, seed=SWEEP_SEED,
+                                                  jobs=jobs))
     reports["__elapsed__"] = time.perf_counter() - started
     return reports
 

@@ -1,5 +1,7 @@
 """Circuit text format, gate constructors, and mappings."""
 
+import json
+
 import pytest
 
 from cnotroute.circuit import (Circuit, CircuitFormatError, Mapping, cnot,
@@ -80,4 +82,11 @@ def test_mapping_json_roundtrip():
 ])
 def test_mapping_json_rejects(text, message):
     with pytest.raises(CircuitFormatError, match=message):
+        parse_mapping_json(text, ["Q1", "Q2", "Q3"])
+
+
+@pytest.mark.parametrize("node", [["Q1"], {"Q1": 1}, 1, None, 1.5, True])
+def test_mapping_json_rejects_non_string_node(node):
+    text = json.dumps([["w1", node], ["w2", "Q2"], ["w3", "Q3"]])
+    with pytest.raises(CircuitFormatError, match="must be a string"):
         parse_mapping_json(text, ["Q1", "Q2", "Q3"])

@@ -157,3 +157,22 @@ def test_arch_file_with_wrong_types_is_an_error_not_a_traceback(tmp_path):
     assert done.returncode == 2
     assert "error:" in done.stderr and "nodes must be a list" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_mapping_with_non_string_node_is_an_error_not_a_traceback(tmp_path):
+    arch = tmp_path / "line3.json"
+    arch.write_text(json.dumps(ARCH_FILE))
+    circ = tmp_path / "c.txt"
+    circ.write_text("qubits 3\ncnot 0 2\n")
+    mapping = tmp_path / "m.json"
+    mapping.write_text(json.dumps([["w1", ["A"]], ["w2", "B"], ["w3", "C"]]))
+    src = str(Path(cnotroute.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "cnotroute.cli", "route", "--arch", str(arch),
+         "--mapping", str(mapping), str(circ)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert "error:" in done.stderr and "must be a string" in done.stderr
+    assert "Traceback" not in done.stderr

@@ -9,7 +9,8 @@ import random
 
 import pytest
 
-from cnotroute.arch import ReductionTree, gen_steiner, _grow_steiner_graph
+from cnotroute.arch import (ReductionTree, _grow_steiner_graph, gen_steiner,
+                           path_from_successors)
 
 from conftest import random_connected_graph
 
@@ -105,3 +106,43 @@ def test_every_root_matches_bfs_reference():
 def test_reduction_tree_rejects_links_not_reaching_root():
     with pytest.raises(ValueError, match="one tree"):
         ReductionTree(0, {1: 2, 2: 1}, {0, 1})
+
+
+def _reference_grow(g, terminals):
+    """Nearest-pair growth, rescanning every (terminal, tree node) pair.
+
+    Each step joins the pair minimizing (distance, u, v) by a shortest
+    path; the first pair is drawn from the terminals alone.
+    """
+    if len(terminals) == 1:
+        return {next(iter(terminals)): ()}
+
+    def nearest(first, second):
+        return min((g.dist[u][v], u, v) for u in first for v in second if u != v)
+
+    adjacency = {}
+
+    def add(u, v):
+        path = path_from_successors(g.succ, u, v)
+        for x in path:
+            adjacency.setdefault(x, set())
+        for a, b in zip(path, path[1:]):
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+
+    _, u, v = nearest(terminals, terminals)
+    add(u, v)
+    remaining = set(terminals) - adjacency.keys()
+    while remaining:
+        _, u, v = nearest(remaining, set(adjacency))
+        add(u, v)
+        remaining -= adjacency.keys()
+    return {x: tuple(sorted(nbs)) for x, nbs in adjacency.items()}
+
+
+def test_incremental_growth_matches_nearest_pair_reference():
+    count = 0
+    for g, terminals in _samples(2027, 200):
+        assert _grow_steiner_graph(g, terminals) == _reference_grow(g, terminals)
+        count += 1
+    assert count == 600
