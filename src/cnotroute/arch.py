@@ -3,8 +3,10 @@
 An architecture is an undirected connected graph of physical qubits.
 Distance and successor tables are built once per graph.  Steiner-style
 reduction trees are grown on demand into one cache entry per terminal
-set, which also memoizes the tree rooted at each terminal: cost-table
-construction roots the same grown tree at every node it spans.
+set (``steiner_entry``): the unrooted grown tree, its Steiner points and
+a memo of the trees ``gen_steiner`` has rooted at its terminals.  Pricing
+reads the unrooted tree and prices all roots at once; only committed
+reductions root a tree.
 """
 
 from __future__ import annotations
@@ -217,11 +219,16 @@ def nearest_neighbours(first, second, dist) -> Tuple[int, int]:
     """Pair (u, v), u in first, v in second, minimizing dist[u][v].
 
     Pairs with u == v are skipped; ties break to the smallest (u, v).
+    When both inputs are the same set only pairs u < v are scanned: the
+    smallest of (u, v) and (v, u) is always the one with u < v.
     """
+    firsts = sorted(first)
+    same = first == second
+    seconds = firsts if same else sorted(second)
     best = None
-    for u in sorted(first):
+    for i, u in enumerate(firsts):
         du = dist[u]
-        for v in sorted(second):
+        for v in (seconds[i + 1:] if same else seconds):
             if u == v:
                 continue
             d = du[v]
@@ -232,14 +239,6 @@ def nearest_neighbours(first, second, dist) -> Tuple[int, int]:
     return best[1], best[2]
 
 
-def _add_path(adjacency: dict, path: Sequence[int]) -> None:
-    for node in path:
-        adjacency.setdefault(node, set())
-    for a, b in zip(path, path[1:]):
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-
-
 def _grow_steiner_graph(g: ArchGraph, terminals: FrozenSet[int]) -> dict:
     """Grow a tree spanning the terminals from shortest paths.
 
@@ -247,57 +246,75 @@ def _grow_steiner_graph(g: ArchGraph, terminals: FrozenSet[int]) -> dict:
     remaining terminal u nearest the tree joins its nearest tree node v,
     ties broken to the smallest (distance, u, v).  Each remaining
     terminal keeps its (distance, nearest tree node) pair, updated with
-    only the nodes each new path adds.  The result is a tree whose leaves
-    are all terminals: an interior node w of a u-v path is strictly
-    nearer to u than v, so were it a tree node or a terminal, (u, w) or
-    (w, v) would be a nearer pair.  Each path thus meets the tree only
-    at v, and only its ends other than v, all terminals, are left with
-    one neighbour.
+    only the nodes each new path adds, and the next pair is chosen in
+    the same pass.  The result is a tree whose leaves are all terminals:
+    an interior node w of a u-v path is strictly nearer to u than v, so
+    were it a tree node or a terminal, (u, w) or (w, v) would be a
+    nearer pair.  Each path thus meets the tree only at v, and only its
+    ends other than v, all terminals, are left with one neighbour.
 
     Returns an adjacency map node -> sorted neighbour tuple; raises
-    AssertionError if the result is not such a tree.
+    AssertionError if the result is not such a tree (a path that met the
+    tree twice would add more edges than nodes).
     """
     if len(terminals) == 1:
         (only,) = terminals
         return {only: ()}
     dist = g.dist
-    adjacency: dict = {}
-    nearest = {t: (INF, -1) for t in terminals}
+    succ = g.succ
+    adjacency: Dict[int, List[int]] = {}
+    dnear = dict.fromkeys(terminals, INF)  # remaining terminal -> distance
+    wnear = dict.fromkeys(terminals, -1)   # ... and its nearest tree node
     u, v = nearest_neighbours(terminals, terminals, dist)
     while True:
-        path = path_from_successors(g.succ, u, v)
-        _add_path(adjacency, path)
+        adjacency[u] = []
+        path = [u]  # the nodes this path adds: all but v after the first
+        x = u
+        while x != v:
+            y = succ[x][v]
+            adjacency[x].append(y)
+            if y in adjacency:
+                adjacency[y].append(x)
+            else:
+                adjacency[y] = [x]
+                path.append(y)
+            x = y
         for w in path:
-            nearest.pop(w, None)
-        if not nearest:
+            if w in dnear:
+                del dnear[w]
+                del wnear[w]
+        if not dnear:
             break
-        for t, (d0, w0) in nearest.items():
+        bd = INF + 1
+        for t, d0 in dnear.items():
+            w0 = wnear[t]
             dt = dist[t]
             for w in path:
                 d = dt[w]
                 if d < d0 or (d == d0 and w < w0):
                     d0, w0 = d, w
-            nearest[t] = (d0, w0)
-        _, u, v = min((d, t, w) for t, (d, w) in nearest.items())
-    grown = {node: tuple(sorted(nbs)) for node, nbs in adjacency.items()}
-    if (sum(map(len, grown.values())) != 2 * (len(grown) - 1)
-            or any(len(nbs) == 1 and node not in terminals
-                   for node, nbs in grown.items())):
+            dnear[t] = d0
+            wnear[t] = w0
+            if d0 < bd or (d0 == bd and t < u):
+                bd, u, v = d0, t, w0
+    if (sum(map(len, adjacency.values())) != 2 * (len(adjacency) - 1)
+            or any(len(adjacency[w]) < 2 for w in adjacency.keys() - terminals)):
         raise AssertionError(
             f"grown graph for terminals {sorted(terminals)} is not a tree "
             "with terminal leaves")
-    return grown
+    return {node: tuple(sorted(nbs)) for node, nbs in adjacency.items()}
 
 
 _GROW_CACHE_CAP = 4000
 
 
-def gen_steiner(g: ArchGraph, terminals, root: int) -> ReductionTree:
-    """Approximate Steiner tree spanning ``terminals``, rooted at ``root``.
+def steiner_entry(g: ArchGraph, terminals) -> tuple:
+    """The cache entry for one terminal set, grown on first use.
 
-    The tree is grown once per terminal set and cached on ``g`` with its
-    Steiner points and a root -> ReductionTree memo; a new root costs
-    one stack walk.  ``schedule_cost`` is the same for every root.  Past
+    The entry is (grown tree, Steiner points, root -> ReductionTree
+    memo): the unrooted tree as node -> ascending neighbour tuple, its
+    non-terminal nodes, and the trees ``gen_steiner`` has rooted so far.
+    Pricing reads the first two, so only committed reductions root.  Past
     ``_GROW_CACHE_CAP`` terminal sets the cache, memos included, is
     dropped wholesale; sustained runs would otherwise grow it unbounded.
     """
@@ -309,11 +326,22 @@ def gen_steiner(g: ArchGraph, terminals, root: int) -> ReductionTree:
             cache.clear()
         grown = _grow_steiner_graph(g, key)
         entry = cache[key] = (grown, frozenset(grown) - key, {})
-    tree = entry[2].get(root)
+    return entry
+
+
+def gen_steiner(g: ArchGraph, terminals, root: int) -> ReductionTree:
+    """Approximate Steiner tree spanning ``terminals``, rooted at ``root``.
+
+    The unrooted tree comes from ``steiner_entry``; each root is rooted
+    by one stack walk and memoized in the entry.  ``schedule_cost`` is
+    the same for every root.
+    """
+    key = frozenset(terminals)
+    grown, steiner, trees = steiner_entry(g, key)
+    tree = trees.get(root)
     if tree is None:
         if root not in key:
             raise ValueError(f"root {root} not in terminal set")
-        grown, steiner, trees = entry
         tree = ReductionTree.__new__(ReductionTree)
         tree.root = root
         tree.terminals = key

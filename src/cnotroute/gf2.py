@@ -23,12 +23,10 @@ def vec_weight(v: int) -> int:
 def vec_support(v: int) -> tuple:
     """Indices of the 1-bits in ascending order."""
     out = []
-    i = 0
     while v:
-        if v & 1:
-            out.append(i)
-        v >>= 1
-        i += 1
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
     return tuple(out)
 
 

@@ -1,9 +1,15 @@
 """Cost table, assignment loss, and the greedy token-reduction synthesizer.
 
 Every iteration of the synthesizer prices each remaining reduction
-(node, basis vector) by actually running it -- tracked reduction plus
-recovery -- on a scratch copy of the rows, then commits the candidate
-whose resulting state has the cheapest perfect node-to-basis assignment.
+(node, basis vector) as the op weight of its tracked reduction plus
+recovery, then commits the candidate whose resulting state has the
+cheapest perfect node-to-basis assignment.  All nodes reducible to one
+basis index e share a terminal set, the support of row e of the inverse,
+and so one Steiner tree: ``rowgraph.reduction_costs`` prices every root
+of that tree in one pass, from values on its directed edges that several
+roots share, instead of rooting and replaying the tree once per node
+(the recurrence, and the invariant that makes it exact, are documented
+there).
 
 Only the *open block* of the cost table is priced: the non-basic nodes
 against the basis indices e whose inverse row is not a unit vector.  A
@@ -16,7 +22,7 @@ indices are in bijection, so the block is square; its minimum
 assignment total equals the full table's, and its cheapest entries are
 the full table's cheapest entries over non-basic rows, in the same
 order.  ``build_cost_table`` and ``cost`` remain the full-table
-reference and share ``_pair_cost`` with the block.
+reference and price through the same ``reduction_costs`` as the block.
 """
 
 from __future__ import annotations
@@ -26,10 +32,9 @@ from typing import FrozenSet, List, Optional, Tuple
 
 from scipy.optimize import linear_sum_assignment
 
-from .arch import gen_steiner
+from .arch import gen_steiner, steiner_entry
 from .gf2 import SingularMatrixError, invert, vec_support
-from .rowgraph import (SWAP, RowGraph, RowOp, apply_recovery,
-                       apply_schedule_tracked, reduction_recovery,
+from .rowgraph import (RowGraph, RowOp, reduction_costs, reduction_recovery,
                        tree_reduce_tracked)
 
 
@@ -80,25 +85,12 @@ class Assignment:
     total: int
 
 
-def _pair_cost(rows: List[int], graph, u: int, e: int,
-               terminals: FrozenSet[int]) -> int:
-    """Price reducing u to e on a scratch copy of the rows."""
-    tree = gen_steiner(graph, terminals, u)
-    work = rows[:]
-    ops, tracked = apply_schedule_tracked(work, tree.schedule, u)
-    total = tree.schedule_cost
-    for kind, _, _ in apply_recovery(work, ops, tracked):
-        total += 3 if kind == SWAP else 1
-    return total
-
-
 def cost(rg: RowGraph, u: int, e: int) -> int:
     """Reduction cost for one (node, basis vector) pair.
 
-    Runs the tracked reduction and recovery on a copy of the rows and
-    counts op weight (SWAP counts as 3); the row graph is untouched.
-    Returns the table's infinite sentinel when no row combination
-    containing u yields e.
+    The op weight (SWAP counts as 3) of the tracked reduction and
+    recovery; the row graph is untouched.  Returns the table's infinite
+    sentinel when no row combination containing u yields e.
     """
     n = rg.graph.n
     inv = invert(rg.matrix())
@@ -108,8 +100,8 @@ def cost(rg: RowGraph, u: int, e: int) -> int:
         return infinite_cost(n)
     if rg.rows[u] == 1 << e:
         return 0
-    terminals = frozenset(vec_support(inv.rows[e]))
-    return _pair_cost(rg.rows, rg.graph, u, e, terminals)
+    grown, steiner, _ = steiner_entry(rg.graph, vec_support(inv.rows[e]))
+    return reduction_costs(rg.rows, grown, steiner, [u])[0]
 
 
 def build_cost_table(rg: RowGraph) -> CostTable:
@@ -126,13 +118,17 @@ def build_cost_table(rg: RowGraph) -> CostTable:
     for e in range(n):
         sup = vec_support(inv.rows[e])
         supports.append(sup)
-        terminals = frozenset(sup)
         ebit = 1 << e
+        roots = []
         for u in sup:
             if rows[u] == ebit:
                 entries[u][e] = 0
             else:
-                entries[u][e] = _pair_cost(rows, graph, u, e, terminals)
+                roots.append(u)
+        if roots:
+            grown, steiner, _ = steiner_entry(graph, sup)
+            for u, c in zip(roots, reduction_costs(rows, grown, steiner, roots)):
+                entries[u][e] = c
     return CostTable(n, tuple(tuple(r) for r in entries), sentinel,
                      tuple(supports))
 
@@ -161,11 +157,12 @@ def _open_block(rg: RowGraph) -> CostTable:
         columns.append(e)
         sup = vec_support(row)
         supports.append(sup)
-        terminals = frozenset(sup)
-        for u in sup:
-            i = position[u]
-            if i >= 0:
-                entries[i][j] = _pair_cost(rows, graph, u, e, terminals)
+        # distinct unit rows XOR to weight len(sup) >= 2, not to e_e, so
+        # at least one node of the support is non-basic
+        roots = [u for u in sup if position[u] >= 0]
+        grown, steiner, _ = steiner_entry(graph, sup)
+        for u, c in zip(roots, reduction_costs(rows, grown, steiner, roots)):
+            entries[position[u]][j] = c
     return CostTable(n, tuple(tuple(r) for r in entries), sentinel,
                      tuple(supports), tuple(nodes), tuple(columns))
 
@@ -220,7 +217,8 @@ def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
     iteration's table.  Each commit makes at least one more node basic,
     so the loop runs at most n times.
     """
-    if invert(rg.matrix()) is None:
+    # a singular state that is not basic raises from the first _open_block
+    if rg.is_basic() and not rg.matrix().is_permutation():
         raise SingularMatrixError("row graph is not reversible")
     start = rg.mark()
     block = None

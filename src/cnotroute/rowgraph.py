@@ -7,8 +7,10 @@ every node holds a standard basis vector ("basic" form), logging the
 operations so they can be emitted as a circuit.
 
 The tuple-level ``apply_*`` helpers mutate a raw row list without
-touching the op log; cost evaluation calls them thousands of times per
-synthesis, each time on a scratch copy of the rows.
+touching the op log.  ``reduction_costs`` gives the weight those helpers
+would spend reducing along one Steiner tree at each of many roots,
+without running them: a recurrence over the tree's directed edges,
+each edge's value shared by every root on its far side.
 """
 
 from __future__ import annotations
@@ -149,6 +151,132 @@ def apply_recovery(rows: List[int], operations, tracked: Set[int]) -> list:
                 tracked.discard(n2)
                 recover.append((SWAP, n1, n2))
     return recover
+
+
+def _hand_up(row: int, steiner: bool, below: list) -> tuple:
+    """(s, f, R0, R1) of one node from its children's, ascending."""
+    if steiner:
+        acc, f, first0, first1 = below[0]
+        start = 1
+    else:
+        acc, f, start = row, False, 0
+    r0 = 0
+    for i in range(start, len(below)):
+        s, fx, a0, a1 = below[i]
+        if not f and acc and not acc & (acc - 1):
+            f = True
+        acc ^= s
+        r0 += a1 if fx else a0
+    rho = acc
+    r1 = r0
+    tracked = True
+    for i in range(len(below) - 1, start - 1, -1):
+        rho ^= below[i][0]
+        r1 += 1
+        if rho and not rho & (rho - 1):
+            tracked = False
+            break
+    if steiner:
+        r0 += first0
+        r1 += 3 + first1 if tracked else first0
+    return acc, f, r0, r1
+
+
+# Trees up to this many nodes are priced by plain recursion, at most this
+# deep; larger ones first memoize their edge values leaves-first.
+_RECURSIVE_NODES = 256
+
+
+def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) -> List[int]:
+    """Reduce + recover weight of ``tree`` rooted at each of ``roots``.
+
+    ``tree`` is an unrooted tree whose leaves are terminals (node ->
+    ascending neighbour tuple), ``steiner`` its non-terminal nodes and
+    ``roots`` terminals.  Entry k equals ``schedule_cost`` plus the
+    recovery weight of running ``gen_steiner``'s schedule rooted at
+    ``roots[k]`` through ``apply_schedule_tracked`` and
+    ``apply_recovery`` on a copy of ``rows``, without running either.
+
+    The value of a directed edge p -> c depends only on c's side of the
+    tree, so it is shared by every root on p's side.  With x1 < ... < xm
+    the neighbours of c other than p, the value is (s, f, R0, R1):
+    s the row c hands up, f whether c is tracked when its subtree is
+    done, R0/R1 the recovery weight inside the subtree when c enters
+    recovery untracked/tracked; w(x) = R1(x) if f(x) else R0(x).
+
+    - Terminal c: acc = rows[c]; for i = 1..m, f is set if acc is a unit
+      vector, then acc ^= s(xi); s = acc.  R0 = sum w(xi).  R1 = R0 plus
+      the undo steps: rho = s, rho ^= s(xi) for i = m..1, stopping after
+      the first unit rho.
+    - Steiner c: x1 swaps up, so acc = s(x1), f = f(x1), and the fold
+      runs over i >= 2.  The undo runs i = m..2; if it never reaches a
+      unit rho, c is still tracked at the swap back, which costs 3 and
+      hands x1 the tracked bit: R1 = sum_{i>=2} w(xi) + steps +
+      (R0(x1) if rho turned unit else 3 + R1(x1)); R0 = sum_{i>=2}
+      w(xi) + R0(x1).
+    - Root r: |V| - 1 + 2|S| + sum of w(x) over r's neighbours.
+
+    Invariant: a node that is tracked when its recovery starts holds its
+    forward-final row (an ADD child keeps s untouched; a swapped-down
+    first child is handed back exactly s(x1) = s(c) ^ s(xm) ^ ... ^
+    s(x2)), so each subtree's recovery depends on one entering bit.
+
+    Edge values are memoized at branch nodes, where roots share them;
+    along paths they are recomputed, which is cheaper on small trees
+    than any bookkeeping.  A tree of more than ``_RECURSIVE_NODES``
+    nodes is first rooted at ``roots[0]`` and every edge value the roots
+    need is memoized leaves-first, then towards the other roots, so no
+    call there recurses more than two edges deep.
+    """
+    memo = {}
+    shallow = len(tree) <= _RECURSIVE_NODES
+
+    def hand(p, c):
+        """The value of edge p -> c."""
+        nbs = tree[c]
+        if len(nbs) == 1:
+            return rows[c], False, 0, 0
+        if shallow and len(nbs) == 2:  # most nodes of a grown tree lie on a path
+            s, f, a0, a1 = hand(c, nbs[nbs[0] == p])
+            if c in steiner:
+                return s, f, a0, a1 + 3
+            row = rows[c]
+            w = a1 if f else a0
+            return row ^ s, row != 0 and not row & (row - 1), w, w + 1
+        v = memo.get((p, c))
+        if v is None:
+            v = memo[p, c] = _hand_up(rows[c], c in steiner,
+                                      [hand(c, x) for x in nbs if x != p])
+        return v
+
+    if not shallow:
+        top = roots[0]
+        parent = {top: -1}
+        order = [top]
+        for c in order:
+            for x in tree[c]:
+                if x != parent[c]:
+                    parent[x] = c
+                    order.append(x)
+        for c in reversed(order[1:]):
+            hand(parent[c], c)
+        need = set()
+        for r in roots:
+            while r != top and r not in need:
+                need.add(r)
+                r = parent[r]
+        for c in order:
+            if c in need:
+                hand(c, parent[c])
+    base = len(tree) - 1 + 2 * len(steiner)
+    out = []
+    for r in roots:
+        total = base
+        for x in tree[r]:
+            s, f, r0, r1 = hand(r, x)
+            total += r1 if f else r0
+        out.append(total)
+    return out
 
 
 def _check_tree(rg: RowGraph, tree: ReductionTree) -> int:

@@ -191,17 +191,18 @@ def _expand_swaps(gates: List[Gate]) -> List[Gate]:
             out.append(g)
             continue
         a, b = g.a, g.b
-        fwd = (cnot(a, b), cnot(b, a), cnot(a, b))
-        rev = (cnot(b, a), cnot(a, b), cnot(b, a))
         prev = out[-1] if out else None
         nxt = gates[idx + 1] if idx + 1 < len(gates) else None
+        # a SWAP is cnot(c, t) cnot(t, c) cnot(c, t) for either orientation;
+        # start or end it with the CNOT its neighbour already is
         if prev is not None and prev.kind == CNOT and {prev.a, prev.b} == {a, b}:
-            chosen = fwd if prev == fwd[0] else rev
+            c = prev.a
         elif nxt is not None and nxt.kind == CNOT and {nxt.a, nxt.b} == {a, b}:
-            chosen = fwd if nxt == fwd[2] else rev
+            c = nxt.a
         else:
-            chosen = fwd
-        out.extend(chosen)
+            c = a
+        t = b if c == a else a
+        out.extend((cnot(c, t), cnot(t, c), cnot(c, t)))
     return out
 
 

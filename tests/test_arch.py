@@ -10,7 +10,7 @@ from cnotroute.arch import (ArchFileError, ArchGraph, DisconnectedGraphError,
                             ReductionTree, floyd_warshall_with_path,
                             gen_steiner, get_architecture, list_architectures,
                             nearest_neighbours, parse_arch_json,
-                            path_from_successors, _grow_steiner_graph)
+                            path_from_successors)
 
 from conftest import bfs_distances, grid_graph, random_connected_graph
 
@@ -166,30 +166,6 @@ def test_gen_steiner_invariants_random():
         root = rng.choice(sorted(terminals))
         tree = gen_steiner(g, terminals, root)
         _check_tree_invariants(g, tree, terminals, root)
-
-
-def test_treefy_preserves_grown_edges_when_acyclic():
-    rng = random.Random(14)
-    checked = 0
-    for _ in range(80):
-        n = rng.randrange(3, 16)
-        g = random_connected_graph(rng, n)
-        terminals = frozenset(rng.sample(range(n), rng.randrange(2, n + 1)))
-        grown = _grow_steiner_graph(g, terminals)
-        grown_edges = {(min(a, b), max(a, b))
-                       for a, nbs in grown.items() for b in nbs}
-        if len(grown_edges) != len(grown) - 1:
-            continue  # grew a cycle; BFS will drop an edge
-        root = min(terminals)
-        tree = gen_steiner(g, terminals, root)
-        tree_edges = {(min(c, p), max(c, p)) for c, p in tree.parent.items()}
-        # pruning may remove dangling non-terminal branches, never more
-        assert tree_edges <= grown_edges
-        pruned = tree.vertices
-        kept = {e for e in grown_edges if e[0] in pruned and e[1] in pruned}
-        assert tree_edges == kept
-        checked += 1
-    assert checked > 20
 
 
 def test_nearest_neighbours_tie_break():

@@ -1,0 +1,138 @@
+"""One-pass pricing of every root against replaying each root's schedule.
+
+``reduction_costs`` prices a terminal set's Steiner tree at all requested
+roots from directed-edge values shared between roots.  The oracle here is the replay it
+replaces: root the tree with ``gen_steiner``, run the schedule through
+``apply_schedule_tracked`` and ``apply_recovery`` on a copy of the rows,
+and add the recovery weight to ``schedule_cost``.  States come from
+random row-op walks from the identity (many unit rows, so tracking and
+undo stops fire often) and from every stage of a greedy reduction that
+the replay itself drives.  Long synthetic paths and caterpillars check
+that tree depth is not limited by recursion.
+"""
+
+import random
+
+from cnotroute.arch import ReductionTree, gen_steiner, steiner_entry
+from cnotroute.gf2 import invert, vec_support
+from cnotroute.heuristic import _reduce_pair
+from cnotroute.rowgraph import (SWAP, apply_recovery, apply_schedule_tracked,
+                                reduction_costs)
+
+from conftest import random_connected_graph, random_reversible_rowgraph
+
+
+def _replay(rows, tree):
+    work = list(rows)
+    ops, tracked = apply_schedule_tracked(work, tree.schedule, tree.root)
+    total = tree.schedule_cost
+    for kind, _, _ in apply_recovery(work, ops, tracked):
+        total += 3 if kind == SWAP else 1
+    return total
+
+
+def _check_state(rg):
+    """Compare every (column, root in its support) of one state.
+
+    Returns the replayed prices by (node, basis).
+    """
+    g = rg.graph
+    rows = rg.rows
+    inv = invert(rg.matrix())
+    prices = {}
+    for e in range(g.n):
+        sup = vec_support(inv.rows[e])
+        grown, steiner, _ = steiner_entry(g, sup)
+        want = [_replay(rows, gen_steiner(g, sup, u)) for u in sup]
+        assert reduction_costs(rows, grown, steiner, sup) == want
+        for u, price in zip(sup, want):
+            assert reduction_costs(rows, grown, steiner, [u]) == [price]
+            prices[u, e] = price
+    return prices
+
+
+def _commit_cheapest(rg, prices):
+    """Commit the cheapest non-basic replayed pair, lowest (node, basis) first."""
+    inv = invert(rg.matrix())
+    non_unit = set(rg.non_unit_nodes())
+    price, u, e = min((p, u, e) for (u, e), p in prices.items() if u in non_unit)
+    _reduce_pair(rg, u, e, frozenset(vec_support(inv.rows[e])))
+
+
+def test_every_root_equals_the_replay():
+    rng = random.Random(4099)
+    samples = 0
+    states = 0
+    for n in range(1, 15):
+        for _ in range(12 + 3 * n):
+            g = random_connected_graph(rng, n, extra=rng.randrange(n + 1))
+            walk = rng.randrange(0, 3 * n + 1) if n > 1 else 0
+            rg = random_reversible_rowgraph(rng, g, walk)
+            while True:
+                prices = _check_state(rg)
+                samples += len(prices)
+                states += 1
+                if rg.is_basic():
+                    break
+                _commit_cheapest(rg, prices)
+    assert states > 1000
+    assert samples >= 50_000, samples
+
+
+def _random_rows(rng, tree, ops):
+    """Identity rows scrambled by random additions along tree edges."""
+    rows = [1 << i for i in range(len(tree))]
+    edges = [(a, b) for a, nbs in tree.items() for b in nbs]
+    for _ in range(ops):
+        a, b = rng.choice(edges)
+        rows[a] ^= rows[b]
+    return rows
+
+
+def _rooted_parents(tree, root):
+    parent = {}
+    order = [root]
+    seen = {root}
+    for x in order:
+        for y in tree[x]:
+            if y not in seen:
+                seen.add(y)
+                parent[y] = x
+                order.append(y)
+    return parent
+
+
+def _check_long_tree(rng, tree, terminals, roots):
+    rows = _random_rows(rng, tree, 3 * len(tree))
+    roots = roots + rng.sample(sorted(terminals), 6)
+    got = reduction_costs(rows, tree, frozenset(tree) - terminals, roots)
+    for root, price in zip(roots, got):
+        rooted = ReductionTree(root, _rooted_parents(tree, root), terminals)
+        assert price == _replay(rows, rooted)
+
+
+def test_long_path_prices_without_recursion():
+    rng = random.Random(5003)
+    n = 5000
+    tree = {i: tuple(x for x in (i - 1, i + 1) if 0 <= x < n) for i in range(n)}
+    terminals = frozenset({0, n - 1} | {i for i in range(n) if rng.random() < 0.5})
+    _check_long_tree(rng, tree, terminals, [0, n - 1])
+
+
+def test_long_caterpillar_prices_without_recursion():
+    rng = random.Random(5009)
+    spine = 2000
+    adjacency = {i: [] for i in range(spine)}
+    for i in range(1, spine):
+        adjacency[i - 1].append(i)
+        adjacency[i].append(i - 1)
+    while len(adjacency) < 5000:
+        i = rng.randrange(spine)
+        leg = len(adjacency)
+        adjacency[leg] = [i]
+        adjacency[i].append(leg)
+    tree = {x: tuple(sorted(nbs)) for x, nbs in adjacency.items()}
+    # leaves must be terminals; the spine mixes terminals and Steiner points
+    terminals = frozenset({0, spine - 1} | {x for x in tree if len(tree[x]) == 1
+                                            or rng.random() < 0.4})
+    _check_long_tree(rng, tree, terminals, [0, spine - 1])

@@ -103,6 +103,27 @@ def test_every_root_matches_bfs_reference():
     assert count > 1000
 
 
+def test_rooted_tree_keeps_exactly_the_grown_edges():
+    rng = random.Random(14)
+    checked = 0
+    for _ in range(80):
+        n = rng.randrange(3, 16)
+        g = random_connected_graph(rng, n)
+        terminals = frozenset(rng.sample(range(n), rng.randrange(2, n + 1)))
+        grown = _grow_steiner_graph(g, terminals)
+        grown_edges = {(min(a, b), max(a, b))
+                       for a, nbs in grown.items() for b in nbs}
+        root = min(terminals)
+        tree = gen_steiner(g, terminals, root)
+        tree_edges = {(min(c, p), max(c, p)) for c, p in tree.parent.items()}
+        assert tree_edges <= grown_edges
+        pruned = tree.vertices
+        kept = {e for e in grown_edges if e[0] in pruned and e[1] in pruned}
+        assert tree_edges == kept
+        checked += 1
+    assert checked > 20
+
+
 def test_reduction_tree_rejects_links_not_reaching_root():
     with pytest.raises(ValueError, match="one tree"):
         ReductionTree(0, {1: 2, 2: 1}, {0, 1})
