@@ -374,6 +374,8 @@ def parse_arch_json(text: str, source: str = "<arch>") -> Tuple[ArchGraph, Optio
     for field in ("name", "nodes", "edges"):
         if field not in data:
             raise ArchFileError(f"{source}: missing field {field!r}")
+    if not isinstance(data["name"], str):
+        raise ArchFileError(f"{source}: name must be a string")
     names = data["nodes"]
     if not (isinstance(names, list) and all(isinstance(nm, str) for nm in names)):
         raise ArchFileError(f"{source}: nodes must be a list of name strings")

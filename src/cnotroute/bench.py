@@ -45,6 +45,8 @@ class BenchConfig:
             raise ValueError("gate_counts must be non-empty and positive")
         if self.baseline not in ("swap_insertion", "none"):
             raise ValueError(f"unknown baseline {self.baseline!r}")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -196,10 +198,11 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     tasks = [(gc, t, trial_seed(config.seed, gc, t), config.baseline,
               config.postprocess)
              for gc in config.gate_counts for t in range(config.trials)]
-    if config.jobs > 1:
+    workers = min(config.jobs, len(tasks))
+    if workers > 1:
         import multiprocessing as mp
 
-        with mp.Pool(config.jobs, initializer=_pool_init,
+        with mp.Pool(workers, initializer=_pool_init,
                      initargs=(config.arch,)) as pool:
             results = pool.map(_pool_trial, tasks, chunksize=8)
     else:

@@ -23,19 +23,29 @@ assignment total equals the full table's, and its cheapest entries are
 the full table's cheapest entries over non-basic rows, in the same
 order.  ``build_cost_table`` and ``cost`` remain the full-table
 reference and price through the same ``reduction_costs`` as the block.
+
+The synthesizer inverts the matrix once and then carries the inverse,
+in column form: per node u, the mask of basis indices e whose inverse
+row contains u, which are exactly the e that u can be reduced to.  A
+row operation is R' = E R with E elementary and self-inverse, so
+R'^-1 = R^-1 E: ADD(a, b) (row a ^= row b) adds column a of the inverse
+into column b, and SWAP(a, b) exchanges the two columns.  The update is
+exact, so the carried columns always equal the transposed inverse of
+the current matrix, and the block reads its supports off them in one
+transposition pass instead of a fresh Gauss-Jordan elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from scipy.optimize import linear_sum_assignment
 
 from .arch import gen_steiner, steiner_entry
-from .gf2 import SingularMatrixError, invert, vec_support
-from .rowgraph import (RowGraph, RowOp, reduction_costs, reduction_recovery,
-                       tree_reduce_tracked)
+from .gf2 import SingularMatrixError, invert, transpose, vec_support
+from .rowgraph import (ADD, RowGraph, RowOp, reduction_costs,
+                       reduction_recovery, tree_reduce_tracked)
 
 
 class AssignmentError(ValueError):
@@ -133,29 +143,55 @@ def build_cost_table(rg: RowGraph) -> CostTable:
                      tuple(supports))
 
 
-def _open_block(rg: RowGraph) -> CostTable:
-    """The cost table restricted to non-basic nodes x unpinned basis indices."""
-    graph = rg.graph
-    n = graph.n
+def _inverse_columns(rg: RowGraph) -> List[int]:
+    """Column form of the inverse: per node u, the mask of e with u in inv[e]."""
     inv = invert(rg.matrix())
     if inv is None:
         raise SingularMatrixError("row graph is not reversible")
+    return transpose(inv).rows
+
+
+def _apply_to_columns(cols: List[int], ops: Sequence[RowOp]) -> None:
+    """Carry the column form through row ops: R' = E R gives R'^-1 = R^-1 E."""
+    for op in ops:
+        a, b = op.a, op.b
+        if op.kind == ADD:
+            cols[b] ^= cols[a]
+        else:
+            cols[a], cols[b] = cols[b], cols[a]
+
+
+def _open_block(rg: RowGraph, cols: Sequence[int]) -> CostTable:
+    """The cost table restricted to non-basic nodes x unpinned basis indices.
+
+    ``cols`` is the column form of the inverse of ``rg``'s matrix, as
+    ``_inverse_columns`` gives and ``_apply_to_columns`` carries.
+    """
+    graph = rg.graph
+    n = graph.n
     rows = rg.rows
     # rows of an invertible matrix are nonzero, so r & (r - 1) == 0 means unit
     nodes = [u for u, r in enumerate(rows) if r & (r - 1)]
     position = [-1] * n
     for i, u in enumerate(nodes):
         position[u] = i
+    # transpose the columns into each inverse row's support, ascending
+    sups = [[] for _ in range(n)]
+    for u, col in enumerate(cols):
+        while col:
+            low = col & -col
+            sups[low.bit_length() - 1].append(u)
+            col ^= low
     sentinel = infinite_cost(n)
     entries = [[sentinel] * len(nodes) for _ in nodes]
     columns = []
     supports = []
-    for e, row in enumerate(inv.rows):
-        if not row & (row - 1):
+    for e, sup in enumerate(sups):
+        if len(sup) < 2:
             continue
         j = len(columns)
         columns.append(e)
-        sup = vec_support(row)
+        sup = tuple(sup)
         supports.append(sup)
         # distinct unit rows XOR to weight len(sup) >= 2, not to e_e, so
         # at least one node of the support is non-basic
@@ -186,7 +222,7 @@ def hungarian_assign(table: CostTable) -> Assignment:
 
 def loss(rg: RowGraph) -> int:
     """Total cost of the cheapest node-to-basis assignment."""
-    return hungarian_assign(_open_block(rg)).total
+    return hungarian_assign(_open_block(rg, _inverse_columns(rg))).total
 
 
 def _cheapest(block: CostTable) -> List[Tuple[int, int, Tuple[int, ...]]]:
@@ -213,18 +249,17 @@ def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
     entries, trial-run each (reduce, recover, score the resulting
     state's loss, roll back) and commit the one with the smallest loss.
     Ties break to the lowest (node, basis) pair.  The winner's trial
-    block is the committed state's block, so it serves as the next
-    iteration's table.  Each commit makes at least one more node basic,
-    so the loop runs at most n times.
+    block and columns are the committed state's, so they serve the next
+    iteration.  Each commit makes at least one more node basic, so the
+    loop runs at most n times.  The inversion on entry is the only
+    singularity check; it raises ``SingularMatrixError``, basic or not.
     """
-    # a singular state that is not basic raises from the first _open_block
-    if rg.is_basic() and not rg.matrix().is_permutation():
-        raise SingularMatrixError("row graph is not reversible")
+    cols = _inverse_columns(rg)
     start = rg.mark()
     block = None
     while not rg.is_basic():
         if block is None:
-            block = _open_block(rg)
+            block = _open_block(rg, cols)
         candidates = _cheapest(block)
         chosen = candidates[0]
         block = None
@@ -234,13 +269,21 @@ def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
                 u, e, sup = candidate
                 mark = rg.mark()
                 _reduce_pair(rg, u, e, frozenset(sup))
-                trial = _open_block(rg)
+                trial_cols = list(cols)
+                _apply_to_columns(trial_cols, rg.op_log[mark:])
+                trial = _open_block(rg, trial_cols)
                 trial_loss = hungarian_assign(trial).total
                 rg.undo_to(mark)
                 if best_loss is None or trial_loss < best_loss:
                     best_loss = trial_loss
                     chosen = candidate
                     block = trial
+                    chosen_cols = trial_cols
         u, e, sup = chosen
+        mark = rg.mark()
         _reduce_pair(rg, u, e, frozenset(sup))
+        if block is None:
+            _apply_to_columns(cols, rg.op_log[mark:])
+        else:
+            cols = chosen_cols
     return list(rg.op_log[start:])

@@ -168,21 +168,6 @@ def complies(circuit: Circuit, graph: ArchGraph) -> bool:
     return all(g.kind == ONEQ or graph.is_edge(g.a, g.b) for g in circuit.gates)
 
 
-def _commutes_with_cnot(a: Gate, b: Gate) -> bool:
-    """Can b slide past CNOT a?  Conservative for opaque 1q gates."""
-    if b.kind == ONEQ:
-        return b.a != a.a and b.a != a.b
-    if b.kind != CNOT:
-        return False
-    if a.a != b.a and a.a != b.b and a.b != b.a and a.b != b.b:
-        return True
-    if a.a == b.a and a.b != b.b:
-        return True
-    if a.b == b.b and a.a != b.a:
-        return True
-    return False
-
-
 def _expand_swaps(gates: List[Gate]) -> List[Gate]:
     """Replace SWAPs by three CNOTs, oriented to abut an equal neighbour."""
     out: List[Gate] = []
@@ -207,20 +192,63 @@ def _expand_swaps(gates: List[Gate]) -> List[Gate]:
 
 
 def _cancel_pass(gates: List[Gate]) -> List[Gate]:
+    """One left-to-right pass cancelling equal CNOT pairs.
+
+    Gates off wires c and t commute with CNOT(c, t), so each live CNOT
+    walks only the later live gates on its own two wires, from per-wire
+    index lists.  On wire c a CNOT with control c and another target
+    commutes; on wire t a CNOT with target t and another control.  The
+    first other gate on either wire blocks, unless it is CNOT(c, t)
+    itself, and then the two cancel.  SWAPs must already be expanded.
+    """
+    on_wire = {}
+    at_a = []  # per gate: its position in wire a's list
+    at_b = []  # and in wire b's (-1 for a one-qubit gate)
+    for i, g in enumerate(gates):
+        on_a = on_wire.get(g.a)
+        if on_a is None:
+            on_a = on_wire[g.a] = []
+        at_a.append(len(on_a))
+        on_a.append(i)
+        if g.kind == ONEQ:
+            at_b.append(-1)
+        else:
+            on_b = on_wire.get(g.b)
+            if on_b is None:
+                on_b = on_wire[g.b] = []
+            at_b.append(len(on_b))
+            on_b.append(i)
     alive = [True] * len(gates)
-    for i, gi in enumerate(gates):
-        if not alive[i] or gi.kind != CNOT:
+    stop = len(gates)
+    for i, g in enumerate(gates):
+        if not alive[i] or g.kind != CNOT:
             continue
-        for j in range(i + 1, len(gates)):
-            if not alive[j]:
-                continue
-            gj = gates[j]
-            if gj == gi:
-                alive[i] = False
-                alive[j] = False
+        c, t = g.a, g.b
+        first = stop
+        equal = False
+        later = on_wire[c]
+        for k in range(at_a[i] + 1, len(later)):
+            j = later[k]
+            if alive[j]:
+                h = gates[j]
+                if h.kind != CNOT or h.a != c or h.b == t:
+                    first = j
+                    equal = h.kind == CNOT and h.a == c
+                    break
+        # a gate on both wires is met on wire c first, so these miss c
+        later = on_wire[t]
+        for k in range(at_b[i] + 1, len(later)):
+            j = later[k]
+            if j >= first:
                 break
-            if not _commutes_with_cnot(gi, gj):
-                break
+            if alive[j]:
+                h = gates[j]
+                if h.kind != CNOT or h.b != t:
+                    equal = False
+                    break
+        if equal:
+            alive[i] = False
+            alive[first] = False
     return [g for keep, g in zip(alive, gates) if keep]
 
 

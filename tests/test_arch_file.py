@@ -32,6 +32,9 @@ GOOD = {
     ({**GOOD, "initial_mapping": [["w1", "B"], 3, ["w3", "C"]]}, "malformed mapping"),
     ({**GOOD, "initial_mapping": [["w1", ["B"]], ["w2", "A"], ["w3", "C"]]},
      "unknown node"),
+    ({**GOOD, "name": 5}, "name must be a string"),
+    ({**GOOD, "name": None}, "name must be a string"),
+    ({**GOOD, "name": ["toy"]}, "name must be a string"),
 ])
 def test_wrong_types_raise_arch_file_error(doc, message):
     with pytest.raises(ArchFileError, match=message):

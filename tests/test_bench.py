@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -126,6 +127,40 @@ def test_worker_pool_matches_sequential():
         report_to_json(run_benchmark(pooled))
 
 
+def test_pool_is_no_larger_than_the_task_list(monkeypatch):
+    import multiprocessing
+
+    sizes = []
+
+    class RecordingPool:
+        """Runs the tasks in this process; starts no worker."""
+
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks, chunksize=1):
+            return [func(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    base = BenchConfig(arch="9-square", gate_counts=(4,), trials=3, seed=11)
+    expected = report_to_json(run_benchmark(base))
+    for jobs, pooled in ((8, [3]), (2, [2]), (3, [3])):
+        sizes.clear()
+        report = run_benchmark(replace(base, jobs=jobs))
+        assert sizes == pooled
+        assert report_to_json(report) == expected
+    sizes.clear()
+    run_benchmark(replace(base, trials=1, jobs=4))
+    assert sizes == []  # one task runs in this process
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         BenchConfig(arch="9-square", trials=0)
@@ -133,6 +168,9 @@ def test_config_validation():
         BenchConfig(arch="9-square", gate_counts=())
     with pytest.raises(ValueError):
         BenchConfig(arch="9-square", baseline="steiner")
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            BenchConfig(arch="9-square", jobs=jobs)
 
 
 def test_unknown_architecture():

@@ -12,9 +12,10 @@ import random
 import pytest
 
 from cnotroute.gf2 import SingularMatrixError, invert, is_unit
-from cnotroute.heuristic import (_cheapest, _open_block, _reduce_pair,
-                                 build_cost_table, heuristic_token_reduction,
-                                 hungarian_assign, loss)
+from cnotroute.heuristic import (_cheapest, _inverse_columns, _open_block,
+                                 _reduce_pair, build_cost_table,
+                                 heuristic_token_reduction, hungarian_assign,
+                                 loss)
 from cnotroute.rowgraph import RowGraph
 
 from conftest import random_connected_graph, random_reversible_rowgraph
@@ -67,7 +68,7 @@ def _states(seed, graphs):
 
 def _check_state(rg):
     full = build_cost_table(rg)
-    block = _open_block(rg)
+    block = _open_block(rg, _inverse_columns(rg))
     inv = invert(rg.matrix())
     assert block.nodes == tuple(rg.non_unit_nodes())
     assert block.columns == tuple(e for e in range(rg.graph.n)
@@ -105,7 +106,8 @@ def test_block_and_full_table_both_reject_singular_states():
         rows = list(rg.rows)
         rows[u] = rows[v]
         singular = RowGraph(rg.graph, rows)
-        for price in (build_cost_table, _open_block, loss):
+        for price in (build_cost_table,
+                      lambda s: _open_block(s, _inverse_columns(s)), loss):
             with pytest.raises(SingularMatrixError):
                 price(singular)
         checked += 1

@@ -6,13 +6,14 @@ import random
 import pytest
 
 from cnotroute.arch import ArchGraph
-from cnotroute.circuit import Circuit, Mapping, cnot, one_qubit, swap_gate
+from cnotroute.circuit import (CNOT, ONEQ, Circuit, Mapping, cnot, one_qubit,
+                               swap_gate)
 from cnotroute.gf2 import BitMatrix, mat_mul, transpose
 from cnotroute.synthesis import (RoutedResult, RouteStats, circuit_to_matrix,
                                  complies, equivalence_failure, postprocess,
                                  relabel_circuit, route_cnot_block,
                                  route_general, verify_equivalence,
-                                 _linear_matrix)
+                                 _cancel_pass, _linear_matrix)
 
 
 P_BITS = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [1, 0, 1, 1]]
@@ -181,6 +182,61 @@ def test_postprocess_cancels_across_commuting_gates():
     rc = RoutedResult(Circuit(3, gates), Mapping.identity(3),
                       Mapping.identity(3), RouteStats(3, 3))
     assert len(postprocess(rc).circuit.gates) == 3
+
+
+def _commutes_with_cnot(a, b):
+    """Can b slide past CNOT a?  Conservative for opaque 1q gates."""
+    if b.kind == ONEQ:
+        return b.a != a.a and b.a != a.b
+    if b.kind != CNOT:
+        return False
+    if a.a != b.a and a.a != b.b and a.b != b.a and a.b != b.b:
+        return True
+    if a.a == b.a and a.b != b.b:
+        return True
+    if a.b == b.b and a.a != b.a:
+        return True
+    return False
+
+
+def _quadratic_cancel_pass(gates):
+    """Reference pass: scan every later live gate until one blocks."""
+    alive = [True] * len(gates)
+    for i, gi in enumerate(gates):
+        if not alive[i] or gi.kind != CNOT:
+            continue
+        for j in range(i + 1, len(gates)):
+            if not alive[j]:
+                continue
+            gj = gates[j]
+            if gj == gi:
+                alive[i] = False
+                alive[j] = False
+                break
+            if not _commutes_with_cnot(gi, gj):
+                break
+    return [g for keep, g in zip(alive, gates) if keep]
+
+
+def test_cancel_pass_matches_the_quadratic_scan():
+    rng = random.Random(45)
+    cancelled = 0
+    for _ in range(3000):
+        n = rng.randrange(2, 7)
+        gates = []
+        for _ in range(rng.randrange(60)):
+            if rng.random() < 0.15:
+                gates.append(one_qubit(rng.choice("HST"), rng.randrange(n)))
+            else:
+                gates.append(cnot(*rng.sample(range(n), 2)))
+        while True:
+            expected = _quadratic_cancel_pass(gates)
+            assert _cancel_pass(gates) == expected
+            if len(expected) == len(gates):
+                break
+            cancelled += len(gates) - len(expected)
+            gates = expected
+    assert cancelled > 5000
 
 
 def test_postprocess_never_increases_weight(grid3):
