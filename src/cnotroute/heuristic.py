@@ -33,6 +33,23 @@ into column b, and SWAP(a, b) exchanges the two columns.  The update is
 exact, so the carried columns always equal the transposed inverse of
 the current matrix, and the block reads its supports off them in one
 transposition pass instead of a fresh Gauss-Jordan elimination.
+
+Tied cheapest entries are broken by look-ahead, scored by the loss of
+each candidate's resulting state; the smallest (loss, candidate index)
+wins, the first strict minimum in candidate order.  Most candidates
+lose, and a column-minimum bound (the standard lower bound of the
+linear assignment problem) proves it before they are fully priced:
+``reduction_costs`` adds non-negative recovery weights to the schedule
+weight |V| - 1 + 2|S| of a column's tree, and each column is assigned
+exactly one row, so a trial's loss is at least the sum of its priced
+columns' minima plus its unpriced columns' schedule weights.  Every
+candidate is first trial-run and recorded (ops, rows, carried columns)
+to give its bound before pricing; candidates are then priced in
+ascending (bound, index) order, and pricing stops, skipping the
+assignment, once the bound shows the candidate cannot beat the best
+(loss, index) so far.  The winner is never cut short, so its full block
+serves the next iteration, and it is committed from its record rather
+than reduced again.  The committed ops are exactly the unpruned ones.
 """
 
 from __future__ import annotations
@@ -42,7 +59,7 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from scipy.optimize import linear_sum_assignment
 
-from .arch import gen_steiner, steiner_entry
+from .arch import ArchGraph, gen_steiner, steiner_entry
 from .gf2 import SingularMatrixError, invert, transpose, vec_support
 from .rowgraph import (ADD, RowGraph, RowOp, reduction_costs,
                        reduction_recovery, tree_reduce_tracked)
@@ -161,11 +178,46 @@ def _apply_to_columns(cols: List[int], ops: Sequence[RowOp]) -> None:
             cols[a], cols[b] = cols[b], cols[a]
 
 
-def _open_block(rg: RowGraph, cols: Sequence[int]) -> CostTable:
+def _open_columns(graph: ArchGraph, cols: Sequence[int]) -> list:
+    """(basis index, support, grown tree, Steiner points) per open column.
+
+    ``cols`` is the column form of the inverse, as ``_inverse_columns``
+    gives and ``_apply_to_columns`` carries.  A column is open when its
+    inverse row, the support, has at least two nodes; columns ascend.
+    """
+    # transpose the columns into each inverse row's support, ascending
+    sups = [[] for _ in range(graph.n)]
+    for u, col in enumerate(cols):
+        while col:
+            low = col & -col
+            sups[low.bit_length() - 1].append(u)
+            col ^= low
+    opened = []
+    for e, sup in enumerate(sups):
+        if len(sup) >= 2:
+            sup = tuple(sup)
+            grown, steiner, _ = steiner_entry(graph, sup)
+            opened.append((e, sup, grown, steiner))
+    return opened
+
+
+def _schedule_weight(grown, steiner) -> int:
+    """|V| - 1 + 2|S|: the least entry any root of the tree can be priced at."""
+    return len(grown) - 1 + 2 * len(steiner)
+
+
+def _open_block(rg: RowGraph, cols: Sequence[int],
+                bound: Optional[int] = None) -> Optional[CostTable]:
     """The cost table restricted to non-basic nodes x unpinned basis indices.
 
-    ``cols`` is the column form of the inverse of ``rg``'s matrix, as
-    ``_inverse_columns`` gives and ``_apply_to_columns`` carries.
+    ``cols`` is the column form of the inverse of ``rg``'s matrix.  With
+    a ``bound``, returns None as soon as the block's minimum assignment
+    total provably exceeds it.  Each column is assigned exactly one row,
+    and every entry of a column is at least its tree's schedule weight
+    (``reduction_costs`` adds recovery weights, never negative), so the
+    total is at least the priced columns' minima plus the unpriced
+    columns' schedule weights.  Columns are priced heaviest schedule
+    first, which raises that lower bound fastest.
     """
     graph = rg.graph
     n = graph.n
@@ -175,32 +227,28 @@ def _open_block(rg: RowGraph, cols: Sequence[int]) -> CostTable:
     position = [-1] * n
     for i, u in enumerate(nodes):
         position[u] = i
-    # transpose the columns into each inverse row's support, ascending
-    sups = [[] for _ in range(n)]
-    for u, col in enumerate(cols):
-        while col:
-            low = col & -col
-            sups[low.bit_length() - 1].append(u)
-            col ^= low
+    opened = _open_columns(graph, cols)
+    weights = [_schedule_weight(grown, steiner) for _, _, grown, steiner in opened]
+    low = sum(weights)
+    if bound is not None and low > bound:
+        return None
     sentinel = infinite_cost(n)
     entries = [[sentinel] * len(nodes) for _ in nodes]
-    columns = []
-    supports = []
-    for e, sup in enumerate(sups):
-        if len(sup) < 2:
-            continue
-        j = len(columns)
-        columns.append(e)
-        sup = tuple(sup)
-        supports.append(sup)
+    for j in sorted(range(len(opened)), key=weights.__getitem__, reverse=True):
+        _, sup, grown, steiner = opened[j]
         # distinct unit rows XOR to weight len(sup) >= 2, not to e_e, so
         # at least one node of the support is non-basic
         roots = [u for u in sup if position[u] >= 0]
-        grown, steiner, _ = steiner_entry(graph, sup)
-        for u, c in zip(roots, reduction_costs(rows, grown, steiner, roots)):
+        costs = reduction_costs(rows, grown, steiner, roots)
+        for u, c in zip(roots, costs):
             entries[position[u]][j] = c
+        if bound is not None:
+            low += min(costs) - weights[j]
+            if low > bound:
+                return None
     return CostTable(n, tuple(tuple(r) for r in entries), sentinel,
-                     tuple(supports), tuple(nodes), tuple(columns))
+                     tuple(sup for _, sup, _, _ in opened), tuple(nodes),
+                     tuple(e for e, _, _, _ in opened))
 
 
 def hungarian_assign(table: CostTable) -> Assignment:
@@ -245,14 +293,22 @@ def _reduce_pair(rg: RowGraph, u: int, e: int,
 def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
     """Reduce the row graph to basic form, greedily and with look-ahead.
 
-    Loop until basic: price the open block, shortlist its cheapest
-    entries, trial-run each (reduce, recover, score the resulting
-    state's loss, roll back) and commit the one with the smallest loss.
-    Ties break to the lowest (node, basis) pair.  The winner's trial
-    block and columns are the committed state's, so they serve the next
-    iteration.  Each commit makes at least one more node basic, so the
-    loop runs at most n times.  The inversion on entry is the only
-    singularity check; it raises ``SingularMatrixError``, basic or not.
+    Loop until basic: price the open block and shortlist its cheapest
+    entries.  A lone candidate is committed at once.  Ties are broken by
+    look-ahead: each candidate is trial-run (reduce, recover), its ops,
+    rows and carried columns are recorded, its open columns' trees give
+    a lower bound on its loss, and the state is rolled back.  Candidates
+    are then scored in ascending (bound, index) order, each with the
+    row graph holding its trial state, and the smallest (loss, index)
+    wins: the first strict minimum in candidate order, candidates being
+    ordered by (node, basis).  A candidate whose bound shows it cannot
+    beat the best so far (see ``_open_block``) is neither priced in full
+    nor assigned, so pruning never changes the winner.  The winner is
+    committed from its record, rows restored and ops appended, and its
+    trial block and columns serve the next iteration.  Each commit makes
+    at least one more node basic, so the loop runs at most n times.  The
+    inversion on entry is the only singularity check; it raises
+    ``SingularMatrixError``, basic or not.
     """
     cols = _inverse_columns(rg)
     start = rg.mark()
@@ -261,29 +317,44 @@ def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
         if block is None:
             block = _open_block(rg, cols)
         candidates = _cheapest(block)
-        chosen = candidates[0]
-        block = None
-        if len(candidates) > 1:
-            best_loss = None
-            for candidate in candidates:
-                u, e, sup = candidate
-                mark = rg.mark()
-                _reduce_pair(rg, u, e, frozenset(sup))
-                trial_cols = list(cols)
-                _apply_to_columns(trial_cols, rg.op_log[mark:])
-                trial = _open_block(rg, trial_cols)
-                trial_loss = hungarian_assign(trial).total
-                rg.undo_to(mark)
-                if best_loss is None or trial_loss < best_loss:
-                    best_loss = trial_loss
-                    chosen = candidate
-                    block = trial
-                    chosen_cols = trial_cols
-        u, e, sup = chosen
         mark = rg.mark()
-        _reduce_pair(rg, u, e, frozenset(sup))
-        if block is None:
+        if len(candidates) == 1:
+            u, e, sup = candidates[0]
+            _reduce_pair(rg, u, e, frozenset(sup))
             _apply_to_columns(cols, rg.op_log[mark:])
-        else:
-            cols = chosen_cols
+            block = None
+            continue
+        base = list(rg.rows)
+        trials = []
+        for index, (u, e, sup) in enumerate(candidates):
+            _reduce_pair(rg, u, e, frozenset(sup))
+            ops = rg.op_log[mark:]
+            trial_cols = list(cols)
+            _apply_to_columns(trial_cols, ops)
+            low = sum(_schedule_weight(grown, steiner) for _, _, grown, steiner
+                      in _open_columns(rg.graph, trial_cols))
+            trials.append((low, index, ops, list(rg.rows), trial_cols))
+            rg.rows[:] = base
+            del rg.op_log[mark:]
+        trials.sort(key=lambda t: t[:2])
+        best = None
+        for low, index, ops, rows, trial_cols in trials:
+            bound = None
+            if best is not None:
+                # a later index must win outright, an earlier one may tie
+                bound = best[0] - (index > best[1])
+                if low > bound:
+                    break  # every later trial's (bound, index) is larger
+            rg.rows[:] = rows
+            rg.op_log.extend(ops)
+            trial = _open_block(rg, trial_cols, bound)
+            if trial is not None:
+                trial_loss = hungarian_assign(trial).total
+                if best is None or (trial_loss, index) < best[:2]:
+                    best = (trial_loss, index, ops, rows, trial_cols, trial)
+            rg.rows[:] = base
+            del rg.op_log[mark:]
+        _, _, ops, rows, cols, block = best
+        rg.rows[:] = rows
+        rg.op_log.extend(ops)
     return list(rg.op_log[start:])

@@ -35,10 +35,10 @@ def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):
         counts["carried"] += 1
         counts["swaps"] += sum(op.kind == SWAP for op in ops)
 
-    def price_checked(rg, cols):
+    def price_checked(rg, cols, bound=None):
         assert list(cols) == _fresh_columns(rg)
         counts["priced"] += 1
-        return price(rg, cols)
+        return price(rg, cols, bound)
 
     def pick_counted(block):
         found = pick(block)
