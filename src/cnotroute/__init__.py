@@ -12,10 +12,10 @@ from .gf2 import (BitMatrix, SingularMatrixError, invert, mat_mul, row_add,
                   solve_unit_combinations, transpose)
 from .heuristic import (Assignment, CostTable, build_cost_table, cost,
                         heuristic_token_reduction, hungarian_assign, loss)
-from .rowgraph import (ReductionError, RowGraph, RowOp, reduction_recovery,
+from .rowgraph import (ReductionError, RowGraph, reduction_recovery,
                        simple_token_reduction, tree_reduce, tree_reduce_tracked)
-from .synthesis import (RoutedResult, RouteStats, circuit_to_matrix,
-                        complies, equivalence_failure, postprocess,
+from .synthesis import (RoutedResult, RouteStats, complies,
+                        equivalence_failure, linear_matrix, postprocess,
                         route_cnot_block, route_general, verify_equivalence)
 
 __version__ = "0.1.0"
@@ -24,11 +24,11 @@ __all__ = [
     "ArchGraph", "Assignment", "BenchConfig", "BenchReport", "BitMatrix",
     "Circuit", "CircuitFormatError", "CostTable", "DisconnectedGraphError",
     "Gate", "Mapping", "ReductionError", "ReductionTree", "RoutedResult",
-    "RouteStats", "RowGraph", "RowOp", "SingularMatrixError",
-    "build_cost_table", "circuit_to_matrix", "cnot", "complies", "cost",
-    "equivalence_failure", "floyd_warshall_with_path", "format_circuit",
-    "gen_steiner", "get_architecture", "heuristic_token_reduction",
-    "hungarian_assign", "invert", "list_architectures", "load_arch_file",
+    "RouteStats", "RowGraph", "SingularMatrixError", "build_cost_table",
+    "cnot", "complies", "cost", "equivalence_failure",
+    "floyd_warshall_with_path", "format_circuit", "gen_steiner",
+    "get_architecture", "heuristic_token_reduction", "hungarian_assign",
+    "invert", "linear_matrix", "list_architectures", "load_arch_file",
     "loss", "mat_mul", "one_qubit", "parse_circuit", "path_from_successors",
     "postprocess", "random_cnot_circuit", "reduction_recovery",
     "resolve_architecture", "route_cnot_block", "route_general", "row_add",

@@ -11,13 +11,15 @@ reductions root a tree.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from .circuit import load_json, parse_wire_pairs
+
 INF = 10**9
-ADD_OP = "ADD"
-SWAP_OP = "SWAP"
+# the kinds of the (kind, a, b) row ops that the rowgraph module describes
+ADD = "ADD"
+SWAP = "SWAP"
 
 
 class DisconnectedGraphError(ValueError):
@@ -138,8 +140,9 @@ class ReductionTree:
     ``schedule_cost`` weighs SWAP 3, ADD 1; when all leaves are
     terminals it is |V| - 1 + 2|S| for every root.  ``parent``,
     ``vertices``, ``steiner_points`` and ``post_order`` are derived from
-    the schedule on demand.  The constructor roots the child -> parent
-    map given through the same walk as ``gen_steiner``.
+    the schedule on demand.  The constructor checks the child -> parent
+    map given and roots it through ``_root_at``, as ``gen_steiner``
+    roots a grown tree.
     """
 
     __slots__ = ("root", "terminals", "schedule", "schedule_cost")
@@ -156,16 +159,42 @@ class ReductionTree:
         term = frozenset(terminals) & adjacency.keys()
         if root not in term:
             raise ValueError("root must be a terminal")
-        self.root = root
-        self.terminals = term
-        self.schedule, self.schedule_cost = _walk(
-            adjacency, adjacency.keys() - term, root)
+        self._root_at(adjacency, term, root)
         if len(self.schedule) != len(adjacency) - 1:
             raise ValueError("parent links must form one tree under the root")
 
+    def _root_at(self, adjacency, terminals: FrozenSet[int], root: int) -> None:
+        """Set every slot by rooting an undirected tree at ``root``.
+
+        ``adjacency`` maps each node to its ascending neighbours, and its
+        non-terminal nodes are the Steiner points.  Pushing each node's
+        children in ascending order makes one stack walk a pre-order with
+        descending children; reversed, that is the post-order with
+        ascending children.  A child's op is fixed as its parent is
+        expanded: a Steiner parent swaps with its first child.
+        """
+        pre = []
+        swaps = 0
+        stack = [(root, -1, None)]
+        while stack:
+            node, up, op = stack.pop()
+            if op is not None:
+                pre.append(op)
+            swap = node not in terminals
+            for c in adjacency[node]:
+                if c != up:
+                    stack.append((c, node, (SWAP, c, node) if swap else (ADD, node, c)))
+                    swaps += swap
+                    swap = False
+        pre.reverse()
+        self.root = root
+        self.terminals = terminals
+        self.schedule = tuple(pre)
+        self.schedule_cost = len(pre) + 2 * swaps
+
     @property
     def post_order(self) -> Tuple[int, ...]:
-        return tuple(a if kind == SWAP_OP else b
+        return tuple(a if kind == SWAP else b
                      for kind, a, b in self.schedule) + (self.root,)
 
     @property
@@ -182,37 +211,12 @@ class ReductionTree:
 
     def edge_list(self) -> List[Tuple[int, int]]:
         """(child, parent) pairs in post-order."""
-        return [(a, b) if kind == SWAP_OP else (b, a)
+        return [(a, b) if kind == SWAP else (b, a)
                 for kind, a, b in self.schedule]
 
     def __repr__(self) -> str:
         return (f"ReductionTree(root={self.root}, vertices={sorted(self.vertices)}, "
                 f"steiner={sorted(self.steiner_points)})")
-
-
-def _walk(adjacency, steiner, root: int) -> Tuple[tuple, int]:
-    """Root an undirected tree at ``root``: its schedule and schedule cost.
-
-    Pushing each node's children in ascending order makes one stack walk
-    a pre-order with descending children; reversed, that is the
-    post-order with ascending children.  A child's op is fixed as its
-    parent is expanded: a Steiner parent swaps with its first child.
-    """
-    pre = []
-    swaps = 0
-    stack = [(root, -1, None)]
-    while stack:
-        node, up, op = stack.pop()
-        if op is not None:
-            pre.append(op)
-        swap = node in steiner
-        for c in adjacency[node]:
-            if c != up:
-                stack.append((c, node, (SWAP_OP, c, node) if swap else (ADD_OP, node, c)))
-                swaps += swap
-                swap = False
-    pre.reverse()
-    return tuple(pre), len(pre) + 2 * swaps
 
 
 def nearest_neighbours(first, second, dist) -> Tuple[int, int]:
@@ -337,15 +341,13 @@ def gen_steiner(g: ArchGraph, terminals, root: int) -> ReductionTree:
     the same for every root.
     """
     key = frozenset(terminals)
-    grown, steiner, trees = steiner_entry(g, key)
+    grown, _, trees = steiner_entry(g, key)
     tree = trees.get(root)
     if tree is None:
         if root not in key:
             raise ValueError(f"root {root} not in terminal set")
         tree = ReductionTree.__new__(ReductionTree)
-        tree.root = root
-        tree.terminals = key
-        tree.schedule, tree.schedule_cost = _walk(grown, steiner, root)
+        tree._root_at(grown, key, root)
         trees[root] = tree
     return tree
 
@@ -365,10 +367,7 @@ def parse_arch_json(text: str, source: str = "<arch>") -> Tuple[ArchGraph, Optio
     ``initial_mapping`` (list of [wire, name] pairs, wires "w1".."wn").
     Returns the graph and the initial mapping as a wire->node list.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ArchFileError(f"{source}: not valid JSON: {exc}") from exc
+    data = load_json(text, source, ArchFileError)
     if not isinstance(data, dict):
         raise ArchFileError(f"{source}: top level must be a JSON object")
     for field in ("name", "nodes", "edges"):
@@ -399,29 +398,9 @@ def parse_arch_json(text: str, source: str = "<arch>") -> Tuple[ArchGraph, Optio
         raise ArchFileError(f"{source}: {exc}") from exc
     mapping = None
     if "initial_mapping" in data:
-        n = len(names)
-        mapping = [-1] * n
         if not isinstance(data["initial_mapping"], list):
             raise ArchFileError(f"{source}: initial_mapping must be a list of [wire, name] pairs")
-        for pair in data["initial_mapping"]:
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ArchFileError(f"{source}: malformed mapping entry {pair!r}")
-            wire, node = pair
-            if not (isinstance(wire, str) and wire.startswith("w")):
-                raise ArchFileError(f"{source}: wire label {wire!r} must look like 'w3'")
-            try:
-                w = int(wire[1:]) - 1
-            except ValueError:
-                raise ArchFileError(f"{source}: wire label {wire!r} must look like 'w3'")
-            if not 0 <= w < n:
-                raise ArchFileError(f"{source}: wire {wire!r} out of range")
-            if not isinstance(node, str) or node not in index:
-                raise ArchFileError(f"{source}: mapping names unknown node {node!r}")
-            if mapping[w] != -1:
-                raise ArchFileError(f"{source}: wire {wire!r} mapped twice")
-            mapping[w] = index[node]
-        if -1 in mapping or len(set(mapping)) != n:
-            raise ArchFileError(f"{source}: initial_mapping is not a bijection")
+        mapping = parse_wire_pairs(data["initial_mapping"], names, source, ArchFileError)
     return graph, mapping
 
 

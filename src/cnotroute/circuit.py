@@ -171,41 +171,57 @@ def format_circuit(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_mapping_json(text: str, names: Sequence[str],
-                       source: str = "<mapping>") -> Mapping:
-    """Mapping file: JSON list of [wire, node-name] pairs, wires 'w1'..'wn'."""
+def load_json(text: str, source: str, error: type):
+    """``json.loads``, raising ``error`` for malformed or too deeply nested text."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CircuitFormatError(f"{source}: not valid JSON: {exc}") from exc
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{source}: not valid JSON: {exc}") from exc
+
+
+def parse_wire_pairs(pairs: list, names: Sequence[str], source: str,
+                     error: type) -> List[int]:
+    """Node index per wire from a list of [wire, node-name] pairs.
+
+    Wires are labelled "w1".."wn" for the n nodes in ``names``, and the
+    pairs must map the wires one-to-one onto the nodes.  Any violation
+    raises ``error`` naming ``source``.
+    """
     n = len(names)
     index = {nm: i for i, nm in enumerate(names)}
     nodes = [-1] * n
-    if not isinstance(data, list) or len(data) != n:
-        raise CircuitFormatError(f"{source}: expected {n} [wire, node] pairs")
-    for pair in data:
+    for pair in pairs:
         if not (isinstance(pair, list) and len(pair) == 2):
-            raise CircuitFormatError(f"{source}: malformed entry {pair!r}")
+            raise error(f"{source}: malformed mapping entry {pair!r}")
         wire, node = pair
         if not (isinstance(wire, str) and wire.startswith("w")):
-            raise CircuitFormatError(f"{source}: wire label {wire!r} must look like 'w3'")
+            raise error(f"{source}: wire label {wire!r} must look like 'w3'")
         try:
             w = int(wire[1:]) - 1
         except ValueError:
-            raise CircuitFormatError(f"{source}: wire label {wire!r} must look like 'w3'")
+            raise error(f"{source}: wire label {wire!r} must look like 'w3'")
         if not 0 <= w < n:
-            raise CircuitFormatError(f"{source}: wire {wire!r} out of range")
+            raise error(f"{source}: wire {wire!r} out of range")
         if not isinstance(node, str):
-            raise CircuitFormatError(f"{source}: node name {node!r} must be a string")
+            raise error(f"{source}: unknown node {node!r}: node names must be a string")
         if node not in index:
-            raise CircuitFormatError(f"{source}: unknown node {node!r}")
+            raise error(f"{source}: unknown node {node!r}")
         if nodes[w] != -1:
-            raise CircuitFormatError(f"{source}: wire {wire!r} mapped twice")
+            raise error(f"{source}: wire {wire!r} mapped twice")
         nodes[w] = index[node]
-    try:
-        return Mapping(nodes)
-    except ValueError as exc:
-        raise CircuitFormatError(f"{source}: {exc}") from exc
+    if -1 in nodes or len(set(nodes)) != n:
+        raise error(f"{source}: mapping is not a bijection")
+    return nodes
+
+
+def parse_mapping_json(text: str, names: Sequence[str],
+                       source: str = "<mapping>") -> Mapping:
+    """Mapping file: JSON list of [wire, node-name] pairs, wires 'w1'..'wn'."""
+    data = load_json(text, source, CircuitFormatError)
+    n = len(names)
+    if not isinstance(data, list) or len(data) != n:
+        raise CircuitFormatError(f"{source}: expected {n} [wire, node] pairs")
+    return Mapping(parse_wire_pairs(data, names, source, CircuitFormatError))
 
 
 def format_mapping_json(mapping: Mapping, names: Sequence[str]) -> str:

@@ -170,9 +170,8 @@ def _inverse_columns(rg: RowGraph) -> List[int]:
 
 def _apply_to_columns(cols: List[int], ops: Sequence[RowOp]) -> None:
     """Carry the column form through row ops: R' = E R gives R'^-1 = R^-1 E."""
-    for op in ops:
-        a, b = op.a, op.b
-        if op.kind == ADD:
+    for kind, a, b in ops:
+        if kind == ADD:
             cols[b] ^= cols[a]
         else:
             cols[a], cols[b] = cols[b], cols[a]
@@ -206,11 +205,11 @@ def _schedule_weight(grown, steiner) -> int:
     return len(grown) - 1 + 2 * len(steiner)
 
 
-def _open_block(rg: RowGraph, cols: Sequence[int],
+def _open_block(rg: RowGraph, opened: list,
                 bound: Optional[int] = None) -> Optional[CostTable]:
     """The cost table restricted to non-basic nodes x unpinned basis indices.
 
-    ``cols`` is the column form of the inverse of ``rg``'s matrix.  With
+    ``opened`` is ``_open_columns`` of the inverse of ``rg``'s matrix.  With
     a ``bound``, returns None as soon as the block's minimum assignment
     total provably exceeds it.  Each column is assigned exactly one row,
     and every entry of a column is at least its tree's schedule weight
@@ -219,15 +218,13 @@ def _open_block(rg: RowGraph, cols: Sequence[int],
     columns' schedule weights.  Columns are priced heaviest schedule
     first, which raises that lower bound fastest.
     """
-    graph = rg.graph
-    n = graph.n
+    n = rg.graph.n
     rows = rg.rows
     # rows of an invertible matrix are nonzero, so r & (r - 1) == 0 means unit
     nodes = [u for u, r in enumerate(rows) if r & (r - 1)]
     position = [-1] * n
     for i, u in enumerate(nodes):
         position[u] = i
-    opened = _open_columns(graph, cols)
     weights = [_schedule_weight(grown, steiner) for _, _, grown, steiner in opened]
     low = sum(weights)
     if bound is not None and low > bound:
@@ -270,7 +267,8 @@ def hungarian_assign(table: CostTable) -> Assignment:
 
 def loss(rg: RowGraph) -> int:
     """Total cost of the cheapest node-to-basis assignment."""
-    return hungarian_assign(_open_block(rg, _inverse_columns(rg))).total
+    opened = _open_columns(rg.graph, _inverse_columns(rg))
+    return hungarian_assign(_open_block(rg, opened)).total
 
 
 def _cheapest(block: CostTable) -> List[Tuple[int, int, Tuple[int, ...]]]:
@@ -287,7 +285,7 @@ def _reduce_pair(rg: RowGraph, u: int, e: int,
                  terminals: FrozenSet[int]) -> None:
     tree = gen_steiner(rg.graph, terminals, u)
     ops, tracked = tree_reduce_tracked(rg, tree)
-    reduction_recovery(rg, ops, tracked, tree)
+    reduction_recovery(rg, ops, tracked)
 
 
 def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
@@ -315,7 +313,7 @@ def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
     block = None
     while not rg.is_basic():
         if block is None:
-            block = _open_block(rg, cols)
+            block = _open_block(rg, _open_columns(rg.graph, cols))
         candidates = _cheapest(block)
         mark = rg.mark()
         if len(candidates) == 1:
@@ -331,14 +329,14 @@ def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
             ops = rg.op_log[mark:]
             trial_cols = list(cols)
             _apply_to_columns(trial_cols, ops)
-            low = sum(_schedule_weight(grown, steiner) for _, _, grown, steiner
-                      in _open_columns(rg.graph, trial_cols))
-            trials.append((low, index, ops, list(rg.rows), trial_cols))
+            opened = _open_columns(rg.graph, trial_cols)
+            low = sum(_schedule_weight(grown, steiner) for _, _, grown, steiner in opened)
+            trials.append((low, index, ops, list(rg.rows), trial_cols, opened))
             rg.rows[:] = base
             del rg.op_log[mark:]
         trials.sort(key=lambda t: t[:2])
         best = None
-        for low, index, ops, rows, trial_cols in trials:
+        for low, index, ops, rows, trial_cols, opened in trials:
             bound = None
             if best is not None:
                 # a later index must win outright, an earlier one may tie
@@ -347,7 +345,7 @@ def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
                     break  # every later trial's (bound, index) is larger
             rg.rows[:] = rows
             rg.op_log.extend(ops)
-            trial = _open_block(rg, trial_cols, bound)
+            trial = _open_block(rg, opened, bound)
             if trial is not None:
                 trial_loss = hungarian_assign(trial).total
                 if best is None or (trial_loss, index) < best[:2]:
@@ -357,4 +355,4 @@ def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
         _, _, ops, rows, cols, block = best
         rg.rows[:] = rows
         rg.op_log.extend(ops)
-    return list(rg.op_log[start:])
+    return rg.op_log[start:]

@@ -6,6 +6,13 @@ adjacent rows (three CNOTs).  The reducers below rewrite the state until
 every node holds a standard basis vector ("basic" form), logging the
 operations so they can be emitted as a circuit.
 
+A row operation is a plain ``(kind, a, b)`` tuple, everywhere from a
+tree's schedule to the op log and the synthesizer's result.  ``(ADD, a,
+b)`` means row a ^= row b, and is emitted as one CNOT with control a
+and target b.  ``(SWAP, a, b)`` exchanges rows a and b; in a tree's
+schedule a is the tree child and b its parent.  Both are self-inverse,
+so undoing a log replays it backwards.
+
 The tuple-level ``apply_*`` helpers mutate a raw row list without
 touching the op log.  ``reduction_costs`` gives the weight those helpers
 would spend reducing along one Steiner tree at each of many roots,
@@ -15,33 +22,17 @@ each edge's value shared by every root on its far side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Set, Tuple
 
-from .arch import ArchGraph, ReductionTree, gen_steiner
+from .arch import ADD, SWAP, ArchGraph, ReductionTree, gen_steiner
 from .gf2 import (BitMatrix, SingularMatrixError, invert, is_unit,
                   solve_unit_combinations)
 
-ADD = "ADD"
-SWAP = "SWAP"
+RowOp = Tuple[str, int, int]  # (kind, a, b), as above
 
 
 class ReductionError(ValueError):
     """Raised when a reduction precondition does not hold."""
-
-
-@dataclass(frozen=True)
-class RowOp:
-    """One logged row operation.
-
-    ADD(a, b) means row a ^= row b (a is the target).  SWAP(a, b)
-    exchanges the rows; a is the tree child and b its parent in the
-    traversal that produced the op.
-    """
-
-    kind: str
-    a: int
-    b: int
 
 
 class RowGraph:
@@ -84,13 +75,13 @@ class RowGraph:
         """f(u) ^= f(v) for adjacent u, v; logged as ADD(u, v)."""
         self._check_edge(u, v)
         self.rows[u] ^= self.rows[v]
-        self.op_log.append(RowOp(ADD, u, v))
+        self.op_log.append((ADD, u, v))
 
     def swap_nodes(self, u: int, v: int) -> None:
         """Exchange f(u) and f(v) for adjacent u, v; logged atomically."""
         self._check_edge(u, v)
         self.rows[u], self.rows[v] = self.rows[v], self.rows[u]
-        self.op_log.append(RowOp(SWAP, u, v))
+        self.op_log.append((SWAP, u, v))
 
     def mark(self) -> int:
         return len(self.op_log)
@@ -100,11 +91,11 @@ class RowGraph:
         rows = self.rows
         log = self.op_log
         while len(log) > mark:
-            op = log.pop()
-            if op.kind == ADD:
-                rows[op.a] ^= rows[op.b]
+            kind, a, b = log.pop()
+            if kind == ADD:
+                rows[a] ^= rows[b]
             else:
-                rows[op.a], rows[op.b] = rows[op.b], rows[op.a]
+                rows[a], rows[b] = rows[b], rows[a]
 
 
 def apply_schedule_tracked(rows: List[int], schedule,
@@ -279,46 +270,38 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
     return out
 
 
-def _check_tree(rg: RowGraph, tree: ReductionTree) -> int:
-    """Validate the reduction precondition; returns the target unit row."""
+def tree_reduce_tracked(rg: RowGraph,
+                        tree: ReductionTree) -> Tuple[Tuple[RowOp, ...], Set[int]]:
+    """Post-order tree reduction, leaving f(root) holding the unit vector.
+
+    Returns the ops run (the tree's schedule) and the set of disturbed
+    unit-vector holders that ``reduction_recovery`` must restore.
+    """
     acc = 0
     for t in tree.terminals:
         acc ^= rg.rows[t]
     if not is_unit(acc):
-        raise ReductionError(
-            "terminal rows do not XOR to a standard basis vector"
-        )
-    return acc
+        raise ReductionError("terminal rows do not XOR to a standard basis vector")
+    ops, tracked = apply_schedule_tracked(rg.rows, tree.schedule, tree.root)
+    rg.op_log.extend(ops)
+    return ops, tracked
 
 
 def tree_reduce(rg: RowGraph, tree: ReductionTree) -> None:
-    """Post-order tree reduction; leaves f(root) holding the unit vector."""
-    _check_tree(rg, tree)
-    ops, _ = apply_schedule_tracked(rg.rows, tree.schedule, tree.root)
-    rg.op_log.extend(RowOp(*op) for op in ops)
-
-
-def tree_reduce_tracked(rg: RowGraph, tree: ReductionTree) -> Tuple[List[RowOp], Set[int]]:
-    """tree_reduce plus the set of disturbed unit-vector holders."""
-    _check_tree(rg, tree)
-    ops, tracked = apply_schedule_tracked(rg.rows, tree.schedule, tree.root)
-    logged = [RowOp(*op) for op in ops]
-    rg.op_log.extend(logged)
-    return logged, tracked
+    """``tree_reduce_tracked`` without the tracked set."""
+    tree_reduce_tracked(rg, tree)
 
 
 def reduction_recovery(rg: RowGraph, operations: Sequence[RowOp],
-                       tracked: Set[int], tree: ReductionTree) -> List[RowOp]:
+                       tracked: Set[int]) -> List[RowOp]:
     """Restore every tracked node to a unit vector; returns the ops used."""
     n = rg.graph.n
-    for op in operations:
-        if not (0 <= op.a < n and 0 <= op.b < n):
-            raise ReductionError(f"operation {op} targets a node outside the graph")
-    raw = [(op.kind, op.a, op.b) for op in operations]
-    recover = apply_recovery(rg.rows, raw, tracked)
-    logged = [RowOp(*op) for op in recover]
-    rg.op_log.extend(logged)
-    return logged
+    for kind, a, b in operations:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ReductionError(f"operation {(kind, a, b)} targets a node outside the graph")
+    recover = apply_recovery(rg.rows, operations, tracked)
+    rg.op_log.extend(recover)
+    return recover
 
 
 def simple_token_reduction(rg: RowGraph) -> List[RowOp]:
@@ -341,16 +324,14 @@ def simple_token_reduction(rg: RowGraph) -> List[RowOp]:
         solutions = solve_unit_combinations(rg.matrix(), u)
         e, nodes = solutions[0]
         tree = gen_steiner(g, nodes, u)
-        mark = rg.mark()
-        tree_reduce(rg, tree)
-        done = list(rg.op_log[mark:])
-        for op in reversed(done):
-            if op.b == u:
-                raise ReductionError(f"root {u} appeared as an op source: {op}")
-            if op.a == u:
+        done, _ = tree_reduce_tracked(rg, tree)
+        for kind, a, b in reversed(done):
+            if b == u:
+                raise ReductionError(f"root {u} appeared as an op source: {(kind, a, b)}")
+            if a == u:
                 continue
-            if op.kind == ADD:
-                rg.node_add(op.a, op.b)
+            if kind == ADD:
+                rg.node_add(a, b)
             else:
-                rg.swap_nodes(op.a, op.b)
-    return list(rg.op_log[start:])
+                rg.swap_nodes(a, b)
+    return rg.op_log[start:]

@@ -15,9 +15,9 @@ from typing import List, Optional
 
 from .arch import ArchGraph
 from .circuit import CNOT, ONEQ, SWAP, Circuit, Gate, Mapping, cnot, one_qubit, swap_gate
-from .gf2 import BitMatrix, mat_mul, row_add, transpose, unit_index
+from .gf2 import BitMatrix, mat_mul, transpose, unit_index
 from .heuristic import heuristic_token_reduction
-from .rowgraph import RowGraph
+from .rowgraph import ADD, RowGraph
 
 
 @dataclass(frozen=True)
@@ -47,23 +47,13 @@ def cnot_weight(gates) -> int:
     return total
 
 
-def circuit_to_matrix(c: Circuit, n: Optional[int] = None) -> BitMatrix:
-    """Compose a CNOT-only circuit into its GF(2) matrix.
+def linear_matrix(gates, n: int) -> BitMatrix:
+    """Compose CNOT and SWAP gates on n wires into their GF(2) matrix.
 
-    Each gate adds the control row into the target row of an identity
-    matrix, in circuit order (later gates multiply on the left).
+    Starting from the identity, each CNOT adds the control row into the
+    target row and each SWAP exchanges two rows, in gate order (later
+    gates multiply on the left).  Raises ValueError on any other gate.
     """
-    size = c.n_wires if n is None else n
-    m = BitMatrix.identity(size)
-    for g in c.gates:
-        if g.kind != CNOT:
-            raise ValueError(f"circuit_to_matrix needs a CNOT-only circuit, found {g.kind!r}")
-        row_add(m, g.b, g.a)
-    return m
-
-
-def _linear_matrix(gates, n: int) -> BitMatrix:
-    """Matrix of a CNOT/SWAP circuit (SWAP exchanges two rows)."""
     m = BitMatrix.identity(n)
     for g in gates:
         if g.kind == CNOT:
@@ -108,17 +98,9 @@ def route_cnot_block(c: Circuit, graph: ArchGraph, m0: Mapping) -> RoutedResult:
     if all(graph.is_edge(g.a, g.b) for g in relabeled):
         return RoutedResult(Circuit(n, relabeled), m0, m0,
                             RouteStats(weight_in, weight_in))
-    p = BitMatrix.identity(n)
-    for g in relabeled:
-        row_add(p, g.b, g.a)
-    rg = RowGraph.from_matrix(graph, transpose(p))
-    ops = heuristic_token_reduction(rg)
-    gates: List[Gate] = []
-    for op in ops:
-        if op.kind == "ADD":
-            gates.append(cnot(op.a, op.b))
-        else:
-            gates.append(swap_gate(op.a, op.b))
+    rg = RowGraph.from_matrix(graph, transpose(linear_matrix(relabeled, n)))
+    gates = [cnot(a, b) if kind == ADD else swap_gate(a, b)
+             for kind, a, b in heuristic_token_reduction(rg)]
     holder = [0] * n
     for u, row in enumerate(rg.rows):
         holder[unit_index(row)] = u
@@ -148,8 +130,8 @@ def equivalence_failure(c: Circuit, routed: RoutedResult,
                     f"is not on an architecture edge")
     m0 = routed.input_mapping
     mt = routed.output_mapping
-    lhs = _linear_matrix(routed.circuit.gates, n)
-    rhs = _linear_matrix(relabel_circuit(c, m0).gates, n)
+    lhs = linear_matrix(routed.circuit.gates, n)
+    rhs = linear_matrix(relabel_circuit(c, m0).gates, n)
     perm = BitMatrix(n)
     for w in range(n):
         perm.rows[mt[w]] = 1 << m0[w]
@@ -273,8 +255,8 @@ def postprocess(rc: RoutedResult) -> RoutedResult:
     n = rc.circuit.n_wires
     has_linear = any(g.kind != ONEQ for g in before)
     if has_linear:
-        old = _linear_matrix([g for g in before if g.kind != ONEQ], n)
-        new = _linear_matrix([g for g in gates if g.kind != ONEQ], n)
+        old = linear_matrix([g for g in before if g.kind != ONEQ], n)
+        new = linear_matrix([g for g in gates if g.kind != ONEQ], n)
         if old != new:
             raise RuntimeError("post-processing changed the circuit's linear map")
     stats = replace(rc.stats, cnots_final=cnot_weight(gates))

@@ -115,13 +115,13 @@ def bfs_distances(n: int, edges) -> list:
 def ops_to_matrix(ops, n: int) -> BitMatrix:
     """Compose logged row ops into the matrix they apply from the left."""
     m = BitMatrix.identity(n)
-    for op in ops:
-        if op.kind == "ADD":
+    for kind, a, b in ops:
+        if kind == "ADD":
             step = BitMatrix.identity(n)
-            step.rows[op.a] ^= 1 << op.b
+            step.rows[a] ^= 1 << b
         else:
             step = BitMatrix.identity(n)
-            step.rows[op.a], step.rows[op.b] = step.rows[op.b], step.rows[op.a]
+            step.rows[a], step.rows[b] = step.rows[b], step.rows[a]
         m = mat_mul(step, m)
     return m
 

@@ -21,7 +21,7 @@ from cnotroute.gf2 import (BitMatrix, invert, mat_mul, solve_unit_combinations,
                            transpose, unit_index)
 from cnotroute.heuristic import cost, hungarian_assign
 from cnotroute.rowgraph import RowGraph
-from cnotroute.synthesis import (circuit_to_matrix, complies, postprocess,
+from cnotroute.synthesis import (complies, linear_matrix, postprocess,
                                  route_cnot_block, verify_equivalence)
 
 from conftest import (bfs_distances, brute_force_unit_combinations,
@@ -183,7 +183,7 @@ def test_criterion_6_worked_example_goldens(path4):
     assert p.to_bits() == [[1, 0, 0, 0], [0, 1, 0, 0],
                            [1, 0, 1, 0], [1, 0, 1, 1]]
     circuit = Circuit(4, [cnot(0, 2), cnot(2, 3)])
-    assert circuit_to_matrix(circuit) == p
+    assert linear_matrix(circuit.gates, 4) == p
     pt = transpose(p)
     assert pt.to_bits() == [[1, 0, 1, 1], [0, 1, 0, 0],
                             [0, 0, 1, 1], [0, 0, 0, 1]]

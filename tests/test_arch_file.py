@@ -39,3 +39,8 @@ GOOD = {
 def test_wrong_types_raise_arch_file_error(doc, message):
     with pytest.raises(ArchFileError, match=message):
         parse_arch_json(json.dumps(doc))
+
+
+def test_deeply_nested_json_raises_arch_file_error():
+    with pytest.raises(ArchFileError, match="not valid JSON"):
+        parse_arch_json("[" * 100000)

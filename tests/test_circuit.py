@@ -79,6 +79,7 @@ def test_mapping_json_roundtrip():
     ('[["v1", "Q1"], ["w2", "Q2"], ["w3", "Q3"]]', "must look like"),
     ('{"w1": "Q1"}', "expected 3"),
     ("not json", "not valid JSON"),
+    pytest.param("[" * 100000, "not valid JSON", id="deep nesting-not valid JSON"),
 ])
 def test_mapping_json_rejects(text, message):
     with pytest.raises(CircuitFormatError, match=message):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cnotroute
 from cnotroute.cli import main
 from cnotroute.circuit import parse_circuit
@@ -183,4 +185,24 @@ def test_mapping_with_non_string_node_is_an_error_not_a_traceback(tmp_path):
         capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 2
     assert "error:" in done.stderr and "must be a string" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("flag", ["--arch", "--mapping"])
+def test_deeply_nested_json_is_an_error_not_a_traceback(tmp_path, flag):
+    files = {"--arch": tmp_path / "line3.json", "--mapping": tmp_path / "m.json"}
+    files["--arch"].write_text(json.dumps(ARCH_FILE))
+    files["--mapping"].write_text(json.dumps([["w1", "A"], ["w2", "B"], ["w3", "C"]]))
+    files[flag].write_text("[" * 100000)
+    circ = tmp_path / "c.txt"
+    circ.write_text("qubits 3\ncnot 0 2\n")
+    src = str(Path(cnotroute.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "cnotroute.cli", "route", "--arch", str(files["--arch"]),
+         "--mapping", str(files["--mapping"]), str(circ)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert "error:" in done.stderr and "not valid JSON" in done.stderr
     assert "Traceback" not in done.stderr

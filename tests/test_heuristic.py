@@ -215,7 +215,7 @@ def test_heuristic_monotone_progress_and_bound():
             total_iters += 1
             assert counts[-1] < counts[-2]
         assert total_iters <= 9
-        weight = sum(3 if op.kind == "SWAP" else 1 for op in rg.op_log)
+        weight = sum(3 if kind == "SWAP" else 1 for kind, _, _ in rg.op_log)
         assert weight <= 9 * (6 * 7 + 1)
 
 
@@ -229,7 +229,7 @@ def test_heuristic_random_instances_verified(grid3):
         assert rg.is_basic()
         assert rg.matrix().is_permutation()
         assert mat_mul(ops_to_matrix(ops, 9), before) == rg.matrix()
-        weight = sum(3 if op.kind == "SWAP" else 1 for op in ops)
+        weight = sum(3 if kind == "SWAP" else 1 for kind, _, _ in ops)
         assert weight <= bound
 
 

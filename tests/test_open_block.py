@@ -13,7 +13,7 @@ import pytest
 
 from cnotroute.gf2 import SingularMatrixError, invert, is_unit
 from cnotroute.heuristic import (_cheapest, _inverse_columns, _open_block,
-                                 _reduce_pair, build_cost_table,
+                                 _open_columns, _reduce_pair, build_cost_table,
                                  heuristic_token_reduction, hungarian_assign,
                                  loss)
 from cnotroute.rowgraph import RowGraph
@@ -27,6 +27,10 @@ def _full_candidates(rg, table):
     best = min(table.entries[u][e] for u in non_unit for e in range(table.n))
     return [(u, e) for u in non_unit for e in range(table.n)
             if table.entries[u][e] == best]
+
+
+def _fresh_open(rg):
+    return _open_columns(rg.graph, _inverse_columns(rg))
 
 
 def _reference_reduction(rg):
@@ -68,7 +72,7 @@ def _states(seed, graphs):
 
 def _check_state(rg):
     full = build_cost_table(rg)
-    block = _open_block(rg, _inverse_columns(rg))
+    block = _open_block(rg, _fresh_open(rg))
     inv = invert(rg.matrix())
     assert block.nodes == tuple(rg.non_unit_nodes())
     assert block.columns == tuple(e for e in range(rg.graph.n)
@@ -107,7 +111,7 @@ def test_block_and_full_table_both_reject_singular_states():
         rows[u] = rows[v]
         singular = RowGraph(rg.graph, rows)
         for price in (build_cost_table,
-                      lambda s: _open_block(s, _inverse_columns(s)), loss):
+                      lambda s: _open_block(s, _fresh_open(s)), loss):
             with pytest.raises(SingularMatrixError):
                 price(singular)
         checked += 1

@@ -7,9 +7,9 @@ import pytest
 from cnotroute.arch import ArchGraph, ReductionTree, gen_steiner
 from cnotroute.gf2 import (BitMatrix, SingularMatrixError, invert, is_unit,
                            mat_mul, solve_unit_combinations)
-from cnotroute.rowgraph import (ReductionError, RowGraph, RowOp,
-                                reduction_recovery, simple_token_reduction,
-                                tree_reduce, tree_reduce_tracked)
+from cnotroute.rowgraph import (ReductionError, RowGraph, reduction_recovery,
+                                simple_token_reduction, tree_reduce,
+                                tree_reduce_tracked)
 
 from conftest import (ops_to_matrix, random_connected_graph,
                       random_reversible_rowgraph)
@@ -24,7 +24,7 @@ def test_node_add_worked_example(path4):
     rg = RowGraph(path4, _rows(0b0010, 0b1101, 0b1100, 0b1000))
     rg.node_add(1, 2)
     assert rg.rows[1] == 0b0001
-    assert rg.op_log == [RowOp("ADD", 1, 2)]
+    assert rg.op_log == [("ADD", 1, 2)]
 
 
 def test_node_add_is_involution(path4):
@@ -53,7 +53,7 @@ def test_swap_nodes_worked_example(path4):
     rg.swap_nodes(0, 1)
     assert rg.rows[0] == 0b0010
     assert rg.rows[1] == 0b1101
-    assert rg.op_log == [RowOp("SWAP", 0, 1)]
+    assert rg.op_log == [("SWAP", 0, 1)]
     rg.swap_nodes(0, 1)
     assert rg.rows[:2] == [0b1101, 0b0010]
 
@@ -69,7 +69,7 @@ def test_tree_reduce_single_edge():
     tree = gen_steiner(g, {0, 1}, 0)
     tree_reduce(rg, tree)
     assert rg.rows[0] == 0b01
-    assert rg.op_log == [RowOp("ADD", 0, 1)]
+    assert rg.op_log == [("ADD", 0, 1)]
 
 
 def test_tree_reduce_steiner_path():
@@ -79,7 +79,7 @@ def test_tree_reduce_steiner_path():
     tree = ReductionTree(0, {1: 0, 2: 1}, {0, 2})
     tree_reduce(rg, tree)
     assert rg.rows == [0b001, 0b100, 0b010]
-    assert rg.op_log == [RowOp("SWAP", 2, 1), RowOp("ADD", 0, 1)]
+    assert rg.op_log == [("SWAP", 2, 1), ("ADD", 0, 1)]
 
 
 def test_tree_reduce_root_only():
@@ -106,7 +106,7 @@ def test_tracked_no_recovery_needed():
     tree = ReductionTree(0, {1: 0, 2: 1}, {0, 2})
     ops, tracked = tree_reduce_tracked(rg, tree)
     assert tracked == set()
-    assert ops == [RowOp("SWAP", 2, 1), RowOp("ADD", 0, 1)]
+    assert ops == (("SWAP", 2, 1), ("ADD", 0, 1))
 
 
 def test_tracked_unit_parent_enters_set():
@@ -132,18 +132,17 @@ def test_tracked_replay_reproduces_state():
         ops, _ = tree_reduce_tracked(rg, tree)
         after = list(rg.rows)
         fresh = RowGraph(g, baseline)
-        for op in ops:
-            if op.kind == "ADD":
-                fresh.node_add(op.a, op.b)
+        for kind, a, b in ops:
+            if kind == "ADD":
+                fresh.node_add(a, b)
             else:
-                fresh.swap_nodes(op.a, op.b)
+                fresh.swap_nodes(a, b)
         assert fresh.rows == after
 
 
 def test_recovery_empty_set_no_ops(path4):
     rg = RowGraph(path4, _rows(1, 2, 4, 8))
-    tree = gen_steiner(path4, {0}, 0)
-    out = reduction_recovery(rg, [], set(), tree)
+    out = reduction_recovery(rg, [], set())
     assert out == []
     assert rg.rows == [1, 2, 4, 8]
 
@@ -152,10 +151,9 @@ def test_recovery_single_add():
     g = ArchGraph(2, [(0, 1)])
     rg = RowGraph(g, _rows(0b01, 0b10))
     rg.node_add(0, 1)  # disturbs the unit on node 0
-    ops = [RowOp("ADD", 0, 1)]
-    tree = gen_steiner(g, {0, 1}, 1)
-    rec = reduction_recovery(rg, ops, {0}, tree)
-    assert rec == [RowOp("ADD", 0, 1)]
+    ops = [("ADD", 0, 1)]
+    rec = reduction_recovery(rg, ops, {0})
+    assert rec == [("ADD", 0, 1)]
     assert rg.rows == [0b01, 0b10]
 
 
@@ -172,7 +170,7 @@ def test_reduce_recover_drops_exactly_one_non_unit():
         e, nodes = solve_unit_combinations(rg.matrix(), u)[0]
         tree = gen_steiner(g, nodes, u)
         ops, tracked = tree_reduce_tracked(rg, tree)
-        reduction_recovery(rg, ops, tracked, tree)
+        reduction_recovery(rg, ops, tracked)
         assert tracked == set(), "recovery must restore every tracked node"
         assert is_unit(rg.rows[u])
         after = len(rg.non_unit_nodes())
@@ -195,10 +193,10 @@ def test_recovery_never_touches_non_unit_root():
         tree = gen_steiner(g, nodes, u)
         ops, tracked = tree_reduce_tracked(rg, tree)
         root_row = rg.rows[u]
-        rec = reduction_recovery(rg, ops, tracked, tree)
+        rec = reduction_recovery(rg, ops, tracked)
         assert rg.rows[u] == root_row == 1 << e
-        for op in rec:
-            assert u not in (op.a, op.b)
+        for _, a, b in rec:
+            assert u not in (a, b)
 
 
 def test_tracked_then_full_reverse_is_identity():
@@ -253,7 +251,7 @@ def test_simple_reduction_two_node_path():
     g = ArchGraph(2, [(0, 1)])
     rg = RowGraph(g, _rows(0b11, 0b10))
     ops = simple_token_reduction(rg)
-    assert ops == [RowOp("ADD", 0, 1)]
+    assert ops == [("ADD", 0, 1)]
     assert rg.is_basic()
 
 
@@ -274,16 +272,15 @@ def test_simple_reduction_grid_bound_and_equivalence(grid3):
         ops = simple_token_reduction(rg)
         assert rg.is_basic()
         assert rg.matrix().is_permutation()
-        weight = sum(3 if op.kind == "SWAP" else 1 for op in ops)
+        weight = sum(3 if kind == "SWAP" else 1 for kind, _, _ in ops)
         assert weight <= bound
         assert mat_mul(ops_to_matrix(ops, n), before) == rg.matrix()
 
 
 def test_recovery_rejects_out_of_range_ops(path4):
     rg = RowGraph(path4, [1, 2, 4, 8])
-    tree = gen_steiner(path4, {0}, 0)
     with pytest.raises(ReductionError, match="outside the graph"):
-        reduction_recovery(rg, [RowOp("ADD", 0, 9)], {0}, tree)
+        reduction_recovery(rg, [("ADD", 0, 9)], {0})
 
 
 def test_undo_to_restores_rows_and_log(grid3):

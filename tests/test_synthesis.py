@@ -4,16 +4,18 @@ post-processing, and general-circuit block routing."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnotroute.arch import ArchGraph
 from cnotroute.circuit import (CNOT, ONEQ, Circuit, Mapping, cnot, one_qubit,
                                swap_gate)
 from cnotroute.gf2 import BitMatrix, mat_mul, transpose
-from cnotroute.synthesis import (RoutedResult, RouteStats, circuit_to_matrix,
-                                 complies, equivalence_failure, postprocess,
-                                 relabel_circuit, route_cnot_block,
-                                 route_general, verify_equivalence,
-                                 _cancel_pass, _linear_matrix)
+from cnotroute.synthesis import (RoutedResult, RouteStats, complies,
+                                 equivalence_failure, linear_matrix,
+                                 postprocess, relabel_circuit,
+                                 route_cnot_block, route_general,
+                                 verify_equivalence, _cancel_pass)
 
 
 P_BITS = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [1, 0, 1, 1]]
@@ -34,19 +36,45 @@ MT_BITS = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
 
 def test_circuit_to_matrix_worked_example():
-    c = Circuit(4, EXAMPLE_GATES)
-    assert circuit_to_matrix(c).to_bits() == P_BITS
+    assert linear_matrix(EXAMPLE_GATES, 4).to_bits() == P_BITS
 
 
 def test_circuit_to_matrix_empty_and_involution():
-    assert circuit_to_matrix(Circuit(3)) == BitMatrix.identity(3)
-    twice = Circuit(3, [cnot(0, 1), cnot(0, 1)])
-    assert circuit_to_matrix(twice) == BitMatrix.identity(3)
+    assert linear_matrix([], 3) == BitMatrix.identity(3)
+    assert linear_matrix([cnot(0, 1), cnot(0, 1)], 3) == BitMatrix.identity(3)
 
 
 def test_circuit_to_matrix_rejects_non_cnot():
-    with pytest.raises(ValueError, match="CNOT-only"):
-        circuit_to_matrix(Circuit(2, [swap_gate(0, 1)]))
+    with pytest.raises(ValueError, match="not a linear gate"):
+        linear_matrix([cnot(0, 1), one_qubit("H", 1)], 2)
+
+
+@st.composite
+def linear_gate_lists(draw):
+    """n in 1..12 and a random list of CNOT and SWAP gates on n wires."""
+    n = draw(st.integers(1, 12))
+    if n == 1:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    gate = st.tuples(st.booleans(), pair).map(
+        lambda t: swap_gate(*t[1]) if t[0] else cnot(*t[1]))
+    return n, draw(st.lists(gate, max_size=40))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(linear_gate_lists())
+def test_linear_matrix_is_the_product_of_elementary_matrices(case):
+    n, gates = case
+    expected = BitMatrix.identity(n)
+    for g in gates:
+        step = BitMatrix.identity(n)
+        if g.kind == CNOT:  # I + e_target e_control^T
+            step.rows[g.b] |= 1 << g.a
+        else:  # the permutation exchanging rows a and b
+            step.rows[g.a], step.rows[g.b] = 1 << g.b, 1 << g.a
+        expected = mat_mul(step, expected)
+    assert linear_matrix(gates, n) == expected
 
 
 def test_factorization_fixture():
@@ -73,7 +101,7 @@ def test_route_worked_example(path4):
     perm = BitMatrix(4)
     for w in range(4):
         perm.rows[r.output_mapping[w]] = 1 << w
-    assert _linear_matrix(r.circuit.gates, 4) == \
+    assert linear_matrix(r.circuit.gates, 4) == \
         mat_mul(perm, BitMatrix.from_bits(P_BITS))
     post = postprocess(r)
     assert post.stats.cnots_final <= 7
@@ -160,8 +188,8 @@ def test_postprocess_swap_orientation_cancels():
                       RouteStats(4, 4))
     out = postprocess(rc)
     assert out.stats.cnots_final == 2
-    assert _linear_matrix(out.circuit.gates, 2) == \
-        _linear_matrix([swap_gate(0, 1), cnot(0, 1)], 2)
+    assert linear_matrix(out.circuit.gates, 2) == \
+        linear_matrix([swap_gate(0, 1), cnot(0, 1)], 2)
 
 
 def test_postprocess_empty():

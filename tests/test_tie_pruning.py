@@ -18,10 +18,14 @@ from cnotroute.arch import (ArchGraph, get_architecture, list_architectures,
 from cnotroute.bench import random_cnot_circuit
 from cnotroute.gf2 import BitMatrix, transpose
 from cnotroute.heuristic import (_cheapest, _inverse_columns, _open_block,
-                                 _reduce_pair, heuristic_token_reduction,
-                                 hungarian_assign)
+                                 _open_columns, _reduce_pair,
+                                 heuristic_token_reduction, hungarian_assign)
 from cnotroute.rowgraph import RowGraph, reduction_costs
-from cnotroute.synthesis import circuit_to_matrix
+from cnotroute.synthesis import linear_matrix
+
+
+def _fresh_open(rg):
+    return _open_columns(rg.graph, _inverse_columns(rg))
 
 
 def _reference_reduction(rg, stats):
@@ -32,7 +36,7 @@ def _reference_reduction(rg, stats):
     """
     start = rg.mark()
     while not rg.is_basic():
-        candidates = _cheapest(_open_block(rg, _inverse_columns(rg)))
+        candidates = _cheapest(_open_block(rg, _fresh_open(rg)))
         chosen = candidates[0]
         if len(candidates) > 1:
             losses = []
@@ -40,7 +44,7 @@ def _reference_reduction(rg, stats):
                 mark = rg.mark()
                 _reduce_pair(rg, u, e, frozenset(sup))
                 losses.append(hungarian_assign(
-                    _open_block(rg, _inverse_columns(rg))).total)
+                    _open_block(rg, _fresh_open(rg))).total)
                 rg.undo_to(mark)
             best = min(losses)
             chosen = candidates[losses.index(best)]
@@ -61,8 +65,8 @@ def test_pruned_synthesizer_matches_the_unpruned_reference(arch, monkeypatch):
         stats["assigned"] += 1
         return assign(block)
 
-    def price_counted(rg, cols, bound=None):
-        block = price(rg, cols, bound)
+    def price_counted(rg, opened, bound=None):
+        block = price(rg, opened, bound)
         stats["cut"] += block is None
         return block
 
@@ -72,7 +76,7 @@ def test_pruned_synthesizer_matches_the_unpruned_reference(arch, monkeypatch):
     for gates in (32, 64, 128, 256):
         for seed in range(2):
             c = random_cnot_circuit(graph.n, gates, 6061 + 1000 * gates + seed)
-            rg = RowGraph.from_matrix(graph, transpose(circuit_to_matrix(c)))
+            rg = RowGraph.from_matrix(graph, transpose(linear_matrix(c.gates, graph.n)))
             twin = rg.clone()
             assert heuristic_token_reduction(rg) == \
                 _reference_reduction(twin, stats)
@@ -112,8 +116,8 @@ def walked_states(draw):
 @settings(max_examples=300, deadline=None, database=None)
 @given(walked_states())
 def test_bound_is_a_lower_bound_on_every_entry_and_the_loss(rg):
-    cols = _inverse_columns(rg)
-    block = _open_block(rg, cols)
+    opened = _fresh_open(rg)
+    block = _open_block(rg, opened)
     position = {u: i for i, u in enumerate(block.nodes)}
     minima = []
     for j, sup in enumerate(block.supports):
@@ -128,6 +132,6 @@ def test_bound_is_a_lower_bound_on_every_entry_and_the_loss(rg):
     total = hungarian_assign(block).total
     assert total >= sum(minima)
     # a bound the loss meets never prunes; one below the minima always does
-    assert _open_block(rg, cols, total) == block
+    assert _open_block(rg, opened, total) == block
     if minima:
-        assert _open_block(rg, cols, sum(minima) - 1) is None
+        assert _open_block(rg, opened, sum(minima) - 1) is None

@@ -1,0 +1,46 @@
+"""The benchmark's layer tracer against the package it traces.
+
+``perfbench/tracer.py`` wraps the package's public functions and reads
+some of them back by name: ``Tracer._iterations`` indexes
+``heuristic.build_cost_table`` and ``heuristic.loss``, and
+``layer_metrics`` reads one table row per traced function.  Removing or
+renaming such a function breaks ``perfbench/run.py --trace 1``; this
+test routes one circuit under the tracer and fails in that case.  The
+tracer file is only read, never changed.
+"""
+
+import importlib.util
+import inspect
+import re
+from pathlib import Path
+
+import cnotroute as cr
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_finds_every_name_it_reads():
+    tracing = _load_tracer()
+    graph = cr.ArchGraph(4, [(0, 1), (1, 2), (2, 3)])
+    circuit = cr.Circuit(4, [cr.cnot(0, 3), cr.cnot(2, 0), cr.cnot(1, 3)])
+    tracer = tracing.Tracer()
+    with tracer.active("test.circuit", 1):
+        # called through the package namespace, which the tracer patches
+        routed = cr.route_cnot_block(circuit, graph, cr.Mapping.identity(4))
+    assert cr.verify_equivalence(circuit, routed, graph)
+    read = set(re.findall(r'(?:get|index)\("(\w+\.\w+)"', inspect.getsource(tracing)))
+    assert {"heuristic.build_cost_table", "heuristic.loss"} <= read
+    assert read <= set(tracer.names)
+    table, iterations = tracer.table()
+    metrics = tracing.layer_metrics(table, iterations, len(tracer.steiner_keys), 1)
+    assert metrics["synthesis.route_cnot_block.calls"] == 1
+    assert table["heuristic.heuristic_token_reduction"]["calls"] == 1
+    assert table["rowgraph.tree_reduce_tracked"]["calls"] >= 1
+    assert metrics["rowgraph.tree_reduce_tracked.s"] > 0
