@@ -1,12 +1,15 @@
 """Architecture graphs, all-pairs shortest paths, and reduction trees.
 
 An architecture is an undirected connected graph of physical qubits.
-Distance and successor tables are built once per graph.  Steiner-style
-reduction trees are grown on demand into one cache entry per terminal
-set (``steiner_entry``): the unrooted grown tree, its Steiner points and
-a memo of the trees ``gen_steiner`` has rooted at its terminals.  Pricing
-reads the unrooted tree and prices all roots at once; only committed
-reductions root a tree.
+Distance, successor and distance-ball tables are built once per graph;
+``ball[t][d]`` is the mask of the nodes within distance d of t.  A
+terminal set is an int mask, bit t for node t, as the synthesizer reads
+it off a row of the inverse.  Steiner-style reduction trees are grown on
+demand into one cache entry per mask (``steiner_entry``): the unrooted
+grown tree, its Steiner points and a memo of the trees rooted so far at
+its terminals.  Pricing reads the unrooted tree and prices all roots at
+once; only committed reductions root a tree, through ``_rooted_tree``,
+which ``gen_steiner`` wraps for callers holding an iterable of nodes.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from importlib import resources
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .circuit import load_json, parse_wire_pairs
+from .gf2 import vec_support
 
 INF = 10**9
 # the kinds of the (kind, a, b) row ops that the rowgraph module describes
@@ -115,8 +119,20 @@ class ArchGraph:
             adj[v].append(u)
         self.adj = tuple(tuple(sorted(a)) for a in adj)
         self.dist, self.succ = floyd_warshall_with_path(n, norm)
-        # terminal set -> (grown tree, Steiner points, root -> ReductionTree)
-        self._steiner_cache: Dict[FrozenSet[int], tuple] = {}
+        # ball[t][d]: mask of the nodes within distance d of t, for d up to
+        # the diameter, where every ball is the whole graph
+        depth = max(map(max, self.dist)) + 1
+        ball = []
+        for row in self.dist:
+            rings = [0] * depth
+            for v, d in enumerate(row):
+                rings[d] |= 1 << v
+            for d in range(1, depth):
+                rings[d] |= rings[d - 1]
+            ball.append(tuple(rings))
+        self.ball = tuple(ball)
+        # terminal mask -> (grown tree, Steiner points, root -> ReductionTree)
+        self._steiner_cache: Dict[int, tuple] = {}
 
     def is_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -219,60 +235,51 @@ class ReductionTree:
                 f"steiner={sorted(self.steiner_points)})")
 
 
-def nearest_neighbours(first, second, dist) -> Tuple[int, int]:
-    """Pair (u, v), u in first, v in second, minimizing dist[u][v].
-
-    Pairs with u == v are skipped; ties break to the smallest (u, v).
-    When both inputs are the same set only pairs u < v are scanned: the
-    smallest of (u, v) and (v, u) is always the one with u < v.
-    """
-    firsts = sorted(first)
-    same = first == second
-    seconds = firsts if same else sorted(second)
-    best = None
-    for i, u in enumerate(firsts):
-        du = dist[u]
-        for v in (seconds[i + 1:] if same else seconds):
-            if u == v:
-                continue
-            d = du[v]
-            if best is None or d < best[0]:
-                best = (d, u, v)
-    if best is None:
-        raise ValueError("no candidate pair")
-    return best[1], best[2]
-
-
-def _grow_steiner_graph(g: ArchGraph, terminals: FrozenSet[int]) -> dict:
-    """Grow a tree spanning the terminals from shortest paths.
+def _grow_steiner_graph(g: ArchGraph, mask: int) -> dict:
+    """Grow a tree spanning the terminals in ``mask`` from shortest paths.
 
     A shortest path joins the nearest pair of terminals, then each
     remaining terminal u nearest the tree joins its nearest tree node v,
-    ties broken to the smallest (distance, u, v).  Each remaining
-    terminal keeps its (distance, nearest tree node) pair, updated with
-    only the nodes each new path adds, and the next pair is chosen in
-    the same pass.  The result is a tree whose leaves are all terminals:
-    an interior node w of a u-v path is strictly nearer to u than v, so
-    were it a tree node or a terminal, (u, w) or (w, v) would be a
-    nearer pair.  Each path thus meets the tree only at v, and only its
-    ends other than v, all terminals, are left with one neighbour.
+    ties broken to the smallest (distance, u, v).  The distance balls
+    find that pair without a distance table scan: for d = 1, 2, ... and
+    each remaining u ascending, the first ball[u][d] to meet the tree
+    holds the pair, with v its lowest tree bit.  Every smaller d met no
+    tree node from any u, so d is the least distance; at that d the ball
+    meets the tree only at distance d, so u is the least terminal there
+    and v the least tree node at distance d from u.  For the first path
+    the "tree" of u is the terminals above u: the smallest of (u, v) and
+    (v, u) is the one with u < v.  The result is a tree whose leaves are
+    all terminals: an interior node w of a u-v path is strictly nearer
+    to u than v, so were it a tree node or a terminal, (u, w) or (w, v)
+    would be a nearer pair.  Each path thus meets the tree only at v,
+    and only its ends other than v, all terminals, are left with one
+    neighbour.
 
     Returns an adjacency map node -> sorted neighbour tuple; raises
     AssertionError if the result is not such a tree (a path that met the
     tree twice would add more edges than nodes).
     """
-    if len(terminals) == 1:
-        (only,) = terminals
-        return {only: ()}
-    dist = g.dist
+    if not mask & (mask - 1):
+        return {mask.bit_length() - 1: ()}
+    ball = g.ball
     succ = g.succ
+    depth = len(ball[0])
     adjacency: Dict[int, List[int]] = {}
-    dnear = dict.fromkeys(terminals, INF)  # remaining terminal -> distance
-    wnear = dict.fromkeys(terminals, -1)   # ... and its nearest tree node
-    u, v = nearest_neighbours(terminals, terminals, dist)
-    while True:
+    tree = 0
+    remaining = vec_support(mask)
+    while remaining:
+        for d in range(1, depth):
+            for u in remaining:
+                # while the tree is empty, the first path's v is a terminal above u
+                hit = ball[u][d] & (tree or mask >> u + 1 << u + 1)
+                if hit:
+                    break
+            else:
+                continue
+            break
+        v = (hit & -hit).bit_length() - 1
         adjacency[u] = []
-        path = [u]  # the nodes this path adds: all but v after the first
+        tree |= 1 << u
         x = u
         while x != v:
             y = succ[x][v]
@@ -281,30 +288,13 @@ def _grow_steiner_graph(g: ArchGraph, terminals: FrozenSet[int]) -> dict:
                 adjacency[y].append(x)
             else:
                 adjacency[y] = [x]
-                path.append(y)
+                tree |= 1 << y
             x = y
-        for w in path:
-            if w in dnear:
-                del dnear[w]
-                del wnear[w]
-        if not dnear:
-            break
-        bd = INF + 1
-        for t, d0 in dnear.items():
-            w0 = wnear[t]
-            dt = dist[t]
-            for w in path:
-                d = dt[w]
-                if d < d0 or (d == d0 and w < w0):
-                    d0, w0 = d, w
-            dnear[t] = d0
-            wnear[t] = w0
-            if d0 < bd or (d0 == bd and t < u):
-                bd, u, v = d0, t, w0
+        remaining = [t for t in remaining if not tree >> t & 1]
     if (sum(map(len, adjacency.values())) != 2 * (len(adjacency) - 1)
-            or any(len(adjacency[w]) < 2 for w in adjacency.keys() - terminals)):
+            or any(len(nbs) < 2 for w, nbs in adjacency.items() if not mask >> w & 1)):
         raise AssertionError(
-            f"grown graph for terminals {sorted(terminals)} is not a tree "
+            f"grown graph for terminals {list(vec_support(mask))} is not a tree "
             "with terminal leaves")
     return {node: tuple(sorted(nbs)) for node, nbs in adjacency.items()}
 
@@ -312,44 +302,53 @@ def _grow_steiner_graph(g: ArchGraph, terminals: FrozenSet[int]) -> dict:
 _GROW_CACHE_CAP = 4000
 
 
-def steiner_entry(g: ArchGraph, terminals) -> tuple:
-    """The cache entry for one terminal set, grown on first use.
+def steiner_entry(g: ArchGraph, mask: int) -> tuple:
+    """The cache entry for one terminal mask, grown on first use.
 
     The entry is (grown tree, Steiner points, root -> ReductionTree
     memo): the unrooted tree as node -> ascending neighbour tuple, its
-    non-terminal nodes, and the trees ``gen_steiner`` has rooted so far.
+    non-terminal nodes, and the trees ``_rooted_tree`` has rooted so far.
     Pricing reads the first two, so only committed reductions root.  Past
     ``_GROW_CACHE_CAP`` terminal sets the cache, memos included, is
     dropped wholesale; sustained runs would otherwise grow it unbounded.
     """
-    key = frozenset(terminals)
     cache = g._steiner_cache
-    entry = cache.get(key)
+    entry = cache.get(mask)
     if entry is None:
         if len(cache) >= _GROW_CACHE_CAP:
             cache.clear()
-        grown = _grow_steiner_graph(g, key)
-        entry = cache[key] = (grown, frozenset(grown) - key, {})
+        grown = _grow_steiner_graph(g, mask)
+        entry = cache[mask] = (
+            grown, frozenset(w for w in grown if not mask >> w & 1), {})
     return entry
+
+
+def _rooted_tree(g: ArchGraph, mask: int, root: int) -> ReductionTree:
+    """The tree grown for ``mask``, rooted at ``root`` and memoized.
+
+    Each root is rooted by one stack walk, once per cache entry.
+    """
+    if not mask >> root & 1:
+        raise ValueError(f"root {root} not in terminal set")
+    grown, _, trees = steiner_entry(g, mask)
+    tree = trees.get(root)
+    if tree is None:
+        tree = trees[root] = ReductionTree.__new__(ReductionTree)
+        tree._root_at(grown, frozenset(vec_support(mask)), root)
+    return tree
 
 
 def gen_steiner(g: ArchGraph, terminals, root: int) -> ReductionTree:
     """Approximate Steiner tree spanning ``terminals``, rooted at ``root``.
 
-    The unrooted tree comes from ``steiner_entry``; each root is rooted
-    by one stack walk and memoized in the entry.  ``schedule_cost`` is
-    the same for every root.
+    ``terminals`` is any iterable of nodes; the tree is the one
+    ``_rooted_tree`` memoizes for their mask.  ``schedule_cost`` is the
+    same for every root.
     """
-    key = frozenset(terminals)
-    grown, _, trees = steiner_entry(g, key)
-    tree = trees.get(root)
-    if tree is None:
-        if root not in key:
-            raise ValueError(f"root {root} not in terminal set")
-        tree = ReductionTree.__new__(ReductionTree)
-        tree._root_at(grown, key, root)
-        trees[root] = tree
-    return tree
+    mask = 0
+    for t in terminals:
+        mask |= 1 << t
+    return _rooted_tree(g, mask, root)
 
 
 # ---------------------------------------------------------------------------

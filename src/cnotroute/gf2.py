@@ -129,16 +129,15 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 
 
 def transpose(a: BitMatrix) -> BitMatrix:
+    """Transpose, one step per 1-bit: row i's bit j becomes row j's bit i."""
     n = a.n
     out = [0] * n
     for i, r in enumerate(a.rows):
         bit = 1 << i
-        j = 0
         while r:
-            if r & 1:
-                out[j] |= bit
-            r >>= 1
-            j += 1
+            low = r & -r
+            out[low.bit_length() - 1] |= bit
+            r ^= low
     return BitMatrix(n, out)
 
 

@@ -55,12 +55,12 @@ than reduced again.  The committed ops are exactly the unpruned ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from scipy.optimize import linear_sum_assignment
 
-from .arch import ArchGraph, gen_steiner, steiner_entry
-from .gf2 import SingularMatrixError, invert, transpose, vec_support
+from .arch import ArchGraph, _rooted_tree, steiner_entry
+from .gf2 import BitMatrix, SingularMatrixError, invert, transpose, vec_support
 from .rowgraph import (ADD, RowGraph, RowOp, reduction_costs,
                        reduction_recovery, tree_reduce_tracked)
 
@@ -96,7 +96,7 @@ class CostTable:
     n: int
     entries: Tuple[Tuple[int, ...], ...]
     infinite: int
-    supports: Tuple[Tuple[int, ...], ...]  # reachable terminal set per column
+    supports: Tuple[int, ...]  # reachable terminal set per column, as a mask
     nodes: Optional[Tuple[int, ...]] = None
     columns: Optional[Tuple[int, ...]] = None
 
@@ -127,7 +127,7 @@ def cost(rg: RowGraph, u: int, e: int) -> int:
         return infinite_cost(n)
     if rg.rows[u] == 1 << e:
         return 0
-    grown, steiner, _ = steiner_entry(rg.graph, vec_support(inv.rows[e]))
+    grown, steiner, _ = steiner_entry(rg.graph, inv.rows[e])
     return reduction_costs(rg.rows, grown, steiner, [u])[0]
 
 
@@ -143,11 +143,11 @@ def build_cost_table(rg: RowGraph) -> CostTable:
     supports = []
     rows = rg.rows
     for e in range(n):
-        sup = vec_support(inv.rows[e])
+        sup = inv.rows[e]
         supports.append(sup)
         ebit = 1 << e
         roots = []
-        for u in sup:
+        for u in vec_support(sup):
             if rows[u] == ebit:
                 entries[u][e] = 0
             else:
@@ -178,23 +178,16 @@ def _apply_to_columns(cols: List[int], ops: Sequence[RowOp]) -> None:
 
 
 def _open_columns(graph: ArchGraph, cols: Sequence[int]) -> list:
-    """(basis index, support, grown tree, Steiner points) per open column.
+    """(basis index, support mask, grown tree, Steiner points) per open column.
 
     ``cols`` is the column form of the inverse, as ``_inverse_columns``
-    gives and ``_apply_to_columns`` carries.  A column is open when its
-    inverse row, the support, has at least two nodes; columns ascend.
+    gives and ``_apply_to_columns`` carries; transposed, it gives each
+    inverse row, the support.  A column is open when its support has at
+    least two nodes; columns ascend.
     """
-    # transpose the columns into each inverse row's support, ascending
-    sups = [[] for _ in range(graph.n)]
-    for u, col in enumerate(cols):
-        while col:
-            low = col & -col
-            sups[low.bit_length() - 1].append(u)
-            col ^= low
     opened = []
-    for e, sup in enumerate(sups):
-        if len(sup) >= 2:
-            sup = tuple(sup)
+    for e, sup in enumerate(transpose(BitMatrix(graph.n, cols)).rows):
+        if sup & (sup - 1):
             grown, steiner, _ = steiner_entry(graph, sup)
             opened.append((e, sup, grown, steiner))
     return opened
@@ -205,11 +198,12 @@ def _schedule_weight(grown, steiner) -> int:
     return len(grown) - 1 + 2 * len(steiner)
 
 
-def _open_block(rg: RowGraph, opened: list,
+def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
                 bound: Optional[int] = None) -> Optional[CostTable]:
     """The cost table restricted to non-basic nodes x unpinned basis indices.
 
-    ``opened`` is ``_open_columns`` of the inverse of ``rg``'s matrix.  With
+    ``rows`` is a row-graph state on ``graph`` and ``opened`` is
+    ``_open_columns`` of the inverse of its matrix.  With
     a ``bound``, returns None as soon as the block's minimum assignment
     total provably exceeds it.  Each column is assigned exactly one row,
     and every entry of a column is at least its tree's schedule weight
@@ -218,13 +212,14 @@ def _open_block(rg: RowGraph, opened: list,
     columns' schedule weights.  Columns are priced heaviest schedule
     first, which raises that lower bound fastest.
     """
-    n = rg.graph.n
-    rows = rg.rows
+    n = graph.n
     # rows of an invertible matrix are nonzero, so r & (r - 1) == 0 means unit
     nodes = [u for u, r in enumerate(rows) if r & (r - 1)]
     position = [-1] * n
+    nonbasic = 0
     for i, u in enumerate(nodes):
         position[u] = i
+        nonbasic |= 1 << u
     weights = [_schedule_weight(grown, steiner) for _, _, grown, steiner in opened]
     low = sum(weights)
     if bound is not None and low > bound:
@@ -233,9 +228,9 @@ def _open_block(rg: RowGraph, opened: list,
     entries = [[sentinel] * len(nodes) for _ in nodes]
     for j in sorted(range(len(opened)), key=weights.__getitem__, reverse=True):
         _, sup, grown, steiner = opened[j]
-        # distinct unit rows XOR to weight len(sup) >= 2, not to e_e, so
-        # at least one node of the support is non-basic
-        roots = [u for u in sup if position[u] >= 0]
+        # distinct unit rows XOR to weight |sup| >= 2, not to e_e, so at
+        # least one node of the support is non-basic
+        roots = vec_support(sup & nonbasic)
         costs = reduction_costs(rows, grown, steiner, roots)
         for u, c in zip(roots, costs):
             entries[position[u]][j] = c
@@ -268,11 +263,11 @@ def hungarian_assign(table: CostTable) -> Assignment:
 def loss(rg: RowGraph) -> int:
     """Total cost of the cheapest node-to-basis assignment."""
     opened = _open_columns(rg.graph, _inverse_columns(rg))
-    return hungarian_assign(_open_block(rg, opened)).total
+    return hungarian_assign(_open_block(rg.graph, rg.rows, opened)).total
 
 
-def _cheapest(block: CostTable) -> List[Tuple[int, int, Tuple[int, ...]]]:
-    """(node, basis, support) of the block's minimum entries, node-major."""
+def _cheapest(block: CostTable) -> List[Tuple[int, int, int]]:
+    """(node, basis, support mask) of the block's minimum entries, node-major."""
     best = min(min(r) for r in block.entries)
     if best >= block.infinite:
         raise AssignmentError("no reducible pair found; state corrupt")
@@ -281,9 +276,8 @@ def _cheapest(block: CostTable) -> List[Tuple[int, int, Tuple[int, ...]]]:
             for j, c in enumerate(r) if c == best]
 
 
-def _reduce_pair(rg: RowGraph, u: int, e: int,
-                 terminals: FrozenSet[int]) -> None:
-    tree = gen_steiner(rg.graph, terminals, u)
+def _reduce_pair(rg: RowGraph, u: int, e: int, mask: int) -> None:
+    tree = _rooted_tree(rg.graph, mask, u)
     ops, tracked = tree_reduce_tracked(rg, tree)
     reduction_recovery(rg, ops, tracked)
 
@@ -296,10 +290,10 @@ def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
     look-ahead: each candidate is trial-run (reduce, recover), its ops,
     rows and carried columns are recorded, its open columns' trees give
     a lower bound on its loss, and the state is rolled back.  Candidates
-    are then scored in ascending (bound, index) order, each with the
-    row graph holding its trial state, and the smallest (loss, index)
-    wins: the first strict minimum in candidate order, candidates being
-    ordered by (node, basis).  A candidate whose bound shows it cannot
+    are then scored in ascending (bound, index) order, each priced from
+    its recorded rows, and the smallest (loss, index) wins: the first
+    strict minimum in candidate order, candidates being ordered by
+    (node, basis).  A candidate whose bound shows it cannot
     beat the best so far (see ``_open_block``) is neither priced in full
     nor assigned, so pruning never changes the winner.  The winner is
     committed from its record, rows restored and ops appended, and its
@@ -313,19 +307,19 @@ def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
     block = None
     while not rg.is_basic():
         if block is None:
-            block = _open_block(rg, _open_columns(rg.graph, cols))
+            block = _open_block(rg.graph, rg.rows, _open_columns(rg.graph, cols))
         candidates = _cheapest(block)
         mark = rg.mark()
         if len(candidates) == 1:
             u, e, sup = candidates[0]
-            _reduce_pair(rg, u, e, frozenset(sup))
+            _reduce_pair(rg, u, e, sup)
             _apply_to_columns(cols, rg.op_log[mark:])
             block = None
             continue
         base = list(rg.rows)
         trials = []
         for index, (u, e, sup) in enumerate(candidates):
-            _reduce_pair(rg, u, e, frozenset(sup))
+            _reduce_pair(rg, u, e, sup)
             ops = rg.op_log[mark:]
             trial_cols = list(cols)
             _apply_to_columns(trial_cols, ops)
@@ -343,15 +337,11 @@ def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
                 bound = best[0] - (index > best[1])
                 if low > bound:
                     break  # every later trial's (bound, index) is larger
-            rg.rows[:] = rows
-            rg.op_log.extend(ops)
-            trial = _open_block(rg, opened, bound)
+            trial = _open_block(rg.graph, rows, opened, bound)
             if trial is not None:
                 trial_loss = hungarian_assign(trial).total
                 if best is None or (trial_loss, index) < best[:2]:
                     best = (trial_loss, index, ops, rows, trial_cols, trial)
-            rg.rows[:] = base
-            del rg.op_log[mark:]
         _, _, ops, rows, cols, block = best
         rg.rows[:] = rows
         rg.op_log.extend(ops)

@@ -9,8 +9,7 @@ import pytest
 from cnotroute.arch import (ArchFileError, ArchGraph, DisconnectedGraphError,
                             ReductionTree, floyd_warshall_with_path,
                             gen_steiner, get_architecture, list_architectures,
-                            nearest_neighbours, parse_arch_json,
-                            path_from_successors)
+                            parse_arch_json, path_from_successors)
 
 from conftest import bfs_distances, grid_graph, random_connected_graph
 
@@ -48,6 +47,10 @@ def test_fw_matches_bfs_on_random_graphs():
         n = rng.randrange(2, 31)
         g = random_connected_graph(rng, n, extra=rng.randrange(4))
         assert g.dist == bfs_distances(n, g.edges)
+        for t in range(n):
+            for d, ball in enumerate(g.ball[t]):
+                assert ball == sum(1 << v for v in range(n) if g.dist[t][v] <= d)
+            assert g.ball[t][-1] == (1 << n) - 1
 
 
 def test_path_from_successors_trivial():
@@ -166,12 +169,6 @@ def test_gen_steiner_invariants_random():
         root = rng.choice(sorted(terminals))
         tree = gen_steiner(g, terminals, root)
         _check_tree_invariants(g, tree, terminals, root)
-
-
-def test_nearest_neighbours_tie_break():
-    dist = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
-    assert nearest_neighbours({0, 1, 2}, {0, 1, 2}, dist) == (0, 1)
-    assert nearest_neighbours({2}, {0, 1}, dist) == (2, 0)
 
 
 def test_reduction_tree_schedule_shape():

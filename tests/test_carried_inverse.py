@@ -11,7 +11,7 @@ import random
 import pytest
 
 from cnotroute import heuristic
-from cnotroute.gf2 import SingularMatrixError, invert, transpose
+from cnotroute.gf2 import BitMatrix, SingularMatrixError, invert, transpose
 from cnotroute.heuristic import heuristic_token_reduction
 from cnotroute.rowgraph import SWAP, RowGraph
 
@@ -22,12 +22,10 @@ def _fresh_columns(rg):
     return transpose(invert(rg.matrix())).rows
 
 
-def _fresh_supports(rg):
-    """(e, support of inverse row e) per open e, read off fresh columns."""
-    cols = _fresh_columns(rg)
-    sups = [(e, tuple(u for u, col in enumerate(cols) if col >> e & 1))
-            for e in range(len(cols))]
-    return [(e, sup) for e, sup in sups if len(sup) >= 2]
+def _fresh_supports(graph, rows):
+    """(e, support mask of inverse row e) per open e, from a fresh inverse."""
+    inv = invert(BitMatrix(graph.n, rows))
+    return [(e, sup) for e, sup in enumerate(inv.rows) if sup.bit_count() >= 2]
 
 
 def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):
@@ -43,10 +41,10 @@ def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):
         counts["carried"] += 1
         counts["swaps"] += sum(kind == SWAP for kind, _, _ in ops)
 
-    def price_checked(rg, opened, bound=None):
-        assert [(e, sup) for e, sup, _, _ in opened] == _fresh_supports(rg)
+    def price_checked(graph, rows, opened, bound=None):
+        assert [(e, sup) for e, sup, _, _ in opened] == _fresh_supports(graph, rows)
         counts["priced"] += 1
-        return price(rg, opened, bound)
+        return price(graph, rows, opened, bound)
 
     def pick_counted(block):
         found = pick(block)

@@ -20,7 +20,7 @@ from conftest import (brute_force_unit_combinations, ops_to_matrix,
 def _table(entries, infinite=10**6):
     n = len(entries)
     return CostTable(n, tuple(tuple(r) for r in entries), infinite,
-                     tuple(() for _ in range(n)))
+                     (0,) * n)
 
 
 def test_cost_zero_when_already_held(path4):
@@ -210,7 +210,7 @@ def test_heuristic_monotone_progress_and_bound():
             u, e = next((u, e) for u in non_unit for e in range(9)
                         if table.entries[u][e] == best)
             from cnotroute.heuristic import _reduce_pair
-            _reduce_pair(rg, u, e, frozenset(table.supports[e]))
+            _reduce_pair(rg, u, e, table.supports[e])
             counts.append(len(rg.non_unit_nodes()))
             total_iters += 1
             assert counts[-1] < counts[-2]
@@ -258,7 +258,7 @@ def test_loss_trajectory_diagnostic(grid3, capsys):
         best = min(table.entries[u][e] for u in non_unit for e in range(9))
         u, e = next((u, e) for u in non_unit for e in range(9)
                     if table.entries[u][e] == best)
-        _reduce_pair(rg, u, e, frozenset(table.supports[e]))
+        _reduce_pair(rg, u, e, table.supports[e])
         trajectory.append(loss(rg))
     print(f"loss trajectory: {trajectory}")
     assert trajectory[-1] == 0

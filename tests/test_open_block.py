@@ -44,14 +44,14 @@ def _reference_reduction(rg):
             best_loss = None
             for u, e in candidates:
                 mark = rg.mark()
-                _reduce_pair(rg, u, e, frozenset(table.supports[e]))
+                _reduce_pair(rg, u, e, table.supports[e])
                 trial_loss = hungarian_assign(build_cost_table(rg)).total
                 rg.undo_to(mark)
                 if best_loss is None or trial_loss < best_loss:
                     best_loss = trial_loss
                     chosen = (u, e)
         u, e = chosen
-        _reduce_pair(rg, u, e, frozenset(table.supports[e]))
+        _reduce_pair(rg, u, e, table.supports[e])
     return list(rg.op_log[start:])
 
 
@@ -66,13 +66,13 @@ def _states(seed, graphs):
         while not rg.is_basic():
             table = build_cost_table(rg)
             u, e = _full_candidates(rg, table)[0]
-            _reduce_pair(rg, u, e, frozenset(table.supports[e]))
+            _reduce_pair(rg, u, e, table.supports[e])
             yield rg
 
 
 def _check_state(rg):
     full = build_cost_table(rg)
-    block = _open_block(rg, _fresh_open(rg))
+    block = _open_block(rg.graph, rg.rows, _fresh_open(rg))
     inv = invert(rg.matrix())
     assert block.nodes == tuple(rg.non_unit_nodes())
     assert block.columns == tuple(e for e in range(rg.graph.n)
@@ -83,7 +83,7 @@ def _check_state(rg):
         for j, e in enumerate(block.columns):
             assert block.entries[i][j] == full.entries[u][e]
     for j, e in enumerate(block.columns):
-        assert block.supports[j] == full.supports[e]
+        assert block.supports[j] == full.supports[e] == inv.rows[e]
     assert loss(rg) == hungarian_assign(full).total
     assert hungarian_assign(block).total == hungarian_assign(full).total
     if block.nodes:
@@ -111,7 +111,7 @@ def test_block_and_full_table_both_reject_singular_states():
         rows[u] = rows[v]
         singular = RowGraph(rg.graph, rows)
         for price in (build_cost_table,
-                      lambda s: _open_block(s, _fresh_open(s)), loss):
+                      lambda s: _open_block(s.graph, s.rows, _fresh_open(s)), loss):
             with pytest.raises(SingularMatrixError):
                 price(singular)
         checked += 1

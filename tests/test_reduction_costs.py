@@ -42,7 +42,7 @@ def _check_state(rg):
     prices = {}
     for e in range(g.n):
         sup = vec_support(inv.rows[e])
-        grown, steiner, _ = steiner_entry(g, sup)
+        grown, steiner, _ = steiner_entry(g, inv.rows[e])
         want = [_replay(rows, gen_steiner(g, sup, u)) for u in sup]
         assert reduction_costs(rows, grown, steiner, sup) == want
         for u, price in zip(sup, want):
@@ -56,7 +56,7 @@ def _commit_cheapest(rg, prices):
     inv = invert(rg.matrix())
     non_unit = set(rg.non_unit_nodes())
     price, u, e = min((p, u, e) for (u, e), p in prices.items() if u in non_unit)
-    _reduce_pair(rg, u, e, frozenset(vec_support(inv.rows[e])))
+    _reduce_pair(rg, u, e, inv.rows[e])
 
 
 def test_every_root_equals_the_replay():

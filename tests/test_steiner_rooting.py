@@ -9,8 +9,8 @@ import random
 
 import pytest
 
-from cnotroute.arch import (ReductionTree, _grow_steiner_graph, gen_steiner,
-                           path_from_successors)
+from cnotroute.arch import (ArchGraph, ReductionTree, _grow_steiner_graph,
+                           gen_steiner, path_from_successors)
 
 from conftest import random_connected_graph
 
@@ -68,6 +68,10 @@ def _reference_schedule(grown, terminals, root):
     return tuple(schedule), cost, tuple(post), parent
 
 
+def _mask(terminals):
+    return sum(1 << t for t in terminals)
+
+
 def _samples(seed, graphs):
     rng = random.Random(seed)
     for _ in range(graphs):
@@ -80,7 +84,7 @@ def _samples(seed, graphs):
 def test_every_root_matches_bfs_reference():
     count = 0
     for g, terminals in _samples(2011, 200):
-        grown = _grow_steiner_graph(g, terminals)
+        grown = _grow_steiner_graph(g, _mask(terminals))
         _check_tree_with_terminal_leaves(g, grown, terminals)
         steiner = grown.keys() - terminals
         for root in sorted(terminals):
@@ -110,7 +114,7 @@ def test_rooted_tree_keeps_exactly_the_grown_edges():
         n = rng.randrange(3, 16)
         g = random_connected_graph(rng, n)
         terminals = frozenset(rng.sample(range(n), rng.randrange(2, n + 1)))
-        grown = _grow_steiner_graph(g, terminals)
+        grown = _grow_steiner_graph(g, _mask(terminals))
         grown_edges = {(min(a, b), max(a, b))
                        for a, nbs in grown.items() for b in nbs}
         root = min(terminals)
@@ -122,6 +126,19 @@ def test_rooted_tree_keeps_exactly_the_grown_edges():
         assert tree_edges == kept
         checked += 1
     assert checked > 20
+
+
+def test_one_set_in_any_iterable_form_gets_one_memoized_tree():
+    rng = random.Random(15)
+    for _ in range(40):
+        n = rng.randrange(2, 16)
+        g = random_connected_graph(rng, n, extra=rng.randrange(n + 1))
+        terminals = rng.sample(range(n), rng.randrange(1, n + 1))
+        root = rng.choice(terminals)
+        tree = gen_steiner(g, terminals, root)
+        assert gen_steiner(g, tuple(terminals), root) is tree
+        assert gen_steiner(g, frozenset(terminals), root) is tree
+        assert tree.terminals == frozenset(terminals)
 
 
 def test_reduction_tree_rejects_links_not_reaching_root():
@@ -162,8 +179,13 @@ def _reference_grow(g, terminals):
 
 
 def test_incremental_growth_matches_nearest_pair_reference():
+    # on a triangle every pair is at distance 1: the first path joins the
+    # least pair (0, 1), and terminal 2 joins the least tree node, 0
+    triangle = ArchGraph(3, [(0, 1), (1, 2), (0, 2)])
+    assert _grow_steiner_graph(triangle, 0b111) == {0: (1, 2), 1: (0,), 2: (0,)}
+    samples = [(triangle, frozenset({0, 1, 2})), (triangle, frozenset({1, 2}))]
     count = 0
-    for g, terminals in _samples(2027, 200):
-        assert _grow_steiner_graph(g, terminals) == _reference_grow(g, terminals)
+    for g, terminals in samples + list(_samples(2027, 200)):
+        assert _grow_steiner_graph(g, _mask(terminals)) == _reference_grow(g, terminals)
         count += 1
-    assert count == 600
+    assert count == 602

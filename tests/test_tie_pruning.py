@@ -16,7 +16,7 @@ from cnotroute import heuristic
 from cnotroute.arch import (ArchGraph, get_architecture, list_architectures,
                            steiner_entry)
 from cnotroute.bench import random_cnot_circuit
-from cnotroute.gf2 import BitMatrix, transpose
+from cnotroute.gf2 import BitMatrix, transpose, vec_support
 from cnotroute.heuristic import (_cheapest, _inverse_columns, _open_block,
                                  _open_columns, _reduce_pair,
                                  heuristic_token_reduction, hungarian_assign)
@@ -36,22 +36,22 @@ def _reference_reduction(rg, stats):
     """
     start = rg.mark()
     while not rg.is_basic():
-        candidates = _cheapest(_open_block(rg, _fresh_open(rg)))
+        candidates = _cheapest(_open_block(rg.graph, rg.rows, _fresh_open(rg)))
         chosen = candidates[0]
         if len(candidates) > 1:
             losses = []
             for u, e, sup in candidates:
                 mark = rg.mark()
-                _reduce_pair(rg, u, e, frozenset(sup))
+                _reduce_pair(rg, u, e, sup)
                 losses.append(hungarian_assign(
-                    _open_block(rg, _fresh_open(rg))).total)
+                    _open_block(rg.graph, rg.rows, _fresh_open(rg))).total)
                 rg.undo_to(mark)
             best = min(losses)
             chosen = candidates[losses.index(best)]
             stats["candidates"] += len(candidates)
             stats["equal_best"] += losses.count(best) > 1
         u, e, sup = chosen
-        _reduce_pair(rg, u, e, frozenset(sup))
+        _reduce_pair(rg, u, e, sup)
     return list(rg.op_log[start:])
 
 
@@ -65,8 +65,8 @@ def test_pruned_synthesizer_matches_the_unpruned_reference(arch, monkeypatch):
         stats["assigned"] += 1
         return assign(block)
 
-    def price_counted(rg, opened, bound=None):
-        block = price(rg, opened, bound)
+    def price_counted(graph, rows, opened, bound=None):
+        block = price(graph, rows, opened, bound)
         stats["cut"] += block is None
         return block
 
@@ -117,21 +117,21 @@ def walked_states(draw):
 @given(walked_states())
 def test_bound_is_a_lower_bound_on_every_entry_and_the_loss(rg):
     opened = _fresh_open(rg)
-    block = _open_block(rg, opened)
+    block = _open_block(rg.graph, rg.rows, opened)
     position = {u: i for i, u in enumerate(block.nodes)}
     minima = []
     for j, sup in enumerate(block.supports):
         grown, steiner, _ = steiner_entry(rg.graph, sup)
         weight = len(grown) - 1 + 2 * len(steiner)
-        roots = [u for u in sup if u in position]
+        roots = [u for u in vec_support(sup) if u in position]
         costs = reduction_costs(rg.rows, grown, steiner, roots)
-        assert weight >= len(sup) - 1
+        assert weight >= sup.bit_count() - 1
         assert all(c >= weight for c in costs)
         assert costs == [block.entries[position[u]][j] for u in roots]
         minima.append(min(block.entries[i][j] for i in range(len(block.nodes))))
     total = hungarian_assign(block).total
     assert total >= sum(minima)
     # a bound the loss meets never prunes; one below the minima always does
-    assert _open_block(rg, opened, total) == block
+    assert _open_block(rg.graph, rg.rows, opened, total) == block
     if minima:
-        assert _open_block(rg, opened, sum(minima) - 1) is None
+        assert _open_block(rg.graph, rg.rows, opened, sum(minima) - 1) is None
