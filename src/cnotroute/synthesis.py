@@ -234,20 +234,18 @@ def _cancel_pass(gates: List[Gate]) -> List[Gate]:
     return [g for keep, g in zip(alive, gates) if keep]
 
 
-_MAX_CANCEL_PASSES = 10
-
-
 def postprocess(rc: RoutedResult) -> RoutedResult:
     """Expand SWAPs and cancel CNOT pairs across commuting gates.
 
     Two equal CNOTs cancel when everything between them commutes with
     the first (disjoint supports, shared control, or shared target).
-    Runs to a fixed point with a pass cap; equivalence and edge usage
-    are preserved by construction and re-checked.
+    Runs to a fixed point: each pass either cancels a pair or ends the
+    loop.  Equivalence and edge usage are preserved by construction and
+    re-checked.
     """
     before = rc.circuit.gates
     gates = _expand_swaps(list(before))
-    for _ in range(_MAX_CANCEL_PASSES):
+    while True:
         cancelled = _cancel_pass(gates)
         if len(cancelled) == len(gates):
             break

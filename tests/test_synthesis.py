@@ -212,6 +212,15 @@ def test_postprocess_cancels_across_commuting_gates():
     assert len(postprocess(rc).circuit.gates) == 3
 
 
+def test_postprocess_runs_to_its_fixed_point():
+    # a pass cancels only the innermost pair of a mirrored CNOT ladder,
+    # so the 12 pairs take 12 passes
+    ladder = [cnot(i, i + 1) for i in range(12)]
+    rc = RoutedResult(Circuit(13, ladder + ladder[::-1]), Mapping.identity(13),
+                      Mapping.identity(13), RouteStats(24, 24))
+    assert postprocess(rc).circuit.gates == []
+
+
 def _commutes_with_cnot(a, b):
     """Can b slide past CNOT a?  Conservative for opaque 1q gates."""
     if b.kind == ONEQ:
