@@ -15,6 +15,7 @@ carried through routing untouched.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -183,9 +184,10 @@ def parse_wire_pairs(pairs: list, names: Sequence[str], source: str,
                      error: type) -> List[int]:
     """Node index per wire from a list of [wire, node-name] pairs.
 
-    Wires are labelled "w1".."wn" for the n nodes in ``names``, and the
-    pairs must map the wires one-to-one onto the nodes.  Any violation
-    raises ``error`` naming ``source``.
+    Wires are labelled "w1".."wn" for the n nodes in ``names``: a "w"
+    then the wire number in ASCII digits, without a sign, spaces or
+    leading zeros.  The pairs must map the wires one-to-one onto the
+    nodes.  Any violation raises ``error`` naming ``source``.
     """
     n = len(names)
     index = {nm: i for i, nm in enumerate(names)}
@@ -194,12 +196,9 @@ def parse_wire_pairs(pairs: list, names: Sequence[str], source: str,
         if not (isinstance(pair, list) and len(pair) == 2):
             raise error(f"{source}: malformed mapping entry {pair!r}")
         wire, node = pair
-        if not (isinstance(wire, str) and wire.startswith("w")):
+        if not (isinstance(wire, str) and re.fullmatch(r"w[1-9][0-9]*", wire)):
             raise error(f"{source}: wire label {wire!r} must look like 'w3'")
-        try:
-            w = int(wire[1:]) - 1
-        except ValueError:
-            raise error(f"{source}: wire label {wire!r} must look like 'w3'")
+        w = int(wire[1:]) - 1
         if not 0 <= w < n:
             raise error(f"{source}: wire {wire!r} out of range")
         if not isinstance(node, str):

@@ -32,6 +32,8 @@ GOOD = {
     ({**GOOD, "initial_mapping": [["w1", "B"], 3, ["w3", "C"]]}, "malformed mapping"),
     ({**GOOD, "initial_mapping": [["w1", ["B"]], ["w2", "A"], ["w3", "C"]]},
      "unknown node"),
+    *[({**GOOD, "initial_mapping": [[label, "B"], ["w2", "A"], ["w3", "C"]]},
+       "must look like") for label in ("w01", "w+1", "w 1", "w1_0", "w\u0663")],
     ({**GOOD, "name": 5}, "name must be a string"),
     ({**GOOD, "name": None}, "name must be a string"),
     ({**GOOD, "name": ["toy"]}, "name must be a string"),

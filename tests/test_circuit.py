@@ -77,6 +77,8 @@ def test_mapping_json_roundtrip():
     ('[["w1", "Q1"], ["w1", "Q2"], ["w3", "Q3"]]', "mapped twice"),
     ('[["w1", "Q9"], ["w2", "Q2"], ["w3", "Q3"]]', "unknown node"),
     ('[["v1", "Q1"], ["w2", "Q2"], ["w3", "Q3"]]', "must look like"),
+    *[(json.dumps([[label, "Q1"], ["w2", "Q2"], ["w3", "Q3"]]), "must look like")
+      for label in ("w01", "w+1", "w 1", "w1_0", "w\u0663")],
     ('{"w1": "Q1"}', "expected 3"),
     ("not json", "not valid JSON"),
     pytest.param("[" * 100000, "not valid JSON", id="deep nesting-not valid JSON"),
