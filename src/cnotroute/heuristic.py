@@ -293,9 +293,9 @@ def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
     are then scored in ascending (bound, index) order, each priced from
     its recorded rows, and the smallest (loss, index) wins: the first
     strict minimum in candidate order, candidates being ordered by
-    (node, basis).  A candidate whose bound shows it cannot
-    beat the best so far (see ``_open_block``) is neither priced in full
-    nor assigned, so pruning never changes the winner.  The winner is
+    (node, basis).  A candidate whose bound shows it cannot beat the
+    best so far (see ``_open_block``) is neither priced in full nor
+    assigned, so pruning never changes the winner.  The winner is
     committed from its record, rows restored and ops appended, and its
     trial block and columns serve the next iteration.  Each commit makes
     at least one more node basic, so the loop runs at most n times.  The

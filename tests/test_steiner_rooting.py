@@ -183,9 +183,8 @@ def test_incremental_growth_matches_nearest_pair_reference():
     # least pair (0, 1), and terminal 2 joins the least tree node, 0
     triangle = ArchGraph(3, [(0, 1), (1, 2), (0, 2)])
     assert _grow_steiner_graph(triangle, 0b111) == {0: (1, 2), 1: (0,), 2: (0,)}
-    samples = [(triangle, frozenset({0, 1, 2})), (triangle, frozenset({1, 2}))]
     count = 0
-    for g, terminals in samples + list(_samples(2027, 200)):
+    for g, terminals in [(triangle, {0, 1, 2}), *_samples(2027, 200)]:
         assert _grow_steiner_graph(g, _mask(terminals)) == _reference_grow(g, terminals)
         count += 1
-    assert count == 602
+    assert count == 601
