@@ -8,7 +8,8 @@ Format, one gate per line after a ``qubits <n>`` header::
     swap 1 3
     1q H 0
 
-Wire indices are 0-based.  One-qubit gates are opaque: the label is
+Wire indices are 0-based.  Numbers are ASCII decimals without a sign,
+underscore or leading zero.  One-qubit gates are opaque: the label is
 carried through routing untouched.
 """
 
@@ -122,6 +123,13 @@ class Mapping:
         return out
 
 
+def _natural(token: str, what: str) -> int:
+    """ASCII decimal digits without a sign, underscore or leading zero."""
+    if not re.fullmatch(r"0|[1-9][0-9]*", token):
+        raise ValueError(f"bad {what} {token!r}")
+    return int(token)
+
+
 def parse_circuit(text: str, source: str = "<circuit>") -> Circuit:
     """Parse the line-based circuit format; strict about wire ranges."""
     n_wires = None
@@ -136,21 +144,21 @@ def parse_circuit(text: str, source: str = "<circuit>") -> Circuit:
             if parts[0] != "qubits" or len(parts) != 2:
                 raise CircuitFormatError(f"{where}: expected 'qubits <n>' header")
             try:
-                n_wires = int(parts[1])
-            except ValueError:
-                raise CircuitFormatError(f"{where}: bad qubit count {parts[1]!r}")
+                n_wires = _natural(parts[1], "qubit count")
+            except ValueError as exc:
+                raise CircuitFormatError(f"{where}: {exc}") from exc
             if n_wires < 1:
                 raise CircuitFormatError(f"{where}: qubit count must be positive")
             continue
+        if len(parts) != 3 or parts[0] not in (CNOT, SWAP, ONEQ):
+            raise CircuitFormatError(f"{where}: unrecognized gate line {line!r}")
+        kind, x, y = parts
         try:
-            if parts[0] == CNOT and len(parts) == 3:
-                g = cnot(int(parts[1]), int(parts[2]))
-            elif parts[0] == SWAP and len(parts) == 3:
-                g = swap_gate(int(parts[1]), int(parts[2]))
-            elif parts[0] == ONEQ and len(parts) == 3:
-                g = one_qubit(parts[1], int(parts[2]))
+            if kind == ONEQ:
+                g = one_qubit(x, _natural(y, "wire number"))
             else:
-                raise CircuitFormatError(f"{where}: unrecognized gate line {line!r}")
+                make = cnot if kind == CNOT else swap_gate
+                g = make(_natural(x, "wire number"), _natural(y, "wire number"))
         except ValueError as exc:
             raise CircuitFormatError(f"{where}: {exc}") from exc
         for w in g.wires():

@@ -10,6 +10,7 @@ checks exactly that, by direct matrix comparison, plus edge compliance.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
@@ -173,65 +174,57 @@ def _expand_swaps(gates: List[Gate]) -> List[Gate]:
     return out
 
 
-def _cancel_pass(gates: List[Gate]) -> List[Gate]:
-    """One left-to-right pass cancelling equal CNOT pairs.
+def _cancel_pairs(gates: List[Gate]) -> List[Gate]:
+    """Cancel equal CNOT pairs across commuting gates in one left-to-right pass.
 
-    Gates off wires c and t commute with CNOT(c, t), so each live CNOT
-    walks only the later live gates on its own two wires, from per-wire
-    index lists.  On wire c a CNOT with control c and another target
-    commutes; on wire t a CNOT with target t and another control.  The
-    first other gate on either wire blocks, unless it is CNOT(c, t)
-    itself, and then the two cancel.  SWAPs must already be expanded.
+    ``on_wire[w]`` lists, in order, the indices into ``kept`` of the live
+    gates on wire w.  Each CNOT(c, t) walks back along wire c past CNOTs
+    with control c and another target, which commute with it.  If the
+    first other gate it meets is CNOT(c, t) and every gate on wire t
+    since then is a CNOT with target t (another control, since gates on
+    both wires were met on wire c), everything between commutes and the
+    two cancel; the earlier one leaves both wire lists at once.  SWAPs
+    must already be expanded.
+
+    The output is a fixed point: no equal pair in it has only commuting
+    gates between.  Take such survivors A before B.  When B came, every
+    live gate between them either survives, and commutes by assumption,
+    or is cancelled later by a partner after B.  A gate of the second
+    kind commutes with B too: had it not, the partner's walk would have
+    stopped at the surviving B.  So B's walk reached A, or an equal gate
+    between, and cancelled, a contradiction.
     """
-    on_wire = {}
-    at_a = []  # per gate: its position in wire a's list
-    at_b = []  # and in wire b's (-1 for a one-qubit gate)
-    for i, g in enumerate(gates):
-        on_a = on_wire.get(g.a)
-        if on_a is None:
-            on_a = on_wire[g.a] = []
-        at_a.append(len(on_a))
-        on_a.append(i)
-        if g.kind == ONEQ:
-            at_b.append(-1)
-        else:
-            on_b = on_wire.get(g.b)
-            if on_b is None:
-                on_b = on_wire[g.b] = []
-            at_b.append(len(on_b))
-            on_b.append(i)
-    alive = [True] * len(gates)
-    stop = len(gates)
-    for i, g in enumerate(gates):
-        if not alive[i] or g.kind != CNOT:
-            continue
-        c, t = g.a, g.b
-        first = stop
-        equal = False
-        later = on_wire[c]
-        for k in range(at_a[i] + 1, len(later)):
-            j = later[k]
-            if alive[j]:
-                h = gates[j]
+    kept: List[Optional[Gate]] = []
+    on_wire = defaultdict(list)
+    for g in gates:
+        if g.kind == CNOT:
+            c, t = g.a, g.b
+            on_c = on_wire[c]
+            k = len(on_c) - 1
+            while k >= 0:
+                h = kept[on_c[k]]
                 if h.kind != CNOT or h.a != c or h.b == t:
-                    first = j
-                    equal = h.kind == CNOT and h.a == c
                     break
-        # a gate on both wires is met on wire c first, so these miss c
-        later = on_wire[t]
-        for k in range(at_b[i] + 1, len(later)):
-            j = later[k]
-            if j >= first:
-                break
-            if alive[j]:
-                h = gates[j]
-                if h.kind != CNOT or h.b != t:
-                    equal = False
-                    break
-        if equal:
-            alive[i] = False
-            alive[first] = False
-    return [g for keep, g in zip(alive, gates) if keep]
+                k -= 1
+            if k >= 0 and kept[on_c[k]] == g:
+                j = on_c[k]
+                on_t = on_wire[t]
+                m = len(on_t) - 1
+                while on_t[m] != j:
+                    h = kept[on_t[m]]
+                    if h.kind != CNOT or h.b != t:
+                        break
+                    m -= 1
+                if on_t[m] == j:
+                    del on_c[k]
+                    del on_t[m]
+                    kept[j] = None
+                    continue
+        on_wire[g.a].append(len(kept))
+        if g.kind != ONEQ:
+            on_wire[g.b].append(len(kept))
+        kept.append(g)
+    return [g for g in kept if g is not None]
 
 
 def postprocess(rc: RoutedResult) -> RoutedResult:
@@ -239,17 +232,12 @@ def postprocess(rc: RoutedResult) -> RoutedResult:
 
     Two equal CNOTs cancel when everything between them commutes with
     the first (disjoint supports, shared control, or shared target).
-    Runs to a fixed point: each pass either cancels a pair or ends the
-    loop.  Equivalence and edge usage are preserved by construction and
-    re-checked.
+    One pass of ``_cancel_pairs`` reaches the fixed point, where no such
+    pair is left.  Equivalence and edge usage are preserved by
+    construction and re-checked.
     """
     before = rc.circuit.gates
-    gates = _expand_swaps(list(before))
-    while True:
-        cancelled = _cancel_pass(gates)
-        if len(cancelled) == len(gates):
-            break
-        gates = cancelled
+    gates = _cancel_pairs(_expand_swaps(list(before)))
     n = rc.circuit.n_wires
     has_linear = any(g.kind != ONEQ for g in before)
     if has_linear:

@@ -36,6 +36,14 @@ def test_format_roundtrip():
     ("qubits 2\ncnot 1 1\n", "control"),
     ("qubits x\n", "bad qubit count"),
     ("# nothing\n", "missing"),
+    ("qubits 2\nswap 0 1 1\n", r"^<circuit>:2: unrecognized"),
+    ("qubits 1_6\n", "bad qubit count"),
+    ("qubits \uff13\n", "bad qubit count"),
+    ("qubits 03\n", "bad qubit count"),
+    ("qubits 3\ncnot \u0662 0\n", "bad wire number"),
+    ("qubits 3\ncnot +1 -0\n", "bad wire number"),
+    ("qubits 3\ncnot 01 0\n", "bad wire number"),
+    ("qubits 3\n1q H 2_0\n", "bad wire number"),
 ])
 def test_parse_rejects(text, message):
     with pytest.raises(CircuitFormatError, match=message):

@@ -1,7 +1,9 @@
 """Routing pipeline: circuit/matrix conversion, synthesis, verification,
 post-processing, and general-circuit block routing."""
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,22 @@ from cnotroute.synthesis import (RoutedResult, RouteStats, complies,
                                  equivalence_failure, linear_matrix,
                                  postprocess, relabel_circuit,
                                  route_cnot_block, route_general,
-                                 verify_equivalence, _cancel_pass)
+                                 verify_equivalence, _cancel_pairs)
+
+from conftest import random_connected_graph
+
+CHECK = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
+
+
+def _load_check():
+    """The benchmark's outside checker, loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location("perfbench_check", CHECK)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+check = _load_check()
 
 
 P_BITS = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [1, 0, 1, 1]]
@@ -212,13 +229,20 @@ def test_postprocess_cancels_across_commuting_gates():
     assert len(postprocess(rc).circuit.gates) == 3
 
 
+def _postprocess_gates(n, gates):
+    rc = RoutedResult(Circuit(n, gates), Mapping.identity(n),
+                      Mapping.identity(n), RouteStats(len(gates), len(gates)))
+    return postprocess(rc).circuit.gates
+
+
 def test_postprocess_runs_to_its_fixed_point():
-    # a pass cancels only the innermost pair of a mirrored CNOT ladder,
-    # so the 12 pairs take 12 passes
-    ladder = [cnot(i, i + 1) for i in range(12)]
-    rc = RoutedResult(Circuit(13, ladder + ladder[::-1]), Mapping.identity(13),
-                      Mapping.identity(13), RouteStats(24, 24))
-    assert postprocess(rc).circuit.gates == []
+    # each pair of a mirrored CNOT ladder cancels only once the pair
+    # inside it has
+    for pairs in (12, 1600):
+        ladder = [cnot(i, i + 1) for i in range(pairs)]
+        assert _postprocess_gates(pairs + 1, ladder + ladder[::-1]) == []
+    # an odd run of equal gates leaves one
+    assert _postprocess_gates(2, [cnot(0, 1)] * 20001) == [cnot(0, 1)]
 
 
 def _commutes_with_cnot(a, b):
@@ -255,7 +279,15 @@ def _quadratic_cancel_pass(gates):
     return [g for keep, g in zip(alive, gates) if keep]
 
 
-def test_cancel_pass_matches_the_quadratic_scan():
+def _quadratic_fixed_point(gates):
+    while True:
+        cancelled = _quadratic_cancel_pass(gates)
+        if len(cancelled) == len(gates):
+            return gates
+        gates = cancelled
+
+
+def test_cancel_pairs_reaches_the_quadratic_fixed_point():
     rng = random.Random(45)
     cancelled = 0
     for _ in range(3000):
@@ -266,14 +298,40 @@ def test_cancel_pass_matches_the_quadratic_scan():
                 gates.append(one_qubit(rng.choice("HST"), rng.randrange(n)))
             else:
                 gates.append(cnot(*rng.sample(range(n), 2)))
-        while True:
-            expected = _quadratic_cancel_pass(gates)
-            assert _cancel_pass(gates) == expected
-            if len(expected) == len(gates):
-                break
-            cancelled += len(gates) - len(expected)
-            gates = expected
+        out = _cancel_pairs(gates)
+        assert _quadratic_cancel_pass(out) == out
+        assert len(out) == len(_quadratic_fixed_point(gates))
+        assert linear_matrix([g for g in out if g.kind == CNOT], n) == \
+            linear_matrix([g for g in gates if g.kind == CNOT], n)
+        cancelled += len(gates) - len(out)
     assert cancelled > 5000
+
+
+@st.composite
+def graphs_and_mixed_circuits(draw):
+    """A random connected graph on 2..12 nodes and a circuit of CNOTs and
+    one-qubit gates on as many wires."""
+    n = draw(st.integers(2, 12))
+    graph = random_connected_graph(random.Random(draw(st.integers(0, 2**32))), n)
+    wire = st.integers(0, n - 1)
+    cnots = st.tuples(wire, st.integers(1, n - 1)).map(
+        lambda p: cnot(p[0], (p[0] + p[1]) % n))
+    oneqs = st.builds(one_qubit, st.sampled_from("HST"), wire)
+    gates = draw(st.lists(st.one_of(cnots, cnots, cnots, oneqs), max_size=40))
+    return graph, Circuit(n, gates)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(graphs_and_mixed_circuits())
+def test_route_general_then_postprocess_passes_the_outside_check(case):
+    graph, c = case
+    m0 = Mapping.identity(graph.n)
+    routed = route_general(c, graph, m0)
+    final = postprocess(routed)
+    assert check.routing_failure(c, routed, graph) is None
+    assert check.postprocess_failure(routed, final, graph) is None
+    assert final.stats.cnots_final <= routed.stats.cnots_routed
+    assert _quadratic_cancel_pass(final.circuit.gates) == final.circuit.gates
 
 
 def test_postprocess_never_increases_weight(grid3):
