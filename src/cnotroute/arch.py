@@ -137,12 +137,6 @@ class ArchGraph:
     def is_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
-    def node_index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown node name {name!r}") from None
-
     def __repr__(self) -> str:
         return f"ArchGraph({self.name or self.n!r}, n={self.n}, edges={len(self.edges)})"
 

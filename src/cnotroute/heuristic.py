@@ -285,40 +285,32 @@ def _reduce_pair(rg: RowGraph, u: int, e: int, mask: int) -> None:
 def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
     """Reduce the row graph to basic form, greedily and with look-ahead.
 
-    Loop until basic: price the open block and shortlist its cheapest
-    entries.  A lone candidate is committed at once.  Ties are broken by
-    look-ahead: each candidate is trial-run (reduce, recover), its ops,
-    rows and carried columns are recorded, its open columns' trees give
-    a lower bound on its loss, and the state is rolled back.  Candidates
-    are then scored in ascending (bound, index) order, each priced from
-    its recorded rows, and the smallest (loss, index) wins: the first
-    strict minimum in candidate order, candidates being ordered by
-    (node, basis).  A candidate whose bound shows it cannot beat the
-    best so far (see ``_open_block``) is neither priced in full nor
-    assigned, so pruning never changes the winner.  The winner is
-    committed from its record, rows restored and ops appended, and its
-    trial block and columns serve the next iteration.  Each commit makes
-    at least one more node basic, so the loop runs at most n times.  The
-    inversion on entry is the only singularity check; it raises
-    ``SingularMatrixError``, basic or not.
+    Price the open block once, then loop while it has non-basic nodes:
+    shortlist the block's cheapest entries and break ties by look-ahead.
+    Each candidate is trial-run (reduce, recover), its ops, rows and
+    carried columns are recorded, its open columns' trees give a lower
+    bound on its loss, and the state is rolled back.  Candidates are
+    then scored in ascending (bound, index) order, each priced from its
+    recorded rows, and the smallest (loss, index) wins: the first strict
+    minimum in candidate order, candidates being ordered by (node,
+    basis).  A candidate whose bound shows it cannot beat the best so
+    far (see ``_open_block``) is neither priced in full nor assigned, so
+    pruning never changes the winner.  A lone candidate takes the same
+    path and skips only the assignment, whose loss would decide nothing.
+    The winner is committed from its record, rows restored and ops
+    appended, and its trial block and columns serve the next iteration.
+    Each commit makes at least one more node basic, so the loop runs at
+    most n times.  The inversion on entry is the only singularity check;
+    it raises ``SingularMatrixError``, basic or not.
     """
     cols = _inverse_columns(rg)
     start = rg.mark()
-    block = None
-    while not rg.is_basic():
-        if block is None:
-            block = _open_block(rg.graph, rg.rows, _open_columns(rg.graph, cols))
-        candidates = _cheapest(block)
+    block = _open_block(rg.graph, rg.rows, _open_columns(rg.graph, cols))
+    while block.nodes:
         mark = rg.mark()
-        if len(candidates) == 1:
-            u, e, sup = candidates[0]
-            _reduce_pair(rg, u, e, sup)
-            _apply_to_columns(cols, rg.op_log[mark:])
-            block = None
-            continue
         base = list(rg.rows)
         trials = []
-        for index, (u, e, sup) in enumerate(candidates):
+        for index, (u, e, sup) in enumerate(_cheapest(block)):
             _reduce_pair(rg, u, e, sup)
             ops = rg.op_log[mark:]
             trial_cols = list(cols)
@@ -339,7 +331,8 @@ def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
                     break  # every later trial's (bound, index) is larger
             trial = _open_block(rg.graph, rows, opened, bound)
             if trial is not None:
-                trial_loss = hungarian_assign(trial).total
+                # a lone trial wins whatever its loss
+                trial_loss = hungarian_assign(trial).total if len(trials) > 1 else 0
                 if best is None or (trial_loss, index) < best[:2]:
                     best = (trial_loss, index, ops, rows, trial_cols, trial)
         _, _, ops, rows, cols, block = best

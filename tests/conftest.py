@@ -2,14 +2,29 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from cnotroute.arch import ArchGraph
 from cnotroute.gf2 import BitMatrix, invert, is_unit, mat_mul
 from cnotroute.rowgraph import RowGraph
+
+CHECK = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
+
+
+def _load_check():
+    """The benchmark's outside checker, loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location("perfbench_check", CHECK)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+check = _load_check()
 
 
 def random_connected_graph(rng: random.Random, n: int, extra: int = 2) -> ArchGraph:

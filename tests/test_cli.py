@@ -113,14 +113,65 @@ def test_route_no_postprocess(tmp_path):
     assert json.loads(report.read_text())["cnots_final"] is None
 
 
-def test_route_general_circuit_reports_no_verification(tmp_path):
+def test_route_general_circuit_is_verified(tmp_path):
     circ = tmp_path / "c.txt"
     circ.write_text("qubits 9\n1q H 0\ncnot 0 8\n")
     report = tmp_path / "report.json"
     rc = main(["route", str(circ), "--arch", "9-square",
                "--out", str(tmp_path / "r.txt"), "--report", str(report)])
     assert rc == 0
-    assert json.loads(report.read_text())["verified"] is None
+    assert json.loads(report.read_text())["verified"] is True
+
+
+def _route_with_report(tmp_path, text, arch):
+    circ = tmp_path / "c.txt"
+    circ.write_text(text)
+    routed = tmp_path / "routed.txt"
+    report = tmp_path / "report.json"
+    rc = main(["route", str(circ), "--arch", arch, "--out", str(routed),
+               "--report", str(report)])
+    doc = json.loads(report.read_text())
+    out_map = tmp_path / "out_map.json"
+    out_map.write_text(json.dumps(doc["output_mapping"]))
+    return rc, doc, circ, routed, out_map
+
+
+def test_verify_rejects_one_qubit_gate_on_the_wrong_node(tmp_path, capsys):
+    rc, doc, circ, routed, out_map = _route_with_report(
+        tmp_path, "qubits 9\ncnot 0 8\n1q H 0\ncnot 3 1\n", "9-square")
+    assert rc == 0 and doc["verified"] is True
+    lines = routed.read_text().splitlines()
+    (i,) = [k for k, line in enumerate(lines) if line.startswith("1q ")]
+    node = int(lines[i].split()[2])
+    lines[i] = f"1q H {(node + 1) % 9}"
+    routed.write_text("\n".join(lines) + "\n")
+    rc = main(["verify", str(circ), str(routed), "--arch", "9-square",
+               "--out-mapping", str(out_map)])
+    assert rc == 1
+    assert "FAIL: one-qubit gate H" in capsys.readouterr().out
+
+
+def test_route_narrower_circuit_pads_idle_wires(tmp_path, capsys):
+    rc, doc, circ, routed, out_map = _route_with_report(
+        tmp_path, "qubits 3\ncnot 0 2\n1q H 1\ncnot 2 0\ncnot 1 2\n",
+        "ibm-q20-tokyo")
+    assert rc == 0
+    assert doc["verified"] is True
+    assert len(doc["input_mapping"]) == len(doc["output_mapping"]) == 20
+    assert parse_circuit(routed.read_text()).n_wires == 20
+    rc = main(["verify", str(circ), str(routed), "--arch", "ibm-q20-tokyo",
+               "--out-mapping", str(out_map)])
+    assert rc == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_route_rejects_wider_circuit(tmp_path, capsys):
+    circ = tmp_path / "c.txt"
+    circ.write_text("qubits 10\ncnot 0 9\n")
+    rc = main(["route", str(circ), "--arch", "9-square",
+               "--out", str(tmp_path / "r.txt")])
+    assert rc == 2
+    assert "10 wires, architecture 9 nodes" in capsys.readouterr().err
 
 
 def test_bench_json(capsys):

@@ -1,9 +1,7 @@
 """Routing pipeline: circuit/matrix conversion, synthesis, verification,
 post-processing, and general-circuit block routing."""
 
-import importlib.util
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,20 +17,7 @@ from cnotroute.synthesis import (RoutedResult, RouteStats, complies,
                                  route_cnot_block, route_general,
                                  verify_equivalence, _cancel_pairs)
 
-from conftest import random_connected_graph
-
-CHECK = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
-
-
-def _load_check():
-    """The benchmark's outside checker, loaded by path and only read."""
-    spec = importlib.util.spec_from_file_location("perfbench_check", CHECK)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-check = _load_check()
+from conftest import check, random_connected_graph
 
 
 P_BITS = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [1, 0, 1, 1]]
@@ -309,27 +294,31 @@ def test_cancel_pairs_reaches_the_quadratic_fixed_point():
 
 @st.composite
 def graphs_and_mixed_circuits(draw):
-    """A random connected graph on 2..12 nodes and a circuit of CNOTs and
-    one-qubit gates on as many wires."""
-    n = draw(st.integers(2, 12))
+    """A random connected graph on 1..12 nodes, a circuit of CNOTs and
+    one-qubit gates on as many wires, and a random initial mapping."""
+    n = draw(st.integers(1, 12))
     graph = random_connected_graph(random.Random(draw(st.integers(0, 2**32))), n)
     wire = st.integers(0, n - 1)
-    cnots = st.tuples(wire, st.integers(1, n - 1)).map(
-        lambda p: cnot(p[0], (p[0] + p[1]) % n))
     oneqs = st.builds(one_qubit, st.sampled_from("HST"), wire)
-    gates = draw(st.lists(st.one_of(cnots, cnots, cnots, oneqs), max_size=40))
-    return graph, Circuit(n, gates)
+    gate = oneqs
+    if n > 1:
+        cnots = st.tuples(wire, st.integers(1, n - 1)).map(
+            lambda p: cnot(p[0], (p[0] + p[1]) % n))
+        gate = st.one_of(cnots, cnots, cnots, oneqs)
+    gates = draw(st.lists(gate, max_size=40))
+    m0 = Mapping(draw(st.permutations(range(n))))
+    return graph, Circuit(n, gates), m0
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(graphs_and_mixed_circuits())
 def test_route_general_then_postprocess_passes_the_outside_check(case):
-    graph, c = case
-    m0 = Mapping.identity(graph.n)
+    graph, c, m0 = case
     routed = route_general(c, graph, m0)
     final = postprocess(routed)
     assert check.routing_failure(c, routed, graph) is None
     assert check.postprocess_failure(routed, final, graph) is None
+    assert equivalence_failure(c, final, graph) is None
     assert final.stats.cnots_final <= routed.stats.cnots_routed
     assert _quadratic_cancel_pass(final.circuit.gates) == final.circuit.gates
 
