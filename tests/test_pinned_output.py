@@ -1,0 +1,70 @@
+"""Routed output pinned by one digest.
+
+A fixed, seeded set of circuits is routed and postprocessed, and a
+sha256 is taken over every routed gate list, output mapping and
+postprocessed gate list.  A change that alters any of them changes the
+digest.  A change meant to alter routed output updates ``DIGEST`` and
+says why, with acceptance criteria 2-4 of ``test_acceptance.py`` still
+passing.
+
+The set:
+- every built-in device at 4, 16, 64 and 256 gates, two circuits each,
+  through ``route_cnot_block`` from the stock mapping;
+- one 96-gate circuit with one-qubit gates per device, through
+  ``route_general``;
+- one 144-gate circuit on a 6x6 grid from the identity mapping.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+from cnotroute.arch import get_architecture, list_architectures
+from cnotroute.bench import random_cnot_circuit
+from cnotroute.circuit import Circuit, Mapping, cnot, format_circuit, one_qubit
+from cnotroute.synthesis import postprocess, route_cnot_block, route_general
+
+from conftest import grid_graph
+
+DIGEST = "3338eb38a71381466603332718b33dc0d3902021839a961f7367f8d3270940a8"
+
+LABELS = ("H", "T", "Tdg", "S", "X", "Rz(0.25)")
+
+
+def mixed_circuit(n: int, gates: int, seed: int) -> Circuit:
+    """CNOTs on random distinct wire pairs, one gate in ten one-qubit."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(gates):
+        if rng.random() < 0.1:
+            out.append(one_qubit(rng.choice(LABELS), rng.randrange(n)))
+        else:
+            a, b = rng.sample(range(n), 2)
+            out.append(cnot(a, b))
+    return Circuit(n, out)
+
+
+def routes():
+    """(graph, circuit, route function, input mapping) for the pinned set."""
+    for i, name in enumerate(list_architectures()):
+        graph, stock = get_architecture(name)
+        m0 = Mapping(stock)
+        for gates in (4, 16, 64, 256):
+            for k in range(2):
+                seed = 1000 * i + 10 * gates + k
+                yield graph, random_cnot_circuit(graph.n, gates, seed), route_cnot_block, m0
+        yield graph, mixed_circuit(graph.n, 96, 7000 + i), route_general, m0
+    grid = grid_graph(6, 6)
+    yield grid, random_cnot_circuit(36, 144, 9036), route_cnot_block, Mapping.identity(36)
+
+
+def test_routed_output_matches_the_pinned_digest():
+    h = hashlib.sha256()
+    for graph, circuit, route, m0 in routes():
+        routed = route(circuit, graph, m0)
+        final = postprocess(routed)
+        h.update(format_circuit(routed.circuit).encode())
+        h.update(repr(routed.output_mapping.nodes).encode())
+        h.update(format_circuit(final.circuit).encode())
+    assert h.hexdigest() == DIGEST
