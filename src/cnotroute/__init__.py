@@ -1,19 +1,18 @@
 """CNOT circuit synthesis and qubit routing via token reduction on row graphs."""
 
-from .arch import (ArchGraph, DisconnectedGraphError, ReductionTree,
-                   floyd_warshall_with_path, gen_steiner, get_architecture,
-                   list_architectures, load_arch_file, path_from_successors,
-                   resolve_architecture)
+from .arch import (ArchGraph, DisconnectedGraphError, floyd_warshall_with_path,
+                   gen_steiner, get_architecture, list_architectures,
+                   load_arch_file, path_from_successors, resolve_architecture)
 from .bench import (BenchConfig, BenchReport, random_cnot_circuit,
                     run_benchmark, swap_insertion_baseline)
 from .circuit import (Circuit, CircuitFormatError, Gate, Mapping, cnot,
                       format_circuit, one_qubit, parse_circuit, swap_gate)
 from .gf2 import (BitMatrix, SingularMatrixError, invert, mat_mul, row_add,
-                  solve_unit_combinations, transpose)
-from .heuristic import (Assignment, CostTable, build_cost_table, cost,
+                  transpose)
+from .heuristic import (Assignment, CostTable, build_cost_table,
                         heuristic_token_reduction, hungarian_assign, loss)
 from .rowgraph import (ReductionError, RowGraph, reduction_recovery,
-                       simple_token_reduction, tree_reduce, tree_reduce_tracked)
+                       tree_reduce_tracked)
 from .synthesis import (RoutedResult, RouteStats, complies,
                         equivalence_failure, linear_matrix, postprocess,
                         route_cnot_block, route_general, verify_equivalence)
@@ -23,16 +22,15 @@ __version__ = "0.1.0"
 __all__ = [
     "ArchGraph", "Assignment", "BenchConfig", "BenchReport", "BitMatrix",
     "Circuit", "CircuitFormatError", "CostTable", "DisconnectedGraphError",
-    "Gate", "Mapping", "ReductionError", "ReductionTree", "RoutedResult",
-    "RouteStats", "RowGraph", "SingularMatrixError", "build_cost_table",
-    "cnot", "complies", "cost", "equivalence_failure",
-    "floyd_warshall_with_path", "format_circuit", "gen_steiner",
-    "get_architecture", "heuristic_token_reduction", "hungarian_assign",
-    "invert", "linear_matrix", "list_architectures", "load_arch_file",
-    "loss", "mat_mul", "one_qubit", "parse_circuit", "path_from_successors",
+    "Gate", "Mapping", "ReductionError", "RoutedResult", "RouteStats",
+    "RowGraph", "SingularMatrixError", "build_cost_table", "cnot",
+    "complies", "equivalence_failure", "floyd_warshall_with_path",
+    "format_circuit", "gen_steiner", "get_architecture",
+    "heuristic_token_reduction", "hungarian_assign", "invert",
+    "linear_matrix", "list_architectures", "load_arch_file", "loss",
+    "mat_mul", "one_qubit", "parse_circuit", "path_from_successors",
     "postprocess", "random_cnot_circuit", "reduction_recovery",
     "resolve_architecture", "route_cnot_block", "route_general", "row_add",
-    "run_benchmark", "simple_token_reduction", "solve_unit_combinations",
-    "swap_gate", "swap_insertion_baseline", "transpose", "tree_reduce",
+    "run_benchmark", "swap_gate", "swap_insertion_baseline", "transpose",
     "tree_reduce_tracked", "verify_equivalence",
 ]

@@ -10,6 +10,8 @@ grown tree, its Steiner points and a memo of the trees rooted so far at
 its terminals.  Pricing reads the unrooted tree and prices all roots at
 once; only committed reductions root a tree, through ``_rooted_tree``,
 which ``gen_steiner`` wraps for callers holding an iterable of nodes.
+Those two are the only source of ``ReductionTree`` objects, so every
+schedule runs along the edges of a tree grown here.
 """
 
 from __future__ import annotations
@@ -145,36 +147,16 @@ class ReductionTree:
     """Tree inside an architecture graph, rooted at a terminal, as an op plan.
 
     ``schedule`` is the post-order (ascending children) plan consumed by
-    the row-graph reducers: ("SWAP", child, parent) for each Steiner
-    parent's first child, ("ADD", parent, child) everywhere else.
-    ``schedule_cost`` weighs SWAP 3, ADD 1; when all leaves are
-    terminals it is |V| - 1 + 2|S| for every root.  ``parent``,
-    ``vertices``, ``steiner_points`` and ``post_order`` are derived from
-    the schedule on demand.  The constructor checks the child -> parent
-    map given and roots it through ``_root_at``, as ``gen_steiner``
-    roots a grown tree.
+    ``rowgraph.tree_reduce_tracked``: ("SWAP", child, parent) for each
+    Steiner parent's first child, ("ADD", parent, child) everywhere
+    else.  Trees come from ``gen_steiner`` or ``_rooted_tree``, which
+    root a grown tree once per root and memoize it.
     """
 
-    __slots__ = ("root", "terminals", "schedule", "schedule_cost")
+    __slots__ = ("root", "terminals", "schedule")
 
-    def __init__(self, root: int, parent: Dict[int, int], terminals):
-        if root in parent:
-            raise ValueError("root must not have a parent")
-        adjacency: Dict[int, List[int]] = {root: []}
-        for c, p in parent.items():
-            adjacency.setdefault(c, []).append(p)
-            adjacency.setdefault(p, []).append(c)
-        for nbs in adjacency.values():
-            nbs.sort()
-        term = frozenset(terminals) & adjacency.keys()
-        if root not in term:
-            raise ValueError("root must be a terminal")
-        self._root_at(adjacency, term, root)
-        if len(self.schedule) != len(adjacency) - 1:
-            raise ValueError("parent links must form one tree under the root")
-
-    def _root_at(self, adjacency, terminals: FrozenSet[int], root: int) -> None:
-        """Set every slot by rooting an undirected tree at ``root``.
+    def __init__(self, adjacency, terminals: FrozenSet[int], root: int):
+        """Root an undirected tree at ``root``.
 
         ``adjacency`` maps each node to its ascending neighbours, and its
         non-terminal nodes are the Steiner points.  Pushing each node's
@@ -184,7 +166,6 @@ class ReductionTree:
         expanded: a Steiner parent swaps with its first child.
         """
         pre = []
-        swaps = 0
         stack = [(root, -1, None)]
         while stack:
             node, up, op = stack.pop()
@@ -194,39 +175,14 @@ class ReductionTree:
             for c in adjacency[node]:
                 if c != up:
                     stack.append((c, node, (SWAP, c, node) if swap else (ADD, node, c)))
-                    swaps += swap
                     swap = False
         pre.reverse()
         self.root = root
         self.terminals = terminals
         self.schedule = tuple(pre)
-        self.schedule_cost = len(pre) + 2 * swaps
-
-    @property
-    def post_order(self) -> Tuple[int, ...]:
-        return tuple(a if kind == SWAP else b
-                     for kind, a, b in self.schedule) + (self.root,)
-
-    @property
-    def vertices(self) -> FrozenSet[int]:
-        return frozenset(self.post_order)
-
-    @property
-    def steiner_points(self) -> FrozenSet[int]:
-        return self.vertices - self.terminals
-
-    @property
-    def parent(self) -> Dict[int, int]:
-        return dict(self.edge_list())
-
-    def edge_list(self) -> List[Tuple[int, int]]:
-        """(child, parent) pairs in post-order."""
-        return [(a, b) if kind == SWAP else (b, a)
-                for kind, a, b in self.schedule]
 
     def __repr__(self) -> str:
-        return (f"ReductionTree(root={self.root}, vertices={sorted(self.vertices)}, "
-                f"steiner={sorted(self.steiner_points)})")
+        return f"ReductionTree(root={self.root}, schedule={self.schedule})"
 
 
 def _grow_steiner_graph(g: ArchGraph, mask: int) -> dict:
@@ -327,8 +283,7 @@ def _rooted_tree(g: ArchGraph, mask: int, root: int) -> ReductionTree:
     grown, _, trees = steiner_entry(g, mask)
     tree = trees.get(root)
     if tree is None:
-        tree = trees[root] = ReductionTree.__new__(ReductionTree)
-        tree._root_at(grown, frozenset(vec_support(mask)), root)
+        tree = trees[root] = ReductionTree(grown, frozenset(vec_support(mask)), root)
     return tree
 
 
@@ -336,8 +291,7 @@ def gen_steiner(g: ArchGraph, terminals, root: int) -> ReductionTree:
     """Approximate Steiner tree spanning ``terminals``, rooted at ``root``.
 
     ``terminals`` is any iterable of nodes; the tree is the one
-    ``_rooted_tree`` memoizes for their mask.  ``schedule_cost`` is the
-    same for every root.
+    ``_rooted_tree`` memoizes for their mask.
     """
     mask = 0
     for t in terminals:

@@ -55,8 +55,9 @@ def swap_gate(a: int, b: int) -> Gate:
 
 
 def one_qubit(label: str, wire: int) -> Gate:
-    if not label:
-        raise ValueError("one-qubit gates need a label")
+    """A one-qubit gate; the label must be one text token, as a file holds it."""
+    if label.split() != [label] or "#" in label:
+        raise ValueError(f"one-qubit label {label!r} must be one token without '#'")
     return Gate(ONEQ, wire, -1, label)
 
 

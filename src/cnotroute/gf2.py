@@ -15,11 +15,6 @@ class SingularMatrixError(ValueError):
     """Raised when an operation requires an invertible matrix."""
 
 
-def vec_weight(v: int) -> int:
-    """Number of 1-bits in a packed vector."""
-    return v.bit_count()
-
-
 def vec_support(v: int) -> tuple:
     """Indices of the 1-bits in ascending order."""
     out = []
@@ -57,27 +52,6 @@ class BitMatrix:
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, [1 << i for i in range(n)])
-
-    @classmethod
-    def from_bits(cls, bits) -> "BitMatrix":
-        """Build from a list of 0/1 row lists."""
-        n = len(bits)
-        rows = []
-        for row in bits:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            acc = 0
-            for j, b in enumerate(row):
-                if b:
-                    acc |= 1 << j
-            rows.append(acc)
-        return cls(n, rows)
-
-    def to_bits(self) -> List[List[int]]:
-        return [[(r >> j) & 1 for j in range(self.n)] for r in self.rows]
-
-    def get(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
 
     def copy(self) -> "BitMatrix":
         return BitMatrix(self.n, self.rows)
@@ -175,26 +149,3 @@ def invert(a: BitMatrix) -> Optional[BitMatrix]:
                 work[r] ^= wc
                 aug[r] ^= ac
     return BitMatrix(n, aug)
-
-
-def solve_unit_combinations(r: BitMatrix, u: int):
-    """All ways to reduce node u's row to a standard basis vector.
-
-    Returns a list of pairs ``(e, nodes)`` in ascending order of the
-    basis index e, where XORing the rows of ``nodes`` (which always
-    include u) yields the basis vector with index e.  The candidates are
-    read off the inverse: e is a candidate exactly when inv[e] has bit u
-    set, and the node set is the support of row e of the inverse, which
-    is unique because r is invertible.
-    """
-    if not 0 <= u < r.n:
-        raise ValueError(f"node index {u} out of range")
-    inv = invert(r)
-    if inv is None:
-        raise SingularMatrixError("matrix is singular; row graph not reversible")
-    ubit = 1 << u
-    out = []
-    for e in range(r.n):
-        if inv.rows[e] & ubit:
-            out.append((e, frozenset(vec_support(inv.rows[e]))))
-    return out

@@ -21,8 +21,8 @@ and a non-basic node can never be sent to f.  Basic nodes and pinned
 indices are in bijection, so the block is square; its minimum
 assignment total equals the full table's, and its cheapest entries are
 the full table's cheapest entries over non-basic rows, in the same
-order.  ``build_cost_table`` and ``cost`` remain the full-table
-reference and price through the same ``reduction_costs`` as the block.
+order.  ``build_cost_table`` remains the full-table reference and
+prices through the same ``reduction_costs`` as the block.
 
 The synthesizer inverts the matrix once and then carries the inverse,
 in column form: per node u, the mask of basis indices e whose inverse
@@ -112,25 +112,6 @@ class Assignment:
     total: int
 
 
-def cost(rg: RowGraph, u: int, e: int) -> int:
-    """Reduction cost for one (node, basis vector) pair.
-
-    The op weight (SWAP counts as 3) of the tracked reduction and
-    recovery; the row graph is untouched.  Returns the table's infinite
-    sentinel when no row combination containing u yields e.
-    """
-    n = rg.graph.n
-    inv = invert(rg.matrix())
-    if inv is None:
-        raise SingularMatrixError("row graph is not reversible")
-    if not (inv.rows[e] >> u) & 1:
-        return infinite_cost(n)
-    if rg.rows[u] == 1 << e:
-        return 0
-    grown, steiner, _ = steiner_entry(rg.graph, inv.rows[e])
-    return reduction_costs(rg.rows, grown, steiner, [u])[0]
-
-
 def build_cost_table(rg: RowGraph) -> CostTable:
     """All n^2 reduction costs; the row graph is left unchanged."""
     graph = rg.graph
@@ -178,24 +159,21 @@ def _apply_to_columns(cols: List[int], ops: Sequence[RowOp]) -> None:
 
 
 def _open_columns(graph: ArchGraph, cols: Sequence[int]) -> list:
-    """(basis index, support mask, grown tree, Steiner points) per open column.
+    """(basis index, support, grown tree, Steiner points, weight) per open column.
 
     ``cols`` is the column form of the inverse, as ``_inverse_columns``
     gives and ``_apply_to_columns`` carries; transposed, it gives each
     inverse row, the support.  A column is open when its support has at
-    least two nodes; columns ascend.
+    least two nodes; columns ascend.  The weight is the tree's schedule
+    weight |V| - 1 + 2|S|, the least entry any root of it can be priced
+    at.
     """
     opened = []
     for e, sup in enumerate(transpose(BitMatrix(graph.n, cols)).rows):
         if sup & (sup - 1):
             grown, steiner, _ = steiner_entry(graph, sup)
-            opened.append((e, sup, grown, steiner))
+            opened.append((e, sup, grown, steiner, len(grown) - 1 + 2 * len(steiner)))
     return opened
-
-
-def _schedule_weight(grown, steiner) -> int:
-    """|V| - 1 + 2|S|: the least entry any root of the tree can be priced at."""
-    return len(grown) - 1 + 2 * len(steiner)
 
 
 def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
@@ -220,14 +198,14 @@ def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
     for i, u in enumerate(nodes):
         position[u] = i
         nonbasic |= 1 << u
-    weights = [_schedule_weight(grown, steiner) for _, _, grown, steiner in opened]
+    weights = [column[4] for column in opened]
     low = sum(weights)
     if bound is not None and low > bound:
         return None
     sentinel = infinite_cost(n)
     entries = [[sentinel] * len(nodes) for _ in nodes]
     for j in sorted(range(len(opened)), key=weights.__getitem__, reverse=True):
-        _, sup, grown, steiner = opened[j]
+        _, sup, grown, steiner, _ = opened[j]
         # distinct unit rows XOR to weight |sup| >= 2, not to e_e, so at
         # least one node of the support is non-basic
         roots = vec_support(sup & nonbasic)
@@ -239,8 +217,8 @@ def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
             if low > bound:
                 return None
     return CostTable(n, tuple(tuple(r) for r in entries), sentinel,
-                     tuple(sup for _, sup, _, _ in opened), tuple(nodes),
-                     tuple(e for e, _, _, _ in opened))
+                     tuple(column[1] for column in opened), tuple(nodes),
+                     tuple(column[0] for column in opened))
 
 
 def hungarian_assign(table: CostTable) -> Assignment:
@@ -316,7 +294,7 @@ def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
             trial_cols = list(cols)
             _apply_to_columns(trial_cols, ops)
             opened = _open_columns(rg.graph, trial_cols)
-            low = sum(_schedule_weight(grown, steiner) for _, _, grown, steiner in opened)
+            low = sum(column[4] for column in opened)
             trials.append((low, index, ops, list(rg.rows), trial_cols, opened))
             rg.rows[:] = base
             del rg.op_log[mark:]

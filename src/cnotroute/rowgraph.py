@@ -2,9 +2,11 @@
 
 A row graph pairs an architecture graph with one matrix row per node.
 Node addition XORs an adjacent row in (one CNOT); a swap exchanges two
-adjacent rows (three CNOTs).  The reducers below rewrite the state until
-every node holds a standard basis vector ("basic" form), logging the
-operations so they can be emitted as a circuit.
+adjacent rows (three CNOTs).  ``tree_reduce_tracked`` runs one
+reduction tree's schedule, leaving its root holding a standard basis
+vector, and ``reduction_recovery`` restores the unit vectors that
+schedule disturbed.  Both log the operations they run, so the
+synthesizer can emit them as a circuit.
 
 A row operation is a plain ``(kind, a, b)`` tuple, everywhere from a
 tree's schedule to the op log and the synthesizer's result.  ``(ADD, a,
@@ -13,20 +15,18 @@ and target b.  ``(SWAP, a, b)`` exchanges rows a and b; in a tree's
 schedule a is the tree child and b its parent.  Both are self-inverse,
 so undoing a log replays it backwards.
 
-The tuple-level ``apply_*`` helpers mutate a raw row list without
-touching the op log.  ``reduction_costs`` gives the weight those helpers
-would spend reducing along one Steiner tree at each of many roots,
-without running them: a recurrence over the tree's directed edges,
-each edge's value shared by every root on its far side.
+``reduction_costs`` gives the weight that reduction and recovery would
+spend along one Steiner tree at each of many roots, without running
+them: a recurrence over the tree's directed edges, each edge's value
+shared by every root on its far side.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Set, Tuple
 
-from .arch import ADD, SWAP, ArchGraph, ReductionTree, gen_steiner
-from .gf2 import (BitMatrix, SingularMatrixError, invert, is_unit,
-                  solve_unit_combinations)
+from .arch import ADD, SWAP, ArchGraph, ReductionTree
+from .gf2 import BitMatrix, is_unit
 
 RowOp = Tuple[str, int, int]  # (kind, a, b), as above
 
@@ -56,92 +56,8 @@ class RowGraph:
     def matrix(self) -> BitMatrix:
         return BitMatrix(self.graph.n, self.rows)
 
-    def is_basic(self) -> bool:
-        return all(is_unit(r) for r in self.rows)
-
-    def non_unit_nodes(self) -> List[int]:
-        return [u for u, r in enumerate(self.rows) if not is_unit(r)]
-
-    def clone(self) -> "RowGraph":
-        twin = RowGraph(self.graph, self.rows)
-        twin.op_log = list(self.op_log)
-        return twin
-
-    def _check_edge(self, u: int, v: int) -> None:
-        if not self.graph.is_edge(u, v):
-            raise ReductionError(f"nodes {u} and {v} are not adjacent")
-
-    def node_add(self, u: int, v: int) -> None:
-        """f(u) ^= f(v) for adjacent u, v; logged as ADD(u, v)."""
-        self._check_edge(u, v)
-        self.rows[u] ^= self.rows[v]
-        self.op_log.append((ADD, u, v))
-
-    def swap_nodes(self, u: int, v: int) -> None:
-        """Exchange f(u) and f(v) for adjacent u, v; logged atomically."""
-        self._check_edge(u, v)
-        self.rows[u], self.rows[v] = self.rows[v], self.rows[u]
-        self.op_log.append((SWAP, u, v))
-
     def mark(self) -> int:
         return len(self.op_log)
-
-    def undo_to(self, mark: int) -> None:
-        """Roll state and log back to a mark (ops are self-inverse)."""
-        rows = self.rows
-        log = self.op_log
-        while len(log) > mark:
-            kind, a, b = log.pop()
-            if kind == ADD:
-                rows[a] ^= rows[b]
-            else:
-                rows[a], rows[b] = rows[b], rows[a]
-
-
-def apply_schedule_tracked(rows: List[int], schedule,
-                           root: int) -> Tuple[tuple, Set[int]]:
-    """Run a reduction tree's op schedule on a raw row list.
-
-    Returns the executed operations (the schedule itself) and the set of
-    nodes whose standard basis vectors were disturbed and still need
-    recovery.  SWAP entries migrate membership from the child to the
-    parent, following the payload.  The root is never tracked: its row
-    may pass through a unit vector while the terminal contributions
-    accumulate, and recovery must not undo the reduction it serves.
-    """
-    tracked: Set[int] = set()
-    for kind, a, b in schedule:
-        if kind == ADD:
-            r = rows[a]
-            if a != root and r and r & (r - 1) == 0:
-                tracked.add(a)
-            rows[a] = r ^ rows[b]
-        else:
-            if a in tracked:
-                tracked.add(b)
-                tracked.discard(a)
-            rows[a], rows[b] = rows[b], rows[a]
-    return schedule, tracked
-
-
-def apply_recovery(rows: List[int], operations, tracked: Set[int]) -> list:
-    """Replay, in reverse, just the ops needed to restore tracked nodes."""
-    recover = []
-    for kind, n1, n2 in reversed(operations):
-        if kind == ADD:
-            if n1 in tracked:
-                r = rows[n1] ^ rows[n2]
-                rows[n1] = r
-                recover.append((ADD, n1, n2))
-                if r and r & (r - 1) == 0:
-                    tracked.discard(n1)
-        else:
-            if n2 in tracked:
-                rows[n1], rows[n2] = rows[n2], rows[n1]
-                tracked.add(n1)
-                tracked.discard(n2)
-                recover.append((SWAP, n1, n2))
-    return recover
 
 
 def _hand_up(row: int, steiner: bool, below: list) -> tuple:
@@ -183,10 +99,10 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
 
     ``tree`` is an unrooted tree whose leaves are terminals (node ->
     ascending neighbour tuple), ``steiner`` its non-terminal nodes and
-    ``roots`` terminals.  Entry k equals ``schedule_cost`` plus the
-    recovery weight of running ``gen_steiner``'s schedule rooted at
-    ``roots[k]`` through ``apply_schedule_tracked`` and
-    ``apply_recovery`` on a copy of ``rows``, without running either.
+    ``roots`` terminals.  Entry k equals the op weight (SWAP 3, ADD 1)
+    that ``tree_reduce_tracked`` and then ``reduction_recovery`` would
+    log on a copy of ``rows``, reducing along the tree rooted at
+    ``roots[k]``, without running either.
 
     The value of a directed edge p -> c depends only on c's side of the
     tree, so it is shared by every root on p's side.  With x1 < ... < xm
@@ -274,64 +190,62 @@ def tree_reduce_tracked(rg: RowGraph,
                         tree: ReductionTree) -> Tuple[Tuple[RowOp, ...], Set[int]]:
     """Post-order tree reduction, leaving f(root) holding the unit vector.
 
-    Returns the ops run (the tree's schedule) and the set of disturbed
-    unit-vector holders that ``reduction_recovery`` must restore.
+    Runs and logs the tree's schedule.  Returns the ops run (the
+    schedule itself) and the set of nodes whose standard basis vectors
+    were disturbed and that ``reduction_recovery`` must restore.  SWAP
+    entries migrate membership from the child to the parent, following
+    the payload.  The root is never tracked: its row may pass through a
+    unit vector while the terminal contributions accumulate, and
+    recovery must not undo the reduction it serves.
     """
+    rows = rg.rows
     acc = 0
     for t in tree.terminals:
-        acc ^= rg.rows[t]
+        acc ^= rows[t]
     if not is_unit(acc):
         raise ReductionError("terminal rows do not XOR to a standard basis vector")
-    ops, tracked = apply_schedule_tracked(rg.rows, tree.schedule, tree.root)
-    rg.op_log.extend(ops)
-    return ops, tracked
-
-
-def tree_reduce(rg: RowGraph, tree: ReductionTree) -> None:
-    """``tree_reduce_tracked`` without the tracked set."""
-    tree_reduce_tracked(rg, tree)
+    root = tree.root
+    tracked: Set[int] = set()
+    for kind, a, b in tree.schedule:
+        if kind == ADD:
+            r = rows[a]
+            if a != root and r and r & (r - 1) == 0:
+                tracked.add(a)
+            rows[a] = r ^ rows[b]
+        else:
+            if a in tracked:
+                tracked.add(b)
+                tracked.discard(a)
+            rows[a], rows[b] = rows[b], rows[a]
+    rg.op_log.extend(tree.schedule)
+    return tree.schedule, tracked
 
 
 def reduction_recovery(rg: RowGraph, operations: Sequence[RowOp],
                        tracked: Set[int]) -> List[RowOp]:
-    """Restore every tracked node to a unit vector; returns the ops used."""
+    """Restore every tracked node to a unit vector; returns the ops used.
+
+    Replays, in reverse, just the ops needed to restore tracked nodes.
+    """
     n = rg.graph.n
     for kind, a, b in operations:
         if not (0 <= a < n and 0 <= b < n):
             raise ReductionError(f"operation {(kind, a, b)} targets a node outside the graph")
-    recover = apply_recovery(rg.rows, operations, tracked)
+    rows = rg.rows
+    recover = []
+    for kind, a, b in reversed(operations):
+        if kind == ADD:
+            if a in tracked:
+                r = rows[a] ^ rows[b]
+                rows[a] = r
+                recover.append((ADD, a, b))
+                if r and r & (r - 1) == 0:
+                    tracked.discard(a)
+        else:
+            if b in tracked:
+                rows[a], rows[b] = rows[b], rows[a]
+                tracked.add(a)
+                tracked.discard(b)
+                recover.append((SWAP, a, b))
     rg.op_log.extend(recover)
     return recover
-
-
-def simple_token_reduction(rg: RowGraph) -> List[RowOp]:
-    """Reduce to basic form with full reversal after each node.
-
-    For each node still holding a non-unit row: pick the first basis
-    vector reachable by a row combination containing the node, reduce
-    along a Steiner tree rooted there, then replay every op that does
-    not involve the root in reverse so all other nodes regain the rows
-    they started the pass with.  Total op weight stays within the
-    n(6(n-2)+1) quadratic bound.
-    """
-    start = len(rg.op_log)
-    g = rg.graph
-    if invert(rg.matrix()) is None:
-        raise SingularMatrixError("row graph is not reversible")
-    for u in range(g.n):
-        if is_unit(rg.rows[u]):
-            continue
-        solutions = solve_unit_combinations(rg.matrix(), u)
-        e, nodes = solutions[0]
-        tree = gen_steiner(g, nodes, u)
-        done, _ = tree_reduce_tracked(rg, tree)
-        for kind, a, b in reversed(done):
-            if b == u:
-                raise ReductionError(f"root {u} appeared as an op source: {(kind, a, b)}")
-            if a == u:
-                continue
-            if kind == ADD:
-                rg.node_add(a, b)
-            else:
-                rg.swap_nodes(a, b)
-    return rg.op_log[start:]

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from cnotroute.arch import ArchGraph
-from cnotroute.gf2 import BitMatrix, invert, is_unit, mat_mul
+from cnotroute.gf2 import BitMatrix, invert, is_unit, mat_mul, transpose, vec_support
+from cnotroute.heuristic import _inverse_columns
 from cnotroute.rowgraph import RowGraph
 
 CHECK = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
@@ -65,9 +66,13 @@ def random_reversible_rowgraph(rng: random.Random, graph: ArchGraph,
         u, v = rng.choice(edges)
         if rng.random() < 0.5:
             u, v = v, u
-        rg.node_add(u, v)
-    rg.op_log.clear()
+        rg.rows[u] ^= rg.rows[v]
     return rg
+
+
+def non_unit_nodes(rg: RowGraph) -> list:
+    """Nodes whose row is not a standard basis vector, ascending."""
+    return [u for u, r in enumerate(rg.rows) if not is_unit(r)]
 
 
 def random_invertible_matrix(rng: random.Random, n: int) -> BitMatrix:
@@ -84,8 +89,30 @@ def random_invertible_matrix(rng: random.Random, n: int) -> BitMatrix:
     return m
 
 
+def matrix(bits) -> BitMatrix:
+    """A square matrix from 0/1 row lists."""
+    return BitMatrix(len(bits), [sum(b << j for j, b in enumerate(row)) for row in bits])
+
+
+def bits_of(m: BitMatrix) -> list:
+    return [[(r >> j) & 1 for j in range(m.n)] for r in m.rows]
+
+
+def unit_combinations(m: BitMatrix, u: int):
+    """(e, nodes) pairs, e ascending, whose rows XOR to e_e, with u in nodes.
+
+    Read off the synthesizer's column form of the inverse, as its open
+    block reads them: column u holds the e that u can reach, and row e of
+    the inverse holds the nodes.  Raises SingularMatrixError.
+    """
+    line = ArchGraph(m.n, [(i, i + 1) for i in range(m.n - 1)])
+    cols = _inverse_columns(RowGraph(line, m.rows))
+    inv = transpose(BitMatrix(m.n, cols)).rows
+    return [(e, frozenset(vec_support(inv[e]))) for e in vec_support(cols[u])]
+
+
 def brute_force_unit_combinations(m: BitMatrix, u: int):
-    """Subset-enumeration oracle for solve_unit_combinations.
+    """Subset-enumeration oracle for ``unit_combinations``.
 
     Enumerates every subset of rows containing u and keeps those whose
     XOR is a standard basis vector.  Exponential; for small n only.
@@ -125,6 +152,12 @@ def bfs_distances(n: int, edges) -> list:
             frontier = nxt
         out.append(dist)
     return out
+
+
+def tree_parent(tree) -> dict:
+    """child -> parent links of a rooted reduction tree, read off its schedule."""
+    return {(a if kind == "SWAP" else b): (b if kind == "SWAP" else a)
+            for kind, a, b in tree.schedule}
 
 
 def ops_to_matrix(ops, n: int) -> BitMatrix:

@@ -17,16 +17,16 @@ from cnotroute.arch import get_architecture, list_architectures
 from cnotroute.bench import (BenchConfig, random_cnot_circuit, report_to_json,
                              run_benchmark)
 from cnotroute.circuit import Circuit, Mapping, cnot
-from cnotroute.gf2 import (BitMatrix, invert, mat_mul, solve_unit_combinations,
-                           transpose, unit_index)
-from cnotroute.heuristic import cost, hungarian_assign
+from cnotroute.gf2 import BitMatrix, invert, mat_mul, transpose, unit_index
+from cnotroute.heuristic import build_cost_table, hungarian_assign
 from cnotroute.rowgraph import RowGraph
 from cnotroute.synthesis import (complies, linear_matrix, postprocess,
                                  route_cnot_block, verify_equivalence)
 
-from conftest import (bfs_distances, brute_force_unit_combinations,
-                      random_connected_graph, random_invertible_matrix,
-                      random_reversible_rowgraph)
+from conftest import (bfs_distances, bits_of, brute_force_unit_combinations,
+                      matrix, ops_to_matrix, random_connected_graph,
+                      random_invertible_matrix, random_reversible_rowgraph,
+                      unit_combinations)
 
 SWEEP_SEED = 2020
 PAPER_MEANS_256 = {
@@ -131,14 +131,14 @@ def test_criterion_5_oracle_suites():
             if invert(m) is None:
                 continue
             for u in range(n):
-                assert solve_unit_combinations(m, u) == \
+                assert unit_combinations(m, u) == \
                     brute_force_unit_combinations(m, u)
     rng = random.Random(101)
     for n in (4, 5, 6, 8, 10):
         for _ in range(60):
             m = random_invertible_matrix(rng, n)
             u = rng.randrange(n)
-            assert solve_unit_combinations(m, u) == \
+            assert unit_combinations(m, u) == \
                 brute_force_unit_combinations(m, u)
 
     # assignment vs factorial brute force
@@ -158,15 +158,13 @@ def test_criterion_5_oracle_suites():
         g = random_connected_graph(rng, n, extra=rng.randrange(4))
         assert g.dist == bfs_distances(n, g.edges)
 
-    # cost() restores the state bit-for-bit
+    # pricing the full cost table restores the state bit-for-bit
     for _ in range(15):
         g = random_connected_graph(rng, rng.randrange(2, 9))
         rg = random_reversible_rowgraph(rng, g, 3 * g.n)
         snapshot = list(rg.rows)
-        for u in range(g.n):
-            for e in range(g.n):
-                cost(rg, u, e)
-                assert rg.rows == snapshot
+        build_cost_table(rg)
+        assert rg.rows == snapshot and rg.op_log == []
     print("ACCEPTANCE 5 PASS: solver/assignment/shortest-path/cost oracles "
           "agree 100%")
 
@@ -174,19 +172,19 @@ def test_criterion_5_oracle_suites():
 def test_criterion_6_worked_example_goldens(path4):
     # golden matrices
     gate_matrices = [
-        BitMatrix.from_bits([[1, 0, 0, 0], [0, 1, 0, 0],
-                             [1, 0, 1, 0], [0, 0, 0, 1]]),
-        BitMatrix.from_bits([[1, 0, 0, 0], [0, 1, 0, 0],
-                             [0, 0, 1, 0], [0, 0, 1, 1]]),
+        matrix([[1, 0, 0, 0], [0, 1, 0, 0],
+                [1, 0, 1, 0], [0, 0, 0, 1]]),
+        matrix([[1, 0, 0, 0], [0, 1, 0, 0],
+                [0, 0, 1, 0], [0, 0, 1, 1]]),
     ]
     p = mat_mul(gate_matrices[1], gate_matrices[0])
-    assert p.to_bits() == [[1, 0, 0, 0], [0, 1, 0, 0],
-                           [1, 0, 1, 0], [1, 0, 1, 1]]
+    assert bits_of(p) == [[1, 0, 0, 0], [0, 1, 0, 0],
+                          [1, 0, 1, 0], [1, 0, 1, 1]]
     circuit = Circuit(4, [cnot(0, 2), cnot(2, 3)])
     assert linear_matrix(circuit.gates, 4) == p
     pt = transpose(p)
-    assert pt.to_bits() == [[1, 0, 1, 1], [0, 1, 0, 0],
-                            [0, 0, 1, 1], [0, 0, 0, 1]]
+    assert bits_of(pt) == [[1, 0, 1, 1], [0, 1, 0, 0],
+                           [0, 0, 1, 1], [0, 0, 0, 1]]
 
     # golden six-factor decomposition recomposes P^T
     factors = [
@@ -199,17 +197,16 @@ def test_criterion_6_worked_example_goldens(path4):
     ]
     acc = BitMatrix.identity(4)
     for bits in reversed(factors):
-        acc = mat_mul(BitMatrix.from_bits(bits), acc)
+        acc = mat_mul(matrix(bits), acc)
     assert acc == pt
 
     # golden op replay: swap the first two nodes, add down the line;
     # ends at a transposed permutation exchanging the first two labels
-    rg = RowGraph.from_matrix(path4, pt)
-    rg.swap_nodes(0, 1)
-    rg.node_add(1, 2)
-    rg.node_add(2, 3)
-    assert rg.matrix().to_bits() == [[0, 1, 0, 0], [1, 0, 0, 0],
-                                     [0, 0, 1, 0], [0, 0, 0, 1]]
+    ops = [("SWAP", 0, 1), ("ADD", 1, 2), ("ADD", 2, 3)]
+    assert all(path4.is_edge(a, b) for _, a, b in ops)
+    rg = RowGraph.from_matrix(path4, mat_mul(ops_to_matrix(ops, 4), pt))
+    assert bits_of(rg.matrix()) == [[0, 1, 0, 0], [1, 0, 0, 0],
+                                    [0, 0, 1, 0], [0, 0, 0, 1]]
     holder = [0] * 4
     for u, row in enumerate(rg.rows):
         holder[unit_index(row)] = u

@@ -11,7 +11,8 @@ from cnotroute.arch import (ArchFileError, ArchGraph, DisconnectedGraphError,
                             gen_steiner, get_architecture, list_architectures,
                             parse_arch_json, path_from_successors)
 
-from conftest import bfs_distances, grid_graph, random_connected_graph
+from conftest import (bfs_distances, grid_graph, random_connected_graph,
+                      tree_parent)
 
 
 def test_fw_simple_path():
@@ -80,17 +81,15 @@ def test_path_endpoints_and_adjacency():
 def test_gen_steiner_single_edge():
     g = ArchGraph(3, [(0, 1), (1, 2)])
     t = gen_steiner(g, {0, 1}, 0)
-    assert t.vertices == {0, 1}
-    assert t.steiner_points == frozenset()
-    assert t.parent == {1: 0}
+    assert t.terminals == {0, 1}
+    assert tree_parent(t) == {1: 0}
 
 
 def test_gen_steiner_whole_path():
     g = ArchGraph(4, [(0, 1), (1, 2), (2, 3)])
     t = gen_steiner(g, {0, 1, 2, 3}, 0)
-    assert t.vertices == {0, 1, 2, 3}
-    assert t.parent == {1: 0, 2: 1, 3: 2}
-    assert t.steiner_points == frozenset()
+    assert t.terminals == {0, 1, 2, 3}
+    assert tree_parent(t) == {1: 0, 2: 1, 3: 2}
 
 
 def test_gen_steiner_root_must_be_terminal():
@@ -102,7 +101,7 @@ def test_gen_steiner_root_must_be_terminal():
 def test_gen_steiner_single_terminal():
     g = ArchGraph(3, [(0, 1), (1, 2)])
     t = gen_steiner(g, {1}, 1)
-    assert t.vertices == {1}
+    assert t.terminals == {1}
     assert t.schedule == ()
 
 
@@ -133,28 +132,30 @@ def test_gen_steiner_grid_close_to_optimal(grid4):
     tree = gen_steiner(grid4, terminals, 1)
     best = _min_steiner_vertices(grid4, terminals)
     assert best == 5
-    assert len(tree.vertices) <= best + 2
+    assert len(tree_parent(tree)) + 1 <= best + 2
 
 
 def _check_tree_invariants(g, tree, terminals, root):
     assert tree.root == root
     assert tree.terminals == frozenset(terminals)
-    assert tree.terminals <= tree.vertices
-    assert tree.terminals.isdisjoint(tree.steiner_points)
-    assert tree.vertices == tree.terminals | tree.steiner_points
-    assert len(tree.parent) == len(tree.vertices) - 1
-    for child, par in tree.parent.items():
+    parent = tree_parent(tree)
+    vertices = parent.keys() | {root}
+    assert root not in parent
+    assert tree.terminals <= vertices
+    # one op per tree edge, each on an architecture edge
+    assert len(tree.schedule) == len(parent) == len(vertices) - 1
+    for child, par in parent.items():
         assert g.is_edge(child, par)
     # reachability of every vertex from the root through parent links
-    for v in tree.vertices:
+    for v in vertices:
         seen = set()
         while v != tree.root:
             assert v not in seen, "cycle in parent links"
             seen.add(v)
-            v = tree.parent[v]
+            v = parent[v]
     # pruning: every leaf is a terminal
-    parents = set(tree.parent.values())
-    for v in tree.vertices:
+    parents = set(parent.values())
+    for v in vertices:
         if v not in parents and v != tree.root:
             assert v in tree.terminals
 
@@ -173,9 +174,9 @@ def test_gen_steiner_invariants_random():
 
 def test_reduction_tree_schedule_shape():
     # R - S - T path with S a Steiner point: swap then add.
-    tree = ReductionTree(0, {1: 0, 2: 1}, {0, 2})
+    tree = ReductionTree({0: (1,), 1: (0, 2), 2: (1,)}, frozenset({0, 2}), 0)
     assert tree.schedule == (("SWAP", 2, 1), ("ADD", 0, 1))
-    assert tree.schedule_cost == 4
+    assert sum(3 if kind == "SWAP" else 1 for kind, _, _ in tree.schedule) == 4
 
 
 def test_arch_graph_validation():

@@ -15,7 +15,8 @@ from cnotroute.gf2 import BitMatrix, SingularMatrixError, invert, transpose
 from cnotroute.heuristic import heuristic_token_reduction
 from cnotroute.rowgraph import SWAP, RowGraph
 
-from conftest import random_connected_graph, random_reversible_rowgraph
+from conftest import (non_unit_nodes, random_connected_graph,
+                      random_reversible_rowgraph)
 
 
 def _fresh_columns(rg):
@@ -42,7 +43,9 @@ def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):
         counts["swaps"] += sum(kind == SWAP for kind, _, _ in ops)
 
     def price_checked(graph, rows, opened, bound=None):
-        assert [(e, sup) for e, sup, _, _ in opened] == _fresh_supports(graph, rows)
+        assert [(e, sup) for e, sup, _, _, _ in opened] == _fresh_supports(graph, rows)
+        for _, _, grown, steiner, weight in opened:
+            assert weight == len(grown) - 1 + 2 * len(steiner)
         counts["priced"] += 1
         return price(graph, rows, opened, bound)
 
@@ -78,7 +81,7 @@ def test_singular_inputs_raise_basic_or_not():
         rows = [1 << i for i in range(n)]
         rows[u] = rows[v]
         basic = RowGraph(g, rows)
-        assert basic.is_basic()
+        assert not non_unit_nodes(basic)
         with pytest.raises(SingularMatrixError):
             heuristic_token_reduction(basic)
         if n < 3:
@@ -87,6 +90,6 @@ def test_singular_inputs_raise_basic_or_not():
         u, v, w = rng.sample(range(n), 3)
         rows[u] = rows[v] ^ rows[w]
         scrambled = RowGraph(g, rows)
-        assert not scrambled.is_basic()
+        assert non_unit_nodes(scrambled)
         with pytest.raises(SingularMatrixError):
             heuristic_token_reduction(scrambled)

@@ -59,6 +59,12 @@ def test_gate_constructors_validate():
         one_qubit("", 0)
 
 
+@pytest.mark.parametrize("label", ["R z", "a#b", "x\xa0y", "H\n", " H", "#"])
+def test_one_qubit_rejects_labels_a_file_cannot_hold(label):
+    with pytest.raises(ValueError, match="one token"):
+        one_qubit(label, 0)
+
+
 def test_circuit_wire_range_checked():
     with pytest.raises(ValueError):
         Circuit(2, [cnot(0, 5)])

@@ -1,4 +1,9 @@
-"""GF(2) core: products, transpose, row ops, inversion, unit combinations."""
+"""GF(2) core: products, transpose, row ops, inversion, unit combinations.
+
+The unit combinations are the ones the synthesizer reads off its carried
+inverse (``conftest.unit_combinations``), checked against subset
+enumeration.
+"""
 
 import random
 from itertools import product
@@ -6,21 +11,21 @@ from itertools import product
 import pytest
 
 from cnotroute.gf2 import (BitMatrix, SingularMatrixError, invert, is_unit,
-                           mat_mul, row_add, solve_unit_combinations,
-                           transpose, vec_support, vec_weight)
+                           mat_mul, row_add, transpose, vec_support)
 
-from conftest import brute_force_unit_combinations, random_invertible_matrix
+from conftest import (bits_of, brute_force_unit_combinations, matrix,
+                      random_invertible_matrix, unit_combinations)
 
 P_BITS = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [1, 0, 1, 1]]
 PT_BITS = [[1, 0, 1, 1], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
 
 
 def test_mat_mul_gate_composition():
-    later = BitMatrix.from_bits([[1, 0, 0, 0], [0, 1, 0, 0],
-                                 [0, 0, 1, 0], [0, 0, 1, 1]])
-    earlier = BitMatrix.from_bits([[1, 0, 0, 0], [0, 1, 0, 0],
-                                   [1, 0, 1, 0], [0, 0, 0, 1]])
-    assert mat_mul(later, earlier).to_bits() == P_BITS
+    later = matrix([[1, 0, 0, 0], [0, 1, 0, 0],
+                    [0, 0, 1, 0], [0, 0, 1, 1]])
+    earlier = matrix([[1, 0, 0, 0], [0, 1, 0, 0],
+                      [1, 0, 1, 0], [0, 0, 0, 1]])
+    assert bits_of(mat_mul(later, earlier)) == P_BITS
 
 
 def test_mat_mul_identity():
@@ -33,7 +38,7 @@ def test_mat_mul_identity():
 
 
 def test_mat_mul_elementary_self_inverse():
-    e = BitMatrix.from_bits([[1, 1], [0, 1]])
+    e = matrix([[1, 1], [0, 1]])
     assert mat_mul(e, e) == BitMatrix.identity(2)
 
 
@@ -43,7 +48,7 @@ def test_mat_mul_dimension_mismatch():
 
 
 def test_transpose_example():
-    assert transpose(BitMatrix.from_bits(P_BITS)).to_bits() == PT_BITS
+    assert bits_of(transpose(matrix(P_BITS))) == PT_BITS
     assert transpose(BitMatrix.identity(5)) == BitMatrix.identity(5)
 
 
@@ -57,13 +62,13 @@ def test_transpose_involution():
 def test_row_add_examples():
     m = BitMatrix.identity(3)
     row_add(m, 2, 0)
-    assert m.to_bits() == [[1, 0, 0], [0, 1, 0], [1, 0, 1]]
+    assert bits_of(m) == [[1, 0, 0], [0, 1, 0], [1, 0, 1]]
     row_add(m, 2, 0)
     assert m == BitMatrix.identity(3)
 
-    m2 = BitMatrix.from_bits([[1, 1], [0, 1]])
+    m2 = matrix([[1, 1], [0, 1]])
     row_add(m2, 0, 1)
-    assert m2.to_bits() == [[1, 0], [0, 1]]
+    assert bits_of(m2) == [[1, 0], [0, 1]]
 
 
 def test_row_add_rejects_equal_indices():
@@ -73,21 +78,21 @@ def test_row_add_rejects_equal_indices():
 
 
 def test_invert_permutation_is_transpose():
-    perm = BitMatrix.from_bits([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    perm = matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     assert invert(perm) == transpose(perm)
 
 
 def test_invert_worked_example():
-    pt = BitMatrix.from_bits(PT_BITS)
+    pt = matrix(PT_BITS)
     inv = invert(pt)
-    assert inv.to_bits() == [[1, 0, 1, 0], [0, 1, 0, 0],
-                             [0, 0, 1, 1], [0, 0, 0, 1]]
+    assert bits_of(inv) == [[1, 0, 1, 0], [0, 1, 0, 0],
+                            [0, 0, 1, 1], [0, 0, 0, 1]]
     assert mat_mul(pt, inv) == BitMatrix.identity(4)
     assert mat_mul(inv, pt) == BitMatrix.identity(4)
 
 
 def test_invert_singular_flag():
-    m = BitMatrix.from_bits([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    m = matrix([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
     assert invert(m) is None
 
 
@@ -100,20 +105,20 @@ def test_invert_randomized_roundtrip():
 
 
 def test_solve_unit_basic_state():
-    m = BitMatrix.from_bits([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    assert solve_unit_combinations(m, 0) == [(1, frozenset({0}))]
-    assert solve_unit_combinations(m, 2) == [(2, frozenset({2}))]
+    m = matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    assert unit_combinations(m, 0) == [(1, frozenset({0}))]
+    assert unit_combinations(m, 2) == [(2, frozenset({2}))]
 
 
 def test_solve_unit_worked_example():
-    pt = BitMatrix.from_bits(PT_BITS)
-    assert solve_unit_combinations(pt, 0) == [(0, frozenset({0, 2}))]
+    pt = matrix(PT_BITS)
+    assert unit_combinations(pt, 0) == [(0, frozenset({0, 2}))]
 
 
 def test_solve_unit_rejects_singular():
-    m = BitMatrix.from_bits([[1, 1], [1, 1]])
+    m = matrix([[1, 1], [1, 1]])
     with pytest.raises(SingularMatrixError):
-        solve_unit_combinations(m, 0)
+        unit_combinations(m, 0)
 
 
 def _all_invertible(n):
@@ -128,7 +133,7 @@ def test_solve_unit_vs_brute_force_exhaustive_small():
     for n in (1, 2, 3):
         for m in _all_invertible(n):
             for u in range(n):
-                assert solve_unit_combinations(m, u) == \
+                assert unit_combinations(m, u) == \
                     brute_force_unit_combinations(m, u)
 
 
@@ -138,7 +143,7 @@ def test_solve_unit_vs_brute_force_sampled():
         for _ in range(40):
             m = random_invertible_matrix(rng, n)
             u = rng.randrange(n)
-            assert solve_unit_combinations(m, u) == \
+            assert unit_combinations(m, u) == \
                 brute_force_unit_combinations(m, u)
 
 
@@ -149,7 +154,7 @@ def test_solve_unit_nonempty_for_all_nodes():
         m = random_invertible_matrix(rng, n)
         covered = set()
         for u in range(n):
-            sols = solve_unit_combinations(m, u)
+            sols = unit_combinations(m, u)
             assert sols, f"no solution for node {u} of {m!r}"
             covered.update(e for e, _ in sols)
         # Every column of the inverse is non-zero, so every basis vector
@@ -158,6 +163,5 @@ def test_solve_unit_nonempty_for_all_nodes():
 
 
 def test_vec_helpers():
-    assert vec_weight(0b1011) == 3
     assert vec_support(0b1011) == (0, 1, 3)
     assert is_unit(0b100) and not is_unit(0b101) and not is_unit(0)

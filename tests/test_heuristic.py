@@ -6,15 +6,16 @@ from itertools import permutations
 import pytest
 
 from cnotroute.arch import ArchGraph
-from cnotroute.gf2 import BitMatrix, invert, mat_mul
+from cnotroute.gf2 import invert, mat_mul
 from cnotroute.heuristic import (Assignment, AssignmentError, CostTable,
-                                 build_cost_table, cost,
-                                 heuristic_token_reduction, hungarian_assign,
-                                 infinite_cost, loss, max_tree_cost)
+                                 build_cost_table, heuristic_token_reduction,
+                                 hungarian_assign, infinite_cost, loss,
+                                 max_tree_cost)
 from cnotroute.rowgraph import RowGraph
 
-from conftest import (brute_force_unit_combinations, ops_to_matrix,
-                      random_connected_graph, random_reversible_rowgraph)
+from conftest import (brute_force_unit_combinations, matrix, non_unit_nodes,
+                      ops_to_matrix, random_connected_graph,
+                      random_reversible_rowgraph)
 
 
 def _table(entries, infinite=10**6):
@@ -25,13 +26,13 @@ def _table(entries, infinite=10**6):
 
 def test_cost_zero_when_already_held(path4):
     rg = RowGraph(path4, [0b0001, 0b0010, 0b0100, 0b1000])
-    assert cost(rg, 0, 0) == 0
+    assert build_cost_table(rg).entries[0][0] == 0
 
 
 def test_cost_two_node_path():
     g = ArchGraph(2, [(0, 1)])
     rg = RowGraph(g, [0b11, 0b10])
-    assert cost(rg, 0, 0) == 1
+    assert build_cost_table(rg).entries[0][0] == 1
 
 
 def test_cost_infinite_iff_inverse_zero():
@@ -43,10 +44,11 @@ def test_cost_infinite_iff_inverse_zero():
         inv = invert(rg.matrix())
         oracle = {u: brute_force_unit_combinations(rg.matrix(), u)
                   for u in range(n)}
+        entries = build_cost_table(rg).entries
         for u in range(n):
             reachable = {e for e, _ in oracle[u]}
             for e in range(n):
-                c = cost(rg, u, e)
+                c = entries[u][e]
                 if e in reachable:
                     assert c < infinite_cost(n)
                     assert (inv.rows[e] >> u) & 1
@@ -63,11 +65,9 @@ def test_cost_leaves_state_bit_identical():
         rg = random_reversible_rowgraph(rng, g, 3 * n)
         snapshot = list(rg.rows)
         log_len = len(rg.op_log)
-        for u in range(n):
-            for e in range(n):
-                cost(rg, u, e)
-                assert rg.rows == snapshot
-                assert len(rg.op_log) == log_len
+        build_cost_table(rg)
+        assert rg.rows == snapshot
+        assert len(rg.op_log) == log_len
 
 
 def test_build_cost_table_basic_state(grid3):
@@ -80,8 +80,8 @@ def test_build_cost_table_basic_state(grid3):
 
 
 def test_build_cost_table_worked_example(path4):
-    pt = BitMatrix.from_bits([[1, 0, 1, 1], [0, 1, 0, 0],
-                              [0, 0, 1, 1], [0, 0, 0, 1]])
+    pt = matrix([[1, 0, 1, 1], [0, 1, 0, 0],
+                 [0, 0, 1, 1], [0, 0, 0, 1]])
     rg = RowGraph.from_matrix(path4, pt)
     table = build_cost_table(rg)
     inv = invert(pt)
@@ -184,11 +184,11 @@ def test_heuristic_on_basic_input(grid3):
 
 
 def test_heuristic_worked_example(path4):
-    pt = BitMatrix.from_bits([[1, 0, 1, 1], [0, 1, 0, 0],
-                              [0, 0, 1, 1], [0, 0, 0, 1]])
+    pt = matrix([[1, 0, 1, 1], [0, 1, 0, 0],
+                 [0, 0, 1, 1], [0, 0, 0, 1]])
     rg = RowGraph.from_matrix(path4, pt)
     ops = heuristic_token_reduction(rg)
-    assert rg.is_basic()
+    assert not non_unit_nodes(rg)
     final = rg.matrix()
     assert final.is_permutation()
     # the op product applied to the start matrix reproduces the end state
@@ -201,17 +201,17 @@ def test_heuristic_monotone_progress_and_bound():
         g = random_connected_graph(rng, 9, extra=3)
         rg = random_reversible_rowgraph(rng, g, 30)
 
-        counts = [len(rg.non_unit_nodes())]
+        counts = [len(non_unit_nodes(rg))]
         total_iters = 0
-        while not rg.is_basic():
+        while non_unit_nodes(rg):
             table = build_cost_table(rg)
-            non_unit = rg.non_unit_nodes()
+            non_unit = non_unit_nodes(rg)
             best = min(table.entries[u][e] for u in non_unit for e in range(9))
             u, e = next((u, e) for u in non_unit for e in range(9)
                         if table.entries[u][e] == best)
             from cnotroute.heuristic import _reduce_pair
             _reduce_pair(rg, u, e, table.supports[e])
-            counts.append(len(rg.non_unit_nodes()))
+            counts.append(len(non_unit_nodes(rg)))
             total_iters += 1
             assert counts[-1] < counts[-2]
         assert total_iters <= 9
@@ -226,7 +226,7 @@ def test_heuristic_random_instances_verified(grid3):
         rg = random_reversible_rowgraph(rng, grid3, 40)
         before = rg.matrix()
         ops = heuristic_token_reduction(rg)
-        assert rg.is_basic()
+        assert not non_unit_nodes(rg)
         assert rg.matrix().is_permutation()
         assert mat_mul(ops_to_matrix(ops, 9), before) == rg.matrix()
         weight = sum(3 if kind == "SWAP" else 1 for kind, _, _ in ops)
@@ -252,9 +252,9 @@ def test_loss_trajectory_diagnostic(grid3, capsys):
     rng = random.Random(40)
     rg = random_reversible_rowgraph(rng, grid3, 30)
     trajectory = [loss(rg)]
-    while not rg.is_basic():
+    while non_unit_nodes(rg):
         table = build_cost_table(rg)
-        non_unit = rg.non_unit_nodes()
+        non_unit = non_unit_nodes(rg)
         best = min(table.entries[u][e] for u in non_unit for e in range(9))
         u, e = next((u, e) for u in non_unit for e in range(9)
                     if table.entries[u][e] == best)

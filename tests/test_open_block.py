@@ -18,12 +18,13 @@ from cnotroute.heuristic import (_cheapest, _inverse_columns, _open_block,
                                  loss)
 from cnotroute.rowgraph import RowGraph
 
-from conftest import random_connected_graph, random_reversible_rowgraph
+from conftest import (non_unit_nodes, random_connected_graph,
+                      random_reversible_rowgraph)
 
 
 def _full_candidates(rg, table):
     """Cheapest full-table entries over non-basic rows, node-major."""
-    non_unit = rg.non_unit_nodes()
+    non_unit = non_unit_nodes(rg)
     best = min(table.entries[u][e] for u in non_unit for e in range(table.n))
     return [(u, e) for u in non_unit for e in range(table.n)
             if table.entries[u][e] == best]
@@ -36,17 +37,19 @@ def _fresh_open(rg):
 def _reference_reduction(rg):
     """The synthesizer loop over full tables, re-priced every iteration."""
     start = rg.mark()
-    while not rg.is_basic():
+    while non_unit_nodes(rg):
         table = build_cost_table(rg)
         candidates = _full_candidates(rg, table)
         chosen = candidates[0]
         if len(candidates) > 1:
             best_loss = None
+            mark = rg.mark()
+            base = list(rg.rows)
             for u, e in candidates:
-                mark = rg.mark()
                 _reduce_pair(rg, u, e, table.supports[e])
                 trial_loss = hungarian_assign(build_cost_table(rg)).total
-                rg.undo_to(mark)
+                rg.rows[:] = base
+                del rg.op_log[mark:]
                 if best_loss is None or trial_loss < best_loss:
                     best_loss = trial_loss
                     chosen = (u, e)
@@ -63,7 +66,7 @@ def _states(seed, graphs):
         g = random_connected_graph(rng, n, extra=rng.randrange(n + 1))
         rg = random_reversible_rowgraph(rng, g, rng.randrange(1, 4 * n))
         yield rg
-        while not rg.is_basic():
+        while non_unit_nodes(rg):
             table = build_cost_table(rg)
             u, e = _full_candidates(rg, table)[0]
             _reduce_pair(rg, u, e, table.supports[e])
@@ -74,7 +77,7 @@ def _check_state(rg):
     full = build_cost_table(rg)
     block = _open_block(rg.graph, rg.rows, _fresh_open(rg))
     inv = invert(rg.matrix())
-    assert block.nodes == tuple(rg.non_unit_nodes())
+    assert block.nodes == tuple(non_unit_nodes(rg))
     assert block.columns == tuple(e for e in range(rg.graph.n)
                                   if not is_unit(inv.rows[e]))
     assert len(block.entries) == len(block.nodes)
@@ -96,7 +99,7 @@ def test_block_matches_full_table_at_every_stage():
     for rg in _states(3031, 120):
         _check_state(rg)
         states += 1
-        basic += rg.graph.n - len(rg.non_unit_nodes())
+        basic += rg.graph.n - len(non_unit_nodes(rg))
     assert states > 500
     assert basic > states  # many states are mostly basic
 
@@ -124,6 +127,6 @@ def test_synthesizer_commits_the_full_table_reference_steps():
         n = rng.randrange(2, 10)
         g = random_connected_graph(rng, n, extra=rng.randrange(n + 1))
         rg = random_reversible_rowgraph(rng, g, 4 * n)
-        twin = rg.clone()
+        twin = RowGraph(g, rg.rows)
         assert heuristic_token_reduction(rg) == _reference_reduction(twin)
         assert rg.rows == twin.rows

@@ -6,15 +6,25 @@ lines a circuit file holds, parsing either succeeds or raises
 ``TypeError`` or other exception the CLI would print as a traceback.
 The strategies favour near-valid documents (the right keys, wire labels
 and node names), where type confusion is likeliest to slip through.
+
+And every circuit the gate constructors build is written and read back
+unchanged: ``one_qubit`` accepts exactly the labels a circuit file can
+hold.  ``cli.main`` ``route`` and ``verify`` on generated files exit 0,
+1 or 2 and let no exception escape.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnotroute.arch import ArchFileError, parse_arch_json
-from cnotroute.circuit import CircuitFormatError, parse_circuit, parse_mapping_json
+from cnotroute.cli import main
+from cnotroute.circuit import (ONEQ, Circuit, CircuitFormatError, Gate, cnot,
+                               format_circuit, one_qubit, parse_circuit,
+                               parse_mapping_json, swap_gate)
 
 NAMES = ["A", "B", "C"]
 names = st.sampled_from(NAMES + ["Z", ""])
@@ -89,3 +99,100 @@ def test_parse_circuit_raises_only_circuit_format_error(text):
         parse_circuit(text)
     except CircuitFormatError:
         pass
+
+
+labels = st.text(max_size=5) | st.sampled_from(["H", "Rz(0.5)", "R z", "a#b", "x\xa0y"])
+
+
+@st.composite
+def built_circuits(draw):
+    """Circuits on 1-4 wires built through ``cnot``, ``swap_gate`` and
+    ``one_qubit``; a label the constructor rejects drops its gate."""
+    n = draw(st.integers(1, 4))
+    gates = []
+    for _ in range(draw(st.integers(0, 8))):
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["cnot", "swap", "1q"]))
+        if kind == "1q" or a == b:
+            try:
+                gates.append(one_qubit(draw(labels), a))
+            except ValueError:
+                pass
+        else:
+            gates.append((cnot if kind == "cnot" else swap_gate)(a, b))
+    return Circuit(n, gates)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(built_circuits())
+def test_built_circuits_round_trip_through_the_file_format(c):
+    assert parse_circuit(format_circuit(c)) == c
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(labels)
+def test_one_qubit_accepts_exactly_the_labels_that_round_trip(label):
+    try:
+        parsed = parse_circuit(f"qubits 1\n1q {label} 0\n").gates
+    except CircuitFormatError:
+        parsed = None
+    try:
+        gate = one_qubit(label, 0)
+    except ValueError:
+        assert parsed != [Gate(ONEQ, 0, -1, label)]
+    else:
+        assert parsed == [gate]
+
+
+@st.composite
+def circuit_files(draw):
+    """Well-formed circuit text on 1-3 wires."""
+    n = draw(st.integers(1, 3))
+    lines = [f"qubits {n}"]
+    for _ in range(draw(st.integers(0, 6))):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if a == b:
+            lines.append(f"1q {draw(st.sampled_from(['H', 'T']))} {a}")
+        else:
+            lines.append(f"{draw(st.sampled_from(['cnot', 'swap']))} {a} {b}")
+    return "\n".join(lines) + "\n"
+
+
+line3 = {"name": "line3", "nodes": NAMES, "edges": [["A", "B"], ["B", "C"]],
+         "initial_mapping": [["w1", "C"], ["w2", "A"], ["w3", "B"]]}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(arch=mostly(st.just(line3), mostly(arch_docs, json_values)),
+       circuit=mostly(circuit_files(), circuit_texts),
+       mapping=mostly(st.none(), mostly(pairs, json_values)),
+       routed=st.none() | circuit_texts,
+       out_mapping=st.none() | mostly(pairs, json_values))
+def test_cli_route_and_verify_exit_cleanly_on_generated_files(arch, circuit, mapping,
+                                                              routed, out_mapping):
+    """``route`` then ``verify``, each on its own outputs unless replaced."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+
+        def put(name, text):
+            (d / name).write_text(text, encoding="utf-8")
+            return str(d / name)
+
+        arch_path = put("arch.json", json.dumps(arch))
+        circuit_path = put("circuit.txt", circuit)
+        argv = ["route", circuit_path, "--arch", arch_path,
+                "--out", str(d / "routed.txt"), "--report", str(d / "report.json")]
+        if mapping is not None:
+            argv += ["--mapping", put("mapping.json", json.dumps(mapping))]
+        assert main(argv) in (0, 1, 2)
+
+        if routed is not None or not (d / "routed.txt").exists():
+            put("routed.txt", routed or "")
+        if out_mapping is None and (d / "report.json").exists():
+            out_mapping = json.loads((d / "report.json").read_text())["output_mapping"]
+        argv = ["verify", circuit_path, str(d / "routed.txt"), "--arch", arch_path,
+                "--out-mapping", put("out.json", json.dumps(out_mapping))]
+        if mapping is not None:
+            argv += ["--in-mapping", str(d / "mapping.json")]
+        assert main(argv) in (0, 1, 2)

@@ -1,10 +1,11 @@
 """One-pass pricing of every root against replaying each root's schedule.
 
 ``reduction_costs`` prices a terminal set's Steiner tree at all requested
-roots from directed-edge values shared between roots.  The oracle here is the replay it
-replaces: root the tree with ``gen_steiner``, run the schedule through
-``apply_schedule_tracked`` and ``apply_recovery`` on a copy of the rows,
-and add the recovery weight to ``schedule_cost``.  States come from
+roots from directed-edge values shared between roots.  The oracle here
+is the replay it replaces: root the tree (``gen_steiner``, or the
+``ReductionTree`` constructor on a hand-built adjacency), run
+``tree_reduce_tracked`` and ``reduction_recovery`` on a copy of the row
+graph, and weigh the ops they log.  States come from
 random row-op walks from the identity (many unit rows, so tracking and
 undo stops fire often) and from every stage of a greedy reduction that
 the replay itself drives.  Long synthetic paths and caterpillars check
@@ -12,23 +13,27 @@ that tree depth is not limited by recursion.
 """
 
 import random
+from types import SimpleNamespace
 
 from cnotroute.arch import ReductionTree, gen_steiner, steiner_entry
 from cnotroute.gf2 import invert, vec_support
 from cnotroute.heuristic import _reduce_pair
-from cnotroute.rowgraph import (SWAP, apply_recovery, apply_schedule_tracked,
-                                reduction_costs)
+from cnotroute.rowgraph import (SWAP, RowGraph, reduction_costs,
+                                reduction_recovery, tree_reduce_tracked)
 
-from conftest import random_connected_graph, random_reversible_rowgraph
+from conftest import (non_unit_nodes, random_connected_graph,
+                      random_reversible_rowgraph)
 
 
 def _replay(rows, tree):
-    work = list(rows)
-    ops, tracked = apply_schedule_tracked(work, tree.schedule, tree.root)
-    total = tree.schedule_cost
-    for kind, _, _ in apply_recovery(work, ops, tracked):
-        total += 3 if kind == SWAP else 1
-    return total
+    """Op weight of reducing along ``tree`` and recovering, on a copy of ``rows``.
+
+    The row graph's architecture only bounds the op indices, so a
+    stand-in holding the node count serves trees of any size.
+    """
+    rg = RowGraph(SimpleNamespace(n=len(rows)), rows)
+    reduction_recovery(rg, *tree_reduce_tracked(rg, tree))
+    return sum(3 if kind == SWAP else 1 for kind, _, _ in rg.op_log)
 
 
 def _check_state(rg):
@@ -54,7 +59,7 @@ def _check_state(rg):
 def _commit_cheapest(rg, prices):
     """Commit the cheapest non-basic replayed pair, lowest (node, basis) first."""
     inv = invert(rg.matrix())
-    non_unit = set(rg.non_unit_nodes())
+    non_unit = set(non_unit_nodes(rg))
     price, u, e = min((p, u, e) for (u, e), p in prices.items() if u in non_unit)
     _reduce_pair(rg, u, e, inv.rows[e])
 
@@ -72,43 +77,37 @@ def test_every_root_equals_the_replay():
                 prices = _check_state(rg)
                 samples += len(prices)
                 states += 1
-                if rg.is_basic():
+                if not non_unit_nodes(rg):
                     break
                 _commit_cheapest(rg, prices)
     assert states > 1000
     assert samples >= 50_000, samples
 
 
-def _random_rows(rng, tree, ops):
-    """Identity rows scrambled by random additions along tree edges."""
+def _random_rows(rng, tree, terminals, ops):
+    """Identity rows scrambled by random additions along tree edges.
+
+    One terminal row is then corrected so that the terminal rows XOR to
+    e_0, as the rows of a support of the inverse do.
+    """
     rows = [1 << i for i in range(len(tree))]
     edges = [(a, b) for a, nbs in tree.items() for b in nbs]
     for _ in range(ops):
         a, b = rng.choice(edges)
         rows[a] ^= rows[b]
+    acc = 0
+    for t in terminals:
+        acc ^= rows[t]
+    rows[min(terminals)] ^= acc ^ 1
     return rows
 
 
-def _rooted_parents(tree, root):
-    parent = {}
-    order = [root]
-    seen = {root}
-    for x in order:
-        for y in tree[x]:
-            if y not in seen:
-                seen.add(y)
-                parent[y] = x
-                order.append(y)
-    return parent
-
-
 def _check_long_tree(rng, tree, terminals, roots):
-    rows = _random_rows(rng, tree, 3 * len(tree))
+    rows = _random_rows(rng, tree, terminals, 3 * len(tree))
     roots = roots + rng.sample(sorted(terminals), 6)
     got = reduction_costs(rows, tree, frozenset(tree) - terminals, roots)
     for root, price in zip(roots, got):
-        rooted = ReductionTree(root, _rooted_parents(tree, root), terminals)
-        assert price == _replay(rows, rooted)
+        assert price == _replay(rows, ReductionTree(tree, terminals, root))
 
 
 def test_long_path_prices_without_recursion():

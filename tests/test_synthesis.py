@@ -17,7 +17,7 @@ from cnotroute.synthesis import (RoutedResult, RouteStats, complies,
                                  route_cnot_block, route_general,
                                  verify_equivalence, _cancel_pairs)
 
-from conftest import check, random_connected_graph
+from conftest import bits_of, check, matrix, random_connected_graph
 
 
 P_BITS = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [1, 0, 1, 1]]
@@ -38,7 +38,7 @@ MT_BITS = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
 
 def test_circuit_to_matrix_worked_example():
-    assert linear_matrix(EXAMPLE_GATES, 4).to_bits() == P_BITS
+    assert bits_of(linear_matrix(EXAMPLE_GATES, 4)) == P_BITS
 
 
 def test_circuit_to_matrix_empty_and_involution():
@@ -80,10 +80,10 @@ def test_linear_matrix_is_the_product_of_elementary_matrices(case):
 
 
 def test_factorization_fixture():
-    product = BitMatrix.from_bits(MT_BITS)
+    product = matrix(MT_BITS)
     for bits in reversed(FACTORS):
-        product = mat_mul(BitMatrix.from_bits(bits), product)
-    assert product.to_bits() == PT_BITS
+        product = mat_mul(matrix(bits), product)
+    assert bits_of(product) == PT_BITS
 
 
 def test_route_single_adjacent_cnot():
@@ -104,7 +104,7 @@ def test_route_worked_example(path4):
     for w in range(4):
         perm.rows[r.output_mapping[w]] = 1 << w
     assert linear_matrix(r.circuit.gates, 4) == \
-        mat_mul(perm, BitMatrix.from_bits(P_BITS))
+        mat_mul(perm, matrix(P_BITS))
     post = postprocess(r)
     assert post.stats.cnots_final <= 7
     assert verify_equivalence(c, post, path4)
