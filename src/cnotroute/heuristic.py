@@ -38,16 +38,18 @@ Tied cheapest entries are broken by look-ahead, scored by the loss of
 each candidate's resulting state; the smallest (loss, candidate index)
 wins, the first strict minimum in candidate order.  Most candidates
 lose, and a column-minimum bound (the standard lower bound of the
-linear assignment problem) proves it before they are fully priced:
-``reduction_costs`` adds non-negative recovery weights to the schedule
-weight |V| - 1 + 2|S| of a column's tree, and each column is assigned
-exactly one row, so a trial's loss is at least the sum of its priced
-columns' minima plus its unpriced columns' schedule weights.  Every
-candidate is first trial-run and recorded (ops, rows, carried columns)
-to give its bound before pricing; candidates are then priced in
-ascending (bound, index) order, and pricing stops, skipping the
-assignment, once the bound shows the candidate cannot beat the best
-(loss, index) so far.  The winner is never cut short, so its full block
+linear assignment problem) proves it before they are fully priced.  No
+entry of a column is below |V| - 1 + 2|S| + U: its tree's schedule
+weight plus one recovery op for each of the U terminals that have two
+or more tree neighbours and hold a unit row (proved in
+``reduction_costs``).  Each column is assigned exactly one row, so a
+trial's loss is at least the sum of its priced columns' minima plus its
+unpriced columns' bounds.  Every candidate is first trial-run and
+recorded (ops, rows, carried columns) to give its bound before pricing;
+candidates are then priced in ascending (bound, index) order, and
+pricing stops, skipping the assignment, once the bound shows the
+candidate cannot beat the best (loss, index) so far.  A lone candidate
+needs no bound.  The winner is never cut short, so its full block
 serves the next iteration, and it is committed from its record rather
 than reduced again.  The committed ops are exactly the unpruned ones.
 """
@@ -159,36 +161,57 @@ def _apply_to_columns(cols: List[int], ops: Sequence[RowOp]) -> None:
 
 
 def _open_columns(graph: ArchGraph, cols: Sequence[int]) -> list:
-    """(basis index, support, grown tree, Steiner points, weight) per open column.
+    """(basis index, support, grown tree, Steiner points) per open column.
 
     ``cols`` is the column form of the inverse, as ``_inverse_columns``
     gives and ``_apply_to_columns`` carries; transposed, it gives each
     inverse row, the support.  A column is open when its support has at
-    least two nodes; columns ascend.  The weight is the tree's schedule
-    weight |V| - 1 + 2|S|, the least entry any root of it can be priced
-    at.
+    least two nodes; columns ascend.
     """
     opened = []
     for e, sup in enumerate(transpose(BitMatrix(graph.n, cols)).rows):
         if sup & (sup - 1):
             grown, steiner, _ = steiner_entry(graph, sup)
-            opened.append((e, sup, grown, steiner, len(grown) - 1 + 2 * len(steiner)))
+            opened.append((e, sup, grown, steiner))
     return opened
 
 
+def _column_bounds(rows: Sequence[int], opened: list) -> List[int]:
+    """A lower bound on every entry of each open column: |V| - 1 + 2|S| + U.
+
+    ``opened`` is ``_open_columns`` of the inverse of ``rows``.  U counts
+    the terminals of the column's tree that have two or more neighbours
+    and hold a unit row.  ``reduction_costs`` proves the bound at every
+    root not so counted, and the block's roots hold non-unit rows.
+    """
+    basic = 0
+    for u, r in enumerate(rows):
+        if not r & (r - 1):
+            basic |= 1 << u
+    bounds = []
+    for _, sup, grown, steiner in opened:
+        weight = len(grown) - 1 + 2 * len(steiner)
+        for t in vec_support(sup & basic):
+            weight += len(grown[t]) > 1
+        bounds.append(weight)
+    return bounds
+
+
 def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
+                weights: Optional[List[int]] = None,
                 bound: Optional[int] = None) -> Optional[CostTable]:
     """The cost table restricted to non-basic nodes x unpinned basis indices.
 
     ``rows`` is a row-graph state on ``graph`` and ``opened`` is
-    ``_open_columns`` of the inverse of its matrix.  With
-    a ``bound``, returns None as soon as the block's minimum assignment
-    total provably exceeds it.  Each column is assigned exactly one row,
-    and every entry of a column is at least its tree's schedule weight
-    (``reduction_costs`` adds recovery weights, never negative), so the
-    total is at least the priced columns' minima plus the unpriced
-    columns' schedule weights.  Columns are priced heaviest schedule
-    first, which raises that lower bound fastest.
+    ``_open_columns`` of the inverse of its matrix.  With a ``bound``
+    and the columns' ``weights`` (``_column_bounds``), returns None as
+    soon as the block's minimum assignment total provably exceeds the
+    bound.  Each column is assigned exactly one row and no entry is below
+    its column's weight, so the total is at least the priced columns'
+    minima plus the unpriced columns' weights.  Columns are then priced
+    heaviest weight first, which raises that lower bound fastest.
+    Without a bound, columns are priced in order and ``weights`` is
+    unused.
     """
     n = graph.n
     # rows of an invertible matrix are nonzero, so r & (r - 1) == 0 means unit
@@ -198,14 +221,16 @@ def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
     for i, u in enumerate(nodes):
         position[u] = i
         nonbasic |= 1 << u
-    weights = [column[4] for column in opened]
-    low = sum(weights)
-    if bound is not None and low > bound:
-        return None
+    order = range(len(opened))
+    if bound is not None:
+        low = sum(weights)
+        if low > bound:
+            return None
+        order = sorted(order, key=weights.__getitem__, reverse=True)
     sentinel = infinite_cost(n)
     entries = [[sentinel] * len(nodes) for _ in nodes]
-    for j in sorted(range(len(opened)), key=weights.__getitem__, reverse=True):
-        _, sup, grown, steiner, _ = opened[j]
+    for j in order:
+        _, sup, grown, steiner = opened[j]
         # distinct unit rows XOR to weight |sup| >= 2, not to e_e, so at
         # least one node of the support is non-basic
         roots = vec_support(sup & nonbasic)
@@ -266,15 +291,17 @@ def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
     Price the open block once, then loop while it has non-basic nodes:
     shortlist the block's cheapest entries and break ties by look-ahead.
     Each candidate is trial-run (reduce, recover), its ops, rows and
-    carried columns are recorded, its open columns' trees give a lower
-    bound on its loss, and the state is rolled back.  Candidates are
-    then scored in ascending (bound, index) order, each priced from its
-    recorded rows, and the smallest (loss, index) wins: the first strict
-    minimum in candidate order, candidates being ordered by (node,
-    basis).  A candidate whose bound shows it cannot beat the best so
-    far (see ``_open_block``) is neither priced in full nor assigned, so
-    pruning never changes the winner.  A lone candidate takes the same
-    path and skips only the assignment, whose loss would decide nothing.
+    carried columns are recorded, its open columns' bounds (schedule
+    weight plus unit-row interior terminals, see ``_column_bounds``) sum
+    to a lower bound on its loss, and the state is rolled back.
+    Candidates are then scored in ascending (bound, index) order, each
+    priced from its recorded rows, and the smallest (loss, index) wins:
+    the first strict minimum in candidate order, candidates being
+    ordered by (node, basis).  A candidate whose bound shows it cannot
+    beat the best so far (see ``_open_block``) is neither priced in full
+    nor assigned, so pruning never changes the winner.  A lone candidate
+    takes the same path and skips only its bounds and the assignment,
+    which would decide nothing.
     The winner is committed from its record, rows restored and ops
     appended, and its trial block and columns serve the next iteration.
     Each commit makes at least one more node basic, so the loop runs at
@@ -288,26 +315,29 @@ def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
         mark = rg.mark()
         base = list(rg.rows)
         trials = []
-        for index, (u, e, sup) in enumerate(_cheapest(block)):
+        candidates = _cheapest(block)
+        for index, (u, e, sup) in enumerate(candidates):
             _reduce_pair(rg, u, e, sup)
             ops = rg.op_log[mark:]
             trial_cols = list(cols)
             _apply_to_columns(trial_cols, ops)
             opened = _open_columns(rg.graph, trial_cols)
-            low = sum(column[4] for column in opened)
-            trials.append((low, index, ops, list(rg.rows), trial_cols, opened))
+            # a lone candidate wins unpriced by any bound, so it needs none
+            weights = _column_bounds(rg.rows, opened) if len(candidates) > 1 else None
+            trials.append((sum(weights or ()), index, ops, list(rg.rows), trial_cols,
+                           opened, weights))
             rg.rows[:] = base
             del rg.op_log[mark:]
         trials.sort(key=lambda t: t[:2])
         best = None
-        for low, index, ops, rows, trial_cols, opened in trials:
+        for low, index, ops, rows, trial_cols, opened, weights in trials:
             bound = None
             if best is not None:
                 # a later index must win outright, an earlier one may tie
                 bound = best[0] - (index > best[1])
                 if low > bound:
                     break  # every later trial's (bound, index) is larger
-            trial = _open_block(rg.graph, rows, opened, bound)
+            trial = _open_block(rg.graph, rows, opened, weights, bound)
             if trial is not None:
                 # a lone trial wins whatever its loss
                 trial_loss = hungarian_assign(trial).total if len(trials) > 1 else 0

@@ -128,6 +128,22 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
     first child is handed back exactly s(x1) = s(c) ^ s(xm) ^ ... ^
     s(x2)), so each subtree's recovery depends on one entering bit.
 
+    Lower bound: root r costs at least |V| - 1 + 2|S| + U, where U
+    counts the terminals other than r that have two or more neighbours
+    and hold a unit row.  The schedule weighs |V| - 1 + 2|S| at every
+    root (one op per edge, a SWAP per Steiner point).  Such a terminal t
+    has a child, as only one neighbour is its parent.  Terminals are
+    never SWAP parents, and t's row changes only through its own ADDs
+    until t's own op, which follows them; so its first ADD sees the
+    unit input row and ``tree_reduce_tracked`` tracks t.  A mark moves
+    only by the SWAP of a Steiner parent's first child, which is the
+    parent's first op, so marks never merge and the U marks are still
+    distinct after the schedule.  Replaying backwards,
+    ``reduction_recovery`` spends at least one op per mark: an ADD on
+    the marked node, or the SWAP that hands the mark back to a child
+    that holds none.  ``heuristic`` bounds its cost-table columns by
+    this.
+
     Edge values are memoized at branch nodes, where roots share them;
     along paths they are recomputed, which is cheaper on small trees
     than any bookkeeping.  A tree of more than ``_RECURSIVE_NODES``
@@ -183,6 +199,7 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
             s, f, r0, r1 = hand(r, x)
             total += r1 if f else r0
         out.append(total)
+    hand = None  # hand's closure cell holds hand: break the cycle so refcounting frees the memo
     return out
 
 

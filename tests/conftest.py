@@ -70,6 +70,14 @@ def random_reversible_rowgraph(rng: random.Random, graph: ArchGraph,
     return rg
 
 
+def entry_bound(rows, grown, steiner) -> int:
+    """|V| - 1 + 2|S| + U for a grown tree: U counts its terminals with two
+    or more neighbours that hold a unit row."""
+    interior = sum(1 for t, nbs in grown.items()
+                   if t not in steiner and len(nbs) >= 2 and is_unit(rows[t]))
+    return len(grown) - 1 + 2 * len(steiner) + interior
+
+
 def non_unit_nodes(rg: RowGraph) -> list:
     """Nodes whose row is not a standard basis vector, ascending."""
     return [u for u, r in enumerate(rg.rows) if not is_unit(r)]

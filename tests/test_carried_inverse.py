@@ -15,7 +15,7 @@ from cnotroute.gf2 import BitMatrix, SingularMatrixError, invert, transpose
 from cnotroute.heuristic import heuristic_token_reduction
 from cnotroute.rowgraph import SWAP, RowGraph
 
-from conftest import (non_unit_nodes, random_connected_graph,
+from conftest import (entry_bound, non_unit_nodes, random_connected_graph,
                       random_reversible_rowgraph)
 
 
@@ -30,7 +30,7 @@ def _fresh_supports(graph, rows):
 
 
 def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):
-    counts = {"carried": 0, "trials": 0, "priced": 0, "swaps": 0}
+    counts = {"carried": 0, "trials": 0, "priced": 0, "bounded": 0, "swaps": 0}
     state = {}
     carry = heuristic._apply_to_columns
     price = heuristic._open_block
@@ -42,12 +42,14 @@ def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):
         counts["carried"] += 1
         counts["swaps"] += sum(kind == SWAP for kind, _, _ in ops)
 
-    def price_checked(graph, rows, opened, bound=None):
-        assert [(e, sup) for e, sup, _, _, _ in opened] == _fresh_supports(graph, rows)
-        for _, _, grown, steiner, weight in opened:
-            assert weight == len(grown) - 1 + 2 * len(steiner)
+    def price_checked(graph, rows, opened, weights=None, bound=None):
+        assert [(e, sup) for e, sup, _, _ in opened] == _fresh_supports(graph, rows)
+        if weights is not None:
+            assert weights == [entry_bound(rows, grown, steiner)
+                               for _, _, grown, steiner in opened]
+            counts["bounded"] += 1
         counts["priced"] += 1
-        return price(graph, rows, opened, bound)
+        return price(graph, rows, opened, weights, bound)
 
     def pick_counted(block):
         found = pick(block)
@@ -70,7 +72,7 @@ def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):
     commits = counts["carried"] - counts["trials"]
     assert counts["trials"] > 1000 and commits > 250
     assert counts["swaps"] > 100
-    assert counts["priced"] > 1000
+    assert counts["priced"] > 1000 and counts["bounded"] > 500
 
 
 def test_singular_inputs_raise_basic_or_not():

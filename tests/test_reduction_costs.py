@@ -12,16 +12,17 @@ the replay itself drives.  Long synthetic paths and caterpillars check
 that tree depth is not limited by recursion.
 """
 
+import gc
 import random
 from types import SimpleNamespace
 
 from cnotroute.arch import ReductionTree, gen_steiner, steiner_entry
-from cnotroute.gf2 import invert, vec_support
+from cnotroute.gf2 import invert, is_unit, vec_support
 from cnotroute.heuristic import _reduce_pair
 from cnotroute.rowgraph import (SWAP, RowGraph, reduction_costs,
                                 reduction_recovery, tree_reduce_tracked)
 
-from conftest import (non_unit_nodes, random_connected_graph,
+from conftest import (entry_bound, non_unit_nodes, random_connected_graph,
                       random_reversible_rowgraph)
 
 
@@ -36,9 +37,12 @@ def _replay(rows, tree):
     return sum(3 if kind == SWAP else 1 for kind, _, _ in rg.op_log)
 
 
-def _check_state(rg):
+def _check_state(rg, stats):
     """Compare every (column, root in its support) of one state.
 
+    Every root must also cost at least the column's lower bound
+    ``entry_bound``, less one if the root itself is a unit-row terminal
+    with two or more neighbours, which the bound does not count.
     Returns the replayed prices by (node, basis).
     """
     g = rg.graph
@@ -50,9 +54,14 @@ def _check_state(rg):
         grown, steiner, _ = steiner_entry(g, inv.rows[e])
         want = [_replay(rows, gen_steiner(g, sup, u)) for u in sup]
         assert reduction_costs(rows, grown, steiner, sup) == want
+        low = entry_bound(rows, grown, steiner)
         for u, price in zip(sup, want):
             assert reduction_costs(rows, grown, steiner, [u]) == [price]
             prices[u, e] = price
+            least = low - (is_unit(rows[u]) and len(grown[u]) >= 2)
+            assert price >= least, (u, e)
+            stats["tight"] += price == least
+            stats["interior"] += least > len(grown) - 1 + 2 * len(steiner)
     return prices
 
 
@@ -68,13 +77,14 @@ def test_every_root_equals_the_replay():
     rng = random.Random(4099)
     samples = 0
     states = 0
+    stats = {"tight": 0, "interior": 0}
     for n in range(1, 15):
         for _ in range(12 + 3 * n):
             g = random_connected_graph(rng, n, extra=rng.randrange(n + 1))
             walk = rng.randrange(0, 3 * n + 1) if n > 1 else 0
             rg = random_reversible_rowgraph(rng, g, walk)
             while True:
-                prices = _check_state(rg)
+                prices = _check_state(rg, stats)
                 samples += len(prices)
                 states += 1
                 if not non_unit_nodes(rg):
@@ -82,6 +92,8 @@ def test_every_root_equals_the_replay():
                 _commit_cheapest(rg, prices)
     assert states > 1000
     assert samples >= 50_000, samples
+    # the bound was met exactly, and raised by U, many times
+    assert stats["tight"] > 10_000 and stats["interior"] > 1000, stats
 
 
 def _random_rows(rng, tree, terminals, ops):
@@ -135,3 +147,19 @@ def test_long_caterpillar_prices_without_recursion():
     terminals = frozenset({0, spine - 1} | {x for x in tree if len(tree[x]) == 1
                                             or rng.random() < 0.4})
     _check_long_tree(rng, tree, terminals, [0, spine - 1])
+
+
+def test_pricing_leaves_no_garbage_cycles():
+    """Each call's memo is freed by reference counting, not by the cyclic GC."""
+    tree = {0: (1,), 1: (0, 2, 3), 2: (1,), 3: (1, 4), 4: (3,)}
+    rows = [0b00011, 0b00110, 0b00100, 0b01000, 0b01110]
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            reduction_costs(rows, tree, frozenset({1}), [0, 2, 3, 4])
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
