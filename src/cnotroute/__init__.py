@@ -1,4 +1,4 @@
-"""CNOT circuit synthesis and qubit routing via token reduction on row graphs."""
+"""CNOT circuit synthesis and qubit routing via token reduction on parity-matrix rows."""
 
 from .arch import (ArchGraph, DisconnectedGraphError, floyd_warshall_with_path,
                    gen_steiner, get_architecture, list_architectures,
@@ -11,8 +11,7 @@ from .gf2 import (BitMatrix, SingularMatrixError, invert, mat_mul, row_add,
                   transpose)
 from .heuristic import (Assignment, CostTable, build_cost_table,
                         heuristic_token_reduction, hungarian_assign, loss)
-from .rowgraph import (ReductionError, RowGraph, reduction_recovery,
-                       tree_reduce_tracked)
+from .rowgraph import ReductionError, reduction_recovery, tree_reduce_tracked
 from .synthesis import (RoutedResult, RouteStats, complies,
                         equivalence_failure, linear_matrix, postprocess,
                         route_cnot_block, route_general, verify_equivalence)
@@ -23,8 +22,8 @@ __all__ = [
     "ArchGraph", "Assignment", "BenchConfig", "BenchReport", "BitMatrix",
     "Circuit", "CircuitFormatError", "CostTable", "DisconnectedGraphError",
     "Gate", "Mapping", "ReductionError", "RoutedResult", "RouteStats",
-    "RowGraph", "SingularMatrixError", "build_cost_table", "cnot",
-    "complies", "equivalence_failure", "floyd_warshall_with_path",
+    "SingularMatrixError", "build_cost_table", "cnot", "complies",
+    "equivalence_failure", "floyd_warshall_with_path",
     "format_circuit", "gen_steiner", "get_architecture",
     "heuristic_token_reduction", "hungarian_assign", "invert",
     "linear_matrix", "list_architectures", "load_arch_file", "loss",

@@ -115,11 +115,6 @@ class ArchGraph:
             seen.add(key)
             norm.append(key)
         self.edges: FrozenSet[Tuple[int, int]] = frozenset(norm)
-        adj: List[List[int]] = [[] for _ in range(n)]
-        for u, v in norm:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
         self.dist, self.succ = floyd_warshall_with_path(n, norm)
         # ball[t][d]: mask of the nodes within distance d of t, for d up to
         # the diameter, where every ball is the whole graph

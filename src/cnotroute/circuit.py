@@ -182,10 +182,11 @@ def format_circuit(c: Circuit) -> str:
 
 
 def load_json(text: str, source: str, error: type):
-    """``json.loads``, raising ``error`` for malformed or too deeply nested text."""
+    """``json.loads``, raising ``error`` for malformed text, too deep nesting
+    or an integer with more digits than Python converts."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise error(f"{source}: not valid JSON: {exc}") from exc
 
 

@@ -63,8 +63,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .arch import ArchGraph, _rooted_tree, steiner_entry
 from .gf2 import BitMatrix, SingularMatrixError, invert, transpose, vec_support
-from .rowgraph import (ADD, RowGraph, RowOp, reduction_costs,
-                       reduction_recovery, tree_reduce_tracked)
+from .rowgraph import (ADD, RowOp, reduction_costs, reduction_recovery,
+                       tree_reduce_tracked)
 
 
 class AssignmentError(ValueError):
@@ -114,17 +114,15 @@ class Assignment:
     total: int
 
 
-def build_cost_table(rg: RowGraph) -> CostTable:
-    """All n^2 reduction costs; the row graph is left unchanged."""
-    graph = rg.graph
+def build_cost_table(graph: ArchGraph, rows: Sequence[int]) -> CostTable:
+    """All n^2 reduction costs of ``rows``, one per node; ``rows`` is left unchanged."""
     n = graph.n
-    inv = invert(rg.matrix())
+    inv = invert(BitMatrix(n, rows))
     if inv is None:
-        raise SingularMatrixError("row graph is not reversible")
+        raise SingularMatrixError("rows are not reversible")
     sentinel = infinite_cost(n)
     entries = [[sentinel] * n for _ in range(n)]
     supports = []
-    rows = rg.rows
     for e in range(n):
         sup = inv.rows[e]
         supports.append(sup)
@@ -143,11 +141,14 @@ def build_cost_table(rg: RowGraph) -> CostTable:
                      tuple(supports))
 
 
-def _inverse_columns(rg: RowGraph) -> List[int]:
-    """Column form of the inverse: per node u, the mask of e with u in inv[e]."""
-    inv = invert(rg.matrix())
+def _inverse_columns(n: int, rows: Sequence[int]) -> List[int]:
+    """Column form of the inverse: per node u, the mask of e with u in inv[e].
+
+    ``rows`` must hold exactly ``n`` rows.
+    """
+    inv = invert(BitMatrix(n, rows))
     if inv is None:
-        raise SingularMatrixError("row graph is not reversible")
+        raise SingularMatrixError("rows are not reversible")
     return transpose(inv).rows
 
 
@@ -202,7 +203,7 @@ def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
                 bound: Optional[int] = None) -> Optional[CostTable]:
     """The cost table restricted to non-basic nodes x unpinned basis indices.
 
-    ``rows`` is a row-graph state on ``graph`` and ``opened`` is
+    ``rows`` holds one row per node of ``graph`` and ``opened`` is
     ``_open_columns`` of the inverse of its matrix.  With a ``bound``
     and the columns' ``weights`` (``_column_bounds``), returns None as
     soon as the block's minimum assignment total provably exceeds the
@@ -224,8 +225,6 @@ def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
     order = range(len(opened))
     if bound is not None:
         low = sum(weights)
-        if low > bound:
-            return None
         order = sorted(order, key=weights.__getitem__, reverse=True)
     sentinel = infinite_cost(n)
     entries = [[sentinel] * len(nodes) for _ in nodes]
@@ -263,10 +262,10 @@ def hungarian_assign(table: CostTable) -> Assignment:
     return Assignment(tuple(by_node), total)
 
 
-def loss(rg: RowGraph) -> int:
-    """Total cost of the cheapest node-to-basis assignment."""
-    opened = _open_columns(rg.graph, _inverse_columns(rg))
-    return hungarian_assign(_open_block(rg.graph, rg.rows, opened)).total
+def loss(graph: ArchGraph, rows: Sequence[int]) -> int:
+    """Total cost of the cheapest node-to-basis assignment of ``rows``."""
+    opened = _open_columns(graph, _inverse_columns(graph.n, rows))
+    return hungarian_assign(_open_block(graph, rows, opened)).total
 
 
 def _cheapest(block: CostTable) -> List[Tuple[int, int, int]]:
@@ -279,21 +278,25 @@ def _cheapest(block: CostTable) -> List[Tuple[int, int, int]]:
             for j, c in enumerate(r) if c == best]
 
 
-def _reduce_pair(rg: RowGraph, u: int, e: int, mask: int) -> None:
-    tree = _rooted_tree(rg.graph, mask, u)
-    ops, tracked = tree_reduce_tracked(rg, tree)
-    reduction_recovery(rg, ops, tracked)
+def _reduce_pair(graph: ArchGraph, rows: List[int], u: int, mask: int) -> List[RowOp]:
+    """Reduce ``rows`` in place at u along the tree of ``mask``, then recover.
+
+    Returns the ops run, reduction then recovery.
+    """
+    ops, tracked = tree_reduce_tracked(rows, _rooted_tree(graph, mask, u))
+    return [*ops, *reduction_recovery(rows, ops, tracked)]
 
 
-def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
-    """Reduce the row graph to basic form, greedily and with look-ahead.
+def heuristic_token_reduction(graph: ArchGraph, rows: List[int]) -> List[RowOp]:
+    """Reduce ``rows`` to basic form in place, greedily and with look-ahead.
 
+    ``rows`` holds one row per node of ``graph``; returns the ops run.
     Price the open block once, then loop while it has non-basic nodes:
     shortlist the block's cheapest entries and break ties by look-ahead.
-    Each candidate is trial-run (reduce, recover), its ops, rows and
-    carried columns are recorded, its open columns' bounds (schedule
-    weight plus unit-row interior terminals, see ``_column_bounds``) sum
-    to a lower bound on its loss, and the state is rolled back.
+    Each candidate is trial-run (reduce, recover) on its own copy of the
+    rows, and its ops, rows and carried columns are recorded; its open
+    columns' bounds (schedule weight plus unit-row interior terminals,
+    see ``_column_bounds``) sum to a lower bound on its loss.
     Candidates are then scored in ascending (bound, index) order, each
     priced from its recorded rows, and the smallest (loss, index) wins:
     the first strict minimum in candidate order, candidates being
@@ -302,48 +305,45 @@ def heuristic_token_reduction(rg: RowGraph) -> List[RowOp]:
     nor assigned, so pruning never changes the winner.  A lone candidate
     takes the same path and skips only its bounds and the assignment,
     which would decide nothing.
-    The winner is committed from its record, rows restored and ops
-    appended, and its trial block and columns serve the next iteration.
-    Each commit makes at least one more node basic, so the loop runs at
-    most n times.  The inversion on entry is the only singularity check;
-    it raises ``SingularMatrixError``, basic or not.
+    The winner is committed from its record, its rows copied in and its
+    ops appended, and its trial block and columns serve the next
+    iteration.  Each commit makes at least one more node basic, so the
+    loop runs at most n times.  The inversion on entry is the only
+    singularity check; it raises ``SingularMatrixError``, basic or not,
+    and a ``ValueError`` if there is not one row per node.
     """
-    cols = _inverse_columns(rg)
-    start = rg.mark()
-    block = _open_block(rg.graph, rg.rows, _open_columns(rg.graph, cols))
+    cols = _inverse_columns(graph.n, rows)
+    block = _open_block(graph, rows, _open_columns(graph, cols))
+    out: List[RowOp] = []
     while block.nodes:
-        mark = rg.mark()
-        base = list(rg.rows)
         trials = []
         candidates = _cheapest(block)
-        for index, (u, e, sup) in enumerate(candidates):
-            _reduce_pair(rg, u, e, sup)
-            ops = rg.op_log[mark:]
+        for index, (u, _, sup) in enumerate(candidates):
+            trial_rows = list(rows)
+            ops = _reduce_pair(graph, trial_rows, u, sup)
             trial_cols = list(cols)
             _apply_to_columns(trial_cols, ops)
-            opened = _open_columns(rg.graph, trial_cols)
+            opened = _open_columns(graph, trial_cols)
             # a lone candidate wins unpriced by any bound, so it needs none
-            weights = _column_bounds(rg.rows, opened) if len(candidates) > 1 else None
-            trials.append((sum(weights or ()), index, ops, list(rg.rows), trial_cols,
+            weights = _column_bounds(trial_rows, opened) if len(candidates) > 1 else None
+            trials.append((sum(weights or ()), index, ops, trial_rows, trial_cols,
                            opened, weights))
-            rg.rows[:] = base
-            del rg.op_log[mark:]
         trials.sort(key=lambda t: t[:2])
         best = None
-        for low, index, ops, rows, trial_cols, opened, weights in trials:
+        for low, index, ops, trial_rows, trial_cols, opened, weights in trials:
             bound = None
             if best is not None:
                 # a later index must win outright, an earlier one may tie
                 bound = best[0] - (index > best[1])
                 if low > bound:
                     break  # every later trial's (bound, index) is larger
-            trial = _open_block(rg.graph, rows, opened, weights, bound)
+            trial = _open_block(graph, trial_rows, opened, weights, bound)
             if trial is not None:
                 # a lone trial wins whatever its loss
                 trial_loss = hungarian_assign(trial).total if len(trials) > 1 else 0
                 if best is None or (trial_loss, index) < best[:2]:
-                    best = (trial_loss, index, ops, rows, trial_cols, trial)
-        _, _, ops, rows, cols, block = best
-        rg.rows[:] = rows
-        rg.op_log.extend(ops)
-    return rg.op_log[start:]
+                    best = (trial_loss, index, ops, trial_rows, trial_cols, trial)
+        _, _, ops, best_rows, cols, block = best
+        rows[:] = best_rows
+        out.extend(ops)
+    return out

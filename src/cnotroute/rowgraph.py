@@ -1,19 +1,19 @@
-"""Row-graph state and its reduction primitives.
+"""Row lists and their reduction primitives.
 
-A row graph pairs an architecture graph with one matrix row per node.
-Node addition XORs an adjacent row in (one CNOT); a swap exchanges two
-adjacent rows (three CNOTs).  ``tree_reduce_tracked`` runs one
-reduction tree's schedule, leaving its root holding a standard basis
-vector, and ``reduction_recovery`` restores the unit vectors that
-schedule disturbed.  Both log the operations they run, so the
-synthesizer can emit them as a circuit.
+The synthesis state is a plain list holding one packed matrix row per
+architecture node.  Node addition XORs an adjacent row in (one CNOT); a
+swap exchanges two adjacent rows (three CNOTs).  ``tree_reduce_tracked``
+runs one reduction tree's schedule, leaving its root holding a standard
+basis vector, and ``reduction_recovery`` restores the unit vectors that
+schedule disturbed.  Both change the row list in place and return the
+operations they ran, so the synthesizer can emit them as a circuit.
 
 A row operation is a plain ``(kind, a, b)`` tuple, everywhere from a
-tree's schedule to the op log and the synthesizer's result.  ``(ADD, a,
-b)`` means row a ^= row b, and is emitted as one CNOT with control a
-and target b.  ``(SWAP, a, b)`` exchanges rows a and b; in a tree's
-schedule a is the tree child and b its parent.  Both are self-inverse,
-so undoing a log replays it backwards.
+tree's schedule to the synthesizer's result.  ``(ADD, a, b)`` means row
+a ^= row b, and is emitted as one CNOT with control a and target b.
+``(SWAP, a, b)`` exchanges rows a and b; in a tree's schedule a is the
+tree child and b its parent.  Both are self-inverse, so undoing a list
+of ops replays it backwards.
 
 ``reduction_costs`` gives the weight that reduction and recovery would
 spend along one Steiner tree at each of many roots, without running
@@ -25,39 +25,14 @@ from __future__ import annotations
 
 from typing import List, Sequence, Set, Tuple
 
-from .arch import ADD, SWAP, ArchGraph, ReductionTree
-from .gf2 import BitMatrix, is_unit
+from .arch import ADD, SWAP, ReductionTree
+from .gf2 import is_unit
 
 RowOp = Tuple[str, int, int]  # (kind, a, b), as above
 
 
 class ReductionError(ValueError):
     """Raised when a reduction precondition does not hold."""
-
-
-class RowGraph:
-    """Mutable synthesis state: one packed row per architecture node."""
-
-    __slots__ = ("graph", "rows", "op_log")
-
-    def __init__(self, graph: ArchGraph, rows: Sequence[int]):
-        if len(rows) != graph.n:
-            raise ValueError("need exactly one row per node")
-        self.graph = graph
-        self.rows: List[int] = list(rows)
-        self.op_log: List[RowOp] = []
-
-    @classmethod
-    def from_matrix(cls, graph: ArchGraph, mat: BitMatrix) -> "RowGraph":
-        if mat.n != graph.n:
-            raise ValueError(f"matrix is {mat.n}x{mat.n}, graph has {graph.n} nodes")
-        return cls(graph, mat.rows)
-
-    def matrix(self) -> BitMatrix:
-        return BitMatrix(self.graph.n, self.rows)
-
-    def mark(self) -> int:
-        return len(self.op_log)
 
 
 def _hand_up(row: int, steiner: bool, below: list) -> tuple:
@@ -101,7 +76,7 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
     ascending neighbour tuple), ``steiner`` its non-terminal nodes and
     ``roots`` terminals.  Entry k equals the op weight (SWAP 3, ADD 1)
     that ``tree_reduce_tracked`` and then ``reduction_recovery`` would
-    log on a copy of ``rows``, reducing along the tree rooted at
+    run on a copy of ``rows``, reducing along the tree rooted at
     ``roots[k]``, without running either.
 
     The value of a directed edge p -> c depends only on c's side of the
@@ -203,19 +178,18 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
     return out
 
 
-def tree_reduce_tracked(rg: RowGraph,
+def tree_reduce_tracked(rows: List[int],
                         tree: ReductionTree) -> Tuple[Tuple[RowOp, ...], Set[int]]:
     """Post-order tree reduction, leaving f(root) holding the unit vector.
 
-    Runs and logs the tree's schedule.  Returns the ops run (the
-    schedule itself) and the set of nodes whose standard basis vectors
-    were disturbed and that ``reduction_recovery`` must restore.  SWAP
-    entries migrate membership from the child to the parent, following
-    the payload.  The root is never tracked: its row may pass through a
-    unit vector while the terminal contributions accumulate, and
-    recovery must not undo the reduction it serves.
+    Runs the tree's schedule on ``rows`` in place.  Returns the ops run
+    (the schedule itself) and the set of nodes whose standard basis
+    vectors were disturbed and that ``reduction_recovery`` must restore.
+    SWAP entries migrate membership from the child to the parent,
+    following the payload.  The root is never tracked: its row may pass
+    through a unit vector while the terminal contributions accumulate,
+    and recovery must not undo the reduction it serves.
     """
-    rows = rg.rows
     acc = 0
     for t in tree.terminals:
         acc ^= rows[t]
@@ -234,21 +208,20 @@ def tree_reduce_tracked(rg: RowGraph,
                 tracked.add(b)
                 tracked.discard(a)
             rows[a], rows[b] = rows[b], rows[a]
-    rg.op_log.extend(tree.schedule)
     return tree.schedule, tracked
 
 
-def reduction_recovery(rg: RowGraph, operations: Sequence[RowOp],
+def reduction_recovery(rows: List[int], operations: Sequence[RowOp],
                        tracked: Set[int]) -> List[RowOp]:
     """Restore every tracked node to a unit vector; returns the ops used.
 
-    Replays, in reverse, just the ops needed to restore tracked nodes.
+    Replays on ``rows``, in reverse, just the ops needed to restore
+    tracked nodes.
     """
-    n = rg.graph.n
+    n = len(rows)
     for kind, a, b in operations:
         if not (0 <= a < n and 0 <= b < n):
             raise ReductionError(f"operation {(kind, a, b)} targets a node outside the graph")
-    rows = rg.rows
     recover = []
     for kind, a, b in reversed(operations):
         if kind == ADD:
@@ -264,5 +237,4 @@ def reduction_recovery(rg: RowGraph, operations: Sequence[RowOp],
                 tracked.add(a)
                 tracked.discard(b)
                 recover.append((SWAP, a, b))
-    rg.op_log.extend(recover)
     return recover

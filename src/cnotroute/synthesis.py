@@ -1,9 +1,9 @@
 """End-to-end constrained synthesis, verification, and post-processing.
 
 A CNOT block is routed by composing its gates into a GF(2) matrix P,
-reducing the row graph carrying P's transpose to a permutation state,
-and emitting one CNOT per logged row addition (SWAPs stay atomic until
-post-processing picks an orientation).  The routed circuit equals the
+reducing the rows of P's transpose, one per node, to a permutation
+state, and emitting one CNOT per row addition that reduction runs (SWAPs
+stay atomic until post-processing picks an orientation).  The routed circuit equals the
 original up to the reported output mapping.
 
 One rule decides correctness for linear and mixed circuits alike.
@@ -27,7 +27,7 @@ from .arch import ArchGraph
 from .circuit import CNOT, ONEQ, SWAP, Circuit, Gate, Mapping, cnot, one_qubit, swap_gate
 from .gf2 import BitMatrix, transpose, unit_index
 from .heuristic import heuristic_token_reduction
-from .rowgraph import ADD, RowGraph
+from .rowgraph import ADD
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,11 @@ def route_cnot_block(c: Circuit, graph: ArchGraph, m0: Mapping) -> RoutedResult:
     if all(graph.is_edge(g.a, g.b) for g in relabeled):
         return RoutedResult(Circuit(n, relabeled), m0, m0,
                             RouteStats(weight_in, weight_in))
-    rg = RowGraph.from_matrix(graph, transpose(linear_matrix(relabeled, n)))
+    rows = transpose(linear_matrix(relabeled, n)).rows
     gates = [cnot(a, b) if kind == ADD else swap_gate(a, b)
-             for kind, a, b in heuristic_token_reduction(rg)]
+             for kind, a, b in heuristic_token_reduction(graph, rows)]
     holder = [0] * n
-    for u, row in enumerate(rg.rows):
+    for u, row in enumerate(rows):
         holder[unit_index(row)] = u
     mt = Mapping([holder[m0[w]] for w in range(n)])
     return RoutedResult(Circuit(n, gates), m0, mt,

@@ -12,7 +12,6 @@ import pytest
 from cnotroute.arch import ArchGraph
 from cnotroute.gf2 import BitMatrix, invert, is_unit, mat_mul, transpose, vec_support
 from cnotroute.heuristic import _inverse_columns
-from cnotroute.rowgraph import RowGraph
 
 CHECK = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
 
@@ -57,17 +56,52 @@ def grid_graph(rows: int, cols: int) -> ArchGraph:
     return ArchGraph(n, edges)
 
 
-def random_reversible_rowgraph(rng: random.Random, graph: ArchGraph,
-                               n_ops: int) -> RowGraph:
-    """Identity state scrambled by random adjacent row additions."""
-    rg = RowGraph.from_matrix(graph, BitMatrix.identity(graph.n))
+def heavy_hex_graph(rows: int, cols: int) -> ArchGraph:
+    """A heavy-hex lattice: a hexagonal lattice with one more node on every edge.
+
+    The hexagonal lattice is drawn as a brick wall: ``rows`` chains of
+    ``cols`` vertices, with vertex (r, c) joined to (r + 1, c) when
+    r + c is even.  Vertices are nodes r * cols + c; the node on each
+    edge follows them, so vertices have degree at most 3 and edge nodes
+    degree 2.
+    """
+    n = rows * cols
+    lattice = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    lattice += [(r * cols + c, (r + 1) * cols + c)
+                for r in range(rows - 1) for c in range(cols) if (r + c) % 2 == 0]
+    edges = []
+    for i, (a, b) in enumerate(lattice):
+        edges += [(a, n + i), (n + i, b)]
+    return ArchGraph(n + len(lattice), edges)
+
+
+def diagonal_grid_graph(rows: int, cols: int) -> ArchGraph:
+    """A Sycamore-style grid: each node couples to its diagonal neighbours.
+
+    Node (r, c) is r * cols + c.  It is joined to (r + 1, c), and to
+    (r + 1, c + 1) on even rows or (r + 1, c - 1) on odd rows: a square
+    lattice turned by 45 degrees, interior nodes of degree 4.
+    """
+    edges = []
+    for r in range(rows - 1):
+        side = 1 if r % 2 == 0 else -1
+        for c in range(cols):
+            for d in (0, side):
+                if 0 <= c + d < cols:
+                    edges.append((r * cols + c, (r + 1) * cols + c + d))
+    return ArchGraph(rows * cols, edges)
+
+
+def random_reversible_rows(rng: random.Random, graph: ArchGraph, n_ops: int) -> list:
+    """Identity rows, one per node, scrambled by random adjacent row additions."""
+    rows = [1 << i for i in range(graph.n)]
     edges = sorted(graph.edges)
     for _ in range(n_ops):
         u, v = rng.choice(edges)
         if rng.random() < 0.5:
             u, v = v, u
-        rg.rows[u] ^= rg.rows[v]
-    return rg
+        rows[u] ^= rows[v]
+    return rows
 
 
 def entry_bound(rows, grown, steiner) -> int:
@@ -78,9 +112,9 @@ def entry_bound(rows, grown, steiner) -> int:
     return len(grown) - 1 + 2 * len(steiner) + interior
 
 
-def non_unit_nodes(rg: RowGraph) -> list:
+def non_unit_nodes(rows) -> list:
     """Nodes whose row is not a standard basis vector, ascending."""
-    return [u for u, r in enumerate(rg.rows) if not is_unit(r)]
+    return [u for u, r in enumerate(rows) if not is_unit(r)]
 
 
 def random_invertible_matrix(rng: random.Random, n: int) -> BitMatrix:
@@ -113,8 +147,7 @@ def unit_combinations(m: BitMatrix, u: int):
     block reads them: column u holds the e that u can reach, and row e of
     the inverse holds the nodes.  Raises SingularMatrixError.
     """
-    line = ArchGraph(m.n, [(i, i + 1) for i in range(m.n - 1)])
-    cols = _inverse_columns(RowGraph(line, m.rows))
+    cols = _inverse_columns(m.n, m.rows)
     inv = transpose(BitMatrix(m.n, cols)).rows
     return [(e, frozenset(vec_support(inv[e]))) for e in vec_support(cols[u])]
 

@@ -108,6 +108,10 @@ def test_gen_steiner_single_terminal():
 def _min_steiner_vertices(g, terminals):
     """Exhaustive minimum Steiner tree size by trying every extra set."""
     others = sorted(set(range(g.n)) - set(terminals))
+    adj = {x: set() for x in range(g.n)}
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
     for size in range(len(terminals), g.n + 1):
         for extra in combinations(others, size - len(terminals)):
             nodes = set(terminals) | set(extra)
@@ -117,7 +121,7 @@ def _min_steiner_vertices(g, terminals):
             frontier = [start]
             while frontier:
                 x = frontier.pop()
-                for y in g.adj[x]:
+                for y in adj[x]:
                     if y in nodes and y not in seen:
                         seen.add(y)
                         frontier.append(y)

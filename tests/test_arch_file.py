@@ -51,3 +51,18 @@ def test_malformed_wire_label_raises_arch_file_error(label):
 def test_deeply_nested_json_raises_arch_file_error():
     with pytest.raises(ArchFileError, match="not valid JSON"):
         parse_arch_json("[" * 100000)
+
+
+# Python refuses to convert an integer of more than 4,300 digits with a
+# plain ValueError, not a JSONDecodeError
+LONG_NUMBER = [
+    pytest.param('{"name": "x", "nodes": ["A"], "edges": [], "pad": ' + "1" * 5000 + "}",
+                 id="long number in object"),
+    pytest.param("[" + "1" * 5000 + "]", id="long number in list"),
+]
+
+
+@pytest.mark.parametrize("text", LONG_NUMBER)
+def test_oversized_json_number_raises_arch_file_error(text):
+    with pytest.raises(ArchFileError, match="not valid JSON"):
+        parse_arch_json(text)

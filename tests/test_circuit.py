@@ -96,6 +96,10 @@ def test_mapping_json_roundtrip():
     ('{"w1": "Q1"}', "expected 3"),
     ("not json", "not valid JSON"),
     pytest.param("[" * 100000, "not valid JSON", id="deep nesting-not valid JSON"),
+    pytest.param('{"name": "x", "nodes": ["A"], "edges": [], "pad": ' + "1" * 5000 + "}",
+                 "not valid JSON", id="long number in object-not valid JSON"),
+    pytest.param("[" + "1" * 5000 + "]", "not valid JSON",
+                 id="long number in list-not valid JSON"),
 ])
 def test_mapping_json_rejects(text, message):
     with pytest.raises(CircuitFormatError, match=message):

@@ -6,16 +6,15 @@ from itertools import permutations
 import pytest
 
 from cnotroute.arch import ArchGraph
-from cnotroute.gf2 import invert, mat_mul
+from cnotroute.gf2 import BitMatrix, SingularMatrixError, invert, mat_mul
 from cnotroute.heuristic import (Assignment, AssignmentError, CostTable,
-                                 build_cost_table, heuristic_token_reduction,
-                                 hungarian_assign, infinite_cost, loss,
-                                 max_tree_cost)
-from cnotroute.rowgraph import RowGraph
+                                 _reduce_pair, build_cost_table,
+                                 heuristic_token_reduction, hungarian_assign,
+                                 infinite_cost, loss, max_tree_cost)
 
 from conftest import (brute_force_unit_combinations, matrix, non_unit_nodes,
                       ops_to_matrix, random_connected_graph,
-                      random_reversible_rowgraph)
+                      random_reversible_rows)
 
 
 def _table(entries, infinite=10**6):
@@ -25,14 +24,12 @@ def _table(entries, infinite=10**6):
 
 
 def test_cost_zero_when_already_held(path4):
-    rg = RowGraph(path4, [0b0001, 0b0010, 0b0100, 0b1000])
-    assert build_cost_table(rg).entries[0][0] == 0
+    assert build_cost_table(path4, [0b0001, 0b0010, 0b0100, 0b1000]).entries[0][0] == 0
 
 
 def test_cost_two_node_path():
     g = ArchGraph(2, [(0, 1)])
-    rg = RowGraph(g, [0b11, 0b10])
-    assert build_cost_table(rg).entries[0][0] == 1
+    assert build_cost_table(g, [0b11, 0b10]).entries[0][0] == 1
 
 
 def test_cost_infinite_iff_inverse_zero():
@@ -40,11 +37,11 @@ def test_cost_infinite_iff_inverse_zero():
     for _ in range(30):
         n = rng.randrange(2, 6)
         g = random_connected_graph(rng, n)
-        rg = random_reversible_rowgraph(rng, g, 3 * n)
-        inv = invert(rg.matrix())
-        oracle = {u: brute_force_unit_combinations(rg.matrix(), u)
+        rows = random_reversible_rows(rng, g, 3 * n)
+        inv = invert(BitMatrix(n, rows))
+        oracle = {u: brute_force_unit_combinations(BitMatrix(n, rows), u)
                   for u in range(n)}
-        entries = build_cost_table(rg).entries
+        entries = build_cost_table(g, rows).entries
         for u in range(n):
             reachable = {e for e, _ in oracle[u]}
             for e in range(n):
@@ -62,17 +59,14 @@ def test_cost_leaves_state_bit_identical():
     for _ in range(20):
         n = rng.randrange(2, 10)
         g = random_connected_graph(rng, n)
-        rg = random_reversible_rowgraph(rng, g, 3 * n)
-        snapshot = list(rg.rows)
-        log_len = len(rg.op_log)
-        build_cost_table(rg)
-        assert rg.rows == snapshot
-        assert len(rg.op_log) == log_len
+        rows = random_reversible_rows(rng, g, 3 * n)
+        snapshot = list(rows)
+        build_cost_table(g, rows)
+        assert rows == snapshot
 
 
 def test_build_cost_table_basic_state(grid3):
-    rg = RowGraph(grid3, [1 << i for i in range(9)])
-    table = build_cost_table(rg)
+    table = build_cost_table(grid3, [1 << i for i in range(9)])
     for u in range(9):
         row = table.entries[u]
         assert row[u] == 0
@@ -82,8 +76,7 @@ def test_build_cost_table_basic_state(grid3):
 def test_build_cost_table_worked_example(path4):
     pt = matrix([[1, 0, 1, 1], [0, 1, 0, 0],
                  [0, 0, 1, 1], [0, 0, 0, 1]])
-    rg = RowGraph.from_matrix(path4, pt)
-    table = build_cost_table(rg)
+    table = build_cost_table(path4, pt.rows)
     inv = invert(pt)
     for u in range(4):
         for e in range(4):
@@ -102,8 +95,7 @@ def test_build_cost_table_rows_have_finite_entry():
     for _ in range(25):
         n = rng.randrange(2, 10)
         g = random_connected_graph(rng, n)
-        rg = random_reversible_rowgraph(rng, g, 3 * n)
-        table = build_cost_table(rg)
+        table = build_cost_table(g, random_reversible_rows(rng, g, 3 * n))
         for u in range(n):
             assert any(v < table.infinite for v in table.entries[u])
         for e in range(n):
@@ -158,38 +150,36 @@ def test_hungarian_avoids_sentinel_for_reversible():
     for _ in range(25):
         n = rng.randrange(2, 9)
         g = random_connected_graph(rng, n)
-        rg = random_reversible_rowgraph(rng, g, 3 * n)
-        table = build_cost_table(rg)
+        table = build_cost_table(g, random_reversible_rows(rng, g, 3 * n))
         asg = hungarian_assign(table)
         for u in range(n):
             assert table.entries[u][asg.by_node[u]] < table.infinite
 
 
 def test_loss_zero_for_basic(grid3):
-    rg = RowGraph(grid3, [1 << i for i in range(9)])
-    assert loss(rg) == 0
+    assert loss(grid3, [1 << i for i in range(9)]) == 0
 
 
 def test_loss_finite_for_reversible():
     rng = random.Random(37)
     for _ in range(20):
         g = random_connected_graph(rng, rng.randrange(2, 10))
-        rg = random_reversible_rowgraph(rng, g, 3 * g.n)
-        assert loss(rg) < infinite_cost(g.n)
+        assert loss(g, random_reversible_rows(rng, g, 3 * g.n)) < infinite_cost(g.n)
 
 
 def test_heuristic_on_basic_input(grid3):
-    rg = RowGraph(grid3, [1 << i for i in range(9)])
-    assert heuristic_token_reduction(rg) == []
+    rows = [1 << i for i in range(9)]
+    assert heuristic_token_reduction(grid3, rows) == []
+    assert rows == [1 << i for i in range(9)]
 
 
 def test_heuristic_worked_example(path4):
     pt = matrix([[1, 0, 1, 1], [0, 1, 0, 0],
                  [0, 0, 1, 1], [0, 0, 0, 1]])
-    rg = RowGraph.from_matrix(path4, pt)
-    ops = heuristic_token_reduction(rg)
-    assert not non_unit_nodes(rg)
-    final = rg.matrix()
+    rows = list(pt.rows)
+    ops = heuristic_token_reduction(path4, rows)
+    assert not non_unit_nodes(rows)
+    final = BitMatrix(4, rows)
     assert final.is_permutation()
     # the op product applied to the start matrix reproduces the end state
     assert mat_mul(ops_to_matrix(ops, 4), pt) == final
@@ -199,23 +189,23 @@ def test_heuristic_monotone_progress_and_bound():
     rng = random.Random(38)
     for _ in range(6):
         g = random_connected_graph(rng, 9, extra=3)
-        rg = random_reversible_rowgraph(rng, g, 30)
+        rows = random_reversible_rows(rng, g, 30)
 
-        counts = [len(non_unit_nodes(rg))]
+        counts = [len(non_unit_nodes(rows))]
         total_iters = 0
-        while non_unit_nodes(rg):
-            table = build_cost_table(rg)
-            non_unit = non_unit_nodes(rg)
+        ops = []
+        while non_unit_nodes(rows):
+            table = build_cost_table(g, rows)
+            non_unit = non_unit_nodes(rows)
             best = min(table.entries[u][e] for u in non_unit for e in range(9))
             u, e = next((u, e) for u in non_unit for e in range(9)
                         if table.entries[u][e] == best)
-            from cnotroute.heuristic import _reduce_pair
-            _reduce_pair(rg, u, e, table.supports[e])
-            counts.append(len(non_unit_nodes(rg)))
+            ops += _reduce_pair(g, rows, u, table.supports[e])
+            counts.append(len(non_unit_nodes(rows)))
             total_iters += 1
             assert counts[-1] < counts[-2]
         assert total_iters <= 9
-        weight = sum(3 if kind == "SWAP" else 1 for kind, _, _ in rg.op_log)
+        weight = sum(3 if kind == "SWAP" else 1 for kind, _, _ in ops)
         assert weight <= 9 * (6 * 7 + 1)
 
 
@@ -223,21 +213,29 @@ def test_heuristic_random_instances_verified(grid3):
     rng = random.Random(39)
     bound = 9 * (6 * 7 + 1)
     for _ in range(100):
-        rg = random_reversible_rowgraph(rng, grid3, 40)
-        before = rg.matrix()
-        ops = heuristic_token_reduction(rg)
-        assert not non_unit_nodes(rg)
-        assert rg.matrix().is_permutation()
-        assert mat_mul(ops_to_matrix(ops, 9), before) == rg.matrix()
+        rows = random_reversible_rows(rng, grid3, 40)
+        before = BitMatrix(9, rows)
+        ops = heuristic_token_reduction(grid3, rows)
+        assert not non_unit_nodes(rows)
+        assert BitMatrix(9, rows).is_permutation()
+        assert mat_mul(ops_to_matrix(ops, 9), before) == BitMatrix(9, rows)
         weight = sum(3 if kind == "SWAP" else 1 for kind, _, _ in ops)
         assert weight <= bound
 
 
 def test_heuristic_rejects_singular(grid3):
-    from cnotroute.gf2 import SingularMatrixError
-    rg = RowGraph(grid3, [1] * 9)  # every row e0: unit rows, still singular
+    rows = [1] * 9  # every row e0: unit rows, still singular
     with pytest.raises(SingularMatrixError):
-        heuristic_token_reduction(rg)
+        heuristic_token_reduction(grid3, rows)
+
+
+@pytest.mark.parametrize("count", [8, 10])
+@pytest.mark.parametrize("price", [heuristic_token_reduction, build_cost_table, loss])
+def test_wrong_row_count_is_rejected(grid3, price, count):
+    rows = [1 << i for i in range(count)]
+    with pytest.raises(ValueError, match="expected 9 rows"):
+        price(grid3, rows)
+    assert rows == [1 << i for i in range(count)]
 
 
 def test_sentinel_dominates_any_finite_assignment():
@@ -248,18 +246,17 @@ def test_sentinel_dominates_any_finite_assignment():
 def test_loss_trajectory_diagnostic(grid3, capsys):
     # Recorded as a metric, not asserted: greedy steps may regress the
     # loss locally, but the trajectory should be visible when debugging.
-    from cnotroute.heuristic import _reduce_pair
     rng = random.Random(40)
-    rg = random_reversible_rowgraph(rng, grid3, 30)
-    trajectory = [loss(rg)]
-    while non_unit_nodes(rg):
-        table = build_cost_table(rg)
-        non_unit = non_unit_nodes(rg)
+    rows = random_reversible_rows(rng, grid3, 30)
+    trajectory = [loss(grid3, rows)]
+    while non_unit_nodes(rows):
+        table = build_cost_table(grid3, rows)
+        non_unit = non_unit_nodes(rows)
         best = min(table.entries[u][e] for u in non_unit for e in range(9))
         u, e = next((u, e) for u in non_unit for e in range(9)
                     if table.entries[u][e] == best)
-        _reduce_pair(rg, u, e, table.supports[e])
-        trajectory.append(loss(rg))
+        _reduce_pair(grid3, rows, u, table.supports[e])
+        trajectory.append(loss(grid3, rows))
     print(f"loss trajectory: {trajectory}")
     assert trajectory[-1] == 0
     regressions = sum(1 for a, b in zip(trajectory, trajectory[1:]) if b > a)

@@ -4,8 +4,8 @@
 roots from directed-edge values shared between roots.  The oracle here
 is the replay it replaces: root the tree (``gen_steiner``, or the
 ``ReductionTree`` constructor on a hand-built adjacency), run
-``tree_reduce_tracked`` and ``reduction_recovery`` on a copy of the row
-graph, and weigh the ops they log.  States come from
+``tree_reduce_tracked`` and ``reduction_recovery`` on a copy of the
+rows, and weigh the ops they return.  States come from
 random row-op walks from the identity (many unit rows, so tracking and
 undo stops fire often) and from every stage of a greedy reduction that
 the replay itself drives.  Long synthetic paths and caterpillars check
@@ -14,30 +14,26 @@ that tree depth is not limited by recursion.
 
 import gc
 import random
-from types import SimpleNamespace
 
 from cnotroute.arch import ReductionTree, gen_steiner, steiner_entry
-from cnotroute.gf2 import invert, is_unit, vec_support
+from cnotroute.gf2 import BitMatrix, invert, is_unit, vec_support
 from cnotroute.heuristic import _reduce_pair
-from cnotroute.rowgraph import (SWAP, RowGraph, reduction_costs,
-                                reduction_recovery, tree_reduce_tracked)
+from cnotroute.rowgraph import (SWAP, reduction_costs, reduction_recovery,
+                                tree_reduce_tracked)
 
 from conftest import (entry_bound, non_unit_nodes, random_connected_graph,
-                      random_reversible_rowgraph)
+                      random_reversible_rows)
 
 
 def _replay(rows, tree):
-    """Op weight of reducing along ``tree`` and recovering, on a copy of ``rows``.
-
-    The row graph's architecture only bounds the op indices, so a
-    stand-in holding the node count serves trees of any size.
-    """
-    rg = RowGraph(SimpleNamespace(n=len(rows)), rows)
-    reduction_recovery(rg, *tree_reduce_tracked(rg, tree))
-    return sum(3 if kind == SWAP else 1 for kind, _, _ in rg.op_log)
+    """Op weight of reducing along ``tree`` and recovering, on a copy of ``rows``."""
+    rows = list(rows)
+    ops, tracked = tree_reduce_tracked(rows, tree)
+    ops += tuple(reduction_recovery(rows, ops, tracked))
+    return sum(3 if kind == SWAP else 1 for kind, _, _ in ops)
 
 
-def _check_state(rg, stats):
+def _check_state(g, rows, stats):
     """Compare every (column, root in its support) of one state.
 
     Every root must also cost at least the column's lower bound
@@ -45,9 +41,7 @@ def _check_state(rg, stats):
     with two or more neighbours, which the bound does not count.
     Returns the replayed prices by (node, basis).
     """
-    g = rg.graph
-    rows = rg.rows
-    inv = invert(rg.matrix())
+    inv = invert(BitMatrix(g.n, rows))
     prices = {}
     for e in range(g.n):
         sup = vec_support(inv.rows[e])
@@ -65,12 +59,12 @@ def _check_state(rg, stats):
     return prices
 
 
-def _commit_cheapest(rg, prices):
+def _commit_cheapest(g, rows, prices):
     """Commit the cheapest non-basic replayed pair, lowest (node, basis) first."""
-    inv = invert(rg.matrix())
-    non_unit = set(non_unit_nodes(rg))
+    inv = invert(BitMatrix(g.n, rows))
+    non_unit = set(non_unit_nodes(rows))
     price, u, e = min((p, u, e) for (u, e), p in prices.items() if u in non_unit)
-    _reduce_pair(rg, u, e, inv.rows[e])
+    _reduce_pair(g, rows, u, inv.rows[e])
 
 
 def test_every_root_equals_the_replay():
@@ -82,14 +76,14 @@ def test_every_root_equals_the_replay():
         for _ in range(12 + 3 * n):
             g = random_connected_graph(rng, n, extra=rng.randrange(n + 1))
             walk = rng.randrange(0, 3 * n + 1) if n > 1 else 0
-            rg = random_reversible_rowgraph(rng, g, walk)
+            rows = random_reversible_rows(rng, g, walk)
             while True:
-                prices = _check_state(rg, stats)
+                prices = _check_state(g, rows, stats)
                 samples += len(prices)
                 states += 1
-                if not non_unit_nodes(rg):
+                if not non_unit_nodes(rows):
                     break
-                _commit_cheapest(rg, prices)
+                _commit_cheapest(g, rows, prices)
     assert states > 1000
     assert samples >= 50_000, samples
     # the bound was met exactly, and raised by U, many times

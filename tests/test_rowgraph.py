@@ -1,4 +1,4 @@
-"""Row-graph primitives: tree reduction, recovery and their op logs."""
+"""Row-list primitives: tree reduction, recovery and the ops they return."""
 
 import random
 
@@ -6,23 +6,19 @@ import pytest
 
 from cnotroute.arch import ArchGraph, gen_steiner
 from cnotroute.gf2 import BitMatrix, invert, is_unit, mat_mul
-from cnotroute.rowgraph import (ReductionError, RowGraph, reduction_costs,
+from cnotroute.rowgraph import (ReductionError, reduction_costs,
                                 reduction_recovery, tree_reduce_tracked)
 
 from conftest import (non_unit_nodes, ops_to_matrix, random_connected_graph,
-                      random_reversible_rowgraph, unit_combinations)
-
-
-def _rows(*vals):
-    return list(vals)
+                      random_reversible_rows, unit_combinations)
 
 
 def test_node_add_worked_example(path4):
     # f(B) = e0+e2+e3, f(C) = e2+e3: adding C into B leaves e0.
-    rg = RowGraph(path4, _rows(0b0010, 0b1101, 0b1100, 0b1000))
-    tree_reduce_tracked(rg, gen_steiner(path4, {1, 2}, 1))
-    assert rg.rows[1] == 0b0001
-    assert rg.op_log == [("ADD", 1, 2)]
+    rows = [0b0010, 0b1101, 0b1100, 0b1000]
+    ops, _ = tree_reduce_tracked(rows, gen_steiner(path4, {1, 2}, 1))
+    assert rows[1] == 0b0001
+    assert list(ops) == [("ADD", 1, 2)]
 
 
 def test_swap_counts_three_in_emission():
@@ -33,46 +29,46 @@ def test_swap_counts_three_in_emission():
 
 def test_tree_reduce_single_edge():
     g = ArchGraph(2, [(0, 1)])
-    rg = RowGraph(g, _rows(0b11, 0b10))
+    rows = [0b11, 0b10]
     tree = gen_steiner(g, {0, 1}, 0)
-    tree_reduce_tracked(rg, tree)
-    assert rg.rows[0] == 0b01
-    assert rg.op_log == [("ADD", 0, 1)]
+    ops, _ = tree_reduce_tracked(rows, tree)
+    assert rows[0] == 0b01
+    assert list(ops) == [("ADD", 0, 1)]
 
 
 def test_tree_reduce_steiner_path():
     g = ArchGraph(3, [(0, 1), (1, 2)])
     # root R=0, steiner S=1, terminal T=2
-    rg = RowGraph(g, _rows(0b101, 0b010, 0b100))
+    rows = [0b101, 0b010, 0b100]
     tree = gen_steiner(g, {0, 2}, 0)
-    tree_reduce_tracked(rg, tree)
-    assert rg.rows == [0b001, 0b100, 0b010]
-    assert rg.op_log == [("SWAP", 2, 1), ("ADD", 0, 1)]
+    ops, _ = tree_reduce_tracked(rows, tree)
+    assert rows == [0b001, 0b100, 0b010]
+    assert list(ops) == [("SWAP", 2, 1), ("ADD", 0, 1)]
 
 
 def test_tree_reduce_root_only():
     g = ArchGraph(2, [(0, 1)])
-    rg = RowGraph(g, _rows(0b01, 0b10))
+    rows = [0b01, 0b10]
     tree = gen_steiner(g, {0}, 0)
-    tree_reduce_tracked(rg, tree)
-    assert rg.op_log == []
+    ops, _ = tree_reduce_tracked(rows, tree)
+    assert list(ops) == []
 
 
 def test_tree_reduce_checks_precondition():
     g = ArchGraph(2, [(0, 1)])
-    rg = RowGraph(g, _rows(0b11, 0b01))
+    rows = [0b11, 0b01]
     tree = gen_steiner(g, {0}, 0)  # XOR over {0} = 0b11, not a unit
-    before = list(rg.rows)
+    before = list(rows)
     with pytest.raises(ReductionError):
-        tree_reduce_tracked(rg, tree)
-    assert rg.rows == before
+        tree_reduce_tracked(rows, tree)
+    assert rows == before
 
 
 def test_tracked_no_recovery_needed():
     g = ArchGraph(3, [(0, 1), (1, 2)])
-    rg = RowGraph(g, _rows(0b101, 0b010, 0b100))
+    rows = [0b101, 0b010, 0b100]
     tree = gen_steiner(g, {0, 2}, 0)
-    ops, tracked = tree_reduce_tracked(rg, tree)
+    ops, tracked = tree_reduce_tracked(rows, tree)
     assert tracked == set()
     assert ops == (("SWAP", 2, 1), ("ADD", 0, 1))
 
@@ -81,41 +77,40 @@ def test_tracked_unit_parent_enters_set():
     g = ArchGraph(3, [(0, 1), (1, 2)])
     # terminals {0, 1, 2}: rows XOR to e2; node 1 holds a unit and is a
     # through-station, so its vector is disturbed.
-    rg = RowGraph(g, _rows(0b011, 0b001, 0b110))
+    rows = [0b011, 0b001, 0b110]
     tree = gen_steiner(g, {0, 1, 2}, 0)
-    ops, tracked = tree_reduce_tracked(rg, tree)
+    ops, tracked = tree_reduce_tracked(rows, tree)
     assert tracked == {1}
-    assert rg.rows[0] == 0b100
+    assert rows[0] == 0b100
 
 
 def test_tracked_replay_reproduces_state():
     rng = random.Random(21)
     for _ in range(40):
         g = random_connected_graph(rng, rng.randrange(3, 12))
-        rg = random_reversible_rowgraph(rng, g, 3 * g.n)
-        u = rng.choice(non_unit_nodes(rg) or [0])
-        e, nodes = unit_combinations(rg.matrix(), u)[0]
+        rows = random_reversible_rows(rng, g, 3 * g.n)
+        u = rng.choice(non_unit_nodes(rows) or [0])
+        e, nodes = unit_combinations(BitMatrix(g.n, rows), u)[0]
         tree = gen_steiner(g, nodes, u)
-        baseline = BitMatrix(g.n, rg.rows)
-        ops, _ = tree_reduce_tracked(rg, tree)
+        baseline = BitMatrix(g.n, rows)
+        ops, _ = tree_reduce_tracked(rows, tree)
         assert all(g.is_edge(a, b) for _, a, b in ops)
-        assert mat_mul(ops_to_matrix(ops, g.n), baseline) == rg.matrix()
+        assert mat_mul(ops_to_matrix(ops, g.n), baseline) == BitMatrix(g.n, rows)
 
 
-def test_recovery_empty_set_no_ops(path4):
-    rg = RowGraph(path4, _rows(1, 2, 4, 8))
-    out = reduction_recovery(rg, [], set())
+def test_recovery_empty_set_no_ops():
+    rows = [1, 2, 4, 8]
+    out = reduction_recovery(rows, [], set())
     assert out == []
-    assert rg.rows == [1, 2, 4, 8]
+    assert rows == [1, 2, 4, 8]
 
 
 def test_recovery_single_add():
-    g = ArchGraph(2, [(0, 1)])
-    rg = RowGraph(g, _rows(0b11, 0b10))  # ADD(0, 1) disturbed the unit on node 0
+    rows = [0b11, 0b10]  # ADD(0, 1) disturbed the unit on node 0
     ops = [("ADD", 0, 1)]
-    rec = reduction_recovery(rg, ops, {0})
+    rec = reduction_recovery(rows, ops, {0})
     assert rec == [("ADD", 0, 1)]
-    assert rg.rows == [0b01, 0b10]
+    assert rows == [0b01, 0b10]
 
 
 def test_reduce_recover_drops_exactly_one_non_unit():
@@ -123,18 +118,18 @@ def test_reduce_recover_drops_exactly_one_non_unit():
     hits = 0
     for _ in range(60):
         g = random_connected_graph(rng, rng.randrange(3, 12))
-        rg = random_reversible_rowgraph(rng, g, 3 * g.n)
-        non_unit = non_unit_nodes(rg)
+        rows = random_reversible_rows(rng, g, 3 * g.n)
+        non_unit = non_unit_nodes(rows)
         if not non_unit:
             continue
         u = rng.choice(non_unit)
-        e, nodes = unit_combinations(rg.matrix(), u)[0]
+        e, nodes = unit_combinations(BitMatrix(g.n, rows), u)[0]
         tree = gen_steiner(g, nodes, u)
-        ops, tracked = tree_reduce_tracked(rg, tree)
-        reduction_recovery(rg, ops, tracked)
+        ops, tracked = tree_reduce_tracked(rows, tree)
+        reduction_recovery(rows, ops, tracked)
         assert tracked == set(), "recovery must restore every tracked node"
-        assert is_unit(rg.rows[u])
-        after = len(non_unit_nodes(rg))
+        assert is_unit(rows[u])
+        after = len(non_unit_nodes(rows))
         assert after <= len(non_unit) - 1
         if after == len(non_unit) - 1:
             hits += 1
@@ -145,17 +140,17 @@ def test_recovery_never_touches_non_unit_root():
     rng = random.Random(23)
     for _ in range(40):
         g = random_connected_graph(rng, rng.randrange(3, 10))
-        rg = random_reversible_rowgraph(rng, g, 3 * g.n)
-        non_unit = non_unit_nodes(rg)
+        rows = random_reversible_rows(rng, g, 3 * g.n)
+        non_unit = non_unit_nodes(rows)
         if not non_unit:
             continue
         u = rng.choice(non_unit)
-        e, nodes = unit_combinations(rg.matrix(), u)[0]
+        e, nodes = unit_combinations(BitMatrix(g.n, rows), u)[0]
         tree = gen_steiner(g, nodes, u)
-        ops, tracked = tree_reduce_tracked(rg, tree)
-        root_row = rg.rows[u]
-        rec = reduction_recovery(rg, ops, tracked)
-        assert rg.rows[u] == root_row == 1 << e
+        ops, tracked = tree_reduce_tracked(rows, tree)
+        root_row = rows[u]
+        rec = reduction_recovery(rows, ops, tracked)
+        assert rows[u] == root_row == 1 << e
         for _, a, b in rec:
             assert u not in (a, b)
 
@@ -164,43 +159,44 @@ def test_tracked_then_full_reverse_is_identity():
     rng = random.Random(24)
     for _ in range(60):
         g = random_connected_graph(rng, rng.randrange(2, 14))
-        rg = random_reversible_rowgraph(rng, g, 2 * g.n)
-        baseline = list(rg.rows)
-        non_unit = non_unit_nodes(rg)
+        rows = random_reversible_rows(rng, g, 2 * g.n)
+        baseline = list(rows)
+        non_unit = non_unit_nodes(rows)
         if not non_unit:
             continue
         u = rng.choice(non_unit)
-        e, nodes = unit_combinations(rg.matrix(), u)[0]
+        e, nodes = unit_combinations(BitMatrix(g.n, rows), u)[0]
         tree = gen_steiner(g, nodes, u)
-        ops, _ = tree_reduce_tracked(rg, tree)
+        ops, _ = tree_reduce_tracked(rows, tree)
         undo = ops_to_matrix(reversed(ops), g.n)
-        assert mat_mul(undo, rg.matrix()).rows == baseline
+        assert mat_mul(undo, BitMatrix(g.n, rows)).rows == baseline
 
 
-def test_op_log_matrix_oracle():
+def test_returned_ops_matrix_oracle():
     rng = random.Random(25)
     for _ in range(40):
         g = random_connected_graph(rng, rng.randrange(2, 10))
-        rg = random_reversible_rowgraph(rng, g, 3 * g.n)
-        before = rg.matrix()
-        while non_unit_nodes(rg):
-            u = non_unit_nodes(rg)[0]
-            e, nodes = unit_combinations(rg.matrix(), u)[0]
-            ops, tracked = tree_reduce_tracked(rg, gen_steiner(g, nodes, u))
-            reduction_recovery(rg, ops, tracked)
-        composed = ops_to_matrix(rg.op_log, g.n)
-        assert mat_mul(composed, before) == rg.matrix()
+        rows = random_reversible_rows(rng, g, 3 * g.n)
+        before = BitMatrix(g.n, rows)
+        run = []
+        while non_unit_nodes(rows):
+            u = non_unit_nodes(rows)[0]
+            e, nodes = unit_combinations(BitMatrix(g.n, rows), u)[0]
+            ops, tracked = tree_reduce_tracked(rows, gen_steiner(g, nodes, u))
+            run += ops
+            run += reduction_recovery(rows, ops, tracked)
+        composed = ops_to_matrix(run, g.n)
+        assert mat_mul(composed, before) == BitMatrix(g.n, rows)
 
 
 def test_reversibility_invariant_under_ops():
     rng = random.Random(26)
     for _ in range(30):
         g = random_connected_graph(rng, rng.randrange(2, 10))
-        rg = random_reversible_rowgraph(rng, g, 4 * g.n)
-        assert invert(rg.matrix()) is not None
+        rows = random_reversible_rows(rng, g, 4 * g.n)
+        assert invert(BitMatrix(g.n, rows)) is not None
 
 
-def test_recovery_rejects_out_of_range_ops(path4):
-    rg = RowGraph(path4, [1, 2, 4, 8])
+def test_recovery_rejects_out_of_range_ops():
     with pytest.raises(ReductionError, match="outside the graph"):
-        reduction_recovery(rg, [("ADD", 0, 9)], {0})
+        reduction_recovery([1, 2, 4, 8], [("ADD", 0, 9)], {0})

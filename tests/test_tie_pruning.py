@@ -22,44 +22,41 @@ from cnotroute.gf2 import transpose, vec_support
 from cnotroute.heuristic import (_cheapest, _column_bounds, _inverse_columns,
                                  _open_block, _open_columns, _reduce_pair,
                                  heuristic_token_reduction, hungarian_assign)
-from cnotroute.rowgraph import RowGraph, reduction_costs
+from cnotroute.rowgraph import reduction_costs
 from cnotroute.synthesis import linear_matrix
 
 from conftest import entry_bound, non_unit_nodes
 from test_pinned_output import routes
 
 
-def _fresh_open(rg):
-    return _open_columns(rg.graph, _inverse_columns(rg))
+def _fresh_open(graph, rows):
+    return _open_columns(graph, _inverse_columns(graph.n, rows))
 
 
-def _reference_reduction(rg, stats):
+def _reference_reduction(graph, rows, stats):
     """The look-ahead without bounds: every candidate priced and assigned.
 
     Each trial is priced from a fresh inverse, the first strict minimum
     of the losses in candidate order wins and is re-run to commit.
     """
-    start = rg.mark()
-    while non_unit_nodes(rg):
-        candidates = _cheapest(_open_block(rg.graph, rg.rows, _fresh_open(rg)))
+    out = []
+    while non_unit_nodes(rows):
+        candidates = _cheapest(_open_block(graph, rows, _fresh_open(graph, rows)))
         chosen = candidates[0]
         if len(candidates) > 1:
             losses = []
-            mark = rg.mark()
-            base = list(rg.rows)
             for u, e, sup in candidates:
-                _reduce_pair(rg, u, e, sup)
+                trial = list(rows)
+                _reduce_pair(graph, trial, u, sup)
                 losses.append(hungarian_assign(
-                    _open_block(rg.graph, rg.rows, _fresh_open(rg))).total)
-                rg.rows[:] = base
-                del rg.op_log[mark:]
+                    _open_block(graph, trial, _fresh_open(graph, trial))).total)
             best = min(losses)
             chosen = candidates[losses.index(best)]
             stats["candidates"] += len(candidates)
             stats["equal_best"] += losses.count(best) > 1
         u, e, sup = chosen
-        _reduce_pair(rg, u, e, sup)
-    return list(rg.op_log[start:])
+        out += _reduce_pair(graph, rows, u, sup)
+    return out
 
 
 @pytest.mark.parametrize("arch", list_architectures())
@@ -83,11 +80,11 @@ def test_pruned_synthesizer_matches_the_unpruned_reference(arch, monkeypatch):
     for gates in (32, 64, 128, 256):
         for seed in range(2):
             c = random_cnot_circuit(graph.n, gates, 6061 + 1000 * gates + seed)
-            rg = RowGraph.from_matrix(graph, transpose(linear_matrix(c.gates, graph.n)))
-            twin = RowGraph(graph, rg.rows)
-            assert heuristic_token_reduction(rg) == \
-                _reference_reduction(twin, stats)
-            assert rg.rows == twin.rows
+            rows = transpose(linear_matrix(c.gates, graph.n)).rows
+            twin = list(rows)
+            assert heuristic_token_reduction(graph, rows) == \
+                _reference_reduction(graph, twin, stats)
+            assert rows == twin
     # pruning fired, both mid-pricing and before it, and equal losses
     # occurred, so the (loss, index) rule was exercised
     assert stats["cut"] > 0
@@ -97,7 +94,8 @@ def test_pruned_synthesizer_matches_the_unpruned_reference(arch, monkeypatch):
 
 @st.composite
 def walked_states(draw):
-    """A random connected graph on 1..14 nodes and a random row-op walk."""
+    """(graph, rows): a random connected graph on 1..14 nodes and the rows
+    after a random row-op walk from the identity."""
     n = draw(st.integers(1, 14))
     label = draw(st.permutations(range(n)))
     edges = {tuple(sorted((label[i], label[draw(st.integers(0, i - 1))])))
@@ -117,7 +115,7 @@ def walked_states(draw):
                 rows[a], rows[b] = rows[b], rows[a]
             else:
                 rows[a] ^= rows[b]
-    return RowGraph(ArchGraph(n, edges), rows)
+    return ArchGraph(n, edges), rows
 
 
 def test_bound_is_a_lower_bound_on_every_entry_and_the_loss():
@@ -125,19 +123,20 @@ def test_bound_is_a_lower_bound_on_every_entry_and_the_loss():
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(walked_states())
-    def check(rg):
-        opened = _fresh_open(rg)
-        weights = _column_bounds(rg.rows, opened)
-        block = _open_block(rg.graph, rg.rows, opened)
+    def check(state):
+        graph, rows = state
+        opened = _fresh_open(graph, rows)
+        weights = _column_bounds(rows, opened)
+        block = _open_block(graph, rows, opened)
         position = {u: i for i, u in enumerate(block.nodes)}
         minima = []
         for j, sup in enumerate(block.supports):
-            grown, steiner, _ = steiner_entry(rg.graph, sup)
+            grown, steiner, _ = steiner_entry(graph, sup)
             schedule = len(grown) - 1 + 2 * len(steiner)
-            assert weights[j] == entry_bound(rg.rows, grown, steiner)
+            assert weights[j] == entry_bound(rows, grown, steiner)
             raised.append(weights[j] > schedule)
             roots = [u for u in vec_support(sup) if u in position]
-            costs = reduction_costs(rg.rows, grown, steiner, roots)
+            costs = reduction_costs(rows, grown, steiner, roots)
             assert schedule >= sup.bit_count() - 1
             assert costs == [block.entries[position[u]][j] for u in roots]
             assert all(r[j] >= weights[j] for r in block.entries)
@@ -145,9 +144,9 @@ def test_bound_is_a_lower_bound_on_every_entry_and_the_loss():
         total = hungarian_assign(block).total
         assert total >= sum(minima) >= sum(weights)
         # a bound the loss meets never prunes; one below the minima always does
-        assert _open_block(rg.graph, rg.rows, opened, weights, total) == block
+        assert _open_block(graph, rows, opened, weights, total) == block
         if minima:
-            assert _open_block(rg.graph, rg.rows, opened, weights, sum(minima) - 1) is None
+            assert _open_block(graph, rows, opened, weights, sum(minima) - 1) is None
 
     check()
     # U raised the bound of some generated columns
