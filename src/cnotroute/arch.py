@@ -1,17 +1,16 @@
-"""Architecture graphs, all-pairs shortest paths, and reduction trees.
+"""Architecture graphs, all-pairs shortest paths, and Steiner trees.
 
 An architecture is an undirected connected graph of physical qubits.
 Distance, successor and distance-ball tables are built once per graph;
 ``ball[t][d]`` is the mask of the nodes within distance d of t.  A
 terminal set is an int mask, bit t for node t, as the synthesizer reads
-it off a row of the inverse.  Steiner-style reduction trees are grown on
-demand into one cache entry per mask (``steiner_entry``): the unrooted
-grown tree, its Steiner points and a memo of the trees rooted so far at
-its terminals.  Pricing reads the unrooted tree and prices all roots at
-once; only committed reductions root a tree, through ``_rooted_tree``,
-which ``gen_steiner`` wraps for callers holding an iterable of nodes.
-Those two are the only source of ``ReductionTree`` objects, so every
-schedule runs along the edges of a tree grown here.
+it off a row of the inverse.  One Steiner-style tree is grown per mask,
+on demand, into one cache entry (``steiner_entry``): the unrooted tree
+and its Steiner points.  The tree does not depend on the root; pricing
+(``rowgraph.reduction_costs``) and reduction
+(``rowgraph.tree_reduce_tracked``) both read it and pick the root
+themselves.  ``gen_steiner`` is the same lookup for callers holding an
+iterable of nodes.
 """
 
 from __future__ import annotations
@@ -23,9 +22,6 @@ from .circuit import load_json, parse_wire_pairs
 from .gf2 import vec_support
 
 INF = 10**9
-# the kinds of the (kind, a, b) row ops that the rowgraph module describes
-ADD = "ADD"
-SWAP = "SWAP"
 
 
 class DisconnectedGraphError(ValueError):
@@ -128,7 +124,7 @@ class ArchGraph:
                 rings[d] |= rings[d - 1]
             ball.append(tuple(rings))
         self.ball = tuple(ball)
-        # terminal mask -> (grown tree, Steiner points, root -> ReductionTree)
+        # terminal mask -> (grown tree, Steiner points)
         self._steiner_cache: Dict[int, tuple] = {}
 
     def is_edge(self, u: int, v: int) -> bool:
@@ -136,48 +132,6 @@ class ArchGraph:
 
     def __repr__(self) -> str:
         return f"ArchGraph({self.name or self.n!r}, n={self.n}, edges={len(self.edges)})"
-
-
-class ReductionTree:
-    """Tree inside an architecture graph, rooted at a terminal, as an op plan.
-
-    ``schedule`` is the post-order (ascending children) plan consumed by
-    ``rowgraph.tree_reduce_tracked``: ("SWAP", child, parent) for each
-    Steiner parent's first child, ("ADD", parent, child) everywhere
-    else.  Trees come from ``gen_steiner`` or ``_rooted_tree``, which
-    root a grown tree once per root and memoize it.
-    """
-
-    __slots__ = ("root", "terminals", "schedule")
-
-    def __init__(self, adjacency, terminals: FrozenSet[int], root: int):
-        """Root an undirected tree at ``root``.
-
-        ``adjacency`` maps each node to its ascending neighbours, and its
-        non-terminal nodes are the Steiner points.  Pushing each node's
-        children in ascending order makes one stack walk a pre-order with
-        descending children; reversed, that is the post-order with
-        ascending children.  A child's op is fixed as its parent is
-        expanded: a Steiner parent swaps with its first child.
-        """
-        pre = []
-        stack = [(root, -1, None)]
-        while stack:
-            node, up, op = stack.pop()
-            if op is not None:
-                pre.append(op)
-            swap = node not in terminals
-            for c in adjacency[node]:
-                if c != up:
-                    stack.append((c, node, (SWAP, c, node) if swap else (ADD, node, c)))
-                    swap = False
-        pre.reverse()
-        self.root = root
-        self.terminals = terminals
-        self.schedule = tuple(pre)
-
-    def __repr__(self) -> str:
-        return f"ReductionTree(root={self.root}, schedule={self.schedule})"
 
 
 def _grow_steiner_graph(g: ArchGraph, mask: int) -> dict:
@@ -250,12 +204,10 @@ _GROW_CACHE_CAP = 4000
 def steiner_entry(g: ArchGraph, mask: int) -> tuple:
     """The cache entry for one terminal mask, grown on first use.
 
-    The entry is (grown tree, Steiner points, root -> ReductionTree
-    memo): the unrooted tree as node -> ascending neighbour tuple, its
-    non-terminal nodes, and the trees ``_rooted_tree`` has rooted so far.
-    Pricing reads the first two, so only committed reductions root.  Past
-    ``_GROW_CACHE_CAP`` terminal sets the cache, memos included, is
-    dropped wholesale; sustained runs would otherwise grow it unbounded.
+    The entry is (grown tree, Steiner points): the unrooted tree as node
+    -> ascending neighbour tuple, and its non-terminal nodes.  Past
+    ``_GROW_CACHE_CAP`` terminal sets the cache is dropped wholesale;
+    sustained runs would otherwise grow it unbounded.
     """
     cache = g._steiner_cache
     entry = cache.get(mask)
@@ -264,34 +216,23 @@ def steiner_entry(g: ArchGraph, mask: int) -> tuple:
             cache.clear()
         grown = _grow_steiner_graph(g, mask)
         entry = cache[mask] = (
-            grown, frozenset(w for w in grown if not mask >> w & 1), {})
+            grown, frozenset(w for w in grown if not mask >> w & 1))
     return entry
 
 
-def _rooted_tree(g: ArchGraph, mask: int, root: int) -> ReductionTree:
-    """The tree grown for ``mask``, rooted at ``root`` and memoized.
+def gen_steiner(g: ArchGraph, terminals) -> tuple:
+    """Approximate Steiner tree spanning ``terminals``: (tree, Steiner points).
 
-    Each root is rooted by one stack walk, once per cache entry.
-    """
-    if not mask >> root & 1:
-        raise ValueError(f"root {root} not in terminal set")
-    grown, _, trees = steiner_entry(g, mask)
-    tree = trees.get(root)
-    if tree is None:
-        tree = trees[root] = ReductionTree(grown, frozenset(vec_support(mask)), root)
-    return tree
-
-
-def gen_steiner(g: ArchGraph, terminals, root: int) -> ReductionTree:
-    """Approximate Steiner tree spanning ``terminals``, rooted at ``root``.
-
-    ``terminals`` is any iterable of nodes; the tree is the one
-    ``_rooted_tree`` memoizes for their mask.
+    ``terminals`` is any non-empty iterable of nodes of ``g``; the result
+    is the cache entry ``steiner_entry`` holds for their mask, so every
+    form of one set gets the same tree.
     """
     mask = 0
     for t in terminals:
         mask |= 1 << t
-    return _rooted_tree(g, mask, root)
+    if not mask or mask >> g.n:
+        raise ValueError(f"terminals must be one or more of the nodes 0..{g.n - 1}")
+    return steiner_entry(g, mask)
 
 
 # ---------------------------------------------------------------------------

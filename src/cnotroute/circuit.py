@@ -109,12 +109,6 @@ class Mapping:
     def __repr__(self) -> str:
         return f"Mapping({list(self.nodes)})"
 
-    def wire_of(self, node: int) -> int:
-        return self.nodes.index(node)
-
-    def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.nodes))
-
     def to_pairs(self, names: Optional[Sequence[str]] = None) -> List[List[str]]:
         """[["w1", "Q1"], ...] rows for reports and mapping files."""
         out = []

@@ -61,7 +61,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from scipy.optimize import linear_sum_assignment
 
-from .arch import ArchGraph, _rooted_tree, steiner_entry
+from .arch import ArchGraph, steiner_entry
 from .gf2 import BitMatrix, SingularMatrixError, invert, transpose, vec_support
 from .rowgraph import (ADD, RowOp, reduction_costs, reduction_recovery,
                        tree_reduce_tracked)
@@ -134,7 +134,7 @@ def build_cost_table(graph: ArchGraph, rows: Sequence[int]) -> CostTable:
             else:
                 roots.append(u)
         if roots:
-            grown, steiner, _ = steiner_entry(graph, sup)
+            grown, steiner = steiner_entry(graph, sup)
             for u, c in zip(roots, reduction_costs(rows, grown, steiner, roots)):
                 entries[u][e] = c
     return CostTable(n, tuple(tuple(r) for r in entries), sentinel,
@@ -172,7 +172,7 @@ def _open_columns(graph: ArchGraph, cols: Sequence[int]) -> list:
     opened = []
     for e, sup in enumerate(transpose(BitMatrix(graph.n, cols)).rows):
         if sup & (sup - 1):
-            grown, steiner, _ = steiner_entry(graph, sup)
+            grown, steiner = steiner_entry(graph, sup)
             opened.append((e, sup, grown, steiner))
     return opened
 
@@ -283,7 +283,7 @@ def _reduce_pair(graph: ArchGraph, rows: List[int], u: int, mask: int) -> List[R
 
     Returns the ops run, reduction then recovery.
     """
-    ops, tracked = tree_reduce_tracked(rows, _rooted_tree(graph, mask, u))
+    ops, tracked = tree_reduce_tracked(rows, *steiner_entry(graph, mask), u)
     return [*ops, *reduction_recovery(rows, ops, tracked)]
 
 

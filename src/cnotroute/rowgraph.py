@@ -3,31 +3,34 @@
 The synthesis state is a plain list holding one packed matrix row per
 architecture node.  Node addition XORs an adjacent row in (one CNOT); a
 swap exchanges two adjacent rows (three CNOTs).  ``tree_reduce_tracked``
-runs one reduction tree's schedule, leaving its root holding a standard
-basis vector, and ``reduction_recovery`` restores the unit vectors that
-schedule disturbed.  Both change the row list in place and return the
-operations they ran, so the synthesizer can emit them as a circuit.
+reduces along one Steiner tree (``arch.gen_steiner``) rooted at one of
+its terminals, leaving the root holding a standard basis vector, and
+``reduction_recovery`` restores the unit vectors that reduction
+disturbed.  Both change the row list in place and return the operations
+they ran, so the synthesizer can emit them as a circuit.
 
 A row operation is a plain ``(kind, a, b)`` tuple, everywhere from a
-tree's schedule to the synthesizer's result.  ``(ADD, a, b)`` means row
-a ^= row b, and is emitted as one CNOT with control a and target b.
-``(SWAP, a, b)`` exchanges rows a and b; in a tree's schedule a is the
-tree child and b its parent.  Both are self-inverse, so undoing a list
-of ops replays it backwards.
+reduction's schedule to the synthesizer's result.  ``(ADD, a, b)``
+means row a ^= row b, and is emitted as one CNOT with control a and
+target b.  ``(SWAP, a, b)`` exchanges rows a and b; in a schedule a is
+the tree child and b its parent.  Both are self-inverse, so undoing a
+list of ops replays it backwards.
 
 ``reduction_costs`` gives the weight that reduction and recovery would
-spend along one Steiner tree at each of many roots, without running
-them: a recurrence over the tree's directed edges, each edge's value
-shared by every root on its far side.
+spend along the same tree at each of many roots, without running them:
+a recurrence over the tree's directed edges, each edge's value shared
+by every root on its far side.  The schedule rule it prices, which tree
+edge becomes a SWAP, is ``tree_reduce_tracked``'s, beside it.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Set, Tuple
 
-from .arch import ADD, SWAP, ReductionTree
 from .gf2 import is_unit
 
+ADD = "ADD"
+SWAP = "SWAP"
 RowOp = Tuple[str, int, int]  # (kind, a, b), as above
 
 
@@ -74,10 +77,11 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
 
     ``tree`` is an unrooted tree whose leaves are terminals (node ->
     ascending neighbour tuple), ``steiner`` its non-terminal nodes and
-    ``roots`` terminals.  Entry k equals the op weight (SWAP 3, ADD 1)
-    that ``tree_reduce_tracked`` and then ``reduction_recovery`` would
-    run on a copy of ``rows``, reducing along the tree rooted at
-    ``roots[k]``, without running either.
+    ``roots`` terminals: the pair ``arch.gen_steiner`` returns, which
+    ``tree_reduce_tracked`` takes too.  Entry k equals the op weight
+    (SWAP 3, ADD 1) that ``tree_reduce_tracked(rows, tree, steiner,
+    roots[k])`` and then ``reduction_recovery`` would run on a copy of
+    ``rows``, without running either.
 
     The value of a directed edge p -> c depends only on c's side of the
     tree, so it is shared by every root on p's side.  With x1 < ... < xm
@@ -178,26 +182,61 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
     return out
 
 
-def tree_reduce_tracked(rows: List[int],
-                        tree: ReductionTree) -> Tuple[Tuple[RowOp, ...], Set[int]]:
-    """Post-order tree reduction, leaving f(root) holding the unit vector.
+def tree_reduce_tracked(rows: List[int], tree, steiner,
+                        root: int) -> Tuple[Tuple[RowOp, ...], Set[int]]:
+    """Reduce along ``tree`` rooted at ``root``, leaving f(root) a unit vector.
 
-    Runs the tree's schedule on ``rows`` in place.  Returns the ops run
-    (the schedule itself) and the set of nodes whose standard basis
-    vectors were disturbed and that ``reduction_recovery`` must restore.
-    SWAP entries migrate membership from the child to the parent,
-    following the payload.  The root is never tracked: its row may pass
-    through a unit vector while the terminal contributions accumulate,
-    and recovery must not undo the reduction it serves.
+    ``tree`` and ``steiner`` are as ``reduction_costs`` takes them: an
+    unrooted tree (node -> ascending neighbour tuple) and its
+    non-terminal nodes, whose terminal rows must XOR to a standard basis
+    vector.  ``root`` is a terminal.  The schedule is the post-order
+    with ascending children: ("SWAP", child, parent) for each Steiner
+    parent's first child, ("ADD", parent, child) everywhere else.
+    Pushing each node's children in ascending order makes one stack walk
+    a pre-order with descending children; reversed, that is the
+    schedule.  A child's op is fixed as its parent is expanded.
+
+    Runs the schedule on ``rows`` in place.  Returns the ops run and the
+    set of nodes whose standard basis vectors were disturbed and that
+    ``reduction_recovery`` must restore.  SWAP entries migrate
+    membership from the child to the parent, following the payload.  The
+    root is never tracked: its row may pass through a unit vector while
+    the terminal contributions accumulate, and recovery must not undo
+    the reduction it serves.  Raises ``ReductionError``, leaving ``rows``
+    unchanged, if ``root`` is not a terminal of the tree, a tree node has
+    no row, the terminal rows do not XOR to a unit vector, or ``tree`` is
+    not a tree.
     """
+    if root not in tree or root in steiner:
+        raise ReductionError(f"root {root} is not a terminal of the tree")
+    n = len(rows)
     acc = 0
-    for t in tree.terminals:
-        acc ^= rows[t]
+    for t in tree:
+        if not 0 <= t < n:
+            raise ReductionError(f"tree node {t} has no row (there are {n} rows)")
+        if t not in steiner:
+            acc ^= rows[t]
     if not is_unit(acc):
         raise ReductionError("terminal rows do not XOR to a standard basis vector")
-    root = tree.root
+    size = len(tree)
+    pre = []
+    stack = [(root, -1, None)]
+    while stack:
+        node, up, op = stack.pop()
+        if op is not None:
+            pre.append(op)
+            if len(pre) == size:
+                raise ReductionError("the tree has a cycle")
+        swap = node in steiner
+        for c in tree[node]:
+            if c != up:
+                stack.append((c, node, (SWAP, c, node) if swap else (ADD, node, c)))
+                swap = False
+    if len(pre) != size - 1:
+        raise ReductionError(f"the tree does not join every node to root {root}")
+    pre.reverse()
     tracked: Set[int] = set()
-    for kind, a, b in tree.schedule:
+    for kind, a, b in pre:
         if kind == ADD:
             r = rows[a]
             if a != root and r and r & (r - 1) == 0:
@@ -208,7 +247,7 @@ def tree_reduce_tracked(rows: List[int],
                 tracked.add(b)
                 tracked.discard(a)
             rows[a], rows[b] = rows[b], rows[a]
-    return tree.schedule, tracked
+    return tuple(pre), tracked
 
 
 def reduction_recovery(rows: List[int], operations: Sequence[RowOp],

@@ -195,10 +195,33 @@ def bfs_distances(n: int, edges) -> list:
     return out
 
 
-def tree_parent(tree) -> dict:
-    """child -> parent links of a rooted reduction tree, read off its schedule."""
+def tree_parent(tree, root) -> dict:
+    """child -> parent links of an unrooted tree (node -> neighbours) rooted at ``root``."""
+    parent = {root: None}
+    order = [root]
+    for x in order:
+        for y in tree[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    del parent[root]
+    return parent
+
+
+def op_parent(ops) -> dict:
+    """child -> parent links of a reduction schedule: SWAP(child, parent), ADD(parent, child)."""
     return {(a if kind == "SWAP" else b): (b if kind == "SWAP" else a)
-            for kind, a, b in tree.schedule}
+            for kind, a, b in ops}
+
+
+def rows_reducible_along(rows, terminals) -> list:
+    """A copy of ``rows`` with one terminal row corrected so the terminal rows XOR to e_0."""
+    rows = list(rows)
+    acc = 0
+    for t in terminals:
+        acc ^= rows[t]
+    rows[min(terminals)] ^= acc ^ 1
+    return rows
 
 
 def ops_to_matrix(ops, n: int) -> BitMatrix:

@@ -7,12 +7,13 @@ from itertools import combinations
 import pytest
 
 from cnotroute.arch import (ArchFileError, ArchGraph, DisconnectedGraphError,
-                            ReductionTree, floyd_warshall_with_path,
-                            gen_steiner, get_architecture, list_architectures,
+                            floyd_warshall_with_path, gen_steiner,
+                            get_architecture, list_architectures,
                             parse_arch_json, path_from_successors)
+from cnotroute.rowgraph import tree_reduce_tracked
 
-from conftest import (bfs_distances, grid_graph, random_connected_graph,
-                      tree_parent)
+from conftest import (bfs_distances, grid_graph, op_parent,
+                      random_connected_graph, rows_reducible_along, tree_parent)
 
 
 def test_fw_simple_path():
@@ -80,29 +81,38 @@ def test_path_endpoints_and_adjacency():
 
 def test_gen_steiner_single_edge():
     g = ArchGraph(3, [(0, 1), (1, 2)])
-    t = gen_steiner(g, {0, 1}, 0)
-    assert t.terminals == {0, 1}
-    assert tree_parent(t) == {1: 0}
+    tree, steiner = gen_steiner(g, {0, 1})
+    assert tree.keys() - steiner == {0, 1}
+    assert tree_parent(tree, 0) == {1: 0}
 
 
 def test_gen_steiner_whole_path():
     g = ArchGraph(4, [(0, 1), (1, 2), (2, 3)])
-    t = gen_steiner(g, {0, 1, 2, 3}, 0)
-    assert t.terminals == {0, 1, 2, 3}
-    assert tree_parent(t) == {1: 0, 2: 1, 3: 2}
+    tree, steiner = gen_steiner(g, {0, 1, 2, 3})
+    assert tree.keys() - steiner == {0, 1, 2, 3}
+    assert tree_parent(tree, 0) == {1: 0, 2: 1, 3: 2}
 
 
 def test_gen_steiner_root_must_be_terminal():
     g = ArchGraph(3, [(0, 1), (1, 2)])
+    rows = [0b011, 0b010, 0b100]  # rows 0 and 1 XOR to e0
     with pytest.raises(ValueError):
-        gen_steiner(g, {0, 1}, 2)
+        tree_reduce_tracked(rows, *gen_steiner(g, {0, 1}), 2)
+    assert rows == [0b011, 0b010, 0b100]
 
 
 def test_gen_steiner_single_terminal():
     g = ArchGraph(3, [(0, 1), (1, 2)])
-    t = gen_steiner(g, {1}, 1)
-    assert t.terminals == {1}
-    assert t.schedule == ()
+    tree, steiner = gen_steiner(g, {1})
+    assert tree == {1: ()} and steiner == frozenset()
+    assert tree_reduce_tracked([1, 2, 4], tree, steiner, 1) == ((), set())
+
+
+@pytest.mark.parametrize("terminals", [(), [3], [0, -1]])
+def test_gen_steiner_rejects_empty_or_foreign_terminals(terminals):
+    g = ArchGraph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        gen_steiner(g, terminals)
 
 
 def _min_steiner_vertices(g, terminals):
@@ -133,35 +143,31 @@ def _min_steiner_vertices(g, terminals):
 def test_gen_steiner_grid_close_to_optimal(grid4):
     # Q2, Q6, Q9, Q11 on the 4x4 grid, rooted at Q2 (0-based: 1, 5, 8, 10).
     terminals = {1, 5, 8, 10}
-    tree = gen_steiner(grid4, terminals, 1)
+    tree, _ = gen_steiner(grid4, terminals)
     best = _min_steiner_vertices(grid4, terminals)
     assert best == 5
-    assert len(tree_parent(tree)) + 1 <= best + 2
+    assert len(tree) <= best + 2
 
 
-def _check_tree_invariants(g, tree, terminals, root):
-    assert tree.root == root
-    assert tree.terminals == frozenset(terminals)
-    parent = tree_parent(tree)
-    vertices = parent.keys() | {root}
-    assert root not in parent
-    assert tree.terminals <= vertices
-    # one op per tree edge, each on an architecture edge
-    assert len(tree.schedule) == len(parent) == len(vertices) - 1
-    for child, par in parent.items():
-        assert g.is_edge(child, par)
-    # reachability of every vertex from the root through parent links
-    for v in vertices:
-        seen = set()
-        while v != tree.root:
-            assert v not in seen, "cycle in parent links"
-            seen.add(v)
-            v = parent[v]
+def _check_tree_invariants(g, tree, steiner, terminals, root):
+    assert tree.keys() - steiner == terminals
+    parent = tree_parent(tree, root)
+    assert parent.keys() | {root} == tree.keys()
+    # connected with one edge fewer than nodes: a tree, on architecture edges
+    edges = {(min(a, b), max(a, b)) for a, nbs in tree.items() for b in nbs}
+    assert len(edges) == len(tree) - 1
+    for a, b in edges:
+        assert g.is_edge(a, b)
     # pruning: every leaf is a terminal
-    parents = set(parent.values())
-    for v in vertices:
-        if v not in parents and v != tree.root:
-            assert v in tree.terminals
+    for v, nbs in tree.items():
+        if len(nbs) <= 1:
+            assert v in terminals
+    # one op per tree edge, child to parent, leaving the root a unit vector
+    rows = rows_reducible_along([1 << i for i in range(g.n)], terminals)
+    ops, _ = tree_reduce_tracked(rows, tree, steiner, root)
+    assert len(ops) == len(edges)
+    assert op_parent(ops) == parent
+    assert rows[root] == 1
 
 
 def test_gen_steiner_invariants_random():
@@ -172,15 +178,16 @@ def test_gen_steiner_invariants_random():
         k = rng.randrange(1, n + 1)
         terminals = set(rng.sample(range(n), k))
         root = rng.choice(sorted(terminals))
-        tree = gen_steiner(g, terminals, root)
-        _check_tree_invariants(g, tree, terminals, root)
+        tree, steiner = gen_steiner(g, terminals)
+        _check_tree_invariants(g, tree, steiner, terminals, root)
 
 
 def test_reduction_tree_schedule_shape():
     # R - S - T path with S a Steiner point: swap then add.
-    tree = ReductionTree({0: (1,), 1: (0, 2), 2: (1,)}, frozenset({0, 2}), 0)
-    assert tree.schedule == (("SWAP", 2, 1), ("ADD", 0, 1))
-    assert sum(3 if kind == "SWAP" else 1 for kind, _, _ in tree.schedule) == 4
+    tree = {0: (1,), 1: (0, 2), 2: (1,)}
+    ops, _ = tree_reduce_tracked([0b101, 0b010, 0b100], tree, frozenset({1}), 0)
+    assert ops == (("SWAP", 2, 1), ("ADD", 0, 1))
+    assert sum(3 if kind == "SWAP" else 1 for kind, _, _ in ops) == 4
 
 
 def test_arch_graph_validation():

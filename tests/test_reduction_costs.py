@@ -2,33 +2,35 @@
 
 ``reduction_costs`` prices a terminal set's Steiner tree at all requested
 roots from directed-edge values shared between roots.  The oracle here
-is the replay it replaces: root the tree (``gen_steiner``, or the
-``ReductionTree`` constructor on a hand-built adjacency), run
-``tree_reduce_tracked`` and ``reduction_recovery`` on a copy of the
-rows, and weigh the ops they return.  States come from
-random row-op walks from the identity (many unit rows, so tracking and
-undo stops fire often) and from every stage of a greedy reduction that
-the replay itself drives.  Long synthetic paths and caterpillars check
-that tree depth is not limited by recursion.
+is the replay it replaces: run ``tree_reduce_tracked`` at one root of
+the same tree (``gen_steiner``'s, or a hand-built adjacency) and then
+``reduction_recovery`` on a copy of the rows, and weigh the ops they
+return.  States come from random row-op walks from the identity (many
+unit rows, so tracking and undo stops fire often) on random graphs and
+on heavy-hex and diagonal grids, whose degree-2 bridge qubits make many
+Steiner points, and from every stage of a greedy reduction that the
+replay itself drives.  Long synthetic paths and caterpillars check that
+tree depth is not limited by recursion.
 """
 
 import gc
 import random
 
-from cnotroute.arch import ReductionTree, gen_steiner, steiner_entry
+from cnotroute.arch import steiner_entry
 from cnotroute.gf2 import BitMatrix, invert, is_unit, vec_support
 from cnotroute.heuristic import _reduce_pair
 from cnotroute.rowgraph import (SWAP, reduction_costs, reduction_recovery,
                                 tree_reduce_tracked)
 
-from conftest import (entry_bound, non_unit_nodes, random_connected_graph,
-                      random_reversible_rows)
+from conftest import (diagonal_grid_graph, entry_bound, heavy_hex_graph,
+                      non_unit_nodes, random_connected_graph,
+                      random_reversible_rows, rows_reducible_along)
 
 
-def _replay(rows, tree):
-    """Op weight of reducing along ``tree`` and recovering, on a copy of ``rows``."""
+def _replay(rows, tree, steiner, root):
+    """Op weight of reducing along ``tree`` at ``root`` and recovering, on a copy of ``rows``."""
     rows = list(rows)
-    ops, tracked = tree_reduce_tracked(rows, tree)
+    ops, tracked = tree_reduce_tracked(rows, tree, steiner, root)
     ops += tuple(reduction_recovery(rows, ops, tracked))
     return sum(3 if kind == SWAP else 1 for kind, _, _ in ops)
 
@@ -45,8 +47,8 @@ def _check_state(g, rows, stats):
     prices = {}
     for e in range(g.n):
         sup = vec_support(inv.rows[e])
-        grown, steiner, _ = steiner_entry(g, inv.rows[e])
-        want = [_replay(rows, gen_steiner(g, sup, u)) for u in sup]
+        grown, steiner = steiner_entry(g, inv.rows[e])
+        want = [_replay(rows, grown, steiner, u) for u in sup]
         assert reduction_costs(rows, grown, steiner, sup) == want
         low = entry_bound(rows, grown, steiner)
         for u, price in zip(sup, want):
@@ -72,18 +74,23 @@ def test_every_root_equals_the_replay():
     samples = 0
     states = 0
     stats = {"tight": 0, "interior": 0}
+    draws = []
     for n in range(1, 15):
         for _ in range(12 + 3 * n):
             g = random_connected_graph(rng, n, extra=rng.randrange(n + 1))
             walk = rng.randrange(0, 3 * n + 1) if n > 1 else 0
-            rows = random_reversible_rows(rng, g, walk)
-            while True:
-                prices = _check_state(g, rows, stats)
-                samples += len(prices)
-                states += 1
-                if not non_unit_nodes(rows):
-                    break
-                _commit_cheapest(g, rows, prices)
+            draws.append((g, random_reversible_rows(rng, g, walk)))
+    for g in (heavy_hex_graph(2, 5), heavy_hex_graph(3, 5), diagonal_grid_graph(4, 4)):
+        for walk in (g.n // 2, g.n, 2 * g.n, 4 * g.n, 8 * g.n):
+            draws.append((g, random_reversible_rows(rng, g, walk)))
+    for g, rows in draws:
+        while True:
+            prices = _check_state(g, rows, stats)
+            samples += len(prices)
+            states += 1
+            if not non_unit_nodes(rows):
+                break
+            _commit_cheapest(g, rows, prices)
     assert states > 1000
     assert samples >= 50_000, samples
     # the bound was met exactly, and raised by U, many times
@@ -101,19 +108,16 @@ def _random_rows(rng, tree, terminals, ops):
     for _ in range(ops):
         a, b = rng.choice(edges)
         rows[a] ^= rows[b]
-    acc = 0
-    for t in terminals:
-        acc ^= rows[t]
-    rows[min(terminals)] ^= acc ^ 1
-    return rows
+    return rows_reducible_along(rows, terminals)
 
 
 def _check_long_tree(rng, tree, terminals, roots):
     rows = _random_rows(rng, tree, terminals, 3 * len(tree))
     roots = roots + rng.sample(sorted(terminals), 6)
-    got = reduction_costs(rows, tree, frozenset(tree) - terminals, roots)
+    steiner = frozenset(tree) - terminals
+    got = reduction_costs(rows, tree, steiner, roots)
     for root, price in zip(roots, got):
-        assert price == _replay(rows, ReductionTree(tree, terminals, root))
+        assert price == _replay(rows, tree, steiner, root)
 
 
 def test_long_path_prices_without_recursion():

@@ -16,7 +16,7 @@ from conftest import (non_unit_nodes, ops_to_matrix, random_connected_graph,
 def test_node_add_worked_example(path4):
     # f(B) = e0+e2+e3, f(C) = e2+e3: adding C into B leaves e0.
     rows = [0b0010, 0b1101, 0b1100, 0b1000]
-    ops, _ = tree_reduce_tracked(rows, gen_steiner(path4, {1, 2}, 1))
+    ops, _ = tree_reduce_tracked(rows, *gen_steiner(path4, {1, 2}), 1)
     assert rows[1] == 0b0001
     assert list(ops) == [("ADD", 1, 2)]
 
@@ -30,8 +30,7 @@ def test_swap_counts_three_in_emission():
 def test_tree_reduce_single_edge():
     g = ArchGraph(2, [(0, 1)])
     rows = [0b11, 0b10]
-    tree = gen_steiner(g, {0, 1}, 0)
-    ops, _ = tree_reduce_tracked(rows, tree)
+    ops, _ = tree_reduce_tracked(rows, *gen_steiner(g, {0, 1}), 0)
     assert rows[0] == 0b01
     assert list(ops) == [("ADD", 0, 1)]
 
@@ -40,8 +39,7 @@ def test_tree_reduce_steiner_path():
     g = ArchGraph(3, [(0, 1), (1, 2)])
     # root R=0, steiner S=1, terminal T=2
     rows = [0b101, 0b010, 0b100]
-    tree = gen_steiner(g, {0, 2}, 0)
-    ops, _ = tree_reduce_tracked(rows, tree)
+    ops, _ = tree_reduce_tracked(rows, *gen_steiner(g, {0, 2}), 0)
     assert rows == [0b001, 0b100, 0b010]
     assert list(ops) == [("SWAP", 2, 1), ("ADD", 0, 1)]
 
@@ -49,26 +47,52 @@ def test_tree_reduce_steiner_path():
 def test_tree_reduce_root_only():
     g = ArchGraph(2, [(0, 1)])
     rows = [0b01, 0b10]
-    tree = gen_steiner(g, {0}, 0)
-    ops, _ = tree_reduce_tracked(rows, tree)
+    ops, _ = tree_reduce_tracked(rows, *gen_steiner(g, {0}), 0)
     assert list(ops) == []
 
 
 def test_tree_reduce_checks_precondition():
     g = ArchGraph(2, [(0, 1)])
     rows = [0b11, 0b01]
-    tree = gen_steiner(g, {0}, 0)  # XOR over {0} = 0b11, not a unit
+    tree, steiner = gen_steiner(g, {0})  # XOR over {0} = 0b11, not a unit
     before = list(rows)
     with pytest.raises(ReductionError):
-        tree_reduce_tracked(rows, tree)
+        tree_reduce_tracked(rows, tree, steiner, 0)
     assert rows == before
+
+
+def test_tree_reduce_rejects_tree_nodes_without_rows():
+    g = ArchGraph(4, [(0, 1), (1, 2), (2, 3)])
+    rows = [1, 2]
+    with pytest.raises(ReductionError, match="no row"):
+        tree_reduce_tracked(rows, *gen_steiner(g, {2, 3}), 2)
+    assert rows == [1, 2]
+
+
+@pytest.mark.parametrize("root", [1, 3])  # a Steiner point, a node off the tree
+def test_tree_reduce_rejects_a_root_that_is_not_a_terminal(root):
+    g = ArchGraph(4, [(0, 1), (1, 2), (2, 3)])
+    rows = [0b101, 0b010, 0b100, 0b1000]  # rows 0 and 2 XOR to e0
+    with pytest.raises(ReductionError, match="not a terminal"):
+        tree_reduce_tracked(rows, *gen_steiner(g, {0, 2}), root)
+    assert rows == [0b101, 0b010, 0b100, 0b1000]
+
+
+@pytest.mark.parametrize("tree", [
+    {0: (1, 2), 1: (0, 2), 2: (0, 1)},  # a cycle
+    {0: (1,), 1: (0,), 2: ()},  # node 2 cut off from the root
+], ids=["cycle", "disconnected"])
+def test_tree_reduce_rejects_an_adjacency_that_is_not_a_tree(tree):
+    rows = [0b001, 0b010, 0b010]  # all three rows XOR to e0
+    with pytest.raises(ReductionError, match="cycle|does not join"):
+        tree_reduce_tracked(rows, tree, frozenset(), 0)
+    assert rows == [0b001, 0b010, 0b010]
 
 
 def test_tracked_no_recovery_needed():
     g = ArchGraph(3, [(0, 1), (1, 2)])
     rows = [0b101, 0b010, 0b100]
-    tree = gen_steiner(g, {0, 2}, 0)
-    ops, tracked = tree_reduce_tracked(rows, tree)
+    ops, tracked = tree_reduce_tracked(rows, *gen_steiner(g, {0, 2}), 0)
     assert tracked == set()
     assert ops == (("SWAP", 2, 1), ("ADD", 0, 1))
 
@@ -78,8 +102,7 @@ def test_tracked_unit_parent_enters_set():
     # terminals {0, 1, 2}: rows XOR to e2; node 1 holds a unit and is a
     # through-station, so its vector is disturbed.
     rows = [0b011, 0b001, 0b110]
-    tree = gen_steiner(g, {0, 1, 2}, 0)
-    ops, tracked = tree_reduce_tracked(rows, tree)
+    ops, tracked = tree_reduce_tracked(rows, *gen_steiner(g, {0, 1, 2}), 0)
     assert tracked == {1}
     assert rows[0] == 0b100
 
@@ -91,9 +114,8 @@ def test_tracked_replay_reproduces_state():
         rows = random_reversible_rows(rng, g, 3 * g.n)
         u = rng.choice(non_unit_nodes(rows) or [0])
         e, nodes = unit_combinations(BitMatrix(g.n, rows), u)[0]
-        tree = gen_steiner(g, nodes, u)
         baseline = BitMatrix(g.n, rows)
-        ops, _ = tree_reduce_tracked(rows, tree)
+        ops, _ = tree_reduce_tracked(rows, *gen_steiner(g, nodes), u)
         assert all(g.is_edge(a, b) for _, a, b in ops)
         assert mat_mul(ops_to_matrix(ops, g.n), baseline) == BitMatrix(g.n, rows)
 
@@ -124,8 +146,7 @@ def test_reduce_recover_drops_exactly_one_non_unit():
             continue
         u = rng.choice(non_unit)
         e, nodes = unit_combinations(BitMatrix(g.n, rows), u)[0]
-        tree = gen_steiner(g, nodes, u)
-        ops, tracked = tree_reduce_tracked(rows, tree)
+        ops, tracked = tree_reduce_tracked(rows, *gen_steiner(g, nodes), u)
         reduction_recovery(rows, ops, tracked)
         assert tracked == set(), "recovery must restore every tracked node"
         assert is_unit(rows[u])
@@ -146,8 +167,7 @@ def test_recovery_never_touches_non_unit_root():
             continue
         u = rng.choice(non_unit)
         e, nodes = unit_combinations(BitMatrix(g.n, rows), u)[0]
-        tree = gen_steiner(g, nodes, u)
-        ops, tracked = tree_reduce_tracked(rows, tree)
+        ops, tracked = tree_reduce_tracked(rows, *gen_steiner(g, nodes), u)
         root_row = rows[u]
         rec = reduction_recovery(rows, ops, tracked)
         assert rows[u] == root_row == 1 << e
@@ -166,8 +186,7 @@ def test_tracked_then_full_reverse_is_identity():
             continue
         u = rng.choice(non_unit)
         e, nodes = unit_combinations(BitMatrix(g.n, rows), u)[0]
-        tree = gen_steiner(g, nodes, u)
-        ops, _ = tree_reduce_tracked(rows, tree)
+        ops, _ = tree_reduce_tracked(rows, *gen_steiner(g, nodes), u)
         undo = ops_to_matrix(reversed(ops), g.n)
         assert mat_mul(undo, BitMatrix(g.n, rows)).rows == baseline
 
@@ -182,7 +201,7 @@ def test_returned_ops_matrix_oracle():
         while non_unit_nodes(rows):
             u = non_unit_nodes(rows)[0]
             e, nodes = unit_combinations(BitMatrix(g.n, rows), u)[0]
-            ops, tracked = tree_reduce_tracked(rows, gen_steiner(g, nodes, u))
+            ops, tracked = tree_reduce_tracked(rows, *gen_steiner(g, nodes), u)
             run += ops
             run += reduction_recovery(rows, ops, tracked)
         composed = ops_to_matrix(run, g.n)

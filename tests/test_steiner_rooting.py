@@ -1,16 +1,19 @@
-"""Steiner tree rooting against a BFS reference written here.
+"""Steiner tree growth and rooting against references written here.
 
 For random connected graphs and terminal sets, the grown graph must be a
-tree with terminal leaves, and every root's schedule must match the one
-built from a BFS rooting with ascending children.
+tree with terminal leaves, and the ops ``tree_reduce_tracked`` runs at
+every root must match the schedule built from a BFS rooting with
+ascending children.
 """
 
 import random
 
-from cnotroute.arch import (ArchGraph, ReductionTree, _grow_steiner_graph,
-                           gen_steiner, path_from_successors)
+from cnotroute.arch import (ArchGraph, _grow_steiner_graph, gen_steiner,
+                           path_from_successors)
+from cnotroute.rowgraph import tree_reduce_tracked
 
-from conftest import random_connected_graph, tree_parent
+from conftest import (op_parent, random_connected_graph, random_reversible_rows,
+                      rows_reducible_along, tree_parent)
 
 
 def _check_tree_with_terminal_leaves(g, grown, terminals):
@@ -80,23 +83,26 @@ def _samples(seed, graphs):
 
 
 def test_every_root_matches_bfs_reference():
+    rng = random.Random(2012)
     count = 0
     for g, terminals in _samples(2011, 200):
         grown = _grow_steiner_graph(g, _mask(terminals))
         _check_tree_with_terminal_leaves(g, grown, terminals)
         steiner = grown.keys() - terminals
+        assert gen_steiner(g, terminals) == (grown, steiner)
+        rows = rows_reducible_along(
+            random_reversible_rows(rng, g, 2 * (g.n - 1)), terminals)
         for root in sorted(terminals):
             schedule, cost, parent = _reference_schedule(
                 grown, terminals, root)
             assert cost == len(grown) - 1 + 2 * len(steiner)
-            for _ in range(2):  # the second call is served by the memo
-                tree = gen_steiner(g, terminals, root)
-                assert tree.schedule == schedule
+            reduced = list(rows)
+            ops, _ = tree_reduce_tracked(reduced, grown, steiner, root)
+            assert ops == schedule
+            assert reduced[root] == 1
             del parent[root]
-            assert tree_parent(tree) == parent
+            assert tree_parent(grown, root) == op_parent(ops) == parent
             assert parent.keys() | {root} == grown.keys()
-            rebuilt = ReductionTree(grown, terminals, root)
-            assert rebuilt.schedule == schedule
             count += 1
     assert count > 1000
 
@@ -112,13 +118,10 @@ def test_rooted_tree_keeps_exactly_the_grown_edges():
         grown_edges = {(min(a, b), max(a, b))
                        for a, nbs in grown.items() for b in nbs}
         root = min(terminals)
-        tree = gen_steiner(g, terminals, root)
-        parent = tree_parent(tree)
-        tree_edges = {(min(c, p), max(c, p)) for c, p in parent.items()}
-        assert tree_edges <= grown_edges
-        pruned = parent.keys() | {root}
-        kept = {e for e in grown_edges if e[0] in pruned and e[1] in pruned}
-        assert tree_edges == kept
+        rows = rows_reducible_along([1 << i for i in range(n)], terminals)
+        ops, _ = tree_reduce_tracked(rows, *gen_steiner(g, terminals), root)
+        assert len(ops) == len(grown_edges)
+        assert {(min(a, b), max(a, b)) for _, a, b in ops} == grown_edges
         checked += 1
     assert checked > 20
 
@@ -129,11 +132,11 @@ def test_one_set_in_any_iterable_form_gets_one_memoized_tree():
         n = rng.randrange(2, 16)
         g = random_connected_graph(rng, n, extra=rng.randrange(n + 1))
         terminals = rng.sample(range(n), rng.randrange(1, n + 1))
-        root = rng.choice(terminals)
-        tree = gen_steiner(g, terminals, root)
-        assert gen_steiner(g, tuple(terminals), root) is tree
-        assert gen_steiner(g, frozenset(terminals), root) is tree
-        assert tree.terminals == frozenset(terminals)
+        entry = gen_steiner(g, terminals)
+        assert gen_steiner(g, tuple(terminals)) is entry
+        assert gen_steiner(g, frozenset(terminals)) is entry
+        tree, steiner = entry
+        assert tree.keys() - steiner == frozenset(terminals)
 
 
 def _reference_grow(g, terminals):
