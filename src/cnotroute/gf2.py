@@ -74,9 +74,6 @@ class BitMatrix:
             and self.rows == other.rows
         )
 
-    def __hash__(self):
-        return hash((self.n, tuple(self.rows)))
-
     def __repr__(self) -> str:
         body = ",".join(
             "".join(str((r >> j) & 1) for j in range(self.n)) for r in self.rows
@@ -125,8 +122,8 @@ def row_add(a: BitMatrix, target: int, source: int) -> None:
     a.rows[target] ^= a.rows[source]
 
 
-def invert(a: BitMatrix) -> Optional[BitMatrix]:
-    """Inverse by Gauss-Jordan elimination, or None if singular."""
+def invert(a: BitMatrix) -> BitMatrix:
+    """Inverse by Gauss-Jordan elimination; raises SingularMatrixError if singular."""
     n = a.n
     work = list(a.rows)
     aug = [1 << i for i in range(n)]
@@ -138,7 +135,7 @@ def invert(a: BitMatrix) -> Optional[BitMatrix]:
                 pivot = r
                 break
         if pivot < 0:
-            return None
+            raise SingularMatrixError("matrix is singular")
         if pivot != col:
             work[col], work[pivot] = work[pivot], work[col]
             aug[col], aug[pivot] = aug[pivot], aug[col]

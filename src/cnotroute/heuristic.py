@@ -9,7 +9,8 @@ and so one Steiner tree: ``rowgraph.reduction_costs`` prices every root
 of that tree in one pass, from values on its directed edges that several
 roots share, instead of rooting and replaying the tree once per node
 (the recurrence, and the invariant that makes it exact, are documented
-there).
+there).  A node outside that support cannot be reduced to e, so its
+entry is ``math.inf``, a forbidden pair of the assignment.
 
 Only the *open block* of the cost table is priced: the non-basic nodes
 against the basis indices e whose inverse row is not a unit vector.  A
@@ -39,73 +40,52 @@ each candidate's resulting state; the smallest (loss, candidate index)
 wins, the first strict minimum in candidate order.  Most candidates
 lose, and a column-minimum bound (the standard lower bound of the
 linear assignment problem) proves it before they are fully priced.  No
-entry of a column is below |V| - 1 + 2|S| + U: its tree's schedule
-weight plus one recovery op for each of the U terminals that have two
-or more tree neighbours and hold a unit row (proved in
-``reduction_costs``).  Each column is assigned exactly one row, so a
-trial's loss is at least the sum of its priced columns' minima plus its
-unpriced columns' bounds.  Every candidate is first trial-run and
-recorded (ops, rows, carried columns) to give its bound before pricing;
-candidates are then priced in ascending (bound, index) order, and
-pricing stops, skipping the assignment, once the bound shows the
-candidate cannot beat the best (loss, index) so far.  A lone candidate
-needs no bound.  The winner is never cut short, so its full block
-serves the next iteration, and it is committed from its record rather
-than reduced again.  The committed ops are exactly the unpruned ones.
+entry of a column is below ``rowgraph.reduction_bound`` of its tree,
+whose proof is in ``rowgraph.reduction_costs``.  Each column is
+assigned exactly one row, so a trial's loss is at least the sum of its
+priced columns' minima plus its unpriced columns' bounds.  Every
+candidate is first trial-run and recorded (ops, rows, carried columns)
+to give its bound before pricing; candidates are then priced in
+ascending (bound, index) order, and pricing stops, skipping the
+assignment, once the bound shows the candidate cannot beat the best
+(loss, index) so far.  A lone candidate needs no bound.  The winner is
+never cut short, so its full block serves the next iteration, and it is
+committed from its record rather than reduced again.  The committed ops
+are exactly the unpruned ones.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from scipy.optimize import linear_sum_assignment
 
 from .arch import ArchGraph, steiner_entry
-from .gf2 import BitMatrix, SingularMatrixError, invert, transpose, vec_support
-from .rowgraph import (ADD, RowOp, reduction_costs, reduction_recovery,
-                       tree_reduce_tracked)
+from .gf2 import BitMatrix, invert, transpose, vec_support
+from .rowgraph import (ADD, RowOp, reduction_bound, reduction_costs,
+                       reduction_recovery, tree_reduce_tracked)
 
 
 class AssignmentError(ValueError):
     """Raised when no finite perfect assignment exists."""
 
 
-def max_tree_cost(n: int) -> int:
-    """Worst-case op weight of reducing one node on an n-node graph."""
-    return 6 * (n - 2) + 1 if n >= 2 else 1
-
-
-def infinite_cost(n: int) -> int:
-    """Sentinel for unreachable (node, basis) pairs.
-
-    Set to n * (n * max_tree_cost) + 1 so a full assignment of finite
-    entries is always cheaper than touching a single sentinel.
-    """
-    return n * (n * max_tree_cost(n)) + 1
-
-
 @dataclass(frozen=True)
 class CostTable:
     """entries[i][j] = op weight to reduce node nodes[i] to columns[j].
 
-    ``columns`` are basis indices and ``n`` is the graph size.  The full
-    table labels its rows and columns 0..n-1 (the default); the open
-    block labels the non-basic nodes and unpinned basis indices it
-    keeps, both ascending.
+    ``columns`` are basis indices; an entry is ``math.inf`` where the
+    node is outside the column's support.  The full table labels its
+    rows and columns 0..n-1; the open block labels the non-basic nodes
+    and unpinned basis indices it keeps, both ascending.
     """
 
-    n: int
-    entries: Tuple[Tuple[int, ...], ...]
-    infinite: int
+    entries: Tuple[Tuple[float, ...], ...]
     supports: Tuple[int, ...]  # reachable terminal set per column, as a mask
-    nodes: Optional[Tuple[int, ...]] = None
-    columns: Optional[Tuple[int, ...]] = None
-
-    def __post_init__(self):
-        for field in ("nodes", "columns"):
-            if getattr(self, field) is None:
-                object.__setattr__(self, field, tuple(range(len(self.entries))))
+    nodes: Tuple[int, ...]
+    columns: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -118,10 +98,7 @@ def build_cost_table(graph: ArchGraph, rows: Sequence[int]) -> CostTable:
     """All n^2 reduction costs of ``rows``, one per node; ``rows`` is left unchanged."""
     n = graph.n
     inv = invert(BitMatrix(n, rows))
-    if inv is None:
-        raise SingularMatrixError("rows are not reversible")
-    sentinel = infinite_cost(n)
-    entries = [[sentinel] * n for _ in range(n)]
+    entries = [[math.inf] * n for _ in range(n)]
     supports = []
     for e in range(n):
         sup = inv.rows[e]
@@ -137,8 +114,8 @@ def build_cost_table(graph: ArchGraph, rows: Sequence[int]) -> CostTable:
             grown, steiner = steiner_entry(graph, sup)
             for u, c in zip(roots, reduction_costs(rows, grown, steiner, roots)):
                 entries[u][e] = c
-    return CostTable(n, tuple(tuple(r) for r in entries), sentinel,
-                     tuple(supports))
+    return CostTable(tuple(tuple(r) for r in entries), tuple(supports),
+                     tuple(range(n)), tuple(range(n)))
 
 
 def _inverse_columns(n: int, rows: Sequence[int]) -> List[int]:
@@ -146,10 +123,7 @@ def _inverse_columns(n: int, rows: Sequence[int]) -> List[int]:
 
     ``rows`` must hold exactly ``n`` rows.
     """
-    inv = invert(BitMatrix(n, rows))
-    if inv is None:
-        raise SingularMatrixError("rows are not reversible")
-    return transpose(inv).rows
+    return transpose(invert(BitMatrix(n, rows))).rows
 
 
 def _apply_to_columns(cols: List[int], ops: Sequence[RowOp]) -> None:
@@ -178,24 +152,19 @@ def _open_columns(graph: ArchGraph, cols: Sequence[int]) -> list:
 
 
 def _column_bounds(rows: Sequence[int], opened: list) -> List[int]:
-    """A lower bound on every entry of each open column: |V| - 1 + 2|S| + U.
+    """A lower bound on every entry of each open column.
 
-    ``opened`` is ``_open_columns`` of the inverse of ``rows``.  U counts
-    the terminals of the column's tree that have two or more neighbours
-    and hold a unit row.  ``reduction_costs`` proves the bound at every
-    root not so counted, and the block's roots hold non-unit rows.
+    ``opened`` is ``_open_columns`` of the inverse of ``rows``.  Each
+    bound is ``reduction_bound`` of the column's tree with the support's
+    unit-row terminals; it holds at every root that holds a non-unit
+    row, as the block's roots do.
     """
     basic = 0
     for u, r in enumerate(rows):
         if not r & (r - 1):
             basic |= 1 << u
-    bounds = []
-    for _, sup, grown, steiner in opened:
-        weight = len(grown) - 1 + 2 * len(steiner)
-        for t in vec_support(sup & basic):
-            weight += len(grown[t]) > 1
-        bounds.append(weight)
-    return bounds
+    return [reduction_bound(grown, steiner, sup & basic)
+            for _, sup, grown, steiner in opened]
 
 
 def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
@@ -226,8 +195,7 @@ def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
     if bound is not None:
         low = sum(weights)
         order = sorted(order, key=weights.__getitem__, reverse=True)
-    sentinel = infinite_cost(n)
-    entries = [[sentinel] * len(nodes) for _ in nodes]
+    entries = [[math.inf] * len(nodes) for _ in nodes]
     for j in order:
         _, sup, grown, steiner = opened[j]
         # distinct unit rows XOR to weight |sup| >= 2, not to e_e, so at
@@ -240,25 +208,29 @@ def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
             low += min(costs) - weights[j]
             if low > bound:
                 return None
-    return CostTable(n, tuple(tuple(r) for r in entries), sentinel,
+    return CostTable(tuple(tuple(r) for r in entries),
                      tuple(column[1] for column in opened), tuple(nodes),
                      tuple(column[0] for column in opened))
 
 
 def hungarian_assign(table: CostTable) -> Assignment:
-    """Minimum-total bijection of the table's rows onto its columns."""
+    """Minimum-total bijection of the table's rows onto its columns.
+
+    Raises ``AssignmentError`` if every bijection uses a ``math.inf``
+    entry.
+    """
     entries = table.entries
     if not entries:
         return Assignment((), 0)
-    row_ind, col_ind = linear_sum_assignment(entries)
+    try:
+        row_ind, col_ind = linear_sum_assignment(entries)
+    except ValueError as err:  # scipy: "cost matrix is infeasible"
+        raise AssignmentError("no finite perfect assignment exists") from err
     by_node = [0] * len(entries)
     total = 0
     for r, c in zip(row_ind, col_ind):
-        value = entries[r][c]
-        if value >= table.infinite:
-            raise AssignmentError("no finite perfect assignment exists")
         by_node[r] = table.columns[c]
-        total += value
+        total += entries[r][c]
     return Assignment(tuple(by_node), total)
 
 
@@ -269,10 +241,14 @@ def loss(graph: ArchGraph, rows: Sequence[int]) -> int:
 
 
 def _cheapest(block: CostTable) -> List[Tuple[int, int, int]]:
-    """(node, basis, support mask) of the block's minimum entries, node-major."""
+    """(node, basis, support mask) of the block's minimum entries, node-major.
+
+    The minimum is finite: a non-basic node u lies in the support of some
+    open column.  Were every e with u in inv[e] pinned, each such inv[e]
+    would be the unit vector e_u; the inverse being invertible, there is
+    then one such e, and row u of the matrix is e_e: u would be basic.
+    """
     best = min(min(r) for r in block.entries)
-    if best >= block.infinite:
-        raise AssignmentError("no reducible pair found; state corrupt")
     return [(block.nodes[i], block.columns[j], block.supports[j])
             for i, r in enumerate(block.entries)
             for j, c in enumerate(r) if c == best]
@@ -295,8 +271,7 @@ def heuristic_token_reduction(graph: ArchGraph, rows: List[int]) -> List[RowOp]:
     shortlist the block's cheapest entries and break ties by look-ahead.
     Each candidate is trial-run (reduce, recover) on its own copy of the
     rows, and its ops, rows and carried columns are recorded; its open
-    columns' bounds (schedule weight plus unit-row interior terminals,
-    see ``_column_bounds``) sum to a lower bound on its loss.
+    columns' bounds (``_column_bounds``) sum to a lower bound on its loss.
     Candidates are then scored in ascending (bound, index) order, each
     priced from its recorded rows, and the smallest (loss, index) wins:
     the first strict minimum in candidate order, candidates being

@@ -21,13 +21,16 @@ spend along the same tree at each of many roots, without running them:
 a recurrence over the tree's directed edges, each edge's value shared
 by every root on its far side.  The schedule rule it prices, which tree
 edge becomes a SWAP, is ``tree_reduce_tracked``'s, beside it.
+``reduction_bound`` gives a lower bound on those weights from the
+tree's shape and its unit-row terminals alone, proved beside the
+recurrence.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Set, Tuple
 
-from .gf2 import is_unit
+from .gf2 import is_unit, vec_support
 
 ADD = "ADD"
 SWAP = "SWAP"
@@ -120,8 +123,8 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
     distinct after the schedule.  Replaying backwards,
     ``reduction_recovery`` spends at least one op per mark: an ADD on
     the marked node, or the SWAP that hands the mark back to a child
-    that holds none.  ``heuristic`` bounds its cost-table columns by
-    this.
+    that holds none.  ``reduction_bound`` gives this bound, and
+    ``heuristic`` bounds its cost-table columns by it.
 
     Edge values are memoized at branch nodes, where roots share them;
     along paths they are recomputed, which is cheaper on small trees
@@ -129,7 +132,13 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
     nodes is first rooted at ``roots[0]`` and every edge value the roots
     need is memoized leaves-first, then towards the other roots, so no
     call there recurses more than two edges deep.
+
+    Raises ``ReductionError`` if a root is not a terminal of the tree or
+    the walk from the roots meets a cycle.
     """
+    for r in roots:
+        if r not in tree or r in steiner:
+            raise ReductionError(f"root {r} is not a terminal of the tree")
     memo = {}
     shallow = len(tree) <= _RECURSIVE_NODES
 
@@ -151,35 +160,56 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
                                       [hand(c, x) for x in nbs if x != p])
         return v
 
-    if not shallow:
-        top = roots[0]
-        parent = {top: -1}
-        order = [top]
-        for c in order:
-            for x in tree[c]:
-                if x != parent[c]:
-                    parent[x] = c
-                    order.append(x)
-        for c in reversed(order[1:]):
-            hand(parent[c], c)
-        need = set()
-        for r in roots:
-            while r != top and r not in need:
-                need.add(r)
-                r = parent[r]
-        for c in order:
-            if c in need:
-                hand(c, parent[c])
     base = len(tree) - 1 + 2 * len(steiner)
     out = []
-    for r in roots:
-        total = base
-        for x in tree[r]:
-            s, f, r0, r1 = hand(r, x)
-            total += r1 if f else r0
-        out.append(total)
-    hand = None  # hand's closure cell holds hand: break the cycle so refcounting frees the memo
+    try:
+        if not shallow:
+            top = roots[0]
+            parent = {top: -1}
+            order = [top]
+            for c in order:
+                if len(order) > len(tree):
+                    raise ReductionError("the tree has a cycle")
+                for x in tree[c]:
+                    if x != parent[c]:
+                        parent[x] = c
+                        order.append(x)
+            for c in reversed(order[1:]):
+                hand(parent[c], c)
+            need = set()
+            for r in roots:
+                while r != top and r not in need:
+                    need.add(r)
+                    r = parent[r]
+            for c in order:
+                if c in need:
+                    hand(c, parent[c])
+        for r in roots:
+            total = base
+            for x in tree[r]:
+                s, f, r0, r1 = hand(r, x)
+                total += r1 if f else r0
+            out.append(total)
+    except RecursionError:  # only a cycle recurses that deep on a small tree
+        raise ReductionError("the tree has a cycle") from None
+    finally:
+        # hand's closure cell holds hand: break the cycle so refcounting frees the memo
+        hand = None
     return out
+
+
+def reduction_bound(tree, steiner, units: int) -> int:
+    """|V| - 1 + 2|S| + U, the lower bound proved in ``reduction_costs``.
+
+    ``tree`` and ``steiner`` are as ``reduction_costs`` takes them, and
+    ``units`` is the mask of the tree's terminals that hold a unit row.
+    U counts those with two or more neighbours.  The bound holds at
+    every root outside ``units``.
+    """
+    weight = len(tree) - 1 + 2 * len(steiner)
+    for t in vec_support(units):
+        weight += len(tree[t]) > 1
+    return weight
 
 
 def tree_reduce_tracked(rows: List[int], tree, steiner,

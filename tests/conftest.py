@@ -127,7 +127,7 @@ def random_invertible_matrix(rng: random.Random, n: int) -> BitMatrix:
         m.rows[a] ^= m.rows[b]
     if rng.random() < 0.5:
         rng.shuffle(m.rows)
-    assert invert(m) is not None
+    invert(m)  # raises SingularMatrixError if the construction is wrong
     return m
 
 

@@ -1,5 +1,6 @@
 """Cost table, Hungarian assignment, loss, and the main synthesizer."""
 
+import math
 import random
 from itertools import permutations
 
@@ -10,17 +11,17 @@ from cnotroute.gf2 import BitMatrix, SingularMatrixError, invert, mat_mul
 from cnotroute.heuristic import (Assignment, AssignmentError, CostTable,
                                  _reduce_pair, build_cost_table,
                                  heuristic_token_reduction, hungarian_assign,
-                                 infinite_cost, loss, max_tree_cost)
+                                 loss)
 
 from conftest import (brute_force_unit_combinations, matrix, non_unit_nodes,
                       ops_to_matrix, random_connected_graph,
                       random_reversible_rows)
 
 
-def _table(entries, infinite=10**6):
+def _table(entries):
     n = len(entries)
-    return CostTable(n, tuple(tuple(r) for r in entries), infinite,
-                     (0,) * n)
+    return CostTable(tuple(tuple(r) for r in entries), (0,) * n,
+                     tuple(range(n)), tuple(range(n)))
 
 
 def test_cost_zero_when_already_held(path4):
@@ -47,10 +48,10 @@ def test_cost_infinite_iff_inverse_zero():
             for e in range(n):
                 c = entries[u][e]
                 if e in reachable:
-                    assert c < infinite_cost(n)
+                    assert math.isfinite(c)
                     assert (inv.rows[e] >> u) & 1
                 else:
-                    assert c == infinite_cost(n)
+                    assert c == math.inf
                     assert not (inv.rows[e] >> u) & 1
 
 
@@ -80,9 +81,9 @@ def test_build_cost_table_worked_example(path4):
     inv = invert(pt)
     for u in range(4):
         for e in range(4):
-            finite = table.entries[u][e] < table.infinite
+            finite = math.isfinite(table.entries[u][e])
             assert finite == bool((inv.rows[e] >> u) & 1)
-        assert any(v < table.infinite for v in table.entries[u])
+        assert any(math.isfinite(v) for v in table.entries[u])
     # hand-traced entries on the A-B-C-D line
     assert table.entries[0][0] == 4   # swap then add through the line
     assert table.entries[2][2] == 1   # one add from the right neighbour
@@ -97,9 +98,9 @@ def test_build_cost_table_rows_have_finite_entry():
         g = random_connected_graph(rng, n)
         table = build_cost_table(g, random_reversible_rows(rng, g, 3 * n))
         for u in range(n):
-            assert any(v < table.infinite for v in table.entries[u])
+            assert any(math.isfinite(v) for v in table.entries[u])
         for e in range(n):
-            assert any(table.entries[u][e] < table.infinite for u in range(n))
+            assert any(math.isfinite(table.entries[u][e]) for u in range(n))
 
 
 def test_hungarian_two_by_two():
@@ -139,10 +140,11 @@ def test_hungarian_beats_random_bijections():
 
 
 def test_hungarian_rejects_infinite_assignment():
-    inf = 10**6
-    table = _table([[inf, inf], [1, inf]], infinite=inf)
-    with pytest.raises(AssignmentError):
-        hungarian_assign(table)
+    inf = math.inf
+    for entries in ([[inf, inf], [1, 2]],  # an all-inf row
+                    [[inf, 1], [inf, 2]]):  # an all-inf column
+        with pytest.raises(AssignmentError):
+            hungarian_assign(_table(entries))
 
 
 def test_hungarian_avoids_sentinel_for_reversible():
@@ -153,7 +155,7 @@ def test_hungarian_avoids_sentinel_for_reversible():
         table = build_cost_table(g, random_reversible_rows(rng, g, 3 * n))
         asg = hungarian_assign(table)
         for u in range(n):
-            assert table.entries[u][asg.by_node[u]] < table.infinite
+            assert math.isfinite(table.entries[u][asg.by_node[u]])
 
 
 def test_loss_zero_for_basic(grid3):
@@ -164,7 +166,7 @@ def test_loss_finite_for_reversible():
     rng = random.Random(37)
     for _ in range(20):
         g = random_connected_graph(rng, rng.randrange(2, 10))
-        assert loss(g, random_reversible_rows(rng, g, 3 * g.n)) < infinite_cost(g.n)
+        assert math.isfinite(loss(g, random_reversible_rows(rng, g, 3 * g.n)))
 
 
 def test_heuristic_on_basic_input(grid3):
@@ -236,11 +238,6 @@ def test_wrong_row_count_is_rejected(grid3, price, count):
     with pytest.raises(ValueError, match="expected 9 rows"):
         price(grid3, rows)
     assert rows == [1 << i for i in range(count)]
-
-
-def test_sentinel_dominates_any_finite_assignment():
-    for n in (2, 5, 20):
-        assert infinite_cost(n) > n * max_tree_cost(n)
 
 
 def test_loss_trajectory_diagnostic(grid3, capsys):

@@ -7,7 +7,9 @@ the same order, and the synthesizer must commit the same steps as a
 full-table reference loop written here.
 """
 
+import math
 import random
+from itertools import chain
 
 import pytest
 
@@ -17,15 +19,16 @@ from cnotroute.heuristic import (_cheapest, _inverse_columns, _open_block,
                                  heuristic_token_reduction, hungarian_assign,
                                  loss)
 
-from conftest import (non_unit_nodes, random_connected_graph,
-                      random_reversible_rows)
+from conftest import (diagonal_grid_graph, heavy_hex_graph, non_unit_nodes,
+                      random_connected_graph, random_reversible_rows)
 
 
 def _full_candidates(rows, table):
     """Cheapest full-table entries over non-basic rows, node-major."""
     non_unit = non_unit_nodes(rows)
-    best = min(table.entries[u][e] for u in non_unit for e in range(table.n))
-    return [(u, e) for u in non_unit for e in range(table.n)
+    n = len(table.entries)
+    best = min(table.entries[u][e] for u in non_unit for e in range(n))
+    return [(u, e) for u in non_unit for e in range(n)
             if table.entries[u][e] == best]
 
 
@@ -54,19 +57,23 @@ def _reference_reduction(g, rows):
     return out
 
 
+def _stages(g, rows):
+    """(graph, rows) at every stage of a greedy cheapest-first reduction of ``rows``."""
+    yield g, rows
+    while non_unit_nodes(rows):
+        table = build_cost_table(g, rows)
+        u, e = _full_candidates(rows, table)[0]
+        _reduce_pair(g, rows, u, table.supports[e])
+        yield g, rows
+
+
 def _states(seed, graphs):
-    """(graph, rows) at every stage of a greedy cheapest-first reduction."""
+    """Every stage of greedy reductions of random rows on random graphs."""
     rng = random.Random(seed)
     for _ in range(graphs):
         n = rng.randrange(2, 13)
         g = random_connected_graph(rng, n, extra=rng.randrange(n + 1))
-        rows = random_reversible_rows(rng, g, rng.randrange(1, 4 * n))
-        yield g, rows
-        while non_unit_nodes(rows):
-            table = build_cost_table(g, rows)
-            u, e = _full_candidates(rows, table)[0]
-            _reduce_pair(g, rows, u, table.supports[e])
-            yield g, rows
+        yield from _stages(g, random_reversible_rows(rng, g, rng.randrange(1, 4 * n)))
 
 
 def _check_state(g, rows):
@@ -98,6 +105,27 @@ def test_block_matches_full_table_at_every_stage():
         basic += g.n - len(non_unit_nodes(rows))
     assert states > 500
     assert basic > states  # many states are mostly basic
+
+
+def test_every_non_basic_node_has_a_finite_entry():
+    """The invariant that leaves the block's minimum and its loss finite.
+
+    A non-basic node lies in the support of some open column, so its
+    block row holds a finite entry, and a finite assignment exists.
+    """
+    rng = random.Random(3035)
+    devices = [(g, random_reversible_rows(rng, g, walk))
+               for g in (heavy_hex_graph(2, 5), heavy_hex_graph(3, 5), diagonal_grid_graph(4, 4))
+               for walk in (g.n, 4 * g.n, 16 * g.n)]
+    states = chain(_states(3036, 120), *(_stages(g, rows) for g, rows in devices))
+    priced = 0
+    for g, rows in states:
+        block = _open_block(g, rows, _fresh_open(g, rows))
+        for u, entries in zip(block.nodes, block.entries):
+            assert any(math.isfinite(c) for c in entries), u
+        assert math.isfinite(hungarian_assign(block).total)
+        priced += len(block.nodes)
+    assert priced > 3000, priced
 
 
 def test_block_and_full_table_both_reject_singular_states():

@@ -16,11 +16,13 @@ tree depth is not limited by recursion.
 import gc
 import random
 
+import pytest
+
 from cnotroute.arch import steiner_entry
 from cnotroute.gf2 import BitMatrix, invert, is_unit, vec_support
 from cnotroute.heuristic import _reduce_pair
-from cnotroute.rowgraph import (SWAP, reduction_costs, reduction_recovery,
-                                tree_reduce_tracked)
+from cnotroute.rowgraph import (SWAP, ReductionError, reduction_costs,
+                                reduction_recovery, tree_reduce_tracked)
 
 from conftest import (diagonal_grid_graph, entry_bound, heavy_hex_graph,
                       non_unit_nodes, random_connected_graph,
@@ -161,3 +163,35 @@ def test_pricing_leaves_no_garbage_cycles():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _cycle(n):
+    return {i: tuple(sorted({(i - 1) % n, (i + 1) % n})) for i in range(n)}
+
+
+def test_small_cycle_is_rejected():
+    with pytest.raises(ReductionError, match="cycle"):
+        reduction_costs([1, 2, 7], _cycle(3), frozenset(), [0])
+
+
+def test_large_cycle_is_rejected():
+    n = 300  # above the size priced by plain recursion
+    rows = [1 << i for i in range(n)]
+    with pytest.raises(ReductionError, match="cycle"):
+        reduction_costs(rows, _cycle(n), frozenset(), [0, n // 2])
+
+
+def test_root_outside_the_tree_is_rejected():
+    tree = {0: (1,), 1: (0, 2), 2: (1,)}
+    with pytest.raises(ReductionError, match="root 5"):
+        reduction_costs([1, 2, 7, 8, 16, 32], tree, frozenset(), [0, 5])
+
+
+def test_steiner_root_is_rejected():
+    tree = {0: (1,), 1: (0, 2), 2: (1,)}
+    rows = [3, 4, 2]
+    with pytest.raises(ReductionError, match="root 1"):
+        reduction_costs(rows, tree, frozenset({1}), [0, 1])
+    # the reduction it would price rejects the same root
+    with pytest.raises(ReductionError, match="root 1"):
+        tree_reduce_tracked(list(rows), tree, frozenset({1}), 1)
