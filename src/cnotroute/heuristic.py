@@ -10,7 +10,11 @@ of that tree in one pass, from values on its directed edges that several
 roots share, instead of rooting and replaying the tree once per node
 (the recurrence, and the invariant that makes it exact, are documented
 there).  A node outside that support cannot be reduced to e, so its
-entry is ``math.inf``, a forbidden pair of the assignment.
+entry is ``math.inf``, a forbidden pair of the assignment.  The trees
+come from ``arch.steiner_entry`` and are trees with terminal leaves by
+its growth proof, so they are priced through the unchecked cores
+``rowgraph._costs`` and ``rowgraph._bound``; only the reductions the
+synthesizer runs go through the checked ``tree_reduce_tracked``.
 
 Only the *open block* of the cost table is priced: the non-basic nodes
 against the basis indices e whose inverse row is not a unit vector.  A
@@ -23,7 +27,7 @@ indices are in bijection, so the block is square; its minimum
 assignment total equals the full table's, and its cheapest entries are
 the full table's cheapest entries over non-basic rows, in the same
 order.  ``build_cost_table`` remains the full-table reference and
-prices through the same ``reduction_costs`` as the block.
+prices through the same ``rowgraph._costs`` as the block.
 
 The synthesizer inverts the matrix once and then carries the inverse,
 in column form: per node u, the mask of basis indices e whose inverse
@@ -40,7 +44,7 @@ each candidate's resulting state; the smallest (loss, candidate index)
 wins, the first strict minimum in candidate order.  Most candidates
 lose, and a column-minimum bound (the standard lower bound of the
 linear assignment problem) proves it before they are fully priced.  No
-entry of a column is below ``rowgraph.reduction_bound`` of its tree,
+entry of a column is below ``rowgraph._bound`` of its tree,
 whose proof is in ``rowgraph.reduction_costs``.  Each column is
 assigned exactly one row, so a trial's loss is at least the sum of its
 priced columns' minima plus its unpriced columns' bounds.  Every
@@ -64,8 +68,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .arch import ArchGraph, steiner_entry
 from .gf2 import BitMatrix, invert, transpose, vec_support
-from .rowgraph import (ADD, RowOp, reduction_bound, reduction_costs,
-                       reduction_recovery, tree_reduce_tracked)
+from .rowgraph import (ADD, RowOp, _bound, _costs, reduction_recovery,
+                       tree_reduce_tracked)
 
 
 class AssignmentError(ValueError):
@@ -112,7 +116,7 @@ def build_cost_table(graph: ArchGraph, rows: Sequence[int]) -> CostTable:
                 roots.append(u)
         if roots:
             grown, steiner = steiner_entry(graph, sup)
-            for u, c in zip(roots, reduction_costs(rows, grown, steiner, roots)):
+            for u, c in zip(roots, _costs(rows, grown, steiner, roots)):
                 entries[u][e] = c
     return CostTable(tuple(tuple(r) for r in entries), tuple(supports),
                      tuple(range(n)), tuple(range(n)))
@@ -155,7 +159,7 @@ def _column_bounds(rows: Sequence[int], opened: list) -> List[int]:
     """A lower bound on every entry of each open column.
 
     ``opened`` is ``_open_columns`` of the inverse of ``rows``.  Each
-    bound is ``reduction_bound`` of the column's tree with the support's
+    bound is ``rowgraph._bound`` of the column's tree with the support's
     unit-row terminals; it holds at every root that holds a non-unit
     row, as the block's roots do.
     """
@@ -163,7 +167,7 @@ def _column_bounds(rows: Sequence[int], opened: list) -> List[int]:
     for u, r in enumerate(rows):
         if not r & (r - 1):
             basic |= 1 << u
-    return [reduction_bound(grown, steiner, sup & basic)
+    return [_bound(grown, steiner, sup & basic)
             for _, sup, grown, steiner in opened]
 
 
@@ -201,7 +205,7 @@ def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
         # distinct unit rows XOR to weight |sup| >= 2, not to e_e, so at
         # least one node of the support is non-basic
         roots = vec_support(sup & nonbasic)
-        costs = reduction_costs(rows, grown, steiner, roots)
+        costs = _costs(rows, grown, steiner, roots)
         for u, c in zip(roots, costs):
             entries[position[u]][j] = c
         if bound is not None:

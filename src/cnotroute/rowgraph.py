@@ -21,14 +21,20 @@ spend along the same tree at each of many roots, without running them:
 a recurrence over the tree's directed edges, each edge's value shared
 by every root on its far side.  The schedule rule it prices, which tree
 edge becomes a SWAP, is ``tree_reduce_tracked``'s, beside it.
-``reduction_bound`` gives a lower bound on those weights from the
-tree's shape and its unit-row terminals alone, proved beside the
-recurrence.
+``_bound`` gives a lower bound on those weights from the tree's shape
+and its unit-row terminals alone, proved beside the recurrence.
+
+Every public function that takes a tree checks it in one walk,
+``_schedule``, which also builds the reduction schedule; malformed trees
+raise ``ReductionError``.  The private cores ``_costs`` and ``_bound``
+check nothing: ``heuristic`` prices through them the trees that
+``arch`` grows, which are trees with terminal leaves by the growth
+proof in ``arch._grow_steiner_graph``.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .gf2 import is_unit, vec_support
 
@@ -70,9 +76,56 @@ def _hand_up(row: int, steiner: bool, below: list) -> tuple:
     return acc, f, r0, r1
 
 
-# Trees up to this many nodes are priced by plain recursion, at most this
-# deep; larger ones first memoize their edge values leaves-first.
-_RECURSIVE_NODES = 256
+def _schedule(tree, steiner, root: int, n_rows: int) -> List[RowOp]:
+    """The reduction schedule of ``tree`` at ``root``, checking the tree.
+
+    ``tree`` must be an unrooted tree (node -> neighbour tuple) over
+    nodes that have a row, 0..``n_rows`` - 1, whose every edge is listed
+    once in each direction, and whose Steiner points (``steiner``) are
+    interior nodes; ``root`` must be a terminal.  The schedule is the
+    post-order with children in neighbour order: ("SWAP", child, parent)
+    for each Steiner parent's first child, ("ADD", parent, child)
+    everywhere else.  Pushing each node's children in order makes one
+    stack walk a pre-order with children reversed; reversed, that is the
+    schedule.  A child's op is fixed as its parent is expanded.
+
+    Raises ``ReductionError`` if any of that fails: the root is not a
+    terminal, a node has no row, an edge is one-way or names a node
+    missing from ``tree`` (whose own list is then empty), the walk meets
+    a node twice (a cycle) or misses one, or a Steiner point is a leaf
+    or off the tree.
+    """
+    if root not in tree or root in steiner:
+        raise ReductionError(f"root {root} is not a terminal of the tree")
+    pre = []
+    seen = {root}
+    points = 0
+    stack = [(root, None, None)]
+    while stack:
+        node, up, op = stack.pop()
+        if not 0 <= node < n_rows:
+            raise ReductionError(f"tree node {node} has no row (there are {n_rows} rows)")
+        nbs = tree.get(node, ())
+        if op is not None:
+            if nbs.count(up) != 1:
+                raise ReductionError(f"edge ({up}, {node}) is not listed once at each end")
+            pre.append(op)
+        swap = node in steiner
+        if swap and len(nbs) > 1:
+            points += 1
+        for c in nbs:
+            if c != up:
+                if c in seen:
+                    raise ReductionError("the tree has a cycle")
+                seen.add(c)
+                stack.append((c, node, (SWAP, c, node) if swap else (ADD, node, c)))
+                swap = False
+    if len(seen) != len(tree):
+        raise ReductionError(f"the tree does not join every node to root {root}")
+    if points != len(steiner):
+        raise ReductionError("a Steiner point is a leaf or not a node of the tree")
+    pre.reverse()
+    return pre
 
 
 def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) -> List[int]:
@@ -123,22 +176,39 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
     distinct after the schedule.  Replaying backwards,
     ``reduction_recovery`` spends at least one op per mark: an ADD on
     the marked node, or the SWAP that hands the mark back to a child
-    that holds none.  ``reduction_bound`` gives this bound, and
-    ``heuristic`` bounds its cost-table columns by it.
+    that holds none.  ``_bound`` gives this bound, and ``heuristic``
+    bounds its cost-table columns by it.
+
+    Raises ``ReductionError`` if ``roots`` is empty, ``_schedule`` finds
+    the tree malformed from ``roots[0]``, or another root is not a
+    terminal of the tree.  ``_costs`` prices without these checks.
+    """
+    if not roots:
+        raise ReductionError("no root to price")
+    schedule = _schedule(tree, steiner, roots[0], len(rows))
+    for r in roots:
+        if r not in tree or r in steiner:
+            raise ReductionError(f"root {r} is not a terminal of the tree")
+    return _costs(rows, tree, steiner, roots, schedule)
+
+
+# Trees up to this many nodes are priced by plain recursion, at most this
+# deep; larger ones first memoize every edge value along their schedule.
+_RECURSIVE_NODES = 256
+
+
+def _costs(rows: Sequence[int], tree, steiner, roots: Sequence[int],
+           schedule: Optional[List[RowOp]] = None) -> List[int]:
+    """``reduction_costs`` without its checks: the tree must pass ``_schedule``.
 
     Edge values are memoized at branch nodes, where roots share them;
     along paths they are recomputed, which is cheaper on small trees
     than any bookkeeping.  A tree of more than ``_RECURSIVE_NODES``
-    nodes is first rooted at ``roots[0]`` and every edge value the roots
-    need is memoized leaves-first, then towards the other roots, so no
-    call there recurses more than two edges deep.
-
-    Raises ``ReductionError`` if a root is not a terminal of the tree or
-    the walk from the roots meets a cycle.
+    nodes memoizes every edge value, both ways: leaves-first along its
+    ``schedule`` at ``roots[0]`` (walked here if not given), then back
+    towards the leaves, so no call there recurses more than two edges
+    deep.
     """
-    for r in roots:
-        if r not in tree or r in steiner:
-            raise ReductionError(f"root {r} is not a terminal of the tree")
     memo = {}
     shallow = len(tree) <= _RECURSIVE_NODES
 
@@ -164,47 +234,31 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
     out = []
     try:
         if not shallow:
-            top = roots[0]
-            parent = {top: -1}
-            order = [top]
-            for c in order:
-                if len(order) > len(tree):
-                    raise ReductionError("the tree has a cycle")
-                for x in tree[c]:
-                    if x != parent[c]:
-                        parent[x] = c
-                        order.append(x)
-            for c in reversed(order[1:]):
-                hand(parent[c], c)
-            need = set()
-            for r in roots:
-                while r != top and r not in need:
-                    need.add(r)
-                    r = parent[r]
-            for c in order:
-                if c in need:
-                    hand(c, parent[c])
+            edges = [(b, a) if kind == ADD else (a, b)  # (child, parent)
+                     for kind, a, b in schedule or _schedule(tree, steiner, roots[0], len(rows))]
+            for c, p in edges:
+                hand(p, c)
+            for c, p in reversed(edges):
+                hand(c, p)
         for r in roots:
             total = base
             for x in tree[r]:
                 s, f, r0, r1 = hand(r, x)
                 total += r1 if f else r0
             out.append(total)
-    except RecursionError:  # only a cycle recurses that deep on a small tree
-        raise ReductionError("the tree has a cycle") from None
     finally:
         # hand's closure cell holds hand: break the cycle so refcounting frees the memo
         hand = None
     return out
 
 
-def reduction_bound(tree, steiner, units: int) -> int:
+def _bound(tree, steiner, units: int) -> int:
     """|V| - 1 + 2|S| + U, the lower bound proved in ``reduction_costs``.
 
     ``tree`` and ``steiner`` are as ``reduction_costs`` takes them, and
     ``units`` is the mask of the tree's terminals that hold a unit row.
     U counts those with two or more neighbours.  The bound holds at
-    every root outside ``units``.
+    every root outside ``units``.  Unchecked, like ``_costs``.
     """
     weight = len(tree) - 1 + 2 * len(steiner)
     for t in vec_support(units):
@@ -219,12 +273,10 @@ def tree_reduce_tracked(rows: List[int], tree, steiner,
     ``tree`` and ``steiner`` are as ``reduction_costs`` takes them: an
     unrooted tree (node -> ascending neighbour tuple) and its
     non-terminal nodes, whose terminal rows must XOR to a standard basis
-    vector.  ``root`` is a terminal.  The schedule is the post-order
-    with ascending children: ("SWAP", child, parent) for each Steiner
-    parent's first child, ("ADD", parent, child) everywhere else.
-    Pushing each node's children in ascending order makes one stack walk
-    a pre-order with descending children; reversed, that is the
-    schedule.  A child's op is fixed as its parent is expanded.
+    vector.  ``root`` is a terminal.  The schedule is ``_schedule``'s:
+    the post-order with ascending children, ("SWAP", child, parent) for
+    each Steiner parent's first child, ("ADD", parent, child) everywhere
+    else.
 
     Runs the schedule on ``rows`` in place.  Returns the ops run and the
     set of nodes whose standard basis vectors were disturbed and that
@@ -233,38 +285,16 @@ def tree_reduce_tracked(rows: List[int], tree, steiner,
     root is never tracked: its row may pass through a unit vector while
     the terminal contributions accumulate, and recovery must not undo
     the reduction it serves.  Raises ``ReductionError``, leaving ``rows``
-    unchanged, if ``root`` is not a terminal of the tree, a tree node has
-    no row, the terminal rows do not XOR to a unit vector, or ``tree`` is
-    not a tree.
+    unchanged, if ``_schedule`` rejects the tree or the root, or the
+    terminal rows do not XOR to a unit vector.
     """
-    if root not in tree or root in steiner:
-        raise ReductionError(f"root {root} is not a terminal of the tree")
-    n = len(rows)
+    pre = _schedule(tree, steiner, root, len(rows))
     acc = 0
     for t in tree:
-        if not 0 <= t < n:
-            raise ReductionError(f"tree node {t} has no row (there are {n} rows)")
         if t not in steiner:
             acc ^= rows[t]
     if not is_unit(acc):
         raise ReductionError("terminal rows do not XOR to a standard basis vector")
-    size = len(tree)
-    pre = []
-    stack = [(root, -1, None)]
-    while stack:
-        node, up, op = stack.pop()
-        if op is not None:
-            pre.append(op)
-            if len(pre) == size:
-                raise ReductionError("the tree has a cycle")
-        swap = node in steiner
-        for c in tree[node]:
-            if c != up:
-                stack.append((c, node, (SWAP, c, node) if swap else (ADD, node, c)))
-                swap = False
-    if len(pre) != size - 1:
-        raise ReductionError(f"the tree does not join every node to root {root}")
-    pre.reverse()
     tracked: Set[int] = set()
     for kind, a, b in pre:
         if kind == ADD:
@@ -285,12 +315,15 @@ def reduction_recovery(rows: List[int], operations: Sequence[RowOp],
     """Restore every tracked node to a unit vector; returns the ops used.
 
     Replays on ``rows``, in reverse, just the ops needed to restore
-    tracked nodes.
+    tracked nodes.  Raises ``ReductionError``, leaving ``rows``
+    unchanged, if an op is not an ADD or SWAP of two distinct rows.
     """
     n = len(rows)
     for kind, a, b in operations:
         if not (0 <= a < n and 0 <= b < n):
             raise ReductionError(f"operation {(kind, a, b)} targets a node outside the graph")
+        if kind not in (ADD, SWAP) or a == b:
+            raise ReductionError(f"operation {(kind, a, b)} is not an ADD or SWAP of two rows")
     recover = []
     for kind, a, b in reversed(operations):
         if kind == ADD:

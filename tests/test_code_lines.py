@@ -47,3 +47,11 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["8", "8", "16"]
     assert lines[-1].split()[1] == "total"
+
+
+def test_no_path_or_a_directory_prints_usage(tmp_path, capsys):
+    tool = _load_tool()
+    for paths in ([], [str(tmp_path)]):
+        assert tool.main(paths) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("usage: ")

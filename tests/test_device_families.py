@@ -4,9 +4,11 @@ Square grids, small heavy-hex lattices and Sycamore-style diagonal
 grids are built in ``conftest`` from their definitions.  On each, mixed
 and CNOT-only circuits from random input mappings go through
 ``route_general`` and ``postprocess``, and both the package verifier
-and the benchmark's outside checker must accept every result.  Each
-graph's distance table and distance balls must match networkx's
-shortest paths.
+and the benchmark's outside checker must accept every result.  Every
+Steiner tree routing grew there, and on the stock devices, must be a
+tree with terminal leaves, which the growth proves and no longer checks
+at run time.  Each graph's distance table and distance balls must match
+networkx's shortest paths.
 """
 
 import random
@@ -17,10 +19,12 @@ import pytest
 from cnotroute.arch import get_architecture, list_architectures
 from cnotroute.bench import random_cnot_circuit
 from cnotroute.circuit import Mapping
+from cnotroute.gf2 import vec_support
 from cnotroute.synthesis import equivalence_failure, postprocess, route_general
 
 from conftest import (check, diagonal_grid_graph, grid_graph, heavy_hex_graph,
                       random_connected_graph)
+from test_arch import _check_tree_invariants
 from test_pinned_output import mixed_circuit
 
 FAMILIES = {
@@ -76,6 +80,23 @@ def test_routed_and_postprocessed_circuits_pass_both_verifiers(family):
         assert equivalence_failure(circuit, final, graph) is None
         assert check.routing_failure(circuit, routed, graph) is None
         assert check.postprocess_failure(routed, final, graph) is None
+    _check_grown_trees(graph)
+
+
+def _check_grown_trees(graph):
+    """Every cached Steiner tree of ``graph`` is a tree with terminal leaves."""
+    assert graph._steiner_cache
+    for mask, (tree, steiner) in graph._steiner_cache.items():
+        terminals = set(vec_support(mask))
+        _check_tree_invariants(graph, tree, steiner, terminals, max(terminals))
+
+
+@pytest.mark.parametrize("name", list_architectures())
+def test_every_tree_grown_on_a_stock_device_is_a_tree(name):
+    graph, stock = get_architecture(name)
+    for seed in range(3):
+        route_general(random_cnot_circuit(graph.n, 8 * graph.n, seed), graph, Mapping(stock))
+    _check_grown_trees(graph)
 
 
 def _check_distances(graph):

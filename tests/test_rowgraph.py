@@ -219,3 +219,18 @@ def test_reversibility_invariant_under_ops():
 def test_recovery_rejects_out_of_range_ops():
     with pytest.raises(ReductionError, match="outside the graph"):
         reduction_recovery([1, 2, 4, 8], [("ADD", 0, 9)], {0})
+
+
+def test_recovery_rejects_an_op_on_one_row():
+    # ADD(0, 0) would leave row 0 zero, the rows singular
+    rows = [1, 2]
+    with pytest.raises(ReductionError, match="two rows"):
+        reduction_recovery(rows, [("ADD", 0, 0)], {0})
+    assert rows == [1, 2]
+
+
+def test_recovery_rejects_an_unknown_op_kind():
+    rows = [1, 2]
+    with pytest.raises(ReductionError, match="ADD or SWAP"):
+        reduction_recovery(rows, [("SWAP", 0, 1), ("FOO", 0, 1)], {1})
+    assert rows == [1, 2]

@@ -5,15 +5,19 @@
 A code line holds at least one token other than a comment; blank and
 comment-only lines do not count, and neither do the lines of module,
 class and function docstrings.  Prints one line per file and the total
-last, so line counts quoted for the package can be reproduced.
+last, so line counts quoted for the package can be reproduced.  With no
+path, or a path that is not a file, prints a usage line and exits 2.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
+
+USAGE = "usage: python3 tools/code_lines.py FILE.py [FILE.py ...]"
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -34,6 +38,9 @@ def code_lines(source: str) -> int:
 
 
 def main(paths) -> int:
+    if not paths or not all(map(os.path.isfile, paths)):
+        print(USAGE, file=sys.stderr)
+        return 2
     total = 0
     for path in paths:
         with open(path, encoding="utf-8") as f:
