@@ -206,11 +206,14 @@ def steiner_entry(g: ArchGraph, mask: int) -> tuple:
     The entry is (grown tree, Steiner points): the unrooted tree as node
     -> ascending neighbour tuple, and its non-terminal nodes.  Past
     ``_GROW_CACHE_CAP`` terminal sets the cache is dropped wholesale;
-    sustained runs would otherwise grow it unbounded.
+    sustained runs would otherwise grow it unbounded.  Raises ValueError
+    on a miss unless the mask names a non-empty set of ``g``'s nodes.
     """
     cache = g._steiner_cache
     entry = cache.get(mask)
     if entry is None:
+        if not 0 < mask < 1 << g.n:
+            raise ValueError(f"terminal mask {mask} is not a non-empty set of {g.n} nodes")
         if len(cache) >= _GROW_CACHE_CAP:
             cache.clear()
         grown = _grow_steiner_graph(g, mask)

@@ -41,8 +41,9 @@ class BenchConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not self.gate_counts or any(gc < 1 for gc in self.gate_counts):
-            raise ValueError("gate_counts must be non-empty and positive")
+        counts = self.gate_counts
+        if not counts or min(counts) < 1 or len(set(counts)) < len(counts):
+            raise ValueError("gate_counts must be non-empty and positive, without repeats")
         if self.baseline not in ("swap_insertion", "none"):
             raise ValueError(f"unknown baseline {self.baseline!r}")
         if self.jobs < 1:

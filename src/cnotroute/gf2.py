@@ -48,6 +48,8 @@ class BitMatrix:
             if len(rows) != n:
                 raise ValueError(f"expected {n} rows, got {len(rows)}")
             self.rows = list(rows)
+            if rows and (min(self.rows) < 0 or max(self.rows) >> n):
+                raise ValueError(f"rows must be {n}-bit vectors, 0 <= row < 2**{n}")
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -101,15 +103,23 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 
 def transpose(a: BitMatrix) -> BitMatrix:
     """Transpose, one step per 1-bit: row i's bit j becomes row j's bit i."""
-    n = a.n
-    out = [0] * n
-    for i, r in enumerate(a.rows):
+    return BitMatrix(a.n, _transpose_rows(a.rows))
+
+
+def _transpose_rows(rows: List[int]) -> List[int]:
+    """``transpose`` on a bare row list, which must be a matrix's rows.
+
+    Builds no ``BitMatrix``, so the rows are not checked again; the
+    synthesizer transposes its carried columns this way on every trial.
+    """
+    out = [0] * len(rows)
+    for i, r in enumerate(rows):
         bit = 1 << i
         while r:
             low = r & -r
             out[low.bit_length() - 1] |= bit
             r ^= low
-    return BitMatrix(n, out)
+    return out
 
 
 def row_add(a: BitMatrix, target: int, source: int) -> None:

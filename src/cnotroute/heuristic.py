@@ -67,7 +67,7 @@ from typing import List, Optional, Sequence, Tuple
 from scipy.optimize import linear_sum_assignment
 
 from .arch import ArchGraph, steiner_entry
-from .gf2 import BitMatrix, invert, transpose, vec_support
+from .gf2 import BitMatrix, _transpose_rows, invert, vec_support
 from .rowgraph import (ADD, RowOp, _bound, _costs, reduction_recovery,
                        tree_reduce_tracked)
 
@@ -127,7 +127,7 @@ def _inverse_columns(n: int, rows: Sequence[int]) -> List[int]:
 
     ``rows`` must hold exactly ``n`` rows.
     """
-    return transpose(invert(BitMatrix(n, rows))).rows
+    return _transpose_rows(invert(BitMatrix(n, rows)).rows)
 
 
 def _apply_to_columns(cols: List[int], ops: Sequence[RowOp]) -> None:
@@ -148,7 +148,7 @@ def _open_columns(graph: ArchGraph, cols: Sequence[int]) -> list:
     least two nodes; columns ascend.
     """
     opened = []
-    for e, sup in enumerate(transpose(BitMatrix(graph.n, cols)).rows):
+    for e, sup in enumerate(_transpose_rows(cols)):
         if sup & (sup - 1):
             grown, steiner = steiner_entry(graph, sup)
             opened.append((e, sup, grown, steiner))

@@ -34,7 +34,7 @@ proof in ``arch._grow_steiner_graph``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from .gf2 import is_unit, vec_support
 
@@ -181,15 +181,16 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
 
     Raises ``ReductionError`` if ``roots`` is empty, ``_schedule`` finds
     the tree malformed from ``roots[0]``, or another root is not a
-    terminal of the tree.  ``_costs`` prices without these checks.
+    terminal of the tree.  ``_schedule`` is called here only as the
+    check; ``_costs`` then prices without checks.
     """
     if not roots:
         raise ReductionError("no root to price")
-    schedule = _schedule(tree, steiner, roots[0], len(rows))
-    for r in roots:
+    _schedule(tree, steiner, roots[0], len(rows))
+    for r in roots[1:]:
         if r not in tree or r in steiner:
             raise ReductionError(f"root {r} is not a terminal of the tree")
-    return _costs(rows, tree, steiner, roots, schedule)
+    return _costs(rows, tree, steiner, roots)
 
 
 # Trees up to this many nodes are priced by plain recursion, at most this
@@ -197,17 +198,15 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
 _RECURSIVE_NODES = 256
 
 
-def _costs(rows: Sequence[int], tree, steiner, roots: Sequence[int],
-           schedule: Optional[List[RowOp]] = None) -> List[int]:
+def _costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) -> List[int]:
     """``reduction_costs`` without its checks: the tree must pass ``_schedule``.
 
     Edge values are memoized at branch nodes, where roots share them;
     along paths they are recomputed, which is cheaper on small trees
     than any bookkeeping.  A tree of more than ``_RECURSIVE_NODES``
-    nodes memoizes every edge value, both ways: leaves-first along its
-    ``schedule`` at ``roots[0]`` (walked here if not given), then back
-    towards the leaves, so no call there recurses more than two edges
-    deep.
+    nodes memoizes every edge value, both ways: leaves-first along the
+    schedule ``_schedule`` walks at ``roots[0]``, then back towards the
+    leaves, so no call there recurses more than two edges deep.
     """
     memo = {}
     shallow = len(tree) <= _RECURSIVE_NODES
@@ -235,7 +234,7 @@ def _costs(rows: Sequence[int], tree, steiner, roots: Sequence[int],
     try:
         if not shallow:
             edges = [(b, a) if kind == ADD else (a, b)  # (child, parent)
-                     for kind, a, b in schedule or _schedule(tree, steiner, roots[0], len(rows))]
+                     for kind, a, b in _schedule(tree, steiner, roots[0], len(rows))]
             for c, p in edges:
                 hand(p, c)
             for c, p in reversed(edges):

@@ -6,9 +6,12 @@ state, and emitting one CNOT per row addition that reduction runs (SWAPs
 stay atomic until post-processing picks an orientation).  The routed circuit equals the
 original up to the reported output mapping.
 
+``_stops`` is the package's one walk from a gate list to GF(2) rows: it
+carries the rows of the list's linear prefix and the columns of that
+prefix's inverse, one XOR or exchange per gate, and stops at every
+one-qubit gate and once at the end.  ``linear_matrix`` is its last stop.
+
 One rule decides correctness for linear and mixed circuits alike.
-``_stops`` walks a gate list carrying the rows of its linear prefix and
-the columns of that prefix's inverse, one XOR or exchange per gate;
 ``_moved_failure`` zips two such walks and requires, at each pair of
 one-qubit gates, that the linear difference between them moves the
 gate's qubit and nothing else, and at the end that it is the mapping
@@ -60,19 +63,15 @@ def cnot_weight(gates) -> int:
 def linear_matrix(gates, n: int) -> BitMatrix:
     """Compose CNOT and SWAP gates on n wires into their GF(2) matrix.
 
-    Starting from the identity, each CNOT adds the control row into the
-    target row and each SWAP exchanges two rows, in gate order (later
-    gates multiply on the left).  Raises ValueError on any other gate.
+    The last stop of ``_stops`` on the unplaced wires: starting from the
+    identity, each CNOT adds the control row into the target row and
+    each SWAP exchanges two rows, in gate order (later gates multiply on
+    the left).  Raises ValueError on any other gate.
     """
-    m = BitMatrix.identity(n)
-    for g in gates:
-        if g.kind == CNOT:
-            m.rows[g.b] ^= m.rows[g.a]
-        elif g.kind == SWAP:
-            m.rows[g.a], m.rows[g.b] = m.rows[g.b], m.rows[g.a]
-        else:
-            raise ValueError(f"not a linear gate: {g}")
-    return m
+    for label, node, rows, _ in _stops(gates, range(n), n):
+        if label is not None:
+            raise ValueError(f"not a linear gate: 1q {label} {node}")
+    return BitMatrix(n, rows)
 
 
 def relabel_circuit(c: Circuit, mapping: Mapping) -> Circuit:
@@ -103,12 +102,11 @@ def route_cnot_block(c: Circuit, graph: ArchGraph, m0: Mapping) -> RoutedResult:
         raise ValueError("mapping size must match the architecture")
     if not c.is_cnot_only():
         raise ValueError("route_cnot_block accepts CNOT gates only")
-    relabeled = [cnot(m0[g.a], m0[g.b]) for g in c.gates]
-    weight_in = len(relabeled)
-    if all(graph.is_edge(g.a, g.b) for g in relabeled):
-        return RoutedResult(Circuit(n, relabeled), m0, m0,
-                            RouteStats(weight_in, weight_in))
-    rows = transpose(linear_matrix(relabeled, n)).rows
+    relabeled = relabel_circuit(c, m0)
+    weight_in = len(relabeled.gates)
+    if complies(relabeled, graph):
+        return RoutedResult(relabeled, m0, m0, RouteStats(weight_in, weight_in))
+    rows = transpose(linear_matrix(relabeled.gates, n)).rows
     gates = [cnot(a, b) if kind == ADD else swap_gate(a, b)
              for kind, a, b in heuristic_token_reduction(graph, rows)]
     holder = [0] * n

@@ -9,7 +9,8 @@ import pytest
 from cnotroute.arch import (ArchFileError, ArchGraph, DisconnectedGraphError,
                             floyd_warshall_with_path, gen_steiner,
                             get_architecture, list_architectures,
-                            parse_arch_json, path_from_successors)
+                            parse_arch_json, path_from_successors,
+                            steiner_entry)
 from cnotroute.rowgraph import tree_reduce_tracked
 
 from conftest import (bfs_distances, grid_graph, op_parent,
@@ -113,6 +114,14 @@ def test_gen_steiner_rejects_empty_or_foreign_terminals(terminals):
     g = ArchGraph(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match=r"nodes 0\.\.2"):
         gen_steiner(g, terminals)
+
+
+@pytest.mark.parametrize("mask", [-1, 0, 8, 9])
+def test_steiner_entry_rejects_a_mask_off_the_nodes(mask):
+    g = ArchGraph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="not a non-empty set of 3 nodes"):
+        steiner_entry(g, mask)
+    assert mask not in g._steiner_cache
 
 
 def _min_steiner_vertices(g, terminals):

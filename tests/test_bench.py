@@ -166,6 +166,8 @@ def test_config_validation():
         BenchConfig(arch="9-square", trials=0)
     with pytest.raises(ValueError):
         BenchConfig(arch="9-square", gate_counts=())
+    with pytest.raises(ValueError, match="without repeats"):
+        BenchConfig(arch="9-square", gate_counts=(4, 4), trials=2, seed=1)
     with pytest.raises(ValueError):
         BenchConfig(arch="9-square", baseline="steiner")
     for jobs in (0, -1):

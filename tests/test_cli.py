@@ -204,6 +204,14 @@ def test_bench_with_no_jobs_reports_error(capsys):
     assert err.startswith("error:") and "jobs must be >= 1" in err
 
 
+def test_bench_with_repeated_counts_reports_error(capsys):
+    rc = main(["bench", "--arch", "9-square", "--counts", "4", "4", "--trials", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "without repeats" in err
+    assert "Traceback" not in err
+
+
 def test_arch_file_with_wrong_types_is_an_error_not_a_traceback(tmp_path):
     arch = tmp_path / "bad.json"
     arch.write_text(json.dumps({"name": "x", "nodes": 5, "edges": []}))

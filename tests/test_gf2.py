@@ -59,6 +59,13 @@ def test_transpose_involution():
         assert transpose(transpose(a)) == a
 
 
+@pytest.mark.parametrize("op, rows", [(transpose, [4, 1]), (invert, [1, 6]),
+                                      (invert, [-1, 1])])
+def test_rows_outside_n_bits_are_rejected(op, rows):
+    with pytest.raises(ValueError, match="2-bit vectors"):
+        op(BitMatrix(2, rows))
+
+
 def test_row_add_examples():
     m = BitMatrix.identity(3)
     row_add(m, 2, 0)

@@ -231,6 +231,15 @@ def test_heuristic_rejects_singular(grid3):
         heuristic_token_reduction(grid3, rows)
 
 
+@pytest.mark.parametrize("rows", [[1, 2, 12], [1, -2, 4]])
+def test_heuristic_rejects_rows_outside_n_bits(rows):
+    path3 = ArchGraph(3, [(0, 1), (1, 2)])
+    given = list(rows)
+    with pytest.raises(ValueError, match="3-bit vectors"):
+        heuristic_token_reduction(path3, rows)
+    assert rows == given
+
+
 @pytest.mark.parametrize("count", [8, 10])
 @pytest.mark.parametrize("price", [heuristic_token_reduction, build_cost_table, loss])
 def test_wrong_row_count_is_rejected(grid3, price, count):

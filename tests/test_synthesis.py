@@ -95,6 +95,17 @@ def test_route_single_adjacent_cnot():
     assert verify_equivalence(c, r, g)
 
 
+def test_route_passes_a_compliant_block_through_relabelled():
+    g = ArchGraph(3, [(0, 1), (1, 2)])
+    m0 = Mapping([1, 0, 2])
+    c = Circuit(3, [cnot(0, 2), cnot(1, 0)])  # wires 0-2 sit on no edge until relabelled
+    r = route_cnot_block(c, g, m0)
+    assert r.circuit.gates == [cnot(1, 2), cnot(0, 1)]
+    assert r.input_mapping == m0 and r.output_mapping == m0
+    assert r.stats.cnots_routed == r.stats.cnots_in == 2
+    assert verify_equivalence(c, r, g)
+
+
 def test_route_worked_example(path4):
     c = Circuit(4, EXAMPLE_GATES)
     r = route_cnot_block(c, path4, Mapping.identity(4))
