@@ -86,7 +86,7 @@ class Mapping:
 
     def __init__(self, nodes: Sequence[int]):
         n = len(nodes)
-        if sorted(nodes) != list(range(n)):
+        if any(type(x) is not int for x in nodes) or sorted(nodes) != list(range(n)):
             raise ValueError("mapping must be a bijection onto 0..n-1")
         self.nodes = tuple(nodes)
 

@@ -1,10 +1,13 @@
 """End-to-end constrained synthesis, verification, and post-processing.
 
-A CNOT block is routed by composing its gates into a GF(2) matrix P,
-reducing the rows of P's transpose, one per node, to a permutation
-state, and emitting one CNOT per row addition that reduction runs (SWAPs
-stay atomic until post-processing picks an orientation).  The routed circuit equals the
-original up to the reported output mapping.
+A linear block, a run of CNOT and SWAP gates, is routed by composing
+its gates into a GF(2) matrix P, reducing the rows of P's transpose,
+one per node, to a permutation state, and emitting one CNOT per row
+addition and one SWAP per row exchange that reduction runs.  A block
+already on edges passes through as given.  SWAPs, the input's and the
+router's alike, stay atomic until post-processing picks an orientation.
+The routed circuit equals the original up to the reported output
+mapping.
 
 ``_stops`` is the package's one walk from a gate list to GF(2) rows: it
 carries the rows of the list's linear prefix and the columns of that
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import List, Optional
 
 from .arch import ArchGraph
@@ -75,38 +79,32 @@ def linear_matrix(gates, n: int) -> BitMatrix:
 
 
 def relabel_circuit(c: Circuit, mapping: Mapping) -> Circuit:
-    """Move gates from wire indices to node indices."""
-    out = []
-    for g in c.gates:
-        if g.kind == ONEQ:
-            out.append(one_qubit(g.label, mapping[g.a]))
-        elif g.kind == CNOT:
-            out.append(cnot(mapping[g.a], mapping[g.b]))
-        else:
-            out.append(swap_gate(mapping[g.a], mapping[g.b]))
-    return Circuit(len(mapping), out)
+    """Move gates from wire indices to node indices, each keeping its kind."""
+    return Circuit(len(mapping), [
+        Gate(g.kind, mapping[g.a], g.b if g.kind == ONEQ else mapping[g.b], g.label)
+        for g in c.gates])
 
 
 def route_cnot_block(c: Circuit, graph: ArchGraph, m0: Mapping) -> RoutedResult:
-    """Synthesize a CNOT-only circuit onto the architecture.
+    """Synthesize a block of CNOT and SWAP gates onto the architecture.
 
-    The output mapping is chosen by the synthesis itself: wire w ends on
-    the node whose final row is the basis vector indexed by m0(w).  A
-    block whose gates all sit on edges already is passed through
-    verbatim.
+    The block is composed into its GF(2) matrix first, which rejects any
+    other gate.  The output mapping is chosen by the synthesis itself:
+    wire w ends on the node whose final row is the basis vector indexed
+    by m0(w).  A block whose gates all sit on edges already is passed
+    through verbatim, SWAPs included.
     """
     n = graph.n
     if c.n_wires != n:
         raise ValueError(f"circuit has {c.n_wires} wires, architecture {n} nodes")
     if len(m0) != n:
         raise ValueError("mapping size must match the architecture")
-    if not c.is_cnot_only():
-        raise ValueError("route_cnot_block accepts CNOT gates only")
     relabeled = relabel_circuit(c, m0)
-    weight_in = len(relabeled.gates)
+    matrix = linear_matrix(relabeled.gates, n)
+    weight_in = cnot_weight(relabeled.gates)
     if complies(relabeled, graph):
         return RoutedResult(relabeled, m0, m0, RouteStats(weight_in, weight_in))
-    rows = transpose(linear_matrix(relabeled.gates, n)).rows
+    rows = transpose(matrix).rows
     gates = [cnot(a, b) if kind == ADD else swap_gate(a, b)
              for kind, a, b in heuristic_token_reduction(graph, rows)]
     holder = [0] * n
@@ -318,45 +316,28 @@ def postprocess(rc: RoutedResult) -> RoutedResult:
                         rc.output_mapping, stats)
 
 
-def _partition_runs(gates: List[Gate]) -> List[tuple]:
-    """Greedy maximal runs of CNOTs and of one-qubit gates, in scan order."""
-    runs: List[tuple] = []
-    for g in gates:
-        kind = ONEQ if g.kind == ONEQ else CNOT
-        if runs and runs[-1][0] == kind:
-            runs[-1][1].append(g)
-        else:
-            runs.append((kind, [g]))
-    return runs
-
-
 def route_general(c: Circuit, graph: ArchGraph, m0: Mapping) -> RoutedResult:
     """Route a circuit of CNOT, SWAP, and opaque one-qubit gates.
 
-    Input SWAPs are pre-expanded to CNOT triples.  CNOT blocks are
-    synthesized one at a time, each starting from the previous block's
-    output mapping; one-qubit gates pass through on their wire's current
-    node.  A circuit narrower than the graph is routed as if padded with
-    idle wires, which still appear in both mappings.
+    Each maximal run of CNOTs and SWAPs is one block, synthesized by
+    ``route_cnot_block`` from the previous block's output mapping; input
+    SWAPs stay atomic until ``postprocess`` expands them.  One-qubit
+    gates pass through on their wire's current node.  A circuit narrower
+    than the graph is routed as if padded with idle wires, which still
+    appear in both mappings.
     """
     if c.n_wires > graph.n:
         raise ValueError(f"circuit has {c.n_wires} wires, architecture {graph.n} nodes")
-    expanded: List[Gate] = []
-    for g in c.gates:
-        if g.kind == SWAP:
-            expanded += [cnot(g.a, g.b), cnot(g.b, g.a), cnot(g.a, g.b)]
-        elif g.kind in (CNOT, ONEQ):
-            expanded.append(g)
-        else:
-            raise ValueError(f"unsupported gate kind {g.kind!r} ({g})")
+    if len(m0) != graph.n:
+        raise ValueError("mapping size must match the architecture")
     current = m0
     out: List[Gate] = []
-    for kind, run in _partition_runs(expanded):
-        if kind == ONEQ:
+    for is_oneq, run in groupby(c.gates, key=lambda g: g.kind == ONEQ):
+        if is_oneq:
             out.extend(one_qubit(g.label, current[g.a]) for g in run)
         else:
-            block = route_cnot_block(Circuit(graph.n, run), graph, current)
+            block = route_cnot_block(Circuit(graph.n, list(run)), graph, current)
             out.extend(block.circuit.gates)
             current = block.output_mapping
     return RoutedResult(Circuit(graph.n, out), m0, current,
-                        RouteStats(cnot_weight(expanded), cnot_weight(out)))
+                        RouteStats(cnot_weight(c.gates), cnot_weight(out)))

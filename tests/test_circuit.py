@@ -77,6 +77,12 @@ def test_mapping_bijection():
         Mapping([0, 0, 1])
 
 
+@pytest.mark.parametrize("nodes", [[0.0, 1.0, 2.0], [1, 0.0], [True, False], ["0"]])
+def test_mapping_rejects_nodes_that_are_not_ints(nodes):
+    with pytest.raises(ValueError, match="bijection"):
+        Mapping(nodes)
+
+
 def test_mapping_json_roundtrip():
     names = ["Q1", "Q2", "Q3"]
     m = Mapping([1, 2, 0])

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnotroute.arch import ArchGraph
-from cnotroute.circuit import (CNOT, ONEQ, Circuit, Mapping, cnot, one_qubit,
-                               swap_gate)
+from cnotroute.arch import ArchGraph, get_architecture, list_architectures
+from cnotroute.circuit import (CNOT, ONEQ, SWAP, Circuit, Gate, Mapping, cnot,
+                               one_qubit, swap_gate)
 from cnotroute.gf2 import BitMatrix, mat_mul, transpose
 from cnotroute.synthesis import (RoutedResult, RouteStats, complies,
                                  equivalence_failure, linear_matrix,
@@ -104,6 +104,52 @@ def test_route_passes_a_compliant_block_through_relabelled():
     assert r.input_mapping == m0 and r.output_mapping == m0
     assert r.stats.cnots_routed == r.stats.cnots_in == 2
     assert verify_equivalence(c, r, g)
+
+
+def test_route_passes_a_compliant_block_with_swaps_through_whole():
+    g = ArchGraph(3, [(0, 1), (1, 2)])
+    m0 = Mapping([1, 0, 2])
+    c = Circuit(3, [swap_gate(0, 2), cnot(1, 0), swap_gate(1, 0)])
+    r = route_cnot_block(c, g, m0)
+    assert r.circuit.gates == [swap_gate(1, 2), cnot(0, 1), swap_gate(0, 1)]
+    assert r.output_mapping == m0
+    assert r.stats.cnots_routed == r.stats.cnots_in == 7
+    assert verify_equivalence(c, r, g)
+    final = postprocess(r)
+    assert {h.kind for h in final.circuit.gates} == {CNOT}
+    assert equivalence_failure(c, final, g) is None
+
+
+def _swaps_as_cnot_triples(gates):
+    out = []
+    for g in gates:
+        out += [cnot(g.a, g.b), cnot(g.b, g.a), cnot(g.a, g.b)] if g.kind == SWAP else [g]
+    return out
+
+
+def test_route_block_with_swaps_equals_its_cnot_triple_expansion(grid3):
+    rng = random.Random(47)
+    m0 = Mapping([8, 6, 7, 2, 0, 1, 5, 3, 4])
+    for _ in range(20):
+        gates = [rng.choice((cnot, swap_gate))(*rng.sample(range(9), 2))
+                 for _ in range(12)]
+        c = Circuit(9, gates)
+        assert not complies(relabel_circuit(c, m0), grid3)
+        r = route_cnot_block(c, grid3, m0)
+        expanded = route_cnot_block(Circuit(9, _swaps_as_cnot_triples(gates)),
+                                    grid3, m0)
+        assert r.circuit.gates == expanded.circuit.gates
+        assert r.output_mapping == expanded.output_mapping
+        assert r.stats == expanded.stats
+        assert verify_equivalence(c, r, grid3)
+
+
+def test_route_cnot_block_rejects_a_one_qubit_gate_in_a_compliant_block():
+    g = ArchGraph(2, [(0, 1)])
+    c = Circuit(2, [cnot(0, 1), one_qubit("H", 0)])
+    assert complies(c, g)
+    with pytest.raises(ValueError, match="not a linear gate"):
+        route_cnot_block(c, g, Mapping.identity(2))
 
 
 def test_route_worked_example(path4):
@@ -423,6 +469,60 @@ def test_relabel_circuit():
     m = Mapping([2, 0, 1])
     out = relabel_circuit(c, m)
     assert out.gates == [cnot(2, 0), one_qubit("H", 1)]
+
+
+def test_relabel_circuit_keeps_every_kind_and_label():
+    c = Circuit(3, [Gate("toffoli", 0, 1), one_qubit("Rz(0.5)", 2), swap_gate(1, 2)])
+    out = relabel_circuit(c, Mapping([2, 0, 1]))
+    assert out.gates == [Gate("toffoli", 2, 0), one_qubit("Rz(0.5)", 1),
+                         swap_gate(0, 1)]
+
+
+def test_route_general_rejects_a_mapping_of_the_wrong_size():
+    g = ArchGraph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="mapping size must match the architecture"):
+        route_general(Circuit(2, [one_qubit("H", 0)]), g, Mapping([1, 0]))
+
+
+def _swap_mixed_circuit(rng, graph, m0, edge_share, size=30):
+    """CNOT, SWAP and one-qubit gates on every wire; a two-qubit gate sits
+    on an edge under m0 with probability ``edge_share``."""
+    n = graph.n
+    wire_at = {node: w for w, node in enumerate(m0.nodes)}
+    edges = sorted(graph.edges)
+    gates = []
+    for _ in range(size):
+        kind = rng.choice((CNOT, SWAP, SWAP, ONEQ))
+        if kind == ONEQ:
+            gates.append(one_qubit(rng.choice("HST"), rng.randrange(n)))
+            continue
+        if rng.random() < edge_share:
+            u, v = edges[rng.randrange(len(edges))]
+            a, b = rng.sample((wire_at[u], wire_at[v]), 2)
+        else:
+            a, b = rng.sample(range(n), 2)
+        gates.append(cnot(a, b) if kind == CNOT else swap_gate(a, b))
+    return Circuit(n, gates)
+
+
+@pytest.mark.parametrize("arch", list_architectures())
+def test_route_general_swap_mixed_circuits_pass_both_checks(arch):
+    graph, stock = get_architecture(arch)
+    m0 = Mapping(stock)
+    rng = random.Random(48)
+    for edge_share in (1.0, 1.0, 0.5, 0.0):
+        c = _swap_mixed_circuit(rng, graph, m0, edge_share)
+        routed = route_general(c, graph, m0)
+        final = postprocess(routed)
+        assert equivalence_failure(c, routed, graph) is None
+        assert check.routing_failure(c, routed, graph) is None
+        assert equivalence_failure(c, final, graph) is None
+        assert check.postprocess_failure(routed, final, graph) is None
+        kinds = [g.kind for g in c.gates]
+        assert routed.stats.cnots_in == kinds.count(CNOT) + 3 * kinds.count(SWAP)
+        assert SWAP not in {g.kind for g in final.circuit.gates}
+        if edge_share == 1.0:  # every block complies and comes back as given
+            assert routed.circuit.gates == relabel_circuit(c, m0).gates
 
 
 def test_permutation_circuit_routes_to_no_gates():
