@@ -92,8 +92,8 @@ class ArchGraph:
 
     def __init__(self, n: int, edges, names: Optional[Sequence[str]] = None,
                  name: str = ""):
-        if n < 1:
-            raise ValueError("graph needs at least one node")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"graph needs a node count that is a positive int, got {n!r}")
         self.n = n
         self.name = name
         if names is None:
@@ -104,8 +104,8 @@ class ArchGraph:
         seen = set()
         norm = []
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range")
+            if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u!r},{v!r}) is not a pair of nodes 0..{n - 1}")
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
             key = (min(u, v), max(u, v))
@@ -212,7 +212,7 @@ def steiner_entry(g: ArchGraph, mask: int) -> tuple:
     cache = g._steiner_cache
     entry = cache.get(mask)
     if entry is None:
-        if not 0 < mask < 1 << g.n:
+        if type(mask) is not int or not 0 < mask < 1 << g.n:
             raise ValueError(f"terminal mask {mask} is not a non-empty set of {g.n} nodes")
         if len(cache) >= _GROW_CACHE_CAP:
             cache.clear()
@@ -230,7 +230,7 @@ def gen_steiner(g: ArchGraph, terminals) -> tuple:
     form of one set gets the same tree.
     """
     nodes = set(terminals)
-    if not nodes or min(nodes) < 0 or max(nodes) >= g.n:
+    if not nodes or any(type(t) is not int or not 0 <= t < g.n for t in nodes):
         raise ValueError(f"terminals must be one or more of the nodes 0..{g.n - 1}")
     return steiner_entry(g, sum(1 << t for t in nodes))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 CNOT = "cnot"
 SWAP = "swap"
@@ -29,8 +29,7 @@ class CircuitFormatError(ValueError):
     """Raised for malformed circuit or mapping files."""
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """CNOT(a=control, b=target), SWAP(a, b), or 1q(label, a=wire)."""
 
     kind: str
@@ -69,6 +68,8 @@ class Circuit:
     def __post_init__(self):
         for g in self.gates:
             for w in g.wires():
+                if type(w) is not int:
+                    raise ValueError(f"gate {g} uses wire {w!r}, which is not an int")
                 if not 0 <= w < self.n_wires:
                     raise ValueError(f"gate {g} uses wire {w} outside 0..{self.n_wires - 1}")
 
@@ -79,40 +80,33 @@ class Circuit:
         return len(self.gates)
 
 
-class Mapping:
-    """Bijection from circuit wires to architecture nodes."""
+class Mapping(tuple):
+    """Bijection from circuit wires to architecture nodes: the tuple of each wire's node."""
 
-    __slots__ = ("nodes",)
+    __slots__ = ()
 
-    def __init__(self, nodes: Sequence[int]):
-        n = len(nodes)
-        if any(type(x) is not int for x in nodes) or sorted(nodes) != list(range(n)):
+    def __new__(cls, nodes: Sequence[int]):
+        nodes = tuple(nodes)
+        if any(type(x) is not int for x in nodes) or sorted(nodes) != list(range(len(nodes))):
             raise ValueError("mapping must be a bijection onto 0..n-1")
-        self.nodes = tuple(nodes)
+        return super().__new__(cls, nodes)
 
     @classmethod
     def identity(cls, n: int) -> "Mapping":
         return cls(range(n))
 
-    def __getitem__(self, wire: int) -> int:
-        return self.nodes[wire]
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Mapping) and self.nodes == other.nodes
-
-    def __hash__(self):
-        return hash(self.nodes)
+    @property
+    def nodes(self) -> Tuple[int, ...]:
+        """The nodes as a plain tuple, whose repr carries no class name."""
+        return tuple(self)
 
     def __repr__(self) -> str:
-        return f"Mapping({list(self.nodes)})"
+        return f"Mapping({list(self)})"
 
     def to_pairs(self, names: Optional[Sequence[str]] = None) -> List[List[str]]:
         """[["w1", "Q1"], ...] rows for reports and mapping files."""
         out = []
-        for w, node in enumerate(self.nodes):
+        for w, node in enumerate(self):
             label = names[node] if names is not None else str(node)
             out.append([f"w{w + 1}", label])
         return out

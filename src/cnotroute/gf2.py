@@ -8,6 +8,7 @@ loops, which is why rows are machine words rather than element lists.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional
 
 
@@ -35,21 +36,23 @@ def unit_index(v: int) -> int:
     return v.bit_length() - 1
 
 
+@dataclass(slots=True)
 class BitMatrix:
-    """Square matrix over GF(2) with rows packed into ints."""
+    """Square matrix over GF(2) with rows packed into ints.
 
-    __slots__ = ("n", "rows")
+    Compares by value but is not hashable: the rows change in place.
+    """
 
-    def __init__(self, n: int, rows: Optional[List[int]] = None):
-        self.n = n
-        if rows is None:
-            self.rows = [0] * n
-        else:
-            if len(rows) != n:
-                raise ValueError(f"expected {n} rows, got {len(rows)}")
-            self.rows = list(rows)
-            if rows and (min(self.rows) < 0 or max(self.rows) >> n):
-                raise ValueError(f"rows must be {n}-bit vectors, 0 <= row < 2**{n}")
+    n: int
+    rows: Optional[List[int]] = None
+
+    def __post_init__(self):
+        n = self.n
+        rows = self.rows = [0] * n if self.rows is None else list(self.rows)
+        if len(rows) != n:
+            raise ValueError(f"expected {n} rows, got {len(rows)}")
+        if any(type(r) is not int for r in rows) or rows and (min(rows) < 0 or max(rows) >> n):
+            raise ValueError(f"rows must be {n}-bit vectors, 0 <= row < 2**{n}")
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -68,13 +71,6 @@ class BitMatrix:
                 return False
             seen |= r
         return seen == (1 << self.n) - 1
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitMatrix)
-            and self.n == other.n
-            and self.rows == other.rows
-        )
 
     def __repr__(self) -> str:
         body = ",".join(

@@ -70,9 +70,10 @@ def linear_matrix(gates, n: int) -> BitMatrix:
     The last stop of ``_stops`` on the unplaced wires: starting from the
     identity, each CNOT adds the control row into the target row and
     each SWAP exchanges two rows, in gate order (later gates multiply on
-    the left).  Raises ValueError on any other gate.
+    the left).  Raises ValueError on any other gate and on a wire
+    outside 0..n-1, as ``Circuit`` does.
     """
-    for label, node, rows, _ in _stops(gates, range(n), n):
+    for label, node, rows, _ in _stops(Circuit(n, gates).gates, range(n), n):
         if label is not None:
             raise ValueError(f"not a linear gate: 1q {label} {node}")
     return BitMatrix(n, rows)

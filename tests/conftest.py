@@ -13,18 +13,18 @@ from cnotroute.arch import ArchGraph
 from cnotroute.gf2 import BitMatrix, invert, is_unit, mat_mul, transpose, vec_support
 from cnotroute.heuristic import _inverse_columns
 
-CHECK = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_check():
-    """The benchmark's outside checker, loaded by path and only read."""
-    spec = importlib.util.spec_from_file_location("perfbench_check", CHECK)
+def load_file(name: str, relpath: str):
+    """A module of the checkout outside the package, loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / relpath)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-check = _load_check()
+check = load_file("perfbench_check", "perfbench/check.py")  # the benchmark's outside checker
 
 
 def random_connected_graph(rng: random.Random, n: int, extra: int = 2) -> ArchGraph:

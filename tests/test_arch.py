@@ -11,6 +11,7 @@ from cnotroute.arch import (ArchFileError, ArchGraph, DisconnectedGraphError,
                             get_architecture, list_architectures,
                             parse_arch_json, path_from_successors,
                             steiner_entry)
+from cnotroute.gf2 import BitMatrix
 from cnotroute.rowgraph import tree_reduce_tracked
 
 from conftest import (bfs_distances, grid_graph, op_parent,
@@ -122,6 +123,27 @@ def test_steiner_entry_rejects_a_mask_off_the_nodes(mask):
     with pytest.raises(ValueError, match="not a non-empty set of 3 nodes"):
         steiner_entry(g, mask)
     assert mask not in g._steiner_cache
+
+
+PATH3 = [(0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ArchGraph(2.0, [(0, 1)]),
+    lambda: ArchGraph(True, []),
+    lambda: ArchGraph(3, [(0, 1.0), (1, 2)]),
+    lambda: ArchGraph(3, [(0, True), (1, 2)]),
+    lambda: gen_steiner(ArchGraph(3, PATH3), [0, 2.0]),
+    lambda: gen_steiner(ArchGraph(3, PATH3), [0, True]),
+    lambda: steiner_entry(ArchGraph(3, PATH3), 5.0),
+    lambda: steiner_entry(ArchGraph(3, PATH3), True),
+    lambda: BitMatrix(2, [1.0, 2]),
+    lambda: BitMatrix(2, [True, 2]),
+], ids=["count float", "count bool", "edge float", "edge bool", "terminal float",
+        "terminal bool", "mask float", "mask bool", "row float", "row bool"])
+def test_a_node_count_edge_terminal_mask_or_row_that_is_not_an_int_is_rejected(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def _min_steiner_vertices(g, terminals):

@@ -70,6 +70,14 @@ def test_circuit_wire_range_checked():
         Circuit(2, [cnot(0, 5)])
 
 
+@pytest.mark.parametrize("gates", [[cnot(0, 1.0)], [cnot(True, 0)], [swap_gate(0, 2.0)],
+                                   [one_qubit("H", False)]])
+def test_circuit_rejects_wires_that_are_not_ints(gates):
+    # format_circuit would write "1.0" or "True", which parse_circuit rejects
+    with pytest.raises(ValueError, match="not an int"):
+        Circuit(3, gates)
+
+
 def test_mapping_bijection():
     m = Mapping([2, 0, 1])
     assert m[0] == 2
@@ -81,6 +89,20 @@ def test_mapping_bijection():
 def test_mapping_rejects_nodes_that_are_not_ints(nodes):
     with pytest.raises(ValueError, match="bijection"):
         Mapping(nodes)
+
+
+def test_mapping_is_hashable_and_equal_by_value():
+    m = Mapping([2, 0, 1])
+    assert m == Mapping((2, 0, 1)) and hash(m) == hash(Mapping((2, 0, 1)))
+    assert m != Mapping([0, 1, 2]) and len({m, Mapping([2, 0, 1]), Mapping.identity(3)}) == 2
+    assert m == (2, 0, 1) and type(m.nodes) is tuple and m.nodes == (2, 0, 1)
+
+
+def test_gate_and_mapping_reprs_are_unchanged():
+    # error messages embed these
+    assert repr(cnot(0, 2)) == "Gate(kind='cnot', a=0, b=2, label='')"
+    assert repr(one_qubit("H", 1)) == "Gate(kind='1q', a=1, b=-1, label='H')"
+    assert repr(Mapping([2, 0, 1])) == "Mapping([2, 0, 1])"
 
 
 def test_mapping_json_roundtrip():

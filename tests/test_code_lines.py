@@ -1,16 +1,10 @@
 """The code-line counter quoted for the package's size, on a known source."""
 
-import importlib.util
-from pathlib import Path
-
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+from conftest import load_file
 
 
 def _load_tool():
-    spec = importlib.util.spec_from_file_location("code_lines", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_file("code_lines", "tools/code_lines.py")
 
 
 SOURCE = '''"""Module docstring,

@@ -10,9 +10,7 @@ benchmark's outside checker.  Path4's gap histogram is pinned, so a
 quality change that the seeded digest set misses still shows.
 """
 
-import importlib.util
 from itertools import permutations
-from pathlib import Path
 
 import pytest
 
@@ -22,19 +20,9 @@ from cnotroute.gf2 import BitMatrix, transpose
 from cnotroute.synthesis import (equivalence_failure, linear_matrix, postprocess,
                                  route_cnot_block)
 
-from conftest import check
+from conftest import check, load_file
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "optimality_gaps.py"
-
-
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("optimality_gaps", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-gaps = _load_tool()
+gaps = load_file("optimality_gaps", "tools/optimality_gaps.py")
 
 
 def _circuits(n: int) -> dict:

@@ -1,6 +1,7 @@
 """Routing pipeline: circuit/matrix conversion, synthesis, verification,
 post-processing, and general-circuit block routing."""
 
+import pickle
 import random
 
 import pytest
@@ -49,6 +50,15 @@ def test_circuit_to_matrix_empty_and_involution():
 def test_circuit_to_matrix_rejects_non_cnot():
     with pytest.raises(ValueError, match="not a linear gate"):
         linear_matrix([cnot(0, 1), one_qubit("H", 1)], 2)
+
+
+@pytest.mark.parametrize("gates, wire", [
+    ([cnot(0, -1)], -1), ([cnot(0, 3)], 3), ([swap_gate(-2, 1)], -2),
+    ([cnot(0, 1), one_qubit("H", 5)], 5)])
+def test_linear_matrix_rejects_wires_outside_0_to_n(gates, wire):
+    # -1 used to wrap round to wire 2, and 3 to raise a bare IndexError
+    with pytest.raises(ValueError, match=rf"uses wire {wire} outside 0\.\.2"):
+        linear_matrix(gates, 3)
 
 
 @st.composite
@@ -580,3 +590,12 @@ def test_gate_count_bound_per_block(grid3):
         c = Circuit(9, gates)
         r = route_cnot_block(c, grid3, m0)
         assert r.stats.cnots_routed <= bound
+
+
+def test_routed_result_round_trips_through_pickle():
+    graph, stock = get_architecture("9-square")
+    c = Circuit(9, [cnot(0, 8), one_qubit("H", 4), swap_gate(2, 6), cnot(5, 1)])
+    routed = postprocess(route_general(c, graph, Mapping(stock)))
+    back = pickle.loads(pickle.dumps(routed))
+    assert back == routed
+    assert type(back.output_mapping) is Mapping and type(back.circuit.gates[0]) is Gate

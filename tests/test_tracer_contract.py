@@ -9,25 +9,16 @@ test routes one circuit under the tracer and fails in that case.  The
 tracer file is only read, never changed.
 """
 
-import importlib.util
 import inspect
 import re
-from pathlib import Path
 
 import cnotroute as cr
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-
-
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_file
 
 
 def test_tracer_finds_every_name_it_reads():
-    tracing = _load_tracer()
+    tracing = load_file("perfbench_tracer", "perfbench/tracer.py")
     graph = cr.ArchGraph(4, [(0, 1), (1, 2), (2, 3)])
     circuit = cr.Circuit(4, [cr.cnot(0, 3), cr.cnot(2, 0), cr.cnot(1, 3)])
     tracer = tracing.Tracer()
