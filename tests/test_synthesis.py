@@ -56,7 +56,7 @@ def test_circuit_to_matrix_rejects_non_cnot():
     ([cnot(0, -1)], -1), ([cnot(0, 3)], 3), ([swap_gate(-2, 1)], -2),
     ([cnot(0, 1), one_qubit("H", 5)], 5)])
 def test_linear_matrix_rejects_wires_outside_0_to_n(gates, wire):
-    # -1 used to wrap round to wire 2, and 3 to raise a bare IndexError
+    # a negative wire would otherwise index rows from the end
     with pytest.raises(ValueError, match=rf"uses wire {wire} outside 0\.\.2"):
         linear_matrix(gates, 3)
 
