@@ -55,8 +55,8 @@ def swap_gate(a: int, b: int) -> Gate:
 
 def one_qubit(label: str, wire: int) -> Gate:
     """A one-qubit gate; the label must be one text token, as a file holds it."""
-    if label.split() != [label] or "#" in label:
-        raise ValueError(f"one-qubit label {label!r} must be one token without '#'")
+    if type(label) is not str or label.split() != [label] or "#" in label:
+        raise ValueError(f"one-qubit label {label!r} must be a str of one token without '#'")
     return Gate(ONEQ, wire, -1, label)
 
 
@@ -66,6 +66,8 @@ class Circuit:
     gates: List[Gate] = field(default_factory=list)
 
     def __post_init__(self):
+        if type(self.n_wires) is not int or self.n_wires < 1:
+            raise ValueError(f"wire count {self.n_wires!r} is not a positive int")
         for g in self.gates:
             for w in g.wires():
                 if type(w) is not int:

@@ -48,6 +48,8 @@ class BitMatrix:
 
     def __post_init__(self):
         n = self.n
+        if type(n) is not int:
+            raise ValueError(f"matrix size {n!r} is not an int")
         rows = self.rows = [0] * n if self.rows is None else list(self.rows)
         if len(rows) != n:
             raise ValueError(f"expected {n} rows, got {len(rows)}")

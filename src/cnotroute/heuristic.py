@@ -64,8 +64,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from scipy.optimize import linear_sum_assignment
-
 from .arch import ArchGraph, steiner_entry
 from .gf2 import BitMatrix, _transpose_rows, invert, vec_support
 from .rowgraph import (ADD, RowOp, _bound, _costs, reduction_recovery,
@@ -217,25 +215,91 @@ def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
                      tuple(column[0] for column in opened))
 
 
+def _min_assignment(entries: Sequence[Sequence[float]]) -> List[int]:
+    """Column per row of a minimum-total bijection of a square matrix.
+
+    Shortest augmenting paths with potentials (Jonker & Volgenant 1987;
+    Burkard, Dell'Amico & Martello, *Assignment Problems*, ch. 4).  Row
+    potentials u and column potentials v keep every reduced cost
+    c[i][j] - u[i] - v[j] non-negative and zero on matched pairs.  The
+    start is Jonker & Volgenant's column reduction: v is each column's
+    minimum and u is 0, and each column is matched to the first row
+    holding its minimum, if that row is still free.  Each row still free
+    is then matched by one Dijkstra search over reduced costs, from the
+    row to the nearest free column through matched pairs.  The potential
+    update keeps the invariant and zeroes the path, so flipping it keeps
+    every match of zero reduced cost, and a matching of such pairs is of
+    minimum total.  ``math.inf`` entries are forbidden pairs: if a
+    column or a search reaches only them, no finite bijection exists
+    (Hall's condition fails) and ``AssignmentError`` is raised.  The
+    total is unique; among tied optima the bijection is whichever this
+    search reaches first, which need not be another solver's.
+    """
+    n = len(entries)
+    columns = list(zip(*entries))
+    v = [min(c) for c in columns]
+    if math.inf in v:
+        raise AssignmentError("no finite perfect assignment exists")
+    u = [0] * n
+    col_of = [-1] * n
+    row_of = [-1] * n
+    for j, c in enumerate(columns):
+        i = c.index(v[j])
+        if col_of[i] < 0:
+            row_of[j], col_of[i] = i, j
+    free = [i for i in range(n) if col_of[i] < 0]
+    for s in free:
+        dist = [math.inf] * n
+        pred = [s] * n
+        todo = list(range(n))
+        settled = []
+        i, reach = s, 0
+        while True:
+            r, h = entries[i], reach - u[i]
+            reach = math.inf
+            for k in todo:
+                d = r[k] + h - v[k]
+                if d < dist[k]:
+                    dist[k], pred[k] = d, i
+                else:
+                    d = dist[k]
+                # on a tie a free column wins: it ends the search
+                if d < reach or d == reach and row_of[k] < 0:
+                    reach, j = d, k
+            if reach == math.inf:
+                raise AssignmentError("no finite perfect assignment exists")
+            todo.remove(j)
+            settled.append(j)
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+        # reach is now the path's length; the free column j ends it
+        u[s] += reach
+        for k in settled:
+            step = reach - dist[k]
+            v[k] -= step
+            if row_of[k] >= 0:
+                u[row_of[k]] += step
+        while True:
+            i = pred[j]
+            row_of[j] = i
+            j, col_of[i] = col_of[i], j
+            if i == s:
+                break
+    return col_of
+
+
 def hungarian_assign(table: CostTable) -> Assignment:
-    """Minimum-total bijection of the table's rows onto its columns.
+    """A minimum-total bijection of the table's rows onto its columns.
 
     Raises ``AssignmentError`` if every bijection uses a ``math.inf``
-    entry.
+    entry.  The total is unique; on tied optima ``by_node`` is the one
+    ``_min_assignment`` reaches first.
     """
     entries = table.entries
-    if not entries:
-        return Assignment((), 0)
-    try:
-        row_ind, col_ind = linear_sum_assignment(entries)
-    except ValueError as err:  # scipy: "cost matrix is infeasible"
-        raise AssignmentError("no finite perfect assignment exists") from err
-    by_node = [0] * len(entries)
-    total = 0
-    for r, c in zip(row_ind, col_ind):
-        by_node[r] = table.columns[c]
-        total += entries[r][c]
-    return Assignment(tuple(by_node), total)
+    col_of = _min_assignment(entries)
+    return Assignment(tuple(table.columns[j] for j in col_of),
+                      sum(r[j] for r, j in zip(entries, col_of)))
 
 
 def loss(graph: ArchGraph, rows: Sequence[int]) -> int:

@@ -11,6 +11,7 @@ from cnotroute.arch import (ArchFileError, ArchGraph, DisconnectedGraphError,
                             get_architecture, list_architectures,
                             parse_arch_json, path_from_successors,
                             steiner_entry)
+from cnotroute.circuit import one_qubit
 from cnotroute.gf2 import BitMatrix
 from cnotroute.rowgraph import tree_reduce_tracked
 
@@ -139,8 +140,12 @@ PATH3 = [(0, 1), (1, 2)]
     lambda: steiner_entry(ArchGraph(3, PATH3), True),
     lambda: BitMatrix(2, [1.0, 2]),
     lambda: BitMatrix(2, [True, 2]),
+    lambda: BitMatrix(2.0, [1, 2]),
+    lambda: BitMatrix(True, [1]),
+    lambda: one_qubit(5, 0),
 ], ids=["count float", "count bool", "edge float", "edge bool", "terminal float",
-        "terminal bool", "mask float", "mask bool", "row float", "row bool"])
+        "terminal bool", "mask float", "mask bool", "row float", "row bool",
+        "matrix size float", "matrix size bool", "label int"])
 def test_a_node_count_edge_terminal_mask_or_row_that_is_not_an_int_is_rejected(build):
     with pytest.raises(ValueError):
         build()

@@ -78,6 +78,13 @@ def test_circuit_rejects_wires_that_are_not_ints(gates):
         Circuit(3, gates)
 
 
+@pytest.mark.parametrize("n_wires", [3.0, True, -1, 0, "3"])
+def test_circuit_rejects_a_wire_count_that_is_not_a_positive_int(n_wires):
+    # format_circuit would write "qubits 3.0", which parse_circuit rejects
+    with pytest.raises(ValueError, match="not a positive int"):
+        Circuit(n_wires, [])
+
+
 def test_mapping_bijection():
     m = Mapping([2, 0, 1])
     assert m[0] == 2

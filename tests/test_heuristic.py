@@ -1,10 +1,19 @@
 """Cost table, Hungarian assignment, loss, and the main synthesizer."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
+
+import cnotroute
 
 from cnotroute.arch import ArchGraph
 from cnotroute.gf2 import BitMatrix, SingularMatrixError, invert, mat_mul
@@ -142,9 +151,62 @@ def test_hungarian_beats_random_bijections():
 def test_hungarian_rejects_infinite_assignment():
     inf = math.inf
     for entries in ([[inf, inf], [1, 2]],  # an all-inf row
-                    [[inf, 1], [inf, 2]]):  # an all-inf column
+                    [[inf, 1], [inf, 2]],  # an all-inf column
+                    # a Hall violation: every row and column has a finite
+                    # entry, but rows 0 and 1 reach only column 0
+                    [[1, inf, inf], [2, inf, inf], [3, 4, 5]]):
         with pytest.raises(AssignmentError):
             hungarian_assign(_table(entries))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.integers(0, 9), st.just(math.inf)), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_hungarian_is_the_brute_force_minimum(entries):
+    n = len(entries)
+    best = min(sum(entries[u][p[u]] for u in range(n)) for p in permutations(range(n)))
+    if best == math.inf:
+        with pytest.raises(AssignmentError):
+            hungarian_assign(_table(entries))
+        return
+    asg = hungarian_assign(_table(entries))
+    assert asg.total == best
+    assert sorted(asg.by_node) == list(range(n))
+    assert sum(entries[u][asg.by_node[u]] for u in range(n)) == best
+
+
+def test_hungarian_total_matches_scipy():
+    rng = random.Random(37)
+    for _ in range(300):
+        n = rng.randrange(1, 21)
+        forbidden = rng.choice([0, 0.2, 0.5])
+        entries = [[math.inf if rng.random() < forbidden else rng.randrange(30)
+                    for _ in range(n)] for _ in range(n)]
+        try:
+            rows, cols = linear_sum_assignment(entries)
+        except ValueError:  # scipy: "cost matrix is infeasible"
+            with pytest.raises(AssignmentError):
+                hungarian_assign(_table(entries))
+            continue
+        assert hungarian_assign(_table(entries)).total == sum(
+            entries[r][c] for r, c in zip(rows, cols))
+
+
+def test_routing_imports_no_third_party_module():
+    src = str(Path(cnotroute.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys, cnotroute as cr\n"
+        "graph, stock = cr.resolve_architecture('ibm-qx5')\n"
+        "circuit = cr.random_cnot_circuit(graph.n, 64, 5)\n"
+        "routed = cr.route_cnot_block(circuit, graph, cr.Mapping(stock))\n"
+        "assert cr.verify_equivalence(circuit, cr.postprocess(routed), graph)\n"
+        "print(sorted({'scipy', 'numpy'} & {m.split('.')[0] for m in sys.modules}))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_hungarian_avoids_sentinel_for_reversible():
