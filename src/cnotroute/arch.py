@@ -9,11 +9,15 @@ on demand, into one cache entry (``steiner_entry``): the unrooted tree
 and its Steiner points.  The tree does not depend on the root; pricing
 (``rowgraph.reduction_costs``) and reduction
 (``rowgraph.tree_reduce_tracked``) both read it and pick the root
-themselves.  ``gen_steiner`` is the same lookup for callers holding an
-iterable of nodes.  A grown tree is a tree whose leaves are terminals by
-the proof in ``_grow_steiner_graph``, which checks nothing at run time;
-``rowgraph``'s public functions check every tree they are given, and
-the synthesizer prices grown trees through its unchecked cores.
+themselves.  Growth keeps each tree node's neighbours as an int mask and
+turns it into the ascending neighbour tuple through one table per graph,
+so all cached trees share one immutable tuple per neighbour set; the
+table is cleared with the cache.  ``gen_steiner`` is the same lookup for
+callers holding an iterable of nodes.  A grown tree is a tree whose
+leaves are terminals by the proof in ``_grow_steiner_graph``, which
+checks nothing at run time; ``rowgraph``'s public functions check every
+tree they are given, and the synthesizer prices grown trees through its
+unchecked cores.
 """
 
 from __future__ import annotations
@@ -87,6 +91,14 @@ def path_from_successors(succ, u: int, v: int) -> List[int]:
     return path
 
 
+class _Supports(dict):
+    """Neighbour mask -> its ascending tuple, stored on first lookup."""
+
+    def __missing__(self, mask: int) -> tuple:
+        support = self[mask] = vec_support(mask)
+        return support
+
+
 class ArchGraph:
     """Immutable connected architecture graph with distance tables."""
 
@@ -127,8 +139,10 @@ class ArchGraph:
                 rings[d] |= rings[d - 1]
             ball.append(tuple(rings))
         self.ball = tuple(ball)
-        # terminal mask -> (grown tree, Steiner points)
+        # terminal mask -> (grown tree, Steiner points); the neighbour tuples
+        # of the cached trees, one per neighbour mask, are cleared with it
         self._steiner_cache: Dict[int, tuple] = {}
+        self._supports = _Supports()
 
     def is_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -160,14 +174,17 @@ def _grow_steiner_graph(g: ArchGraph, mask: int) -> dict:
     re-checks that; ``test_arch._check_tree_invariants`` does, on random
     graphs and on every tree routing grows on the device families.
 
-    Returns an adjacency map node -> sorted neighbour tuple.
+    Each node's neighbours are kept as an int mask, one OR per path-edge
+    end.  Returns an adjacency map node -> ascending neighbour tuple, the
+    tuple read from ``g._supports``, so every tree of ``g`` with the same
+    neighbour set at some node shares one tuple object for it.
     """
     if not mask & (mask - 1):
         return {mask.bit_length() - 1: ()}
     ball = g.ball
     succ = g.succ
     depth = len(ball[0])
-    adjacency: Dict[int, List[int]] = {}
+    adjacency: Dict[int, int] = {}
     tree = 0
     remaining = vec_support(mask)
     while remaining:
@@ -181,20 +198,21 @@ def _grow_steiner_graph(g: ArchGraph, mask: int) -> dict:
                 continue
             break
         v = (hit & -hit).bit_length() - 1
-        adjacency[u] = []
+        adjacency[u] = 0
         tree |= 1 << u
         x = u
         while x != v:
             y = succ[x][v]
-            adjacency[x].append(y)
+            adjacency[x] |= 1 << y
             if y in adjacency:
-                adjacency[y].append(x)
+                adjacency[y] |= 1 << x
             else:
-                adjacency[y] = [x]
+                adjacency[y] = 1 << x
                 tree |= 1 << y
             x = y
-        remaining = [t for t in remaining if not tree >> t & 1]
-    return {node: tuple(sorted(nbs)) for node, nbs in adjacency.items()}
+        remaining = vec_support(mask & ~tree)
+    supports = g._supports
+    return {node: supports[nbs] for node, nbs in adjacency.items()}
 
 
 _GROW_CACHE_CAP = 4000
@@ -205,9 +223,11 @@ def steiner_entry(g: ArchGraph, mask: int) -> tuple:
 
     The entry is (grown tree, Steiner points): the unrooted tree as node
     -> ascending neighbour tuple, and its non-terminal nodes.  Past
-    ``_GROW_CACHE_CAP`` terminal sets the cache is dropped wholesale;
-    sustained runs would otherwise grow it unbounded.  Raises ValueError
-    on a miss unless the mask names a non-empty set of ``g``'s nodes.
+    ``_GROW_CACHE_CAP`` terminal sets the cache is dropped wholesale, and
+    the graph's shared neighbour tuples with it: sustained runs would
+    otherwise grow both unbounded, the tuples by up to 2**degree
+    neighbour sets at one node.  Raises ValueError on a miss unless the
+    mask names a non-empty set of ``g``'s nodes.
     """
     cache = g._steiner_cache
     entry = cache.get(mask)
@@ -216,6 +236,7 @@ def steiner_entry(g: ArchGraph, mask: int) -> tuple:
             raise ValueError(f"terminal mask {mask} is not a non-empty set of {g.n} nodes")
         if len(cache) >= _GROW_CACHE_CAP:
             cache.clear()
+            g._supports.clear()
         grown = _grow_steiner_graph(g, mask)
         entry = cache[mask] = (
             grown, frozenset(w for w in grown if not mask >> w & 1))

@@ -16,14 +16,33 @@ class SingularMatrixError(ValueError):
     """Raised when an operation requires an invertible matrix."""
 
 
+# _BYTE_SUPPORTS[k][b]: the ascending indices of the 1-bits of byte value b
+# at byte offset k, one table (about 20 KiB) per offset that a vector has
+# reached so far
+_BYTE_SUPPORTS: List[tuple] = []
+
+
 def vec_support(v: int) -> tuple:
-    """Indices of the 1-bits in ascending order."""
-    out = []
-    while v:
-        low = v & -v
-        out.append(low.bit_length() - 1)
-        v ^= low
-    return tuple(out)
+    """Indices of the 1-bits in ascending order, read one byte at a time.
+
+    Raises ValueError on a negative int, which has no finite support.
+    """
+    if v < 0:
+        raise ValueError(f"vector {v} is negative")
+    tables = _BYTE_SUPPORTS
+    while v >> 8 * len(tables):
+        # each bit doubles the table: the values with it set append it
+        table = [()]
+        for i in range(8 * len(tables), 8 * len(tables) + 8):
+            table += [t + (i,) for t in table]
+        tables.append(tuple(table))
+    out = ()
+    for table in tables:
+        if not v:
+            break
+        out += table[v & 255]
+        v >>= 8
+    return out
 
 
 def is_unit(v: int) -> bool:

@@ -6,9 +6,9 @@ from itertools import combinations
 
 import pytest
 
-from cnotroute.arch import (ArchFileError, ArchGraph, DisconnectedGraphError,
-                            floyd_warshall_with_path, gen_steiner,
-                            get_architecture, list_architectures,
+from cnotroute.arch import (_GROW_CACHE_CAP, ArchFileError, ArchGraph,
+                            DisconnectedGraphError, floyd_warshall_with_path,
+                            gen_steiner, get_architecture, list_architectures,
                             parse_arch_json, path_from_successors,
                             steiner_entry)
 from cnotroute.circuit import one_qubit
@@ -124,6 +124,26 @@ def test_steiner_entry_rejects_a_mask_off_the_nodes(mask):
     with pytest.raises(ValueError, match="not a non-empty set of 3 nodes"):
         steiner_entry(g, mask)
     assert mask not in g._steiner_cache
+
+
+def test_steiner_cache_and_shared_neighbour_tuples_stay_bounded_on_a_star():
+    # every set of two or more leaves gives the hub its own neighbour set,
+    # up to 2**40 of them, and every leaf shares {hub}: the tuple table is
+    # bounded only because the cache's clear empties it too
+    g = ArchGraph(41, [(0, leaf) for leaf in range(1, 41)])
+    rng = random.Random(41)
+    masks = {}
+    while len(masks) < _GROW_CACHE_CAP + 500:
+        mask = rng.getrandbits(40) << 1
+        if mask & (mask - 1):
+            masks[mask] = None
+    for mask in masks:
+        tree, steiner = steiner_entry(g, mask)
+        assert steiner == {0}
+        assert tree[0] is g._supports[mask]
+        assert len(g._steiner_cache) <= _GROW_CACHE_CAP
+        assert len(g._supports) <= len(g._steiner_cache) + 1
+    assert len(g._steiner_cache) == 500
 
 
 PATH3 = [(0, 1), (1, 2)]

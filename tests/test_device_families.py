@@ -31,6 +31,7 @@ FAMILIES = {
     "grid-2x5": lambda: grid_graph(2, 5),
     "grid-4x4": lambda: grid_graph(4, 4),
     "grid-5x5": lambda: grid_graph(5, 5),
+    "grid-9x9": lambda: grid_graph(9, 9),  # node masks wider than 64 bits
     "heavy-hex-2x5": lambda: heavy_hex_graph(2, 5),
     "heavy-hex-3x5": lambda: heavy_hex_graph(3, 5),
     "diagonal-4x4": lambda: diagonal_grid_graph(4, 4),

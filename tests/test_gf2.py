@@ -2,13 +2,16 @@
 
 The unit combinations are the ones the synthesizer reads off its carried
 inverse (``conftest.unit_combinations``), checked against subset
-enumeration.
+enumeration.  Supports read a byte at a time are checked against the
+one-bit-at-a-time loop, on ints up to 300 bits.
 """
 
 import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cnotroute.gf2 import (BitMatrix, SingularMatrixError, invert, is_unit,
                            mat_mul, row_add, transpose, vec_support)
@@ -182,3 +185,28 @@ def test_solve_unit_nonempty_for_all_nodes():
 def test_vec_helpers():
     assert vec_support(0b1011) == (0, 1, 3)
     assert is_unit(0b100) and not is_unit(0b101) and not is_unit(0)
+
+
+def _low_bit_support(v):
+    out = []
+    while v:
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
+    return tuple(out)
+
+
+@settings(deadline=None, database=None)
+@given(st.integers(0, 2**300 - 1))
+@example(0)
+@example(255)
+@example(256)
+@example(2**64 - 1)
+@example(2**64)
+def test_vec_support_matches_the_low_bit_loop(v):
+    assert vec_support(v) == _low_bit_support(v)
+
+
+def test_vec_support_rejects_a_negative_int():
+    with pytest.raises(ValueError, match="negative"):
+        vec_support(-1)

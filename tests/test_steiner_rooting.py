@@ -12,8 +12,8 @@ from cnotroute.arch import (ArchGraph, _grow_steiner_graph, gen_steiner,
                            path_from_successors)
 from cnotroute.rowgraph import tree_reduce_tracked
 
-from conftest import (op_parent, random_connected_graph, random_reversible_rows,
-                      rows_reducible_along, tree_parent)
+from conftest import (grid_graph, op_parent, random_connected_graph,
+                      random_reversible_rows, rows_reducible_along, tree_parent)
 
 
 def _check_tree_with_terminal_leaves(g, grown, terminals):
@@ -80,6 +80,18 @@ def _samples(seed, graphs):
         g = random_connected_graph(rng, n, extra=rng.randrange(2 * n + 1))
         for _ in range(3):
             yield g, frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
+
+
+def _wide_samples(seed):
+    """Terminal sets on graphs of 65-140 nodes and a 9x9 grid: masks over 64 bits."""
+    rng = random.Random(seed)
+    graphs = [grid_graph(9, 9)]
+    for _ in range(9):
+        n = rng.randrange(65, 141)
+        graphs.append(random_connected_graph(rng, n, extra=rng.randrange(n // 2)))
+    for g in graphs:
+        for _ in range(3):
+            yield g, frozenset(rng.sample(range(g.n), rng.randrange(2, 41)))
 
 
 def test_every_root_matches_bfs_reference():
@@ -177,7 +189,7 @@ def test_incremental_growth_matches_nearest_pair_reference():
     triangle = ArchGraph(3, [(0, 1), (1, 2), (0, 2)])
     assert _grow_steiner_graph(triangle, 0b111) == {0: (1, 2), 1: (0,), 2: (0,)}
     count = 0
-    for g, terminals in [(triangle, {0, 1, 2}), *_samples(2027, 200)]:
+    for g, terminals in [(triangle, {0, 1, 2}), *_samples(2027, 200), *_wide_samples(2028)]:
         assert _grow_steiner_graph(g, _mask(terminals)) == _reference_grow(g, terminals)
         count += 1
-    assert count == 601
+    assert count == 601 + 30
