@@ -1,8 +1,8 @@
 """CNOT circuit synthesis and qubit routing via token reduction on parity-matrix rows."""
 
-from .arch import (ArchGraph, DisconnectedGraphError, floyd_warshall_with_path,
-                   gen_steiner, get_architecture, list_architectures,
-                   load_arch_file, path_from_successors, resolve_architecture)
+from .arch import (ArchGraph, DisconnectedGraphError, gen_steiner,
+                   get_architecture, list_architectures, load_arch_file,
+                   path_from_successors, resolve_architecture)
 from .bench import (BenchConfig, BenchReport, random_cnot_circuit,
                     run_benchmark, swap_insertion_baseline)
 from .circuit import (Circuit, CircuitFormatError, Gate, Mapping, cnot,
@@ -23,8 +23,7 @@ __all__ = [
     "Circuit", "CircuitFormatError", "CostTable", "DisconnectedGraphError",
     "Gate", "Mapping", "ReductionError", "RoutedResult", "RouteStats",
     "SingularMatrixError", "build_cost_table", "cnot", "complies",
-    "equivalence_failure", "floyd_warshall_with_path",
-    "format_circuit", "gen_steiner", "get_architecture",
+    "equivalence_failure", "format_circuit", "gen_steiner", "get_architecture",
     "heuristic_token_reduction", "hungarian_assign", "invert",
     "linear_matrix", "list_architectures", "load_arch_file", "loss",
     "mat_mul", "one_qubit", "parse_circuit", "path_from_successors",

@@ -1,8 +1,12 @@
 """Architecture graphs, all-pairs shortest paths, and Steiner trees.
 
 An architecture is an undirected connected graph of physical qubits.
-Distance, successor and distance-ball tables are built once per graph;
-``ball[t][d]`` is the mask of the nodes within distance d of t.  A
+Distance, successor and distance-ball tables are built once per graph,
+by one breadth-first walk from each node; ``ball[t][d]`` is the mask of
+the nodes within distance d of t.  ``succ[s][j]``, the first hop of the
+one shortest s–j path every tree follows, is j for a neighbour j and
+otherwise the first hop to the least node that can be the largest
+interior node of a shortest s–j path: Floyd–Warshall's choice.  A
 terminal set is an int mask, bit t for node t, as the synthesizer reads
 it off a row of the inverse.  One Steiner-style tree is grown per mask,
 on demand, into one cache entry (``steiner_entry``): the unrooted tree
@@ -28,8 +32,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from .circuit import load_json, parse_wire_pairs
 from .gf2 import vec_support
 
-INF = 10**9
-
 
 class DisconnectedGraphError(ValueError):
     """Raised when a graph that must be connected is not."""
@@ -39,56 +41,58 @@ class ArchFileError(ValueError):
     """Raised for malformed architecture files."""
 
 
-def floyd_warshall_with_path(n: int, edges) -> Tuple[list, list]:
-    """Hop-count shortest distances plus successor table.
-
-    Edges are symmetrized; unit weights.  succ[i][j] is a neighbour of i
-    on a shortest i->j path (succ[i][i] = i).  Raises
-    DisconnectedGraphError naming an unreachable pair.
-    """
-    dist = [[INF] * n for _ in range(n)]
-    succ: List[List[Optional[int]]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = 0
-        succ[i][i] = i
-    for u, v in edges:
-        dist[u][v] = 1
-        dist[v][u] = 1
-        succ[u][v] = v
-        succ[v][u] = u
-    for k in range(n):
-        dk = dist[k]
-        for i in range(n):
-            di = dist[i]
-            dik = di[k]
-            if dik == INF:
-                continue
-            si = succ[i]
-            sik = si[k]
-            for j in range(n):
-                alt = dik + dk[j]
-                if di[j] > alt:
-                    di[j] = alt
-                    si[j] = sik
-    for i in range(n):
-        for j in range(n):
-            if dist[i][j] >= INF:
-                raise DisconnectedGraphError(
-                    f"graph is disconnected: no path between {i} and {j}"
-                )
-    return dist, succ
-
-
 def path_from_successors(succ, u: int, v: int) -> List[int]:
-    """Path [u, ..., v] following the successor table; [] if no entry."""
-    if succ[u][v] is None:
-        return []
+    """Path [u, ..., v] following the successor table."""
     path = [u]
-    x = u
-    while x != v:
-        x = succ[x][v]
-        path.append(x)
+    while u != v:
+        u = succ[u][v]
+        path.append(u)
     return path
+
+
+def _rows_from(adj: List[List[int]], s: int) -> Tuple[list, list, list]:
+    """Node s's rows of ``dist``, ``succ`` and ``ball``, in one breadth-first walk.
+
+    Layer d of the walk holds the nodes at distance d from s, and ball[d]
+    is the mask of layers 0..d.  The successor is the one Floyd–Warshall
+    picks with the nodes as its outer loop in ascending order: the first
+    hop from s to a neighbour j is j, and to any farther j it is the
+    first hop to k, the least node that can be the largest interior node
+    of a shortest s–j path (Floyd–Warshall last shortens the s–j entry at
+    that k and copies the s–k hop, already final).  ``top[y]`` carries,
+    for each node y reached, the least node that can be the largest node
+    other than s on a shortest s–y path, so y's k is the least ``top``
+    among its predecessors in the layer before.  A predecessor x with
+    top[x] = k is k itself or has k as its own k, so by induction on
+    distance its hop is the hop to k: predecessors that tie on k give the
+    same hop.  The layer is walked in ascending ``top``, so the first
+    predecessor to reach y is such a one, and y takes its hop.  Raises
+    DisconnectedGraphError naming s and the least node it cannot reach.
+    """
+    n = len(adj)
+    dist = [0] * n
+    succ = [s] * n
+    top = [0] * n
+    seen = 1 << s
+    ball = []
+    layer = [s]
+    while layer:
+        ball.append(seen)
+        d = len(ball)
+        after = []
+        for x in sorted(layer, key=top.__getitem__):
+            for y in adj[x]:
+                if not seen >> y & 1:
+                    seen |= 1 << y
+                    after.append(y)
+                    dist[y] = d
+                    succ[y] = succ[x] if x != s else y
+                    top[y] = max(top[x], y)
+        layer = after
+    if seen != (1 << n) - 1:
+        j = next(j for j in range(n) if not seen >> j & 1)
+        raise DisconnectedGraphError(f"graph is disconnected: no path between {s} and {j}")
+    return dist, succ, ball
 
 
 class _Supports(dict):
@@ -100,7 +104,16 @@ class _Supports(dict):
 
 
 class ArchGraph:
-    """Immutable connected architecture graph with distance tables."""
+    """Connected architecture graph with its distance tables and tree cache.
+
+    ``n``, ``names``, ``edges``, ``dist``, ``succ`` and ``ball`` are
+    fixed when the graph is built; the Steiner-tree cache and its table
+    of shared neighbour tuples fill as trees are grown, and are cleared
+    together.  ``dist[s][j]`` is the hop count and ``succ[s][j]`` the
+    next node on the shortest s–j path trees follow: j itself when s and
+    j are adjacent, else the next node towards k, the least node that
+    can be the largest interior node of a shortest s–j path.
+    """
 
     def __init__(self, n: int, edges, names: Optional[Sequence[str]] = None,
                  name: str = ""):
@@ -114,7 +127,7 @@ class ArchGraph:
             raise ValueError("one display name per node required")
         self.names = tuple(names)
         seen = set()
-        norm = []
+        adj: List[List[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u!r},{v!r}) is not a pair of nodes 0..{n - 1}")
@@ -124,21 +137,16 @@ class ArchGraph:
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
-            norm.append(key)
-        self.edges: FrozenSet[Tuple[int, int]] = frozenset(norm)
-        self.dist, self.succ = floyd_warshall_with_path(n, norm)
+            adj[u].append(v)
+            adj[v].append(u)
+        self.edges: FrozenSet[Tuple[int, int]] = frozenset(seen)
+        rows = [_rows_from(adj, s) for s in range(n)]
+        self.dist = [dist for dist, _, _ in rows]
+        self.succ = [succ for _, succ, _ in rows]
         # ball[t][d]: mask of the nodes within distance d of t, for d up to
         # the diameter, where every ball is the whole graph
-        depth = max(map(max, self.dist)) + 1
-        ball = []
-        for row in self.dist:
-            rings = [0] * depth
-            for v, d in enumerate(row):
-                rings[d] |= 1 << v
-            for d in range(1, depth):
-                rings[d] |= rings[d - 1]
-            ball.append(tuple(rings))
-        self.ball = tuple(ball)
+        depth = max(len(ball) for _, _, ball in rows)
+        self.ball = tuple(tuple(ball + ball[-1:] * (depth - len(ball))) for _, _, ball in rows)
         # terminal mask -> (grown tree, Steiner points); the neighbour tuples
         # of the cached trees, one per neighbour mask, are cleared with it
         self._steiner_cache: Dict[int, tuple] = {}

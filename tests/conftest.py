@@ -6,10 +6,11 @@ import importlib.util
 import random
 from itertools import combinations
 from pathlib import Path
+from typing import List, Optional, Tuple
 
 import pytest
 
-from cnotroute.arch import ArchGraph
+from cnotroute.arch import ArchGraph, DisconnectedGraphError
 from cnotroute.gf2 import BitMatrix, invert, is_unit, mat_mul, transpose, vec_support
 from cnotroute.heuristic import _inverse_columns
 
@@ -173,7 +174,7 @@ def brute_force_unit_combinations(m: BitMatrix, u: int):
 
 
 def bfs_distances(n: int, edges) -> list:
-    """Breadth-first-search all-pairs hop counts; oracle for Floyd-Warshall."""
+    """Breadth-first-search all-pairs hop counts; an oracle for ``ArchGraph.dist``."""
     adj = [[] for _ in range(n)]
     for a, b in edges:
         adj[a].append(b)
@@ -193,6 +194,73 @@ def bfs_distances(n: int, edges) -> list:
             frontier = nxt
         out.append(dist)
     return out
+
+
+INF = 10**9
+
+
+def floyd_warshall_with_path(n: int, edges) -> Tuple[list, list]:
+    """Hop-count shortest distances plus successor table.
+
+    Edges are symmetrized; unit weights.  succ[i][j] is a neighbour of i
+    on a shortest i->j path (succ[i][i] = i).  Raises
+    DisconnectedGraphError naming an unreachable pair.
+    """
+    dist = [[INF] * n for _ in range(n)]
+    succ: List[List[Optional[int]]] = [[None] * n for _ in range(n)]
+    for i in range(n):
+        dist[i][i] = 0
+        succ[i][i] = i
+    for u, v in edges:
+        dist[u][v] = 1
+        dist[v][u] = 1
+        succ[u][v] = v
+        succ[v][u] = u
+    for k in range(n):
+        dk = dist[k]
+        for i in range(n):
+            di = dist[i]
+            dik = di[k]
+            if dik == INF:
+                continue
+            si = succ[i]
+            sik = si[k]
+            for j in range(n):
+                alt = dik + dk[j]
+                if di[j] > alt:
+                    di[j] = alt
+                    si[j] = sik
+    for i in range(n):
+        for j in range(n):
+            if dist[i][j] >= INF:
+                raise DisconnectedGraphError(
+                    f"graph is disconnected: no path between {i} and {j}"
+                )
+    return dist, succ
+
+
+def reference_tables(n: int, edges) -> tuple:
+    """(dist, succ, ball) as ``ArchGraph`` must hold them, from Floyd-Warshall.
+
+    The successor is the one Floyd-Warshall's loop order picks; ball[t][d]
+    is the mask of the nodes within distance d of t, for d up to the
+    diameter.
+    """
+    dist, succ = floyd_warshall_with_path(n, edges)
+    depth = max(map(max, dist)) + 1
+    ball = []
+    for row in dist:
+        rings = [0] * depth
+        for v, d in enumerate(row):
+            rings[d] |= 1 << v
+        for d in range(1, depth):
+            rings[d] |= rings[d - 1]
+        ball.append(tuple(rings))
+    return dist, succ, tuple(ball)
+
+
+def assert_tables_match_reference(graph: ArchGraph) -> None:
+    assert (graph.dist, graph.succ, graph.ball) == reference_tables(graph.n, graph.edges)
 
 
 def tree_parent(tree, root) -> dict:

@@ -100,6 +100,9 @@ def test_criterion_3_table_regression(sweep):
         lines.append(f"{arch}: mean={row.tr_mean:.2f} target={target} "
                      f"dev={100 * deviation:+.1f}% {flag}")
         assert abs(deviation) <= 0.40, lines[-1]
+        # the router stays within 1% of the published quality: a loss
+        # beyond it fails here, whatever pinned output is updated with it
+        assert deviation <= 0.01, lines[-1]
     print("ACCEPTANCE 3 PASS (256-gate means vs published):")
     for line in lines:
         print(f"  {line}")

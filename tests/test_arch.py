@@ -5,45 +5,59 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnotroute.arch import (_GROW_CACHE_CAP, ArchFileError, ArchGraph,
-                            DisconnectedGraphError, floyd_warshall_with_path,
-                            gen_steiner, get_architecture, list_architectures,
+                            DisconnectedGraphError, gen_steiner,
+                            get_architecture, list_architectures,
                             parse_arch_json, path_from_successors,
                             steiner_entry)
 from cnotroute.circuit import one_qubit
 from cnotroute.gf2 import BitMatrix
 from cnotroute.rowgraph import tree_reduce_tracked
 
-from conftest import (bfs_distances, grid_graph, op_parent,
+from conftest import (assert_tables_match_reference, bfs_distances,
+                      floyd_warshall_with_path, grid_graph, op_parent,
                       random_connected_graph, rows_reducible_along, tree_parent)
 
 
 def test_fw_simple_path():
-    dist, succ = floyd_warshall_with_path(3, [(0, 1), (1, 2)])
-    assert dist[0][2] == 2
-    assert succ[0][2] == 1
-    assert dist[2][0] == 2
+    g = ArchGraph(3, [(0, 1), (1, 2)])
+    assert g.dist[0][2] == 2
+    assert g.succ[0][2] == 1
+    assert g.dist[2][0] == 2
 
 
 def test_fw_four_cycle_opposite_corners():
     edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    dist, _ = floyd_warshall_with_path(4, edges)
+    g = ArchGraph(4, edges)
     oracle = bfs_distances(4, edges)
-    assert dist[0][2] == oracle[0][2] == 2
-    assert dist[1][3] == 2
+    assert g.dist[0][2] == oracle[0][2] == 2
+    assert g.dist[1][3] == 2
+    # two shortest paths each: the hop is the one through the least node
+    assert g.succ[0][2] == 1 and g.succ[2][0] == 1
+    assert g.succ[1][3] == 0 and g.succ[3][1] == 0
 
 
 def test_fw_diagonal():
-    dist, succ = floyd_warshall_with_path(4, [(0, 1), (1, 2), (2, 3)])
+    g = ArchGraph(4, [(0, 1), (1, 2), (2, 3)])
     for i in range(4):
-        assert dist[i][i] == 0
-        assert succ[i][i] == i
+        assert g.dist[i][i] == 0
+        assert g.succ[i][i] == i
 
 
 def test_fw_disconnected_names_pair():
-    with pytest.raises(DisconnectedGraphError, match="no path between"):
-        floyd_warshall_with_path(4, [(0, 1), (2, 3)])
+    # j is the least node that 0 cannot reach
+    for n, edges, j in ((4, [(0, 1), (2, 3)], 2), (5, [(0, 2), (1, 3), (2, 4)], 1),
+                        (3, [(1, 2)], 1), (2, [], 1)):
+        message = f"graph is disconnected: no path between 0 and {j}"
+        with pytest.raises(DisconnectedGraphError) as raised:
+            ArchGraph(n, edges)
+        assert str(raised.value) == message
+        with pytest.raises(DisconnectedGraphError) as reference:
+            floyd_warshall_with_path(n, edges)
+        assert str(reference.value) == message
 
 
 def test_fw_matches_bfs_on_random_graphs():
@@ -58,15 +72,38 @@ def test_fw_matches_bfs_on_random_graphs():
             assert g.ball[t][-1] == (1 << n) - 1
 
 
+def test_tables_match_floyd_warshall_on_random_graphs():
+    rng = random.Random(2022)
+    for _ in range(500):
+        n = rng.randrange(1, 41)
+        # a spanning tree on shuffled labels and up to 2n extra edges, so
+        # many pairs have tied shortest paths
+        assert_tables_match_reference(
+            random_connected_graph(rng, n, extra=rng.randrange(2 * n + 1)))
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on shuffled labels plus random extra edges."""
+    n = draw(st.integers(1, 14))
+    order = draw(st.permutations(range(n)))
+    edges = {frozenset((order[i], order[draw(st.integers(0, i - 1))])) for i in range(1, n)}
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges |= {frozenset(p) for p in draw(st.lists(pairs, max_size=2 * n)) if p[0] != p[1]}
+    return ArchGraph(n, [tuple(e) for e in edges])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(connected_graphs())
+def test_tables_match_floyd_warshall_property(g):
+    assert_tables_match_reference(g)
+
+
 def test_path_from_successors_trivial():
-    _, succ = floyd_warshall_with_path(3, [(0, 1), (1, 2)])
+    succ = ArchGraph(3, [(0, 1), (1, 2)]).succ
     assert path_from_successors(succ, 1, 1) == [1]
     assert path_from_successors(succ, 0, 2) == [0, 1, 2]
-
-
-def test_path_from_successors_null_entry():
-    succ = [[0, None], [None, 1]]
-    assert path_from_successors(succ, 0, 1) == []
 
 
 def test_path_endpoints_and_adjacency():

@@ -8,7 +8,8 @@ and the benchmark's outside checker must accept every result.  Every
 Steiner tree routing grew there, and on the stock devices, must be a
 tree with terminal leaves, which the growth proves and no longer checks
 at run time.  Each graph's distance table and distance balls must match
-networkx's shortest paths.
+networkx's shortest paths, and its distance, successor and ball tables
+the Floyd-Warshall reference in ``conftest``.
 """
 
 import random
@@ -16,14 +17,14 @@ import random
 import networkx as nx
 import pytest
 
-from cnotroute.arch import get_architecture, list_architectures
+from cnotroute.arch import ArchGraph, get_architecture, list_architectures
 from cnotroute.bench import random_cnot_circuit
 from cnotroute.circuit import Mapping
 from cnotroute.gf2 import vec_support
 from cnotroute.synthesis import equivalence_failure, postprocess, route_general
 
-from conftest import (check, diagonal_grid_graph, grid_graph, heavy_hex_graph,
-                      random_connected_graph)
+from conftest import (assert_tables_match_reference, check, diagonal_grid_graph,
+                      grid_graph, heavy_hex_graph, random_connected_graph)
 from test_arch import _check_tree_invariants
 from test_pinned_output import mixed_circuit
 
@@ -124,3 +125,23 @@ def test_stock_and_random_graph_distances_match_networkx():
     for _ in range(40):
         n = rng.randrange(1, 20)
         _check_distances(random_connected_graph(rng, n, extra=rng.randrange(n + 1)))
+
+
+def _relabelled(rng, graph):
+    """``graph`` with its node labels shuffled, edges listed in random order."""
+    label = list(range(graph.n))
+    rng.shuffle(label)
+    edges = [(label[u], label[v]) for u, v in graph.edges]
+    rng.shuffle(edges)
+    return ArchGraph(graph.n, edges)
+
+
+def test_tables_match_floyd_warshall_on_devices_families_and_grids():
+    rng = random.Random(2211)
+    graphs = [get_architecture(name)[0] for name in list_architectures()]
+    graphs += [build() for build in FAMILIES.values()]
+    graphs += [grid_graph(rows, cols) for rows in range(1, 12) for cols in range(rows, 12, 2)]
+    graphs.append(grid_graph(3, 17))
+    for graph in graphs:
+        assert_tables_match_reference(graph)
+        assert_tables_match_reference(_relabelled(rng, graph))

@@ -124,30 +124,6 @@ def test_hungarian_diagonal_zero():
     assert asg.total == 0
 
 
-def test_hungarian_vs_factorial_brute_force():
-    rng = random.Random(34)
-    for _ in range(40):
-        n = rng.randrange(1, 7)
-        entries = [[rng.randrange(50) for _ in range(n)] for _ in range(n)]
-        asg = hungarian_assign(_table(entries))
-        best = min(sum(entries[u][p[u]] for u in range(n))
-                   for p in permutations(range(n)))
-        assert asg.total == best
-        assert sorted(asg.by_node) == list(range(n))
-        assert sum(entries[u][asg.by_node[u]] for u in range(n)) == best
-
-
-def test_hungarian_beats_random_bijections():
-    rng = random.Random(35)
-    n = 8
-    entries = [[rng.randrange(100) for _ in range(n)] for _ in range(n)]
-    asg = hungarian_assign(_table(entries))
-    perm = list(range(n))
-    for _ in range(1000):
-        rng.shuffle(perm)
-        assert asg.total <= sum(entries[u][perm[u]] for u in range(n))
-
-
 def test_hungarian_rejects_infinite_assignment():
     inf = math.inf
     for entries in ([[inf, inf], [1, 2]],  # an all-inf row
@@ -161,7 +137,9 @@ def test_hungarian_rejects_infinite_assignment():
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.integers(1, 7).flatmap(lambda n: st.lists(
-    st.lists(st.one_of(st.integers(0, 9), st.just(math.inf)), min_size=n, max_size=n),
+    # entries 0-9 force ties, 0-49 spread the totals, inf forbids pairs
+    st.lists(st.one_of(st.integers(0, 9), st.integers(0, 49), st.just(math.inf)),
+             min_size=n, max_size=n),
     min_size=n, max_size=n)))
 def test_hungarian_is_the_brute_force_minimum(entries):
     n = len(entries)
