@@ -124,6 +124,19 @@ def test_hungarian_diagonal_zero():
     assert asg.total == 0
 
 
+def test_hungarian_vs_factorial_brute_force():
+    rng = random.Random(34)
+    for _ in range(40):
+        n = rng.randrange(1, 7)
+        entries = [[rng.randrange(50) for _ in range(n)] for _ in range(n)]
+        asg = hungarian_assign(_table(entries))
+        best = min(sum(entries[u][p[u]] for u in range(n))
+                   for p in permutations(range(n)))
+        assert asg.total == best
+        assert sorted(asg.by_node) == list(range(n))
+        assert sum(entries[u][asg.by_node[u]] for u in range(n)) == best
+
+
 def test_hungarian_rejects_infinite_assignment():
     inf = math.inf
     for entries in ([[inf, inf], [1, 2]],  # an all-inf row
