@@ -9,9 +9,10 @@ otherwise the first hop to the least node that can be the largest
 interior node of a shortest s–j path: Floyd–Warshall's choice.  A
 terminal set is an int mask, bit t for node t, as the synthesizer reads
 it off a row of the inverse.  One Steiner-style tree is grown per mask,
-on demand, into one cache entry (``steiner_entry``): the unrooted tree
-and its Steiner points.  The tree does not depend on the root; pricing
-(``rowgraph.reduction_costs``) and reduction
+on demand, into one cache entry (``steiner_entry``): the unrooted tree,
+its Steiner points, and two numbers that give the synthesizer an O(1)
+lower bound on the tree's reduction costs.  The tree does not depend on
+the root; pricing (``rowgraph.reduction_costs``) and reduction
 (``rowgraph.tree_reduce_tracked``) both read it and pick the root
 themselves.  Growth keeps each tree node's neighbours as an int mask and
 turns it into the ascending neighbour tuple through one table per graph,
@@ -147,7 +148,7 @@ class ArchGraph:
         # the diameter, where every ball is the whole graph
         depth = max(len(ball) for _, _, ball in rows)
         self.ball = tuple(tuple(ball + ball[-1:] * (depth - len(ball))) for _, _, ball in rows)
-        # terminal mask -> (grown tree, Steiner points); the neighbour tuples
+        # terminal mask -> steiner_entry's tuple; the neighbour tuples
         # of the cached trees, one per neighbour mask, are cleared with it
         self._steiner_cache: Dict[int, tuple] = {}
         self._supports = _Supports()
@@ -177,10 +178,13 @@ def _grow_steiner_graph(g: ArchGraph, mask: int) -> dict:
     to u than v, so were it a tree node or a terminal, (u, w) or (w, v)
     would be a nearer pair.  Each path thus meets the tree only at v,
     and only its ends other than v, all terminals, are left with one
-    neighbour.  Each path adds as many edges as new nodes, so the result
-    has one edge fewer than nodes and is connected: a tree.  Nothing here
-    re-checks that; ``test_arch._check_tree_invariants`` does, on random
-    graphs and on every tree routing grows on the device families.
+    neighbour.  The only terminals a path adds are therefore u, and v on
+    the first path, so the list of remaining terminals drops just those
+    and stays ascending.  Each path adds as many edges as new nodes, so
+    the result has one edge fewer than nodes and is connected: a tree.
+    Nothing here re-checks that; ``test_arch._check_tree_invariants``
+    does, on random graphs and on every tree routing grows on the device
+    families.
 
     Each node's neighbours are kept as an int mask, one OR per path-edge
     end.  Returns an adjacency map node -> ascending neighbour tuple, the
@@ -194,18 +198,21 @@ def _grow_steiner_graph(g: ArchGraph, mask: int) -> dict:
     depth = len(ball[0])
     adjacency: Dict[int, int] = {}
     tree = 0
-    remaining = vec_support(mask)
-    while remaining:
-        for d in range(1, depth):
-            for u in remaining:
-                # while the tree is empty, the first path's v is a terminal above u
-                hit = ball[u][d] & (tree or mask >> u + 1 << u + 1)
-                if hit:
-                    break
-            else:
-                continue
-            break
-        v = (hit & -hit).bit_length() - 1
+    remaining = list(vec_support(mask))
+    # the first path's v is the least terminal above u at the least distance
+    for d in range(1, depth):
+        for u in remaining:
+            hit = ball[u][d] & mask >> u + 1 << u + 1
+            if hit:
+                break
+        else:
+            continue
+        break
+    v = (hit & -hit).bit_length() - 1
+    remaining.remove(v)
+    while True:
+        # a path's interior holds no terminal, so u is the one it adds
+        remaining.remove(u)
         adjacency[u] = 0
         tree |= 1 << u
         x = u
@@ -218,7 +225,17 @@ def _grow_steiner_graph(g: ArchGraph, mask: int) -> dict:
                 adjacency[y] = 1 << x
                 tree |= 1 << y
             x = y
-        remaining = vec_support(mask & ~tree)
+        if not remaining:
+            break
+        for d in range(1, depth):
+            for u in remaining:
+                hit = ball[u][d] & tree
+                if hit:
+                    break
+            else:
+                continue
+            break
+        v = (hit & -hit).bit_length() - 1
     supports = g._supports
     return {node: supports[nbs] for node, nbs in adjacency.items()}
 
@@ -229,8 +246,12 @@ _GROW_CACHE_CAP = 4000
 def steiner_entry(g: ArchGraph, mask: int) -> tuple:
     """The cache entry for one terminal mask, grown on first use.
 
-    The entry is (grown tree, Steiner points): the unrooted tree as node
-    -> ascending neighbour tuple, and its non-terminal nodes.  Past
+    The entry is (grown tree, Steiner points, weight, inner): the
+    unrooted tree as node -> ascending neighbour tuple, its non-terminal
+    nodes, its schedule weight |V| - 1 + 2|S|, and the mask of its
+    terminals with two or more tree neighbours.  The last two give the
+    lower bound proved in ``rowgraph.reduction_costs`` in O(1): weight
+    plus the count of unit-row nodes in ``inner``.  Past
     ``_GROW_CACHE_CAP`` terminal sets the cache is dropped wholesale, and
     the graph's shared neighbour tuples with it: sustained runs would
     otherwise grow both unbounded, the tuples by up to 2**degree
@@ -246,8 +267,9 @@ def steiner_entry(g: ArchGraph, mask: int) -> tuple:
             cache.clear()
             g._supports.clear()
         grown = _grow_steiner_graph(g, mask)
-        entry = cache[mask] = (
-            grown, frozenset(w for w in grown if not mask >> w & 1))
+        steiner = frozenset(w for w in grown if not mask >> w & 1)
+        inner = sum(1 << w for w, nbs in grown.items() if len(nbs) > 1) & mask
+        entry = cache[mask] = (grown, steiner, len(grown) - 1 + 2 * len(steiner), inner)
     return entry
 
 
@@ -255,13 +277,13 @@ def gen_steiner(g: ArchGraph, terminals) -> tuple:
     """Approximate Steiner tree spanning ``terminals``: (tree, Steiner points).
 
     ``terminals`` is any non-empty iterable of nodes of ``g``; the result
-    is the cache entry ``steiner_entry`` holds for their mask, so every
-    form of one set gets the same tree.
+    is the tree and Steiner points of the cache entry ``steiner_entry``
+    holds for their mask, so every form of one set gets the same tree.
     """
     nodes = set(terminals)
     if not nodes or any(type(t) is not int or not 0 <= t < g.n for t in nodes):
         raise ValueError(f"terminals must be one or more of the nodes 0..{g.n - 1}")
-    return steiner_entry(g, sum(1 << t for t in nodes))
+    return steiner_entry(g, sum(1 << t for t in nodes))[:2]
 
 
 # ---------------------------------------------------------------------------

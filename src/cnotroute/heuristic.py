@@ -12,9 +12,9 @@ roots share, instead of rooting and replaying the tree once per node
 there).  A node outside that support cannot be reduced to e, so its
 entry is ``math.inf``, a forbidden pair of the assignment.  The trees
 come from ``arch.steiner_entry`` and are trees with terminal leaves by
-its growth proof, so they are priced through the unchecked cores
-``rowgraph._costs`` and ``rowgraph._bound``; only the reductions the
-synthesizer runs go through the checked ``tree_reduce_tracked``.
+its growth proof, so they are priced through the unchecked core
+``rowgraph._costs``; only the reductions the synthesizer runs go through
+the checked ``tree_reduce_tracked``.
 
 Only the *open block* of the cost table is priced: the non-basic nodes
 against the basis indices e whose inverse row is not a unit vector.  A
@@ -39,23 +39,36 @@ exact, so the carried columns always equal the transposed inverse of
 the current matrix, and the block reads its supports off them in one
 transposition pass instead of a fresh Gauss-Jordan elimination.
 
+No entry of a column is below its tree's bound |V| - 1 + 2|S| + U,
+proved in ``rowgraph.reduction_costs``: U counts the tree's terminals
+with two or more tree neighbours that hold a unit row.  The cache entry
+of ``arch.steiner_entry`` stores |V| - 1 + 2|S| and the mask of those
+terminals, so a column's bound (``_column_bounds``) is one AND and one
+bit count against the mask of unit rows.
+
+A step needs the whole block only to score tied candidates.  Its
+cheapest entries alone decide the step when one is cheapest, and
+``_cheapest_bounded`` finds them without the block: it prices columns in
+ascending bound order and stops at the first bound above the running
+minimum, since no entry of that column or a later one can reach it.  A
+bound equal to the minimum is priced, so every tied entry is found.
+
 Tied cheapest entries are broken by look-ahead, scored by the loss of
 each candidate's resulting state; the smallest (loss, candidate index)
 wins, the first strict minimum in candidate order.  Most candidates
 lose, and a column-minimum bound (the standard lower bound of the
-linear assignment problem) proves it before they are fully priced.  No
-entry of a column is below ``rowgraph._bound`` of its tree,
-whose proof is in ``rowgraph.reduction_costs``.  Each column is
-assigned exactly one row, so a trial's loss is at least the sum of its
-priced columns' minima plus its unpriced columns' bounds.  Every
+linear assignment problem; Burkard, Dell'Amico & Martello, *Assignment
+Problems*, ch. 4) proves it before they are fully priced.  Each column
+is assigned exactly one row, so a trial's loss is at least the sum of
+its priced columns' minima plus its unpriced columns' bounds.  Every
 candidate is first trial-run and recorded (ops, rows, carried columns)
 to give its bound before pricing; candidates are then priced in
 ascending (bound, index) order, and pricing stops, skipping the
 assignment, once the bound shows the candidate cannot beat the best
-(loss, index) so far.  A lone candidate needs no bound.  The winner is
-never cut short, so its full block serves the next iteration, and it is
-committed from its record rather than reduced again.  The committed ops
-are exactly the unpruned ones.
+(loss, index) so far.  The winner is never cut short, so its full block
+gives the next step's cheapest entries, and it is committed from its
+record rather than reduced again.  The committed ops are exactly the
+unpruned ones.
 """
 
 from __future__ import annotations
@@ -66,8 +79,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .arch import ArchGraph, steiner_entry
 from .gf2 import BitMatrix, _transpose_rows, invert, vec_support
-from .rowgraph import (ADD, RowOp, _bound, _costs, reduction_recovery,
-                       tree_reduce_tracked)
+from .rowgraph import ADD, RowOp, _costs, reduction_recovery, tree_reduce_tracked
 
 
 class AssignmentError(ValueError):
@@ -113,7 +125,7 @@ def build_cost_table(graph: ArchGraph, rows: Sequence[int]) -> CostTable:
             else:
                 roots.append(u)
         if roots:
-            grown, steiner = steiner_entry(graph, sup)
+            grown, steiner, _, _ = steiner_entry(graph, sup)
             for u, c in zip(roots, _costs(rows, grown, steiner, roots)):
                 entries[u][e] = c
     return CostTable(tuple(tuple(r) for r in entries), tuple(supports),
@@ -138,35 +150,42 @@ def _apply_to_columns(cols: List[int], ops: Sequence[RowOp]) -> None:
 
 
 def _open_columns(graph: ArchGraph, cols: Sequence[int]) -> list:
-    """(basis index, support, grown tree, Steiner points) per open column.
+    """(basis index, support) and the support's Steiner entry, per open column.
 
-    ``cols`` is the column form of the inverse, as ``_inverse_columns``
-    gives and ``_apply_to_columns`` carries; transposed, it gives each
-    inverse row, the support.  A column is open when its support has at
-    least two nodes; columns ascend.
+    Each item is (e, sup, grown tree, Steiner points, weight, inner), the
+    last four the ``arch.steiner_entry`` of ``sup``.  ``cols`` is the
+    column form of the inverse, as ``_inverse_columns`` gives and
+    ``_apply_to_columns`` carries; transposed, it gives each inverse row,
+    the support.  A column is open when its support has at least two
+    nodes; columns ascend.
     """
     opened = []
     for e, sup in enumerate(_transpose_rows(cols)):
         if sup & (sup - 1):
-            grown, steiner = steiner_entry(graph, sup)
-            opened.append((e, sup, grown, steiner))
+            opened.append((e, sup) + steiner_entry(graph, sup))
     return opened
 
 
-def _column_bounds(rows: Sequence[int], opened: list) -> List[int]:
-    """A lower bound on every entry of each open column.
-
-    ``opened`` is ``_open_columns`` of the inverse of ``rows``.  Each
-    bound is ``rowgraph._bound`` of the column's tree with the support's
-    unit-row terminals; it holds at every root that holds a non-unit
-    row, as the block's roots do.
-    """
+def _basic_mask(rows: Sequence[int]) -> int:
+    """The mask of the nodes whose row is a unit vector."""
     basic = 0
+    # rows of an invertible matrix are nonzero, so r & (r - 1) == 0 means unit
     for u, r in enumerate(rows):
         if not r & (r - 1):
             basic |= 1 << u
-    return [_bound(grown, steiner, sup & basic)
-            for _, sup, grown, steiner in opened]
+    return basic
+
+
+def _column_bounds(basic: int, opened: list) -> List[int]:
+    """A lower bound on every entry of each open column.
+
+    ``opened`` is ``_open_columns`` of the inverse of some rows and
+    ``basic`` their ``_basic_mask``.  Each bound is |V| - 1 + 2|S| + U
+    for the column's tree, U counting its unit-row terminals with two or
+    more tree neighbours (``inner``); it holds at every root that holds a
+    non-unit row, as the block's roots do.
+    """
+    return [weight + (basic & inner).bit_count() for _, _, _, _, weight, inner in opened]
 
 
 def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
@@ -186,7 +205,6 @@ def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
     unused.
     """
     n = graph.n
-    # rows of an invertible matrix are nonzero, so r & (r - 1) == 0 means unit
     nodes = [u for u, r in enumerate(rows) if r & (r - 1)]
     position = [-1] * n
     nonbasic = 0
@@ -199,7 +217,7 @@ def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
         order = sorted(order, key=weights.__getitem__, reverse=True)
     entries = [[math.inf] * len(nodes) for _ in nodes]
     for j in order:
-        _, sup, grown, steiner = opened[j]
+        _, sup, grown, steiner, _, _ = opened[j]
         # distinct unit rows XOR to weight |sup| >= 2, not to e_e, so at
         # least one node of the support is non-basic
         roots = vec_support(sup & nonbasic)
@@ -322,12 +340,44 @@ def _cheapest(block: CostTable) -> List[Tuple[int, int, int]]:
             for j, c in enumerate(r) if c == best]
 
 
+def _cheapest_bounded(rows: Sequence[int], opened: list) -> List[Tuple[int, int, int]]:
+    """``_cheapest(_open_block(graph, rows, opened))``, without the block.
+
+    ``opened`` is ``_open_columns`` of the inverse of ``rows``.  Columns
+    are priced in ascending bound order (``_column_bounds``) until a
+    bound exceeds the least entry priced so far: no entry of that column
+    or a later one can be a minimum.  A bound equal to it is priced, so
+    ties are kept.  The entries equal to the minimum are returned
+    node-major, as ``_cheapest`` orders them; the list is empty when no
+    column is open, that is when every row is a unit vector.
+    """
+    basic = _basic_mask(rows)
+    nonbasic = basic ^ ((1 << len(rows)) - 1)
+    bounds = _column_bounds(basic, opened)
+    best = math.inf
+    found = []
+    for j in sorted(range(len(opened)), key=bounds.__getitem__):
+        if bounds[j] > best:
+            break
+        e, sup, grown, steiner, _, _ = opened[j]
+        roots = vec_support(sup & nonbasic)
+        for u, c in zip(roots, _costs(rows, grown, steiner, roots)):
+            if c <= best:
+                if c < best:
+                    best = c
+                    found = []
+                found.append((u, e, sup))
+    found.sort()
+    return found
+
+
 def _reduce_pair(graph: ArchGraph, rows: List[int], u: int, mask: int) -> List[RowOp]:
     """Reduce ``rows`` in place at u along the tree of ``mask``, then recover.
 
     Returns the ops run, reduction then recovery.
     """
-    ops, tracked = tree_reduce_tracked(rows, *steiner_entry(graph, mask), u)
+    grown, steiner, _, _ = steiner_entry(graph, mask)
+    ops, tracked = tree_reduce_tracked(rows, grown, steiner, u)
     return [*ops, *reduction_recovery(rows, ops, tracked)]
 
 
@@ -335,41 +385,49 @@ def heuristic_token_reduction(graph: ArchGraph, rows: List[int]) -> List[RowOp]:
     """Reduce ``rows`` to basic form in place, greedily and with look-ahead.
 
     ``rows`` holds one row per node of ``graph``; returns the ops run.
-    Price the open block once, then loop while it has non-basic nodes:
-    shortlist the block's cheapest entries and break ties by look-ahead.
-    Each candidate is trial-run (reduce, recover) on its own copy of the
-    rows, and its ops, rows and carried columns are recorded; its open
-    columns' bounds (``_column_bounds``) sum to a lower bound on its loss.
-    Candidates are then scored in ascending (bound, index) order, each
-    priced from its recorded rows, and the smallest (loss, index) wins:
-    the first strict minimum in candidate order, candidates being
-    ordered by (node, basis).  A candidate whose bound shows it cannot
-    beat the best so far (see ``_open_block``) is neither priced in full
-    nor assigned, so pruning never changes the winner.  A lone candidate
-    takes the same path and skips only its bounds and the assignment,
-    which would decide nothing.
-    The winner is committed from its record, its rows copied in and its
-    ops appended, and its trial block and columns serve the next
-    iteration.  Each commit makes at least one more node basic, so the
-    loop runs at most n times.  The inversion on entry is the only
-    singularity check; it raises ``SingularMatrixError``, basic or not,
-    and a ``ValueError`` if there is not one row per node.
+    Each step takes the cheapest entries of the open block, and loops
+    while there are any, that is while some node is non-basic.  On entry
+    and after a lone candidate they come from ``_cheapest_bounded``,
+    which prices only the columns that can hold them.  A lone candidate
+    wins whatever its loss, so it is reduced and recovered on ``rows``
+    directly, and the carried columns follow its ops.  Tied candidates
+    are broken by look-ahead: each is trial-run (reduce, recover) on its
+    own copy of the rows, and its ops, rows and carried columns are
+    recorded; its open columns' bounds (``_column_bounds``) sum to a
+    lower bound on its loss.  Candidates are then scored in ascending
+    (bound, index) order, each priced from its recorded rows, and the
+    smallest (loss, index) wins: the first strict minimum in candidate
+    order, candidates being ordered by (node, basis).  A candidate whose
+    bound shows it cannot beat the best so far (see ``_open_block``) is
+    neither priced in full nor assigned, so pruning never changes the
+    winner.  The winner is committed from its record, its rows copied in
+    and its ops appended; its trial block is complete, and gives the
+    next step's cheapest entries (``_cheapest``).  Each commit makes at
+    least one more node basic, so the loop runs at most n times.  The
+    inversion on entry is the only singularity check; it raises
+    ``SingularMatrixError``, basic or not, and a ``ValueError`` if there
+    is not one row per node.
     """
     cols = _inverse_columns(graph.n, rows)
-    block = _open_block(graph, rows, _open_columns(graph, cols))
+    candidates = _cheapest_bounded(rows, _open_columns(graph, cols))
     out: List[RowOp] = []
-    while block.nodes:
+    while candidates:
+        if len(candidates) == 1:
+            u, _, sup = candidates[0]
+            ops = _reduce_pair(graph, rows, u, sup)
+            _apply_to_columns(cols, ops)
+            out.extend(ops)
+            candidates = _cheapest_bounded(rows, _open_columns(graph, cols))
+            continue
         trials = []
-        candidates = _cheapest(block)
         for index, (u, _, sup) in enumerate(candidates):
             trial_rows = list(rows)
             ops = _reduce_pair(graph, trial_rows, u, sup)
             trial_cols = list(cols)
             _apply_to_columns(trial_cols, ops)
             opened = _open_columns(graph, trial_cols)
-            # a lone candidate wins unpriced by any bound, so it needs none
-            weights = _column_bounds(trial_rows, opened) if len(candidates) > 1 else None
-            trials.append((sum(weights or ()), index, ops, trial_rows, trial_cols,
+            weights = _column_bounds(_basic_mask(trial_rows), opened)
+            trials.append((sum(weights), index, ops, trial_rows, trial_cols,
                            opened, weights))
         trials.sort(key=lambda t: t[:2])
         best = None
@@ -382,11 +440,11 @@ def heuristic_token_reduction(graph: ArchGraph, rows: List[int]) -> List[RowOp]:
                     break  # every later trial's (bound, index) is larger
             trial = _open_block(graph, trial_rows, opened, weights, bound)
             if trial is not None:
-                # a lone trial wins whatever its loss
-                trial_loss = hungarian_assign(trial).total if len(trials) > 1 else 0
+                trial_loss = hungarian_assign(trial).total
                 if best is None or (trial_loss, index) < best[:2]:
                     best = (trial_loss, index, ops, trial_rows, trial_cols, trial)
         _, _, ops, best_rows, cols, block = best
         rows[:] = best_rows
         out.extend(ops)
+        candidates = _cheapest(block) if block.nodes else []
     return out

@@ -20,23 +20,23 @@ list of ops replays it backwards.
 spend along the same tree at each of many roots, without running them:
 a recurrence over the tree's directed edges, each edge's value shared
 by every root on its far side.  The schedule rule it prices, which tree
-edge becomes a SWAP, is ``tree_reduce_tracked``'s, beside it.
-``_bound`` gives a lower bound on those weights from the tree's shape
-and its unit-row terminals alone, proved beside the recurrence.
+edge becomes a SWAP, is ``tree_reduce_tracked``'s, beside it.  A lower
+bound on those weights from the tree's shape and its unit-row terminals
+alone is proved beside the recurrence.
 
 Every public function that takes a tree checks it in one walk,
 ``_schedule``, which also builds the reduction schedule; malformed trees
-raise ``ReductionError``.  The private cores ``_costs`` and ``_bound``
-check nothing: ``heuristic`` prices through them the trees that
-``arch`` grows, which are trees with terminal leaves by the growth
-proof in ``arch._grow_steiner_graph``.
+raise ``ReductionError``.  The private core ``_costs`` checks nothing:
+``heuristic`` prices through it the trees that ``arch`` grows, which
+are trees with terminal leaves by the growth proof in
+``arch._grow_steiner_graph``.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Set, Tuple
 
-from .gf2 import is_unit, vec_support
+from .gf2 import is_unit
 
 ADD = "ADD"
 SWAP = "SWAP"
@@ -176,8 +176,9 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
     distinct after the schedule.  Replaying backwards,
     ``reduction_recovery`` spends at least one op per mark: an ADD on
     the marked node, or the SWAP that hands the mark back to a child
-    that holds none.  ``_bound`` gives this bound, and ``heuristic``
-    bounds its cost-table columns by it.
+    that holds none.  ``arch.steiner_entry`` stores |V| - 1 + 2|S| and
+    the mask of the terminals with two or more neighbours, and
+    ``heuristic`` bounds its cost-table columns by them.
 
     Raises ``ReductionError`` if ``roots`` is empty, ``_schedule`` finds
     the tree malformed from ``roots[0]``, or another root is not a
@@ -249,20 +250,6 @@ def _costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) -> List[int
         # hand's closure cell holds hand: break the cycle so refcounting frees the memo
         hand = None
     return out
-
-
-def _bound(tree, steiner, units: int) -> int:
-    """|V| - 1 + 2|S| + U, the lower bound proved in ``reduction_costs``.
-
-    ``tree`` and ``steiner`` are as ``reduction_costs`` takes them, and
-    ``units`` is the mask of the tree's terminals that hold a unit row.
-    U counts those with two or more neighbours.  The bound holds at
-    every root outside ``units``.  Unchecked, like ``_costs``.
-    """
-    weight = len(tree) - 1 + 2 * len(steiner)
-    for t in vec_support(units):
-        weight += len(tree[t]) > 1
-    return weight
 
 
 def tree_reduce_tracked(rows: List[int], tree, steiner,

@@ -3,7 +3,11 @@
 ``heuristic_token_reduction`` inverts the matrix once, in column form,
 and carries that form through every trial and committed reduction by
 column operations.  After each step the carried columns must equal the
-transposed inverse of the matrix the rows then hold.
+transposed inverse of the matrix the rows then hold.  Both pricing
+paths, the full block of a tie trial and the cheapest-only pricing of
+``_cheapest_bounded``, must see the open columns' supports of a fresh
+inverse and bounds equal to ``entry_bound``; tie candidates are counted
+on both.
 """
 
 import random
@@ -23,10 +27,17 @@ def _fresh_columns(graph, rows):
     return transpose(invert(BitMatrix(graph.n, rows))).rows
 
 
-def _fresh_supports(graph, rows):
+def _fresh_supports(n, rows):
     """(e, support mask of inverse row e) per open e, from a fresh inverse."""
-    inv = invert(BitMatrix(graph.n, rows))
+    inv = invert(BitMatrix(n, rows))
     return [(e, sup) for e, sup in enumerate(inv.rows) if sup.bit_count() >= 2]
+
+
+def _check_opened(rows, opened, weights):
+    """Open columns' supports against a fresh inverse, their bounds against ``entry_bound``."""
+    assert [(e, sup) for e, sup, *_ in opened] == _fresh_supports(len(rows), rows)
+    assert weights == [entry_bound(rows, grown, steiner)
+                       for _, _, grown, steiner, _, _ in opened]
 
 
 def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):
@@ -36,6 +47,7 @@ def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):
     carry = heuristic._apply_to_columns
     price = heuristic._open_block
     pick = heuristic._cheapest
+    pick_bounded = heuristic._cheapest_bounded
 
     def reduce_recorded(graph, rows, u, mask):
         # each trial reduces its own copy of the rows, and its columns are
@@ -50,24 +62,36 @@ def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):
         counts["swaps"] += sum(kind == SWAP for kind, _, _ in ops)
 
     def price_checked(graph, rows, opened, weights=None, bound=None):
-        assert [(e, sup) for e, sup, _, _ in opened] == _fresh_supports(graph, rows)
-        if weights is not None:
-            assert weights == [entry_bound(rows, grown, steiner)
-                               for _, _, grown, steiner in opened]
+        if weights is None:
+            assert [(e, sup) for e, sup, *_ in opened] == _fresh_supports(graph.n, rows)
+        else:
+            _check_opened(rows, opened, weights)
             counts["bounded"] += 1
         counts["priced"] += 1
         return price(graph, rows, opened, weights, bound)
 
-    def pick_counted(block):
-        found = pick(block)
+    def count_ties(found):
+        # every tie candidate is trial-run, whichever path found the tie
         if len(found) > 1:
             counts["trials"] += len(found)
         return found
+
+    def pick_counted(block):
+        return count_ties(pick(block))
+
+    def pick_bounded_checked(rows, opened):
+        # the cheapest-only path orders and stops by these bounds
+        bounds = heuristic._column_bounds(heuristic._basic_mask(rows), opened)
+        _check_opened(rows, opened, bounds)
+        counts["bounded"] += 1
+        counts["priced"] += 1
+        return count_ties(pick_bounded(rows, opened))
 
     monkeypatch.setattr(heuristic, "_reduce_pair", reduce_recorded)
     monkeypatch.setattr(heuristic, "_apply_to_columns", carry_checked)
     monkeypatch.setattr(heuristic, "_open_block", price_checked)
     monkeypatch.setattr(heuristic, "_cheapest", pick_counted)
+    monkeypatch.setattr(heuristic, "_cheapest_bounded", pick_bounded_checked)
     rng = random.Random(5051)
     for _ in range(12):
         for n in range(1, 15):

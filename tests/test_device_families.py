@@ -7,9 +7,11 @@ and CNOT-only circuits from random input mappings go through
 and the benchmark's outside checker must accept every result.  Every
 Steiner tree routing grew there, and on the stock devices, must be a
 tree with terminal leaves, which the growth proves and no longer checks
-at run time.  Each graph's distance table and distance balls must match
-networkx's shortest paths, and its distance, successor and ball tables
-the Floyd-Warshall reference in ``conftest``.
+at run time, and its cache entry's stored weight and inner mask must
+give the column bound ``conftest.entry_bound`` computes from the tree.
+Each graph's distance table and distance balls must match networkx's
+shortest paths, and its distance, successor and ball tables the
+Floyd-Warshall reference in ``conftest``.
 """
 
 import random
@@ -21,10 +23,11 @@ from cnotroute.arch import ArchGraph, get_architecture, list_architectures
 from cnotroute.bench import random_cnot_circuit
 from cnotroute.circuit import Mapping
 from cnotroute.gf2 import vec_support
+from cnotroute.heuristic import _basic_mask, _column_bounds
 from cnotroute.synthesis import equivalence_failure, postprocess, route_general
 
 from conftest import (assert_tables_match_reference, check, diagonal_grid_graph,
-                      grid_graph, heavy_hex_graph, random_connected_graph)
+                      entry_bound, grid_graph, heavy_hex_graph, random_connected_graph)
 from test_arch import _check_tree_invariants
 from test_pinned_output import mixed_circuit
 
@@ -86,11 +89,22 @@ def test_routed_and_postprocessed_circuits_pass_both_verifiers(family):
 
 
 def _check_grown_trees(graph):
-    """Every cached Steiner tree of ``graph`` is a tree with terminal leaves."""
+    """Every cached Steiner tree of ``graph`` is a tree with terminal leaves.
+
+    Its entry's weight and inner mask must give ``entry_bound`` through
+    ``_column_bounds`` with no unit row, with every terminal's row a unit
+    vector, and with a random set of unit rows.
+    """
     assert graph._steiner_cache
-    for mask, (tree, steiner) in graph._steiner_cache.items():
+    rng = random.Random(graph.n)
+    for mask, entry in graph._steiner_cache.items():
+        tree, steiner, _, _ = entry
         terminals = set(vec_support(mask))
         _check_tree_invariants(graph, tree, steiner, terminals, max(terminals))
+        for units in (0, mask, rng.getrandbits(graph.n)):
+            rows = [(1 if units >> u & 1 else 3) << u for u in range(graph.n)]
+            assert _column_bounds(_basic_mask(rows), [(0, mask) + entry]) == \
+                [entry_bound(rows, tree, steiner)]
 
 
 @pytest.mark.parametrize("name", list_architectures())

@@ -20,7 +20,7 @@ import pytest
 
 from cnotroute.arch import steiner_entry
 from cnotroute.gf2 import BitMatrix, invert, is_unit, vec_support
-from cnotroute.heuristic import _reduce_pair
+from cnotroute.heuristic import _basic_mask, _column_bounds, _reduce_pair
 from cnotroute.rowgraph import (SWAP, ReductionError, reduction_costs,
                                 reduction_recovery, tree_reduce_tracked)
 
@@ -41,18 +41,22 @@ def _check_state(g, rows, stats):
     """Compare every (column, root in its support) of one state.
 
     Every root must also cost at least the column's lower bound
-    ``entry_bound``, less one if the root itself is a unit-row terminal
-    with two or more neighbours, which the bound does not count.
+    ``entry_bound``, which ``_column_bounds`` must give too, less one if
+    the root itself is a unit-row terminal with two or more neighbours,
+    which the bound does not count.
     Returns the replayed prices by (node, basis).
     """
     inv = invert(BitMatrix(g.n, rows))
     prices = {}
     for e in range(g.n):
         sup = vec_support(inv.rows[e])
-        grown, steiner = steiner_entry(g, inv.rows[e])
+        entry = steiner_entry(g, inv.rows[e])
+        grown, steiner, _, _ = entry
         want = [_replay(rows, grown, steiner, u) for u in sup]
         assert reduction_costs(rows, grown, steiner, sup) == want
         low = entry_bound(rows, grown, steiner)
+        # the O(1) bound the synthesizer reads off the cache entry
+        assert _column_bounds(_basic_mask(rows), [(e, inv.rows[e]) + entry]) == [low]
         for u, price in zip(sup, want):
             assert reduction_costs(rows, grown, steiner, [u]) == [price]
             prices[u, e] = price

@@ -144,10 +144,10 @@ def test_one_set_in_any_iterable_form_gets_one_memoized_tree():
         n = rng.randrange(2, 16)
         g = random_connected_graph(rng, n, extra=rng.randrange(n + 1))
         terminals = rng.sample(range(n), rng.randrange(1, n + 1))
-        entry = gen_steiner(g, terminals)
-        assert gen_steiner(g, tuple(terminals)) is entry
-        assert gen_steiner(g, frozenset(terminals)) is entry
-        tree, steiner = entry
+        tree, steiner = gen_steiner(g, terminals)
+        for form in (tuple(terminals), frozenset(terminals)):
+            again, points = gen_steiner(g, form)
+            assert again is tree and points is steiner
         assert tree.keys() - steiner == frozenset(terminals)
 
 

@@ -19,9 +19,10 @@ from cnotroute.arch import (ArchGraph, get_architecture, list_architectures,
                            steiner_entry)
 from cnotroute.bench import random_cnot_circuit
 from cnotroute.gf2 import transpose, vec_support
-from cnotroute.heuristic import (_cheapest, _column_bounds, _inverse_columns,
-                                 _open_block, _open_columns, _reduce_pair,
-                                 heuristic_token_reduction, hungarian_assign)
+from cnotroute.heuristic import (_basic_mask, _cheapest, _column_bounds,
+                                 _inverse_columns, _open_block, _open_columns,
+                                 _reduce_pair, heuristic_token_reduction,
+                                 hungarian_assign)
 from cnotroute.rowgraph import reduction_costs
 from cnotroute.synthesis import linear_matrix
 
@@ -128,12 +129,12 @@ def test_bound_is_a_lower_bound_on_every_entry_and_the_loss():
     def check(state):
         graph, rows = state
         opened = _fresh_open(graph, rows)
-        weights = _column_bounds(rows, opened)
+        weights = _column_bounds(_basic_mask(rows), opened)
         block = _open_block(graph, rows, opened)
         position = {u: i for i, u in enumerate(block.nodes)}
         minima = []
         for j, sup in enumerate(block.supports):
-            grown, steiner = steiner_entry(graph, sup)
+            grown, steiner, _, _ = steiner_entry(graph, sup)
             schedule = len(grown) - 1 + 2 * len(steiner)
             assert weights[j] == entry_bound(rows, grown, steiner)
             raised.append(weights[j] > schedule)
