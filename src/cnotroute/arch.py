@@ -10,7 +10,8 @@ interior node of a shortest s–j path: Floyd–Warshall's choice.  A
 terminal set is an int mask, bit t for node t, as the synthesizer reads
 it off a row of the inverse.  One Steiner-style tree is grown per mask,
 on demand, into one cache entry (``steiner_entry``): the unrooted tree,
-its Steiner points, and two numbers that give the synthesizer an O(1)
+its Steiner points, and the mask of its terminals with two or more
+tree neighbours, which with the two sizes gives the synthesizer an O(1)
 lower bound on the tree's reduction costs.  The tree does not depend on
 the root; pricing (``rowgraph.reduction_costs``) and reduction
 (``rowgraph.tree_reduce_tracked``) both read it and pick the root
@@ -199,19 +200,19 @@ def _grow_steiner_graph(g: ArchGraph, mask: int) -> dict:
     adjacency: Dict[int, int] = {}
     tree = 0
     remaining = list(vec_support(mask))
-    # the first path's v is the least terminal above u at the least distance
-    for d in range(1, depth):
-        for u in remaining:
-            hit = ball[u][d] & mask >> u + 1 << u + 1
-            if hit:
-                break
-        else:
-            continue
-        break
-    v = (hit & -hit).bit_length() - 1
-    remaining.remove(v)
-    while True:
-        # a path's interior holds no terminal, so u is the one it adds
+    while remaining:
+        for d in range(1, depth):
+            for u in remaining:
+                hit = ball[u][d] & (tree or mask >> u + 1 << u + 1)
+                if hit:
+                    break
+            else:
+                continue
+            break
+        v = (hit & -hit).bit_length() - 1
+        # a path's interior holds no terminal, so it adds u, and v if first
+        if not tree:
+            remaining.remove(v)
         remaining.remove(u)
         adjacency[u] = 0
         tree |= 1 << u
@@ -225,17 +226,6 @@ def _grow_steiner_graph(g: ArchGraph, mask: int) -> dict:
                 adjacency[y] = 1 << x
                 tree |= 1 << y
             x = y
-        if not remaining:
-            break
-        for d in range(1, depth):
-            for u in remaining:
-                hit = ball[u][d] & tree
-                if hit:
-                    break
-            else:
-                continue
-            break
-        v = (hit & -hit).bit_length() - 1
     supports = g._supports
     return {node: supports[nbs] for node, nbs in adjacency.items()}
 
@@ -246,12 +236,12 @@ _GROW_CACHE_CAP = 4000
 def steiner_entry(g: ArchGraph, mask: int) -> tuple:
     """The cache entry for one terminal mask, grown on first use.
 
-    The entry is (grown tree, Steiner points, weight, inner): the
-    unrooted tree as node -> ascending neighbour tuple, its non-terminal
-    nodes, its schedule weight |V| - 1 + 2|S|, and the mask of its
-    terminals with two or more tree neighbours.  The last two give the
-    lower bound proved in ``rowgraph.reduction_costs`` in O(1): weight
-    plus the count of unit-row nodes in ``inner``.  Past
+    The entry is (grown tree, Steiner points, inner): the unrooted tree
+    as node -> ascending neighbour tuple, its non-terminal nodes, and the
+    mask of its terminals with two or more tree neighbours.  They give
+    the lower bound proved in ``rowgraph.reduction_costs`` in O(1): the
+    schedule weight |V| - 1 + 2|S| from the two sizes, plus the count of
+    unit-row nodes in ``inner``.  Past
     ``_GROW_CACHE_CAP`` terminal sets the cache is dropped wholesale, and
     the graph's shared neighbour tuples with it: sustained runs would
     otherwise grow both unbounded, the tuples by up to 2**degree
@@ -269,7 +259,7 @@ def steiner_entry(g: ArchGraph, mask: int) -> tuple:
         grown = _grow_steiner_graph(g, mask)
         steiner = frozenset(w for w in grown if not mask >> w & 1)
         inner = sum(1 << w for w, nbs in grown.items() if len(nbs) > 1) & mask
-        entry = cache[mask] = (grown, steiner, len(grown) - 1 + 2 * len(steiner), inner)
+        entry = cache[mask] = (grown, steiner, inner)
     return entry
 
 

@@ -42,9 +42,9 @@ transposition pass instead of a fresh Gauss-Jordan elimination.
 No entry of a column is below its tree's bound |V| - 1 + 2|S| + U,
 proved in ``rowgraph.reduction_costs``: U counts the tree's terminals
 with two or more tree neighbours that hold a unit row.  The cache entry
-of ``arch.steiner_entry`` stores |V| - 1 + 2|S| and the mask of those
-terminals, so a column's bound (``_column_bounds``) is one AND and one
-bit count against the mask of unit rows.
+of ``arch.steiner_entry`` stores the mask of those terminals, so a
+column's bound (``_column_bounds``) is the two sizes plus one AND and
+one bit count against the mask of unit rows.
 
 A step needs the whole block only to score tied candidates.  Its
 cheapest entries alone decide the step when one is cheapest, and
@@ -125,7 +125,7 @@ def build_cost_table(graph: ArchGraph, rows: Sequence[int]) -> CostTable:
             else:
                 roots.append(u)
         if roots:
-            grown, steiner, _, _ = steiner_entry(graph, sup)
+            grown, steiner, _ = steiner_entry(graph, sup)
             for u, c in zip(roots, _costs(rows, grown, steiner, roots)):
                 entries[u][e] = c
     return CostTable(tuple(tuple(r) for r in entries), tuple(supports),
@@ -152,8 +152,8 @@ def _apply_to_columns(cols: List[int], ops: Sequence[RowOp]) -> None:
 def _open_columns(graph: ArchGraph, cols: Sequence[int]) -> list:
     """(basis index, support) and the support's Steiner entry, per open column.
 
-    Each item is (e, sup, grown tree, Steiner points, weight, inner), the
-    last four the ``arch.steiner_entry`` of ``sup``.  ``cols`` is the
+    Each item is (e, sup, grown tree, Steiner points, inner), the last
+    three the ``arch.steiner_entry`` of ``sup``.  ``cols`` is the
     column form of the inverse, as ``_inverse_columns`` gives and
     ``_apply_to_columns`` carries; transposed, it gives each inverse row,
     the support.  A column is open when its support has at least two
@@ -185,7 +185,8 @@ def _column_bounds(basic: int, opened: list) -> List[int]:
     more tree neighbours (``inner``); it holds at every root that holds a
     non-unit row, as the block's roots do.
     """
-    return [weight + (basic & inner).bit_count() for _, _, _, _, weight, inner in opened]
+    return [len(grown) - 1 + 2 * len(steiner) + (basic & inner).bit_count()
+            for _, _, grown, steiner, inner in opened]
 
 
 def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
@@ -217,7 +218,7 @@ def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
         order = sorted(order, key=weights.__getitem__, reverse=True)
     entries = [[math.inf] * len(nodes) for _ in nodes]
     for j in order:
-        _, sup, grown, steiner, _, _ = opened[j]
+        _, sup, grown, steiner, _ = opened[j]
         # distinct unit rows XOR to weight |sup| >= 2, not to e_e, so at
         # least one node of the support is non-basic
         roots = vec_support(sup & nonbasic)
@@ -359,7 +360,7 @@ def _cheapest_bounded(rows: Sequence[int], opened: list) -> List[Tuple[int, int,
     for j in sorted(range(len(opened)), key=bounds.__getitem__):
         if bounds[j] > best:
             break
-        e, sup, grown, steiner, _, _ = opened[j]
+        e, sup, grown, steiner, _ = opened[j]
         roots = vec_support(sup & nonbasic)
         for u, c in zip(roots, _costs(rows, grown, steiner, roots)):
             if c <= best:
@@ -376,7 +377,7 @@ def _reduce_pair(graph: ArchGraph, rows: List[int], u: int, mask: int) -> List[R
 
     Returns the ops run, reduction then recovery.
     """
-    grown, steiner, _, _ = steiner_entry(graph, mask)
+    grown, steiner, _ = steiner_entry(graph, mask)
     ops, tracked = tree_reduce_tracked(rows, grown, steiner, u)
     return [*ops, *reduction_recovery(rows, ops, tracked)]
 

@@ -176,9 +176,9 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
     distinct after the schedule.  Replaying backwards,
     ``reduction_recovery`` spends at least one op per mark: an ADD on
     the marked node, or the SWAP that hands the mark back to a child
-    that holds none.  ``arch.steiner_entry`` stores |V| - 1 + 2|S| and
-    the mask of the terminals with two or more neighbours, and
-    ``heuristic`` bounds its cost-table columns by them.
+    that holds none.  ``arch.steiner_entry`` stores the mask of the
+    terminals with two or more neighbours, and ``heuristic`` bounds its
+    cost-table columns by it and the tree's sizes.
 
     Raises ``ReductionError`` if ``roots`` is empty, ``_schedule`` finds
     the tree malformed from ``roots[0]``, or another root is not a

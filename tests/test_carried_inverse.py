@@ -37,7 +37,7 @@ def _check_opened(rows, opened, weights):
     """Open columns' supports against a fresh inverse, their bounds against ``entry_bound``."""
     assert [(e, sup) for e, sup, *_ in opened] == _fresh_supports(len(rows), rows)
     assert weights == [entry_bound(rows, grown, steiner)
-                       for _, _, grown, steiner, _, _ in opened]
+                       for _, _, grown, steiner, _ in opened]
 
 
 def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):

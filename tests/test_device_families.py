@@ -7,8 +7,8 @@ and CNOT-only circuits from random input mappings go through
 and the benchmark's outside checker must accept every result.  Every
 Steiner tree routing grew there, and on the stock devices, must be a
 tree with terminal leaves, which the growth proves and no longer checks
-at run time, and its cache entry's stored weight and inner mask must
-give the column bound ``conftest.entry_bound`` computes from the tree.
+at run time, and its cache entry's stored inner mask must give the
+column bound ``conftest.entry_bound`` computes from the tree.
 Each graph's distance table and distance balls must match networkx's
 shortest paths, and its distance, successor and ball tables the
 Floyd-Warshall reference in ``conftest``.
@@ -91,14 +91,14 @@ def test_routed_and_postprocessed_circuits_pass_both_verifiers(family):
 def _check_grown_trees(graph):
     """Every cached Steiner tree of ``graph`` is a tree with terminal leaves.
 
-    Its entry's weight and inner mask must give ``entry_bound`` through
+    Its entry's inner mask must give ``entry_bound`` through
     ``_column_bounds`` with no unit row, with every terminal's row a unit
     vector, and with a random set of unit rows.
     """
     assert graph._steiner_cache
     rng = random.Random(graph.n)
     for mask, entry in graph._steiner_cache.items():
-        tree, steiner, _, _ = entry
+        tree, steiner, _ = entry
         terminals = set(vec_support(mask))
         _check_tree_invariants(graph, tree, steiner, terminals, max(terminals))
         for units in (0, mask, rng.getrandbits(graph.n)):

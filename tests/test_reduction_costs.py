@@ -51,7 +51,7 @@ def _check_state(g, rows, stats):
     for e in range(g.n):
         sup = vec_support(inv.rows[e])
         entry = steiner_entry(g, inv.rows[e])
-        grown, steiner, _, _ = entry
+        grown, steiner, _ = entry
         want = [_replay(rows, grown, steiner, u) for u in sup]
         assert reduction_costs(rows, grown, steiner, sup) == want
         low = entry_bound(rows, grown, steiner)

@@ -134,7 +134,7 @@ def test_bound_is_a_lower_bound_on_every_entry_and_the_loss():
         position = {u: i for i, u in enumerate(block.nodes)}
         minima = []
         for j, sup in enumerate(block.supports):
-            grown, steiner, _, _ = steiner_entry(graph, sup)
+            grown, steiner, _ = steiner_entry(graph, sup)
             schedule = len(grown) - 1 + 2 * len(steiner)
             assert weights[j] == entry_bound(rows, grown, steiner)
             raised.append(weights[j] > schedule)

@@ -1,13 +1,14 @@
 """Time two source trees of the package against each other in one process.
 
-    python3 tools/ab_route.py BASE_SRC CHANGE_SRC [--reps 5] [--circuits 48] [--seed 7]
+    python3 tools/ab_route.py BASE_SRC CHANGE_SRC [--circuits 48] [--workload NAME ...]
 
 BASE_SRC and CHANGE_SRC are directories that hold a ``cnotroute``
 package, such as the ``src`` directories of two checkouts.  Both are
 loaded into one interpreter under different module names, so they share
 the process, its heap and the host's drift, and take turns circuit by
 circuit; the tree that goes first alternates too.  Three loops, shaped
-like the benchmark's workloads, each of ``--circuits`` circuits:
+like the benchmark's workloads, each of ``--circuits`` circuits and
+each run ``REPS`` (5) times:
 
 - ``dense256``: 256-gate random CNOT circuits on 16-square, ibm-qx5,
   rigetti-16q-aspen and ibm-q20-tokyo in turn, warm graphs,
@@ -18,7 +19,7 @@ like the benchmark's workloads, each of ``--circuits`` circuits:
   parsed, routed on a graph built afresh from the device file by
   ``route_general``, post-processed and formatted.
 
-Circuits are made here, as circuit text from ``--seed``, and each tree
+Circuits are made here, as circuit text from ``SEED`` (7), and each tree
 parses them itself, so the inputs do not depend on either tree.  Only
 the timed calls are timed.  Every routed gate list and output mapping
 must be equal on both sides; on the first difference the tool prints it
@@ -40,6 +41,8 @@ from pathlib import Path
 DEVICES = ("9-square", "16-square", "ibm-qx5", "rigetti-16q-aspen", "ibm-q20-tokyo")
 DENSE_DEVICES = DEVICES[1:]
 SPARSE_GATES = (4, 8, 16)
+SEED = 7
+REPS = 5
 
 
 class OutputDiffers(Exception):
@@ -78,9 +81,9 @@ def _mixed_text(rng: random.Random, n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def workloads(sizes: dict, count: int, seed: int) -> dict:
+def workloads(sizes: dict, count: int) -> dict:
     """Workload name -> list of (device, circuit text)."""
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     dense = [DENSE_DEVICES[i % len(DENSE_DEVICES)] for i in range(count)]
     sparse = [DEVICES[i % len(DEVICES)] for i in range(count)]
     return {
@@ -122,11 +125,11 @@ class Side:
         return run
 
 
-def run_workload(sides, workload: str, jobs: list, reps: int) -> list:
+def run_workload(sides, workload: str, jobs: list) -> list:
     """Per repetition, each side's total seconds; raises ``OutputDiffers``."""
     clock = time.perf_counter
     totals = []
-    for rep in range(reps):
+    for rep in range(REPS):
         spent = [0.0, 0.0]
         for k, (device, text) in enumerate(jobs):
             runs = [side.prepare(workload, device, text) for side in sides]
@@ -146,9 +149,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base")
     parser.add_argument("change")
-    parser.add_argument("--reps", type=int, default=5)
     parser.add_argument("--circuits", type=int, default=48)
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--workload", action="append",
                         choices=("dense256", "sparse16", "general-cold"),
                         help="run only this loop; may be repeated")
@@ -156,17 +157,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    if args.reps < 1 or args.circuits < 1:
-        print("--reps and --circuits must be positive", file=sys.stderr)
+    if args.circuits < 1:
+        print("--circuits must be positive", file=sys.stderr)
         return 2
     sides = [Side(load_tree(args.base, "cnotroute_ab_base")),
              Side(load_tree(args.change, "cnotroute_ab_change"))]
     sizes = {d: graph.n for d, (graph, _) in sides[0].warm.items()}
     chosen = args.workload or ["dense256", "sparse16", "general-cold"]
-    loops = workloads(sizes, args.circuits, args.seed)
+    loops = workloads(sizes, args.circuits)
     for workload in chosen:
         try:
-            totals = run_workload(sides, workload, loops[workload], args.reps)
+            totals = run_workload(sides, workload, loops[workload])
         except OutputDiffers as exc:
             print(exc)
             return 1
