@@ -9,21 +9,25 @@ otherwise the first hop to the least node that can be the largest
 interior node of a shortest s–j path: Floyd–Warshall's choice.  A
 terminal set is an int mask, bit t for node t, as the synthesizer reads
 it off a row of the inverse.  One Steiner-style tree is grown per mask,
-on demand, into one cache entry (``steiner_entry``): the unrooted tree,
-its Steiner points, and the mask of its terminals with two or more
-tree neighbours, which with the two sizes gives the synthesizer an O(1)
-lower bound on the tree's reduction costs.  The tree does not depend on
-the root; pricing (``rowgraph.reduction_costs``) and reduction
+on demand, into one cache entry (``steiner_entry``).  Growth keeps each
+tree node's neighbours as an int mask, and the entry holds those masks
+with the tree's schedule weight |V| - 1 + 2|S| and the mask of its
+terminals with two or more tree neighbours: with the mask of unit rows
+they give the synthesizer an O(1) lower bound on the tree's reduction
+costs, and most grown trees are ruled out by it alone.  The unrooted
+tree (node -> ascending neighbour tuple) and its Steiner points are
+built from the masks only when a tree is first priced or reduced
+(``steiner_tree``), and then kept in the entry in place of the masks;
+the tuples come from one table per graph, so all cached trees share
+one immutable tuple per neighbour set, and the table is cleared with
+the cache.  The tree does not depend on the root; pricing
+(``rowgraph.reduction_costs``) and reduction
 (``rowgraph.tree_reduce_tracked``) both read it and pick the root
-themselves.  Growth keeps each tree node's neighbours as an int mask and
-turns it into the ascending neighbour tuple through one table per graph,
-so all cached trees share one immutable tuple per neighbour set; the
-table is cleared with the cache.  ``gen_steiner`` is the same lookup for
-callers holding an iterable of nodes.  A grown tree is a tree whose
-leaves are terminals by the proof in ``_grow_steiner_graph``, which
-checks nothing at run time; ``rowgraph``'s public functions check every
-tree they are given, and the synthesizer prices grown trees through its
-unchecked cores.
+themselves.  ``gen_steiner`` is ``steiner_tree`` for callers holding an
+iterable of nodes.  A grown tree is a tree whose leaves are terminals
+by the proof in ``_grow_steiner_graph``, which checks nothing at run
+time; ``rowgraph``'s public functions check every tree they are given,
+and the synthesizer prices grown trees through its unchecked cores.
 """
 
 from __future__ import annotations
@@ -109,12 +113,13 @@ class ArchGraph:
     """Connected architecture graph with its distance tables and tree cache.
 
     ``n``, ``names``, ``edges``, ``dist``, ``succ`` and ``ball`` are
-    fixed when the graph is built; the Steiner-tree cache and its table
-    of shared neighbour tuples fill as trees are grown, and are cleared
-    together.  ``dist[s][j]`` is the hop count and ``succ[s][j]`` the
-    next node on the shortest s–j path trees follow: j itself when s and
-    j are adjacent, else the next node towards k, the least node that
-    can be the largest interior node of a shortest s–j path.
+    fixed when the graph is built; the Steiner-tree cache fills as trees
+    are grown, its table of shared neighbour tuples as they are built,
+    and the two are cleared together.  ``dist[s][j]`` is the hop count
+    and ``succ[s][j]`` the next node on the shortest s–j path trees
+    follow: j itself when s and j are adjacent, else the next node
+    towards k, the least node that can be the largest interior node of
+    a shortest s–j path.
     """
 
     def __init__(self, n: int, edges, names: Optional[Sequence[str]] = None,
@@ -149,9 +154,9 @@ class ArchGraph:
         # the diameter, where every ball is the whole graph
         depth = max(len(ball) for _, _, ball in rows)
         self.ball = tuple(tuple(ball + ball[-1:] * (depth - len(ball))) for _, _, ball in rows)
-        # terminal mask -> steiner_entry's tuple; the neighbour tuples
-        # of the cached trees, one per neighbour mask, are cleared with it
-        self._steiner_cache: Dict[int, tuple] = {}
+        # terminal mask -> its SteinerEntry; the neighbour tuples
+        # of the built trees, one per neighbour mask, are cleared with it
+        self._steiner_cache: Dict[int, SteinerEntry] = {}
         self._supports = _Supports()
 
     def is_edge(self, u: int, v: int) -> bool:
@@ -161,7 +166,7 @@ class ArchGraph:
         return f"ArchGraph({self.name or self.n!r}, n={self.n}, edges={len(self.edges)})"
 
 
-def _grow_steiner_graph(g: ArchGraph, mask: int) -> dict:
+def _grow_steiner_graph(g: ArchGraph, mask: int) -> Tuple[List[int], int, int]:
     """Grow a tree spanning the terminals in ``mask`` from shortest paths.
 
     A shortest path joins the nearest pair of terminals, then each
@@ -187,18 +192,21 @@ def _grow_steiner_graph(g: ArchGraph, mask: int) -> dict:
     does, on random graphs and on every tree routing grows on the device
     families.
 
-    Each node's neighbours are kept as an int mask, one OR per path-edge
-    end.  Returns an adjacency map node -> ascending neighbour tuple, the
-    tuple read from ``g._supports``, so every tree of ``g`` with the same
-    neighbour set at some node shares one tuple object for it.
+    Returns (adjacency, nodes, inner), all masks: ``adjacency[w]`` the
+    neighbours of each tree node w (0 off the tree), ``nodes`` the
+    tree's nodes, and ``inner`` its terminals with two or more tree
+    neighbours.
+    Path interiors are not terminals, and every tree node has a
+    neighbour once the first path is laid, so those terminals are the
+    attach nodes v of the joins after the first.
     """
+    adjacency = [0] * g.n
     if not mask & (mask - 1):
-        return {mask.bit_length() - 1: ()}
+        return adjacency, mask, 0
     ball = g.ball
     succ = g.succ
     depth = len(ball[0])
-    adjacency: Dict[int, int] = {}
-    tree = 0
+    tree = inner = 0
     remaining = list(vec_support(mask))
     while remaining:
         for d in range(1, depth):
@@ -211,42 +219,54 @@ def _grow_steiner_graph(g: ArchGraph, mask: int) -> dict:
             break
         v = (hit & -hit).bit_length() - 1
         # a path's interior holds no terminal, so it adds u, and v if first
-        if not tree:
+        if tree:
+            inner |= 1 << v
+        else:
             remaining.remove(v)
         remaining.remove(u)
-        adjacency[u] = 0
-        tree |= 1 << u
-        x = u
+        x, xbit = u, 1 << u
+        tree |= xbit
         while x != v:
             y = succ[x][v]
-            adjacency[x] |= 1 << y
-            if y in adjacency:
-                adjacency[y] |= 1 << x
-            else:
-                adjacency[y] = 1 << x
-                tree |= 1 << y
-            x = y
-    supports = g._supports
-    return {node: supports[nbs] for node, nbs in adjacency.items()}
+            ybit = 1 << y
+            adjacency[x] |= ybit
+            adjacency[y] |= xbit
+            tree |= ybit
+            x, xbit = y, ybit
+    return adjacency, tree, inner & mask
 
 
 _GROW_CACHE_CAP = 4000
 
 
-def steiner_entry(g: ArchGraph, mask: int) -> tuple:
+class SteinerEntry:
+    """One terminal set's grown tree, as the tree cache holds it.
+
+    ``weight`` is the tree's schedule weight |V| - 1 + 2|S| and
+    ``inner`` the mask of its terminals with two or more tree
+    neighbours: they give the lower bound proved in
+    ``rowgraph.reduction_costs`` in O(1), the weight plus the count of
+    unit-row nodes in ``inner``, with no tree built.  ``adjacency`` and
+    ``nodes`` are the masks ``_grow_steiner_graph`` returns, until
+    ``steiner_tree`` builds ``tree`` and ``steiner`` from them and sets
+    them to None; ``tree`` and ``steiner`` are None until then.
+    """
+
+    __slots__ = ("weight", "inner", "adjacency", "nodes", "tree", "steiner")
+
+    def __init__(self, weight: int, inner: int, adjacency: List[int], nodes: int):
+        self.weight, self.inner, self.adjacency, self.nodes = weight, inner, adjacency, nodes
+        self.tree = self.steiner = None
+
+
+def steiner_entry(g: ArchGraph, mask: int) -> SteinerEntry:
     """The cache entry for one terminal mask, grown on first use.
 
-    The entry is (grown tree, Steiner points, inner): the unrooted tree
-    as node -> ascending neighbour tuple, its non-terminal nodes, and the
-    mask of its terminals with two or more tree neighbours.  They give
-    the lower bound proved in ``rowgraph.reduction_costs`` in O(1): the
-    schedule weight |V| - 1 + 2|S| from the two sizes, plus the count of
-    unit-row nodes in ``inner``.  Past
-    ``_GROW_CACHE_CAP`` terminal sets the cache is dropped wholesale, and
-    the graph's shared neighbour tuples with it: sustained runs would
-    otherwise grow both unbounded, the tuples by up to 2**degree
-    neighbour sets at one node.  Raises ValueError on a miss unless the
-    mask names a non-empty set of ``g``'s nodes.
+    Past ``_GROW_CACHE_CAP`` terminal sets the cache is dropped
+    wholesale, and the graph's shared neighbour tuples with it:
+    sustained runs would otherwise grow both unbounded, the tuples by up
+    to 2**degree neighbour sets at one node.  Raises ValueError on a
+    miss unless the mask names a non-empty set of ``g``'s nodes.
     """
     cache = g._steiner_cache
     entry = cache.get(mask)
@@ -256,24 +276,45 @@ def steiner_entry(g: ArchGraph, mask: int) -> tuple:
         if len(cache) >= _GROW_CACHE_CAP:
             cache.clear()
             g._supports.clear()
-        grown = _grow_steiner_graph(g, mask)
-        steiner = frozenset(w for w in grown if not mask >> w & 1)
-        inner = sum(1 << w for w, nbs in grown.items() if len(nbs) > 1) & mask
-        entry = cache[mask] = (grown, steiner, inner)
+        adjacency, nodes, inner = _grow_steiner_graph(g, mask)
+        # |V| - 1 + 2|S| with |S| = |V| - |T|
+        weight = 3 * nodes.bit_count() - 2 * mask.bit_count() - 1
+        entry = cache[mask] = SteinerEntry(weight, inner, adjacency, nodes)
     return entry
+
+
+def steiner_tree(g: ArchGraph, mask: int) -> tuple:
+    """(grown tree, Steiner points) of ``mask``'s cache entry, built once.
+
+    The tree is node -> ascending neighbour tuple, keys ascending, each
+    tuple read from ``g._supports`` so that every tree of ``g`` with the
+    same neighbour set at some node shares one tuple object for it; the
+    Steiner points are its non-terminal nodes.  The first call for an
+    entry builds both from its masks, keeps them in the entry and drops
+    the masks; later calls return the same tree and set.  Only pricing
+    and reduction need them, so a tree whose bound alone rules it out is
+    never built.  Raises as ``steiner_entry`` does.
+    """
+    entry = steiner_entry(g, mask)
+    if entry.tree is None:
+        adjacency, nodes, supports = entry.adjacency, entry.nodes, g._supports
+        entry.tree = {w: supports[adjacency[w]] for w in vec_support(nodes)}
+        entry.steiner = frozenset(vec_support(nodes & ~mask))
+        entry.adjacency = entry.nodes = None
+    return entry.tree, entry.steiner
 
 
 def gen_steiner(g: ArchGraph, terminals) -> tuple:
     """Approximate Steiner tree spanning ``terminals``: (tree, Steiner points).
 
     ``terminals`` is any non-empty iterable of nodes of ``g``; the result
-    is the tree and Steiner points of the cache entry ``steiner_entry``
-    holds for their mask, so every form of one set gets the same tree.
+    is the pair ``steiner_tree`` builds for their mask, so every form of
+    one set gets the same tree.
     """
     nodes = set(terminals)
     if not nodes or any(type(t) is not int or not 0 <= t < g.n for t in nodes):
         raise ValueError(f"terminals must be one or more of the nodes 0..{g.n - 1}")
-    return steiner_entry(g, sum(1 << t for t in nodes))[:2]
+    return steiner_tree(g, sum(1 << t for t in nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +382,7 @@ def get_architecture(name: str) -> Tuple[ArchGraph, List[int]]:
     """Load a built-in architecture and its stock initial mapping."""
     if name not in _BUILTIN:
         raise KeyError(f"unknown architecture {name!r}; known: {', '.join(_BUILTIN)}")
-    text = resources.files("cnotroute").joinpath(f"archs/{name}.json").read_text("utf-8")
+    text = resources.files(__package__).joinpath(f"archs/{name}.json").read_text("utf-8")
     graph, mapping = parse_arch_json(text, source=name)
     if mapping is None:
         raise ArchFileError(f"{name}: built-in file lacks initial_mapping")

@@ -11,10 +11,10 @@ roots share, instead of rooting and replaying the tree once per node
 (the recurrence, and the invariant that makes it exact, are documented
 there).  A node outside that support cannot be reduced to e, so its
 entry is ``math.inf``, a forbidden pair of the assignment.  The trees
-come from ``arch.steiner_entry`` and are trees with terminal leaves by
-its growth proof, so they are priced through the unchecked core
-``rowgraph._costs``; only the reductions the synthesizer runs go through
-the checked ``tree_reduce_tracked``.
+come from ``arch.steiner_tree`` and are trees with terminal leaves by
+the growth proof in ``arch``, so they are priced through the unchecked
+core ``rowgraph._costs``; only the reductions the synthesizer runs go
+through the checked ``tree_reduce_tracked``.
 
 Only the *open block* of the cost table is priced: the non-basic nodes
 against the basis indices e whose inverse row is not a unit vector.  A
@@ -42,9 +42,10 @@ transposition pass instead of a fresh Gauss-Jordan elimination.
 No entry of a column is below its tree's bound |V| - 1 + 2|S| + U,
 proved in ``rowgraph.reduction_costs``: U counts the tree's terminals
 with two or more tree neighbours that hold a unit row.  The cache entry
-of ``arch.steiner_entry`` stores the mask of those terminals, so a
-column's bound (``_column_bounds``) is the two sizes plus one AND and
-one bit count against the mask of unit rows.
+of ``arch.steiner_entry`` stores the tree's weight |V| - 1 + 2|S| and
+the mask of those terminals, so a column's bound (``_column_bounds``) is
+the weight plus one AND and one bit count against the mask of unit
+rows, and needs no tree: only the columns priced build theirs.
 
 A step needs the whole block only to score tied candidates.  Its
 cheapest entries alone decide the step when one is cheapest, and
@@ -77,7 +78,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .arch import ArchGraph, steiner_entry
+from .arch import ArchGraph, steiner_entry, steiner_tree
 from .gf2 import BitMatrix, _transpose_rows, invert, vec_support
 from .rowgraph import ADD, RowOp, _costs, reduction_recovery, tree_reduce_tracked
 
@@ -125,7 +126,7 @@ def build_cost_table(graph: ArchGraph, rows: Sequence[int]) -> CostTable:
             else:
                 roots.append(u)
         if roots:
-            grown, steiner, _ = steiner_entry(graph, sup)
+            grown, steiner = steiner_tree(graph, sup)
             for u, c in zip(roots, _costs(rows, grown, steiner, roots)):
                 entries[u][e] = c
     return CostTable(tuple(tuple(r) for r in entries), tuple(supports),
@@ -150,10 +151,11 @@ def _apply_to_columns(cols: List[int], ops: Sequence[RowOp]) -> None:
 
 
 def _open_columns(graph: ArchGraph, cols: Sequence[int]) -> list:
-    """(basis index, support) and the support's Steiner entry, per open column.
+    """(basis index, support) and the bound terms of its Steiner tree, per open column.
 
-    Each item is (e, sup, grown tree, Steiner points, inner), the last
-    three the ``arch.steiner_entry`` of ``sup``.  ``cols`` is the
+    Each item is (e, sup, weight, inner), the last two read off the
+    ``arch.steiner_entry`` of ``sup``, which grows the tree but does not
+    build it: pricing builds it (``arch.steiner_tree``).  ``cols`` is the
     column form of the inverse, as ``_inverse_columns`` gives and
     ``_apply_to_columns`` carries; transposed, it gives each inverse row,
     the support.  A column is open when its support has at least two
@@ -162,7 +164,8 @@ def _open_columns(graph: ArchGraph, cols: Sequence[int]) -> list:
     opened = []
     for e, sup in enumerate(_transpose_rows(cols)):
         if sup & (sup - 1):
-            opened.append((e, sup) + steiner_entry(graph, sup))
+            entry = steiner_entry(graph, sup)
+            opened.append((e, sup, entry.weight, entry.inner))
     return opened
 
 
@@ -181,12 +184,11 @@ def _column_bounds(basic: int, opened: list) -> List[int]:
 
     ``opened`` is ``_open_columns`` of the inverse of some rows and
     ``basic`` their ``_basic_mask``.  Each bound is |V| - 1 + 2|S| + U
-    for the column's tree, U counting its unit-row terminals with two or
-    more tree neighbours (``inner``); it holds at every root that holds a
-    non-unit row, as the block's roots do.
+    for the column's tree, its weight plus U, which counts its unit-row
+    terminals with two or more tree neighbours (``inner``); it holds at
+    every root that holds a non-unit row, as the block's roots do.
     """
-    return [len(grown) - 1 + 2 * len(steiner) + (basic & inner).bit_count()
-            for _, _, grown, steiner, inner in opened]
+    return [weight + (basic & inner).bit_count() for _, _, weight, inner in opened]
 
 
 def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
@@ -218,7 +220,8 @@ def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
         order = sorted(order, key=weights.__getitem__, reverse=True)
     entries = [[math.inf] * len(nodes) for _ in nodes]
     for j in order:
-        _, sup, grown, steiner, _ = opened[j]
+        sup = opened[j][1]
+        grown, steiner = steiner_tree(graph, sup)
         # distinct unit rows XOR to weight |sup| >= 2, not to e_e, so at
         # least one node of the support is non-basic
         roots = vec_support(sup & nonbasic)
@@ -341,7 +344,8 @@ def _cheapest(block: CostTable) -> List[Tuple[int, int, int]]:
             for j, c in enumerate(r) if c == best]
 
 
-def _cheapest_bounded(rows: Sequence[int], opened: list) -> List[Tuple[int, int, int]]:
+def _cheapest_bounded(graph: ArchGraph, rows: Sequence[int],
+                      opened: list) -> List[Tuple[int, int, int]]:
     """``_cheapest(_open_block(graph, rows, opened))``, without the block.
 
     ``opened`` is ``_open_columns`` of the inverse of ``rows``.  Columns
@@ -360,7 +364,8 @@ def _cheapest_bounded(rows: Sequence[int], opened: list) -> List[Tuple[int, int,
     for j in sorted(range(len(opened)), key=bounds.__getitem__):
         if bounds[j] > best:
             break
-        e, sup, grown, steiner, _ = opened[j]
+        e, sup, _, _ = opened[j]
+        grown, steiner = steiner_tree(graph, sup)
         roots = vec_support(sup & nonbasic)
         for u, c in zip(roots, _costs(rows, grown, steiner, roots)):
             if c <= best:
@@ -377,8 +382,7 @@ def _reduce_pair(graph: ArchGraph, rows: List[int], u: int, mask: int) -> List[R
 
     Returns the ops run, reduction then recovery.
     """
-    grown, steiner, _ = steiner_entry(graph, mask)
-    ops, tracked = tree_reduce_tracked(rows, grown, steiner, u)
+    ops, tracked = tree_reduce_tracked(rows, *steiner_tree(graph, mask), u)
     return [*ops, *reduction_recovery(rows, ops, tracked)]
 
 
@@ -410,7 +414,7 @@ def heuristic_token_reduction(graph: ArchGraph, rows: List[int]) -> List[RowOp]:
     is not one row per node.
     """
     cols = _inverse_columns(graph.n, rows)
-    candidates = _cheapest_bounded(rows, _open_columns(graph, cols))
+    candidates = _cheapest_bounded(graph, rows, _open_columns(graph, cols))
     out: List[RowOp] = []
     while candidates:
         if len(candidates) == 1:
@@ -418,7 +422,7 @@ def heuristic_token_reduction(graph: ArchGraph, rows: List[int]) -> List[RowOp]:
             ops = _reduce_pair(graph, rows, u, sup)
             _apply_to_columns(cols, ops)
             out.extend(ops)
-            candidates = _cheapest_bounded(rows, _open_columns(graph, cols))
+            candidates = _cheapest_bounded(graph, rows, _open_columns(graph, cols))
             continue
         trials = []
         for index, (u, _, sup) in enumerate(candidates):

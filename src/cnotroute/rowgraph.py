@@ -3,7 +3,7 @@
 The synthesis state is a plain list holding one packed matrix row per
 architecture node.  Node addition XORs an adjacent row in (one CNOT); a
 swap exchanges two adjacent rows (three CNOTs).  ``tree_reduce_tracked``
-reduces along one Steiner tree (``arch.steiner_entry``) rooted at one of
+reduces along one Steiner tree (``arch.steiner_tree``) rooted at one of
 its terminals, leaving the root holding a standard basis vector, and
 ``reduction_recovery`` restores the unit vectors that reduction
 disturbed.  Both change the row list in place and return the operations
@@ -133,7 +133,7 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
 
     ``tree`` is an unrooted tree whose leaves are terminals (node ->
     ascending neighbour tuple), ``steiner`` its non-terminal nodes and
-    ``roots`` terminals: the pair ``arch.steiner_entry`` returns, which
+    ``roots`` terminals: the pair ``arch.steiner_tree`` returns, which
     ``tree_reduce_tracked`` takes too.  Entry k equals the op weight
     (SWAP 3, ADD 1) that ``tree_reduce_tracked(rows, tree, steiner,
     roots[k])`` and then ``reduction_recovery`` would run on a copy of
@@ -177,8 +177,9 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
     ``reduction_recovery`` spends at least one op per mark: an ADD on
     the marked node, or the SWAP that hands the mark back to a child
     that holds none.  ``arch.steiner_entry`` stores the mask of the
-    terminals with two or more neighbours, and ``heuristic`` bounds its
-    cost-table columns by it and the tree's sizes.
+    terminals with two or more neighbours and the weight |V| - 1 + 2|S|,
+    and ``heuristic`` bounds its cost-table columns by the two without
+    building the tree.
 
     Raises ``ReductionError`` if ``roots`` is empty, ``_schedule`` finds
     the tree malformed from ``roots[0]``, or another root is not a

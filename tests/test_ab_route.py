@@ -2,8 +2,9 @@
 
 With the checkout on both sides it must route every loop, find the
 output equal and print one median ratio per loop; the tests run one
-repetition, not the tool's ``REPS``.  Against a copy whose
-tie order is reversed it must report the difference and exit 1.
+repetition, not the tool's ``REPS``.  Each repetition must start on
+graphs with empty Steiner caches.  Against a copy whose tie order is
+reversed it must report the difference and exit 1.
 """
 
 import shutil
@@ -26,6 +27,26 @@ def test_the_checkout_against_itself_routes_equal_output(capsys):
                if "median ratio" in line]
     assert [m[0] for m in medians] == LOOPS
     assert all(m[-2:] == ["output", "equal"] and float(m[3]) > 0 for m in medians)
+
+
+def test_every_repetition_starts_on_graphs_with_empty_tree_caches():
+    tool = _tool()
+    tool.REPS = 2
+    src = str(ROOT / "src")
+    sides = [tool.Side(tool.load_tree(src, "cnotroute_ab_base")),
+             tool.Side(tool.load_tree(src, "cnotroute_ab_change"))]
+    jobs = tool.workloads({d: g.n for d, (g, _) in sides[0].warm.items()}, 5)["sparse16"]
+    cached = []  # trees cached on the side's graphs as each circuit is prepared
+    for side in sides:
+        def prepare(workload, device, text, side=side, original=side.prepare):
+            cached.append(sum(len(g._steiner_cache) for g, _ in side.warm.values()))
+            return original(workload, device, text)
+        side.prepare = prepare
+    assert len(tool.run_workload(sides, "sparse16", jobs)) == 2
+    per_rep = 2 * len(jobs)
+    assert len(cached) == 2 * per_rep
+    assert cached[:2] == cached[per_rep:per_rep + 2] == [0, 0]
+    assert cached[per_rep - 1] > 0
 
 
 def test_a_tree_that_routes_differently_fails(tmp_path, capsys):

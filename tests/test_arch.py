@@ -12,7 +12,7 @@ from cnotroute.arch import (_GROW_CACHE_CAP, ArchFileError, ArchGraph,
                             DisconnectedGraphError, gen_steiner,
                             get_architecture, list_architectures,
                             parse_arch_json, path_from_successors,
-                            steiner_entry)
+                            steiner_entry, steiner_tree)
 from cnotroute.circuit import one_qubit
 from cnotroute.gf2 import BitMatrix
 from cnotroute.rowgraph import tree_reduce_tracked
@@ -175,7 +175,8 @@ def test_steiner_cache_and_shared_neighbour_tuples_stay_bounded_on_a_star():
         if mask & (mask - 1):
             masks[mask] = None
     for mask in masks:
-        tree, steiner, inner = steiner_entry(g, mask)
+        inner = steiner_entry(g, mask).inner
+        tree, steiner = steiner_tree(g, mask)
         assert steiner == {0} and inner == 0
         assert tree[0] is g._supports[mask]
         assert len(g._steiner_cache) <= _GROW_CACHE_CAP

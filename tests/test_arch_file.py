@@ -1,10 +1,14 @@
 """Architecture files with values of the wrong JSON type."""
 
 import json
+import shutil
+import sys
 
 import pytest
 
-from cnotroute.arch import ArchFileError, parse_arch_json
+from cnotroute.arch import ArchFileError, get_architecture, parse_arch_json
+
+from conftest import ROOT, load_file
 
 GOOD = {
     "name": "toy",
@@ -66,3 +70,18 @@ LONG_NUMBER = [
 def test_oversized_json_number_raises_arch_file_error(text):
     with pytest.raises(ArchFileError, match="not valid JSON"):
         parse_arch_json(text)
+
+
+def test_a_copy_loaded_under_another_name_reads_its_own_device_files(tmp_path):
+    shutil.copytree(ROOT / "src" / "cnotroute", tmp_path / "cnotroute",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    device = tmp_path / "cnotroute" / "archs" / "ibm-qx5.json"
+    doc = json.loads(device.read_text("utf-8"))
+    device.write_text(json.dumps({**doc, "name": "ibm-qx5 copy"}), "utf-8")
+    try:
+        copy = load_file("ab_route", "tools/ab_route.py").load_tree(str(tmp_path), "cnotroute_copy")
+        assert copy.get_architecture("ibm-qx5")[0].name == "ibm-qx5 copy"
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == "cnotroute_copy"]:
+            del sys.modules[name]
+    assert get_architecture("ibm-qx5")[0].name == "ibm-qx5"

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from cnotroute import heuristic
+from cnotroute.arch import steiner_tree
 from cnotroute.gf2 import BitMatrix, SingularMatrixError, invert, transpose
 from cnotroute.heuristic import heuristic_token_reduction
 from cnotroute.rowgraph import SWAP
@@ -33,11 +34,10 @@ def _fresh_supports(n, rows):
     return [(e, sup) for e, sup in enumerate(inv.rows) if sup.bit_count() >= 2]
 
 
-def _check_opened(rows, opened, weights):
+def _check_opened(graph, rows, opened, weights):
     """Open columns' supports against a fresh inverse, their bounds against ``entry_bound``."""
     assert [(e, sup) for e, sup, *_ in opened] == _fresh_supports(len(rows), rows)
-    assert weights == [entry_bound(rows, grown, steiner)
-                       for _, _, grown, steiner, _ in opened]
+    assert weights == [entry_bound(rows, *steiner_tree(graph, sup)) for _, sup, *_ in opened]
 
 
 def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):
@@ -65,7 +65,7 @@ def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):
         if weights is None:
             assert [(e, sup) for e, sup, *_ in opened] == _fresh_supports(graph.n, rows)
         else:
-            _check_opened(rows, opened, weights)
+            _check_opened(graph, rows, opened, weights)
             counts["bounded"] += 1
         counts["priced"] += 1
         return price(graph, rows, opened, weights, bound)
@@ -79,13 +79,13 @@ def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):
     def pick_counted(block):
         return count_ties(pick(block))
 
-    def pick_bounded_checked(rows, opened):
+    def pick_bounded_checked(graph, rows, opened):
         # the cheapest-only path orders and stops by these bounds
         bounds = heuristic._column_bounds(heuristic._basic_mask(rows), opened)
-        _check_opened(rows, opened, bounds)
+        _check_opened(graph, rows, opened, bounds)
         counts["bounded"] += 1
         counts["priced"] += 1
-        return count_ties(pick_bounded(rows, opened))
+        return count_ties(pick_bounded(graph, rows, opened))
 
     monkeypatch.setattr(heuristic, "_reduce_pair", reduce_recorded)
     monkeypatch.setattr(heuristic, "_apply_to_columns", carry_checked)

@@ -31,7 +31,7 @@ from test_tie_pruning import _reference_reduction
 def _check(graph, rows, opened, stats):
     """``_cheapest_bounded`` against ``_cheapest`` of the full block, at one state."""
     block = _open_block(graph, rows, opened)
-    found = _cheapest_bounded(rows, opened)
+    found = _cheapest_bounded(graph, rows, opened)
     if not block.nodes:
         assert found == []
         return
@@ -58,17 +58,16 @@ def checked(monkeypatch):
         _check(graph, rows, opened, stats)
         return price(graph, rows, opened, weights, bound)
 
-    def bounded_checked(rows, opened):
-        _check(stats["graph"], rows, opened, stats)
-        return bounded(rows, opened)
+    def bounded_checked(graph, rows, opened):
+        _check(graph, rows, opened, stats)
+        return bounded(graph, rows, opened)
 
     monkeypatch.setattr(heuristic, "_open_block", price_checked)
     monkeypatch.setattr(heuristic, "_cheapest_bounded", bounded_checked)
     return stats
 
 
-def _reduce_checked(stats, graph, rows):
-    stats["graph"] = graph  # the graph whose states the hooks see
+def _reduce_checked(graph, rows):
     heuristic_token_reduction(graph, rows)
     assert BitMatrix(graph.n, rows).is_permutation()
 
@@ -84,7 +83,7 @@ def test_equal_on_the_five_devices(checked):
     for name in list_architectures():
         graph, _ = get_architecture(name)
         for walk in (graph.n, graph.n, 4 * graph.n, 4 * graph.n, 16 * graph.n):
-            _reduce_checked(checked, graph, random_reversible_rows(rng, graph, walk))
+            _reduce_checked(graph, random_reversible_rows(rng, graph, walk))
     _assert_coverage(checked, 400)
 
 
@@ -93,7 +92,7 @@ def test_equal_on_the_device_families(family, checked):
     graph = FAMILIES[family]()
     rng = random.Random(family)
     for walk in (graph.n, 4 * graph.n):
-        _reduce_checked(checked, graph, random_reversible_rows(rng, graph, walk))
+        _reduce_checked(graph, random_reversible_rows(rng, graph, walk))
     _assert_coverage(checked, 20)
 
 
@@ -125,7 +124,7 @@ def test_equal_on_random_connected_graphs(checked):
     @given(connected_states())
     def check(state):
         graph, rows = state
-        _reduce_checked(checked, graph, rows)
+        _reduce_checked(graph, rows)
 
     check()
     _assert_coverage(checked, 600)
@@ -137,8 +136,8 @@ def test_a_single_open_column():
     rows = [0b011, 0b010, 0b100]
     opened = _open_columns(graph, _inverse_columns(3, rows))
     assert [(e, sup) for e, sup, *_ in opened] == [(0, 0b011)]
-    assert _cheapest_bounded(rows, opened) == [(0, 0, 0b011)]
-    assert _cheapest_bounded([1, 2, 4], _open_columns(graph, [1, 2, 4])) == []
+    assert _cheapest_bounded(graph, rows, opened) == [(0, 0, 0b011)]
+    assert _cheapest_bounded(graph, [1, 2, 4], _open_columns(graph, [1, 2, 4])) == []
 
 
 def test_a_tie_whose_winner_leaves_every_row_basic():
@@ -147,7 +146,7 @@ def test_a_tie_whose_winner_leaves_every_row_basic():
     graph = ArchGraph(5, [(0, 1), (0, 2), (0, 4), (1, 3), (2, 4)])
     rows = [4, 19, 1, 10, 16]
     opened = _open_columns(graph, _inverse_columns(5, rows))
-    assert len(_cheapest_bounded(rows, opened)) > 1
+    assert len(_cheapest_bounded(graph, rows, opened)) > 1
     twin = list(rows)
     stats = {"candidates": 0, "equal_best": 0}
     assert heuristic_token_reduction(graph, rows) == _reference_reduction(graph, twin, stats)

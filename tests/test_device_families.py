@@ -7,8 +7,10 @@ and CNOT-only circuits from random input mappings go through
 and the benchmark's outside checker must accept every result.  Every
 Steiner tree routing grew there, and on the stock devices, must be a
 tree with terminal leaves, which the growth proves and no longer checks
-at run time, and its cache entry's stored inner mask must give the
-column bound ``conftest.entry_bound`` computes from the tree.
+at run time, and its cache entry's stored weight and inner mask must
+give the column bound ``conftest.entry_bound`` computes from the tree.
+Routing builds only the trees it prices or reduces along; the check
+builds the others through the same accessor.
 Each graph's distance table and distance balls must match networkx's
 shortest paths, and its distance, successor and ball tables the
 Floyd-Warshall reference in ``conftest``.
@@ -19,7 +21,7 @@ import random
 import networkx as nx
 import pytest
 
-from cnotroute.arch import ArchGraph, get_architecture, list_architectures
+from cnotroute.arch import ArchGraph, get_architecture, list_architectures, steiner_tree
 from cnotroute.bench import random_cnot_circuit
 from cnotroute.circuit import Mapping
 from cnotroute.gf2 import vec_support
@@ -91,19 +93,22 @@ def test_routed_and_postprocessed_circuits_pass_both_verifiers(family):
 def _check_grown_trees(graph):
     """Every cached Steiner tree of ``graph`` is a tree with terminal leaves.
 
-    Its entry's inner mask must give ``entry_bound`` through
-    ``_column_bounds`` with no unit row, with every terminal's row a unit
-    vector, and with a random set of unit rows.
+    Each entry's tree is built through ``steiner_tree``, whether routing
+    built it or not.  The entry's weight and inner mask must give
+    ``entry_bound`` through ``_column_bounds`` with no unit row, with
+    every terminal's row a unit vector, and with a random set of unit
+    rows.
     """
     assert graph._steiner_cache
     rng = random.Random(graph.n)
     for mask, entry in graph._steiner_cache.items():
-        tree, steiner, _ = entry
+        weight, inner = entry.weight, entry.inner
+        tree, steiner = steiner_tree(graph, mask)
         terminals = set(vec_support(mask))
         _check_tree_invariants(graph, tree, steiner, terminals, max(terminals))
         for units in (0, mask, rng.getrandbits(graph.n)):
             rows = [(1 if units >> u & 1 else 3) << u for u in range(graph.n)]
-            assert _column_bounds(_basic_mask(rows), [(0, mask) + entry]) == \
+            assert _column_bounds(_basic_mask(rows), [(0, mask, weight, inner)]) == \
                 [entry_bound(rows, tree, steiner)]
 
 

@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from cnotroute.arch import steiner_entry
+from cnotroute.arch import steiner_entry, steiner_tree
 from cnotroute.gf2 import BitMatrix, invert, is_unit, vec_support
 from cnotroute.heuristic import _basic_mask, _column_bounds, _reduce_pair
 from cnotroute.rowgraph import (SWAP, ReductionError, reduction_costs,
@@ -51,12 +51,12 @@ def _check_state(g, rows, stats):
     for e in range(g.n):
         sup = vec_support(inv.rows[e])
         entry = steiner_entry(g, inv.rows[e])
-        grown, steiner, _ = entry
+        grown, steiner = steiner_tree(g, inv.rows[e])
         want = [_replay(rows, grown, steiner, u) for u in sup]
         assert reduction_costs(rows, grown, steiner, sup) == want
         low = entry_bound(rows, grown, steiner)
         # the O(1) bound the synthesizer reads off the cache entry
-        assert _column_bounds(_basic_mask(rows), [(e, inv.rows[e]) + entry]) == [low]
+        assert _column_bounds(_basic_mask(rows), [(e, inv.rows[e], entry.weight, entry.inner)]) == [low]
         for u, price in zip(sup, want):
             assert reduction_costs(rows, grown, steiner, [u]) == [price]
             prices[u, e] = price

@@ -3,17 +3,25 @@
 For random connected graphs and terminal sets, the grown graph must be a
 tree with terminal leaves, and the ops ``tree_reduce_tracked`` runs at
 every root must match the schedule built from a BFS rooting with
-ascending children.
+ascending children.  Growth yields masks; the cache entry's weight and
+inner mask, read off them, must agree with the tree ``steiner_tree``
+builds from them on first use, and that tree with a nearest-pair
+reference.
 """
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cnotroute.arch import (ArchGraph, _grow_steiner_graph, gen_steiner,
-                           path_from_successors)
+                           get_architecture, list_architectures,
+                           path_from_successors, steiner_entry, steiner_tree)
 from cnotroute.rowgraph import tree_reduce_tracked
 
-from conftest import (grid_graph, op_parent, random_connected_graph,
+from conftest import (entry_bound, grid_graph, op_parent, random_connected_graph,
                       random_reversible_rows, rows_reducible_along, tree_parent)
+from test_device_families import FAMILIES
 
 
 def _check_tree_with_terminal_leaves(g, grown, terminals):
@@ -98,9 +106,9 @@ def test_every_root_matches_bfs_reference():
     rng = random.Random(2012)
     count = 0
     for g, terminals in _samples(2011, 200):
-        grown = _grow_steiner_graph(g, _mask(terminals))
+        grown, steiner = steiner_tree(g, _mask(terminals))
         _check_tree_with_terminal_leaves(g, grown, terminals)
-        steiner = grown.keys() - terminals
+        assert steiner == grown.keys() - terminals
         assert gen_steiner(g, terminals) == (grown, steiner)
         rows = rows_reducible_along(
             random_reversible_rows(rng, g, 2 * (g.n - 1)), terminals)
@@ -126,7 +134,7 @@ def test_rooted_tree_keeps_exactly_the_grown_edges():
         n = rng.randrange(3, 16)
         g = random_connected_graph(rng, n)
         terminals = frozenset(rng.sample(range(n), rng.randrange(2, n + 1)))
-        grown = _grow_steiner_graph(g, _mask(terminals))
+        grown, _ = steiner_tree(g, _mask(terminals))
         grown_edges = {(min(a, b), max(a, b))
                        for a, nbs in grown.items() for b in nbs}
         root = min(terminals)
@@ -187,9 +195,54 @@ def test_incremental_growth_matches_nearest_pair_reference():
     # on a triangle every pair is at distance 1: the first path joins the
     # least pair (0, 1), and terminal 2 joins the least tree node, 0
     triangle = ArchGraph(3, [(0, 1), (1, 2), (0, 2)])
-    assert _grow_steiner_graph(triangle, 0b111) == {0: (1, 2), 1: (0,), 2: (0,)}
+    # neighbour masks per node, the tree's nodes, and the attach node 0
+    assert _grow_steiner_graph(triangle, 0b111) == ([0b110, 0b001, 0b001], 0b111, 0b001)
+    assert steiner_tree(triangle, 0b111)[0] == {0: (1, 2), 1: (0,), 2: (0,)}
     count = 0
     for g, terminals in [(triangle, {0, 1, 2}), *_samples(2027, 200), *_wide_samples(2028)]:
-        assert _grow_steiner_graph(g, _mask(terminals)) == _reference_grow(g, terminals)
+        assert steiner_tree(g, _mask(terminals))[0] == _reference_grow(g, terminals)
         count += 1
     assert count == 601 + 30
+
+
+@st.composite
+def graphs_and_terminal_sets(draw):
+    """(graph, terminal sets): a random connected graph on 2..24 nodes, a
+    stock device or a device family, and up to four distinct sets of its nodes."""
+    name = draw(st.sampled_from([None, *list_architectures(), *FAMILIES]))
+    if name is None:
+        rng = draw(st.randoms(use_true_random=False))
+        n = draw(st.integers(2, 24))
+        graph = random_connected_graph(rng, n, extra=draw(st.integers(0, 2 * n)))
+    elif name in FAMILIES:
+        graph = FAMILIES[name]()
+    else:
+        graph = get_architecture(name)[0]
+    sets = draw(st.lists(st.frozensets(st.integers(0, graph.n - 1), min_size=1),
+                         min_size=1, max_size=4, unique=True))
+    return graph, sets
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(graphs_and_terminal_sets())
+def test_entry_bound_terms_agree_with_the_tree_built_on_first_use(case):
+    graph, sets = case
+    for terminals in sets:
+        mask = _mask(terminals)
+        entry = steiner_entry(graph, mask)
+        weight, inner, adjacency, nodes = entry.weight, entry.inner, entry.adjacency, entry.nodes
+        assert entry.tree is None and entry.steiner is None  # grown, not built
+        tree, steiner = steiner_tree(graph, mask)
+        assert tree == _reference_grow(graph, terminals)
+        assert nodes == _mask(tree)
+        assert adjacency == [_mask(tree.get(w, ())) for w in range(graph.n)]
+        assert steiner == tree.keys() - terminals
+        assert weight == len(tree) - 1 + 2 * len(steiner)
+        assert inner == sum(1 << t for t in terminals if len(tree[t]) >= 2)
+        # with every row a unit vector the reference bound counts all of inner
+        units = [1 << u for u in range(graph.n)]
+        assert entry_bound(units, tree, steiner) == weight + inner.bit_count()
+        again, points = steiner_tree(graph, mask)
+        assert again is tree and points is steiner
+        assert steiner_entry(graph, mask) is entry
+        assert entry.adjacency is None and entry.nodes is None  # the masks are dropped

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from cnotroute import heuristic
 from cnotroute.arch import (ArchGraph, get_architecture, list_architectures,
-                           steiner_entry)
+                           steiner_tree)
 from cnotroute.bench import random_cnot_circuit
 from cnotroute.gf2 import transpose, vec_support
 from cnotroute.heuristic import (_basic_mask, _cheapest, _column_bounds,
@@ -134,7 +134,7 @@ def test_bound_is_a_lower_bound_on_every_entry_and_the_loss():
         position = {u: i for i, u in enumerate(block.nodes)}
         minima = []
         for j, sup in enumerate(block.supports):
-            grown, steiner, _ = steiner_entry(graph, sup)
+            grown, steiner = steiner_tree(graph, sup)
             schedule = len(grown) - 1 + 2 * len(steiner)
             assert weights[j] == entry_bound(rows, grown, steiner)
             raised.append(weights[j] > schedule)
