@@ -12,16 +12,16 @@ it off a row of the inverse.  One Steiner-style tree is grown per mask,
 on demand, into one cache entry (``steiner_entry``).  Growth keeps each
 tree node's neighbours as an int mask, and the entry holds those masks
 with the tree's schedule weight |V| - 1 + 2|S| and the mask of its
-terminals with two or more tree neighbours: with the mask of unit rows
-they give the synthesizer an O(1) lower bound on the tree's reduction
-costs, and most grown trees are ruled out by it alone.  The unrooted
-tree (node -> ascending neighbour tuple) and its Steiner points are
-built from the masks only when a tree is first priced or reduced
-(``steiner_tree``), and then kept in the entry in place of the masks;
-the tuples come from one table per graph, so all cached trees share
-one immutable tuple per neighbour set, and the table is cleared with
-the cache.  The tree does not depend on the root; pricing
-(``rowgraph.reduction_costs``) and reduction
+terminals with two or more tree neighbours, the terms of the lower
+bound proved in ``rowgraph.reduction_costs``; most grown trees are
+ruled out by that bound alone.  The unrooted tree (node -> ascending
+neighbour tuple) and its Steiner points are built from the masks only
+when a tree is first priced or reduced (``steiner_tree``, or
+``_tree_of`` from an entry already held), and then kept in the entry in
+place of the masks; the tuples come from one table per graph, so all
+cached trees share one immutable tuple per neighbour set, and the table
+is cleared with the cache.  The tree does not depend on the root;
+pricing (``rowgraph.reduction_costs``) and reduction
 (``rowgraph.tree_reduce_tracked``) both read it and pick the root
 themselves.  ``gen_steiner`` is ``steiner_tree`` for callers holding an
 iterable of nodes.  A grown tree is a tree whose leaves are terminals
@@ -244,12 +244,12 @@ class SteinerEntry:
 
     ``weight`` is the tree's schedule weight |V| - 1 + 2|S| and
     ``inner`` the mask of its terminals with two or more tree
-    neighbours: they give the lower bound proved in
-    ``rowgraph.reduction_costs`` in O(1), the weight plus the count of
-    unit-row nodes in ``inner``, with no tree built.  ``adjacency`` and
-    ``nodes`` are the masks ``_grow_steiner_graph`` returns, until
-    ``steiner_tree`` builds ``tree`` and ``steiner`` from them and sets
-    them to None; ``tree`` and ``steiner`` are None until then.
+    neighbours: the terms of the lower bound proved in
+    ``rowgraph.reduction_costs``, read in O(1) with no tree built.
+    ``adjacency`` and ``nodes`` are the masks ``_grow_steiner_graph``
+    returns, until ``_tree_of`` builds ``tree`` and ``steiner`` from
+    them and sets them to None; ``tree`` and ``steiner`` are None until
+    then.
     """
 
     __slots__ = ("weight", "inner", "adjacency", "nodes", "tree", "steiner")
@@ -295,7 +295,15 @@ def steiner_tree(g: ArchGraph, mask: int) -> tuple:
     and reduction need them, so a tree whose bound alone rules it out is
     never built.  Raises as ``steiner_entry`` does.
     """
-    entry = steiner_entry(g, mask)
+    return _tree_of(g, steiner_entry(g, mask), mask)
+
+
+def _tree_of(g: ArchGraph, entry: SteinerEntry, mask: int) -> tuple:
+    """``steiner_tree`` from ``mask``'s entry, as a caller that holds it builds it.
+
+    The held entry is built even if the cache has been cleared since it
+    was fetched, so the tree is not grown again.
+    """
     if entry.tree is None:
         adjacency, nodes, supports = entry.adjacency, entry.nodes, g._supports
         entry.tree = {w: supports[adjacency[w]] for w in vec_support(nodes)}

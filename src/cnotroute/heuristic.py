@@ -39,13 +39,11 @@ exact, so the carried columns always equal the transposed inverse of
 the current matrix, and the block reads its supports off them in one
 transposition pass instead of a fresh Gauss-Jordan elimination.
 
-No entry of a column is below its tree's bound |V| - 1 + 2|S| + U,
-proved in ``rowgraph.reduction_costs``: U counts the tree's terminals
-with two or more tree neighbours that hold a unit row.  The cache entry
-of ``arch.steiner_entry`` stores the tree's weight |V| - 1 + 2|S| and
-the mask of those terminals, so a column's bound (``_column_bounds``) is
-the weight plus one AND and one bit count against the mask of unit
-rows, and needs no tree: only the columns priced build theirs.
+Each open column is recorded with the lower bound on its entries that
+``rowgraph.reduction_costs`` proves, taken when the column is opened
+(``_open_columns``) from the terms its ``arch.steiner_entry`` stores
+and the unit rows, with no tree built: only the columns priced build
+theirs, from the entry the record holds.
 
 A step needs the whole block only to score tied candidates.  Its
 cheapest entries alone decide the step when one is cheapest, and
@@ -76,9 +74,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
-from .arch import ArchGraph, steiner_entry, steiner_tree
+from .arch import ArchGraph, _tree_of, steiner_entry, steiner_tree
 from .gf2 import BitMatrix, _transpose_rows, invert, vec_support
 from .rowgraph import ADD, RowOp, _costs, reduction_recovery, tree_reduce_tracked
 
@@ -151,61 +150,46 @@ def _apply_to_columns(cols: List[int], ops: Sequence[RowOp]) -> None:
 
 
 def _open_columns(graph: ArchGraph, cols: Sequence[int]) -> list:
-    """(basis index, support) and the bound terms of its Steiner tree, per open column.
+    """(basis index, support, bound, tree entry) per open column, columns ascending.
 
-    Each item is (e, sup, weight, inner), the last two read off the
-    ``arch.steiner_entry`` of ``sup``, which grows the tree but does not
-    build it: pricing builds it (``arch.steiner_tree``).  ``cols`` is the
-    column form of the inverse, as ``_inverse_columns`` gives and
-    ``_apply_to_columns`` carries; transposed, it gives each inverse row,
-    the support.  A column is open when its support has at least two
-    nodes; columns ascend.
+    ``cols`` is the column form of the inverse of some rows, as
+    ``_inverse_columns`` gives and ``_apply_to_columns`` carries;
+    transposed, it gives each inverse row, the support.  A column is
+    open when its support has at least two nodes.  The entry is the
+    support's ``arch.steiner_entry``, which grows the tree but does not
+    build it; pricing builds it from the entry held here, so a cache
+    clear in between does not grow it again.  The bound is the one
+    proved in ``rowgraph.reduction_costs`` on every root that holds a
+    non-unit row, as the block's roots do: the entry's weight plus the
+    count of its ``inner`` terminals that hold a unit row.  Node u holds
+    the unit row e_f exactly when inverse row f is e_u (row f of R^-1 R
+    is row u of R, and row u of R R^-1 is row f of R^-1), so the unit
+    rows are read off the columns that are not open.
     """
+    units = 0
     opened = []
     for e, sup in enumerate(_transpose_rows(cols)):
         if sup & (sup - 1):
-            entry = steiner_entry(graph, sup)
-            opened.append((e, sup, entry.weight, entry.inner))
-    return opened
-
-
-def _basic_mask(rows: Sequence[int]) -> int:
-    """The mask of the nodes whose row is a unit vector."""
-    basic = 0
-    # rows of an invertible matrix are nonzero, so r & (r - 1) == 0 means unit
-    for u, r in enumerate(rows):
-        if not r & (r - 1):
-            basic |= 1 << u
-    return basic
-
-
-def _column_bounds(basic: int, opened: list) -> List[int]:
-    """A lower bound on every entry of each open column.
-
-    ``opened`` is ``_open_columns`` of the inverse of some rows and
-    ``basic`` their ``_basic_mask``.  Each bound is |V| - 1 + 2|S| + U
-    for the column's tree, its weight plus U, which counts its unit-row
-    terminals with two or more tree neighbours (``inner``); it holds at
-    every root that holds a non-unit row, as the block's roots do.
-    """
-    return [weight + (basic & inner).bit_count() for _, _, weight, inner in opened]
+            opened.append((e, sup, steiner_entry(graph, sup)))
+        else:
+            units |= sup
+    return [(e, sup, entry.weight + (units & entry.inner).bit_count(), entry)
+            for e, sup, entry in opened]
 
 
 def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
-                weights: Optional[List[int]] = None,
-                bound: Optional[int] = None) -> Optional[CostTable]:
+                cutoff: float = math.inf) -> Optional[CostTable]:
     """The cost table restricted to non-basic nodes x unpinned basis indices.
 
     ``rows`` holds one row per node of ``graph`` and ``opened`` is
-    ``_open_columns`` of the inverse of its matrix.  With a ``bound``
-    and the columns' ``weights`` (``_column_bounds``), returns None as
-    soon as the block's minimum assignment total provably exceeds the
-    bound.  Each column is assigned exactly one row and no entry is below
-    its column's weight, so the total is at least the priced columns'
-    minima plus the unpriced columns' weights.  Columns are then priced
-    heaviest weight first, which raises that lower bound fastest.
-    Without a bound, columns are priced in order and ``weights`` is
-    unused.
+    ``_open_columns`` of the inverse of its matrix.  Returns None as soon
+    as the block's minimum assignment total provably exceeds ``cutoff``.
+    Each column is assigned exactly one row and no entry is below its
+    column's bound, so the total is at least the priced columns' minima
+    plus the unpriced columns' bounds.  Columns are priced heaviest bound
+    first, which raises that sum fastest.  The sum only rises, to the sum
+    of all minima, so whether the block is returned does not depend on
+    the order; the default cutoff never prunes.
     """
     n = graph.n
     nodes = [u for u, r in enumerate(rows) if r & (r - 1)]
@@ -214,24 +198,20 @@ def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
     for i, u in enumerate(nodes):
         position[u] = i
         nonbasic |= 1 << u
-    order = range(len(opened))
-    if bound is not None:
-        low = sum(weights)
-        order = sorted(order, key=weights.__getitem__, reverse=True)
+    bounds = [column[2] for column in opened]
+    low = sum(bounds)
     entries = [[math.inf] * len(nodes) for _ in nodes]
-    for j in order:
-        sup = opened[j][1]
-        grown, steiner = steiner_tree(graph, sup)
+    for j in sorted(range(len(opened)), key=bounds.__getitem__, reverse=True):
+        _, sup, bound, entry = opened[j]
         # distinct unit rows XOR to weight |sup| >= 2, not to e_e, so at
         # least one node of the support is non-basic
         roots = vec_support(sup & nonbasic)
-        costs = _costs(rows, grown, steiner, roots)
+        costs = _costs(rows, *_tree_of(graph, entry, sup), roots)
         for u, c in zip(roots, costs):
             entries[position[u]][j] = c
-        if bound is not None:
-            low += min(costs) - weights[j]
-            if low > bound:
-                return None
+        low += min(costs) - bound
+        if low > cutoff:
+            return None
     return CostTable(tuple(tuple(r) for r in entries),
                      tuple(column[1] for column in opened), tuple(nodes),
                      tuple(column[0] for column in opened))
@@ -349,25 +329,20 @@ def _cheapest_bounded(graph: ArchGraph, rows: Sequence[int],
     """``_cheapest(_open_block(graph, rows, opened))``, without the block.
 
     ``opened`` is ``_open_columns`` of the inverse of ``rows``.  Columns
-    are priced in ascending bound order (``_column_bounds``) until a
-    bound exceeds the least entry priced so far: no entry of that column
-    or a later one can be a minimum.  A bound equal to it is priced, so
-    ties are kept.  The entries equal to the minimum are returned
-    node-major, as ``_cheapest`` orders them; the list is empty when no
-    column is open, that is when every row is a unit vector.
+    are priced in ascending bound order until a bound
+    exceeds the least entry priced so far: no entry of that column or a
+    later one can be a minimum.  A bound equal to it is priced, so ties
+    are kept.  The entries equal to the minimum are returned node-major,
+    as ``_cheapest`` orders them; the list is empty when no column is
+    open, that is when every row is a unit vector.
     """
-    basic = _basic_mask(rows)
-    nonbasic = basic ^ ((1 << len(rows)) - 1)
-    bounds = _column_bounds(basic, opened)
     best = math.inf
     found = []
-    for j in sorted(range(len(opened)), key=bounds.__getitem__):
-        if bounds[j] > best:
+    for e, sup, bound, entry in sorted(opened, key=itemgetter(2)):
+        if bound > best:
             break
-        e, sup, _, _ = opened[j]
-        grown, steiner = steiner_tree(graph, sup)
-        roots = vec_support(sup & nonbasic)
-        for u, c in zip(roots, _costs(rows, grown, steiner, roots)):
+        roots = [u for u in vec_support(sup) if rows[u] & (rows[u] - 1)]
+        for u, c in zip(roots, _costs(rows, *_tree_of(graph, entry, sup), roots)):
             if c <= best:
                 if c < best:
                     best = c
@@ -398,7 +373,7 @@ def heuristic_token_reduction(graph: ArchGraph, rows: List[int]) -> List[RowOp]:
     directly, and the carried columns follow its ops.  Tied candidates
     are broken by look-ahead: each is trial-run (reduce, recover) on its
     own copy of the rows, and its ops, rows and carried columns are
-    recorded; its open columns' bounds (``_column_bounds``) sum to a
+    recorded; its open columns' bounds (``_open_columns``) sum to a
     lower bound on its loss.  Candidates are then scored in ascending
     (bound, index) order, each priced from its recorded rows, and the
     smallest (loss, index) wins: the first strict minimum in candidate
@@ -431,22 +406,19 @@ def heuristic_token_reduction(graph: ArchGraph, rows: List[int]) -> List[RowOp]:
             trial_cols = list(cols)
             _apply_to_columns(trial_cols, ops)
             opened = _open_columns(graph, trial_cols)
-            weights = _column_bounds(_basic_mask(trial_rows), opened)
-            trials.append((sum(weights), index, ops, trial_rows, trial_cols,
-                           opened, weights))
+            low = sum(column[2] for column in opened)
+            trials.append((low, index, ops, trial_rows, trial_cols, opened))
         trials.sort(key=lambda t: t[:2])
-        best = None
-        for low, index, ops, trial_rows, trial_cols, opened, weights in trials:
-            bound = None
-            if best is not None:
-                # a later index must win outright, an earlier one may tie
-                bound = best[0] - (index > best[1])
-                if low > bound:
-                    break  # every later trial's (bound, index) is larger
-            trial = _open_block(graph, trial_rows, opened, weights, bound)
+        best = (math.inf, 0)  # so the first trial is priced in full
+        for low, index, ops, trial_rows, trial_cols, opened in trials:
+            # a later index must win outright, an earlier one may tie
+            cutoff = best[0] - (index > best[1])
+            if low > cutoff:
+                break  # every later trial's (bound, index) is larger
+            trial = _open_block(graph, trial_rows, opened, cutoff)
             if trial is not None:
                 trial_loss = hungarian_assign(trial).total
-                if best is None or (trial_loss, index) < best[:2]:
+                if (trial_loss, index) < best[:2]:
                     best = (trial_loss, index, ops, trial_rows, trial_cols, trial)
         _, _, ops, best_rows, cols, block = best
         rows[:] = best_rows

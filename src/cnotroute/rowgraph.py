@@ -178,8 +178,8 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
     the marked node, or the SWAP that hands the mark back to a child
     that holds none.  ``arch.steiner_entry`` stores the mask of the
     terminals with two or more neighbours and the weight |V| - 1 + 2|S|,
-    and ``heuristic`` bounds its cost-table columns by the two without
-    building the tree.
+    and ``heuristic._open_columns`` bounds each cost-table column by the
+    two without building the tree.
 
     Raises ``ReductionError`` if ``roots`` is empty, ``_schedule`` finds
     the tree malformed from ``roots[0]``, or another root is not a

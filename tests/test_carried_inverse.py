@@ -34,10 +34,11 @@ def _fresh_supports(n, rows):
     return [(e, sup) for e, sup in enumerate(inv.rows) if sup.bit_count() >= 2]
 
 
-def _check_opened(graph, rows, opened, weights):
+def _check_opened(graph, rows, opened):
     """Open columns' supports against a fresh inverse, their bounds against ``entry_bound``."""
-    assert [(e, sup) for e, sup, *_ in opened] == _fresh_supports(len(rows), rows)
-    assert weights == [entry_bound(rows, *steiner_tree(graph, sup)) for _, sup, *_ in opened]
+    assert [(e, sup) for e, sup, _, _ in opened] == _fresh_supports(len(rows), rows)
+    assert [bound for _, _, bound, _ in opened] == \
+        [entry_bound(rows, *steiner_tree(graph, sup)) for _, sup, _, _ in opened]
 
 
 def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):
@@ -61,14 +62,11 @@ def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):
         counts["carried"] += 1
         counts["swaps"] += sum(kind == SWAP for kind, _, _ in ops)
 
-    def price_checked(graph, rows, opened, weights=None, bound=None):
-        if weights is None:
-            assert [(e, sup) for e, sup, *_ in opened] == _fresh_supports(graph.n, rows)
-        else:
-            _check_opened(graph, rows, opened, weights)
-            counts["bounded"] += 1
+    def price_checked(graph, rows, opened, *cutoff):
+        _check_opened(graph, rows, opened)
+        counts["bounded"] += 1
         counts["priced"] += 1
-        return price(graph, rows, opened, weights, bound)
+        return price(graph, rows, opened, *cutoff)
 
     def count_ties(found):
         # every tie candidate is trial-run, whichever path found the tie
@@ -81,8 +79,7 @@ def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):
 
     def pick_bounded_checked(graph, rows, opened):
         # the cheapest-only path orders and stops by these bounds
-        bounds = heuristic._column_bounds(heuristic._basic_mask(rows), opened)
-        _check_opened(graph, rows, opened, bounds)
+        _check_opened(graph, rows, opened)
         counts["bounded"] += 1
         counts["priced"] += 1
         return count_ties(pick_bounded(graph, rows, opened))

@@ -19,9 +19,8 @@ from hypothesis import strategies as st
 from cnotroute import heuristic
 from cnotroute.arch import ArchGraph, get_architecture, list_architectures
 from cnotroute.gf2 import BitMatrix
-from cnotroute.heuristic import (_basic_mask, _cheapest, _cheapest_bounded,
-                                 _column_bounds, _inverse_columns, _open_block,
-                                 _open_columns, heuristic_token_reduction)
+from cnotroute.heuristic import (_cheapest, _cheapest_bounded, _inverse_columns,
+                                 _open_block, _open_columns, heuristic_token_reduction)
 
 from conftest import random_reversible_rows
 from test_device_families import FAMILIES
@@ -36,15 +35,14 @@ def _check(graph, rows, opened, stats):
         assert found == []
         return
     assert found == _cheapest(block)
-    bounds = _column_bounds(_basic_mask(rows), opened)
     least = min(map(min, block.entries))
     stats["states"] += 1
     stats["ties"] += len(found) > 1
     stats["single"] += len(opened) == 1
-    stats["unpriced"] += max(bounds) > least
+    stats["unpriced"] += max(bound for _, _, bound, _ in opened) > least
     held = {basis for _, basis, _ in found}
     stats["bound_equal"] += any(bound == least and e in held
-                                for (e, *_), bound in zip(opened, bounds))
+                                for e, _, bound, _ in opened)
 
 
 @pytest.fixture
@@ -54,9 +52,9 @@ def checked(monkeypatch):
     price = heuristic._open_block
     bounded = heuristic._cheapest_bounded
 
-    def price_checked(graph, rows, opened, weights=None, bound=None):
+    def price_checked(graph, rows, opened, *cutoff):
         _check(graph, rows, opened, stats)
-        return price(graph, rows, opened, weights, bound)
+        return price(graph, rows, opened, *cutoff)
 
     def bounded_checked(graph, rows, opened):
         _check(graph, rows, opened, stats)

@@ -24,8 +24,8 @@ import pytest
 from cnotroute.arch import ArchGraph, get_architecture, list_architectures, steiner_tree
 from cnotroute.bench import random_cnot_circuit
 from cnotroute.circuit import Mapping
-from cnotroute.gf2 import vec_support
-from cnotroute.heuristic import _basic_mask, _column_bounds
+from cnotroute.gf2 import _transpose_rows, vec_support
+from cnotroute.heuristic import _open_columns
 from cnotroute.synthesis import equivalence_failure, postprocess, route_general
 
 from conftest import (assert_tables_match_reference, check, diagonal_grid_graph,
@@ -95,21 +95,24 @@ def _check_grown_trees(graph):
 
     Each entry's tree is built through ``steiner_tree``, whether routing
     built it or not.  The entry's weight and inner mask must give
-    ``entry_bound`` through ``_column_bounds`` with no unit row, with
+    ``entry_bound`` through ``_open_columns`` with no unit row, with
     every terminal's row a unit vector, and with a random set of unit
     rows.
     """
     assert graph._steiner_cache
     rng = random.Random(graph.n)
     for mask, entry in graph._steiner_cache.items():
-        weight, inner = entry.weight, entry.inner
         tree, steiner = steiner_tree(graph, mask)
         terminals = set(vec_support(mask))
         _check_tree_invariants(graph, tree, steiner, terminals, max(terminals))
         for units in (0, mask, rng.getrandbits(graph.n)):
             rows = [(1 if units >> u & 1 else 3) << u for u in range(graph.n)]
-            assert _column_bounds(_basic_mask(rows), [(0, mask, weight, inner)]) == \
-                [entry_bound(rows, tree, steiner)]
+            # inverse rows: the mask, then e_u for each unit-row node the
+            # bound counts; at most n - 2, as the tree's leaves are not inner
+            inverse = [mask] + [1 << u for u in vec_support(units & entry.inner)]
+            cols = _transpose_rows(inverse + [0] * (graph.n - len(inverse)))
+            assert _open_columns(graph, cols) == \
+                [(0, mask, entry_bound(rows, tree, steiner), entry)]
 
 
 @pytest.mark.parametrize("name", list_architectures())

@@ -4,7 +4,9 @@ At every stage of a greedy reduction on random connected graphs, the
 block (non-basic nodes x basis indices with a non-unit inverse row) must
 give the full table's loss, its entries and its cheapest candidates in
 the same order, and the synthesizer must commit the same steps as a
-full-table reference loop written here.
+full-table reference loop written here.  Pricing must build each tree
+from the entry its open column holds, not grow it again after the tree
+cache is cleared.
 """
 
 import math
@@ -13,11 +15,16 @@ from itertools import chain
 
 import pytest
 
+from cnotroute import arch, heuristic
+from cnotroute.arch import get_architecture
+from cnotroute.bench import random_cnot_circuit
+from cnotroute.circuit import Mapping
 from cnotroute.gf2 import BitMatrix, SingularMatrixError, invert, is_unit
 from cnotroute.heuristic import (_cheapest, _inverse_columns, _open_block,
                                  _open_columns, _reduce_pair, build_cost_table,
                                  heuristic_token_reduction, hungarian_assign,
                                  loss)
+from cnotroute.synthesis import route_cnot_block
 
 from conftest import (diagonal_grid_graph, heavy_hex_graph, non_unit_nodes,
                       random_connected_graph, random_reversible_rows)
@@ -152,3 +159,34 @@ def test_synthesizer_commits_the_full_table_reference_steps():
         twin = list(rows)
         assert heuristic_token_reduction(g, rows) == _reference_reduction(g, twin)
         assert rows == twin
+
+
+def test_pricing_grows_no_tree_when_the_cache_is_cleared_after_opening(monkeypatch):
+    """A cache cleared every 8 terminal sets makes no tree grow inside
+    ``_open_block`` or ``_cheapest_bounded``: they build the trees of the
+    entries their open columns hold."""
+    grown = {"pricing": 0, "elsewhere": 0}
+    pricing = []
+    grow = arch._grow_steiner_graph
+
+    def grow_counted(g, mask):
+        grown["pricing" if pricing else "elsewhere"] += 1
+        return grow(g, mask)
+
+    def marked(price):
+        def price_marked(*args):
+            pricing.append(price)
+            out = price(*args)
+            pricing.pop()
+            return out
+        return price_marked
+
+    monkeypatch.setattr(arch, "_GROW_CACHE_CAP", 8)
+    monkeypatch.setattr(arch, "_grow_steiner_graph", grow_counted)
+    monkeypatch.setattr(heuristic, "_open_block", marked(heuristic._open_block))
+    monkeypatch.setattr(heuristic, "_cheapest_bounded", marked(heuristic._cheapest_bounded))
+    graph, stock = get_architecture("ibm-q20-tokyo")
+    for seed in range(4):
+        route_cnot_block(random_cnot_circuit(graph.n, 64, 3037 + seed), graph, Mapping(stock))
+    assert grown["elsewhere"] > 1000, grown
+    assert grown["pricing"] == 0, grown

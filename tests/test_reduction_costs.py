@@ -18,9 +18,9 @@ import random
 
 import pytest
 
-from cnotroute.arch import steiner_entry, steiner_tree
+from cnotroute.arch import steiner_tree
 from cnotroute.gf2 import BitMatrix, invert, is_unit, vec_support
-from cnotroute.heuristic import _basic_mask, _column_bounds, _reduce_pair
+from cnotroute.heuristic import _inverse_columns, _open_columns, _reduce_pair
 from cnotroute.rowgraph import (SWAP, ReductionError, reduction_costs,
                                 reduction_recovery, tree_reduce_tracked)
 
@@ -41,22 +41,23 @@ def _check_state(g, rows, stats):
     """Compare every (column, root in its support) of one state.
 
     Every root must also cost at least the column's lower bound
-    ``entry_bound``, which ``_column_bounds`` must give too, less one if
+    ``entry_bound``, which ``_open_columns`` must record too, less one if
     the root itself is a unit-row terminal with two or more neighbours,
     which the bound does not count.
     Returns the replayed prices by (node, basis).
     """
     inv = invert(BitMatrix(g.n, rows))
+    # the O(1) bound the synthesizer records per open column, off the cache entry
+    bounds = {e: bound for e, _, bound, _ in _open_columns(g, _inverse_columns(g.n, rows))}
     prices = {}
     for e in range(g.n):
         sup = vec_support(inv.rows[e])
-        entry = steiner_entry(g, inv.rows[e])
         grown, steiner = steiner_tree(g, inv.rows[e])
         want = [_replay(rows, grown, steiner, u) for u in sup]
         assert reduction_costs(rows, grown, steiner, sup) == want
         low = entry_bound(rows, grown, steiner)
-        # the O(1) bound the synthesizer reads off the cache entry
-        assert _column_bounds(_basic_mask(rows), [(e, inv.rows[e], entry.weight, entry.inner)]) == [low]
+        # a column that is not open has a one-node tree, of bound 0
+        assert bounds.get(e, 0) == low
         for u, price in zip(sup, want):
             assert reduction_costs(rows, grown, steiner, [u]) == [price]
             prices[u, e] = price

@@ -7,17 +7,19 @@ package, such as the ``src`` directories of two checkouts.  Both are
 loaded into one interpreter under different module names, so they share
 the process, its heap and the host's drift, and take turns circuit by
 circuit; the tree that goes first alternates too.  Three loops, shaped
-like the benchmark's workloads, each of ``--circuits`` circuits and
-each run ``REPS`` (5) times:
+like the benchmark's workloads, each run ``REPS`` (5) times:
 
-- ``dense256``: 256-gate random CNOT circuits on 16-square, ibm-qx5,
-  rigetti-16q-aspen and ibm-q20-tokyo in turn, warm graphs,
+- ``dense256``: ``--circuits`` 256-gate random CNOT circuits on
+  16-square, ibm-qx5, rigetti-16q-aspen and ibm-q20-tokyo in turn, warm
+  graphs, ``route_cnot_block``;
+- ``sparse16``: for each of ``--circuits`` slots, one random CNOT
+  circuit of each of 4, 8 and 16 gates on each of the five devices, 15
+  circuits a slot (one routes in well under a millisecond, so one
+  circuit a slot would be too short a loop to time), warm graphs,
   ``route_cnot_block``;
-- ``sparse16``: 4-, 8- and 16-gate random CNOT circuits on all five
-  devices, warm graphs, ``route_cnot_block``;
-- ``general-cold``: 96-gate circuit text, one gate in ten one-qubit,
-  parsed, routed on a graph built afresh from the device file by
-  ``route_general``, post-processed and formatted.
+- ``general-cold``: ``--circuits`` 96-gate circuit texts, one gate in
+  ten one-qubit, parsed, routed on a graph built afresh from the device
+  file by ``route_general``, post-processed and formatted.
 
 The warm graphs are built afresh from the device files at the start of
 every repetition, as a fresh benchmark process builds them, so each
@@ -89,12 +91,12 @@ def workloads(sizes: dict, count: int) -> dict:
     """Workload name -> list of (device, circuit text)."""
     rng = random.Random(SEED)
     dense = [DENSE_DEVICES[i % len(DENSE_DEVICES)] for i in range(count)]
-    sparse = [DEVICES[i % len(DEVICES)] for i in range(count)]
+    cold = [DEVICES[i % len(DEVICES)] for i in range(count)]
     return {
         "dense256": [(d, _cnot_text(rng, sizes[d], 256)) for d in dense],
-        "sparse16": [(d, _cnot_text(rng, sizes[d], SPARSE_GATES[(i // len(DEVICES)) % 3]))
-                     for i, d in enumerate(sparse)],
-        "general-cold": [(d, _mixed_text(rng, sizes[d])) for d in sparse],
+        "sparse16": [(d, _cnot_text(rng, sizes[d], gates))
+                     for _ in range(count) for gates in SPARSE_GATES for d in DEVICES],
+        "general-cold": [(d, _mixed_text(rng, sizes[d])) for d in cold],
     }
 
 
