@@ -160,7 +160,8 @@ class ArchGraph:
         self._supports = _Supports()
 
     def is_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        """True if u and v are nodes one hop apart; False off the graph."""
+        return 0 <= u < self.n and 0 <= v < self.n and self.dist[u][v] == 1
 
     def __repr__(self) -> str:
         return f"ArchGraph({self.name or self.n!r}, n={self.n}, edges={len(self.edges)})"

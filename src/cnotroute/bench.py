@@ -124,7 +124,8 @@ def swap_insertion_baseline(c: Circuit, graph: ArchGraph,
         path = path_from_successors(graph.succ, u, v)
         for k in range(len(path) - 2):
             a, b = path[k], path[k + 1]
-            gates += [cnot(a, b), cnot(b, a), cnot(a, b)]
+            # a Gate is an immutable tuple, so one serves both outer CNOTs
+            gates += [ab := cnot(a, b), cnot(b, a), ab]
             wa, wb = at[a], at[b]
             pos[wa], pos[wb] = b, a
             at[a], at[b] = wb, wa

@@ -66,14 +66,19 @@ class Circuit:
     gates: List[Gate] = field(default_factory=list)
 
     def __post_init__(self):
-        if type(self.n_wires) is not int or self.n_wires < 1:
-            raise ValueError(f"wire count {self.n_wires!r} is not a positive int")
+        n = self.n_wires
+        if type(n) is not int or n < 1:
+            raise ValueError(f"wire count {n!r} is not a positive int")
+        # one test per gate reads its wires directly; only a bad gate pays
+        # for ``Gate.wires``, which names the first bad wire
         for g in self.gates:
-            for w in g.wires():
-                if type(w) is not int:
-                    raise ValueError(f"gate {g} uses wire {w!r}, which is not an int")
-                if not 0 <= w < self.n_wires:
-                    raise ValueError(f"gate {g} uses wire {w} outside 0..{self.n_wires - 1}")
+            if type(g.a) is not int or not 0 <= g.a < n or g.kind != ONEQ and (
+                    type(g.b) is not int or not 0 <= g.b < n):
+                for w in g.wires():
+                    if type(w) is not int:
+                        raise ValueError(f"gate {g} uses wire {w!r}, which is not an int")
+                    if not 0 <= w < n:
+                        raise ValueError(f"gate {g} uses wire {w} outside 0..{n - 1}")
 
     def is_cnot_only(self) -> bool:
         return all(g.kind == CNOT for g in self.gates)

@@ -127,7 +127,8 @@ def _transpose_rows(rows: List[int]) -> List[int]:
     """``transpose`` on a bare row list, which must be a matrix's rows.
 
     Builds no ``BitMatrix``, so the rows are not checked again; the
-    synthesizer transposes its carried columns this way on every trial.
+    synthesizer transposes the inverse this way once, on entry, and then
+    carries both forms.
     """
     out = [0] * len(rows)
     for i, r in enumerate(rows):

@@ -29,15 +29,19 @@ the full table's cheapest entries over non-basic rows, in the same
 order.  ``build_cost_table`` remains the full-table reference and
 prices through the same ``rowgraph._costs`` as the block.
 
-The synthesizer inverts the matrix once and then carries the inverse,
-in column form: per node u, the mask of basis indices e whose inverse
-row contains u, which are exactly the e that u can be reduced to.  A
-row operation is R' = E R with E elementary and self-inverse, so
-R'^-1 = R^-1 E: ADD(a, b) (row a ^= row b) adds column a of the inverse
-into column b, and SWAP(a, b) exchanges the two columns.  The update is
-exact, so the carried columns always equal the transposed inverse of
-the current matrix, and the block reads its supports off them in one
-transposition pass instead of a fresh Gauss-Jordan elimination.
+The synthesizer inverts the matrix once and then carries the inverse
+in both forms: its rows, the supports (``sups[e]``, the nodes whose
+rows XOR to e_e), and its columns (``cols[u]``, the basis indices e
+whose inverse row contains u).  A row operation is R' = E R with E
+elementary and self-inverse, so R'^-1 = R^-1 E: ADD(a, b) (row a ^=
+row b) adds column a of the inverse into column b, and SWAP(a, b)
+exchanges the two columns.  Since e is in ``cols[u]`` exactly when u is
+in ``sups[e]``, the columns name the rows to touch: ADD(a, b) flips bit
+b of each row e in ``cols[a]``, and SWAP(a, b) flips bits a and b of
+each row in ``cols[a] ^ cols[b]``, the rows where the two bits differ.
+The update is exact, so both forms always equal the inverse of the
+current matrix, and the block reads its supports off the carried rows
+with neither a fresh Gauss-Jordan elimination nor a transposition.
 
 Each open column is recorded with the lower bound on its entries that
 ``rowgraph.reduction_costs`` proves, taken when the column is opened
@@ -60,7 +64,7 @@ linear assignment problem; Burkard, Dell'Amico & Martello, *Assignment
 Problems*, ch. 4) proves it before they are fully priced.  Each column
 is assigned exactly one row, so a trial's loss is at least the sum of
 its priced columns' minima plus its unpriced columns' bounds.  Every
-candidate is first trial-run and recorded (ops, rows, carried columns)
+candidate is first trial-run and recorded (ops, rows, carried inverse)
 to give its bound before pricing; candidates are then priced in
 ascending (bound, index) order, and pricing stops, skipping the
 assignment, once the bound shows the candidate cannot beat the best
@@ -77,7 +81,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
-from .arch import ArchGraph, _tree_of, steiner_entry, steiner_tree
+from .arch import ArchGraph, SteinerEntry, _tree_of, steiner_entry, steiner_tree
 from .gf2 import BitMatrix, _transpose_rows, invert, vec_support
 from .rowgraph import ADD, RowOp, _costs, reduction_recovery, tree_reduce_tracked
 
@@ -132,32 +136,32 @@ def build_cost_table(graph: ArchGraph, rows: Sequence[int]) -> CostTable:
                      tuple(range(n)), tuple(range(n)))
 
 
-def _inverse_columns(n: int, rows: Sequence[int]) -> List[int]:
-    """Column form of the inverse: per node u, the mask of e with u in inv[e].
+def _carry_inverse(sups: List[int], cols: List[int], ops: Sequence[RowOp]) -> None:
+    """Carry both forms of the inverse through row ops: R' = E R gives R'^-1 = R^-1 E.
 
-    ``rows`` must hold exactly ``n`` rows.
+    Each op changes one or two columns, and the inverse rows it changes
+    are those the columns name (see the module docstring).
     """
-    return _transpose_rows(invert(BitMatrix(n, rows)).rows)
-
-
-def _apply_to_columns(cols: List[int], ops: Sequence[RowOp]) -> None:
-    """Carry the column form through row ops: R' = E R gives R'^-1 = R^-1 E."""
     for kind, a, b in ops:
         if kind == ADD:
-            cols[b] ^= cols[a]
+            flip, touched = 1 << b, cols[a]
+            cols[b] ^= touched
         else:
+            flip, touched = 1 << a | 1 << b, cols[a] ^ cols[b]
             cols[a], cols[b] = cols[b], cols[a]
+        for e in vec_support(touched):
+            sups[e] ^= flip
 
 
-def _open_columns(graph: ArchGraph, cols: Sequence[int]) -> list:
+def _open_columns(graph: ArchGraph, sups: Sequence[int]) -> list:
     """(basis index, support, bound, tree entry) per open column, columns ascending.
 
-    ``cols`` is the column form of the inverse of some rows, as
-    ``_inverse_columns`` gives and ``_apply_to_columns`` carries;
-    transposed, it gives each inverse row, the support.  A column is
-    open when its support has at least two nodes.  The entry is the
-    support's ``arch.steiner_entry``, which grows the tree but does not
-    build it; pricing builds it from the entry held here, so a cache
+    ``sups`` holds the rows of the inverse of some rows, as ``invert``
+    gives them and ``_carry_inverse`` carries them: row e is the support
+    of column e, read as it is, with no transposition.  A column is open
+    when its support has at least two nodes.  The entry is the support's
+    ``arch.steiner_entry``, which grows the tree but does not build it;
+    pricing and reduction build it from the entry held here, so a cache
     clear in between does not grow it again.  The bound is the one
     proved in ``rowgraph.reduction_costs`` on every root that holds a
     non-unit row, as the block's roots do: the entry's weight plus the
@@ -168,7 +172,7 @@ def _open_columns(graph: ArchGraph, cols: Sequence[int]) -> list:
     """
     units = 0
     opened = []
-    for e, sup in enumerate(_transpose_rows(cols)):
+    for e, sup in enumerate(sups):
         if sup & (sup - 1):
             opened.append((e, sup, steiner_entry(graph, sup)))
         else:
@@ -306,27 +310,27 @@ def hungarian_assign(table: CostTable) -> Assignment:
 
 def loss(graph: ArchGraph, rows: Sequence[int]) -> int:
     """Total cost of the cheapest node-to-basis assignment of ``rows``."""
-    opened = _open_columns(graph, _inverse_columns(graph.n, rows))
+    opened = _open_columns(graph, invert(BitMatrix(graph.n, rows)).rows)
     return hungarian_assign(_open_block(graph, rows, opened)).total
 
 
-def _cheapest(block: CostTable) -> List[Tuple[int, int, int]]:
-    """(node, basis, support mask) of the block's minimum entries, node-major.
+def _cheapest(block: CostTable, opened: list) -> List[tuple]:
+    """(node, basis, support, tree entry) of the block's minimum entries, node-major.
 
+    ``opened`` is the ``_open_columns`` list the block was priced from.
     The minimum is finite: a non-basic node u lies in the support of some
     open column.  Were every e with u in inv[e] pinned, each such inv[e]
     would be the unit vector e_u; the inverse being invertible, there is
     then one such e, and row u of the matrix is e_e: u would be basic.
     """
     best = min(min(r) for r in block.entries)
-    return [(block.nodes[i], block.columns[j], block.supports[j])
+    return [(block.nodes[i], opened[j][0], opened[j][1], opened[j][3])
             for i, r in enumerate(block.entries)
             for j, c in enumerate(r) if c == best]
 
 
-def _cheapest_bounded(graph: ArchGraph, rows: Sequence[int],
-                      opened: list) -> List[Tuple[int, int, int]]:
-    """``_cheapest(_open_block(graph, rows, opened))``, without the block.
+def _cheapest_bounded(graph: ArchGraph, rows: Sequence[int], opened: list) -> List[tuple]:
+    """``_cheapest(_open_block(graph, rows, opened), opened)``, without the block.
 
     ``opened`` is ``_open_columns`` of the inverse of ``rows``.  Columns
     are priced in ascending bound order until a bound
@@ -347,17 +351,20 @@ def _cheapest_bounded(graph: ArchGraph, rows: Sequence[int],
                 if c < best:
                     best = c
                     found = []
-                found.append((u, e, sup))
+                found.append((u, e, sup, entry))
+    # (node, basis) pairs are distinct, so no two entries are compared
     found.sort()
     return found
 
 
-def _reduce_pair(graph: ArchGraph, rows: List[int], u: int, mask: int) -> List[RowOp]:
-    """Reduce ``rows`` in place at u along the tree of ``mask``, then recover.
+def _reduce_pair(graph: ArchGraph, rows: List[int], u: int, sup: int,
+                 entry: SteinerEntry) -> List[RowOp]:
+    """Reduce ``rows`` in place at u along the tree of ``sup``, then recover.
 
-    Returns the ops run, reduction then recovery.
+    ``entry`` is ``sup``'s tree entry, whose tree is built if it is not
+    yet.  Returns the ops run, reduction then recovery.
     """
-    ops, tracked = tree_reduce_tracked(rows, *steiner_tree(graph, mask), u)
+    ops, tracked = tree_reduce_tracked(rows, *_tree_of(graph, entry, sup), u)
     return [*ops, *reduction_recovery(rows, ops, tracked)]
 
 
@@ -370,11 +377,11 @@ def heuristic_token_reduction(graph: ArchGraph, rows: List[int]) -> List[RowOp]:
     and after a lone candidate they come from ``_cheapest_bounded``,
     which prices only the columns that can hold them.  A lone candidate
     wins whatever its loss, so it is reduced and recovered on ``rows``
-    directly, and the carried columns follow its ops.  Tied candidates
+    directly, and the carried inverse follows its ops.  Tied candidates
     are broken by look-ahead: each is trial-run (reduce, recover) on its
-    own copy of the rows, and its ops, rows and carried columns are
-    recorded; its open columns' bounds (``_open_columns``) sum to a
-    lower bound on its loss.  Candidates are then scored in ascending
+    own copy of the rows, and its ops, rows and carried inverse (both
+    forms) are recorded; its open columns' bounds (``_open_columns``)
+    sum to a lower bound on its loss.  Candidates are then scored in ascending
     (bound, index) order, each priced from its recorded rows, and the
     smallest (loss, index) wins: the first strict minimum in candidate
     order, candidates being ordered by (node, basis).  A candidate whose
@@ -382,46 +389,48 @@ def heuristic_token_reduction(graph: ArchGraph, rows: List[int]) -> List[RowOp]:
     neither priced in full nor assigned, so pruning never changes the
     winner.  The winner is committed from its record, its rows copied in
     and its ops appended; its trial block is complete, and gives the
-    next step's cheapest entries (``_cheapest``).  Each commit makes at
-    least one more node basic, so the loop runs at most n times.  The
+    next step's cheapest entries (``_cheapest``), each with the tree
+    entry its column was opened with.  Each commit makes at least one
+    more node basic, so the loop runs at most n times.  The
     inversion on entry is the only singularity check; it raises
     ``SingularMatrixError``, basic or not, and a ``ValueError`` if there
     is not one row per node.
     """
-    cols = _inverse_columns(graph.n, rows)
-    candidates = _cheapest_bounded(graph, rows, _open_columns(graph, cols))
+    sups = invert(BitMatrix(graph.n, rows)).rows
+    cols = _transpose_rows(sups)
+    candidates = _cheapest_bounded(graph, rows, _open_columns(graph, sups))
     out: List[RowOp] = []
     while candidates:
         if len(candidates) == 1:
-            u, _, sup = candidates[0]
-            ops = _reduce_pair(graph, rows, u, sup)
-            _apply_to_columns(cols, ops)
+            u, _, sup, entry = candidates[0]
+            ops = _reduce_pair(graph, rows, u, sup, entry)
+            _carry_inverse(sups, cols, ops)
             out.extend(ops)
-            candidates = _cheapest_bounded(graph, rows, _open_columns(graph, cols))
+            candidates = _cheapest_bounded(graph, rows, _open_columns(graph, sups))
             continue
         trials = []
-        for index, (u, _, sup) in enumerate(candidates):
-            trial_rows = list(rows)
-            ops = _reduce_pair(graph, trial_rows, u, sup)
-            trial_cols = list(cols)
-            _apply_to_columns(trial_cols, ops)
-            opened = _open_columns(graph, trial_cols)
+        for index, (u, _, sup, entry) in enumerate(candidates):
+            trial_rows, trial_sups, trial_cols = list(rows), list(sups), list(cols)
+            ops = _reduce_pair(graph, trial_rows, u, sup, entry)
+            _carry_inverse(trial_sups, trial_cols, ops)
+            opened = _open_columns(graph, trial_sups)
             low = sum(column[2] for column in opened)
-            trials.append((low, index, ops, trial_rows, trial_cols, opened))
+            # the ops and the carried inverse ride along for the winner's commit
+            trials.append((low, index, trial_rows, opened, ops, trial_sups, trial_cols))
         trials.sort(key=lambda t: t[:2])
         best = (math.inf, 0)  # so the first trial is priced in full
-        for low, index, ops, trial_rows, trial_cols, opened in trials:
+        for low, index, trial_rows, opened, *carried in trials:
             # a later index must win outright, an earlier one may tie
             cutoff = best[0] - (index > best[1])
             if low > cutoff:
                 break  # every later trial's (bound, index) is larger
-            trial = _open_block(graph, trial_rows, opened, cutoff)
-            if trial is not None:
-                trial_loss = hungarian_assign(trial).total
+            block = _open_block(graph, trial_rows, opened, cutoff)
+            if block is not None:
+                trial_loss = hungarian_assign(block).total
                 if (trial_loss, index) < best[:2]:
-                    best = (trial_loss, index, ops, trial_rows, trial_cols, trial)
-        _, _, ops, best_rows, cols, block = best
+                    best = (trial_loss, index, trial_rows, opened, block, *carried)
+        _, _, best_rows, opened, block, ops, sups, cols = best
         rows[:] = best_rows
         out.extend(ops)
-        candidates = _cheapest(block) if block.nodes else []
+        candidates = _cheapest(block, opened) if block.nodes else []
     return out

@@ -202,8 +202,8 @@ def equivalence_failure(c: Circuit, routed: RoutedResult,
         return "mapping size does not match the architecture"
     for g in routed.circuit.gates:
         if g.kind != ONEQ and not graph.is_edge(g.a, g.b):
-            return (f"gate {g.kind} {graph.names[g.a]}-{graph.names[g.b]} "
-                    f"is not on an architecture edge")
+            a, b = (graph.names[w] if 0 <= w < n else w for w in (g.a, g.b))
+            return f"gate {g.kind} {a}-{b} is not on an architecture edge"
     return _moved_failure(c.gates, routed.circuit.gates, routed.input_mapping,
                           routed.output_mapping, n)
 
@@ -237,7 +237,8 @@ def _expand_swaps(gates: List[Gate]) -> List[Gate]:
         else:
             c = a
         t = b if c == a else a
-        out.extend((cnot(c, t), cnot(t, c), cnot(c, t)))
+        # a Gate is an immutable tuple, so one serves both outer CNOTs
+        out.extend((ct := cnot(c, t), cnot(t, c), ct))
     return out
 
 

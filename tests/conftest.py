@@ -11,8 +11,7 @@ from typing import List, Optional, Tuple
 import pytest
 
 from cnotroute.arch import ArchGraph, DisconnectedGraphError
-from cnotroute.gf2 import BitMatrix, invert, is_unit, mat_mul, transpose, vec_support
-from cnotroute.heuristic import _inverse_columns
+from cnotroute.gf2 import BitMatrix, _transpose_rows, invert, is_unit, mat_mul, vec_support
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -144,12 +143,12 @@ def bits_of(m: BitMatrix) -> list:
 def unit_combinations(m: BitMatrix, u: int):
     """(e, nodes) pairs, e ascending, whose rows XOR to e_e, with u in nodes.
 
-    Read off the synthesizer's column form of the inverse, as its open
-    block reads them: column u holds the e that u can reach, and row e of
-    the inverse holds the nodes.  Raises SingularMatrixError.
+    Read off the two forms of the inverse the synthesizer carries:
+    column u holds the e that u can reach, and row e of the inverse holds
+    the nodes.  Raises SingularMatrixError.
     """
-    cols = _inverse_columns(m.n, m.rows)
-    inv = transpose(BitMatrix(m.n, cols)).rows
+    inv = invert(m).rows
+    cols = _transpose_rows(inv)
     return [(e, frozenset(vec_support(inv[e]))) for e in vec_support(cols[u])]
 
 

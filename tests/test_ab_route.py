@@ -3,11 +3,15 @@
 With the checkout on both sides it must route every loop, find the
 output equal and print one median ratio per loop; the tests run one
 repetition, not the tool's ``REPS``.  Each repetition must start on
-graphs with empty Steiner caches.  Against a copy whose tie order is
-reversed it must report the difference and exit 1.
+graphs with empty Steiner caches, and the two warm loops must run the
+benchmark's whole CNOT pipeline.  Against a copy whose tie order is
+reversed, or whose post-processing or baseline emits a SWAP the other
+way round, it must report the difference and exit 1.
 """
 
 import shutil
+
+import pytest
 
 from conftest import ROOT, load_file
 
@@ -49,16 +53,56 @@ def test_every_repetition_starts_on_graphs_with_empty_tree_caches():
     assert cached[per_rep - 1] > 0
 
 
-def test_a_tree_that_routes_differently_fails(tmp_path, capsys):
+def test_the_warm_loops_run_the_whole_cnot_pipeline():
+    tool = _tool()
+    src = str(ROOT / "src")
+    sides = [tool.Side(tool.load_tree(src, "cnotroute_ab_base")),
+             tool.Side(tool.load_tree(src, "cnotroute_ab_change"))]
+    calls = {}
+    for side in sides:
+        for stage in ("route_cnot_block", "postprocess", "verify_equivalence",
+                      "swap_insertion_baseline"):
+            def counted(*args, stage=stage, call=getattr(side.cr, stage)):
+                calls[stage] = calls.get(stage, 0) + 1
+                return call(*args)
+            setattr(side.cr, stage, counted)
+    for workload in ("dense256", "sparse16"):
+        calls.clear()
+        jobs = tool.workloads({d: g.n for d, (g, _) in sides[0].warm.items()}, 2)[workload]
+        tool.run_workload(sides, workload, jobs)
+        per_side = {stage: count // 2 for stage, count in calls.items()}
+        assert per_side == {"route_cnot_block": len(jobs), "postprocess": len(jobs),
+                            "verify_equivalence": 2 * len(jobs),
+                            "swap_insertion_baseline": len(jobs)}, (workload, calls)
+
+
+def _a_changed_copy_fails(tmp_path, capsys, module, old, new):
+    """The tool against a copy of the package with ``old`` made ``new`` in ``module``."""
     shutil.copytree(ROOT / "src" / "cnotroute", tmp_path / "cnotroute")
-    heuristic = tmp_path / "cnotroute" / "heuristic.py"
-    text = heuristic.read_text()
-    assert text.count("    found.sort()\n") == 1
-    heuristic.write_text(text.replace("    found.sort()\n", "    found.sort(reverse=True)\n"))
+    path = tmp_path / "cnotroute" / module
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
     code = _tool().main([str(ROOT / "src"), str(tmp_path),
                          "--circuits", "4", "--workload", "dense256"])
     assert code == 1
     assert "routed output differs" in capsys.readouterr().out
+
+
+def test_a_tree_that_routes_differently_fails(tmp_path, capsys):
+    # ties broken the other way: the routed gate lists differ
+    _a_changed_copy_fails(tmp_path, capsys, "heuristic.py",
+                          "    found.sort()\n", "    found.sort(reverse=True)\n")
+
+
+@pytest.mark.parametrize("module, old, new", [
+    ("synthesis.py", "            c = a\n", "            c = b\n"),
+    ("bench.py", "[ab := cnot(a, b), cnot(b, a), ab]", "[ba := cnot(b, a), cnot(a, b), ba]"),
+])
+def test_a_tree_whose_postprocessing_or_baseline_differs_fails(tmp_path, capsys, module,
+                                                                old, new):
+    # a SWAP's three CNOTs the other way round: only these gate lists differ
+    _a_changed_copy_fails(tmp_path, capsys, module, old, new)
 
 
 def test_bad_arguments_exit_2(capsys):

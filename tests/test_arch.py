@@ -359,3 +359,14 @@ def test_grid_helper_matches_registry():
     assert grid_graph(3, 3).edges == g9.edges
     g16, _ = get_architecture("16-square")
     assert grid_graph(4, 4).edges == g16.edges
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(connected_graphs())
+def test_is_edge_equals_edge_set_membership_on_and_off_the_nodes(g):
+    """``is_edge`` reads the distance table; -1 and n must not index into it
+    (``dist[-1]`` would wrap around to node n - 1)."""
+    nodes = range(-1, g.n + 1)
+    for u in nodes:
+        for v in nodes:
+            assert g.is_edge(u, v) == ((min(u, v), max(u, v)) in g.edges), (u, v)

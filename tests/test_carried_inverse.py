@@ -1,13 +1,13 @@
 """The synthesizer's carried inverse against a fresh inversion.
 
-``heuristic_token_reduction`` inverts the matrix once, in column form,
-and carries that form through every trial and committed reduction by
-column operations.  After each step the carried columns must equal the
-transposed inverse of the matrix the rows then hold.  Both pricing
-paths, the full block of a tie trial and the cheapest-only pricing of
-``_cheapest_bounded``, must see the open columns' supports of a fresh
-inverse and bounds equal to ``entry_bound``; tie candidates are counted
-on both.
+``heuristic_token_reduction`` inverts the matrix once and carries the
+inverse in both forms, rows and columns, through every trial and
+committed reduction.  After each step, trials included, the carried
+rows must equal a fresh inverse of the matrix the rows then hold, and
+the carried columns its transpose.  Both pricing paths, the full block
+of a tie trial and the cheapest-only pricing of ``_cheapest_bounded``,
+must see the open columns' supports of a fresh inverse and bounds equal
+to ``entry_bound``; tie candidates are counted on both.
 """
 
 import random
@@ -24,8 +24,10 @@ from conftest import (entry_bound, non_unit_nodes, random_connected_graph,
                       random_reversible_rows)
 
 
-def _fresh_columns(graph, rows):
-    return transpose(invert(BitMatrix(graph.n, rows))).rows
+def _fresh_inverse(graph, rows):
+    """(rows, columns) of a fresh inverse of ``rows``."""
+    inv = invert(BitMatrix(graph.n, rows))
+    return inv.rows, transpose(inv).rows
 
 
 def _fresh_supports(n, rows):
@@ -45,20 +47,20 @@ def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):
     counts = {"carried": 0, "trials": 0, "priced": 0, "bounded": 0, "swaps": 0}
     state = {}
     reduce = heuristic._reduce_pair
-    carry = heuristic._apply_to_columns
+    carry = heuristic._carry_inverse
     price = heuristic._open_block
     pick = heuristic._cheapest
     pick_bounded = heuristic._cheapest_bounded
 
-    def reduce_recorded(graph, rows, u, mask):
-        # each trial reduces its own copy of the rows, and its columns are
+    def reduce_recorded(graph, rows, *args):
+        # each trial reduces its own copy of the rows, and its inverse is
         # carried through the ops right after
         state["reduced"] = graph, rows
-        return reduce(graph, rows, u, mask)
+        return reduce(graph, rows, *args)
 
-    def carry_checked(cols, ops):
-        carry(cols, ops)
-        assert cols == _fresh_columns(*state["reduced"])
+    def carry_checked(sups, cols, ops):
+        carry(sups, cols, ops)
+        assert (sups, cols) == _fresh_inverse(*state["reduced"])
         counts["carried"] += 1
         counts["swaps"] += sum(kind == SWAP for kind, _, _ in ops)
 
@@ -74,8 +76,8 @@ def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):
             counts["trials"] += len(found)
         return found
 
-    def pick_counted(block):
-        return count_ties(pick(block))
+    def pick_counted(block, opened):
+        return count_ties(pick(block, opened))
 
     def pick_bounded_checked(graph, rows, opened):
         # the cheapest-only path orders and stops by these bounds
@@ -85,7 +87,7 @@ def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):
         return count_ties(pick_bounded(graph, rows, opened))
 
     monkeypatch.setattr(heuristic, "_reduce_pair", reduce_recorded)
-    monkeypatch.setattr(heuristic, "_apply_to_columns", carry_checked)
+    monkeypatch.setattr(heuristic, "_carry_inverse", carry_checked)
     monkeypatch.setattr(heuristic, "_open_block", price_checked)
     monkeypatch.setattr(heuristic, "_cheapest", pick_counted)
     monkeypatch.setattr(heuristic, "_cheapest_bounded", pick_bounded_checked)

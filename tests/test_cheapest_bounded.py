@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from cnotroute import heuristic
 from cnotroute.arch import ArchGraph, get_architecture, list_architectures
-from cnotroute.gf2 import BitMatrix
-from cnotroute.heuristic import (_cheapest, _cheapest_bounded, _inverse_columns,
-                                 _open_block, _open_columns, heuristic_token_reduction)
+from cnotroute.gf2 import BitMatrix, invert
+from cnotroute.heuristic import (_cheapest, _cheapest_bounded, _open_block, _open_columns,
+                                 heuristic_token_reduction)
 
 from conftest import random_reversible_rows
 from test_device_families import FAMILIES
@@ -34,13 +34,13 @@ def _check(graph, rows, opened, stats):
     if not block.nodes:
         assert found == []
         return
-    assert found == _cheapest(block)
+    assert found == _cheapest(block, opened)
     least = min(map(min, block.entries))
     stats["states"] += 1
     stats["ties"] += len(found) > 1
     stats["single"] += len(opened) == 1
     stats["unpriced"] += max(bound for _, _, bound, _ in opened) > least
-    held = {basis for _, basis, _ in found}
+    held = {basis for _, basis, _, _ in found}
     stats["bound_equal"] += any(bound == least and e in held
                                 for e, _, bound, _ in opened)
 
@@ -132,9 +132,9 @@ def test_a_single_open_column():
     # path 0-1-2 with row 0 = e0 + e1: inverse row 0 is the one non-unit row
     graph = ArchGraph(3, [(0, 1), (1, 2)])
     rows = [0b011, 0b010, 0b100]
-    opened = _open_columns(graph, _inverse_columns(3, rows))
+    opened = _open_columns(graph, invert(BitMatrix(3, rows)).rows)
     assert [(e, sup) for e, sup, *_ in opened] == [(0, 0b011)]
-    assert _cheapest_bounded(graph, rows, opened) == [(0, 0, 0b011)]
+    assert _cheapest_bounded(graph, rows, opened) == [(0, 0, 0b011, opened[0][3])]
     assert _cheapest_bounded(graph, [1, 2, 4], _open_columns(graph, [1, 2, 4])) == []
 
 
@@ -143,7 +143,7 @@ def test_a_tie_whose_winner_leaves_every_row_basic():
     so the loop must end on the winner's empty block."""
     graph = ArchGraph(5, [(0, 1), (0, 2), (0, 4), (1, 3), (2, 4)])
     rows = [4, 19, 1, 10, 16]
-    opened = _open_columns(graph, _inverse_columns(5, rows))
+    opened = _open_columns(graph, invert(BitMatrix(5, rows)).rows)
     assert len(_cheapest_bounded(graph, rows, opened)) > 1
     twin = list(rows)
     stats = {"candidates": 0, "equal_best": 0}

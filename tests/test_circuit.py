@@ -3,10 +3,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cnotroute.circuit import (Circuit, CircuitFormatError, Mapping, cnot,
-                               format_circuit, format_mapping_json, one_qubit,
-                               parse_circuit, parse_mapping_json, swap_gate)
+from cnotroute.circuit import (CNOT, ONEQ, SWAP, Circuit, CircuitFormatError, Gate,
+                               Mapping, cnot, format_circuit, format_mapping_json,
+                               one_qubit, parse_circuit, parse_mapping_json, swap_gate)
 
 SAMPLE = """\
 # three wires, mixed gates
@@ -76,6 +78,46 @@ def test_circuit_rejects_wires_that_are_not_ints(gates):
     # format_circuit would write "1.0" or "True", which parse_circuit rejects
     with pytest.raises(ValueError, match="not an int"):
         Circuit(3, gates)
+
+
+def _wires_loop_error(gates, n):
+    """The reference wire check, one ``Gate.wires`` loop per gate: the
+    message for the first bad wire, or None if every wire is good."""
+    for g in gates:
+        for w in g.wires():
+            if type(w) is not int:
+                return f"gate {g} uses wire {w!r}, which is not an int"
+            if not 0 <= w < n:
+                return f"gate {g} uses wire {w} outside 0..{n - 1}"
+    return None
+
+
+# mostly wires in range, so that whole gate lists are often accepted
+_WIRES = st.one_of(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(-3, 9),
+                   st.integers(), st.booleans(), st.floats())
+_GATES = st.builds(Gate, st.sampled_from([CNOT, SWAP, ONEQ]), _WIRES, _WIRES,
+                   st.sampled_from(["", "H"]))
+
+
+def test_circuit_checks_wires_as_the_wires_loop_does():
+    seen = {"accepted": 0, "not an int": 0, "outside": 0}
+
+    # derandomized: the coverage asserted below depends on the draw
+    @settings(max_examples=600, deadline=None, database=None, derandomize=True)
+    @given(st.integers(1, 8), st.lists(_GATES, max_size=6))
+    def check(n, gates):
+        want = _wires_loop_error(gates, n)
+        if want is None:
+            assert Circuit(n, gates).gates == gates
+            seen["accepted"] += 1
+            return
+        with pytest.raises(ValueError) as raised:
+            Circuit(n, gates)
+        assert type(raised.value) is ValueError and str(raised.value) == want
+        seen["not an int" if "not an int" in want else "outside"] += 1
+
+    check()
+    assert min(seen.values()) > 50, seen
 
 
 @pytest.mark.parametrize("n_wires", [3.0, True, -1, 0, "3"])

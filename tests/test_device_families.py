@@ -24,7 +24,7 @@ import pytest
 from cnotroute.arch import ArchGraph, get_architecture, list_architectures, steiner_tree
 from cnotroute.bench import random_cnot_circuit
 from cnotroute.circuit import Mapping
-from cnotroute.gf2 import _transpose_rows, vec_support
+from cnotroute.gf2 import vec_support
 from cnotroute.heuristic import _open_columns
 from cnotroute.synthesis import equivalence_failure, postprocess, route_general
 
@@ -110,8 +110,8 @@ def _check_grown_trees(graph):
             # inverse rows: the mask, then e_u for each unit-row node the
             # bound counts; at most n - 2, as the tree's leaves are not inner
             inverse = [mask] + [1 << u for u in vec_support(units & entry.inner)]
-            cols = _transpose_rows(inverse + [0] * (graph.n - len(inverse)))
-            assert _open_columns(graph, cols) == \
+            sups = inverse + [0] * (graph.n - len(inverse))
+            assert _open_columns(graph, sups) == \
                 [(0, mask, entry_bound(rows, tree, steiner), entry)]
 
 

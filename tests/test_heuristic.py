@@ -15,7 +15,7 @@ from scipy.optimize import linear_sum_assignment
 
 import cnotroute
 
-from cnotroute.arch import ArchGraph
+from cnotroute.arch import ArchGraph, steiner_entry
 from cnotroute.gf2 import BitMatrix, SingularMatrixError, invert, mat_mul
 from cnotroute.heuristic import (Assignment, AssignmentError, CostTable,
                                  _reduce_pair, build_cost_table,
@@ -255,7 +255,8 @@ def test_heuristic_monotone_progress_and_bound():
             best = min(table.entries[u][e] for u in non_unit for e in range(9))
             u, e = next((u, e) for u in non_unit for e in range(9)
                         if table.entries[u][e] == best)
-            ops += _reduce_pair(g, rows, u, table.supports[e])
+            sup = table.supports[e]
+            ops += _reduce_pair(g, rows, u, sup, steiner_entry(g, sup))
             counts.append(len(non_unit_nodes(rows)))
             total_iters += 1
             assert counts[-1] < counts[-2]
@@ -314,7 +315,8 @@ def test_loss_trajectory_diagnostic(grid3, capsys):
         best = min(table.entries[u][e] for u in non_unit for e in range(9))
         u, e = next((u, e) for u in non_unit for e in range(9)
                     if table.entries[u][e] == best)
-        _reduce_pair(grid3, rows, u, table.supports[e])
+        sup = table.supports[e]
+        _reduce_pair(grid3, rows, u, sup, steiner_entry(grid3, sup))
         trajectory.append(loss(grid3, rows))
     print(f"loss trajectory: {trajectory}")
     assert trajectory[-1] == 0

@@ -4,9 +4,9 @@ At every stage of a greedy reduction on random connected graphs, the
 block (non-basic nodes x basis indices with a non-unit inverse row) must
 give the full table's loss, its entries and its cheapest candidates in
 the same order, and the synthesizer must commit the same steps as a
-full-table reference loop written here.  Pricing must build each tree
-from the entry its open column holds, not grow it again after the tree
-cache is cleared.
+full-table reference loop written here.  Pricing and reduction must
+build each tree from the entry its open column holds, not grow it again
+after the tree cache is cleared.
 """
 
 import math
@@ -15,15 +15,14 @@ from itertools import chain
 
 import pytest
 
-from cnotroute import arch, heuristic
-from cnotroute.arch import get_architecture
+from cnotroute import arch, heuristic, synthesis
+from cnotroute.arch import get_architecture, steiner_entry
 from cnotroute.bench import random_cnot_circuit
 from cnotroute.circuit import Mapping
 from cnotroute.gf2 import BitMatrix, SingularMatrixError, invert, is_unit
-from cnotroute.heuristic import (_cheapest, _inverse_columns, _open_block,
-                                 _open_columns, _reduce_pair, build_cost_table,
-                                 heuristic_token_reduction, hungarian_assign,
-                                 loss)
+from cnotroute.heuristic import (_cheapest, _open_block, _open_columns, _reduce_pair,
+                                 build_cost_table, heuristic_token_reduction,
+                                 hungarian_assign, loss)
 from cnotroute.synthesis import route_cnot_block
 
 from conftest import (diagonal_grid_graph, heavy_hex_graph, non_unit_nodes,
@@ -40,7 +39,12 @@ def _full_candidates(rows, table):
 
 
 def _fresh_open(g, rows):
-    return _open_columns(g, _inverse_columns(g.n, rows))
+    return _open_columns(g, invert(BitMatrix(g.n, rows)).rows)
+
+
+def _reduce_along(g, rows, u, sup):
+    """``_reduce_pair`` along the tree of ``sup``, with its cache entry."""
+    return _reduce_pair(g, rows, u, sup, steiner_entry(g, sup))
 
 
 def _reference_reduction(g, rows):
@@ -54,13 +58,13 @@ def _reference_reduction(g, rows):
             best_loss = None
             for u, e in candidates:
                 trial = list(rows)
-                _reduce_pair(g, trial, u, table.supports[e])
+                _reduce_along(g, trial, u, table.supports[e])
                 trial_loss = hungarian_assign(build_cost_table(g, trial)).total
                 if best_loss is None or trial_loss < best_loss:
                     best_loss = trial_loss
                     chosen = (u, e)
         u, e = chosen
-        out += _reduce_pair(g, rows, u, table.supports[e])
+        out += _reduce_along(g, rows, u, table.supports[e])
     return out
 
 
@@ -70,7 +74,7 @@ def _stages(g, rows):
     while non_unit_nodes(rows):
         table = build_cost_table(g, rows)
         u, e = _full_candidates(rows, table)[0]
-        _reduce_pair(g, rows, u, table.supports[e])
+        _reduce_along(g, rows, u, table.supports[e])
         yield g, rows
 
 
@@ -85,7 +89,8 @@ def _states(seed, graphs):
 
 def _check_state(g, rows):
     full = build_cost_table(g, rows)
-    block = _open_block(g, rows, _fresh_open(g, rows))
+    opened = _fresh_open(g, rows)
+    block = _open_block(g, rows, opened)
     inv = invert(BitMatrix(g.n, rows))
     assert block.nodes == tuple(non_unit_nodes(rows))
     assert block.columns == tuple(e for e in range(g.n)
@@ -100,7 +105,7 @@ def _check_state(g, rows):
     assert loss(g, rows) == hungarian_assign(full).total
     assert hungarian_assign(block).total == hungarian_assign(full).total
     if block.nodes:
-        assert [(u, e) for u, e, _ in _cheapest(block)] == \
+        assert [(u, e) for u, e, _, _ in _cheapest(block, opened)] == \
             _full_candidates(rows, full)
 
 
@@ -163,30 +168,48 @@ def test_synthesizer_commits_the_full_table_reference_steps():
 
 def test_pricing_grows_no_tree_when_the_cache_is_cleared_after_opening(monkeypatch):
     """A cache cleared every 8 terminal sets makes no tree grow inside
-    ``_open_block`` or ``_cheapest_bounded``: they build the trees of the
-    entries their open columns hold."""
-    grown = {"pricing": 0, "elsewhere": 0}
-    pricing = []
+    ``_open_block``, ``_cheapest_bounded`` or ``_reduce_pair``, committed
+    or trial: they build the trees of the entries their open columns
+    hold."""
+    grown = {"pricing": 0, "reduction": 0, "elsewhere": 0}
+    reductions = {"committed": 0, "trial": 0}
+    inside = []
     grow = arch._grow_steiner_graph
+    reduce = heuristic._reduce_pair
 
     def grow_counted(g, mask):
-        grown["pricing" if pricing else "elsewhere"] += 1
+        grown[inside[-1] if inside else "elsewhere"] += 1
         return grow(g, mask)
 
-    def marked(price):
-        def price_marked(*args):
-            pricing.append(price)
-            out = price(*args)
-            pricing.pop()
+    def marked(kind, call):
+        def call_marked(*args):
+            inside.append(kind)
+            out = call(*args)
+            inside.pop()
             return out
-        return price_marked
+        return call_marked
+
+    def reduce_counted(graph, rows, *args):
+        # the synthesizer reduces its own rows to commit, a copy to trial
+        reductions["committed" if rows is committed[0] else "trial"] += 1
+        return reduce(graph, rows, *args)
 
     monkeypatch.setattr(arch, "_GROW_CACHE_CAP", 8)
     monkeypatch.setattr(arch, "_grow_steiner_graph", grow_counted)
-    monkeypatch.setattr(heuristic, "_open_block", marked(heuristic._open_block))
-    monkeypatch.setattr(heuristic, "_cheapest_bounded", marked(heuristic._cheapest_bounded))
+    for name, kind in (("_open_block", "pricing"), ("_cheapest_bounded", "pricing")):
+        monkeypatch.setattr(heuristic, name, marked(kind, getattr(heuristic, name)))
+    monkeypatch.setattr(heuristic, "_reduce_pair", marked("reduction", reduce_counted))
+    synthesize = heuristic.heuristic_token_reduction
+    committed = [None]
+
+    def synthesize_noted(graph, rows):
+        committed[0] = rows
+        return synthesize(graph, rows)
+
+    monkeypatch.setattr(synthesis, "heuristic_token_reduction", synthesize_noted)
     graph, stock = get_architecture("ibm-q20-tokyo")
     for seed in range(4):
         route_cnot_block(random_cnot_circuit(graph.n, 64, 3037 + seed), graph, Mapping(stock))
     assert grown["elsewhere"] > 1000, grown
-    assert grown["pricing"] == 0, grown
+    assert reductions["committed"] > 20 and reductions["trial"] > 150, reductions
+    assert grown["pricing"] == grown["reduction"] == 0, grown

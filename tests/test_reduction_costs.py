@@ -18,9 +18,9 @@ import random
 
 import pytest
 
-from cnotroute.arch import steiner_tree
+from cnotroute.arch import steiner_entry, steiner_tree
 from cnotroute.gf2 import BitMatrix, invert, is_unit, vec_support
-from cnotroute.heuristic import _inverse_columns, _open_columns, _reduce_pair
+from cnotroute.heuristic import _open_columns, _reduce_pair
 from cnotroute.rowgraph import (SWAP, ReductionError, reduction_costs,
                                 reduction_recovery, tree_reduce_tracked)
 
@@ -48,7 +48,7 @@ def _check_state(g, rows, stats):
     """
     inv = invert(BitMatrix(g.n, rows))
     # the O(1) bound the synthesizer records per open column, off the cache entry
-    bounds = {e: bound for e, _, bound, _ in _open_columns(g, _inverse_columns(g.n, rows))}
+    bounds = {e: bound for e, _, bound, _ in _open_columns(g, inv.rows)}
     prices = {}
     for e in range(g.n):
         sup = vec_support(inv.rows[e])
@@ -73,7 +73,7 @@ def _commit_cheapest(g, rows, prices):
     inv = invert(BitMatrix(g.n, rows))
     non_unit = set(non_unit_nodes(rows))
     price, u, e = min((p, u, e) for (u, e), p in prices.items() if u in non_unit)
-    _reduce_pair(g, rows, u, inv.rows[e])
+    _reduce_pair(g, rows, u, inv.rows[e], steiner_entry(g, inv.rows[e]))
 
 
 def test_every_root_equals_the_replay():

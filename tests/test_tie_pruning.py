@@ -18,9 +18,8 @@ from cnotroute import heuristic
 from cnotroute.arch import (ArchGraph, get_architecture, list_architectures,
                            steiner_tree)
 from cnotroute.bench import random_cnot_circuit
-from cnotroute.gf2 import transpose, vec_support
-from cnotroute.heuristic import (_cheapest, _inverse_columns, _open_block,
-                                 _open_columns, _reduce_pair,
+from cnotroute.gf2 import BitMatrix, invert, transpose, vec_support
+from cnotroute.heuristic import (_cheapest, _open_block, _open_columns, _reduce_pair,
                                  heuristic_token_reduction, hungarian_assign)
 from cnotroute.rowgraph import reduction_costs
 from cnotroute.synthesis import linear_matrix
@@ -30,7 +29,7 @@ from test_pinned_output import routes
 
 
 def _fresh_open(graph, rows):
-    return _open_columns(graph, _inverse_columns(graph.n, rows))
+    return _open_columns(graph, invert(BitMatrix(graph.n, rows)).rows)
 
 
 def _reference_reduction(graph, rows, stats):
@@ -41,21 +40,22 @@ def _reference_reduction(graph, rows, stats):
     """
     out = []
     while non_unit_nodes(rows):
-        candidates = _cheapest(_open_block(graph, rows, _fresh_open(graph, rows)))
+        opened = _fresh_open(graph, rows)
+        candidates = _cheapest(_open_block(graph, rows, opened), opened)
         chosen = candidates[0]
         if len(candidates) > 1:
             losses = []
-            for u, e, sup in candidates:
+            for u, e, sup, entry in candidates:
                 trial = list(rows)
-                _reduce_pair(graph, trial, u, sup)
+                _reduce_pair(graph, trial, u, sup, entry)
                 losses.append(hungarian_assign(
                     _open_block(graph, trial, _fresh_open(graph, trial))).total)
             best = min(losses)
             chosen = candidates[losses.index(best)]
             stats["candidates"] += len(candidates)
             stats["equal_best"] += losses.count(best) > 1
-        u, e, sup = chosen
-        out += _reduce_pair(graph, rows, u, sup)
+        u, e, sup, entry = chosen
+        out += _reduce_pair(graph, rows, u, sup, entry)
     return out
 
 

@@ -15,7 +15,7 @@ from cnotroute.arch import ArchGraph, get_architecture
 from cnotroute.circuit import (CNOT, ONEQ, Circuit, Gate, Mapping, cnot,
                                one_qubit, swap_gate)
 from cnotroute.synthesis import (RoutedResult, RouteStats, equivalence_failure,
-                                 postprocess, route_general)
+                                 postprocess, route_general, verify_equivalence)
 
 from conftest import check
 
@@ -88,6 +88,24 @@ def test_postprocess_raises_when_a_cancellation_crosses_a_one_qubit_gate(monkeyp
     rc = RoutedResult(Circuit(3, [cnot(0, 1), one_qubit("H", 2), cnot(0, 1)]),
                       Mapping.identity(3), Mapping.identity(3), RouteStats(2, 2))
     assert postprocess(rc).circuit.gates == [one_qubit("H", 2)]
+
+
+def test_a_gate_list_mutated_off_the_edges_after_it_was_built_is_rejected(tokyo):
+    """Gates put in after the routed circuit was checked: pairs with node
+    -1, which would wrap around onto an edge of node n - 1, pairs with
+    node n, and a pair of nodes that are not adjacent."""
+    graph, m0 = tokyo
+    n = graph.n
+    near = next(v for v in range(n) if graph.is_edge(n - 1, v))
+    far = next((u, v) for u, v in combinations(range(n), 2) if not graph.is_edge(u, v))
+    c = next(_tokyo_circuits(1, 63))
+    for pair in ((-1, near), (near, -1), (0, n), (n, 0), far):
+        routed = route_general(c, graph, m0)
+        assert verify_equivalence(c, routed, graph)
+        k = next(i for i, g in enumerate(routed.circuit.gates) if g.kind == CNOT)
+        routed.circuit.gates[k] = Gate(CNOT, *pair)
+        assert not verify_equivalence(c, routed, graph)
+        assert "is not on an architecture edge" in equivalence_failure(c, routed, graph)
 
 
 def test_narrower_circuit_is_routed_and_verified(tokyo):

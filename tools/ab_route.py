@@ -11,15 +11,20 @@ like the benchmark's workloads, each run ``REPS`` (5) times:
 
 - ``dense256``: ``--circuits`` 256-gate random CNOT circuits on
   16-square, ibm-qx5, rigetti-16q-aspen and ibm-q20-tokyo in turn, warm
-  graphs, ``route_cnot_block``;
+  graphs, the benchmark's CNOT pipeline;
 - ``sparse16``: for each of ``--circuits`` slots, one random CNOT
   circuit of each of 4, 8 and 16 gates on each of the five devices, 15
   circuits a slot (one routes in well under a millisecond, so one
-  circuit a slot would be too short a loop to time), warm graphs,
-  ``route_cnot_block``;
+  circuit a slot would be too short a loop to time), warm graphs, the
+  benchmark's CNOT pipeline;
 - ``general-cold``: ``--circuits`` 96-gate circuit texts, one gate in
   ten one-qubit, parsed, routed on a graph built afresh from the device
   file by ``route_general``, post-processed and formatted.
+
+The CNOT pipeline is the one the benchmark times on the two warm
+workloads (``perfbench/workloads.py``'s ``_cnot_pipeline``): ``route_cnot_block``, ``postprocess``, ``verify_equivalence``
+of the post-processed result, ``swap_insertion_baseline`` and
+``verify_equivalence`` of the baseline.
 
 The warm graphs are built afresh from the device files at the start of
 every repetition, as a fresh benchmark process builds them, so each
@@ -27,7 +32,8 @@ repetition grows its Steiner trees again instead of finding them cached
 by the one before; they stay warm across the repetition's circuits.
 Circuits are made here, as circuit text from ``SEED`` (7), and each tree
 parses them itself, so the inputs do not depend on either tree.  Only
-the timed calls are timed, not the graph builds.  Every routed gate list and output mapping
+the timed calls are timed, not the graph builds.  Every gate list and
+output mapping, routed, post-processed and baseline, and every verdict
 must be equal on both sides; on the first difference the tool prints it
 and exits 1.  Otherwise it prints, per workload and repetition, both
 sides' total seconds and their ratio, change over base, and last the
@@ -131,7 +137,13 @@ class Side:
 
         def run():
             routed = cr.route_cnot_block(circuit, graph, m0)
-            return cr.format_circuit(routed.circuit), tuple(routed.output_mapping)
+            final = cr.postprocess(routed)
+            ok = cr.verify_equivalence(circuit, final, graph)
+            baseline = cr.swap_insertion_baseline(circuit, graph, m0)
+            ok = cr.verify_equivalence(circuit, baseline, graph) and ok
+            # gates and mappings are tuples, equal across the two trees
+            return [(r.circuit.gates, tuple(r.output_mapping))
+                    for r in (routed, final, baseline)], ok
         return run
 
 
