@@ -8,32 +8,35 @@ one shortest s–j path every tree follows, is j for a neighbour j and
 otherwise the first hop to the least node that can be the largest
 interior node of a shortest s–j path: Floyd–Warshall's choice.  A
 terminal set is an int mask, bit t for node t, as the synthesizer reads
-it off a row of the inverse.  One Steiner-style tree is grown per mask,
-on demand, into one cache entry (``steiner_entry``).  Growth keeps each
-tree node's neighbours as an int mask, and the entry holds those masks
-with the tree's schedule weight |V| - 1 + 2|S| and the mask of its
-terminals with two or more tree neighbours, the terms of the lower
-bound proved in ``rowgraph.reduction_costs``; most grown trees are
-ruled out by that bound alone.  The unrooted tree (node -> ascending
-neighbour tuple) and its Steiner points are built from the masks only
-when a tree is first priced or reduced (``steiner_tree``, or
-``_tree_of`` from an entry already held), and then kept in the entry in
-place of the masks; the tuples come from one table per graph, so all
-cached trees share one immutable tuple per neighbour set, and the table
-is cleared with the cache.  The tree does not depend on the root;
-pricing (``rowgraph.reduction_costs``) and reduction
-(``rowgraph.tree_reduce_tracked``) both read it and pick the root
-themselves.  ``gen_steiner`` is ``steiner_tree`` for callers holding an
-iterable of nodes.  A grown tree is a tree whose leaves are terminals
-by the proof in ``_grow_steiner_graph``, which checks nothing at run
-time; ``rowgraph``'s public functions check every tree they are given,
-and the synthesizer prices grown trees through its unchecked cores.
+it off a row of the inverse.  Each graph holds one tree cache,
+``_SteinerCache``, a dict from terminal mask to ``SteinerEntry``: a
+lookup that misses grows the mask's one Steiner-style tree and stores
+its entry.  Growth keeps each tree node's neighbours as an int mask,
+and the entry holds those masks with the tree's schedule weight
+|V| - 1 + 2|S| and the mask of its terminals with two or more tree
+neighbours, the terms of the lower bound proved in
+``rowgraph.reduction_costs``; most grown trees are ruled out by that
+bound alone.  The cache's ``tree`` method builds the unrooted tree
+(node -> ascending neighbour tuple) and its Steiner points from an
+entry's masks the first time the tree is priced or reduced, and keeps
+them in the entry in place of the masks; the tuples come from one table
+in the cache, so all of a graph's trees share one immutable tuple per
+neighbour set, and the table is cleared with the entries.  The tree
+does not depend on the root; pricing (``rowgraph.reduction_costs``) and
+reduction (``rowgraph.tree_reduce_tracked``) both read it and pick the
+root themselves.  ``gen_steiner`` is the one public source of trees: it
+checks the terminals it is given and reads their tree off the cache,
+which the synthesizer reads directly.  A grown tree is a tree whose
+leaves are terminals by the proof in ``_grow_steiner_graph``, which
+checks nothing at run time; ``rowgraph``'s public functions check every
+tree they are given, and the synthesizer prices grown trees through its
+unchecked cores.
 """
 
 from __future__ import annotations
 
 from importlib import resources
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .circuit import load_json, parse_wire_pairs
 from .gf2 import vec_support
@@ -101,25 +104,17 @@ def _rows_from(adj: List[List[int]], s: int) -> Tuple[list, list, list]:
     return dist, succ, ball
 
 
-class _Supports(dict):
-    """Neighbour mask -> its ascending tuple, stored on first lookup."""
-
-    def __missing__(self, mask: int) -> tuple:
-        support = self[mask] = vec_support(mask)
-        return support
-
-
 class ArchGraph:
     """Connected architecture graph with its distance tables and tree cache.
 
     ``n``, ``names``, ``edges``, ``dist``, ``succ`` and ``ball`` are
-    fixed when the graph is built; the Steiner-tree cache fills as trees
-    are grown, its table of shared neighbour tuples as they are built,
-    and the two are cleared together.  ``dist[s][j]`` is the hop count
-    and ``succ[s][j]`` the next node on the shortest s–j path trees
-    follow: j itself when s and j are adjacent, else the next node
-    towards k, the least node that can be the largest interior node of
-    a shortest s–j path.
+    fixed when the graph is built; the Steiner-tree cache ``_steiner``
+    (a ``_SteinerCache``) fills as trees are grown, its table of shared
+    neighbour tuples as they are built, and the two are cleared together.
+    ``dist[s][j]`` is the hop count and ``succ[s][j]`` the next node on
+    the shortest s–j path trees follow: j itself when s and j are
+    adjacent, else the next node towards k, the least node that can be
+    the largest interior node of a shortest s–j path.
     """
 
     def __init__(self, n: int, edges, names: Optional[Sequence[str]] = None,
@@ -154,10 +149,7 @@ class ArchGraph:
         # the diameter, where every ball is the whole graph
         depth = max(len(ball) for _, _, ball in rows)
         self.ball = tuple(tuple(ball + ball[-1:] * (depth - len(ball))) for _, _, ball in rows)
-        # terminal mask -> its SteinerEntry; the neighbour tuples
-        # of the built trees, one per neighbour mask, are cleared with it
-        self._steiner_cache: Dict[int, SteinerEntry] = {}
-        self._supports = _Supports()
+        self._steiner = _SteinerCache(self.ball, self.succ)
 
     def is_edge(self, u: int, v: int) -> bool:
         """True if u and v are nodes one hop apart; False off the graph."""
@@ -167,7 +159,7 @@ class ArchGraph:
         return f"ArchGraph({self.name or self.n!r}, n={self.n}, edges={len(self.edges)})"
 
 
-def _grow_steiner_graph(g: ArchGraph, mask: int) -> Tuple[List[int], int, int]:
+def _grow_steiner_graph(g, mask: int) -> Tuple[List[int], int, int]:
     """Grow a tree spanning the terminals in ``mask`` from shortest paths.
 
     A shortest path joins the nearest pair of terminals, then each
@@ -193,15 +185,15 @@ def _grow_steiner_graph(g: ArchGraph, mask: int) -> Tuple[List[int], int, int]:
     does, on random graphs and on every tree routing grows on the device
     families.
 
-    Returns (adjacency, nodes, inner), all masks: ``adjacency[w]`` the
-    neighbours of each tree node w (0 off the tree), ``nodes`` the
-    tree's nodes, and ``inner`` its terminals with two or more tree
-    neighbours.
-    Path interiors are not terminals, and every tree node has a
-    neighbour once the first path is laid, so those terminals are the
-    attach nodes v of the joins after the first.
+    ``g`` is a graph or its tree cache: only its ``ball`` and ``succ``
+    tables are read.  Returns (adjacency, nodes, inner), all masks:
+    ``adjacency[w]`` the neighbours of each tree node w (0 off the
+    tree), ``nodes`` the tree's nodes, and ``inner`` its terminals with
+    two or more tree neighbours.  Path interiors are not terminals, and
+    every tree node has a neighbour once the first path is laid, so
+    those terminals are the attach nodes v of the joins after the first.
     """
-    adjacency = [0] * g.n
+    adjacency = [0] * len(g.ball)
     if not mask & (mask - 1):
         return adjacency, mask, 0
     ball = g.ball
@@ -248,9 +240,9 @@ class SteinerEntry:
     neighbours: the terms of the lower bound proved in
     ``rowgraph.reduction_costs``, read in O(1) with no tree built.
     ``adjacency`` and ``nodes`` are the masks ``_grow_steiner_graph``
-    returns, until ``_tree_of`` builds ``tree`` and ``steiner`` from
-    them and sets them to None; ``tree`` and ``steiner`` are None until
-    then.
+    returns, until ``_SteinerCache.tree`` builds ``tree`` and
+    ``steiner`` from them and sets them to None; ``tree`` and
+    ``steiner`` are None until then.
     """
 
     __slots__ = ("weight", "inner", "adjacency", "nodes", "tree", "steiner")
@@ -260,70 +252,78 @@ class SteinerEntry:
         self.tree = self.steiner = None
 
 
-def steiner_entry(g: ArchGraph, mask: int) -> SteinerEntry:
-    """The cache entry for one terminal mask, grown on first use.
+class _Supports(dict):
+    """Neighbour mask -> its ascending tuple, stored on first lookup."""
 
-    Past ``_GROW_CACHE_CAP`` terminal sets the cache is dropped
-    wholesale, and the graph's shared neighbour tuples with it:
-    sustained runs would otherwise grow both unbounded, the tuples by up
-    to 2**degree neighbour sets at one node.  Raises ValueError on a
-    miss unless the mask names a non-empty set of ``g``'s nodes.
+    def __missing__(self, mask: int) -> tuple:
+        support = self[mask] = vec_support(mask)
+        return support
+
+
+class _SteinerCache(dict):
+    """Terminal mask -> its ``SteinerEntry``, grown on the first lookup.
+
+    One per graph, built from the graph's ``ball`` and ``succ`` alone, so
+    it holds no reference back to the graph.  A miss grows the tree
+    (``_grow_steiner_graph``) and stores its entry; the mask must name a
+    non-empty set of the graph's nodes, which is not checked here:
+    ``gen_steiner`` checks the terminals it is given, and the
+    synthesizer's masks are rows of the inverse of a checked
+    ``BitMatrix``.  Past ``_GROW_CACHE_CAP`` terminal sets a miss drops
+    every entry and the shared neighbour tuples with them: sustained
+    runs would otherwise grow both unbounded, the tuples by up to
+    2**degree neighbour sets at one node.
     """
-    cache = g._steiner_cache
-    entry = cache.get(mask)
-    if entry is None:
-        if type(mask) is not int or not 0 < mask < 1 << g.n:
-            raise ValueError(f"terminal mask {mask} is not a non-empty set of {g.n} nodes")
-        if len(cache) >= _GROW_CACHE_CAP:
-            cache.clear()
-            g._supports.clear()
-        adjacency, nodes, inner = _grow_steiner_graph(g, mask)
+
+    def __init__(self, ball, succ):
+        self.ball, self.succ = ball, succ
+        self.tuples = _Supports()
+
+    def __missing__(self, mask: int) -> SteinerEntry:
+        if len(self) >= _GROW_CACHE_CAP:
+            self.clear()
+            self.tuples.clear()
+        adjacency, nodes, inner = _grow_steiner_graph(self, mask)
         # |V| - 1 + 2|S| with |S| = |V| - |T|
         weight = 3 * nodes.bit_count() - 2 * mask.bit_count() - 1
-        entry = cache[mask] = SteinerEntry(weight, inner, adjacency, nodes)
-    return entry
+        entry = self[mask] = SteinerEntry(weight, inner, adjacency, nodes)
+        return entry
 
+    def tree(self, entry: SteinerEntry, mask: int) -> tuple:
+        """(grown tree, Steiner points) of ``mask``'s entry, built once.
 
-def steiner_tree(g: ArchGraph, mask: int) -> tuple:
-    """(grown tree, Steiner points) of ``mask``'s cache entry, built once.
-
-    The tree is node -> ascending neighbour tuple, keys ascending, each
-    tuple read from ``g._supports`` so that every tree of ``g`` with the
-    same neighbour set at some node shares one tuple object for it; the
-    Steiner points are its non-terminal nodes.  The first call for an
-    entry builds both from its masks, keeps them in the entry and drops
-    the masks; later calls return the same tree and set.  Only pricing
-    and reduction need them, so a tree whose bound alone rules it out is
-    never built.  Raises as ``steiner_entry`` does.
-    """
-    return _tree_of(g, steiner_entry(g, mask), mask)
-
-
-def _tree_of(g: ArchGraph, entry: SteinerEntry, mask: int) -> tuple:
-    """``steiner_tree`` from ``mask``'s entry, as a caller that holds it builds it.
-
-    The held entry is built even if the cache has been cleared since it
-    was fetched, so the tree is not grown again.
-    """
-    if entry.tree is None:
-        adjacency, nodes, supports = entry.adjacency, entry.nodes, g._supports
-        entry.tree = {w: supports[adjacency[w]] for w in vec_support(nodes)}
-        entry.steiner = frozenset(vec_support(nodes & ~mask))
-        entry.adjacency = entry.nodes = None
-    return entry.tree, entry.steiner
+        The tree is node -> ascending neighbour tuple, keys ascending,
+        each tuple read from ``tuples`` so that every tree of the graph
+        with the same neighbour set at some node shares one tuple object
+        for it; the Steiner points are its non-terminal nodes.  The first
+        call for an entry builds both from its masks, keeps them in the
+        entry and drops the masks; later calls return the same tree and
+        set.  Only pricing and reduction need them, so a tree whose bound
+        alone rules it out is never built.  A held entry is built even if
+        the cache has been cleared since it was fetched, so the tree is
+        not grown again.
+        """
+        if entry.tree is None:
+            adjacency, nodes, tuples = entry.adjacency, entry.nodes, self.tuples
+            entry.tree = {w: tuples[adjacency[w]] for w in vec_support(nodes)}
+            entry.steiner = frozenset(vec_support(nodes & ~mask))
+            entry.adjacency = entry.nodes = None
+        return entry.tree, entry.steiner
 
 
 def gen_steiner(g: ArchGraph, terminals) -> tuple:
     """Approximate Steiner tree spanning ``terminals``: (tree, Steiner points).
 
     ``terminals`` is any non-empty iterable of nodes of ``g``; the result
-    is the pair ``steiner_tree`` builds for their mask, so every form of
-    one set gets the same tree.
+    is the pair ``g``'s tree cache builds for their mask, so every form
+    of one set gets the same tree.  Raises ValueError on an empty set or
+    on a terminal that is not one of ``g``'s nodes.
     """
     nodes = set(terminals)
     if not nodes or any(type(t) is not int or not 0 <= t < g.n for t in nodes):
         raise ValueError(f"terminals must be one or more of the nodes 0..{g.n - 1}")
-    return steiner_tree(g, sum(1 << t for t in nodes))
+    mask = sum(1 << t for t in nodes)
+    return g._steiner.tree(g._steiner[mask], mask)
 
 
 # ---------------------------------------------------------------------------

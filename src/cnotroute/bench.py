@@ -39,15 +39,15 @@ class BenchConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not _is_count(self.trials):
+            raise ValueError("trials must be >= 1 and an int")
         counts = self.gate_counts
-        if not counts or min(counts) < 1 or len(set(counts)) < len(counts):
-            raise ValueError("gate_counts must be non-empty and positive, without repeats")
+        if not counts or not all(_is_count(c) for c in counts) or len(set(counts)) < len(counts):
+            raise ValueError("gate_counts must be non-empty positive ints, without repeats")
         if self.baseline not in ("swap_insertion", "none"):
             raise ValueError(f"unknown baseline {self.baseline!r}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        if not _is_count(self.jobs):
+            raise ValueError("jobs must be >= 1 and an int")
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,19 @@ class BenchReport:
         return all(r.verify_rate == 1.0 for r in self.rows)
 
 
+def _is_count(value, least: int = 1) -> bool:
+    """True if ``value`` is an int (not a bool) of at least ``least``."""
+    return type(value) is int and value >= least
+
+
 def random_cnot_circuit(n_wires: int, gate_count: int, seed: int) -> Circuit:
-    """Uniform over ordered distinct (control, target) pairs, seeded."""
-    if n_wires < 2:
-        raise ValueError("random CNOT circuits need at least 2 wires")
+    """Uniform over ordered distinct (control, target) pairs, seeded.
+
+    Raises ValueError unless ``n_wires`` is an int >= 2 and
+    ``gate_count`` an int >= 0.
+    """
+    if not (_is_count(n_wires, 2) and _is_count(gate_count, 0)):
+        raise ValueError(f"wires {n_wires!r} and gates {gate_count!r} must be ints >= 2 and >= 0")
     rng = random.Random(seed)
     span = n_wires - 1
     gates = []

@@ -11,9 +11,12 @@ roots share, instead of rooting and replaying the tree once per node
 (the recurrence, and the invariant that makes it exact, are documented
 there).  A node outside that support cannot be reduced to e, so its
 entry is ``math.inf``, a forbidden pair of the assignment.  The trees
-come from ``arch.steiner_tree`` and are trees with terminal leaves by
-the growth proof in ``arch``, so they are priced through the unchecked
-core ``rowgraph._costs``; only the reductions the synthesizer runs go
+are read straight off the graph's tree cache (``arch._SteinerCache``:
+an entry per terminal mask, grown on a miss, and its ``tree`` method
+to build an entry's tree) rather than through the checked
+``arch.gen_steiner``.  They are trees with terminal leaves by the growth
+proof in ``arch``, so they are priced through the unchecked core
+``rowgraph._costs``; only the reductions the synthesizer runs go
 through the checked ``tree_reduce_tracked``.
 
 Only the *open block* of the cost table is priced: the non-basic nodes
@@ -45,8 +48,8 @@ with neither a fresh Gauss-Jordan elimination nor a transposition.
 
 Each open column is recorded with the lower bound on its entries that
 ``rowgraph.reduction_costs`` proves, taken when the column is opened
-(``_open_columns``) from the terms its ``arch.steiner_entry`` stores
-and the unit rows, with no tree built: only the columns priced build
+(``_open_columns``) from the terms its tree cache entry stores and the
+unit rows, with no tree built: only the columns priced build
 theirs, from the entry the record holds.
 
 A step needs the whole block only to score tied candidates.  Its
@@ -81,7 +84,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
-from .arch import ArchGraph, SteinerEntry, _tree_of, steiner_entry, steiner_tree
+from .arch import ArchGraph, SteinerEntry
 from .gf2 import BitMatrix, _transpose_rows, invert, vec_support
 from .rowgraph import ADD, RowOp, _costs, reduction_recovery, tree_reduce_tracked
 
@@ -117,10 +120,7 @@ def build_cost_table(graph: ArchGraph, rows: Sequence[int]) -> CostTable:
     n = graph.n
     inv = invert(BitMatrix(n, rows))
     entries = [[math.inf] * n for _ in range(n)]
-    supports = []
-    for e in range(n):
-        sup = inv.rows[e]
-        supports.append(sup)
+    for e, sup in enumerate(inv.rows):
         ebit = 1 << e
         roots = []
         for u in vec_support(sup):
@@ -129,10 +129,10 @@ def build_cost_table(graph: ArchGraph, rows: Sequence[int]) -> CostTable:
             else:
                 roots.append(u)
         if roots:
-            grown, steiner = steiner_tree(graph, sup)
+            grown, steiner = graph._steiner.tree(graph._steiner[sup], sup)
             for u, c in zip(roots, _costs(rows, grown, steiner, roots)):
                 entries[u][e] = c
-    return CostTable(tuple(tuple(r) for r in entries), tuple(supports),
+    return CostTable(tuple(tuple(r) for r in entries), tuple(inv.rows),
                      tuple(range(n)), tuple(range(n)))
 
 
@@ -160,7 +160,7 @@ def _open_columns(graph: ArchGraph, sups: Sequence[int]) -> list:
     gives them and ``_carry_inverse`` carries them: row e is the support
     of column e, read as it is, with no transposition.  A column is open
     when its support has at least two nodes.  The entry is the support's
-    ``arch.steiner_entry``, which grows the tree but does not build it;
+    tree cache entry, looked up (and grown on a miss) but not built;
     pricing and reduction build it from the entry held here, so a cache
     clear in between does not grow it again.  The bound is the one
     proved in ``rowgraph.reduction_costs`` on every root that holds a
@@ -170,11 +170,12 @@ def _open_columns(graph: ArchGraph, sups: Sequence[int]) -> list:
     is row u of R, and row u of R R^-1 is row f of R^-1), so the unit
     rows are read off the columns that are not open.
     """
+    cache = graph._steiner
     units = 0
     opened = []
     for e, sup in enumerate(sups):
         if sup & (sup - 1):
-            opened.append((e, sup, steiner_entry(graph, sup)))
+            opened.append((e, sup, cache[sup]))
         else:
             units |= sup
     return [(e, sup, entry.weight + (units & entry.inner).bit_count(), entry)
@@ -195,9 +196,8 @@ def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
     of all minima, so whether the block is returned does not depend on
     the order; the default cutoff never prunes.
     """
-    n = graph.n
     nodes = [u for u, r in enumerate(rows) if r & (r - 1)]
-    position = [-1] * n
+    position = [-1] * graph.n
     nonbasic = 0
     for i, u in enumerate(nodes):
         position[u] = i
@@ -210,7 +210,7 @@ def _open_block(graph: ArchGraph, rows: Sequence[int], opened: list,
         # distinct unit rows XOR to weight |sup| >= 2, not to e_e, so at
         # least one node of the support is non-basic
         roots = vec_support(sup & nonbasic)
-        costs = _costs(rows, *_tree_of(graph, entry, sup), roots)
+        costs = _costs(rows, *graph._steiner.tree(entry, sup), roots)
         for u, c in zip(roots, costs):
             entries[position[u]][j] = c
         low += min(costs) - bound
@@ -298,11 +298,15 @@ def _min_assignment(entries: Sequence[Sequence[float]]) -> List[int]:
 def hungarian_assign(table: CostTable) -> Assignment:
     """A minimum-total bijection of the table's rows onto its columns.
 
-    Raises ``AssignmentError`` if every bijection uses a ``math.inf``
-    entry.  The total is unique; on tied optima ``by_node`` is the one
-    ``_min_assignment`` reaches first.
+    Raises ``AssignmentError`` if the table is not square, with one
+    column label per row and as many entries in every row, or if every
+    bijection uses a ``math.inf`` entry.  The total is unique; on tied
+    optima ``by_node`` is the one ``_min_assignment`` reaches first.
     """
     entries = table.entries
+    # as many rows as column labels, and as many entries in every row
+    if {len(table.columns), *map(len, entries)} != {len(entries)}:
+        raise AssignmentError("a bijection needs a square table, a column per row")
     col_of = _min_assignment(entries)
     return Assignment(tuple(table.columns[j] for j in col_of),
                       sum(r[j] for r, j in zip(entries, col_of)))
@@ -346,7 +350,7 @@ def _cheapest_bounded(graph: ArchGraph, rows: Sequence[int], opened: list) -> Li
         if bound > best:
             break
         roots = [u for u in vec_support(sup) if rows[u] & (rows[u] - 1)]
-        for u, c in zip(roots, _costs(rows, *_tree_of(graph, entry, sup), roots)):
+        for u, c in zip(roots, _costs(rows, *graph._steiner.tree(entry, sup), roots)):
             if c <= best:
                 if c < best:
                     best = c
@@ -364,7 +368,7 @@ def _reduce_pair(graph: ArchGraph, rows: List[int], u: int, sup: int,
     ``entry`` is ``sup``'s tree entry, whose tree is built if it is not
     yet.  Returns the ops run, reduction then recovery.
     """
-    ops, tracked = tree_reduce_tracked(rows, *_tree_of(graph, entry, sup), u)
+    ops, tracked = tree_reduce_tracked(rows, *graph._steiner.tree(entry, sup), u)
     return [*ops, *reduction_recovery(rows, ops, tracked)]
 
 

@@ -3,7 +3,7 @@
 The synthesis state is a plain list holding one packed matrix row per
 architecture node.  Node addition XORs an adjacent row in (one CNOT); a
 swap exchanges two adjacent rows (three CNOTs).  ``tree_reduce_tracked``
-reduces along one Steiner tree (``arch.steiner_tree``) rooted at one of
+reduces along one Steiner tree (``arch.gen_steiner``) rooted at one of
 its terminals, leaving the root holding a standard basis vector, and
 ``reduction_recovery`` restores the unit vectors that reduction
 disturbed.  Both change the row list in place and return the operations
@@ -26,8 +26,11 @@ alone is proved beside the recurrence.
 
 Every public function that takes a tree checks it in one walk,
 ``_schedule``, which also builds the reduction schedule; malformed trees
-raise ``ReductionError``.  The private core ``_costs`` checks nothing:
-``heuristic`` prices through it the trees that ``arch`` grows, which
+raise ``ReductionError``, and so does a tree, root or op list holding
+values that are not nodes, such as strings or floats, where the walk
+would otherwise fail inside Python.  The private core ``_costs`` checks
+nothing: ``heuristic`` prices through it the trees it reads off each
+graph's tree cache (``arch.gen_steiner`` reads the same trees), which
 are trees with terminal leaves by the growth proof in
 ``arch._grow_steiner_graph``.
 """
@@ -76,8 +79,8 @@ def _hand_up(row: int, steiner: bool, below: list) -> tuple:
     return acc, f, r0, r1
 
 
-def _schedule(tree, steiner, root: int, n_rows: int) -> List[RowOp]:
-    """The reduction schedule of ``tree`` at ``root``, checking the tree.
+def _schedule(tree, steiner, root: int, n_rows: int) -> Tuple[List[RowOp], Set[int]]:
+    """The reduction schedule of ``tree`` at ``root`` and the nodes it walks, checking the tree.
 
     ``tree`` must be an unrooted tree (node -> neighbour tuple) over
     nodes that have a row, 0..``n_rows`` - 1, whose every edge is listed
@@ -87,16 +90,19 @@ def _schedule(tree, steiner, root: int, n_rows: int) -> List[RowOp]:
     for each Steiner parent's first child, ("ADD", parent, child)
     everywhere else.  Pushing each node's children in order makes one
     stack walk a pre-order with children reversed; reversed, that is the
-    schedule.  A child's op is fixed as its parent is expanded.
+    schedule.  A child's op is fixed as its parent is expanded.  The
+    nodes walked are ints, and the keys of ``tree`` by equality: a key
+    such as 1.0 is walked as node 1, as the dict looks it up.
 
     Raises ``ReductionError`` if any of that fails: the root is not a
-    terminal, a node has no row, an edge is one-way or names a node
-    missing from ``tree`` (whose own list is then empty), the walk meets
-    a node twice (a cycle) or misses one, or a Steiner point is a leaf
-    or off the tree.
+    terminal, a node is not an int or has no row, a node's neighbours
+    are not a tuple, an edge is one-way or names a node missing from
+    ``tree`` (whose own list is then empty), the walk meets a node twice
+    (a cycle) or misses one, or a Steiner point is a leaf or off the
+    tree.  ``tree`` must be a dict and ``steiner`` a set.
     """
-    if root not in tree or root in steiner:
-        raise ReductionError(f"root {root} is not a terminal of the tree")
+    if type(root) is not int or root not in tree or root in steiner:
+        raise ReductionError(f"root {root!r} is not a terminal of the tree")
     pre = []
     seen = {root}
     points = 0
@@ -106,6 +112,8 @@ def _schedule(tree, steiner, root: int, n_rows: int) -> List[RowOp]:
         if not 0 <= node < n_rows:
             raise ReductionError(f"tree node {node} has no row (there are {n_rows} rows)")
         nbs = tree.get(node, ())
+        if type(nbs) is not tuple:
+            raise ReductionError(f"the neighbours of node {node} are not a tuple")
         if op is not None:
             if nbs.count(up) != 1:
                 raise ReductionError(f"edge ({up}, {node}) is not listed once at each end")
@@ -115,6 +123,8 @@ def _schedule(tree, steiner, root: int, n_rows: int) -> List[RowOp]:
             points += 1
         for c in nbs:
             if c != up:
+                if type(c) is not int:
+                    raise ReductionError(f"tree node {c!r} is not an int")
                 if c in seen:
                     raise ReductionError("the tree has a cycle")
                 seen.add(c)
@@ -125,7 +135,7 @@ def _schedule(tree, steiner, root: int, n_rows: int) -> List[RowOp]:
     if points != len(steiner):
         raise ReductionError("a Steiner point is a leaf or not a node of the tree")
     pre.reverse()
-    return pre
+    return pre, seen
 
 
 def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) -> List[int]:
@@ -133,7 +143,7 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
 
     ``tree`` is an unrooted tree whose leaves are terminals (node ->
     ascending neighbour tuple), ``steiner`` its non-terminal nodes and
-    ``roots`` terminals: the pair ``arch.steiner_tree`` returns, which
+    ``roots`` terminals: the pair ``arch.gen_steiner`` returns, which
     ``tree_reduce_tracked`` takes too.  Entry k equals the op weight
     (SWAP 3, ADD 1) that ``tree_reduce_tracked(rows, tree, steiner,
     roots[k])`` and then ``reduction_recovery`` would run on a copy of
@@ -176,8 +186,8 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
     distinct after the schedule.  Replaying backwards,
     ``reduction_recovery`` spends at least one op per mark: an ADD on
     the marked node, or the SWAP that hands the mark back to a child
-    that holds none.  ``arch.steiner_entry`` stores the mask of the
-    terminals with two or more neighbours and the weight |V| - 1 + 2|S|,
+    that holds none.  Each entry of ``arch``'s tree cache stores the mask
+    of the terminals with two or more neighbours and the weight |V| - 1 + 2|S|,
     and ``heuristic._open_columns`` bounds each cost-table column by the
     two without building the tree.
 
@@ -190,8 +200,8 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
         raise ReductionError("no root to price")
     _schedule(tree, steiner, roots[0], len(rows))
     for r in roots[1:]:
-        if r not in tree or r in steiner:
-            raise ReductionError(f"root {r} is not a terminal of the tree")
+        if type(r) is not int or r not in tree or r in steiner:
+            raise ReductionError(f"root {r!r} is not a terminal of the tree")
     return _costs(rows, tree, steiner, roots)
 
 
@@ -236,7 +246,7 @@ def _costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) -> List[int
     try:
         if not shallow:
             edges = [(b, a) if kind == ADD else (a, b)  # (child, parent)
-                     for kind, a, b in _schedule(tree, steiner, roots[0], len(rows))]
+                     for kind, a, b in _schedule(tree, steiner, roots[0], len(rows))[0]]
             for c, p in edges:
                 hand(p, c)
             for c, p in reversed(edges):
@@ -275,9 +285,9 @@ def tree_reduce_tracked(rows: List[int], tree, steiner,
     unchanged, if ``_schedule`` rejects the tree or the root, or the
     terminal rows do not XOR to a unit vector.
     """
-    pre = _schedule(tree, steiner, root, len(rows))
+    pre, nodes = _schedule(tree, steiner, root, len(rows))
     acc = 0
-    for t in tree:
+    for t in nodes:
         if t not in steiner:
             acc ^= rows[t]
     if not is_unit(acc):
@@ -303,14 +313,17 @@ def reduction_recovery(rows: List[int], operations: Sequence[RowOp],
 
     Replays on ``rows``, in reverse, just the ops needed to restore
     tracked nodes.  Raises ``ReductionError``, leaving ``rows``
-    unchanged, if an op is not an ADD or SWAP of two distinct rows.
+    unchanged, if an op is not a ``(kind, a, b)`` tuple that is an ADD
+    or SWAP of two distinct rows.
     """
     n = len(rows)
-    for kind, a, b in operations:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ReductionError(f"operation {(kind, a, b)} targets a node outside the graph")
+    for op in operations:
+        kind, a, b = op if type(op) is tuple and len(op) == 3 else (op, None, None)
+        if not (type(a) is type(b) is int and 0 <= a < n and 0 <= b < n):
+            raise ReductionError(f"operation {op!r} is not (kind, a, b) or targets a node "
+                                 "outside the graph")
         if kind not in (ADD, SWAP) or a == b:
-            raise ReductionError(f"operation {(kind, a, b)} is not an ADD or SWAP of two rows")
+            raise ReductionError(f"operation {op!r} is not an ADD or SWAP of two rows")
     recover = []
     for kind, a, b in reversed(operations):
         if kind == ADD:

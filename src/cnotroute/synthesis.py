@@ -55,13 +55,8 @@ class RoutedResult:
 
 
 def cnot_weight(gates) -> int:
-    total = 0
-    for g in gates:
-        if g.kind == CNOT:
-            total += 1
-        elif g.kind == SWAP:
-            total += 3
-    return total
+    kinds = [g.kind for g in gates]
+    return kinds.count(CNOT) + 3 * kinds.count(SWAP)
 
 
 def linear_matrix(gates, n: int) -> BitMatrix:

@@ -43,7 +43,7 @@ def test_every_repetition_starts_on_graphs_with_empty_tree_caches():
     cached = []  # trees cached on the side's graphs as each circuit is prepared
     for side in sides:
         def prepare(workload, device, text, side=side, original=side.prepare):
-            cached.append(sum(len(g._steiner_cache) for g, _ in side.warm.values()))
+            cached.append(sum(len(g._steiner) for g, _ in side.warm.values()))
             return original(workload, device, text)
         side.prepare = prepare
     assert len(tool.run_workload(sides, "sparse16", jobs)) == 2

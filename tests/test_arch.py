@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from cnotroute.arch import (_GROW_CACHE_CAP, ArchFileError, ArchGraph,
                             DisconnectedGraphError, gen_steiner,
                             get_architecture, list_architectures,
-                            parse_arch_json, path_from_successors,
-                            steiner_entry, steiner_tree)
+                            parse_arch_json, path_from_successors)
 from cnotroute.circuit import one_qubit
 from cnotroute.gf2 import BitMatrix
 from cnotroute.rowgraph import tree_reduce_tracked
@@ -155,14 +154,6 @@ def test_gen_steiner_rejects_empty_or_foreign_terminals(terminals):
         gen_steiner(g, terminals)
 
 
-@pytest.mark.parametrize("mask", [-1, 0, 8, 9])
-def test_steiner_entry_rejects_a_mask_off_the_nodes(mask):
-    g = ArchGraph(3, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError, match="not a non-empty set of 3 nodes"):
-        steiner_entry(g, mask)
-    assert mask not in g._steiner_cache
-
-
 def test_steiner_cache_and_shared_neighbour_tuples_stay_bounded_on_a_star():
     # every set of two or more leaves gives the hub its own neighbour set,
     # up to 2**40 of them, and every leaf shares {hub}: the tuple table is
@@ -174,14 +165,15 @@ def test_steiner_cache_and_shared_neighbour_tuples_stay_bounded_on_a_star():
         mask = rng.getrandbits(40) << 1
         if mask & (mask - 1):
             masks[mask] = None
+    cache = g._steiner
     for mask in masks:
-        inner = steiner_entry(g, mask).inner
-        tree, steiner = steiner_tree(g, mask)
-        assert steiner == {0} and inner == 0
-        assert tree[0] is g._supports[mask]
-        assert len(g._steiner_cache) <= _GROW_CACHE_CAP
-        assert len(g._supports) <= len(g._steiner_cache) + 1
-    assert len(g._steiner_cache) == 500
+        entry = cache[mask]
+        tree, steiner = cache.tree(entry, mask)
+        assert steiner == {0} and entry.inner == 0
+        assert tree[0] is cache.tuples[mask]
+        assert len(cache) <= _GROW_CACHE_CAP
+        assert len(cache.tuples) <= len(cache) + 1
+    assert len(cache) == 500
 
 
 PATH3 = [(0, 1), (1, 2)]
@@ -194,15 +186,13 @@ PATH3 = [(0, 1), (1, 2)]
     lambda: ArchGraph(3, [(0, True), (1, 2)]),
     lambda: gen_steiner(ArchGraph(3, PATH3), [0, 2.0]),
     lambda: gen_steiner(ArchGraph(3, PATH3), [0, True]),
-    lambda: steiner_entry(ArchGraph(3, PATH3), 5.0),
-    lambda: steiner_entry(ArchGraph(3, PATH3), True),
     lambda: BitMatrix(2, [1.0, 2]),
     lambda: BitMatrix(2, [True, 2]),
     lambda: BitMatrix(2.0, [1, 2]),
     lambda: BitMatrix(True, [1]),
     lambda: one_qubit(5, 0),
 ], ids=["count float", "count bool", "edge float", "edge bool", "terminal float",
-        "terminal bool", "mask float", "mask bool", "row float", "row bool",
+        "terminal bool", "row float", "row bool",
         "matrix size float", "matrix size bool", "label int"])
 def test_a_node_count_edge_terminal_mask_or_row_that_is_not_an_int_is_rejected(build):
     with pytest.raises(ValueError):

@@ -34,6 +34,13 @@ def test_random_circuit_rejects_single_wire():
         random_cnot_circuit(1, 4, 0)
 
 
+@pytest.mark.parametrize("n_wires, gate_count", [
+    (3, -2), (3, 2.5), (2.5, 3), (3.0, 3), (True, 3), (3, True), (3, "4")])
+def test_random_circuit_rejects_counts_that_are_not_ints(n_wires, gate_count):
+    with pytest.raises(ValueError):
+        random_cnot_circuit(n_wires, gate_count, 1)
+
+
 def test_random_circuit_pair_uniformity():
     # 1e5 draws over the 240 ordered pairs of 16 wires; every pair count
     # within four standard deviations of the binomial expectation.
@@ -170,9 +177,15 @@ def test_config_validation():
         BenchConfig(arch="9-square", gate_counts=(4, 4), trials=2, seed=1)
     with pytest.raises(ValueError):
         BenchConfig(arch="9-square", baseline="steiner")
-    for jobs in (0, -1):
+    for jobs in (0, -1, 1.5, 2.0, True):
         with pytest.raises(ValueError, match="jobs"):
             BenchConfig(arch="9-square", jobs=jobs)
+    for trials in (2.5, 1.0, True):
+        with pytest.raises(ValueError, match="trials"):
+            BenchConfig(arch="9-square", trials=trials)
+    for counts in ((4, 2.5), (4.0,), (True,)):
+        with pytest.raises(ValueError, match="gate_counts"):
+            BenchConfig(arch="9-square", gate_counts=counts)
 
 
 def test_unknown_architecture():

@@ -15,8 +15,8 @@ import random
 import pytest
 
 from cnotroute import heuristic
-from cnotroute.arch import steiner_tree
-from cnotroute.gf2 import BitMatrix, SingularMatrixError, invert, transpose
+from cnotroute.arch import gen_steiner
+from cnotroute.gf2 import BitMatrix, SingularMatrixError, invert, transpose, vec_support
 from cnotroute.heuristic import heuristic_token_reduction
 from cnotroute.rowgraph import SWAP
 
@@ -40,7 +40,7 @@ def _check_opened(graph, rows, opened):
     """Open columns' supports against a fresh inverse, their bounds against ``entry_bound``."""
     assert [(e, sup) for e, sup, _, _ in opened] == _fresh_supports(len(rows), rows)
     assert [bound for _, _, bound, _ in opened] == \
-        [entry_bound(rows, *steiner_tree(graph, sup)) for _, sup, _, _ in opened]
+        [entry_bound(rows, *gen_steiner(graph, vec_support(sup))) for _, sup, _, _ in opened]
 
 
 def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):

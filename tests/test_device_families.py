@@ -21,7 +21,7 @@ import random
 import networkx as nx
 import pytest
 
-from cnotroute.arch import ArchGraph, get_architecture, list_architectures, steiner_tree
+from cnotroute.arch import ArchGraph, get_architecture, list_architectures
 from cnotroute.bench import random_cnot_circuit
 from cnotroute.circuit import Mapping
 from cnotroute.gf2 import vec_support
@@ -93,16 +93,17 @@ def test_routed_and_postprocessed_circuits_pass_both_verifiers(family):
 def _check_grown_trees(graph):
     """Every cached Steiner tree of ``graph`` is a tree with terminal leaves.
 
-    Each entry's tree is built through ``steiner_tree``, whether routing
-    built it or not.  The entry's weight and inner mask must give
+    Each entry's tree is built through the cache's ``tree``, whether
+    routing built it or not.  The entry's weight and inner mask must give
     ``entry_bound`` through ``_open_columns`` with no unit row, with
     every terminal's row a unit vector, and with a random set of unit
     rows.
     """
-    assert graph._steiner_cache
+    cache = graph._steiner
+    assert cache
     rng = random.Random(graph.n)
-    for mask, entry in graph._steiner_cache.items():
-        tree, steiner = steiner_tree(graph, mask)
+    for mask, entry in cache.items():
+        tree, steiner = cache.tree(entry, mask)
         terminals = set(vec_support(mask))
         _check_tree_invariants(graph, tree, steiner, terminals, max(terminals))
         for units in (0, mask, rng.getrandbits(graph.n)):

@@ -15,7 +15,7 @@ from scipy.optimize import linear_sum_assignment
 
 import cnotroute
 
-from cnotroute.arch import ArchGraph, steiner_entry
+from cnotroute.arch import ArchGraph
 from cnotroute.gf2 import BitMatrix, SingularMatrixError, invert, mat_mul
 from cnotroute.heuristic import (Assignment, AssignmentError, CostTable,
                                  _reduce_pair, build_cost_table,
@@ -148,6 +148,13 @@ def test_hungarian_rejects_infinite_assignment():
             hungarian_assign(_table(entries))
 
 
+@pytest.mark.parametrize("entries", [[[1], [2]], [[1, 2]], [[1, 2], [3, 4, 5]]],
+                         ids=["2x1", "1x2", "ragged"])
+def test_hungarian_rejects_a_table_that_is_not_square(entries):
+    with pytest.raises(AssignmentError, match="square"):
+        hungarian_assign(_table(entries))
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.integers(1, 7).flatmap(lambda n: st.lists(
     # entries 0-9 force ties, 0-49 spread the totals, inf forbids pairs
@@ -256,7 +263,7 @@ def test_heuristic_monotone_progress_and_bound():
             u, e = next((u, e) for u in non_unit for e in range(9)
                         if table.entries[u][e] == best)
             sup = table.supports[e]
-            ops += _reduce_pair(g, rows, u, sup, steiner_entry(g, sup))
+            ops += _reduce_pair(g, rows, u, sup, g._steiner[sup])
             counts.append(len(non_unit_nodes(rows)))
             total_iters += 1
             assert counts[-1] < counts[-2]
@@ -316,7 +323,7 @@ def test_loss_trajectory_diagnostic(grid3, capsys):
         u, e = next((u, e) for u in non_unit for e in range(9)
                     if table.entries[u][e] == best)
         sup = table.supports[e]
-        _reduce_pair(grid3, rows, u, sup, steiner_entry(grid3, sup))
+        _reduce_pair(grid3, rows, u, sup, grid3._steiner[sup])
         trajectory.append(loss(grid3, rows))
     print(f"loss trajectory: {trajectory}")
     assert trajectory[-1] == 0

@@ -16,7 +16,7 @@ from itertools import chain
 import pytest
 
 from cnotroute import arch, heuristic, synthesis
-from cnotroute.arch import get_architecture, steiner_entry
+from cnotroute.arch import get_architecture
 from cnotroute.bench import random_cnot_circuit
 from cnotroute.circuit import Mapping
 from cnotroute.gf2 import BitMatrix, SingularMatrixError, invert, is_unit
@@ -44,7 +44,7 @@ def _fresh_open(g, rows):
 
 def _reduce_along(g, rows, u, sup):
     """``_reduce_pair`` along the tree of ``sup``, with its cache entry."""
-    return _reduce_pair(g, rows, u, sup, steiner_entry(g, sup))
+    return _reduce_pair(g, rows, u, sup, g._steiner[sup])
 
 
 def _reference_reduction(g, rows):

@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from cnotroute.arch import steiner_entry, steiner_tree
+from cnotroute.arch import gen_steiner
 from cnotroute.gf2 import BitMatrix, invert, is_unit, vec_support
 from cnotroute.heuristic import _open_columns, _reduce_pair
 from cnotroute.rowgraph import (SWAP, ReductionError, reduction_costs,
@@ -52,7 +52,7 @@ def _check_state(g, rows, stats):
     prices = {}
     for e in range(g.n):
         sup = vec_support(inv.rows[e])
-        grown, steiner = steiner_tree(g, inv.rows[e])
+        grown, steiner = gen_steiner(g, sup)
         want = [_replay(rows, grown, steiner, u) for u in sup]
         assert reduction_costs(rows, grown, steiner, sup) == want
         low = entry_bound(rows, grown, steiner)
@@ -73,7 +73,7 @@ def _commit_cheapest(g, rows, prices):
     inv = invert(BitMatrix(g.n, rows))
     non_unit = set(non_unit_nodes(rows))
     price, u, e = min((p, u, e) for (u, e), p in prices.items() if u in non_unit)
-    _reduce_pair(g, rows, u, inv.rows[e], steiner_entry(g, inv.rows[e]))
+    _reduce_pair(g, rows, u, inv.rows[e], g._steiner[inv.rows[e]])
 
 
 def test_every_root_equals_the_replay():

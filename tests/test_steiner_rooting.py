@@ -4,9 +4,9 @@ For random connected graphs and terminal sets, the grown graph must be a
 tree with terminal leaves, and the ops ``tree_reduce_tracked`` runs at
 every root must match the schedule built from a BFS rooting with
 ascending children.  Growth yields masks; the cache entry's weight and
-inner mask, read off them, must agree with the tree ``steiner_tree``
-builds from them on first use, and that tree with a nearest-pair
-reference.
+inner mask, read off them, must agree with the tree the graph's tree
+cache builds from them when ``gen_steiner`` first asks for it, and that
+tree with a nearest-pair reference.
 """
 
 import random
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from cnotroute.arch import (ArchGraph, _grow_steiner_graph, gen_steiner,
                            get_architecture, list_architectures,
-                           path_from_successors, steiner_entry, steiner_tree)
+                           path_from_successors)
 from cnotroute.rowgraph import tree_reduce_tracked
 
 from conftest import (entry_bound, grid_graph, op_parent, random_connected_graph,
@@ -106,10 +106,11 @@ def test_every_root_matches_bfs_reference():
     rng = random.Random(2012)
     count = 0
     for g, terminals in _samples(2011, 200):
-        grown, steiner = steiner_tree(g, _mask(terminals))
+        grown, steiner = gen_steiner(g, terminals)
         _check_tree_with_terminal_leaves(g, grown, terminals)
         assert steiner == grown.keys() - terminals
-        assert gen_steiner(g, terminals) == (grown, steiner)
+        again, points = gen_steiner(g, sorted(terminals))
+        assert again is grown and points is steiner
         rows = rows_reducible_along(
             random_reversible_rows(rng, g, 2 * (g.n - 1)), terminals)
         for root in sorted(terminals):
@@ -134,7 +135,7 @@ def test_rooted_tree_keeps_exactly_the_grown_edges():
         n = rng.randrange(3, 16)
         g = random_connected_graph(rng, n)
         terminals = frozenset(rng.sample(range(n), rng.randrange(2, n + 1)))
-        grown, _ = steiner_tree(g, _mask(terminals))
+        grown, _ = gen_steiner(g, terminals)
         grown_edges = {(min(a, b), max(a, b))
                        for a, nbs in grown.items() for b in nbs}
         root = min(terminals)
@@ -197,10 +198,10 @@ def test_incremental_growth_matches_nearest_pair_reference():
     triangle = ArchGraph(3, [(0, 1), (1, 2), (0, 2)])
     # neighbour masks per node, the tree's nodes, and the attach node 0
     assert _grow_steiner_graph(triangle, 0b111) == ([0b110, 0b001, 0b001], 0b111, 0b001)
-    assert steiner_tree(triangle, 0b111)[0] == {0: (1, 2), 1: (0,), 2: (0,)}
+    assert gen_steiner(triangle, {0, 1, 2})[0] == {0: (1, 2), 1: (0,), 2: (0,)}
     count = 0
     for g, terminals in [(triangle, {0, 1, 2}), *_samples(2027, 200), *_wide_samples(2028)]:
-        assert steiner_tree(g, _mask(terminals))[0] == _reference_grow(g, terminals)
+        assert gen_steiner(g, terminals)[0] == _reference_grow(g, terminals)
         count += 1
     assert count == 601 + 30
 
@@ -229,10 +230,10 @@ def test_entry_bound_terms_agree_with_the_tree_built_on_first_use(case):
     graph, sets = case
     for terminals in sets:
         mask = _mask(terminals)
-        entry = steiner_entry(graph, mask)
+        entry = graph._steiner[mask]
         weight, inner, adjacency, nodes = entry.weight, entry.inner, entry.adjacency, entry.nodes
         assert entry.tree is None and entry.steiner is None  # grown, not built
-        tree, steiner = steiner_tree(graph, mask)
+        tree, steiner = gen_steiner(graph, terminals)
         assert tree == _reference_grow(graph, terminals)
         assert nodes == _mask(tree)
         assert adjacency == [_mask(tree.get(w, ())) for w in range(graph.n)]
@@ -242,7 +243,7 @@ def test_entry_bound_terms_agree_with_the_tree_built_on_first_use(case):
         # with every row a unit vector the reference bound counts all of inner
         units = [1 << u for u in range(graph.n)]
         assert entry_bound(units, tree, steiner) == weight + inner.bit_count()
-        again, points = steiner_tree(graph, mask)
+        again, points = gen_steiner(graph, terminals)
         assert again is tree and points is steiner
-        assert steiner_entry(graph, mask) is entry
+        assert graph._steiner[mask] is entry
         assert entry.adjacency is None and entry.nodes is None  # the masks are dropped

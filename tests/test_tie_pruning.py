@@ -15,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnotroute import heuristic
-from cnotroute.arch import (ArchGraph, get_architecture, list_architectures,
-                           steiner_tree)
+from cnotroute.arch import ArchGraph, gen_steiner, get_architecture, list_architectures
 from cnotroute.bench import random_cnot_circuit
 from cnotroute.gf2 import BitMatrix, invert, transpose, vec_support
 from cnotroute.heuristic import (_cheapest, _open_block, _open_columns, _reduce_pair,
@@ -133,7 +132,7 @@ def test_bound_is_a_lower_bound_on_every_entry_and_the_loss():
         position = {u: i for i, u in enumerate(block.nodes)}
         minima = []
         for j, sup in enumerate(block.supports):
-            grown, steiner = steiner_tree(graph, sup)
+            grown, steiner = gen_steiner(graph, vec_support(sup))
             schedule = len(grown) - 1 + 2 * len(steiner)
             assert bounds[j] == entry_bound(rows, grown, steiner)
             raised.append(bounds[j] > schedule)

@@ -6,12 +6,18 @@ roots and reject the rest with ``ReductionError`` before any row
 changes.  Named cases pin inputs that once slipped through one of them
 or raised a bare ``KeyError``; a hypothesis property then edits random
 trees into every kind of malformed adjacency and compares the two.
+
+Input of the wrong shape fails the same way: a second property puts
+values that are not nodes (None, bools, floats, strings, lists) into
+the nodes, neighbour tuples and roots of random trees, and into the ops
+given to ``reduction_recovery``; the only exception pricing, reduction
+or recovery raises is ``ReductionError``, with the rows left unchanged.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cnotroute.rowgraph import (SWAP, ReductionError, reduction_costs,
+from cnotroute.rowgraph import (ADD, SWAP, ReductionError, reduction_costs,
                                 reduction_recovery, tree_reduce_tracked)
 
 from conftest import rows_reducible_along
@@ -150,3 +156,73 @@ def test_pricing_and_reduction_accept_the_same_trees():
 
     check()
     assert seen["accepted"] > 100 and seen["rejected"] > 100, seen
+
+
+hashable_junk = st.none() | st.booleans() | st.floats(-1, 4) | st.text(max_size=2)
+junk = hashable_junk | st.lists(st.integers(0, 3), max_size=2)
+
+
+@st.composite
+def junk_tree_inputs(draw):
+    """(rows, tree, steiner, roots): a random tree, edited or not, with one
+    to three spots replaced by junk: a node's key, its neighbour tuple, one
+    of its neighbours, or one of the roots."""
+    rows, tree, steiner, roots = draw(tree_inputs())
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from(list(tree)))
+        spot = draw(st.sampled_from(["key", "neighbours", "neighbour", "root"]))
+        if spot == "key":
+            tree[draw(hashable_junk)] = tree.pop(node)
+        elif spot == "neighbours":
+            tree[node] = draw(junk)  # lists of nodes among it
+        elif spot == "neighbour" and type(tree[node]) is tuple and tree[node]:
+            i = draw(st.integers(0, len(tree[node]) - 1))
+            tree[node] = tree[node][:i] + (draw(junk),) + tree[node][i + 1:]
+        elif spot == "root":
+            roots[draw(st.integers(0, len(roots) - 1))] = draw(junk)
+    return rows, tree, steiner, roots
+
+
+def _fails_only_with_reduction_error(call, rows):
+    """Run ``call(rows)``; True if it raised ``ReductionError``, rows unchanged."""
+    before = list(rows)
+    try:
+        call(rows)
+    except ReductionError:
+        assert rows == before
+        return True
+    return False
+
+
+def test_junk_in_a_tree_or_its_ops_raises_only_reduction_error():
+    seen = {"tree rejected": 0, "ops rejected": 0}
+
+    @settings(max_examples=600, deadline=None, database=None, derandomize=True)
+    @given(junk_tree_inputs())
+    @example(([3, 2], {0: "1", 1: (0,)}, frozenset(), [1]))
+    @example(([3, 2], {0: (1,), 1.0: (0,)}, frozenset(), [0]))
+    @example(([3, 2], {0: (1,), 1: (0,)}, frozenset(), [0, [1]]))
+    def check_tree(case):
+        rows, tree, steiner, roots = case
+        seen["tree rejected"] += _fails_only_with_reduction_error(
+            lambda work: reduction_costs(work, tree, steiner, roots), rows)
+        for root in roots:
+            _fails_only_with_reduction_error(
+                lambda work: tree_reduce_tracked(work, tree, steiner, root), rows)
+
+    node = st.integers(-1, 3) | junk
+    op = (st.tuples(st.sampled_from([ADD, SWAP, "FOO"]), node, node)
+          | st.lists(node, max_size=4).map(tuple) | junk)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.lists(st.integers(0, 15), min_size=1, max_size=4),
+           st.lists(op, max_size=4), st.sets(st.integers(0, 3)))
+    @example([1, 2], [(ADD, "x", 1)], set())
+    @example([1, 2], [(ADD, 0, 1, 2)], {0})
+    def check_ops(rows, ops, tracked):
+        seen["ops rejected"] += _fails_only_with_reduction_error(
+            lambda work: reduction_recovery(work, ops, tracked), rows)
+
+    check_tree()
+    check_ops()
+    assert seen["tree rejected"] > 300 and seen["ops rejected"] > 150, seen
