@@ -316,10 +316,14 @@ def gen_steiner(g: ArchGraph, terminals) -> tuple:
 
     ``terminals`` is any non-empty iterable of nodes of ``g``; the result
     is the pair ``g``'s tree cache builds for their mask, so every form
-    of one set gets the same tree.  Raises ValueError on an empty set or
-    on a terminal that is not one of ``g``'s nodes.
+    of one set gets the same tree.  Raises ValueError on an empty set, on
+    a terminal that is not one of ``g``'s nodes and on a value that is
+    not an iterable of hashable items.
     """
-    nodes = set(terminals)
+    try:
+        nodes = set(terminals)
+    except TypeError:
+        nodes = ()
     if not nodes or any(type(t) is not int or not 0 <= t < g.n for t in nodes):
         raise ValueError(f"terminals must be one or more of the nodes 0..{g.n - 1}")
     mask = sum(1 << t for t in nodes)

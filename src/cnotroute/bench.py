@@ -5,7 +5,9 @@ routes them with the token-reduction synthesizer (plus cleanup) and with
 a naive SWAP-insertion baseline from the same initial mapping, verifies
 every output, and aggregates Table-style rows.  Identical (config, seed)
 pairs produce byte-identical canonical reports; wall-clock time is kept
-out of the canonical serialization for that reason.
+out of the canonical serialization for that reason.  Each JSON row is a
+``BenchRow``'s fields under their own names, so the table, the JSON and
+the library read one record.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ class BenchConfig:
         if not _is_count(self.trials):
             raise ValueError("trials must be >= 1 and an int")
         counts = self.gate_counts
-        if not counts or not all(_is_count(c) for c in counts) or len(set(counts)) < len(counts):
+        if (not isinstance(counts, (tuple, list)) or not counts
+                or not all(_is_count(c) for c in counts) or len(set(counts)) < len(counts)):
             raise ValueError("gate_counts must be non-empty positive ints, without repeats")
         if self.baseline not in ("swap_insertion", "none"):
             raise ValueError(f"unknown baseline {self.baseline!r}")
@@ -63,13 +66,15 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class BenchRow:
+    """One gate count's aggregate; each field is a key of the JSON report's row."""
+
     gate_count: int
     tr_mean: float
     tr_routed_max: int
-    base_mean: Optional[float]
-    saving_mean: Optional[float]
-    saving_max: Optional[float]
-    saving_min: Optional[float]
+    baseline_mean: Optional[float]
+    saving_mean_pct: Optional[float]
+    saving_max_pct: Optional[float]
+    saving_min_pct: Optional[float]
     positive: Optional[float]
     verify_rate: float
 
@@ -190,8 +195,8 @@ def _aggregate(gate_count: int, results: List[TrialResult]) -> BenchRow:
     savings = [100.0 * (r.baseline_cnots - r.tr_final) / r.baseline_cnots
                for r in results]
     positive = sum(1 for r in results if r.tr_final < r.baseline_cnots) / len(results)
-    base_mean = sum(r.baseline_cnots for r in results) / len(results)
-    return BenchRow(gate_count, tr_mean, tr_routed_max, base_mean,
+    baseline_mean = sum(r.baseline_cnots for r in results) / len(results)
+    return BenchRow(gate_count, tr_mean, tr_routed_max, baseline_mean,
                     sum(savings) / len(savings), max(savings), min(savings),
                     positive, verify_rate)
 
@@ -232,7 +237,11 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
 
 
 def report_to_json(report: BenchReport, include_timing: bool = False) -> str:
-    """Canonical machine-readable report; timing only on request."""
+    """Canonical machine-readable report; timing only on request.
+
+    Each row holds its ``BenchRow``'s fields under their own names, floats
+    rounded to four places.
+    """
     def num(x):
         return None if x is None else round(x, 4)
 
@@ -244,20 +253,7 @@ def report_to_json(report: BenchReport, include_timing: bool = False) -> str:
         "baseline": report.config.baseline,
         "postprocess": report.config.postprocess,
         "verified": report.verified_all,
-        "rows": [
-            {
-                "gate_count": r.gate_count,
-                "tr_mean": num(r.tr_mean),
-                "tr_routed_max": r.tr_routed_max,
-                "baseline_mean": num(r.base_mean),
-                "saving_mean_pct": num(r.saving_mean),
-                "saving_max_pct": num(r.saving_max),
-                "saving_min_pct": num(r.saving_min),
-                "positive": num(r.positive),
-                "verify_rate": num(r.verify_rate),
-            }
-            for r in report.rows
-        ],
+        "rows": [{k: num(v) for k, v in vars(r).items()} for r in report.rows],
     }
     if include_timing:
         doc["wall_time_s"] = round(report.wall_time_s, 3)
@@ -277,9 +273,9 @@ def format_table(report: BenchReport) -> str:
             return f"{x:.2f}" + ("%" if pct else "")
 
         lines.append(
-            f"{r.gate_count:>5} {r.tr_mean:>9.2f} {fmt(r.base_mean):>9} "
-            f"{fmt(r.saving_mean, True):>8} {fmt(r.saving_max, True):>8} "
-            f"{fmt(r.saving_min, True):>8} "
+            f"{r.gate_count:>5} {r.tr_mean:>9.2f} {fmt(r.baseline_mean):>9} "
+            f"{fmt(r.saving_mean_pct, True):>8} {fmt(r.saving_max_pct, True):>8} "
+            f"{fmt(r.saving_min_pct, True):>8} "
             f"{(fmt(100 * r.positive, True) if r.positive is not None else '-'):>9} "
             f"{100 * r.verify_rate:>8.1f}%")
     lines.append(f"wall time: {report.wall_time_s:.2f}s")

@@ -70,15 +70,17 @@ class Circuit:
         if type(n) is not int or n < 1:
             raise ValueError(f"wire count {n!r} is not a positive int")
         # one test per gate reads its wires directly; only a bad gate pays
-        # for ``Gate.wires``, which names the first bad wire
+        # for ``Gate.wires``, which names the first bad wire; a CNOT or SWAP
+        # whose wires pass that loop has its two wires equal
         for g in self.gates:
             if type(g.a) is not int or not 0 <= g.a < n or g.kind != ONEQ and (
-                    type(g.b) is not int or not 0 <= g.b < n):
+                    type(g.b) is not int or not 0 <= g.b < n or g.b == g.a):
                 for w in g.wires():
                     if type(w) is not int:
                         raise ValueError(f"gate {g} uses wire {w!r}, which is not an int")
                     if not 0 <= w < n:
                         raise ValueError(f"gate {g} uses wire {w} outside 0..{n - 1}")
+                raise ValueError(f"gate {g} uses wire {g.a} twice")
 
     def is_cnot_only(self) -> bool:
         return all(g.kind == CNOT for g in self.gates)

@@ -54,9 +54,7 @@ def _cmd_route(args) -> int:
         "architecture": graph.name,
         "input_mapping": routed.input_mapping.to_pairs(graph.names),
         "output_mapping": routed.output_mapping.to_pairs(graph.names),
-        "cnots_in": routed.stats.cnots_in,
-        "cnots_routed": routed.stats.cnots_routed,
-        "cnots_final": routed.stats.cnots_final,
+        **vars(routed.stats),
         "verified": verified,
     }
     if args.report:

@@ -147,7 +147,7 @@ def test_gen_steiner_single_terminal():
     assert tree_reduce_tracked([1, 2, 4], tree, steiner, 1) == ((), set())
 
 
-@pytest.mark.parametrize("terminals", [(), [3], [0, -1], [-1]])
+@pytest.mark.parametrize("terminals", [(), [3], [0, -1], [-1], 5.0, None, [[1]]])
 def test_gen_steiner_rejects_empty_or_foreign_terminals(terminals):
     g = ArchGraph(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match=r"nodes 0\.\.2"):

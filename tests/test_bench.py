@@ -99,7 +99,7 @@ def test_run_benchmark_smoke():
     assert len(report.rows) == 1
     assert report.rows[0].verify_rate == 1.0
     assert report.verified_all
-    assert report.rows[0].base_mean is not None
+    assert report.rows[0].baseline_mean is not None
     text = format_table(report)
     assert "9-square" in text
 
@@ -108,7 +108,7 @@ def test_run_benchmark_no_baseline():
     cfg = BenchConfig(arch="9-square", gate_counts=(4,), trials=2, seed=5,
                       baseline="none")
     report = run_benchmark(cfg)
-    assert report.rows[0].base_mean is None
+    assert report.rows[0].baseline_mean is None
     assert report.rows[0].positive is None
 
 
@@ -183,7 +183,7 @@ def test_config_validation():
     for trials in (2.5, 1.0, True):
         with pytest.raises(ValueError, match="trials"):
             BenchConfig(arch="9-square", trials=trials)
-    for counts in ((4, 2.5), (4.0,), (True,)):
+    for counts in ((4, 2.5), (4.0,), (True,), 4, None, "48", range(1, 3)):
         with pytest.raises(ValueError, match="gate_counts"):
             BenchConfig(arch="9-square", gate_counts=counts)
 

@@ -183,6 +183,15 @@ def test_bench_json(capsys):
     assert doc["rows"][0]["gate_count"] == 4
 
 
+def test_bench_json_equals_the_checked_in_sample(capsys):
+    # the report format, key names and rounding included, is pinned by a file
+    sample = Path(__file__).resolve().parents[1] / "tools" / "bench_9-square.json"
+    rc = main(["bench", "--arch", "9-square", "--counts", "4", "16", "--trials", "5",
+               "--seed", "3", "--json"])
+    assert rc == 0
+    assert capsys.readouterr().out == sample.read_text(encoding="utf-8")
+
+
 def test_bench_table(capsys):
     rc = main(["bench", "--arch", "9-square", "--counts", "4", "--trials", "1",
                "--seed", "3", "--baseline", "none"])
