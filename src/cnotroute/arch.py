@@ -35,6 +35,7 @@ unchecked cores.
 
 from __future__ import annotations
 
+import os
 from importlib import resources
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
@@ -152,8 +153,8 @@ class ArchGraph:
         self._steiner = _SteinerCache(self.ball, self.succ)
 
     def is_edge(self, u: int, v: int) -> bool:
-        """True if u and v are nodes one hop apart; False off the graph."""
-        return 0 <= u < self.n and 0 <= v < self.n and self.dist[u][v] == 1
+        """True if u and v are nodes one hop apart; False for anything else."""
+        return type(u) is type(v) is int and 0 <= u < self.n and 0 <= v < self.n and self.dist[u][v] == 1
 
     def __repr__(self) -> str:
         return f"ArchGraph({self.name or self.n!r}, n={self.n}, edges={len(self.edges)})"
@@ -403,7 +404,13 @@ def get_architecture(name: str) -> Tuple[ArchGraph, List[int]]:
 
 
 def resolve_architecture(name_or_path: str) -> Tuple[ArchGraph, Optional[List[int]]]:
-    """Accept either a registry name or a path to an architecture file."""
+    """Accept either a registry name or a path to an architecture file.
+
+    Raises ``FileNotFoundError``, listing the built-ins, if it is neither.
+    """
     if name_or_path in _BUILTIN:
         return get_architecture(name_or_path)
+    if not os.path.isfile(name_or_path):
+        raise FileNotFoundError(f"{name_or_path!r} is neither a built-in architecture "
+                                f"({', '.join(_BUILTIN)}) nor an existing file")
     return load_arch_file(name_or_path)

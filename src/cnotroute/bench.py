@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .arch import ArchGraph, path_from_successors, resolve_architecture
-from .circuit import Circuit, Mapping, cnot
+from .circuit import CNOT, Circuit, Gate, Mapping, cnot
 from .synthesis import (RoutedResult, RouteStats, cnot_weight, postprocess,
                         route_cnot_block, verify_equivalence)
 
@@ -123,11 +123,15 @@ def swap_insertion_baseline(c: Circuit, graph: ArchGraph,
 
     SWAPs along a shortest path are emitted as CNOT triples and the
     moved mapping is kept, so the output mapping generally differs from
-    the input one.
+    the input one.  The gates are checked as ``Circuit`` checks them,
+    since the list may have changed since ``c`` was built, on the wires
+    that are both the circuit's and the graph's.
     """
     if not c.is_cnot_only():
         raise ValueError("baseline accepts CNOT-only circuits")
     n = graph.n
+    # a wire must be the circuit's and have a node
+    Circuit(min(c.n_wires, n), c.gates)
     pos = list(m0.nodes)            # wire -> node
     at = [0] * n                    # node -> wire
     for w, node in enumerate(pos):
@@ -138,12 +142,13 @@ def swap_insertion_baseline(c: Circuit, graph: ArchGraph,
         path = path_from_successors(graph.succ, u, v)
         for k in range(len(path) - 2):
             a, b = path[k], path[k + 1]
-            # a Gate is an immutable tuple, so one serves both outer CNOTs
-            gates += [ab := cnot(a, b), cnot(b, a), ab]
+            # a Gate is an immutable tuple, so one serves both outer CNOTs;
+            # path nodes are distinct, so no CNOT targets its control
+            gates += [ab := Gate(CNOT, a, b), Gate(CNOT, b, a), ab]
             wa, wb = at[a], at[b]
             pos[wa], pos[wb] = b, a
             at[a], at[b] = wb, wa
-        gates.append(cnot(pos[g.a], pos[g.b]))
+        gates.append(Gate(CNOT, pos[g.a], pos[g.b]))
     return RoutedResult(Circuit(n, gates), m0, Mapping(pos),
                         RouteStats(len(c.gates), len(gates)))
 

@@ -17,7 +17,8 @@ to build an entry's tree) rather than through the checked
 ``arch.gen_steiner``.  They are trees with terminal leaves by the growth
 proof in ``arch``, so they are priced through the unchecked core
 ``rowgraph._costs``; only the reductions the synthesizer runs go
-through the checked ``tree_reduce_tracked``.
+through the checked ``tree_reduce_tracked``, and their recoveries
+replay its ops through the unchecked core ``rowgraph._recover``.
 
 Only the *open block* of the cost table is priced: the non-basic nodes
 against the basis indices e whose inverse row is not a unit vector.  A
@@ -32,8 +33,13 @@ the full table's cheapest entries over non-basic rows, in the same
 order.  ``build_cost_table`` remains the full-table reference and
 prices through the same ``rowgraph._costs`` as the block.
 
-The synthesizer inverts the matrix once and then carries the inverse
-in both forms: its rows, the supports (``sups[e]``, the nodes whose
+The synthesizer starts from the rows of the inverse and carries the
+inverse from there in both forms.  ``heuristic_token_reduction`` gets
+those rows from one inversion, which is also its singularity check.
+``synthesis.route_cnot_block`` gets them from the walk that composed
+the block (``synthesis._stops``), whose columns of P^-1 are the rows of
+(P^T)^-1, and calls the loop, ``_token_reduction``, directly.  The two
+forms are its rows, the supports (``sups[e]``, the nodes whose
 rows XOR to e_e), and its columns (``cols[u]``, the basis indices e
 whose inverse row contains u).  A row operation is R' = E R with E
 elementary and self-inverse, so R'^-1 = R^-1 E: ADD(a, b) (row a ^=
@@ -86,7 +92,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .arch import ArchGraph, SteinerEntry
 from .gf2 import BitMatrix, _transpose_rows, invert, vec_support
-from .rowgraph import ADD, RowOp, _costs, reduction_recovery, tree_reduce_tracked
+from .rowgraph import ADD, RowOp, _costs, _recover, tree_reduce_tracked
 
 
 class AssignmentError(ValueError):
@@ -366,10 +372,11 @@ def _reduce_pair(graph: ArchGraph, rows: List[int], u: int, sup: int,
     """Reduce ``rows`` in place at u along the tree of ``sup``, then recover.
 
     ``entry`` is ``sup``'s tree entry, whose tree is built if it is not
-    yet.  Returns the ops run, reduction then recovery.
+    yet.  Returns the ops run, reduction then recovery; the recovery
+    replays the reduction's own ops, so they are not checked again.
     """
     ops, tracked = tree_reduce_tracked(rows, *graph._steiner.tree(entry, sup), u)
-    return [*ops, *reduction_recovery(rows, ops, tracked)]
+    return [*ops, *_recover(rows, ops, tracked)]
 
 
 def heuristic_token_reduction(graph: ArchGraph, rows: List[int]) -> List[RowOp]:
@@ -400,7 +407,16 @@ def heuristic_token_reduction(graph: ArchGraph, rows: List[int]) -> List[RowOp]:
     ``SingularMatrixError``, basic or not, and a ``ValueError`` if there
     is not one row per node.
     """
-    sups = invert(BitMatrix(graph.n, rows)).rows
+    return _token_reduction(graph, rows, invert(BitMatrix(graph.n, rows)).rows)
+
+
+def _token_reduction(graph: ArchGraph, rows: List[int], sups: List[int]) -> List[RowOp]:
+    """``heuristic_token_reduction`` from the rows of the inverse, checking nothing.
+
+    ``sups`` must be the rows of the inverse of ``rows``' matrix, which
+    ``synthesis._stops`` carries as the columns of the composed block's
+    inverse.  ``rows`` is reduced in place; ``sups`` may change too.
+    """
     cols = _transpose_rows(sups)
     candidates = _cheapest_bounded(graph, rows, _open_columns(graph, sups))
     out: List[RowOp] = []

@@ -28,11 +28,15 @@ Every public function that takes a tree checks it in one walk,
 ``_schedule``, which also builds the reduction schedule; malformed trees
 raise ``ReductionError``, and so does a tree, root or op list holding
 values that are not nodes, such as strings or floats, where the walk
-would otherwise fail inside Python.  The private core ``_costs`` checks
-nothing: ``heuristic`` prices through it the trees it reads off each
-graph's tree cache (``arch.gen_steiner`` reads the same trees), which
-are trees with terminal leaves by the growth proof in
-``arch._grow_steiner_graph``.
+would otherwise fail inside Python.  The two private cores check
+nothing.  ``heuristic`` prices through ``_costs`` the trees it reads
+off each graph's tree cache (``arch.gen_steiner`` reads the same
+trees), which are trees with terminal leaves by the growth proof in
+``arch._grow_steiner_graph``.  It recovers through ``_recover``, which
+is ``reduction_recovery`` without the op checks, from the ops
+``tree_reduce_tracked`` has just returned: its ``_schedule`` walk
+checked the tree they come from, so they are ADDs and SWAPs of two
+distinct rows by construction.
 """
 
 from __future__ import annotations
@@ -324,6 +328,12 @@ def reduction_recovery(rows: List[int], operations: Sequence[RowOp],
                                  "outside the graph")
         if kind not in (ADD, SWAP) or a == b:
             raise ReductionError(f"operation {op!r} is not an ADD or SWAP of two rows")
+    return _recover(rows, operations, tracked)
+
+
+def _recover(rows: List[int], operations: Sequence[RowOp], tracked: Set[int]) -> List[RowOp]:
+    """``reduction_recovery`` without its op checks: the ops must be the ones
+    ``tree_reduce_tracked`` returned, whose ``_schedule`` walk checked their tree."""
     recover = []
     for kind, a, b in reversed(operations):
         if kind == ADD:

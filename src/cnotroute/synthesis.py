@@ -13,6 +13,17 @@ mapping.
 carries the rows of the list's linear prefix and the columns of that
 prefix's inverse, one XOR or exchange per gate, and stops at every
 one-qubit gate and once at the end.  ``linear_matrix`` is its last stop.
+``route_cnot_block`` takes both forms from one walk: the rows, transposed,
+are what the synthesizer reduces, and the columns of P^-1 are the rows
+of (P^T)^-1, the inverse the synthesizer starts from, so it calls the
+unchecked loop ``heuristic._token_reduction`` with no inversion.
+
+Each gate list is checked once where it enters: ``route_cnot_block``,
+``route_general`` and ``equivalence_failure`` check theirs as
+``Circuit`` does, since a circuit's list can change after it is built.
+The routed gates are built as plain ``Gate`` tuples, their two nodes
+distinct by construction, and the ``Circuit`` that holds them checks
+them once more.
 
 One rule decides correctness for linear and mixed circuits alike.
 ``_moved_failure`` zips two such walks and requires, at each pair of
@@ -31,9 +42,9 @@ from itertools import groupby
 from typing import List, Optional
 
 from .arch import ArchGraph
-from .circuit import CNOT, ONEQ, SWAP, Circuit, Gate, Mapping, cnot, one_qubit, swap_gate
-from .gf2 import BitMatrix, transpose, unit_index
-from .heuristic import heuristic_token_reduction
+from .circuit import CNOT, ONEQ, SWAP, Circuit, Gate, Mapping, one_qubit
+from .gf2 import BitMatrix, _transpose_rows
+from .heuristic import _token_reduction
 from .rowgraph import ADD
 
 
@@ -84,28 +95,34 @@ def relabel_circuit(c: Circuit, mapping: Mapping) -> Circuit:
 def route_cnot_block(c: Circuit, graph: ArchGraph, m0: Mapping) -> RoutedResult:
     """Synthesize a block of CNOT and SWAP gates onto the architecture.
 
-    The block is composed into its GF(2) matrix first, which rejects any
-    other gate.  The output mapping is chosen by the synthesis itself:
-    wire w ends on the node whose final row is the basis vector indexed
-    by m0(w).  A block whose gates all sit on edges already is passed
-    through verbatim, SWAPs included.
+    The gates are checked as ``Circuit`` checks them, since the list may
+    have changed since ``c`` was built, and composed by one ``_stops``
+    walk into the block's GF(2) matrix P on the nodes, which rejects any
+    other gate.  The walk's columns of P^-1 are the rows of (P^T)^-1, the
+    inverse the synthesizer starts from, so nothing is inverted here.
+    The output mapping is chosen by the synthesis itself: wire w ends on
+    the node whose final row is the basis vector indexed by m0(w).  A
+    block whose gates all sit on edges already is passed through
+    verbatim, SWAPs included.
     """
     n = graph.n
     if c.n_wires != n:
         raise ValueError(f"circuit has {c.n_wires} wires, architecture {n} nodes")
     if len(m0) != n:
         raise ValueError("mapping size must match the architecture")
-    relabeled = relabel_circuit(c, m0)
-    matrix = linear_matrix(relabeled.gates, n)
-    weight_in = cnot_weight(relabeled.gates)
-    if complies(relabeled, graph):
-        return RoutedResult(relabeled, m0, m0, RouteStats(weight_in, weight_in))
-    rows = transpose(matrix).rows
-    gates = [cnot(a, b) if kind == ADD else swap_gate(a, b)
-             for kind, a, b in heuristic_token_reduction(graph, rows)]
-    holder = [0] * n
-    for u, row in enumerate(rows):
-        holder[unit_index(row)] = u
+    Circuit(n, c.gates)
+    for label, node, rows, cols in _stops(c.gates, m0, n):
+        if label is not None:
+            raise ValueError(f"not a linear gate: 1q {label} on node {node}")
+    weight_in = cnot_weight(c.gates)
+    if all(graph.is_edge(m0[g.a], m0[g.b]) for g in c.gates):
+        return RoutedResult(relabel_circuit(c, m0), m0, m0, RouteStats(weight_in, weight_in))
+    rows = _transpose_rows(rows)
+    # wires are distinct by construction: a row op names two nodes
+    gates = [Gate(CNOT if kind == ADD else SWAP, a, b)
+             for kind, a, b in _token_reduction(graph, rows, cols)]
+    # rows is now a permutation: ascending rows e_0, e_1, ... name their holders
+    holder = sorted(range(n), key=rows.__getitem__)
     mt = Mapping([holder[m0[w]] for w in range(n)])
     return RoutedResult(Circuit(n, gates), m0, mt,
                         RouteStats(weight_in, cnot_weight(gates)))
@@ -184,9 +201,12 @@ def equivalence_failure(c: Circuit, routed: RoutedResult,
     """None if the routed result is sound, else a human-readable reason.
 
     The original may have fewer wires than the graph has nodes; the
-    rest are idle.  Every two-qubit gate of the routed circuit must sit
-    on an edge, and the circuit must equal the original up to the
-    mappings, one-qubit gates included (see ``_moved_failure``).
+    rest are idle.  Both gate lists are checked as ``Circuit`` checks
+    them, since either may have changed since its circuit was built, and
+    the first bad gate's message is the reason.  Every two-qubit gate of
+    the routed circuit must sit on an edge, and the circuit must equal
+    the original up to the mappings, one-qubit gates included (see
+    ``_moved_failure``).
     """
     n = graph.n
     if c.n_wires > n:
@@ -195,10 +215,16 @@ def equivalence_failure(c: Circuit, routed: RoutedResult,
         return f"routed circuit has {routed.circuit.n_wires} wires, architecture {n} nodes"
     if len(routed.input_mapping) != n or len(routed.output_mapping) != n:
         return "mapping size does not match the architecture"
-    for g in routed.circuit.gates:
-        if g.kind != ONEQ and not graph.is_edge(g.a, g.b):
-            a, b = (graph.names[w] if 0 <= w < n else w for w in (g.a, g.b))
-            return f"gate {g.kind} {a}-{b} is not on an architecture edge"
+    try:
+        Circuit(c.n_wires, c.gates)
+        for g in routed.circuit.gates:
+            if g.kind != ONEQ and not graph.is_edge(g.a, g.b):
+                a, b = (graph.names[w] if type(w) is int and 0 <= w < n else w for w in (g.a, g.b))
+                return f"gate {g.kind} {a}-{b} is not on an architecture edge"
+        # every two-qubit gate is on an edge: only a one-qubit gate can fail here
+        Circuit(n, routed.circuit.gates)
+    except ValueError as exc:
+        return str(exc)
     return _moved_failure(c.gates, routed.circuit.gates, routed.input_mapping,
                           routed.output_mapping, n)
 
@@ -233,7 +259,7 @@ def _expand_swaps(gates: List[Gate]) -> List[Gate]:
             c = a
         t = b if c == a else a
         # a Gate is an immutable tuple, so one serves both outer CNOTs
-        out.extend((ct := cnot(c, t), cnot(t, c), ct))
+        out.extend((ct := Gate(CNOT, c, t), Gate(CNOT, t, c), ct))
     return out
 
 
@@ -321,8 +347,11 @@ def route_general(c: Circuit, graph: ArchGraph, m0: Mapping) -> RoutedResult:
     SWAPs stay atomic until ``postprocess`` expands them.  One-qubit
     gates pass through on their wire's current node.  A circuit narrower
     than the graph is routed as if padded with idle wires, which still
-    appear in both mappings.
+    appear in both mappings.  The gates are checked against the
+    circuit's own wires first, since the list may have changed since
+    ``c`` was built.
     """
+    Circuit(c.n_wires, c.gates)
     if c.n_wires > graph.n:
         raise ValueError(f"circuit has {c.n_wires} wires, architecture {graph.n} nodes")
     if len(m0) != graph.n:

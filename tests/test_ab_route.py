@@ -97,7 +97,8 @@ def test_a_tree_that_routes_differently_fails(tmp_path, capsys):
 
 @pytest.mark.parametrize("module, old, new", [
     ("synthesis.py", "            c = a\n", "            c = b\n"),
-    ("bench.py", "[ab := cnot(a, b), cnot(b, a), ab]", "[ba := cnot(b, a), cnot(a, b), ba]"),
+    ("bench.py", "[ab := Gate(CNOT, a, b), Gate(CNOT, b, a), ab]",
+     "[ba := Gate(CNOT, b, a), Gate(CNOT, a, b), ba]"),
 ])
 def test_a_tree_whose_postprocessing_or_baseline_differs_fails(tmp_path, capsys, module,
                                                                 old, new):

@@ -205,6 +205,18 @@ def test_missing_file_reports_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["route", "c.txt", "--arch", "16square"],
+                                  ["arch", "show", "nope"]])
+def test_an_unknown_arch_names_the_built_ins(tmp_path, capsys, argv):
+    # a directory is not an architecture file either
+    for arg in (argv[-1], str(tmp_path)):
+        assert main([*argv[:-1], arg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {arg!r} is neither a built-in architecture (")
+        assert ", ".join(cnotroute.list_architectures()) in err
+        assert err.rstrip().endswith("nor an existing file")
+
+
 def test_bench_with_no_jobs_reports_error(capsys):
     rc = main(["bench", "--arch", "9-square", "--counts", "4", "--trials", "1",
                "--jobs", "0"])

@@ -199,14 +199,14 @@ def test_pricing_grows_no_tree_when_the_cache_is_cleared_after_opening(monkeypat
     for name, kind in (("_open_block", "pricing"), ("_cheapest_bounded", "pricing")):
         monkeypatch.setattr(heuristic, name, marked(kind, getattr(heuristic, name)))
     monkeypatch.setattr(heuristic, "_reduce_pair", marked("reduction", reduce_counted))
-    synthesize = heuristic.heuristic_token_reduction
+    synthesize = heuristic._token_reduction
     committed = [None]
 
-    def synthesize_noted(graph, rows):
+    def synthesize_noted(graph, rows, sups):
         committed[0] = rows
-        return synthesize(graph, rows)
+        return synthesize(graph, rows, sups)
 
-    monkeypatch.setattr(synthesis, "heuristic_token_reduction", synthesize_noted)
+    monkeypatch.setattr(synthesis, "_token_reduction", synthesize_noted)
     graph, stock = get_architecture("ibm-q20-tokyo")
     for seed in range(4):
         route_cnot_block(random_cnot_circuit(graph.n, 64, 3037 + seed), graph, Mapping(stock))

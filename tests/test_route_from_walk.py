@@ -1,0 +1,87 @@
+"""Each routed block is composed once, and the synthesizer starts from that walk.
+
+``route_cnot_block`` composes its gates in one ``synthesis._stops`` walk
+and hands the synthesizer's loop the walk's columns of P^-1 as the rows
+of (P^T)^-1, where ``heuristic_token_reduction`` inverts P^T itself.
+The walk's columns must equal that inverse, and the routed ops the ops
+``heuristic_token_reduction`` runs on the same rows.  The synthesizer
+recovers each reduction through ``rowgraph._recover``, which skips the
+op checks of ``reduction_recovery``: on the ops ``tree_reduce_tracked``
+returns, at every root of grown trees, the two must agree, ops and rows
+and tracked sets alike.  Graphs, mappings and gate lists are drawn at
+random, CNOTs and SWAPs alike.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from cnotroute.arch import gen_steiner
+from cnotroute.circuit import CNOT, SWAP, Circuit, Gate, Mapping
+from cnotroute.gf2 import invert, transpose
+from cnotroute.heuristic import heuristic_token_reduction
+from cnotroute.rowgraph import ADD, _recover, reduction_recovery, tree_reduce_tracked
+from cnotroute.synthesis import (_stops, complies, linear_matrix, relabel_circuit,
+                                 route_cnot_block)
+
+from conftest import random_connected_graph, random_reversible_rows, rows_reducible_along
+
+
+@st.composite
+def blocks(draw):
+    """A random connected graph on 2..12 nodes, a block of CNOTs and SWAPs
+    on as many wires, and a random initial mapping."""
+    n = draw(st.integers(2, 12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    graph = random_connected_graph(rng, n, extra=rng.randrange(n + 1))
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    gate = st.tuples(st.sampled_from([CNOT, SWAP]), pair).map(lambda t: Gate(t[0], *t[1]))
+    gates = draw(st.lists(gate, max_size=3 * n))
+    return graph, Circuit(n, gates), Mapping(draw(st.permutations(range(n))))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(blocks())
+def test_the_walks_columns_are_the_inverse_the_synthesizer_starts_from(case):
+    graph, c, m0 = case
+    n = graph.n
+    *_, (_, _, rows, cols) = _stops(c.gates, m0, n)
+    matrix = linear_matrix(relabel_circuit(c, m0).gates, n)
+    assert rows == matrix.rows
+    assert cols == invert(transpose(matrix)).rows
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(blocks())
+def test_routed_ops_are_the_public_synthesizers(case):
+    graph, c, m0 = case
+    relabeled = relabel_circuit(c, m0)
+    routed = route_cnot_block(c, graph, m0)
+    if complies(relabeled, graph):
+        assert routed.circuit.gates == relabeled.gates
+        return
+    rows = transpose(linear_matrix(relabeled.gates, graph.n)).rows
+    ops = heuristic_token_reduction(graph, rows)
+    assert routed.circuit.gates == [Gate(CNOT if kind == ADD else SWAP, a, b)
+                                    for kind, a, b in ops]
+    holder = {row.bit_length() - 1: u for u, row in enumerate(rows)}
+    assert routed.output_mapping == Mapping([holder[m0[w]] for w in range(graph.n)])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(2, 14), st.integers(0, 2**32))
+def test_the_recovery_core_equals_the_checked_recovery_at_every_root(n, seed):
+    rng = random.Random(seed)
+    graph = random_connected_graph(rng, n, extra=rng.randrange(n + 1))
+    start = random_reversible_rows(rng, graph, rng.randrange(4 * n))
+    terminals = sorted(rng.sample(range(n), rng.randrange(2, n + 1)))
+    start = rows_reducible_along(start, terminals)
+    grown, steiner = gen_steiner(graph, terminals)
+    for root in terminals:
+        reduced = list(start)
+        ops, tracked = tree_reduce_tracked(reduced, grown, steiner, root)
+        checked, core = list(reduced), list(reduced)
+        checked_tracked, core_tracked = set(tracked), set(tracked)
+        assert _recover(core, ops, core_tracked) == \
+            reduction_recovery(checked, ops, checked_tracked)
+        assert core == checked and core_tracked == checked_tracked

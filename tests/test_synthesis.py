@@ -371,7 +371,9 @@ def graphs_and_mixed_circuits(draw):
     if n > 1:
         cnots = st.tuples(wire, st.integers(1, n - 1)).map(
             lambda p: cnot(p[0], (p[0] + p[1]) % n))
-        gate = st.one_of(cnots, cnots, cnots, oneqs)
+        # hypothesis' one_of merges repeated branches, so draw the kind
+        # from a list instead: three CNOTs to each one-qubit gate
+        gate = st.sampled_from([cnots, cnots, cnots, oneqs]).flatmap(lambda kind: kind)
     gates = draw(st.lists(gate, max_size=40))
     m0 = Mapping(draw(st.permutations(range(n))))
     return graph, Circuit(n, gates), m0

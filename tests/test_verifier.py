@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from cnotroute import synthesis
 from cnotroute.arch import ArchGraph, get_architecture
-from cnotroute.circuit import (CNOT, ONEQ, Circuit, Gate, Mapping, cnot,
+from cnotroute.bench import swap_insertion_baseline
+from cnotroute.circuit import (CNOT, ONEQ, SWAP, Circuit, Gate, Mapping, cnot,
                                one_qubit, swap_gate)
 from cnotroute.synthesis import (RoutedResult, RouteStats, equivalence_failure,
-                                 postprocess, route_general, verify_equivalence)
+                                 postprocess, route_cnot_block, route_general,
+                                 verify_equivalence)
 
 from conftest import check
 
@@ -131,6 +133,52 @@ def test_wider_circuit_is_rejected(tokyo):
     assert "21 wires" in equivalence_failure(c, routed, graph)
 
 
+@pytest.mark.parametrize("bad", [Gate(CNOT, -1, 2), Gate(CNOT, 50, 2), Gate(CNOT, 2, "x"),
+                                 Gate(CNOT, 2.0, 3), Gate(SWAP, 4, 4), one_qubit("H", -1)],
+                         ids=["wire -1", "wire 50", "wire x", "wire 2.0", "one wire twice",
+                              "1q on wire -1"])
+def test_a_gate_list_changed_after_the_original_was_built_is_rejected(bad):
+    """A gate put into the original's list after ``Circuit`` checked it:
+    wire -1 would be routed as wire n - 1, and wire 50 or "x" would raise
+    a bare IndexError or TypeError.  Both routers raise ``Circuit``'s own
+    ValueError, and ``equivalence_failure`` gives its message as the
+    reason; the same gate in the routed list is caught there too."""
+    graph, stock = get_architecture("9-square")
+    m0 = Mapping(stock)
+    c = Circuit(9, [cnot(0, 4), cnot(8, 1), cnot(3, 5)])
+    routed = route_cnot_block(c, graph, m0)
+    with pytest.raises(ValueError) as expected:
+        Circuit(9, [bad])
+    message = str(expected.value)
+    c.gates.append(bad)
+    routers = [route_cnot_block, route_general]
+    if bad.kind == CNOT:  # the baseline rejects one-qubit gates first
+        routers.append(swap_insertion_baseline)
+    for route in routers:
+        with pytest.raises(ValueError) as raised:
+            route(c, graph, m0)
+        assert str(raised.value) == message, route
+    assert equivalence_failure(c, routed, graph) == message
+    c.gates.pop()
+    assert verify_equivalence(c, routed, graph)
+    if bad.kind == ONEQ:  # a two-qubit gate off the graph is off its edges
+        routed.circuit.gates.append(bad)
+        assert equivalence_failure(c, routed, graph) == message
+
+
+def test_a_narrower_circuit_changed_onto_an_idle_wire_is_rejected(tokyo):
+    # wire 5 has a node but is not one of the circuit's three wires
+    graph, m0 = tokyo
+    c = Circuit(3, [cnot(0, 1), one_qubit("H", 2)])
+    routed = route_general(c, graph, m0)
+    for circuit, route in ((Circuit(3, [cnot(0, 1)]), swap_insertion_baseline),
+                           (c, route_general)):
+        circuit.gates.append(cnot(0, 5))
+        with pytest.raises(ValueError, match="uses wire 5 outside 0..2"):
+            route(circuit, graph, m0)
+    assert "uses wire 5 outside 0..2" in equivalence_failure(c, routed, graph)
+
+
 def test_unknown_gate_kind_raises():
     path2 = ArchGraph(2, [(0, 1)])
     ident = Mapping.identity(2)
@@ -193,7 +241,9 @@ def _gates(wires):
                     unique=True)
     two = st.tuples(st.booleans(), pair).map(
         lambda t: swap_gate(*t[1]) if t[0] else cnot(*t[1]))
-    return st.one_of(two, two, oneq)
+    # hypothesis' one_of merges repeated branches, so draw the kind from a
+    # list instead: two two-qubit gates to each one-qubit gate
+    return st.sampled_from([two, two, oneq]).flatmap(lambda kind: kind)
 
 
 MUTATIONS = ("none", "pair", "drop", "insert", "exchange", "move", "label",
