@@ -221,8 +221,8 @@ def equivalence_failure(c: Circuit, routed: RoutedResult,
             if g.kind != ONEQ and not graph.is_edge(g.a, g.b):
                 a, b = (graph.names[w] if type(w) is int and 0 <= w < n else w for w in (g.a, g.b))
                 return f"gate {g.kind} {a}-{b} is not on an architecture edge"
-        # every two-qubit gate is on an edge: only a one-qubit gate can fail here
-        Circuit(n, routed.circuit.gates)
+        # is_edge has checked the wires of every two-qubit gate
+        Circuit(n, [g for g in routed.circuit.gates if g.kind == ONEQ])
     except ValueError as exc:
         return str(exc)
     return _moved_failure(c.gates, routed.circuit.gates, routed.input_mapping,
