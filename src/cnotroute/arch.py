@@ -154,7 +154,8 @@ class ArchGraph:
 
     def is_edge(self, u: int, v: int) -> bool:
         """True if u and v are nodes one hop apart; False for anything else."""
-        return type(u) is type(v) is int and 0 <= u < self.n and 0 <= v < self.n and self.dist[u][v] == 1
+        return (type(u) is type(v) is int and 0 <= u < self.n and 0 <= v < self.n
+                and self.dist[u][v] == 1)
 
     def __repr__(self) -> str:
         return f"ArchGraph({self.name or self.n!r}, n={self.n}, edges={len(self.edges)})"
@@ -406,11 +407,10 @@ def get_architecture(name: str) -> Tuple[ArchGraph, List[int]]:
 def resolve_architecture(name_or_path: str) -> Tuple[ArchGraph, Optional[List[int]]]:
     """Accept either a registry name or a path to an architecture file.
 
-    Raises ``FileNotFoundError``, listing the built-ins, if it is neither.
+    Raises ``OSError``, listing the built-ins, if it is neither.
     """
     if name_or_path in _BUILTIN:
         return get_architecture(name_or_path)
     if not os.path.isfile(name_or_path):
-        raise FileNotFoundError(f"{name_or_path!r} is neither a built-in architecture "
-                                f"({', '.join(_BUILTIN)}) nor an existing file")
+        raise OSError(f"{name_or_path!r} is neither a built-in ({', '.join(_BUILTIN)}) nor a file")
     return load_arch_file(name_or_path)
