@@ -18,10 +18,11 @@ are what the synthesizer reduces, and the columns of P^-1 are the rows
 of (P^T)^-1, the inverse the synthesizer starts from, so it calls the
 unchecked loop ``heuristic._token_reduction`` with no inversion.
 
-Each gate list is checked once where it enters: ``route_cnot_block``,
-``route_general`` and ``equivalence_failure`` check theirs as
-``Circuit`` does, since a circuit's list can change after it is built.
-The routed gates are built as plain ``Gate`` tuples, their two nodes
+A circuit's gate list can change after ``Circuit`` checked it, so
+``route_cnot_block``, ``route_general`` and ``equivalence_failure``
+check the list they are given as ``Circuit`` does, and a block is
+checked once inside ``route_cnot_block``, not again by its walk.  The
+routed gates are built as plain ``Gate`` tuples, their two nodes
 distinct by construction, and the ``Circuit`` that holds them checks
 them once more.
 
