@@ -29,8 +29,8 @@ checks the terminals it is given and reads their tree off the cache,
 which the synthesizer reads directly.  A grown tree is a tree whose
 leaves are terminals by the proof in ``_grow_steiner_graph``, which
 checks nothing at run time; ``rowgraph``'s public functions check every
-tree they are given, and the synthesizer prices grown trees through its
-unchecked cores.
+tree they are given, and the synthesizer prices and reduces along grown
+trees through their unchecked cores.
 """
 
 from __future__ import annotations
@@ -174,18 +174,22 @@ def _grow_steiner_graph(g, mask: int) -> Tuple[List[int], int, int]:
     meets the tree only at distance d, so u is the least terminal there
     and v the least tree node at distance d from u.  For the first path
     the "tree" of u is the terminals above u: the smallest of (u, v) and
-    (v, u) is the one with u < v.  The result is a tree whose leaves are
-    all terminals: an interior node w of a u-v path is strictly nearer
-    to u than v, so were it a tree node or a terminal, (u, w) or (w, v)
-    would be a nearer pair.  Each path thus meets the tree only at v,
-    and only its ends other than v, all terminals, are left with one
-    neighbour.  The only terminals a path adds are therefore u, and v on
-    the first path, so the list of remaining terminals drops just those
-    and stays ascending.  Each path adds as many edges as new nodes, so
-    the result has one edge fewer than nodes and is connected: a tree.
-    Nothing here re-checks that; ``test_arch._check_tree_invariants``
-    does, on random graphs and on every tree routing grows on the device
-    families.
+    (v, u) is the one with u < v.  That target depends on u, so the
+    first path is found by its own scan; every later probe is one
+    ``ball[u][d] & tree``.  Neither scan needs a bound on d: the last
+    ball of a connected graph is the whole graph, which holds the tree
+    and, for the least remaining u, a terminal above u.  The result is a
+    tree whose leaves are all terminals: an interior node w of a u-v
+    path is strictly nearer to u than v, so were it a tree node or a
+    terminal, (u, w) or (w, v) would be a nearer pair.  Each path thus
+    meets the tree only at v, and only its ends other than v, all
+    terminals, are left with one neighbour.  The only terminals a path
+    adds are therefore u, and v on the first path, so the list of
+    remaining terminals drops just those and stays ascending.  Each path
+    adds as many edges as new nodes, so the result has one edge fewer
+    than nodes and is connected: a tree.  Nothing here re-checks that;
+    ``test_arch._check_tree_invariants`` does, on random graphs and on
+    every tree routing grows on the device families.
 
     ``g`` is a graph or its tree cache: only its ``ball`` and ``succ``
     tables are read.  Returns (adjacency, nodes, inner), all masks:
@@ -200,24 +204,22 @@ def _grow_steiner_graph(g, mask: int) -> Tuple[List[int], int, int]:
         return adjacency, mask, 0
     ball = g.ball
     succ = g.succ
-    depth = len(ball[0])
-    tree = inner = 0
     remaining = list(vec_support(mask))
-    while remaining:
-        for d in range(1, depth):
-            for u in remaining:
-                hit = ball[u][d] & (tree or mask >> u + 1 << u + 1)
-                if hit:
-                    break
-            else:
-                continue
-            break
-        v = (hit & -hit).bit_length() - 1
-        # a path's interior holds no terminal, so it adds u, and v if first
-        if tree:
-            inner |= 1 << v
+    d = 1
+    while True:
+        for u in remaining:
+            hit = ball[u][d] & mask >> u + 1 << u + 1
+            if hit:
+                break
         else:
-            remaining.remove(v)
+            d += 1
+            continue
+        break
+    v = (hit & -hit).bit_length() - 1
+    # a path's interior holds no terminal, so it adds u, and v if first
+    remaining.remove(v)
+    tree = inner = 0
+    while True:  # lay the u-v path, then find the next join
         remaining.remove(u)
         x, xbit = u, 1 << u
         tree |= xbit
@@ -228,7 +230,20 @@ def _grow_steiner_graph(g, mask: int) -> Tuple[List[int], int, int]:
             adjacency[y] |= xbit
             tree |= ybit
             x, xbit = y, ybit
-    return adjacency, tree, inner & mask
+        if not remaining:
+            return adjacency, tree, inner & mask
+        d = 1
+        while True:
+            for u in remaining:
+                hit = ball[u][d] & tree
+                if hit:
+                    break
+            else:
+                d += 1
+                continue
+            break
+        v = (hit & -hit).bit_length() - 1
+        inner |= 1 << v
 
 
 _GROW_CACHE_CAP = 4000

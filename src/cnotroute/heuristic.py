@@ -15,10 +15,9 @@ are read straight off the graph's tree cache (``arch._SteinerCache``:
 an entry per terminal mask, grown on a miss, and its ``tree`` method
 to build an entry's tree) rather than through the checked
 ``arch.gen_steiner``.  They are trees with terminal leaves by the growth
-proof in ``arch``, so they are priced through the unchecked core
-``rowgraph._costs``; only the reductions the synthesizer runs go
-through the checked ``tree_reduce_tracked``, and their recoveries
-replay its ops through the unchecked core ``rowgraph._recover``.
+proof in ``arch``, so they are priced, reduced along and recovered
+through ``rowgraph``'s unchecked cores ``_costs``, ``_reduce_tracked``
+and ``_recover``: the synthesizer calls no public reduction function.
 
 Only the *open block* of the cost table is priced: the non-basic nodes
 against the basis indices e whose inverse row is not a unit vector.  A
@@ -92,7 +91,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .arch import ArchGraph, SteinerEntry
 from .gf2 import BitMatrix, _transpose_rows, invert, vec_support
-from .rowgraph import ADD, RowOp, _costs, _recover, tree_reduce_tracked
+from .rowgraph import ADD, RowOp, _costs, _recover, _reduce_tracked
 
 
 class AssignmentError(ValueError):
@@ -372,10 +371,11 @@ def _reduce_pair(graph: ArchGraph, rows: List[int], u: int, sup: int,
     """Reduce ``rows`` in place at u along the tree of ``sup``, then recover.
 
     ``entry`` is ``sup``'s tree entry, whose tree is built if it is not
-    yet.  Returns the ops run, reduction then recovery; the recovery
-    replays the reduction's own ops, so they are not checked again.
+    yet.  Returns the ops run, reduction then recovery.  Nothing is
+    checked: the tree is grown, u is a terminal of it, and the rows of
+    ``sup``, a support, XOR to a unit vector.
     """
-    ops, tracked = tree_reduce_tracked(rows, *graph._steiner.tree(entry, sup), u)
+    ops, tracked = _reduce_tracked(rows, *graph._steiner.tree(entry, sup), u)
     return [*ops, *_recover(rows, ops, tracked)]
 
 

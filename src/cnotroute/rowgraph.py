@@ -24,19 +24,21 @@ edge becomes a SWAP, is ``tree_reduce_tracked``'s, beside it.  A lower
 bound on those weights from the tree's shape and its unit-row terminals
 alone is proved beside the recurrence.
 
-Every public function that takes a tree checks it in one walk,
-``_schedule``, which also builds the reduction schedule; malformed trees
-raise ``ReductionError``, and so does a tree, root or op list holding
-values that are not nodes, such as strings or floats, where the walk
-would otherwise fail inside Python.  The two private cores check
-nothing.  ``heuristic`` prices through ``_costs`` the trees it reads
-off each graph's tree cache (``arch.gen_steiner`` reads the same
-trees), which are trees with terminal leaves by the growth proof in
-``arch._grow_steiner_graph``.  It recovers through ``_recover``, which
-is ``reduction_recovery`` without the op checks, from the ops
-``tree_reduce_tracked`` has just returned: its ``_schedule`` walk
-checked the tree they come from, so they are ADDs and SWAPs of two
-distinct rows by construction.
+Each public function is its checks plus a private core that checks
+nothing: ``reduction_costs`` is ``_costs``, ``tree_reduce_tracked`` is
+``_reduce_tracked`` and ``reduction_recovery`` is ``_recover``.  Every
+public function that takes a tree checks it in one walk, ``_schedule``,
+which only checks; malformed trees raise ``ReductionError``, and so does
+a tree, root or op list holding values that are not nodes, such as
+strings or floats, where the walk would otherwise fail inside Python.
+One unchecked walk, ``_order``, builds every reduction schedule, for
+``_reduce_tracked`` and for ``_costs`` on large trees.  ``heuristic``
+calls the cores only, on the trees it reads off each graph's tree cache
+(``arch.gen_steiner`` reads the same trees), which are trees with
+terminal leaves by the growth proof in ``arch._grow_steiner_graph``.
+It reduces at a node of a support, whose rows XOR to a unit vector by
+definition, and recovers from the ops the reduction has just returned,
+which ``_order`` built as ADDs and SWAPs of two distinct tree nodes.
 """
 
 from __future__ import annotations
@@ -83,20 +85,17 @@ def _hand_up(row: int, steiner: bool, below: list) -> tuple:
     return acc, f, r0, r1
 
 
-def _schedule(tree, steiner, root: int, n_rows: int) -> Tuple[List[RowOp], Set[int]]:
-    """The reduction schedule of ``tree`` at ``root`` and the nodes it walks, checking the tree.
+def _schedule(tree, steiner, root: int, n_rows: int) -> Set[int]:
+    """Check ``tree`` and ``root`` for ``_order``; returns the nodes walked.
 
     ``tree`` must be an unrooted tree (node -> neighbour tuple) over
     nodes that have a row, 0..``n_rows`` - 1, whose every edge is listed
     once in each direction, and whose Steiner points (``steiner``) are
-    interior nodes; ``root`` must be a terminal.  The schedule is the
-    post-order with children in neighbour order: ("SWAP", child, parent)
-    for each Steiner parent's first child, ("ADD", parent, child)
-    everywhere else.  Pushing each node's children in order makes one
-    stack walk a pre-order with children reversed; reversed, that is the
-    schedule.  A child's op is fixed as its parent is expanded.  The
-    nodes walked are ints, and the keys of ``tree`` by equality: a key
-    such as 1.0 is walked as node 1, as the dict looks it up.
+    interior nodes; ``root`` must be a terminal.  The walk is the one
+    ``_order`` makes, so it meets every node and edge the schedule
+    names.  The nodes walked are ints, and the keys of ``tree`` by
+    equality: a key such as 1.0 is walked as node 1, as the dict looks
+    it up.
 
     Raises ``ReductionError`` if any of that fails: the root is not a
     terminal, a node is not an int or has no row, a node's neighbours
@@ -107,23 +106,19 @@ def _schedule(tree, steiner, root: int, n_rows: int) -> Tuple[List[RowOp], Set[i
     """
     if type(root) is not int or root not in tree or root in steiner:
         raise ReductionError(f"root {root!r} is not a terminal of the tree")
-    pre = []
     seen = {root}
     points = 0
-    stack = [(root, None, None)]
+    stack = [(root, None)]
     while stack:
-        node, up, op = stack.pop()
+        node, up = stack.pop()
         if not 0 <= node < n_rows:
             raise ReductionError(f"tree node {node} has no row (there are {n_rows} rows)")
         nbs = tree.get(node, ())
         if type(nbs) is not tuple:
             raise ReductionError(f"the neighbours of node {node} are not a tuple")
-        if op is not None:
-            if nbs.count(up) != 1:
-                raise ReductionError(f"edge ({up}, {node}) is not listed once at each end")
-            pre.append(op)
-        swap = node in steiner
-        if swap and len(nbs) > 1:
+        if up is not None and nbs.count(up) != 1:
+            raise ReductionError(f"edge ({up}, {node}) is not listed once at each end")
+        if node in steiner and len(nbs) > 1:
             points += 1
         for c in nbs:
             if c != up:
@@ -132,14 +127,37 @@ def _schedule(tree, steiner, root: int, n_rows: int) -> Tuple[List[RowOp], Set[i
                 if c in seen:
                     raise ReductionError("the tree has a cycle")
                 seen.add(c)
-                stack.append((c, node, (SWAP, c, node) if swap else (ADD, node, c)))
-                swap = False
+                stack.append((c, node))
     if len(seen) != len(tree):
         raise ReductionError(f"the tree does not join every node to root {root}")
     if points != len(steiner):
         raise ReductionError("a Steiner point is a leaf or not a node of the tree")
+    return seen
+
+
+def _order(tree, steiner, root: int) -> List[RowOp]:
+    """The reduction schedule of ``tree`` at ``root``, checking nothing.
+
+    The tree and root must pass ``_schedule``.  The schedule is the
+    post-order with children in neighbour order: ("SWAP", child, parent)
+    for each Steiner parent's first child, ("ADD", parent, child)
+    everywhere else.  Pushing each node's children in order makes one
+    stack walk a pre-order with children reversed; reversed, that is the
+    schedule.  A child's op is fixed as its parent is expanded; the root
+    is a terminal, so its children are ADDs.
+    """
+    pre = []
+    stack = [(c, root, (ADD, root, c)) for c in tree[root]]
+    while stack:
+        node, up, op = stack.pop()
+        pre.append(op)
+        swap = node in steiner
+        for c in tree[node]:
+            if c != up:
+                stack.append((c, node, (SWAP, c, node) if swap else (ADD, node, c)))
+                swap = False
     pre.reverse()
-    return pre, seen
+    return pre
 
 
 def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) -> List[int]:
@@ -197,8 +215,7 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
 
     Raises ``ReductionError`` if ``roots`` is empty, ``_schedule`` finds
     the tree malformed from ``roots[0]``, or another root is not a
-    terminal of the tree.  ``_schedule`` is called here only as the
-    check; ``_costs`` then prices without checks.
+    terminal of the tree; ``_costs`` then prices without checks.
     """
     if not roots:
         raise ReductionError("no root to price")
@@ -221,7 +238,7 @@ def _costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) -> List[int
     along paths they are recomputed, which is cheaper on small trees
     than any bookkeeping.  A tree of more than ``_RECURSIVE_NODES``
     nodes memoizes every edge value, both ways: leaves-first along the
-    schedule ``_schedule`` walks at ``roots[0]``, then back towards the
+    schedule ``_order`` builds at ``roots[0]``, then back towards the
     leaves, so no call there recurses more than two edges deep.
     """
     memo = {}
@@ -250,7 +267,7 @@ def _costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) -> List[int
     try:
         if not shallow:
             edges = [(b, a) if kind == ADD else (a, b)  # (child, parent)
-                     for kind, a, b in _schedule(tree, steiner, roots[0], len(rows))[0]]
+                     for kind, a, b in _order(tree, steiner, roots[0])]
             for c, p in edges:
                 hand(p, c)
             for c, p in reversed(edges):
@@ -274,9 +291,9 @@ def tree_reduce_tracked(rows: List[int], tree, steiner,
     ``tree`` and ``steiner`` are as ``reduction_costs`` takes them: an
     unrooted tree (node -> ascending neighbour tuple) and its
     non-terminal nodes, whose terminal rows must XOR to a standard basis
-    vector.  ``root`` is a terminal.  The schedule is ``_schedule``'s:
-    the post-order with ascending children, ("SWAP", child, parent) for
-    each Steiner parent's first child, ("ADD", parent, child) everywhere
+    vector.  ``root`` is a terminal.  The schedule is ``_order``'s: the
+    post-order with ascending children, ("SWAP", child, parent) for each
+    Steiner parent's first child, ("ADD", parent, child) everywhere
     else.
 
     Runs the schedule on ``rows`` in place.  Returns the ops run and the
@@ -287,15 +304,23 @@ def tree_reduce_tracked(rows: List[int], tree, steiner,
     the terminal contributions accumulate, and recovery must not undo
     the reduction it serves.  Raises ``ReductionError``, leaving ``rows``
     unchanged, if ``_schedule`` rejects the tree or the root, or the
-    terminal rows do not XOR to a unit vector.
+    terminal rows do not XOR to a unit vector.  The reduction itself is
+    ``_reduce_tracked``.
     """
-    pre, nodes = _schedule(tree, steiner, root, len(rows))
     acc = 0
-    for t in nodes:
+    for t in _schedule(tree, steiner, root, len(rows)):
         if t not in steiner:
             acc ^= rows[t]
     if not is_unit(acc):
         raise ReductionError("terminal rows do not XOR to a standard basis vector")
+    return _reduce_tracked(rows, tree, steiner, root)
+
+
+def _reduce_tracked(rows: List[int], tree, steiner,
+                    root: int) -> Tuple[Tuple[RowOp, ...], Set[int]]:
+    """``tree_reduce_tracked`` without its checks: the tree and root must pass
+    ``_schedule``, and the terminal rows must XOR to a unit vector."""
+    pre = _order(tree, steiner, root)
     tracked: Set[int] = set()
     for kind, a, b in pre:
         if kind == ADD:
@@ -332,8 +357,9 @@ def reduction_recovery(rows: List[int], operations: Sequence[RowOp],
 
 
 def _recover(rows: List[int], operations: Sequence[RowOp], tracked: Set[int]) -> List[RowOp]:
-    """``reduction_recovery`` without its op checks: the ops must be the ones
-    ``tree_reduce_tracked`` returned, whose ``_schedule`` walk checked their tree."""
+    """``reduction_recovery`` without its op checks: the ops must be ones a
+    reduction returned, which are ADDs and SWAPs of two distinct rows by
+    construction, as ``_order`` builds them from a tree ``_schedule`` passes."""
     recover = []
     for kind, a, b in reversed(operations):
         if kind == ADD:

@@ -262,6 +262,49 @@ def assert_tables_match_reference(graph: ArchGraph) -> None:
     assert (graph.dist, graph.succ, graph.ball) == reference_tables(graph.n, graph.edges)
 
 
+def reference_grow_steiner_graph(g, mask: int) -> Tuple[List[int], int, int]:
+    """``arch._grow_steiner_graph`` in one scan, a reference for it.
+
+    Every probe, the first path's included, is ``ball[u][d] & (tree or
+    mask >> u + 1 << u + 1)``, and d is bounded by the ball depth.
+    Growth must return exactly its (adjacency, nodes, inner).
+    """
+    adjacency = [0] * len(g.ball)
+    if not mask & (mask - 1):
+        return adjacency, mask, 0
+    ball = g.ball
+    succ = g.succ
+    depth = len(ball[0])
+    tree = inner = 0
+    remaining = list(vec_support(mask))
+    while remaining:
+        for d in range(1, depth):
+            for u in remaining:
+                hit = ball[u][d] & (tree or mask >> u + 1 << u + 1)
+                if hit:
+                    break
+            else:
+                continue
+            break
+        v = (hit & -hit).bit_length() - 1
+        # a path's interior holds no terminal, so it adds u, and v if first
+        if tree:
+            inner |= 1 << v
+        else:
+            remaining.remove(v)
+        remaining.remove(u)
+        x, xbit = u, 1 << u
+        tree |= xbit
+        while x != v:
+            y = succ[x][v]
+            ybit = 1 << y
+            adjacency[x] |= ybit
+            adjacency[y] |= xbit
+            tree |= ybit
+            x, xbit = y, ybit
+    return adjacency, tree, inner & mask
+
+
 def tree_parent(tree, root) -> dict:
     """child -> parent links of an unrooted tree (node -> neighbours) rooted at ``root``."""
     parent = {root: None}

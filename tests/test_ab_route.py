@@ -6,14 +6,15 @@ repetition, not the tool's ``REPS``.  Each repetition must start on
 graphs with empty Steiner caches, and the two warm loops must run the
 benchmark's whole CNOT pipeline.  Against a copy whose tie order is
 reversed, or whose post-processing or baseline emits a SWAP the other
-way round, it must report the difference and exit 1.
+way round, it must report the difference and exit 1.  The grid loop
+must route 256-gate circuits on an 8x8 grid, and run only when named.
 """
 
 import shutil
 
 import pytest
 
-from conftest import ROOT, load_file
+from conftest import ROOT, grid_graph, load_file
 
 LOOPS = ["dense256", "sparse16", "general-cold"]
 
@@ -74,6 +75,27 @@ def test_the_warm_loops_run_the_whole_cnot_pipeline():
         assert per_side == {"route_cnot_block": len(jobs), "postprocess": len(jobs),
                             "verify_equivalence": 2 * len(jobs),
                             "swap_insertion_baseline": len(jobs)}, (workload, calls)
+
+
+def test_the_grid_loop_runs_256_gates_on_a_64_node_grid_and_only_when_named(capsys):
+    tool = _tool()
+    src = str(ROOT / "src")
+    side = tool.Side(tool.load_tree(src, "cnotroute_ab_base"))
+    graph, m0 = side.warm["grid8x8"]
+    assert graph.edges == grid_graph(8, 8).edges and m0 == tuple(range(64))
+    jobs = tool.workloads({d: g.n for d, (g, _) in side.warm.items()}, 3)["grid8x8"]
+    assert len(jobs) == 3
+    for device, text in jobs:
+        circuit = side.cr.parse_circuit(text)
+        assert device == "grid8x8" and circuit.n_wires == 64 and len(circuit.gates) == 256
+    run = []  # the loops main runs, each timed as one equal repetition
+    tool.run_workload = lambda sides, workload, jobs: run.append(workload) or [(1.0, 1.0)]
+    assert tool.main([src, src, "--circuits", "1"]) == 0
+    assert run == LOOPS
+    run.clear()
+    assert tool.main([src, src, "--circuits", "1", "--workload", "grid8x8"]) == 0
+    assert run == ["grid8x8"]
+    capsys.readouterr()
 
 
 def _a_changed_copy_fails(tmp_path, capsys, module, old, new):

@@ -6,7 +6,9 @@ every root must match the schedule built from a BFS rooting with
 ascending children.  Growth yields masks; the cache entry's weight and
 inner mask, read off them, must agree with the tree the graph's tree
 cache builds from them when ``gen_steiner`` first asks for it, and that
-tree with a nearest-pair reference.
+tree with a nearest-pair reference.  Growth's masks must equal those of
+the one-scan reference in ``conftest`` on random graphs, wide ones
+included, and on the stock devices.
 """
 
 import random
@@ -20,7 +22,8 @@ from cnotroute.arch import (ArchGraph, _grow_steiner_graph, gen_steiner,
 from cnotroute.rowgraph import tree_reduce_tracked
 
 from conftest import (entry_bound, grid_graph, op_parent, random_connected_graph,
-                      random_reversible_rows, rows_reducible_along, tree_parent)
+                      random_reversible_rows, reference_grow_steiner_graph,
+                      rows_reducible_along, tree_parent)
 from test_device_families import FAMILIES
 
 
@@ -204,6 +207,29 @@ def test_incremental_growth_matches_nearest_pair_reference():
         assert gen_steiner(g, terminals)[0] == _reference_grow(g, terminals)
         count += 1
     assert count == 601 + 30
+
+
+@st.composite
+def graphs_and_masks(draw):
+    """(graph, mask): a random connected graph on 1..24 or 65..100 nodes,
+    or a stock device, and a terminal mask with at least one of its nodes."""
+    name = draw(st.sampled_from([None, None, *list_architectures()]))
+    if name is None:
+        rng = draw(st.randoms(use_true_random=False))
+        n = draw(st.one_of(st.integers(1, 24), st.integers(65, 100)))
+        graph = random_connected_graph(rng, n, extra=draw(st.integers(0, n)))
+    else:
+        graph = get_architecture(name)[0]
+    nodes = st.frozensets(st.integers(0, graph.n - 1), min_size=1)
+    return graph, draw(st.one_of(st.integers(1, (1 << graph.n) - 1),
+                                 nodes.map(lambda ts: sum(1 << t for t in ts))))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(graphs_and_masks())
+def test_growth_equals_the_one_scan_reference(case):
+    graph, mask = case
+    assert _grow_steiner_graph(graph, mask) == reference_grow_steiner_graph(graph, mask)
 
 
 @st.composite

@@ -7,7 +7,7 @@ package, such as the ``src`` directories of two checkouts.  Both are
 loaded into one interpreter under different module names, so they share
 the process, its heap and the host's drift, and take turns circuit by
 circuit; the tree that goes first alternates too.  Three loops, shaped
-like the benchmark's workloads, each run ``REPS`` (5) times:
+like the benchmark's workloads, run by default, each ``REPS`` (5) times:
 
 - ``dense256``: ``--circuits`` 256-gate random CNOT circuits on
   16-square, ibm-qx5, rigetti-16q-aspen and ibm-q20-tokyo in turn, warm
@@ -20,6 +20,14 @@ like the benchmark's workloads, each run ``REPS`` (5) times:
 - ``general-cold``: ``--circuits`` 96-gate circuit texts, one gate in
   ten one-qubit, parsed, routed on a graph built afresh from the device
   file by ``route_general``, post-processed and formatted.
+
+A fourth loop runs only when named with ``--workload``, as one of its
+circuits takes about 1.5 s:
+
+- ``grid8x8``: ``--circuits`` 256-gate (4n) random CNOT circuits on an
+  8x8 grid built from its edges, identity mapping, warm graph, the
+  benchmark's CNOT pipeline: a device larger than the stock ones, where
+  tree growth and pricing weigh more.
 
 The CNOT pipeline is the one the benchmark times on the two warm
 workloads (``perfbench/workloads.py``'s ``_cnot_pipeline``): ``route_cnot_block``, ``postprocess``, ``verify_equivalence``
@@ -55,6 +63,10 @@ DENSE_DEVICES = DEVICES[1:]
 SPARSE_GATES = (4, 8, 16)
 SEED = 7
 REPS = 5
+LOOPS = ("dense256", "sparse16", "general-cold")
+GRID = "grid8x8"
+GRID_EDGES = ([(8 * r + c, 8 * r + c + 1) for r in range(8) for c in range(7)]
+              + [(8 * r + c, 8 * r + c + 8) for r in range(7) for c in range(8)])
 
 
 class OutputDiffers(Exception):
@@ -103,6 +115,7 @@ def workloads(sizes: dict, count: int) -> dict:
         "sparse16": [(d, _cnot_text(rng, sizes[d], gates))
                      for _ in range(count) for gates in SPARSE_GATES for d in DEVICES],
         "general-cold": [(d, _mixed_text(rng, sizes[d])) for d in cold],
+        GRID: [(GRID, _cnot_text(rng, sizes[GRID], 4 * sizes[GRID])) for _ in range(count)],
     }
 
 
@@ -116,11 +129,14 @@ class Side:
         self.fresh_graphs()
 
     def fresh_graphs(self) -> None:
-        """Build the warm graphs anew from the device files, their tree caches empty."""
+        """Build the warm graphs anew from the device files and the grid's
+        edges, their tree caches empty."""
         self.warm = {}
         for d in DEVICES:
             graph, stock = self.cr.arch.parse_arch_json(self.files[d], d)
             self.warm[d] = graph, self.cr.Mapping(stock)
+        self.warm[GRID] = (self.cr.ArchGraph(64, GRID_EDGES, name=GRID),
+                           self.cr.Mapping.identity(64))
 
     def prepare(self, workload: str, device: str, text: str):
         """The call to time, as a closure returning comparable output."""
@@ -178,7 +194,7 @@ def main(argv=None) -> int:
     parser.add_argument("change")
     parser.add_argument("--circuits", type=int, default=48)
     parser.add_argument("--workload", action="append",
-                        choices=("dense256", "sparse16", "general-cold"),
+                        choices=(*LOOPS, GRID),
                         help="run only this loop; may be repeated")
     try:
         args = parser.parse_args(argv)
@@ -190,7 +206,7 @@ def main(argv=None) -> int:
     sides = [Side(load_tree(args.base, "cnotroute_ab_base")),
              Side(load_tree(args.change, "cnotroute_ab_change"))]
     sizes = {d: graph.n for d, (graph, _) in sides[0].warm.items()}
-    chosen = args.workload or ["dense256", "sparse16", "general-cold"]
+    chosen = args.workload or LOOPS
     loops = workloads(sizes, args.circuits)
     for workload in chosen:
         try:
