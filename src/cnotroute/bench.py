@@ -20,8 +20,8 @@ from typing import List, Optional, Tuple
 
 from .arch import ArchGraph, path_from_successors, resolve_architecture
 from .circuit import CNOT, Circuit, Gate, Mapping, cnot
-from .synthesis import (RoutedResult, RouteStats, cnot_weight, postprocess,
-                        route_cnot_block, verify_equivalence)
+from .synthesis import (RoutedResult, RouteStats, _check_fit, cnot_weight,
+                        postprocess, route_cnot_block, verify_equivalence)
 
 DEFAULT_GATE_COUNTS = (4, 8, 16, 32, 64, 128, 256)
 
@@ -123,19 +123,16 @@ def swap_insertion_baseline(c: Circuit, graph: ArchGraph,
 
     SWAPs along a shortest path are emitted as CNOT triples and the
     moved mapping is kept, so the output mapping generally differs from
-    the input one.  The gates are checked as ``Circuit`` checks them,
-    since the list may have changed since ``c`` was built, on the wires
-    that are both the circuit's and the graph's.
+    the input one.  As for ``route_general``, the circuit may have fewer
+    wires than the graph has nodes, and ``m0`` must be a ``Mapping``
+    onto the nodes.
     """
     if not c.is_cnot_only():
         raise ValueError("baseline accepts CNOT-only circuits")
     n = graph.n
-    # a wire must be the circuit's and have a node
-    Circuit(min(c.n_wires, n), c.gates)
-    pos = list(m0.nodes)            # wire -> node
-    at = [0] * n                    # node -> wire
-    for w, node in enumerate(pos):
-        at[node] = w
+    _check_fit(c, m0, n)
+    pos = list(m0)                              # wire -> node
+    at = sorted(range(n), key=pos.__getitem__)  # node -> wire
     gates = []
     for g in c.gates:
         u, v = pos[g.a], pos[g.b]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 CNOT = "cnot"
@@ -60,27 +60,45 @@ def one_qubit(label: str, wire: int) -> Gate:
     return Gate(ONEQ, wire, -1, label)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
+    """A gate list on ``n_wires`` wires, checked once when built.
+
+    The gates are held as a tuple, so a circuit cannot change after its
+    check, and it is hashable.  Every gate is a CNOT or SWAP on two
+    distinct int wires in 0..n_wires-1 without a label, or a one-qubit
+    gate on one such wire whose label ``one_qubit`` accepts: exactly the
+    gates the circuit text format writes and reads back unchanged.
+    """
+
     n_wires: int
-    gates: List[Gate] = field(default_factory=list)
+    gates: Tuple[Gate, ...] = ()
 
     def __post_init__(self):
         n = self.n_wires
         if type(n) is not int or n < 1:
             raise ValueError(f"wire count {n!r} is not a positive int")
-        # one test per gate reads its wires directly; only a bad gate pays
-        # for ``Gate.wires``, which names the first bad wire; a CNOT or SWAP
-        # whose wires pass that loop has its two wires equal
+        object.__setattr__(self, "gates", tuple(self.gates))
+        # one inline test per gate, the label's being ``one_qubit``'s rule;
+        # only a bad gate pays for naming its fault
         for g in self.gates:
-            if type(g.a) is not int or not 0 <= g.a < n or g.kind != ONEQ and (
-                    type(g.b) is not int or not 0 <= g.b < n or g.b == g.a):
-                for w in g.wires():
-                    if type(w) is not int:
-                        raise ValueError(f"gate {g} uses wire {w!r}, which is not an int")
-                    if not 0 <= w < n:
-                        raise ValueError(f"gate {g} uses wire {w} outside 0..{n - 1}")
-                raise ValueError(f"gate {g} uses wire {g.a} twice")
+            kind, a, b, label = g
+            if type(a) is int and 0 <= a < n and (
+                    (type(label) is str and label.split() == [label] and "#" not in label
+                     and b == -1) if kind == ONEQ else (kind == CNOT or kind == SWAP)
+                    and type(b) is int and 0 <= b < n and a != b and label == ""):
+                continue
+            if kind not in (CNOT, SWAP, ONEQ):
+                raise ValueError(f"gate {g} is not a {CNOT}, {SWAP} or {ONEQ} gate")
+            for w in g.wires():
+                if type(w) is not int:
+                    raise ValueError(f"gate {g} uses wire {w!r}, which is not an int")
+                if not 0 <= w < n:
+                    raise ValueError(f"gate {g} uses wire {w} outside 0..{n - 1}")
+            if kind == ONEQ:
+                one_qubit(label, a)  # raises its message for the label
+            raise ValueError(f"gate {g} uses wire {a} twice" if a == b else
+                             f"gate {g} sets a field that a {kind} gate leaves unset")
 
     def is_cnot_only(self) -> bool:
         return all(g.kind == CNOT for g in self.gates)

@@ -50,11 +50,6 @@ def is_unit(v: int) -> bool:
     return v != 0 and v & (v - 1) == 0
 
 
-def unit_index(v: int) -> int:
-    """Index of the single 1-bit; caller must ensure is_unit(v)."""
-    return v.bit_length() - 1
-
-
 @dataclass(slots=True)
 class BitMatrix:
     """Square matrix over GF(2) with rows packed into ints.

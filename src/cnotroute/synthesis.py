@@ -18,13 +18,13 @@ are what the synthesizer reduces, and the columns of P^-1 are the rows
 of (P^T)^-1, the inverse the synthesizer starts from, so it calls the
 unchecked loop ``heuristic._token_reduction`` with no inversion.
 
-A circuit's gate list can change after ``Circuit`` checked it, so
-``route_cnot_block``, ``route_general`` and ``equivalence_failure``
-check the list they are given as ``Circuit`` does, and a block is
-checked once inside ``route_cnot_block``, not again by its walk.  The
-routed gates are built as plain ``Gate`` tuples, their two nodes
-distinct by construction, and the ``Circuit`` that holds them checks
-them once more.
+A ``Circuit`` checks its gates once, when it is built, and holds them
+as a tuple, so no function here checks a circuit's gates again: a walk
+meets only CNOT, SWAP and one-qubit gates on the circuit's wires.  The
+routers and the verifier take a ``Mapping`` only, which is a bijection
+by construction.  The routed gates are built as plain ``Gate`` tuples,
+their two nodes distinct by construction, and the ``Circuit`` that
+holds them checks them.
 
 One rule decides correctness for linear and mixed circuits alike.
 ``_moved_failure`` zips two such walks and requires, at each pair of
@@ -43,7 +43,7 @@ from itertools import groupby
 from typing import List, Optional
 
 from .arch import ArchGraph
-from .circuit import CNOT, ONEQ, SWAP, Circuit, Gate, Mapping, one_qubit
+from .circuit import CNOT, ONEQ, SWAP, Circuit, Gate, Mapping
 from .gf2 import BitMatrix, _transpose_rows
 from .heuristic import _token_reduction
 from .rowgraph import ADD
@@ -77,8 +77,8 @@ def linear_matrix(gates, n: int) -> BitMatrix:
     The last stop of ``_stops`` on the unplaced wires: starting from the
     identity, each CNOT adds the control row into the target row and
     each SWAP exchanges two rows, in gate order (later gates multiply on
-    the left).  Raises ValueError on any other gate and on a wire
-    outside 0..n-1, as ``Circuit`` does.
+    the left).  Raises ValueError on a one-qubit gate, and through
+    ``Circuit`` on any other gate or a wire outside 0..n-1.
     """
     for label, node, rows, _ in _stops(Circuit(n, gates).gates, range(n), n):
         if label is not None:
@@ -96,22 +96,18 @@ def relabel_circuit(c: Circuit, mapping: Mapping) -> Circuit:
 def route_cnot_block(c: Circuit, graph: ArchGraph, m0: Mapping) -> RoutedResult:
     """Synthesize a block of CNOT and SWAP gates onto the architecture.
 
-    The gates are checked as ``Circuit`` checks them, since the list may
-    have changed since ``c`` was built, and composed by one ``_stops``
-    walk into the block's GF(2) matrix P on the nodes, which rejects any
-    other gate.  The walk's columns of P^-1 are the rows of (P^T)^-1, the
-    inverse the synthesizer starts from, so nothing is inverted here.
+    The gates are composed by one ``_stops`` walk into the block's GF(2)
+    matrix P on the nodes; a one-qubit gate raises ValueError.  The
+    walk's columns of P^-1 are the rows of (P^T)^-1, the inverse the
+    synthesizer starts from, so nothing is inverted here.
     The output mapping is chosen by the synthesis itself: wire w ends on
     the node whose final row is the basis vector indexed by m0(w).  A
     block whose gates all sit on edges already is passed through
-    verbatim, SWAPs included.
+    verbatim, SWAPs included.  As in ``route_general``, a circuit
+    narrower than the graph is routed as if padded with idle wires.
     """
     n = graph.n
-    if c.n_wires != n:
-        raise ValueError(f"circuit has {c.n_wires} wires, architecture {n} nodes")
-    if len(m0) != n:
-        raise ValueError("mapping size must match the architecture")
-    Circuit(n, c.gates)
+    _check_fit(c, m0, n)
     for label, node, rows, cols in _stops(c.gates, m0, n):
         if label is not None:
             raise ValueError(f"not a linear gate: 1q {label} on node {node}")
@@ -127,6 +123,17 @@ def route_cnot_block(c: Circuit, graph: ArchGraph, m0: Mapping) -> RoutedResult:
     mt = Mapping([holder[m0[w]] for w in range(n)])
     return RoutedResult(Circuit(n, gates), m0, mt,
                         RouteStats(weight_in, cnot_weight(gates)))
+
+
+def _check_fit(c: Circuit, m0, n: int) -> None:
+    """Raise ValueError unless ``c`` has at most n wires and ``m0`` is a
+    ``Mapping`` onto the n nodes: what every router asks of its input."""
+    if c.n_wires > n:
+        raise ValueError(f"circuit has {c.n_wires} wires, architecture {n} nodes")
+    if not isinstance(m0, Mapping):
+        raise ValueError(f"mapping {m0!r} is a {type(m0).__name__}, not a Mapping")
+    if len(m0) != n:
+        raise ValueError("mapping size must match the architecture")
 
 
 def _stops(gates, place, n: int):
@@ -150,11 +157,9 @@ def _stops(gates, place, n: int):
         if g.kind == CNOT:
             rows[b] ^= rows[a]
             cols[a] ^= cols[b]
-        elif g.kind == SWAP:
+        else:
             rows[a], rows[b] = rows[b], rows[a]
             cols[a], cols[b] = cols[b], cols[a]
-        else:
-            raise ValueError(f"unsupported gate kind {g.kind!r} ({g})")
     yield None, None, rows, cols
 
 
@@ -202,30 +207,23 @@ def equivalence_failure(c: Circuit, routed: RoutedResult,
     """None if the routed result is sound, else a human-readable reason.
 
     The original may have fewer wires than the graph has nodes; the
-    rest are idle.  Both gate lists are checked as ``Circuit`` checks
-    them, since either may have changed since its circuit was built, and
-    the first bad gate's message is the reason.  Every two-qubit gate of
-    the routed circuit must sit on an edge, and the circuit must equal
-    the original up to the mappings, one-qubit gates included (see
-    ``_moved_failure``).
+    rest are idle.  Both mappings must be ``Mapping``s of the graph's
+    size.  Every two-qubit gate of the routed circuit must sit on an
+    edge, and the circuit must equal the original up to the mappings,
+    one-qubit gates included (see ``_moved_failure``).
     """
     n = graph.n
     if c.n_wires > n:
         return f"original circuit has {c.n_wires} wires, architecture {n} nodes"
     if routed.circuit.n_wires != n:
         return f"routed circuit has {routed.circuit.n_wires} wires, architecture {n} nodes"
-    if len(routed.input_mapping) != n or len(routed.output_mapping) != n:
-        return "mapping size does not match the architecture"
-    try:
-        Circuit(c.n_wires, c.gates)
-        for g in routed.circuit.gates:
-            if g.kind != ONEQ and not graph.is_edge(g.a, g.b):
-                a, b = (graph.names[w] if type(w) is int and 0 <= w < n else w for w in (g.a, g.b))
-                return f"gate {g.kind} {a}-{b} is not on an architecture edge"
-        # is_edge has checked the wires of every two-qubit gate
-        Circuit(n, [g for g in routed.circuit.gates if g.kind == ONEQ])
-    except ValueError as exc:
-        return str(exc)
+    for m in (routed.input_mapping, routed.output_mapping):
+        if not isinstance(m, Mapping) or len(m) != n:
+            return f"mapping {m!r} is not a Mapping onto the architecture's {n} nodes"
+    for g in routed.circuit.gates:
+        if g.kind != ONEQ and not graph.is_edge(g.a, g.b):
+            return (f"gate {g.kind} {graph.names[g.a]}-{graph.names[g.b]} "
+                    "is not on an architecture edge")
     return _moved_failure(c.gates, routed.circuit.gates, routed.input_mapping,
                           routed.output_mapping, n)
 
@@ -348,22 +346,16 @@ def route_general(c: Circuit, graph: ArchGraph, m0: Mapping) -> RoutedResult:
     SWAPs stay atomic until ``postprocess`` expands them.  One-qubit
     gates pass through on their wire's current node.  A circuit narrower
     than the graph is routed as if padded with idle wires, which still
-    appear in both mappings.  The gates are checked against the
-    circuit's own wires first, since the list may have changed since
-    ``c`` was built.
+    appear in both mappings.
     """
-    Circuit(c.n_wires, c.gates)
-    if c.n_wires > graph.n:
-        raise ValueError(f"circuit has {c.n_wires} wires, architecture {graph.n} nodes")
-    if len(m0) != graph.n:
-        raise ValueError("mapping size must match the architecture")
+    _check_fit(c, m0, graph.n)
     current = m0
     out: List[Gate] = []
     for is_oneq, run in groupby(c.gates, key=lambda g: g.kind == ONEQ):
         if is_oneq:
-            out.extend(one_qubit(g.label, current[g.a]) for g in run)
+            out.extend(Gate(ONEQ, current[g.a], -1, g.label) for g in run)
         else:
-            block = route_cnot_block(Circuit(graph.n, list(run)), graph, current)
+            block = route_cnot_block(Circuit(graph.n, run), graph, current)
             out.extend(block.circuit.gates)
             current = block.output_mapping
     return RoutedResult(Circuit(graph.n, out), m0, current,

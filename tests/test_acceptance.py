@@ -17,8 +17,7 @@ from cnotroute.arch import get_architecture, list_architectures
 from cnotroute.bench import (BenchConfig, random_cnot_circuit, report_to_json,
                              run_benchmark)
 from cnotroute.circuit import Circuit, Mapping, cnot
-from cnotroute.gf2 import (BitMatrix, SingularMatrixError, invert, mat_mul,
-                           transpose, unit_index)
+from cnotroute.gf2 import BitMatrix, SingularMatrixError, invert, mat_mul, transpose
 from cnotroute.heuristic import build_cost_table, hungarian_assign
 from cnotroute.synthesis import (complies, linear_matrix, postprocess,
                                  route_cnot_block, verify_equivalence)
@@ -214,7 +213,7 @@ def test_criterion_6_worked_example_goldens(path4):
                                     [0, 0, 1, 0], [0, 0, 0, 1]]
     holder = [0] * 4
     for u, row in enumerate(replayed.rows):
-        holder[unit_index(row)] = u
+        holder[row.bit_length() - 1] = u
     replay_mapping = Mapping([holder[w] for w in range(4)])
     assert replay_mapping == Mapping([1, 0, 2, 3])
 

@@ -18,7 +18,7 @@ from conftest import random_connected_graph
 
 
 def test_random_circuit_empty():
-    assert random_cnot_circuit(4, 0, 1).gates == []
+    assert random_cnot_circuit(4, 0, 1).gates == ()
 
 
 def test_random_circuit_deterministic():

@@ -1,5 +1,6 @@
 """Circuit text format, gate constructors, and mappings."""
 
+import dataclasses
 import json
 
 import pytest
@@ -22,7 +23,7 @@ swap 1 2   # trailing comment
 def test_parse_sample():
     c = parse_circuit(SAMPLE)
     assert c.n_wires == 3
-    assert c.gates == [cnot(0, 2), swap_gate(1, 2), one_qubit("H", 0)]
+    assert c.gates == (cnot(0, 2), swap_gate(1, 2), one_qubit("H", 0))
 
 
 def test_format_roundtrip():
@@ -97,12 +98,15 @@ def _wires_loop_error(gates, n):
 
 # hypothesis merges repeated branches of ``one_of`` and draws few wires in
 # range from these, so a second gate branch keeps every wire in 0..3: whole
-# gate lists are then often accepted, though a CNOT or SWAP on one wire is not
+# gate lists are then often accepted, though a CNOT or SWAP on one wire is not.
+# Each gate's label and unused field are then set as its kind wants them, so
+# only its wires can be at fault
 _WIRES = st.one_of(st.integers(0, 3), st.integers(-3, 9), st.integers(), st.booleans(),
                    st.floats())
 _KINDS = st.sampled_from([CNOT, SWAP, ONEQ])
-_GATES = st.one_of(st.builds(Gate, _KINDS, _WIRES, _WIRES, st.sampled_from(["", "H"])),
-                   st.builds(Gate, _KINDS, st.integers(0, 3), st.integers(0, 3)))
+_GATES = st.one_of(st.builds(Gate, _KINDS, _WIRES, _WIRES),
+                   st.builds(Gate, _KINDS, st.integers(0, 3), st.integers(0, 3))).map(
+    lambda g: g._replace(b=-1, label="H") if g.kind == ONEQ else g._replace(label=""))
 
 
 def test_circuit_checks_wires_as_the_wires_loop_does():
@@ -114,7 +118,7 @@ def test_circuit_checks_wires_as_the_wires_loop_does():
     def check(n, gates):
         want = _wires_loop_error(gates, n)
         if want is None:
-            assert Circuit(n, gates).gates == gates
+            assert Circuit(n, gates).gates == tuple(gates)
             seen["accepted"] += 1
             return
         with pytest.raises(ValueError) as raised:
@@ -124,6 +128,39 @@ def test_circuit_checks_wires_as_the_wires_loop_does():
 
     check()
     assert min(seen.values()) > 50, seen
+
+
+@pytest.mark.parametrize("gate, message", [
+    (Gate("toffoli", 0, 1), "not a cnot, swap or 1q gate"),
+    (Gate(5, 0, 1), "not a cnot, swap or 1q gate"),
+    (Gate(ONEQ, 0, -1, ""), "one token"),
+    (Gate(ONEQ, 0, -1, "a b"), "one token"),
+    (Gate(ONEQ, 0, -1, "#x"), "one token"),
+    (Gate(ONEQ, 0, -1, 5), "one token"),
+    (Gate(ONEQ, 0, 1, "H"), "sets a field that a 1q gate leaves unset"),
+    (Gate(CNOT, 0, 1, "H"), "sets a field that a cnot gate leaves unset"),
+    (Gate(SWAP, 0, 1, "H"), "sets a field that a swap gate leaves unset"),
+])
+def test_circuit_rejects_a_gate_the_text_format_cannot_carry(gate, message):
+    # format_circuit would write a line parse_circuit rejects or reads back
+    # as another gate
+    with pytest.raises(ValueError, match=message):
+        Circuit(2, [gate])
+
+
+def test_a_circuit_holds_a_tuple_cannot_change_and_is_hashable():
+    gates = [cnot(0, 1), one_qubit("H", 2), swap_gate(1, 2)]
+    for given_gates in (gates, tuple(gates), iter(gates), (g for g in gates)):
+        c = Circuit(3, given_gates)
+        assert type(c.gates) is tuple and c.gates == tuple(gates)
+        assert c == Circuit(3, gates) and hash(c) == hash(Circuit(3, gates))
+    gates.append(cnot(2, 0))  # the caller's list is not the circuit's
+    assert len(c) == 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.gates = tuple(gates)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.n_wires = 4
+    assert Circuit(3).gates == () and len({Circuit(3), Circuit(3, []), Circuit(4)}) == 2
 
 
 @pytest.mark.parametrize("n_wires", [3.0, True, -1, 0, "3"])

@@ -130,6 +130,43 @@ def test_built_circuits_round_trip_through_the_file_format(c):
     assert parse_circuit(format_circuit(c)) == c
 
 
+@st.composite
+def raw_gate_lists(draw):
+    """A wire count and ``Gate`` tuples built directly, not through the
+    constructors: mostly of a right kind on its wires, else anything."""
+    n = draw(st.integers(1, 4))
+    wire = st.integers(0, n - 1)
+    likely = (st.builds(Gate, st.sampled_from(["cnot", "swap"]), wire, wire, st.just(""))
+              | st.builds(Gate, st.just("1q"), wire, st.just(-1), labels))
+    anything = st.builds(Gate, st.sampled_from(["cnot", "swap", "1q", "toffoli", "", 5]),
+                         st.integers(-1, 4) | st.booleans() | st.floats(),
+                         st.integers(-2, 4) | st.booleans() | st.floats(),
+                         labels | st.sampled_from(["", "H", "#x", "a b"]) | st.integers())
+    return n, draw(st.lists(mostly(likely, anything), max_size=4))
+
+
+def test_every_circuit_that_builds_reads_back_equal():
+    """Every ``Circuit`` that accepts its ``Gate`` tuples is written and
+    read back unchanged; one that does not raises ValueError."""
+    built, rejected = [], []
+
+    # derandomized: the coverage asserted below depends on the draw
+    @settings(max_examples=500, deadline=None, database=None, derandomize=True)
+    @given(raw_gate_lists())
+    def check(case):
+        n, gates = case
+        try:
+            c = Circuit(n, gates)
+        except ValueError:
+            rejected.append(gates)
+            return
+        assert parse_circuit(format_circuit(c)) == c
+        built.append(len(c.gates))
+
+    check()
+    assert len(built) > 50 and max(built) >= 3 and len(rejected) > 50, (built, len(rejected))
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(labels)
 def test_one_qubit_accepts_exactly_the_labels_that_round_trip(label):
@@ -140,9 +177,9 @@ def test_one_qubit_accepts_exactly_the_labels_that_round_trip(label):
     try:
         gate = one_qubit(label, 0)
     except ValueError:
-        assert parsed != [Gate(ONEQ, 0, -1, label)]
+        assert parsed != (Gate(ONEQ, 0, -1, label),)
     else:
-        assert parsed == [gate]
+        assert parsed == (gate,)
 
 
 @st.composite

@@ -66,8 +66,8 @@ def test_routed_ops_are_the_public_synthesizers(case):
         return
     rows = transpose(linear_matrix(relabeled.gates, graph.n)).rows
     ops = heuristic_token_reduction(graph, rows)
-    assert routed.circuit.gates == [Gate(CNOT if kind == ADD else SWAP, a, b)
-                                    for kind, a, b in ops]
+    assert routed.circuit.gates == tuple(Gate(CNOT if kind == ADD else SWAP, a, b)
+                                         for kind, a, b in ops)
     holder = {row.bit_length() - 1: u for u, row in enumerate(rows)}
     assert routed.output_mapping == Mapping([holder[m0[w]] for w in range(graph.n)])
 

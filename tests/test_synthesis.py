@@ -3,6 +3,7 @@ post-processing, and general-circuit block routing."""
 
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -100,7 +101,7 @@ def test_route_single_adjacent_cnot():
     g = ArchGraph(2, [(0, 1)])
     c = Circuit(2, [cnot(0, 1)])
     r = route_cnot_block(c, g, Mapping.identity(2))
-    assert r.circuit.gates == [cnot(0, 1)]
+    assert r.circuit.gates == (cnot(0, 1),)
     assert r.output_mapping == Mapping.identity(2)
     assert verify_equivalence(c, r, g)
 
@@ -110,7 +111,7 @@ def test_route_passes_a_compliant_block_through_relabelled():
     m0 = Mapping([1, 0, 2])
     c = Circuit(3, [cnot(0, 2), cnot(1, 0)])  # wires 0-2 sit on no edge until relabelled
     r = route_cnot_block(c, g, m0)
-    assert r.circuit.gates == [cnot(1, 2), cnot(0, 1)]
+    assert r.circuit.gates == (cnot(1, 2), cnot(0, 1))
     assert r.input_mapping == m0 and r.output_mapping == m0
     assert r.stats.cnots_routed == r.stats.cnots_in == 2
     assert verify_equivalence(c, r, g)
@@ -121,7 +122,7 @@ def test_route_passes_a_compliant_block_with_swaps_through_whole():
     m0 = Mapping([1, 0, 2])
     c = Circuit(3, [swap_gate(0, 2), cnot(1, 0), swap_gate(1, 0)])
     r = route_cnot_block(c, g, m0)
-    assert r.circuit.gates == [swap_gate(1, 2), cnot(0, 1), swap_gate(0, 1)]
+    assert r.circuit.gates == (swap_gate(1, 2), cnot(0, 1), swap_gate(0, 1))
     assert r.output_mapping == m0
     assert r.stats.cnots_routed == r.stats.cnots_in == 7
     assert verify_equivalence(c, r, g)
@@ -246,7 +247,7 @@ def test_postprocess_cancels_adjacent_pair():
                       Mapping.identity(2), Mapping.identity(2),
                       RouteStats(2, 2))
     out = postprocess(rc)
-    assert out.circuit.gates == []
+    assert out.circuit.gates == ()
     assert out.stats.cnots_final == 0
 
 
@@ -264,7 +265,7 @@ def test_postprocess_swap_orientation_cancels():
 def test_postprocess_empty():
     rc = RoutedResult(Circuit(2), Mapping.identity(2), Mapping.identity(2),
                       RouteStats(0, 0))
-    assert postprocess(rc).circuit.gates == []
+    assert postprocess(rc).circuit.gates == ()
 
 
 def test_postprocess_cancels_across_commuting_gates():
@@ -273,7 +274,7 @@ def test_postprocess_cancels_across_commuting_gates():
     rc = RoutedResult(Circuit(3, gates), Mapping.identity(3),
                       Mapping.identity(3), RouteStats(3, 3))
     out = postprocess(rc)
-    assert out.circuit.gates == [cnot(1, 2)]
+    assert out.circuit.gates == (cnot(1, 2),)
     # control-of-one on target-of-other blocks cancellation
     gates = [cnot(0, 1), cnot(1, 2), cnot(0, 1)]
     rc = RoutedResult(Circuit(3, gates), Mapping.identity(3),
@@ -292,9 +293,9 @@ def test_postprocess_runs_to_its_fixed_point():
     # inside it has
     for pairs in (12, 1600):
         ladder = [cnot(i, i + 1) for i in range(pairs)]
-        assert _postprocess_gates(pairs + 1, ladder + ladder[::-1]) == []
+        assert _postprocess_gates(pairs + 1, ladder + ladder[::-1]) == ()
     # an odd run of equal gates leaves one
-    assert _postprocess_gates(2, [cnot(0, 1)] * 20001) == [cnot(0, 1)]
+    assert _postprocess_gates(2, [cnot(0, 1)] * 20001) == (cnot(0, 1),)
 
 
 def _commutes_with_cnot(a, b):
@@ -389,7 +390,7 @@ def test_route_general_then_postprocess_passes_the_outside_check(case):
     assert check.postprocess_failure(routed, final, graph) is None
     assert equivalence_failure(c, final, graph) is None
     assert final.stats.cnots_final <= routed.stats.cnots_routed
-    assert _quadratic_cancel_pass(final.circuit.gates) == final.circuit.gates
+    assert _quadratic_cancel_pass(final.circuit.gates) == list(final.circuit.gates)
 
 
 def test_postprocess_never_increases_weight(grid3):
@@ -420,7 +421,7 @@ def test_route_general_one_qubit_passthrough():
     g = ArchGraph(2, [(0, 1)])
     c = Circuit(2, [one_qubit("H", 0), cnot(0, 1), one_qubit("H", 0)])
     r = route_general(c, g, Mapping.identity(2))
-    assert r.circuit.gates == [one_qubit("H", 0), cnot(0, 1), one_qubit("H", 0)]
+    assert r.circuit.gates == (one_qubit("H", 0), cnot(0, 1), one_qubit("H", 0))
     assert r.output_mapping == Mapping.identity(2)
 
 
@@ -464,30 +465,32 @@ def test_route_general_tracks_wires_through_blocks(grid3):
             blk = route_cnot_block(Circuit(9, run), grid3, current)
             out += blk.circuit.gates
             current = blk.output_mapping
-        assert r.circuit.gates == out
+        assert r.circuit.gates == tuple(out)
         assert r.output_mapping == current
 
 
-def test_route_general_rejects_unknown_kind(grid3):
-    from cnotroute.circuit import Gate
-    bad = Circuit(9, [])
-    bad.gates.append(Gate("toffoli", 0, 1))
+def test_no_router_can_be_handed_an_unknown_kind():
+    # a Circuit rejects the gate when built and cannot take it in later
     with pytest.raises(ValueError, match="toffoli"):
-        route_general(bad, grid3, Mapping.identity(9))
+        Circuit(9, [Gate("toffoli", 0, 1)])
+    empty = Circuit(9)
+    with pytest.raises(AttributeError):
+        empty.gates.append(Gate("toffoli", 0, 1))
+    with pytest.raises(ValueError, match="toffoli"):
+        replace(empty, gates=(Gate("toffoli", 0, 1),))
 
 
 def test_relabel_circuit():
     c = Circuit(3, [cnot(0, 1), one_qubit("H", 2)])
     m = Mapping([2, 0, 1])
     out = relabel_circuit(c, m)
-    assert out.gates == [cnot(2, 0), one_qubit("H", 1)]
+    assert out.gates == (cnot(2, 0), one_qubit("H", 1))
 
 
 def test_relabel_circuit_keeps_every_kind_and_label():
-    c = Circuit(3, [Gate("toffoli", 0, 1), one_qubit("Rz(0.5)", 2), swap_gate(1, 2)])
+    c = Circuit(3, [cnot(0, 1), one_qubit("Rz(0.5)", 2), swap_gate(1, 2)])
     out = relabel_circuit(c, Mapping([2, 0, 1]))
-    assert out.gates == [Gate("toffoli", 2, 0), one_qubit("Rz(0.5)", 1),
-                         swap_gate(0, 1)]
+    assert out.gates == (cnot(2, 0), one_qubit("Rz(0.5)", 1), swap_gate(0, 1))
 
 
 def test_route_general_rejects_a_mapping_of_the_wrong_size():
@@ -543,7 +546,7 @@ def test_permutation_circuit_routes_to_no_gates():
     g = ArchGraph(3, [(0, 1), (1, 2)])
     c = Circuit(3, [cnot(0, 2), cnot(2, 0), cnot(0, 2)])
     r = route_cnot_block(c, g, Mapping.identity(3))
-    assert r.circuit.gates == []
+    assert r.circuit.gates == ()
     assert r.output_mapping == Mapping([2, 1, 0])
     assert verify_equivalence(c, r, g)
 
@@ -601,3 +604,45 @@ def test_routed_result_round_trips_through_pickle():
     back = pickle.loads(pickle.dumps(routed))
     assert back == routed
     assert type(back.output_mapping) is Mapping and type(back.circuit.gates[0]) is Gate
+
+
+def test_one_cnot_pipeline_checks_gates_three_times(monkeypatch):
+    """A ``Circuit`` checks its gates once, when it is built, and nothing
+    checks a held gate list again: over route, postprocess, verify, the
+    baseline and verify, only the routed, the post-processed and the
+    baseline circuits are built, each checked once."""
+    graph, stock = get_architecture("9-square")
+    m0 = Mapping(stock)
+    from cnotroute.bench import random_cnot_circuit, swap_insertion_baseline
+    for seed in range(4):
+        c = random_cnot_circuit(9, 16, seed)
+        checks = []
+        check_gates = Circuit.__post_init__
+        monkeypatch.setattr(Circuit, "__post_init__",
+                            lambda self: checks.append(self) or check_gates(self))
+        routed = route_cnot_block(c, graph, m0)
+        final = postprocess(routed)
+        assert verify_equivalence(c, final, graph)
+        baseline = swap_insertion_baseline(c, graph, m0)
+        assert verify_equivalence(c, baseline, graph)
+        monkeypatch.undo()
+        assert len(checks) == 3
+        assert checks == [routed.circuit, final.circuit, baseline.circuit]
+
+
+def test_a_narrower_block_is_routed_as_if_padded_with_idle_wires(grid3):
+    c = Circuit(4, [cnot(0, 3), cnot(3, 1), swap_gate(0, 2), cnot(2, 1)])
+    m0 = Mapping([8, 1, 6, 3, 4, 5, 2, 7, 0])
+    for route in (route_cnot_block, route_general):
+        routed = route(c, grid3, m0)
+        assert routed.circuit.n_wires == 9 and len(routed.output_mapping) == 9
+        assert equivalence_failure(c, routed, grid3) is None
+        assert equivalence_failure(c, postprocess(routed), grid3) is None
+    with pytest.raises(ValueError, match="10 wires, architecture 9 nodes"):
+        route_cnot_block(Circuit(10, [cnot(0, 9)]), grid3, m0)
+
+
+def test_a_routed_result_is_a_hashable_value(grid3):
+    c = Circuit(9, [cnot(0, 8), cnot(4, 2)])
+    a, b = (route_cnot_block(c, grid3, Mapping.identity(9)) for _ in range(2))
+    assert a == b and hash(a) == hash(b) and len({a, b, postprocess(a)}) == 2

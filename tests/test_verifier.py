@@ -2,7 +2,7 @@
 soundness against unitaries, narrower circuits, and postprocess's check."""
 
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from itertools import combinations
 
 import numpy as np
@@ -89,25 +89,34 @@ def test_postprocess_raises_when_a_cancellation_crosses_a_one_qubit_gate(monkeyp
     # off the CNOTs' wires the same cancellation is sound
     rc = RoutedResult(Circuit(3, [cnot(0, 1), one_qubit("H", 2), cnot(0, 1)]),
                       Mapping.identity(3), Mapping.identity(3), RouteStats(2, 2))
-    assert postprocess(rc).circuit.gates == [one_qubit("H", 2)]
+    assert postprocess(rc).circuit.gates == (one_qubit("H", 2),)
 
 
 def test_a_gate_list_mutated_off_the_edges_after_it_was_built_is_rejected(tokyo):
-    """Gates put in after the routed circuit was checked: pairs with node
-    -1, which would wrap around onto an edge of node n - 1, pairs with
-    node n, and a pair of nodes that are not adjacent."""
+    """A routed gate list cannot be changed in place, and a circuit
+    rebuilt from it with a gate moved off the edges is rejected: pairs
+    with node -1, which would wrap around onto an edge of node n - 1, or
+    node n by ``Circuit`` itself, and a pair of nodes that are not
+    adjacent by the verifier."""
     graph, m0 = tokyo
     n = graph.n
     near = next(v for v in range(n) if graph.is_edge(n - 1, v))
     far = next((u, v) for u, v in combinations(range(n), 2) if not graph.is_edge(u, v))
     c = next(_tokyo_circuits(1, 63))
-    for pair in ((-1, near), (near, -1), (0, n), (n, 0), far):
-        routed = route_general(c, graph, m0)
-        assert verify_equivalence(c, routed, graph)
-        k = next(i for i, g in enumerate(routed.circuit.gates) if g.kind == CNOT)
-        routed.circuit.gates[k] = Gate(CNOT, *pair)
-        assert not verify_equivalence(c, routed, graph)
-        assert "is not on an architecture edge" in equivalence_failure(c, routed, graph)
+    routed = route_general(c, graph, m0)
+    assert verify_equivalence(c, routed, graph)
+    gates = list(routed.circuit.gates)
+    k = next(i for i, g in enumerate(gates) if g.kind == CNOT)
+    with pytest.raises(TypeError):
+        routed.circuit.gates[k] = Gate(CNOT, *far)
+    for pair in ((-1, near), (near, -1), (0, n), (n, 0)):
+        gates[k] = Gate(CNOT, *pair)
+        with pytest.raises(ValueError, match=f"outside 0..{n - 1}"):
+            Circuit(n, gates)
+    gates[k] = Gate(CNOT, *far)
+    moved = replace(routed, circuit=Circuit(n, gates))
+    assert not verify_equivalence(c, moved, graph)
+    assert "is not on an architecture edge" in equivalence_failure(c, moved, graph)
 
 
 def test_narrower_circuit_is_routed_and_verified(tokyo):
@@ -138,11 +147,12 @@ def test_wider_circuit_is_rejected(tokyo):
                          ids=["wire -1", "wire 50", "wire x", "wire 2.0", "one wire twice",
                               "1q on wire -1"])
 def test_a_gate_list_changed_after_the_original_was_built_is_rejected(bad):
-    """A gate put into the original's list after ``Circuit`` checked it:
-    wire -1 would be routed as wire n - 1, and wire 50 or "x" would raise
-    a bare IndexError or TypeError.  Both routers raise ``Circuit``'s own
-    ValueError, and ``equivalence_failure`` gives its message as the
-    reason; the same gate in the routed list is caught there too."""
+    """A circuit's gates cannot be changed after ``Circuit`` checked them:
+    neither in place nor by assigning the field.  A circuit rebuilt with
+    the gate put in, original or routed, raises ``Circuit``'s own
+    ValueError, so no router or verifier is ever handed wire -1, which
+    would be routed as wire n - 1, or wire 50 or "x", which would raise
+    a bare IndexError or TypeError."""
     graph, stock = get_architecture("9-square")
     m0 = Mapping(stock)
     c = Circuit(9, [cnot(0, 4), cnot(8, 1), cnot(3, 5)])
@@ -150,20 +160,16 @@ def test_a_gate_list_changed_after_the_original_was_built_is_rejected(bad):
     with pytest.raises(ValueError) as expected:
         Circuit(9, [bad])
     message = str(expected.value)
-    c.gates.append(bad)
-    routers = [route_cnot_block, route_general]
-    if bad.kind == CNOT:  # the baseline rejects one-qubit gates first
-        routers.append(swap_insertion_baseline)
-    for route in routers:
+    with pytest.raises(AttributeError):
+        c.gates.append(bad)
+    with pytest.raises(FrozenInstanceError):
+        c.gates = c.gates + (bad,)
+    for circuit in (c, routed.circuit):
         with pytest.raises(ValueError) as raised:
-            route(c, graph, m0)
-        assert str(raised.value) == message, route
-    assert equivalence_failure(c, routed, graph) == message
-    c.gates.pop()
+            replace(circuit, gates=circuit.gates + (bad,))
+        assert str(raised.value) == message
+    assert c.gates == (cnot(0, 4), cnot(8, 1), cnot(3, 5))
     assert verify_equivalence(c, routed, graph)
-    if bad.kind == ONEQ:  # a two-qubit gate off the graph is off its edges
-        routed.circuit.gates.append(bad)
-        assert equivalence_failure(c, routed, graph) == message
 
 
 def test_a_narrower_circuit_changed_onto_an_idle_wire_is_rejected(tokyo):
@@ -171,22 +177,32 @@ def test_a_narrower_circuit_changed_onto_an_idle_wire_is_rejected(tokyo):
     graph, m0 = tokyo
     c = Circuit(3, [cnot(0, 1), one_qubit("H", 2)])
     routed = route_general(c, graph, m0)
-    for circuit, route in ((Circuit(3, [cnot(0, 1)]), swap_insertion_baseline),
-                           (c, route_general)):
-        circuit.gates.append(cnot(0, 5))
+    for circuit in (c, Circuit(3, [cnot(0, 1)])):
         with pytest.raises(ValueError, match="uses wire 5 outside 0..2"):
-            route(circuit, graph, m0)
-    assert "uses wire 5 outside 0..2" in equivalence_failure(c, routed, graph)
+            replace(circuit, gates=circuit.gates + (cnot(0, 5),))
+    assert equivalence_failure(c, routed, graph) is None
 
 
 def test_unknown_gate_kind_raises():
-    path2 = ArchGraph(2, [(0, 1)])
-    ident = Mapping.identity(2)
-    c = Circuit(2, [Gate("toffoli", 0, 1)])
-    routed = RoutedResult(Circuit(2, [swap_gate(0, 1)]), ident, ident,
-                          RouteStats(0, 3))
     with pytest.raises(ValueError, match="toffoli"):
-        equivalence_failure(c, routed, path2)
+        Circuit(2, [Gate("toffoli", 0, 1)])
+
+
+@pytest.mark.parametrize("nodes", [[*range(8), -1], [*range(8), 99], list(range(9))],
+                         ids=["node -1", "node 99", "plain list"])
+def test_routers_and_the_verifier_take_a_mapping_only(nodes):
+    """With [0..7, -1], wire 8 would land on node 8 by negative indexing
+    and be reported on node -1; node 99 would raise a bare IndexError in
+    the verifier; and a plain list has no ``nodes`` for the baseline."""
+    graph, stock = get_architecture("9-square")
+    c = Circuit(9, [cnot(0, 4), cnot(8, 1), cnot(3, 5)])
+    for route in (route_cnot_block, route_general, swap_insertion_baseline):
+        with pytest.raises(ValueError, match="not a Mapping"):
+            route(c, graph, nodes)
+    routed = route_cnot_block(c, graph, Mapping(stock))
+    for bad in (replace(routed, input_mapping=nodes), replace(routed, output_mapping=nodes)):
+        assert "not a Mapping" in equivalence_failure(c, bad, graph)
+        assert not verify_equivalence(c, bad, graph)
 
 
 # -- soundness against the unitaries -------------------------------------

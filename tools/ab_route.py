@@ -157,8 +157,8 @@ class Side:
             ok = cr.verify_equivalence(circuit, final, graph)
             baseline = cr.swap_insertion_baseline(circuit, graph, m0)
             ok = cr.verify_equivalence(circuit, baseline, graph) and ok
-            # gates and mappings are tuples, equal across the two trees
-            return [(r.circuit.gates, tuple(r.output_mapping))
+            # tuples, whether a tree holds its gates in a list or a tuple
+            return [(tuple(r.circuit.gates), tuple(r.output_mapping))
                     for r in (routed, final, baseline)], ok
         return run
 
