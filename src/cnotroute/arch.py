@@ -15,22 +15,18 @@ its entry.  Growth keeps each tree node's neighbours as an int mask,
 and the entry holds those masks with the tree's schedule weight
 |V| - 1 + 2|S| and the mask of its terminals with two or more tree
 neighbours, the terms of the lower bound proved in
-``rowgraph.reduction_costs``; most grown trees are ruled out by that
-bound alone.  The cache's ``tree`` method builds the unrooted tree
-(node -> ascending neighbour tuple) and its Steiner points from an
-entry's masks the first time the tree is priced or reduced, and keeps
-them in the entry in place of the masks; the tuples come from one table
-in the cache, so all of a graph's trees share one immutable tuple per
-neighbour set, and the table is cleared with the entries.  The tree
-does not depend on the root; pricing (``rowgraph.reduction_costs``) and
-reduction (``rowgraph.tree_reduce_tracked``) both read it and pick the
-root themselves.  ``gen_steiner`` is the one public source of trees: it
-checks the terminals it is given and reads their tree off the cache,
-which the synthesizer reads directly.  A grown tree is a tree whose
-leaves are terminals by the proof in ``_grow_steiner_graph``, which
-checks nothing at run time; ``rowgraph``'s public functions check every
-tree they are given, and the synthesizer prices and reduces along grown
-trees through their unchecked cores.
+``rowgraph._costs``; most grown trees are ruled out by that bound alone.
+The cache's ``tree`` method builds the unrooted tree (node -> ascending
+neighbour tuple) and its Steiner points from an entry's masks the first
+time the tree is priced or reduced, and keeps them in the entry in place
+of the masks; the tuples come from one table in the cache, so all of a
+graph's trees share one immutable tuple per neighbour set, and the table
+is cleared with the entries.  The cache is the package's one source of
+trees.  A tree does not depend on the root; pricing (``rowgraph._costs``)
+and reduction (``rowgraph._reduce_tracked``) both read it and pick the
+root themselves.  A grown tree is a tree whose leaves are terminals by
+the proof in ``_grow_steiner_graph``, which checks nothing at run time,
+and nothing that reads a tree checks it again.
 """
 
 from __future__ import annotations
@@ -255,7 +251,7 @@ class SteinerEntry:
     ``weight`` is the tree's schedule weight |V| - 1 + 2|S| and
     ``inner`` the mask of its terminals with two or more tree
     neighbours: the terms of the lower bound proved in
-    ``rowgraph.reduction_costs``, read in O(1) with no tree built.
+    ``rowgraph._costs``, read in O(1) with no tree built.
     ``adjacency`` and ``nodes`` are the masks ``_grow_steiner_graph``
     returns, until ``_SteinerCache.tree`` builds ``tree`` and
     ``steiner`` from them and sets them to None; ``tree`` and
@@ -283,8 +279,7 @@ class _SteinerCache(dict):
     One per graph, built from the graph's ``ball`` and ``succ`` alone, so
     it holds no reference back to the graph.  A miss grows the tree
     (``_grow_steiner_graph``) and stores its entry; the mask must name a
-    non-empty set of the graph's nodes, which is not checked here:
-    ``gen_steiner`` checks the terminals it is given, and the
+    non-empty set of the graph's nodes, which is not checked: the
     synthesizer's masks are rows of the inverse of a checked
     ``BitMatrix``.  Past ``_GROW_CACHE_CAP`` terminal sets a miss drops
     every entry and the shared neighbour tuples with them: sustained
@@ -326,25 +321,6 @@ class _SteinerCache(dict):
             entry.steiner = frozenset(vec_support(nodes & ~mask))
             entry.adjacency = entry.nodes = None
         return entry.tree, entry.steiner
-
-
-def gen_steiner(g: ArchGraph, terminals) -> tuple:
-    """Approximate Steiner tree spanning ``terminals``: (tree, Steiner points).
-
-    ``terminals`` is any non-empty iterable of nodes of ``g``; the result
-    is the pair ``g``'s tree cache builds for their mask, so every form
-    of one set gets the same tree.  Raises ValueError on an empty set, on
-    a terminal that is not one of ``g``'s nodes and on a value that is
-    not an iterable of hashable items.
-    """
-    try:
-        nodes = set(terminals)
-    except TypeError:
-        nodes = ()
-    if not nodes or any(type(t) is not int or not 0 <= t < g.n for t in nodes):
-        raise ValueError(f"terminals must be one or more of the nodes 0..{g.n - 1}")
-    mask = sum(1 << t for t in nodes)
-    return g._steiner.tree(g._steiner[mask], mask)
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,17 @@ Every iteration of the synthesizer prices each remaining reduction
 recovery, then commits the candidate whose resulting state has the
 cheapest perfect node-to-basis assignment.  All nodes reducible to one
 basis index e share a terminal set, the support of row e of the inverse,
-and so one Steiner tree: ``rowgraph.reduction_costs`` prices every root
-of that tree in one pass, from values on its directed edges that several
-roots share, instead of rooting and replaying the tree once per node
-(the recurrence, and the invariant that makes it exact, are documented
+and so one Steiner tree: ``rowgraph._costs`` prices every root of that
+tree in one pass, from values on its directed edges that several roots
+share, instead of rooting and replaying the tree once per node (the
+recurrence, and the invariant that makes it exact, are documented
 there).  A node outside that support cannot be reduced to e, so its
 entry is ``math.inf``, a forbidden pair of the assignment.  The trees
-are read straight off the graph's tree cache (``arch._SteinerCache``:
-an entry per terminal mask, grown on a miss, and its ``tree`` method
-to build an entry's tree) rather than through the checked
-``arch.gen_steiner``.  They are trees with terminal leaves by the growth
-proof in ``arch``, so they are priced, reduced along and recovered
-through ``rowgraph``'s unchecked cores ``_costs``, ``_reduce_tracked``
-and ``_recover``: the synthesizer calls no public reduction function.
+are read off the graph's tree cache (``arch._SteinerCache``: an entry
+per terminal mask, grown on a miss, and its ``tree`` method to build an
+entry's tree).  They are trees with terminal leaves by the growth proof
+in ``arch``, so ``rowgraph``'s ``_costs``, ``_reduce_tracked`` and
+``_recover`` price, reduce along and recover them without checks.
 
 Only the *open block* of the cost table is priced: the non-basic nodes
 against the basis indices e whose inverse row is not a unit vector.  A
@@ -35,8 +33,8 @@ prices through the same ``rowgraph._costs`` as the block.
 The synthesizer starts from the rows of the inverse and carries the
 inverse from there in both forms.  ``heuristic_token_reduction`` gets
 those rows from one inversion, which is also its singularity check.
-``synthesis.route_cnot_block`` gets them from the walk that composed
-the block (``synthesis._stops``), whose columns of P^-1 are the rows of
+``synthesis._route_block`` gets them from the walk that composed the
+block (``synthesis._stops``), whose columns of P^-1 are the rows of
 (P^T)^-1, and calls the loop, ``_token_reduction``, directly.  The two
 forms are its rows, the supports (``sups[e]``, the nodes whose
 rows XOR to e_e), and its columns (``cols[u]``, the basis indices e
@@ -52,7 +50,7 @@ current matrix, and the block reads its supports off the carried rows
 with neither a fresh Gauss-Jordan elimination nor a transposition.
 
 Each open column is recorded with the lower bound on its entries that
-``rowgraph.reduction_costs`` proves, taken when the column is opened
+``rowgraph._costs`` proves, taken when the column is opened
 (``_open_columns``) from the terms its tree cache entry stores and the
 unit rows, with no tree built: only the columns priced build
 theirs, from the entry the record holds.
@@ -168,7 +166,7 @@ def _open_columns(graph: ArchGraph, sups: Sequence[int]) -> list:
     tree cache entry, looked up (and grown on a miss) but not built;
     pricing and reduction build it from the entry held here, so a cache
     clear in between does not grow it again.  The bound is the one
-    proved in ``rowgraph.reduction_costs`` on every root that holds a
+    proved in ``rowgraph._costs`` on every root that holds a
     non-unit row, as the block's roots do: the entry's weight plus the
     count of its ``inner`` terminals that hold a unit row.  Node u holds
     the unit row e_f exactly when inverse row f is e_u (row f of R^-1 R

@@ -2,12 +2,12 @@
 
 The synthesis state is a plain list holding one packed matrix row per
 architecture node.  Node addition XORs an adjacent row in (one CNOT); a
-swap exchanges two adjacent rows (three CNOTs).  ``tree_reduce_tracked``
-reduces along one Steiner tree (``arch.gen_steiner``) rooted at one of
-its terminals, leaving the root holding a standard basis vector, and
-``reduction_recovery`` restores the unit vectors that reduction
-disturbed.  Both change the row list in place and return the operations
-they ran, so the synthesizer can emit them as a circuit.
+swap exchanges two adjacent rows (three CNOTs).  ``_reduce_tracked``
+reduces along one Steiner tree rooted at one of its terminals, leaving
+the root holding a standard basis vector, and ``_recover`` restores the
+unit vectors that reduction disturbed.  Both change the row list in
+place and return the operations they ran, so the synthesizer can emit
+them as a circuit.
 
 A row operation is a plain ``(kind, a, b)`` tuple, everywhere from a
 reduction's schedule to the synthesizer's result.  ``(ADD, a, b)``
@@ -16,44 +16,30 @@ target b.  ``(SWAP, a, b)`` exchanges rows a and b; in a schedule a is
 the tree child and b its parent.  Both are self-inverse, so undoing a
 list of ops replays it backwards.
 
-``reduction_costs`` gives the weight that reduction and recovery would
-spend along the same tree at each of many roots, without running them:
-a recurrence over the tree's directed edges, each edge's value shared
-by every root on its far side.  The schedule rule it prices, which tree
-edge becomes a SWAP, is ``tree_reduce_tracked``'s, beside it.  A lower
-bound on those weights from the tree's shape and its unit-row terminals
-alone is proved beside the recurrence.
+``_costs`` gives the weight that reduction and recovery would spend
+along the same tree at each of many roots, without running them: a
+recurrence over the tree's directed edges, each edge's value shared by
+every root on its far side.  A lower bound on those weights from the
+tree's shape and its unit-row terminals alone is proved beside the
+recurrence.  One walk, ``_order``, builds every reduction schedule, for
+``_reduce_tracked`` and for ``_costs`` on large trees.
 
-Each public function is its checks plus a private core that checks
-nothing: ``reduction_costs`` is ``_costs``, ``tree_reduce_tracked`` is
-``_reduce_tracked`` and ``reduction_recovery`` is ``_recover``.  Every
-public function that takes a tree checks it in one walk, ``_schedule``,
-which only checks; malformed trees raise ``ReductionError``, and so does
-a tree, root or op list holding values that are not nodes, such as
-strings or floats, where the walk would otherwise fail inside Python.
-One unchecked walk, ``_order``, builds every reduction schedule, for
-``_reduce_tracked`` and for ``_costs`` on large trees.  ``heuristic``
-calls the cores only, on the trees it reads off each graph's tree cache
-(``arch.gen_steiner`` reads the same trees), which are trees with
+Nothing here checks its input.  The only trees are the ones a graph's
+tree cache grows (``arch._SteinerCache.tree``), which are trees with
 terminal leaves by the growth proof in ``arch._grow_steiner_graph``.
-It reduces at a node of a support, whose rows XOR to a unit vector by
-definition, and recovers from the ops the reduction has just returned,
-which ``_order`` built as ADDs and SWAPs of two distinct tree nodes.
+``heuristic`` reduces at a node of a support, whose rows XOR to a unit
+vector by definition, and recovers from the ops the reduction has just
+returned, which ``_order`` built as ADDs and SWAPs of two distinct tree
+nodes.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Set, Tuple
 
-from .gf2 import is_unit
-
 ADD = "ADD"
 SWAP = "SWAP"
 RowOp = Tuple[str, int, int]  # (kind, a, b), as above
-
-
-class ReductionError(ValueError):
-    """Raised when a reduction precondition does not hold."""
 
 
 def _hand_up(row: int, steiner: bool, below: list) -> tuple:
@@ -85,66 +71,18 @@ def _hand_up(row: int, steiner: bool, below: list) -> tuple:
     return acc, f, r0, r1
 
 
-def _schedule(tree, steiner, root: int, n_rows: int) -> Set[int]:
-    """Check ``tree`` and ``root`` for ``_order``; returns the nodes walked.
-
-    ``tree`` must be an unrooted tree (node -> neighbour tuple) over
-    nodes that have a row, 0..``n_rows`` - 1, whose every edge is listed
-    once in each direction, and whose Steiner points (``steiner``) are
-    interior nodes; ``root`` must be a terminal.  The walk is the one
-    ``_order`` makes, so it meets every node and edge the schedule
-    names.  The nodes walked are ints, and the keys of ``tree`` by
-    equality: a key such as 1.0 is walked as node 1, as the dict looks
-    it up.
-
-    Raises ``ReductionError`` if any of that fails: the root is not a
-    terminal, a node is not an int or has no row, a node's neighbours
-    are not a tuple, an edge is one-way or names a node missing from
-    ``tree`` (whose own list is then empty), the walk meets a node twice
-    (a cycle) or misses one, or a Steiner point is a leaf or off the
-    tree.  ``tree`` must be a dict and ``steiner`` a set.
-    """
-    if type(root) is not int or root not in tree or root in steiner:
-        raise ReductionError(f"root {root!r} is not a terminal of the tree")
-    seen = {root}
-    points = 0
-    stack = [(root, None)]
-    while stack:
-        node, up = stack.pop()
-        if not 0 <= node < n_rows:
-            raise ReductionError(f"tree node {node} has no row (there are {n_rows} rows)")
-        nbs = tree.get(node, ())
-        if type(nbs) is not tuple:
-            raise ReductionError(f"the neighbours of node {node} are not a tuple")
-        if up is not None and nbs.count(up) != 1:
-            raise ReductionError(f"edge ({up}, {node}) is not listed once at each end")
-        if node in steiner and len(nbs) > 1:
-            points += 1
-        for c in nbs:
-            if c != up:
-                if type(c) is not int:
-                    raise ReductionError(f"tree node {c!r} is not an int")
-                if c in seen:
-                    raise ReductionError("the tree has a cycle")
-                seen.add(c)
-                stack.append((c, node))
-    if len(seen) != len(tree):
-        raise ReductionError(f"the tree does not join every node to root {root}")
-    if points != len(steiner):
-        raise ReductionError("a Steiner point is a leaf or not a node of the tree")
-    return seen
-
-
 def _order(tree, steiner, root: int) -> List[RowOp]:
-    """The reduction schedule of ``tree`` at ``root``, checking nothing.
+    """The reduction schedule of ``tree`` at ``root``.
 
-    The tree and root must pass ``_schedule``.  The schedule is the
-    post-order with children in neighbour order: ("SWAP", child, parent)
-    for each Steiner parent's first child, ("ADD", parent, child)
-    everywhere else.  Pushing each node's children in order makes one
-    stack walk a pre-order with children reversed; reversed, that is the
-    schedule.  A child's op is fixed as its parent is expanded; the root
-    is a terminal, so its children are ADDs.
+    ``tree`` is a grown tree (node -> ascending neighbour tuple),
+    ``steiner`` its non-terminal nodes and ``root`` a terminal.  The
+    schedule is the post-order with children in neighbour order:
+    ("SWAP", child, parent) for each Steiner parent's first child,
+    ("ADD", parent, child) everywhere else.  Pushing each node's
+    children in order makes one stack walk a pre-order with children
+    reversed; reversed, that is the schedule.  A child's op is fixed as
+    its parent is expanded; the root is a terminal, so its children are
+    ADDs.
     """
     pre = []
     stack = [(c, root, (ADD, root, c)) for c in tree[root]]
@@ -160,16 +98,21 @@ def _order(tree, steiner, root: int) -> List[RowOp]:
     return pre
 
 
-def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) -> List[int]:
+# Trees up to this many nodes are priced by plain recursion, at most this
+# deep; larger ones first memoize every edge value along their schedule.
+_RECURSIVE_NODES = 256
+
+
+def _costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) -> List[int]:
     """Reduce + recover weight of ``tree`` rooted at each of ``roots``.
 
-    ``tree`` is an unrooted tree whose leaves are terminals (node ->
-    ascending neighbour tuple), ``steiner`` its non-terminal nodes and
-    ``roots`` terminals: the pair ``arch.gen_steiner`` returns, which
-    ``tree_reduce_tracked`` takes too.  Entry k equals the op weight
-    (SWAP 3, ADD 1) that ``tree_reduce_tracked(rows, tree, steiner,
-    roots[k])`` and then ``reduction_recovery`` would run on a copy of
-    ``rows``, without running either.
+    ``tree`` is a grown tree (node -> ascending neighbour tuple),
+    ``steiner`` its non-terminal nodes and ``roots`` one or more of its
+    terminals: the pair ``arch._SteinerCache.tree`` returns, which
+    ``_reduce_tracked`` takes too.  Entry k equals the op weight (SWAP
+    3, ADD 1) that ``_reduce_tracked(rows, tree, steiner, roots[k])``
+    and then ``_recover`` would run on a copy of ``rows``, without
+    running either.
 
     The value of a directed edge p -> c depends only on c's side of the
     tree, so it is shared by every root on p's side.  With x1 < ... < xm
@@ -202,37 +145,16 @@ def reduction_costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) ->
     has a child, as only one neighbour is its parent.  Terminals are
     never SWAP parents, and t's row changes only through its own ADDs
     until t's own op, which follows them; so its first ADD sees the
-    unit input row and ``tree_reduce_tracked`` tracks t.  A mark moves
-    only by the SWAP of a Steiner parent's first child, which is the
-    parent's first op, so marks never merge and the U marks are still
-    distinct after the schedule.  Replaying backwards,
-    ``reduction_recovery`` spends at least one op per mark: an ADD on
-    the marked node, or the SWAP that hands the mark back to a child
-    that holds none.  Each entry of ``arch``'s tree cache stores the mask
-    of the terminals with two or more neighbours and the weight |V| - 1 + 2|S|,
-    and ``heuristic._open_columns`` bounds each cost-table column by the
-    two without building the tree.
-
-    Raises ``ReductionError`` if ``roots`` is empty, ``_schedule`` finds
-    the tree malformed from ``roots[0]``, or another root is not a
-    terminal of the tree; ``_costs`` then prices without checks.
-    """
-    if not roots:
-        raise ReductionError("no root to price")
-    _schedule(tree, steiner, roots[0], len(rows))
-    for r in roots[1:]:
-        if type(r) is not int or r not in tree or r in steiner:
-            raise ReductionError(f"root {r!r} is not a terminal of the tree")
-    return _costs(rows, tree, steiner, roots)
-
-
-# Trees up to this many nodes are priced by plain recursion, at most this
-# deep; larger ones first memoize every edge value along their schedule.
-_RECURSIVE_NODES = 256
-
-
-def _costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) -> List[int]:
-    """``reduction_costs`` without its checks: the tree must pass ``_schedule``.
+    unit input row and ``_reduce_tracked`` tracks t.  A mark moves only
+    by the SWAP of a Steiner parent's first child, which is the parent's
+    first op, so marks never merge and the U marks are still distinct
+    after the schedule.  Replaying backwards, ``_recover`` spends at
+    least one op per mark: an ADD on the marked node, or the SWAP that
+    hands the mark back to a child that holds none.  Each entry of
+    ``arch``'s tree cache stores the mask of the terminals with two or
+    more neighbours and the weight |V| - 1 + 2|S|, and
+    ``heuristic._open_columns`` bounds each cost-table column by the two
+    without building the tree.
 
     Edge values are memoized at branch nodes, where roots share them;
     along paths they are recomputed, which is cheaper on small trees
@@ -284,42 +206,20 @@ def _costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) -> List[int
     return out
 
 
-def tree_reduce_tracked(rows: List[int], tree, steiner,
-                        root: int) -> Tuple[Tuple[RowOp, ...], Set[int]]:
-    """Reduce along ``tree`` rooted at ``root``, leaving f(root) a unit vector.
-
-    ``tree`` and ``steiner`` are as ``reduction_costs`` takes them: an
-    unrooted tree (node -> ascending neighbour tuple) and its
-    non-terminal nodes, whose terminal rows must XOR to a standard basis
-    vector.  ``root`` is a terminal.  The schedule is ``_order``'s: the
-    post-order with ascending children, ("SWAP", child, parent) for each
-    Steiner parent's first child, ("ADD", parent, child) everywhere
-    else.
-
-    Runs the schedule on ``rows`` in place.  Returns the ops run and the
-    set of nodes whose standard basis vectors were disturbed and that
-    ``reduction_recovery`` must restore.  SWAP entries migrate
-    membership from the child to the parent, following the payload.  The
-    root is never tracked: its row may pass through a unit vector while
-    the terminal contributions accumulate, and recovery must not undo
-    the reduction it serves.  Raises ``ReductionError``, leaving ``rows``
-    unchanged, if ``_schedule`` rejects the tree or the root, or the
-    terminal rows do not XOR to a unit vector.  The reduction itself is
-    ``_reduce_tracked``.
-    """
-    acc = 0
-    for t in _schedule(tree, steiner, root, len(rows)):
-        if t not in steiner:
-            acc ^= rows[t]
-    if not is_unit(acc):
-        raise ReductionError("terminal rows do not XOR to a standard basis vector")
-    return _reduce_tracked(rows, tree, steiner, root)
-
-
 def _reduce_tracked(rows: List[int], tree, steiner,
                     root: int) -> Tuple[Tuple[RowOp, ...], Set[int]]:
-    """``tree_reduce_tracked`` without its checks: the tree and root must pass
-    ``_schedule``, and the terminal rows must XOR to a unit vector."""
+    """Reduce along ``tree`` rooted at ``root``, leaving f(root) a unit vector.
+
+    ``tree``, ``steiner`` and ``root`` are as ``_costs`` takes them, and
+    the terminal rows must XOR to a standard basis vector.  Runs
+    ``_order``'s schedule on ``rows`` in place.  Returns the ops run and
+    the set of nodes whose standard basis vectors were disturbed and
+    that ``_recover`` must restore.  SWAP entries migrate membership
+    from the child to the parent, following the payload.  The root is
+    never tracked: its row may pass through a unit vector while the
+    terminal contributions accumulate, and recovery must not undo the
+    reduction it serves.
+    """
     pre = _order(tree, steiner, root)
     tracked: Set[int] = set()
     for kind, a, b in pre:
@@ -336,30 +236,13 @@ def _reduce_tracked(rows: List[int], tree, steiner,
     return tuple(pre), tracked
 
 
-def reduction_recovery(rows: List[int], operations: Sequence[RowOp],
-                       tracked: Set[int]) -> List[RowOp]:
+def _recover(rows: List[int], operations: Sequence[RowOp], tracked: Set[int]) -> List[RowOp]:
     """Restore every tracked node to a unit vector; returns the ops used.
 
     Replays on ``rows``, in reverse, just the ops needed to restore
-    tracked nodes.  Raises ``ReductionError``, leaving ``rows``
-    unchanged, if an op is not a ``(kind, a, b)`` tuple that is an ADD
-    or SWAP of two distinct rows.
+    tracked nodes.  The ops must be ones ``_reduce_tracked`` returned,
+    which ``_order`` built as ADDs and SWAPs of two distinct tree nodes.
     """
-    n = len(rows)
-    for op in operations:
-        kind, a, b = op if type(op) is tuple and len(op) == 3 else (op, None, None)
-        if not (type(a) is type(b) is int and 0 <= a < n and 0 <= b < n):
-            raise ReductionError(f"operation {op!r} is not (kind, a, b) or targets a node "
-                                 "outside the graph")
-        if kind not in (ADD, SWAP) or a == b:
-            raise ReductionError(f"operation {op!r} is not an ADD or SWAP of two rows")
-    return _recover(rows, operations, tracked)
-
-
-def _recover(rows: List[int], operations: Sequence[RowOp], tracked: Set[int]) -> List[RowOp]:
-    """``reduction_recovery`` without its op checks: the ops must be ones a
-    reduction returned, which are ADDs and SWAPs of two distinct rows by
-    construction, as ``_order`` builds them from a tree ``_schedule`` passes."""
     recover = []
     for kind, a, b in reversed(operations):
         if kind == ADD:

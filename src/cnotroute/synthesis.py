@@ -13,18 +13,19 @@ mapping.
 carries the rows of the list's linear prefix and the columns of that
 prefix's inverse, one XOR or exchange per gate, and stops at every
 one-qubit gate and once at the end.  ``linear_matrix`` is its last stop.
-``route_cnot_block`` takes both forms from one walk: the rows, transposed,
-are what the synthesizer reduces, and the columns of P^-1 are the rows
-of (P^T)^-1, the inverse the synthesizer starts from, so it calls the
-unchecked loop ``heuristic._token_reduction`` with no inversion.
+``_route_block``, the block core of both routers, takes both forms from
+one walk: the rows, transposed, are what the synthesizer reduces, and
+the columns of P^-1 are the rows of (P^T)^-1, the inverse the
+synthesizer starts from, so it calls the unchecked loop
+``heuristic._token_reduction`` with no inversion.
 
 A ``Circuit`` checks its gates once, when it is built, and holds them
 as a tuple, so no function here checks a circuit's gates again: a walk
 meets only CNOT, SWAP and one-qubit gates on the circuit's wires.  The
 routers and the verifier take a ``Mapping`` only, which is a bijection
 by construction.  The routed gates are built as plain ``Gate`` tuples,
-their two nodes distinct by construction, and the ``Circuit`` that
-holds them checks them.
+their two nodes distinct by construction, and each router checks them
+once, in the one ``Circuit`` that holds its whole output.
 
 One rule decides correctness for linear and mixed circuits alike.
 ``_moved_failure`` zips two such walks and requires, at each pair of
@@ -96,6 +97,19 @@ def relabel_circuit(c: Circuit, mapping: Mapping) -> Circuit:
 def route_cnot_block(c: Circuit, graph: ArchGraph, m0: Mapping) -> RoutedResult:
     """Synthesize a block of CNOT and SWAP gates onto the architecture.
 
+    The block is routed by ``_route_block``; a one-qubit gate raises
+    ValueError.  As in ``route_general``, a circuit narrower than the
+    graph is routed as if padded with idle wires.
+    """
+    _check_fit(c, m0, graph.n)
+    gates, mt = _route_block(c.gates, graph, m0)
+    return RoutedResult(Circuit(graph.n, gates), m0, mt,
+                        RouteStats(cnot_weight(c.gates), cnot_weight(gates)))
+
+
+def _route_block(gates, graph: ArchGraph, m0: Mapping) -> tuple:
+    """(routed gates, output mapping) of a list of CNOT and SWAP gates.
+
     The gates are composed by one ``_stops`` walk into the block's GF(2)
     matrix P on the nodes; a one-qubit gate raises ValueError.  The
     walk's columns of P^-1 are the rows of (P^T)^-1, the inverse the
@@ -103,26 +117,23 @@ def route_cnot_block(c: Circuit, graph: ArchGraph, m0: Mapping) -> RoutedResult:
     The output mapping is chosen by the synthesis itself: wire w ends on
     the node whose final row is the basis vector indexed by m0(w).  A
     block whose gates all sit on edges already is passed through
-    verbatim, SWAPs included.  As in ``route_general``, a circuit
-    narrower than the graph is routed as if padded with idle wires.
+    verbatim, SWAPs included.  The gates must be checked already, and
+    ``m0`` fit the graph; the routed gates are plain ``Gate`` tuples for
+    the caller's one ``Circuit``.
     """
     n = graph.n
-    _check_fit(c, m0, n)
-    for label, node, rows, cols in _stops(c.gates, m0, n):
+    for label, node, rows, cols in _stops(gates, m0, n):
         if label is not None:
             raise ValueError(f"not a linear gate: 1q {label} on node {node}")
-    weight_in = cnot_weight(c.gates)
-    if all(graph.is_edge(m0[g.a], m0[g.b]) for g in c.gates):
-        return RoutedResult(relabel_circuit(c, m0), m0, m0, RouteStats(weight_in, weight_in))
+    if all(graph.is_edge(m0[g.a], m0[g.b]) for g in gates):
+        return [Gate(g.kind, m0[g.a], m0[g.b]) for g in gates], m0
     rows = _transpose_rows(rows)
     # wires are distinct by construction: a row op names two nodes
-    gates = [Gate(CNOT if kind == ADD else SWAP, a, b)
-             for kind, a, b in _token_reduction(graph, rows, cols)]
+    routed = [Gate(CNOT if kind == ADD else SWAP, a, b)
+              for kind, a, b in _token_reduction(graph, rows, cols)]
     # rows is now a permutation: ascending rows e_0, e_1, ... name their holders
     holder = sorted(range(n), key=rows.__getitem__)
-    mt = Mapping([holder[m0[w]] for w in range(n)])
-    return RoutedResult(Circuit(n, gates), m0, mt,
-                        RouteStats(weight_in, cnot_weight(gates)))
+    return routed, Mapping([holder[m0[w]] for w in range(n)])
 
 
 def _check_fit(c: Circuit, m0, n: int) -> None:
@@ -342,7 +353,7 @@ def route_general(c: Circuit, graph: ArchGraph, m0: Mapping) -> RoutedResult:
     """Route a circuit of CNOT, SWAP, and opaque one-qubit gates.
 
     Each maximal run of CNOTs and SWAPs is one block, synthesized by
-    ``route_cnot_block`` from the previous block's output mapping; input
+    ``_route_block`` from the previous block's output mapping; input
     SWAPs stay atomic until ``postprocess`` expands them.  One-qubit
     gates pass through on their wire's current node.  A circuit narrower
     than the graph is routed as if padded with idle wires, which still
@@ -355,8 +366,7 @@ def route_general(c: Circuit, graph: ArchGraph, m0: Mapping) -> RoutedResult:
         if is_oneq:
             out.extend(Gate(ONEQ, current[g.a], -1, g.label) for g in run)
         else:
-            block = route_cnot_block(Circuit(graph.n, run), graph, current)
-            out.extend(block.circuit.gates)
-            current = block.output_mapping
+            gates, current = _route_block(list(run), graph, current)
+            out.extend(gates)
     return RoutedResult(Circuit(graph.n, out), m0, current,
                         RouteStats(cnot_weight(c.gates), cnot_weight(out)))

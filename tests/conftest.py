@@ -104,6 +104,12 @@ def random_reversible_rows(rng: random.Random, graph: ArchGraph, n_ops: int) -> 
     return rows
 
 
+def grown_tree(graph: ArchGraph, terminals) -> tuple:
+    """(tree, Steiner points) that ``graph``'s tree cache grows for ``terminals``."""
+    mask = sum(1 << t for t in set(terminals))
+    return graph._steiner.tree(graph._steiner[mask], mask)
+
+
 def entry_bound(rows, grown, steiner) -> int:
     """|V| - 1 + 2|S| + U for a grown tree: U counts its terminals with two
     or more neighbours that hold a unit row."""

@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnotroute.arch import (_GROW_CACHE_CAP, ArchFileError, ArchGraph,
-                            DisconnectedGraphError, gen_steiner,
-                            get_architecture, list_architectures,
-                            parse_arch_json, path_from_successors)
+                            DisconnectedGraphError, get_architecture,
+                            list_architectures, parse_arch_json,
+                            path_from_successors)
 from cnotroute.circuit import one_qubit
 from cnotroute.gf2 import BitMatrix
-from cnotroute.rowgraph import tree_reduce_tracked
+from cnotroute.rowgraph import _reduce_tracked
 
 from conftest import (assert_tables_match_reference, bfs_distances,
-                      floyd_warshall_with_path, grid_graph, op_parent,
+                      floyd_warshall_with_path, grid_graph, grown_tree, op_parent,
                       random_connected_graph, rows_reducible_along, tree_parent)
 
 
@@ -120,38 +120,23 @@ def test_path_endpoints_and_adjacency():
 
 def test_gen_steiner_single_edge():
     g = ArchGraph(3, [(0, 1), (1, 2)])
-    tree, steiner = gen_steiner(g, {0, 1})
+    tree, steiner = grown_tree(g, {0, 1})
     assert tree.keys() - steiner == {0, 1}
     assert tree_parent(tree, 0) == {1: 0}
 
 
 def test_gen_steiner_whole_path():
     g = ArchGraph(4, [(0, 1), (1, 2), (2, 3)])
-    tree, steiner = gen_steiner(g, {0, 1, 2, 3})
+    tree, steiner = grown_tree(g, {0, 1, 2, 3})
     assert tree.keys() - steiner == {0, 1, 2, 3}
     assert tree_parent(tree, 0) == {1: 0, 2: 1, 3: 2}
 
 
-def test_gen_steiner_root_must_be_terminal():
-    g = ArchGraph(3, [(0, 1), (1, 2)])
-    rows = [0b011, 0b010, 0b100]  # rows 0 and 1 XOR to e0
-    with pytest.raises(ValueError):
-        tree_reduce_tracked(rows, *gen_steiner(g, {0, 1}), 2)
-    assert rows == [0b011, 0b010, 0b100]
-
-
 def test_gen_steiner_single_terminal():
     g = ArchGraph(3, [(0, 1), (1, 2)])
-    tree, steiner = gen_steiner(g, {1})
+    tree, steiner = grown_tree(g, {1})
     assert tree == {1: ()} and steiner == frozenset()
-    assert tree_reduce_tracked([1, 2, 4], tree, steiner, 1) == ((), set())
-
-
-@pytest.mark.parametrize("terminals", [(), [3], [0, -1], [-1], 5.0, None, [[1]]])
-def test_gen_steiner_rejects_empty_or_foreign_terminals(terminals):
-    g = ArchGraph(3, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError, match=r"nodes 0\.\.2"):
-        gen_steiner(g, terminals)
+    assert _reduce_tracked([1, 2, 4], tree, steiner, 1) == ((), set())
 
 
 def test_steiner_cache_and_shared_neighbour_tuples_stay_bounded_on_a_star():
@@ -176,23 +161,17 @@ def test_steiner_cache_and_shared_neighbour_tuples_stay_bounded_on_a_star():
     assert len(cache) == 500
 
 
-PATH3 = [(0, 1), (1, 2)]
-
-
 @pytest.mark.parametrize("build", [
     lambda: ArchGraph(2.0, [(0, 1)]),
     lambda: ArchGraph(True, []),
     lambda: ArchGraph(3, [(0, 1.0), (1, 2)]),
     lambda: ArchGraph(3, [(0, True), (1, 2)]),
-    lambda: gen_steiner(ArchGraph(3, PATH3), [0, 2.0]),
-    lambda: gen_steiner(ArchGraph(3, PATH3), [0, True]),
     lambda: BitMatrix(2, [1.0, 2]),
     lambda: BitMatrix(2, [True, 2]),
     lambda: BitMatrix(2.0, [1, 2]),
     lambda: BitMatrix(True, [1]),
     lambda: one_qubit(5, 0),
-], ids=["count float", "count bool", "edge float", "edge bool", "terminal float",
-        "terminal bool", "row float", "row bool",
+], ids=["count float", "count bool", "edge float", "edge bool", "row float", "row bool",
         "matrix size float", "matrix size bool", "label int"])
 def test_a_node_count_edge_terminal_mask_or_row_that_is_not_an_int_is_rejected(build):
     with pytest.raises(ValueError):
@@ -227,7 +206,7 @@ def _min_steiner_vertices(g, terminals):
 def test_gen_steiner_grid_close_to_optimal(grid4):
     # Q2, Q6, Q9, Q11 on the 4x4 grid, rooted at Q2 (0-based: 1, 5, 8, 10).
     terminals = {1, 5, 8, 10}
-    tree, _ = gen_steiner(grid4, terminals)
+    tree, _ = grown_tree(grid4, terminals)
     best = _min_steiner_vertices(grid4, terminals)
     assert best == 5
     assert len(tree) <= best + 2
@@ -248,7 +227,7 @@ def _check_tree_invariants(g, tree, steiner, terminals, root):
             assert v in terminals
     # one op per tree edge, child to parent, leaving the root a unit vector
     rows = rows_reducible_along([1 << i for i in range(g.n)], terminals)
-    ops, _ = tree_reduce_tracked(rows, tree, steiner, root)
+    ops, _ = _reduce_tracked(rows, tree, steiner, root)
     assert len(ops) == len(edges)
     assert op_parent(ops) == parent
     assert rows[root] == 1
@@ -262,14 +241,14 @@ def test_gen_steiner_invariants_random():
         k = rng.randrange(1, n + 1)
         terminals = set(rng.sample(range(n), k))
         root = rng.choice(sorted(terminals))
-        tree, steiner = gen_steiner(g, terminals)
+        tree, steiner = grown_tree(g, terminals)
         _check_tree_invariants(g, tree, steiner, terminals, root)
 
 
 def test_reduction_tree_schedule_shape():
     # R - S - T path with S a Steiner point: swap then add.
     tree = {0: (1,), 1: (0, 2), 2: (1,)}
-    ops, _ = tree_reduce_tracked([0b101, 0b010, 0b100], tree, frozenset({1}), 0)
+    ops, _ = _reduce_tracked([0b101, 0b010, 0b100], tree, frozenset({1}), 0)
     assert ops == (("SWAP", 2, 1), ("ADD", 0, 1))
     assert sum(3 if kind == "SWAP" else 1 for kind, _, _ in ops) == 4
 

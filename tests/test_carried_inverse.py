@@ -15,12 +15,11 @@ import random
 import pytest
 
 from cnotroute import heuristic
-from cnotroute.arch import gen_steiner
 from cnotroute.gf2 import BitMatrix, SingularMatrixError, invert, transpose, vec_support
 from cnotroute.heuristic import heuristic_token_reduction
 from cnotroute.rowgraph import SWAP
 
-from conftest import (entry_bound, non_unit_nodes, random_connected_graph,
+from conftest import (entry_bound, grown_tree, non_unit_nodes, random_connected_graph,
                       random_reversible_rows)
 
 
@@ -40,7 +39,7 @@ def _check_opened(graph, rows, opened):
     """Open columns' supports against a fresh inverse, their bounds against ``entry_bound``."""
     assert [(e, sup) for e, sup, _, _ in opened] == _fresh_supports(len(rows), rows)
     assert [bound for _, _, bound, _ in opened] == \
-        [entry_bound(rows, *gen_steiner(graph, vec_support(sup))) for _, sup, _, _ in opened]
+        [entry_bound(rows, *grown_tree(graph, vec_support(sup))) for _, sup, _, _ in opened]
 
 
 def test_carried_columns_equal_a_fresh_inverse_after_every_step(monkeypatch):

@@ -1,30 +1,26 @@
 """One-pass pricing of every root against replaying each root's schedule.
 
-``reduction_costs`` prices a terminal set's Steiner tree at all requested
-roots from directed-edge values shared between roots.  The oracle here
-is the replay it replaces: run ``tree_reduce_tracked`` at one root of
-the same tree (``gen_steiner``'s, or a hand-built adjacency) and then
-``reduction_recovery`` on a copy of the rows, and weigh the ops they
-return.  States come from random row-op walks from the identity (many
-unit rows, so tracking and undo stops fire often) on random graphs and
-on heavy-hex and diagonal grids, whose degree-2 bridge qubits make many
-Steiner points, and from every stage of a greedy reduction that the
-replay itself drives.  Long synthetic paths and caterpillars check that
-tree depth is not limited by recursion.
+``_costs`` prices a terminal set's Steiner tree at all requested roots
+from directed-edge values shared between roots.  The oracle here is the
+replay it replaces: run ``_reduce_tracked`` at one root of the same tree
+(a grown one, or a hand-built adjacency) and then ``_recover`` on a copy
+of the rows, and weigh the ops they return.  States come from random
+row-op walks from the identity (many unit rows, so tracking and undo
+stops fire often) on random graphs and on heavy-hex and diagonal grids,
+whose degree-2 bridge qubits make many Steiner points, and from every
+stage of a greedy reduction that the replay itself drives.  Long
+synthetic paths and caterpillars check that tree depth is not limited
+by recursion.
 """
 
 import gc
 import random
 
-import pytest
-
-from cnotroute.arch import gen_steiner
 from cnotroute.gf2 import BitMatrix, invert, is_unit, vec_support
 from cnotroute.heuristic import _open_columns, _reduce_pair
-from cnotroute.rowgraph import (SWAP, ReductionError, reduction_costs,
-                                reduction_recovery, tree_reduce_tracked)
+from cnotroute.rowgraph import SWAP, _costs, _recover, _reduce_tracked
 
-from conftest import (diagonal_grid_graph, entry_bound, heavy_hex_graph,
+from conftest import (diagonal_grid_graph, entry_bound, grown_tree, heavy_hex_graph,
                       non_unit_nodes, random_connected_graph,
                       random_reversible_rows, rows_reducible_along)
 
@@ -32,8 +28,8 @@ from conftest import (diagonal_grid_graph, entry_bound, heavy_hex_graph,
 def _replay(rows, tree, steiner, root):
     """Op weight of reducing along ``tree`` at ``root`` and recovering, on a copy of ``rows``."""
     rows = list(rows)
-    ops, tracked = tree_reduce_tracked(rows, tree, steiner, root)
-    ops += tuple(reduction_recovery(rows, ops, tracked))
+    ops, tracked = _reduce_tracked(rows, tree, steiner, root)
+    ops += tuple(_recover(rows, ops, tracked))
     return sum(3 if kind == SWAP else 1 for kind, _, _ in ops)
 
 
@@ -52,14 +48,14 @@ def _check_state(g, rows, stats):
     prices = {}
     for e in range(g.n):
         sup = vec_support(inv.rows[e])
-        grown, steiner = gen_steiner(g, sup)
+        grown, steiner = grown_tree(g, sup)
         want = [_replay(rows, grown, steiner, u) for u in sup]
-        assert reduction_costs(rows, grown, steiner, sup) == want
+        assert _costs(rows, grown, steiner, sup) == want
         low = entry_bound(rows, grown, steiner)
         # a column that is not open has a one-node tree, of bound 0
         assert bounds.get(e, 0) == low
         for u, price in zip(sup, want):
-            assert reduction_costs(rows, grown, steiner, [u]) == [price]
+            assert _costs(rows, grown, steiner, [u]) == [price]
             prices[u, e] = price
             least = low - (is_unit(rows[u]) and len(grown[u]) >= 2)
             assert price >= least, (u, e)
@@ -122,7 +118,7 @@ def _check_long_tree(rng, tree, terminals, roots):
     rows = _random_rows(rng, tree, terminals, 3 * len(tree))
     roots = roots + rng.sample(sorted(terminals), 6)
     steiner = frozenset(tree) - terminals
-    got = reduction_costs(rows, tree, steiner, roots)
+    got = _costs(rows, tree, steiner, roots)
     for root, price in zip(roots, got):
         assert price == _replay(rows, tree, steiner, root)
 
@@ -163,40 +159,8 @@ def test_pricing_leaves_no_garbage_cycles():
     gc.disable()
     try:
         for _ in range(100):
-            reduction_costs(rows, tree, frozenset({1}), [0, 2, 3, 4])
+            _costs(rows, tree, frozenset({1}), [0, 2, 3, 4])
         assert gc.collect() == 0
     finally:
         if was_enabled:
             gc.enable()
-
-
-def _cycle(n):
-    return {i: tuple(sorted({(i - 1) % n, (i + 1) % n})) for i in range(n)}
-
-
-def test_small_cycle_is_rejected():
-    with pytest.raises(ReductionError, match="cycle"):
-        reduction_costs([1, 2, 7], _cycle(3), frozenset(), [0])
-
-
-def test_large_cycle_is_rejected():
-    n = 300  # above the size priced by plain recursion
-    rows = [1 << i for i in range(n)]
-    with pytest.raises(ReductionError, match="cycle"):
-        reduction_costs(rows, _cycle(n), frozenset(), [0, n // 2])
-
-
-def test_root_outside_the_tree_is_rejected():
-    tree = {0: (1,), 1: (0, 2), 2: (1,)}
-    with pytest.raises(ReductionError, match="root 5"):
-        reduction_costs([1, 2, 7, 8, 16, 32], tree, frozenset(), [0, 5])
-
-
-def test_steiner_root_is_rejected():
-    tree = {0: (1,), 1: (0, 2), 2: (1,)}
-    rows = [3, 4, 2]
-    with pytest.raises(ReductionError, match="root 1"):
-        reduction_costs(rows, tree, frozenset({1}), [0, 1])
-    # the reduction it would price rejects the same root
-    with pytest.raises(ReductionError, match="root 1"):
-        tree_reduce_tracked(list(rows), tree, frozenset({1}), 1)

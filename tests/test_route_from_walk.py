@@ -5,29 +5,28 @@ and hands the synthesizer's loop the walk's columns of P^-1 as the rows
 of (P^T)^-1, where ``heuristic_token_reduction`` inverts P^T itself.
 The walk's columns must equal that inverse, and the routed ops the ops
 ``heuristic_token_reduction`` runs on the same rows.  The synthesizer
-reduces and recovers through ``rowgraph``'s cores ``_reduce_tracked``
-and ``_recover``, which skip the checks of ``tree_reduce_tracked`` and
-``reduction_recovery``: at every root of grown trees, on graphs of up to
-14 nodes and of over 64, the cores and the checked functions must
-agree, ops and rows and tracked sets alike, and the schedule ``_order``
-builds must be the BFS reference schedule.  Graphs, mappings and gate
-lists are drawn at random, CNOTs and SWAPs alike.
+reduces and recovers through ``rowgraph``'s ``_reduce_tracked`` and
+``_recover``: at every root of grown trees, on graphs of up to 14 nodes
+and of over 64, the schedule ``_order`` builds must be the BFS reference
+schedule, the reduction must run exactly that schedule, and recovery
+must replay a backward subsequence of it that restores every tracked
+node.  Graphs, mappings and gate lists are drawn at random, CNOTs and
+SWAPs alike.
 """
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from cnotroute.arch import gen_steiner
 from cnotroute.circuit import CNOT, SWAP, Circuit, Gate, Mapping
-from cnotroute.gf2 import invert, transpose
+from cnotroute.gf2 import BitMatrix, invert, mat_mul, transpose
 from cnotroute.heuristic import heuristic_token_reduction
-from cnotroute.rowgraph import (ADD, _order, _recover, _reduce_tracked, reduction_recovery,
-                                tree_reduce_tracked)
+from cnotroute.rowgraph import ADD, _order, _recover, _reduce_tracked
 from cnotroute.synthesis import (_stops, complies, linear_matrix, relabel_circuit,
                                  route_cnot_block)
 
-from conftest import random_connected_graph, random_reversible_rows, rows_reducible_along
+from conftest import (grown_tree, ops_to_matrix, random_connected_graph,
+                      random_reversible_rows, rows_reducible_along)
 from test_steiner_rooting import _reference_schedule
 
 
@@ -74,20 +73,24 @@ def test_routed_ops_are_the_public_synthesizers(case):
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(st.one_of(st.integers(2, 14), st.integers(65, 90)), st.integers(0, 2**32))
-def test_the_cores_equal_the_checked_functions_at_every_root(n, seed):
+def test_the_cores_run_the_reference_schedule_at_every_root(n, seed):
     rng = random.Random(seed)
     graph = random_connected_graph(rng, n, extra=rng.randrange(n + 1))
     start = random_reversible_rows(rng, graph, rng.randrange(4 * n))
     terminals = frozenset(rng.sample(range(n), rng.randrange(2, min(n, 40) + 1)))
     start = rows_reducible_along(start, terminals)
-    grown, steiner = gen_steiner(graph, terminals)
+    grown, steiner = grown_tree(graph, terminals)
     for root in sorted(terminals):
-        assert tuple(_order(grown, steiner, root)) == \
-            _reference_schedule(grown, terminals, root)[0]
-        checked, core = list(start), list(start)
-        ops, tracked = tree_reduce_tracked(checked, grown, steiner, root)
-        core_ops, core_tracked = _reduce_tracked(core, grown, steiner, root)
-        assert (core_ops, core_tracked, core) == (ops, tracked, checked)
-        assert _recover(core, core_ops, core_tracked) == \
-            reduction_recovery(checked, ops, tracked)
-        assert (core, core_tracked) == (checked, tracked)
+        schedule = _reference_schedule(grown, terminals, root)[0]
+        assert tuple(_order(grown, steiner, root)) == schedule
+        rows = list(start)
+        ops, tracked = _reduce_tracked(rows, grown, steiner, root)
+        assert ops == schedule
+        assert rows == mat_mul(ops_to_matrix(ops, n), BitMatrix(n, start)).rows
+        assert rows[root] == 1  # the terminal rows XOR to e_0
+        reduced = BitMatrix(n, list(rows))
+        recovered = _recover(rows, ops, tracked)
+        assert not tracked
+        assert rows == mat_mul(ops_to_matrix(recovered, n), reduced).rows
+        backward = iter(reversed(ops))
+        assert all(op in backward for op in recovered)  # a backward subsequence

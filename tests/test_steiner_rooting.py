@@ -1,14 +1,14 @@
 """Steiner tree growth and rooting against references written here.
 
 For random connected graphs and terminal sets, the grown graph must be a
-tree with terminal leaves, and the ops ``tree_reduce_tracked`` runs at
-every root must match the schedule built from a BFS rooting with
-ascending children.  Growth yields masks; the cache entry's weight and
-inner mask, read off them, must agree with the tree the graph's tree
-cache builds from them when ``gen_steiner`` first asks for it, and that
-tree with a nearest-pair reference.  Growth's masks must equal those of
-the one-scan reference in ``conftest`` on random graphs, wide ones
-included, and on the stock devices.
+tree with terminal leaves, and the ops ``_reduce_tracked`` runs at every
+root must match the schedule built from a BFS rooting with ascending
+children.  Growth yields masks; the cache entry's weight and inner mask,
+read off them, must agree with the tree the graph's tree cache builds
+from them when it is first asked for, and that tree with a nearest-pair
+reference.  Growth's masks must equal those of the one-scan reference in
+``conftest`` on random graphs, wide ones included, and on the stock
+devices.
 """
 
 import random
@@ -16,14 +16,13 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnotroute.arch import (ArchGraph, _grow_steiner_graph, gen_steiner,
-                           get_architecture, list_architectures,
-                           path_from_successors)
-from cnotroute.rowgraph import tree_reduce_tracked
+from cnotroute.arch import (ArchGraph, _grow_steiner_graph, get_architecture,
+                           list_architectures, path_from_successors)
+from cnotroute.rowgraph import _reduce_tracked
 
-from conftest import (entry_bound, grid_graph, op_parent, random_connected_graph,
-                      random_reversible_rows, reference_grow_steiner_graph,
-                      rows_reducible_along, tree_parent)
+from conftest import (entry_bound, grid_graph, grown_tree, op_parent,
+                      random_connected_graph, random_reversible_rows,
+                      reference_grow_steiner_graph, rows_reducible_along, tree_parent)
 from test_device_families import FAMILIES
 
 
@@ -109,10 +108,10 @@ def test_every_root_matches_bfs_reference():
     rng = random.Random(2012)
     count = 0
     for g, terminals in _samples(2011, 200):
-        grown, steiner = gen_steiner(g, terminals)
+        grown, steiner = grown_tree(g, terminals)
         _check_tree_with_terminal_leaves(g, grown, terminals)
         assert steiner == grown.keys() - terminals
-        again, points = gen_steiner(g, sorted(terminals))
+        again, points = grown_tree(g, sorted(terminals))
         assert again is grown and points is steiner
         rows = rows_reducible_along(
             random_reversible_rows(rng, g, 2 * (g.n - 1)), terminals)
@@ -121,7 +120,7 @@ def test_every_root_matches_bfs_reference():
                 grown, terminals, root)
             assert cost == len(grown) - 1 + 2 * len(steiner)
             reduced = list(rows)
-            ops, _ = tree_reduce_tracked(reduced, grown, steiner, root)
+            ops, _ = _reduce_tracked(reduced, grown, steiner, root)
             assert ops == schedule
             assert reduced[root] == 1
             del parent[root]
@@ -138,12 +137,12 @@ def test_rooted_tree_keeps_exactly_the_grown_edges():
         n = rng.randrange(3, 16)
         g = random_connected_graph(rng, n)
         terminals = frozenset(rng.sample(range(n), rng.randrange(2, n + 1)))
-        grown, _ = gen_steiner(g, terminals)
+        grown, _ = grown_tree(g, terminals)
         grown_edges = {(min(a, b), max(a, b))
                        for a, nbs in grown.items() for b in nbs}
         root = min(terminals)
         rows = rows_reducible_along([1 << i for i in range(n)], terminals)
-        ops, _ = tree_reduce_tracked(rows, *gen_steiner(g, terminals), root)
+        ops, _ = _reduce_tracked(rows, *grown_tree(g, terminals), root)
         assert len(ops) == len(grown_edges)
         assert {(min(a, b), max(a, b)) for _, a, b in ops} == grown_edges
         checked += 1
@@ -156,9 +155,9 @@ def test_one_set_in_any_iterable_form_gets_one_memoized_tree():
         n = rng.randrange(2, 16)
         g = random_connected_graph(rng, n, extra=rng.randrange(n + 1))
         terminals = rng.sample(range(n), rng.randrange(1, n + 1))
-        tree, steiner = gen_steiner(g, terminals)
+        tree, steiner = grown_tree(g, terminals)
         for form in (tuple(terminals), frozenset(terminals)):
-            again, points = gen_steiner(g, form)
+            again, points = grown_tree(g, form)
             assert again is tree and points is steiner
         assert tree.keys() - steiner == frozenset(terminals)
 
@@ -201,10 +200,10 @@ def test_incremental_growth_matches_nearest_pair_reference():
     triangle = ArchGraph(3, [(0, 1), (1, 2), (0, 2)])
     # neighbour masks per node, the tree's nodes, and the attach node 0
     assert _grow_steiner_graph(triangle, 0b111) == ([0b110, 0b001, 0b001], 0b111, 0b001)
-    assert gen_steiner(triangle, {0, 1, 2})[0] == {0: (1, 2), 1: (0,), 2: (0,)}
+    assert grown_tree(triangle, {0, 1, 2})[0] == {0: (1, 2), 1: (0,), 2: (0,)}
     count = 0
     for g, terminals in [(triangle, {0, 1, 2}), *_samples(2027, 200), *_wide_samples(2028)]:
-        assert gen_steiner(g, terminals)[0] == _reference_grow(g, terminals)
+        assert grown_tree(g, terminals)[0] == _reference_grow(g, terminals)
         count += 1
     assert count == 601 + 30
 
@@ -259,7 +258,7 @@ def test_entry_bound_terms_agree_with_the_tree_built_on_first_use(case):
         entry = graph._steiner[mask]
         weight, inner, adjacency, nodes = entry.weight, entry.inner, entry.adjacency, entry.nodes
         assert entry.tree is None and entry.steiner is None  # grown, not built
-        tree, steiner = gen_steiner(graph, terminals)
+        tree, steiner = grown_tree(graph, terminals)
         assert tree == _reference_grow(graph, terminals)
         assert nodes == _mask(tree)
         assert adjacency == [_mask(tree.get(w, ())) for w in range(graph.n)]
@@ -269,7 +268,7 @@ def test_entry_bound_terms_agree_with_the_tree_built_on_first_use(case):
         # with every row a unit vector the reference bound counts all of inner
         units = [1 << u for u in range(graph.n)]
         assert entry_bound(units, tree, steiner) == weight + inner.bit_count()
-        again, points = gen_steiner(graph, terminals)
+        again, points = grown_tree(graph, terminals)
         assert again is tree and points is steiner
         assert graph._steiner[mask] is entry
         assert entry.adjacency is None and entry.nodes is None  # the masks are dropped

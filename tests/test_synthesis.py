@@ -630,6 +630,22 @@ def test_one_cnot_pipeline_checks_gates_three_times(monkeypatch):
         assert checks == [routed.circuit, final.circuit, baseline.circuit]
 
 
+def test_route_general_checks_gates_once_over_several_blocks(monkeypatch, grid3):
+    """Every block goes through the same core as ``route_cnot_block``, and
+    only the one ``Circuit`` holding the whole routed output is built."""
+    c = Circuit(9, [cnot(0, 8), one_qubit("H", 3), cnot(4, 2), swap_gate(1, 7),
+                    one_qubit("T", 0), cnot(0, 1), one_qubit("S", 8), cnot(8, 0), cnot(2, 6)])
+    checks = []
+    check_gates = Circuit.__post_init__
+    monkeypatch.setattr(Circuit, "__post_init__",
+                        lambda self: checks.append(self) or check_gates(self))
+    routed = route_general(c, grid3, Mapping.identity(9))
+    monkeypatch.undo()
+    assert len(checks) == 1
+    assert checks == [routed.circuit]
+    assert verify_equivalence(c, routed, grid3)
+
+
 def test_a_narrower_block_is_routed_as_if_padded_with_idle_wires(grid3):
     c = Circuit(4, [cnot(0, 3), cnot(3, 1), swap_gate(0, 2), cnot(2, 1)])
     m0 = Mapping([8, 1, 6, 3, 4, 5, 2, 7, 0])

@@ -15,15 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnotroute import heuristic
-from cnotroute.arch import ArchGraph, gen_steiner, get_architecture, list_architectures
+from cnotroute.arch import ArchGraph, get_architecture, list_architectures
 from cnotroute.bench import random_cnot_circuit
 from cnotroute.gf2 import BitMatrix, invert, transpose, vec_support
 from cnotroute.heuristic import (_cheapest, _open_block, _open_columns, _reduce_pair,
                                  heuristic_token_reduction, hungarian_assign)
-from cnotroute.rowgraph import reduction_costs
+from cnotroute.rowgraph import _costs
 from cnotroute.synthesis import linear_matrix
 
-from conftest import entry_bound, non_unit_nodes
+from conftest import entry_bound, grown_tree, non_unit_nodes
 from test_pinned_output import routes
 
 
@@ -132,12 +132,12 @@ def test_bound_is_a_lower_bound_on_every_entry_and_the_loss():
         position = {u: i for i, u in enumerate(block.nodes)}
         minima = []
         for j, sup in enumerate(block.supports):
-            grown, steiner = gen_steiner(graph, vec_support(sup))
+            grown, steiner = grown_tree(graph, vec_support(sup))
             schedule = len(grown) - 1 + 2 * len(steiner)
             assert bounds[j] == entry_bound(rows, grown, steiner)
             raised.append(bounds[j] > schedule)
             roots = [u for u in vec_support(sup) if u in position]
-            costs = reduction_costs(rows, grown, steiner, roots)
+            costs = _costs(rows, grown, steiner, roots)
             assert schedule >= sup.bit_count() - 1
             assert costs == [block.entries[position[u]][j] for u in roots]
             assert all(r[j] >= bounds[j] for r in block.entries)
@@ -158,9 +158,9 @@ def test_pricing_work_on_the_pinned_set_stays_within_its_counts(monkeypatch):
     """Routing the pinned set prices at most 7,730 columns in 544 solves.
 
     Both are the measured counts, so any extra pricing fails.  Without U
-    in the bound it took 13,325 ``reduction_costs`` calls and 589
-    assignment solves.  The synthesizer prices through the unchecked
-    core ``_costs``, so that is what is counted.
+    in the bound it took 13,325 pricing calls and 589 assignment
+    solves.  The synthesizer prices through ``_costs``, so that is what
+    is counted.
     """
     counts = {"priced": 0, "solved": 0}
     price = heuristic._costs
