@@ -125,7 +125,9 @@ def _route_block(gates, graph: ArchGraph, m0: Mapping) -> tuple:
     for label, node, rows, cols in _stops(gates, m0, n):
         if label is not None:
             raise ValueError(f"not a linear gate: 1q {label} on node {node}")
-    if all(graph.is_edge(m0[g.a], m0[g.b]) for g in gates):
+    dist = graph.dist
+    # checked gates and a fitting m0 name in-range nodes
+    if all(dist[m0[a]][m0[b]] == 1 for _, a, b, _ in gates):
         return [Gate(g.kind, m0[g.a], m0[g.b]) for g in gates], m0
     rows = _transpose_rows(rows)
     # wires are distinct by construction: a row op names two nodes
@@ -231,9 +233,11 @@ def equivalence_failure(c: Circuit, routed: RoutedResult,
     for m in (routed.input_mapping, routed.output_mapping):
         if not isinstance(m, Mapping) or len(m) != n:
             return f"mapping {m!r} is not a Mapping onto the architecture's {n} nodes"
-    for g in routed.circuit.gates:
-        if g.kind != ONEQ and not graph.is_edge(g.a, g.b):
-            return (f"gate {g.kind} {graph.names[g.a]}-{graph.names[g.b]} "
+    # the routed Circuit holds in-range int wires, on n wires as checked above
+    dist = graph.dist
+    for kind, a, b, _ in routed.circuit.gates:
+        if kind != ONEQ and dist[a][b] != 1:
+            return (f"gate {kind} {graph.names[a]}-{graph.names[b]} "
                     "is not on an architecture edge")
     return _moved_failure(c.gates, routed.circuit.gates, routed.input_mapping,
                           routed.output_mapping, n)

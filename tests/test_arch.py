@@ -118,21 +118,21 @@ def test_path_endpoints_and_adjacency():
             assert g.is_edge(a, b)
 
 
-def test_gen_steiner_single_edge():
+def test_tree_cache_single_edge():
     g = ArchGraph(3, [(0, 1), (1, 2)])
     tree, steiner = grown_tree(g, {0, 1})
     assert tree.keys() - steiner == {0, 1}
     assert tree_parent(tree, 0) == {1: 0}
 
 
-def test_gen_steiner_whole_path():
+def test_tree_cache_whole_path():
     g = ArchGraph(4, [(0, 1), (1, 2), (2, 3)])
     tree, steiner = grown_tree(g, {0, 1, 2, 3})
     assert tree.keys() - steiner == {0, 1, 2, 3}
     assert tree_parent(tree, 0) == {1: 0, 2: 1, 3: 2}
 
 
-def test_gen_steiner_single_terminal():
+def test_tree_cache_single_terminal():
     g = ArchGraph(3, [(0, 1), (1, 2)])
     tree, steiner = grown_tree(g, {1})
     assert tree == {1: ()} and steiner == frozenset()
@@ -203,7 +203,7 @@ def _min_steiner_vertices(g, terminals):
     raise AssertionError("graph disconnected")
 
 
-def test_gen_steiner_grid_close_to_optimal(grid4):
+def test_tree_cache_grid_close_to_optimal(grid4):
     # Q2, Q6, Q9, Q11 on the 4x4 grid, rooted at Q2 (0-based: 1, 5, 8, 10).
     terminals = {1, 5, 8, 10}
     tree, _ = grown_tree(grid4, terminals)
@@ -233,7 +233,7 @@ def _check_tree_invariants(g, tree, steiner, terminals, root):
     assert rows[root] == 1
 
 
-def test_gen_steiner_invariants_random():
+def test_tree_cache_invariants_random():
     rng = random.Random(13)
     for _ in range(150):
         n = rng.randrange(2, 21)

@@ -149,17 +149,18 @@ def test_rooted_tree_keeps_exactly_the_grown_edges():
     assert checked > 20
 
 
-def test_one_set_in_any_iterable_form_gets_one_memoized_tree():
+def test_one_terminal_mask_gets_one_memoized_tree():
     rng = random.Random(15)
     for _ in range(40):
         n = rng.randrange(2, 16)
         g = random_connected_graph(rng, n, extra=rng.randrange(n + 1))
-        terminals = rng.sample(range(n), rng.randrange(1, n + 1))
-        tree, steiner = grown_tree(g, terminals)
-        for form in (tuple(terminals), frozenset(terminals)):
-            again, points = grown_tree(g, form)
-            assert again is tree and points is steiner
-        assert tree.keys() - steiner == frozenset(terminals)
+        mask = _mask(rng.sample(range(n), rng.randrange(1, n + 1)))
+        cache = g._steiner
+        entry = cache[mask]
+        tree, steiner = cache.tree(entry, mask)
+        assert cache[mask] is entry
+        again, points = cache.tree(cache[mask], mask)
+        assert again is tree and points is steiner
 
 
 def _reference_grow(g, terminals):
