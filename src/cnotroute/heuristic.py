@@ -63,21 +63,25 @@ minimum, since no entry of that column or a later one can reach it.  A
 bound equal to the minimum is priced, so every tied entry is found.
 
 Tied cheapest entries are broken by look-ahead, scored by the loss of
-each candidate's resulting state; the smallest (loss, candidate index)
-wins, the first strict minimum in candidate order.  Most candidates
-lose, and a column-minimum bound (the standard lower bound of the
-linear assignment problem; Burkard, Dell'Amico & Martello, *Assignment
-Problems*, ch. 4) proves it before they are fully priced.  Each column
-is assigned exactly one row, so a trial's loss is at least the sum of
-its priced columns' minima plus its unpriced columns' bounds.  Every
-candidate is first trial-run and recorded (ops, rows, carried inverse)
-to give its bound before pricing; candidates are then priced in
-ascending (bound, index) order, and pricing stops, skipping the
+each candidate's resulting state, as in the paper; but where the paper
+scores every tied candidate, only the ``_PRICED_TRIALS`` (3) with the
+lowest lower bounds on their loss compete.  A column-minimum bound (the
+standard lower bound of the linear assignment problem; Burkard,
+Dell'Amico & Martello, *Assignment Problems*, ch. 4) gives each
+candidate's: each column is assigned exactly one row, so a trial's loss
+is at least the sum of its priced columns' minima plus its unpriced
+columns' bounds.  Every candidate is first trial-run and recorded (ops,
+rows, carried inverse) to give its bound with no column priced, and
+candidates are sorted by (bound, index).  The first three are priced in
+that order, and the smallest (loss, index) among them wins, the first
+strict minimum in candidate order.  Pricing stops, skipping the
 assignment, once the bound shows the candidate cannot beat the best
-(loss, index) so far.  The winner is never cut short, so its full block
-gives the next step's cheapest entries, and it is committed from its
-record rather than reduced again.  The committed ops are exactly the
-unpruned ones.
+(loss, index) so far, so this pruning never changes the winner of the
+three.  The winner is never cut short, so its full block gives the next
+step's cheapest entries, and it is committed from its record rather
+than reduced again.  A step with three or fewer candidates is the
+paper's rule; with more, the lowest-bound trial is the winner most of
+the time, and ``tools/tiebreak.txt`` gives what the cut costs in CNOTs.
 """
 
 from __future__ import annotations
@@ -90,6 +94,9 @@ from typing import List, Optional, Sequence, Tuple
 from .arch import ArchGraph, SteinerEntry
 from .gf2 import BitMatrix, _transpose_rows, invert, vec_support
 from .rowgraph import ADD, RowOp, _costs, _recover, _reduce_tracked
+
+# tie trials priced per step, lowest (bound, index) first; None prices all
+_PRICED_TRIALS = 3
 
 
 class AssignmentError(ValueError):
@@ -390,18 +397,21 @@ def heuristic_token_reduction(graph: ArchGraph, rows: List[int]) -> List[RowOp]:
     are broken by look-ahead: each is trial-run (reduce, recover) on its
     own copy of the rows, and its ops, rows and carried inverse (both
     forms) are recorded; its open columns' bounds (``_open_columns``)
-    sum to a lower bound on its loss.  Candidates are then scored in ascending
-    (bound, index) order, each priced from its recorded rows, and the
-    smallest (loss, index) wins: the first strict minimum in candidate
-    order, candidates being ordered by (node, basis).  A candidate whose
-    bound shows it cannot beat the best so far (see ``_open_block``) is
-    neither priced in full nor assigned, so pruning never changes the
-    winner.  The winner is committed from its record, its rows copied in
-    and its ops appended; its trial block is complete, and gives the
-    next step's cheapest entries (``_cheapest``), each with the tree
-    entry its column was opened with.  Each commit makes at least one
-    more node basic, so the loop runs at most n times.  The
-    inversion on entry is the only singularity check; it raises
+    sum to a lower bound on its loss.  Only the ``_PRICED_TRIALS`` (3)
+    candidates lowest in (bound, index) are then scored, in that order,
+    each priced from its recorded rows, and the smallest (loss, index)
+    among them wins: the first strict minimum in candidate order,
+    candidates being ordered by (node, basis).  The paper scores every
+    candidate; this differs from it only at steps with more than three.
+    A candidate whose bound shows it cannot beat the best so far (see
+    ``_open_block``) is neither priced in full nor assigned, so pruning
+    never changes the winner.  The winner is committed from its record,
+    its rows copied in and its ops appended; its trial block is
+    complete, and gives the next step's cheapest entries
+    (``_cheapest``), each with the tree entry its column was opened
+    with.  Each commit makes at least one more node basic, so the loop
+    runs at most n times.  The inversion on entry is the only
+    singularity check; it raises
     ``SingularMatrixError``, basic or not, and a ``ValueError`` if there
     is not one row per node.
     """
@@ -437,7 +447,7 @@ def _token_reduction(graph: ArchGraph, rows: List[int], sups: List[int]) -> List
             trials.append((low, index, trial_rows, opened, ops, trial_sups, trial_cols))
         trials.sort(key=lambda t: t[:2])
         best = (math.inf, 0)  # so the first trial is priced in full
-        for low, index, trial_rows, opened, *carried in trials:
+        for low, index, trial_rows, opened, *carried in trials[:_PRICED_TRIALS]:
             # a later index must win outright, an earlier one may tie
             cutoff = best[0] - (index > best[1])
             if low > cutoff:

@@ -12,6 +12,7 @@ import pytest
 
 from cnotroute.arch import ArchGraph, DisconnectedGraphError
 from cnotroute.gf2 import BitMatrix, _transpose_rows, invert, is_unit, mat_mul, vec_support
+from cnotroute.heuristic import _reduce_pair, build_cost_table, hungarian_assign
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -338,6 +339,51 @@ def rows_reducible_along(rows, terminals) -> list:
         acc ^= rows[t]
     rows[min(terminals)] ^= acc ^ 1
     return rows
+
+
+def reference_reduction(graph: ArchGraph, rows, priced=3, stats=None) -> list:
+    """The synthesizer's rule over full cost tables, with no pruning.
+
+    Each step takes the cheapest entries of ``build_cost_table`` over the
+    non-basic nodes, node-major.  A lone candidate is committed.  Tied
+    candidates are each trial-run on a copy of the rows, bounded by the
+    sum of ``entry_bound`` over the trees of the columns they leave open,
+    and priced in full from a fresh table.  The ``priced`` lowest
+    (bound, index) trials compete (all of them when ``priced`` is None,
+    the paper's rule), the first strict minimum of (loss, index) among
+    them wins, and it is re-run to commit.  ``rows`` is reduced in place
+    and the ops run are returned.  ``stats``, if given, counts tied
+    candidates, steps whose winning loss is tied, and steps the paper's
+    rule would decide otherwise.
+    """
+    out = []
+    while nodes := non_unit_nodes(rows):
+        table = build_cost_table(graph, rows)
+        cheapest = min(min(table.entries[u]) for u in nodes)
+        candidates = [(u, e) for u in nodes for e in range(graph.n)
+                      if table.entries[u][e] == cheapest]
+        chosen = candidates[0]
+        if len(candidates) > 1:
+            trials = []
+            for index, (u, e) in enumerate(candidates):
+                trial = list(rows)
+                _reduce_pair(graph, trial, u, table.supports[e],
+                             graph._steiner[table.supports[e]])
+                sups = invert(BitMatrix(graph.n, trial)).rows
+                bound = sum(entry_bound(trial, *grown_tree(graph, vec_support(sup)))
+                            for sup in sups if not is_unit(sup))
+                loss = hungarian_assign(build_cost_table(graph, trial)).total
+                trials.append((bound, index, loss))
+            trials.sort()
+            _, index, loss = min(trials[:priced], key=lambda t: (t[2], t[1]))
+            chosen = candidates[index]
+            if stats is not None:
+                stats["candidates"] += len(candidates)
+                stats["equal_best"] += [t[2] for t in trials[:priced]].count(loss) > 1
+                stats["rule_changed"] += index != min(trials, key=lambda t: (t[2], t[1]))[1]
+        u, e = chosen
+        out += _reduce_pair(graph, rows, u, table.supports[e], graph._steiner[table.supports[e]])
+    return out
 
 
 def ops_to_matrix(ops, n: int) -> BitMatrix:

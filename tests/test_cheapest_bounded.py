@@ -22,9 +22,8 @@ from cnotroute.gf2 import BitMatrix, invert
 from cnotroute.heuristic import (_cheapest, _cheapest_bounded, _open_block, _open_columns,
                                  heuristic_token_reduction)
 
-from conftest import random_reversible_rows
+from conftest import random_reversible_rows, reference_reduction
 from test_device_families import FAMILIES
-from test_tie_pruning import _reference_reduction
 
 
 def _check(graph, rows, opened, stats):
@@ -80,7 +79,7 @@ def test_equal_on_the_five_devices(checked):
     rng = random.Random(2323)
     for name in list_architectures():
         graph, _ = get_architecture(name)
-        for walk in (graph.n, graph.n, 4 * graph.n, 4 * graph.n, 16 * graph.n):
+        for walk in (graph.n, graph.n, 4 * graph.n, 4 * graph.n, 16 * graph.n, 16 * graph.n):
             _reduce_checked(graph, random_reversible_rows(rng, graph, walk))
     _assert_coverage(checked, 400)
 
@@ -146,7 +145,6 @@ def test_a_tie_whose_winner_leaves_every_row_basic():
     opened = _open_columns(graph, invert(BitMatrix(5, rows)).rows)
     assert len(_cheapest_bounded(graph, rows, opened)) > 1
     twin = list(rows)
-    stats = {"candidates": 0, "equal_best": 0}
-    assert heuristic_token_reduction(graph, rows) == _reference_reduction(graph, twin, stats)
+    assert heuristic_token_reduction(graph, rows) == reference_reduction(graph, twin)
     assert rows == twin
     assert BitMatrix(5, rows).is_permutation()

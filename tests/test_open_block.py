@@ -3,8 +3,8 @@
 At every stage of a greedy reduction on random connected graphs, the
 block (non-basic nodes x basis indices with a non-unit inverse row) must
 give the full table's loss, its entries and its cheapest candidates in
-the same order, and the synthesizer must commit the same steps as a
-full-table reference loop written here.  Pricing and reduction must
+the same order, and the synthesizer must commit the same steps as the
+full-table reference loop in ``conftest``.  Pricing and reduction must
 build each tree from the entry its open column holds, not grow it again
 after the tree cache is cleared.
 """
@@ -26,7 +26,7 @@ from cnotroute.heuristic import (_cheapest, _open_block, _open_columns, _reduce_
 from cnotroute.synthesis import route_cnot_block
 
 from conftest import (diagonal_grid_graph, heavy_hex_graph, non_unit_nodes,
-                      random_connected_graph, random_reversible_rows)
+                      random_connected_graph, random_reversible_rows, reference_reduction)
 
 
 def _full_candidates(rows, table):
@@ -45,27 +45,6 @@ def _fresh_open(g, rows):
 def _reduce_along(g, rows, u, sup):
     """``_reduce_pair`` along the tree of ``sup``, with its cache entry."""
     return _reduce_pair(g, rows, u, sup, g._steiner[sup])
-
-
-def _reference_reduction(g, rows):
-    """The synthesizer loop over full tables, re-priced every iteration."""
-    out = []
-    while non_unit_nodes(rows):
-        table = build_cost_table(g, rows)
-        candidates = _full_candidates(rows, table)
-        chosen = candidates[0]
-        if len(candidates) > 1:
-            best_loss = None
-            for u, e in candidates:
-                trial = list(rows)
-                _reduce_along(g, trial, u, table.supports[e])
-                trial_loss = hungarian_assign(build_cost_table(g, trial)).total
-                if best_loss is None or trial_loss < best_loss:
-                    best_loss = trial_loss
-                    chosen = (u, e)
-        u, e = chosen
-        out += _reduce_along(g, rows, u, table.supports[e])
-    return out
 
 
 def _stages(g, rows):
@@ -162,7 +141,7 @@ def test_synthesizer_commits_the_full_table_reference_steps():
         g = random_connected_graph(rng, n, extra=rng.randrange(n + 1))
         rows = random_reversible_rows(rng, g, 4 * n)
         twin = list(rows)
-        assert heuristic_token_reduction(g, rows) == _reference_reduction(g, twin)
+        assert heuristic_token_reduction(g, rows) == reference_reduction(g, twin)
         assert rows == twin
 
 

@@ -1,13 +1,16 @@
 """Bound-and-prune look-ahead against an unpruned reference.
 
-``heuristic_token_reduction`` stops pricing a tie candidate once the
-sum of its open block's column minima, with unpriced columns counted at
+``heuristic_token_reduction`` scores only the ``_PRICED_TRIALS`` tie
+candidates lowest in (bound, index), and stops pricing one once the sum
+of its open block's column minima, with unpriced columns counted at
 their lower bound |V| - 1 + 2|S| + U (schedule weight plus the unit-row
 terminals with two or more tree neighbours), shows that its loss cannot
-beat the best (loss, index) so far.  The device-scale test checks that
-pruning never changes a committed step; the property test checks the
-inequalities the bound rests on; the pinned-set test caps the pricing
-work the bound leaves.
+beat the best (loss, index) so far.  The device-scale tests check that
+pruning never changes a committed step, under the router's rule and,
+with every trial priced, under the paper's; a small state shows the two
+rules commit different steps; the property test checks the inequalities
+the bound rests on; the pinned-set test caps the pricing work the bound
+leaves.
 """
 
 import pytest
@@ -18,12 +21,12 @@ from cnotroute import heuristic
 from cnotroute.arch import ArchGraph, get_architecture, list_architectures
 from cnotroute.bench import random_cnot_circuit
 from cnotroute.gf2 import BitMatrix, invert, transpose, vec_support
-from cnotroute.heuristic import (_cheapest, _open_block, _open_columns, _reduce_pair,
+from cnotroute.heuristic import (_cheapest_bounded, _open_block, _open_columns,
                                  heuristic_token_reduction, hungarian_assign)
 from cnotroute.rowgraph import _costs
 from cnotroute.synthesis import linear_matrix
 
-from conftest import entry_bound, grown_tree, non_unit_nodes
+from conftest import entry_bound, grown_tree, reference_reduction
 from test_pinned_output import routes
 
 
@@ -31,36 +34,19 @@ def _fresh_open(graph, rows):
     return _open_columns(graph, invert(BitMatrix(graph.n, rows)).rows)
 
 
-def _reference_reduction(graph, rows, stats):
-    """The look-ahead without bounds: every candidate priced and assigned.
-
-    Each trial is priced from a fresh inverse, the first strict minimum
-    of the losses in candidate order wins and is re-run to commit.
-    """
-    out = []
-    while non_unit_nodes(rows):
-        opened = _fresh_open(graph, rows)
-        candidates = _cheapest(_open_block(graph, rows, opened), opened)
-        chosen = candidates[0]
-        if len(candidates) > 1:
-            losses = []
-            for u, e, sup, entry in candidates:
-                trial = list(rows)
-                _reduce_pair(graph, trial, u, sup, entry)
-                losses.append(hungarian_assign(
-                    _open_block(graph, trial, _fresh_open(graph, trial))).total)
-            best = min(losses)
-            chosen = candidates[losses.index(best)]
-            stats["candidates"] += len(candidates)
-            stats["equal_best"] += losses.count(best) > 1
-        u, e, sup, entry = chosen
-        out += _reduce_pair(graph, rows, u, sup, entry)
-    return out
+def _device_states(archs, gate_counts):
+    """(rows, graph) to reduce: two random circuits a device and gate count."""
+    for arch in archs:
+        graph, _ = get_architecture(arch)
+        for gates in gate_counts:
+            for seed in range(2):
+                c = random_cnot_circuit(graph.n, gates, 6061 + 1000 * gates + seed)
+                yield transpose(linear_matrix(c.gates, graph.n)).rows, graph
 
 
 @pytest.mark.parametrize("arch", list_architectures())
 def test_pruned_synthesizer_matches_the_unpruned_reference(arch, monkeypatch):
-    stats = {"candidates": 0, "equal_best": 0, "assigned": 0, "cut": 0}
+    stats = {"candidates": 0, "equal_best": 0, "rule_changed": 0, "assigned": 0, "cut": 0}
     assign = heuristic.hungarian_assign
     price = heuristic._open_block
 
@@ -75,20 +61,45 @@ def test_pruned_synthesizer_matches_the_unpruned_reference(arch, monkeypatch):
 
     monkeypatch.setattr(heuristic, "hungarian_assign", assign_counted)
     monkeypatch.setattr(heuristic, "_open_block", price_counted)
-    graph, _ = get_architecture(arch)
-    for gates in (32, 64, 128, 256):
-        for seed in range(2):
-            c = random_cnot_circuit(graph.n, gates, 6061 + 1000 * gates + seed)
-            rows = transpose(linear_matrix(c.gates, graph.n)).rows
-            twin = list(rows)
-            assert heuristic_token_reduction(graph, rows) == \
-                _reference_reduction(graph, twin, stats)
-            assert rows == twin
+    for rows, graph in _device_states([arch], (32, 64, 128, 256)):
+        twin = list(rows)
+        assert heuristic_token_reduction(graph, rows) == \
+            reference_reduction(graph, twin, stats=stats)
+        assert rows == twin
     # pruning fired, both mid-pricing and before it, and equal losses
     # occurred, so the (loss, index) rule was exercised
     assert stats["cut"] > 0
     assert stats["assigned"] + stats["cut"] < stats["candidates"]
     assert stats["equal_best"] > 0
+
+
+def test_with_every_trial_priced_the_synthesizer_is_the_papers_rule(monkeypatch):
+    """With ``_PRICED_TRIALS`` unlimited, every tie trial competes, as in the paper."""
+    differs = 0
+    for rows, graph in _device_states(list_architectures(), (64, 256)):
+        routed = heuristic_token_reduction(graph, list(rows))
+        with monkeypatch.context() as patch:
+            patch.setattr(heuristic, "_PRICED_TRIALS", None)
+            twin = list(rows)
+            every = heuristic_token_reduction(graph, twin)
+        assert every == reference_reduction(graph, rows, priced=None)
+        assert twin == rows
+        differs += every != routed
+    # the corpus holds circuits the two rules route differently
+    assert differs > 0
+
+
+def test_only_the_three_lowest_bound_trials_compete():
+    """Seven tied candidates, the three of bound 9 each losing 12: (1, 5),
+    fourth at bound 10, would win at loss 10 were every trial priced."""
+    graph = ArchGraph(6, [(0, 2), (0, 3), (0, 4), (1, 5), (2, 3), (2, 4), (3, 4), (4, 5)])
+    rows = [48, 34, 56, 49, 52, 2]
+    opened = _fresh_open(graph, rows)
+    assert len(_cheapest_bounded(graph, rows, opened)) == 7
+    routed = heuristic_token_reduction(graph, list(rows))
+    assert routed[0] == ("ADD", 2, 0)
+    assert routed == reference_reduction(graph, list(rows))
+    assert reference_reduction(graph, list(rows), priced=None)[0] == ("ADD", 1, 5)
 
 
 @st.composite
@@ -155,12 +166,12 @@ def test_bound_is_a_lower_bound_on_every_entry_and_the_loss():
 
 
 def test_pricing_work_on_the_pinned_set_stays_within_its_counts(monkeypatch):
-    """Routing the pinned set prices at most 7,730 columns in 544 solves.
+    """Routing the pinned set prices at most 6,411 columns in 530 solves.
 
-    Both are the measured counts, so any extra pricing fails.  Without U
-    in the bound it took 13,325 pricing calls and 589 assignment
-    solves.  The synthesizer prices through ``_costs``, so that is what
-    is counted.
+    Both are the measured counts, so any extra pricing fails.  With every
+    tie trial priced it took 7,730 and 544; without U in the bound as
+    well, 13,325 pricing calls and 589 assignment solves.  The
+    synthesizer prices through ``_costs``, so that is what is counted.
     """
     counts = {"priced": 0, "solved": 0}
     price = heuristic._costs
@@ -178,5 +189,5 @@ def test_pricing_work_on_the_pinned_set_stays_within_its_counts(monkeypatch):
     monkeypatch.setattr(heuristic, "hungarian_assign", assign_counted)
     for graph, circuit, route, m0 in routes():
         route(circuit, graph, m0)
-    assert counts["priced"] <= 7_730, counts
-    assert counts["solved"] <= 544, counts
+    assert counts["priced"] <= 6_411, counts
+    assert counts["solved"] <= 530, counts
