@@ -1,7 +1,7 @@
 """CNOT circuit synthesis and qubit routing via token reduction on parity-matrix rows."""
 
 from .arch import (ArchGraph, DisconnectedGraphError, get_architecture,
-                   list_architectures, load_arch_file, path_from_successors,
+                   list_architectures, path_from_successors,
                    resolve_architecture)
 from .bench import (BenchConfig, BenchReport, random_cnot_circuit,
                     run_benchmark, swap_insertion_baseline)
@@ -24,9 +24,8 @@ __all__ = [
     "build_cost_table", "cnot", "complies", "equivalence_failure",
     "format_circuit", "get_architecture", "heuristic_token_reduction",
     "hungarian_assign", "invert", "linear_matrix", "list_architectures",
-    "load_arch_file", "loss", "mat_mul", "one_qubit", "parse_circuit",
-    "path_from_successors", "postprocess", "random_cnot_circuit",
-    "resolve_architecture", "route_cnot_block", "route_general", "row_add",
-    "run_benchmark", "swap_gate", "swap_insertion_baseline", "transpose",
-    "verify_equivalence",
+    "loss", "mat_mul", "one_qubit", "parse_circuit", "path_from_successors",
+    "postprocess", "random_cnot_circuit", "resolve_architecture",
+    "route_cnot_block", "route_general", "row_add", "run_benchmark",
+    "swap_gate", "swap_insertion_baseline", "transpose", "verify_equivalence",
 ]

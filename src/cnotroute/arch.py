@@ -1,17 +1,18 @@
 """Architecture graphs, all-pairs shortest paths, and Steiner trees.
 
 An architecture is an undirected connected graph of physical qubits.
-Distance, successor and distance-ball tables are built once per graph,
-by one breadth-first walk from each node; ``ball[t][d]`` is the mask of
-the nodes within distance d of t.  ``succ[s][j]``, the first hop of the
-one shortest s–j path every tree follows, is j for a neighbour j and
-otherwise the first hop to the least node that can be the largest
-interior node of a shortest s–j path: Floyd–Warshall's choice.  A
-terminal set is an int mask, bit t for node t, as the synthesizer reads
-it off a row of the inverse.  Each graph holds one tree cache,
-``_SteinerCache``, a dict from terminal mask to ``SteinerEntry``: a
-lookup that misses grows the mask's one Steiner-style tree and stores
-its entry.  Growth keeps each tree node's neighbours as an int mask,
+Successor and distance-ball tables are built once per graph, by one
+breadth-first walk from each node; ``ball[t][d]`` is the mask of the
+nodes within distance d of t, so ``ball[t][1]`` holds t and its
+neighbours, and every edge test reads it.  ``succ[s][j]``, the first
+hop of the one shortest s–j path every tree follows, is j for a
+neighbour j and otherwise the first hop to the least node that can be
+the largest interior node of a shortest s–j path: Floyd–Warshall's
+choice.  A terminal set is an int mask, bit t for node t, as the
+synthesizer reads it off a row of the inverse.  Each graph holds one
+tree cache, ``_SteinerCache``, a dict from terminal mask to
+``SteinerEntry``: a lookup that misses grows the mask's one
+Steiner-style tree and stores its entry.  Growth keeps each tree node's neighbours as an int mask,
 and the entry holds those masks with the tree's schedule weight
 |V| - 1 + 2|S| and the mask of its terminals with two or more tree
 neighbours, the terms of the lower bound proved in
@@ -56,8 +57,8 @@ def path_from_successors(succ, u: int, v: int) -> List[int]:
     return path
 
 
-def _rows_from(adj: List[List[int]], s: int) -> Tuple[list, list, list]:
-    """Node s's rows of ``dist``, ``succ`` and ``ball``, in one breadth-first walk.
+def _rows_from(adj: List[List[int]], s: int) -> Tuple[list, list]:
+    """Node s's rows of ``succ`` and ``ball``, in one breadth-first walk.
 
     Layer d of the walk holds the nodes at distance d from s, and ball[d]
     is the mask of layers 0..d.  The successor is the one Floyd–Warshall
@@ -76,7 +77,6 @@ def _rows_from(adj: List[List[int]], s: int) -> Tuple[list, list, list]:
     DisconnectedGraphError naming s and the least node it cannot reach.
     """
     n = len(adj)
-    dist = [0] * n
     succ = [s] * n
     top = [0] * n
     seen = 1 << s
@@ -84,34 +84,34 @@ def _rows_from(adj: List[List[int]], s: int) -> Tuple[list, list, list]:
     layer = [s]
     while layer:
         ball.append(seen)
-        d = len(ball)
         after = []
         for x in sorted(layer, key=top.__getitem__):
             for y in adj[x]:
                 if not seen >> y & 1:
                     seen |= 1 << y
                     after.append(y)
-                    dist[y] = d
                     succ[y] = succ[x] if x != s else y
                     top[y] = max(top[x], y)
         layer = after
     if seen != (1 << n) - 1:
         j = next(j for j in range(n) if not seen >> j & 1)
         raise DisconnectedGraphError(f"graph is disconnected: no path between {s} and {j}")
-    return dist, succ, ball
+    return succ, ball
 
 
 class ArchGraph:
-    """Connected architecture graph with its distance tables and tree cache.
+    """Connected architecture graph with its path tables and tree cache.
 
-    ``n``, ``names``, ``edges``, ``dist``, ``succ`` and ``ball`` are
-    fixed when the graph is built; the Steiner-tree cache ``_steiner``
-    (a ``_SteinerCache``) fills as trees are grown, its table of shared
+    ``n``, ``names``, ``edges``, ``succ`` and ``ball`` are fixed when the
+    graph is built; the Steiner-tree cache ``_steiner`` (a
+    ``_SteinerCache``) fills as trees are grown, its table of shared
     neighbour tuples as they are built, and the two are cleared together.
-    ``dist[s][j]`` is the hop count and ``succ[s][j]`` the next node on
-    the shortest s–j path trees follow: j itself when s and j are
-    adjacent, else the next node towards k, the least node that can be
-    the largest interior node of a shortest s–j path.
+    ``succ[s][j]`` is the next node on the shortest s–j path trees
+    follow: j itself when s and j are adjacent, else the next node
+    towards k, the least node that can be the largest interior node of a
+    shortest s–j path.  ``ball[t][d]`` is the mask of the nodes within
+    distance d of t; distinct nodes u and v are adjacent exactly when bit
+    v of ``ball[u][1]`` is set.
     """
 
     def __init__(self, n: int, edges, names: Optional[Sequence[str]] = None,
@@ -140,18 +140,21 @@ class ArchGraph:
             adj[v].append(u)
         self.edges: FrozenSet[Tuple[int, int]] = frozenset(seen)
         rows = [_rows_from(adj, s) for s in range(n)]
-        self.dist = [dist for dist, _, _ in rows]
-        self.succ = [succ for _, succ, _ in rows]
+        self.succ = [succ for succ, _ in rows]
         # ball[t][d]: mask of the nodes within distance d of t, for d up to
         # the diameter, where every ball is the whole graph
-        depth = max(len(ball) for _, _, ball in rows)
-        self.ball = tuple(tuple(ball + ball[-1:] * (depth - len(ball))) for _, _, ball in rows)
+        depth = max(len(ball) for _, ball in rows)
+        self.ball = tuple(tuple(ball + ball[-1:] * (depth - len(ball))) for _, ball in rows)
         self._steiner = _SteinerCache(self.ball, self.succ)
 
     def is_edge(self, u: int, v: int) -> bool:
-        """True if u and v are nodes one hop apart; False for anything else."""
+        """True if u and v are nodes one hop apart; False for anything else.
+
+        ``u != v`` also covers a one-node graph, whose ball tuple has no
+        entry 1.
+        """
         return (type(u) is type(v) is int and 0 <= u < self.n and 0 <= v < self.n
-                and self.dist[u][v] == 1)
+                and u != v and self.ball[u][1] >> v & 1 == 1)
 
     def __repr__(self) -> str:
         return f"ArchGraph({self.name or self.n!r}, n={self.n}, edges={len(self.edges)})"
@@ -375,11 +378,6 @@ def parse_arch_json(text: str, source: str = "<arch>") -> Tuple[ArchGraph, Optio
     return graph, mapping
 
 
-def load_arch_file(path: str) -> Tuple[ArchGraph, Optional[List[int]]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_arch_json(fh.read(), source=path)
-
-
 def list_architectures() -> Tuple[str, ...]:
     return _BUILTIN
 
@@ -404,4 +402,5 @@ def resolve_architecture(name_or_path: str) -> Tuple[ArchGraph, Optional[List[in
         return get_architecture(name_or_path)
     if not os.path.isfile(name_or_path):
         raise OSError(f"{name_or_path!r} is neither a built-in ({', '.join(_BUILTIN)}) nor a file")
-    return load_arch_file(name_or_path)
+    with open(name_or_path, "r", encoding="utf-8") as fh:
+        return parse_arch_json(fh.read(), source=name_or_path)

@@ -127,7 +127,7 @@ def swap_insertion_baseline(c: Circuit, graph: ArchGraph,
     wires than the graph has nodes, and ``m0`` must be a ``Mapping``
     onto the nodes.
     """
-    if not c.is_cnot_only():
+    if any(g.kind != CNOT for g in c.gates):
         raise ValueError("baseline accepts CNOT-only circuits")
     n = graph.n
     _check_fit(c, m0, n)

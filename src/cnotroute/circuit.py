@@ -100,9 +100,6 @@ class Circuit:
             raise ValueError(f"gate {g} uses wire {a} twice" if a == b else
                              f"gate {g} sets a field that a {kind} gate leaves unset")
 
-    def is_cnot_only(self) -> bool:
-        return all(g.kind == CNOT for g in self.gates)
-
     def __len__(self) -> int:
         return len(self.gates)
 

@@ -87,13 +87,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    baseline = {"swap": "swap_insertion"}.get(args.baseline, args.baseline)
     config = benchmod.BenchConfig(
         arch=args.arch,
         gate_counts=tuple(args.counts) if args.counts else benchmod.DEFAULT_GATE_COUNTS,
         trials=args.trials,
         seed=args.seed,
-        baseline=baseline,
+        baseline=args.baseline,
         postprocess=not args.no_postprocess,
         jobs=args.jobs,
     )
@@ -155,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--counts", type=int, nargs="+")
     b.add_argument("--trials", type=int, default=100)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--baseline", choices=["swap", "swap_insertion", "none"],
+    b.add_argument("--baseline", choices=["swap_insertion", "none"],
                    default="swap_insertion")
     b.add_argument("--jobs", type=int, default=1)
     b.add_argument("--no-postprocess", action="store_true")

@@ -180,7 +180,7 @@ def brute_force_unit_combinations(m: BitMatrix, u: int):
 
 
 def bfs_distances(n: int, edges) -> list:
-    """Breadth-first-search all-pairs hop counts; an oracle for ``ArchGraph.dist``."""
+    """Breadth-first-search all-pairs hop counts; an oracle for ``ball_distances``."""
     adj = [[] for _ in range(n)]
     for a, b in edges:
         adj[a].append(b)
@@ -245,8 +245,14 @@ def floyd_warshall_with_path(n: int, edges) -> Tuple[list, list]:
     return dist, succ
 
 
+def ball_distances(graph: ArchGraph) -> list:
+    """All-pairs hop counts read off ``graph.ball``: the least d with v in ball[t][d]."""
+    return [[next(d for d, ball in enumerate(balls) if ball >> v & 1) for v in range(graph.n)]
+            for balls in graph.ball]
+
+
 def reference_tables(n: int, edges) -> tuple:
-    """(dist, succ, ball) as ``ArchGraph`` must hold them, from Floyd-Warshall.
+    """(succ, ball) as ``ArchGraph`` must hold them, from Floyd-Warshall.
 
     The successor is the one Floyd-Warshall's loop order picks; ball[t][d]
     is the mask of the nodes within distance d of t, for d up to the
@@ -262,11 +268,11 @@ def reference_tables(n: int, edges) -> tuple:
         for d in range(1, depth):
             rings[d] |= rings[d - 1]
         ball.append(tuple(rings))
-    return dist, succ, tuple(ball)
+    return succ, tuple(ball)
 
 
 def assert_tables_match_reference(graph: ArchGraph) -> None:
-    assert (graph.dist, graph.succ, graph.ball) == reference_tables(graph.n, graph.edges)
+    assert (graph.succ, graph.ball) == reference_tables(graph.n, graph.edges)
 
 
 def reference_grow_steiner_graph(g, mask: int) -> Tuple[List[int], int, int]:

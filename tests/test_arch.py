@@ -5,7 +5,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cnotroute.arch import (_GROW_CACHE_CAP, ArchFileError, ArchGraph,
@@ -16,24 +16,25 @@ from cnotroute.circuit import one_qubit
 from cnotroute.gf2 import BitMatrix
 from cnotroute.rowgraph import _reduce_tracked
 
-from conftest import (assert_tables_match_reference, bfs_distances,
+from conftest import (assert_tables_match_reference, ball_distances, bfs_distances,
                       floyd_warshall_with_path, grid_graph, grown_tree, op_parent,
                       random_connected_graph, rows_reducible_along, tree_parent)
 
 
 def test_fw_simple_path():
     g = ArchGraph(3, [(0, 1), (1, 2)])
-    assert g.dist[0][2] == 2
+    dist = ball_distances(g)
+    assert dist[0][2] == 2
     assert g.succ[0][2] == 1
-    assert g.dist[2][0] == 2
+    assert dist[2][0] == 2
 
 
 def test_fw_four_cycle_opposite_corners():
     edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
     g = ArchGraph(4, edges)
-    oracle = bfs_distances(4, edges)
-    assert g.dist[0][2] == oracle[0][2] == 2
-    assert g.dist[1][3] == 2
+    dist, oracle = ball_distances(g), bfs_distances(4, edges)
+    assert dist[0][2] == oracle[0][2] == 2
+    assert dist[1][3] == 2
     # two shortest paths each: the hop is the one through the least node
     assert g.succ[0][2] == 1 and g.succ[2][0] == 1
     assert g.succ[1][3] == 0 and g.succ[3][1] == 0
@@ -42,7 +43,7 @@ def test_fw_four_cycle_opposite_corners():
 def test_fw_diagonal():
     g = ArchGraph(4, [(0, 1), (1, 2), (2, 3)])
     for i in range(4):
-        assert g.dist[i][i] == 0
+        assert g.ball[i][0] == 1 << i
         assert g.succ[i][i] == i
 
 
@@ -64,10 +65,11 @@ def test_fw_matches_bfs_on_random_graphs():
     for _ in range(200):
         n = rng.randrange(2, 31)
         g = random_connected_graph(rng, n, extra=rng.randrange(4))
-        assert g.dist == bfs_distances(n, g.edges)
+        oracle = bfs_distances(n, g.edges)
+        assert ball_distances(g) == oracle
         for t in range(n):
             for d, ball in enumerate(g.ball[t]):
-                assert ball == sum(1 << v for v in range(n) if g.dist[t][v] <= d)
+                assert ball == sum(1 << v for v in range(n) if oracle[t][v] <= d)
             assert g.ball[t][-1] == (1 << n) - 1
 
 
@@ -113,7 +115,7 @@ def test_path_endpoints_and_adjacency():
         u, v = rng.randrange(n), rng.randrange(n)
         path = path_from_successors(g.succ, u, v)
         assert path[0] == u and path[-1] == v
-        assert len(path) == g.dist[u][v] + 1
+        assert len(path) == ball_distances(g)[u][v] + 1
         for a, b in zip(path, path[1:]):
             assert g.is_edge(a, b)
 
@@ -173,7 +175,7 @@ def test_steiner_cache_and_shared_neighbour_tuples_stay_bounded_on_a_star():
     lambda: one_qubit(5, 0),
 ], ids=["count float", "count bool", "edge float", "edge bool", "row float", "row bool",
         "matrix size float", "matrix size bool", "label int"])
-def test_a_node_count_edge_terminal_mask_or_row_that_is_not_an_int_is_rejected(build):
+def test_a_non_int_count_edge_row_or_size_or_int_label_is_rejected(build):
     with pytest.raises(ValueError):
         build()
 
@@ -332,9 +334,14 @@ def test_grid_helper_matches_registry():
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(connected_graphs())
+@example(ArchGraph(1, []))
+@example(ArchGraph(3, [(0, 1), (1, 2)]))
 def test_is_edge_equals_edge_set_membership_on_and_off_the_nodes(g):
-    """``is_edge`` reads the distance table; -1 and n must not index into it
-    (``dist[-1]`` would wrap around to node n - 1)."""
+    """``is_edge`` reads the neighbour masks ``ball[u][1]``; -1 and n must
+    not index into them (``ball[-1]`` would wrap around to node n - 1).
+    ``ball[u][1]`` holds u itself, so u == v is no edge; the examples
+    always run it, on a path and on one node, whose ball tuple has no
+    entry 1."""
     nodes = range(-1, g.n + 1)
     for u in nodes:
         for v in nodes:

@@ -11,12 +11,14 @@ at run time, and its cache entry's stored weight and inner mask must
 give the column bound ``conftest.entry_bound`` computes from the tree.
 Routing builds only the trees it prices or reduces along; the check
 builds the others through the same accessor.
-Each graph's distance table and distance balls must match networkx's
-shortest paths, and its distance, successor and ball tables the
-Floyd-Warshall reference in ``conftest``.
+Each graph's distance balls, and the hop counts read off them, must
+match networkx's shortest paths, and its successor and ball tables the
+Floyd-Warshall reference in ``conftest``.  A 600-node path, longer than
+any stock device, must build within a memory bound and route.
 """
 
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -26,9 +28,10 @@ from cnotroute.bench import random_cnot_circuit
 from cnotroute.circuit import Mapping
 from cnotroute.gf2 import vec_support
 from cnotroute.heuristic import _open_columns
-from cnotroute.synthesis import equivalence_failure, postprocess, route_general
+from cnotroute.synthesis import (equivalence_failure, postprocess, route_cnot_block,
+                                 route_general)
 
-from conftest import (assert_tables_match_reference, check, diagonal_grid_graph,
+from conftest import (assert_tables_match_reference, ball_distances, check, diagonal_grid_graph,
                       entry_bound, grid_graph, heavy_hex_graph, random_connected_graph)
 from test_arch import _check_tree_invariants
 from test_pinned_output import mixed_circuit
@@ -126,11 +129,12 @@ def test_every_tree_grown_on_a_stock_device_is_a_tree(name):
 
 def _check_distances(graph):
     lengths = dict(nx.all_pairs_shortest_path_length(_networkx(graph)))
-    assert graph.dist == [[lengths[s][t] for t in range(graph.n)]
-                          for s in range(graph.n)]
+    assert ball_distances(graph) == [[lengths[s][t] for t in range(graph.n)]
+                                     for s in range(graph.n)]
     whole = (1 << graph.n) - 1
+    diameter = max(max(row.values()) for row in lengths.values())
     for t, balls in enumerate(graph.ball):
-        assert len(balls) == max(map(max, graph.dist)) + 1
+        assert len(balls) == diameter + 1
         for d, mask in enumerate(balls):
             assert mask == sum(1 << v for v, k in lengths[t].items() if k <= d)
         assert balls[-1] == whole
@@ -168,3 +172,19 @@ def test_tables_match_floyd_warshall_on_devices_families_and_grids():
     for graph in graphs:
         assert_tables_match_reference(graph)
         assert_tables_match_reference(_relabelled(rng, graph))
+
+
+def test_a_600_node_path_builds_in_under_32_mb_and_routes():
+    # its tables hold 29.7 MB: 600 successor rows and 600 ball tuples of up
+    # to 600 masks each; a 600 x 600 table of hop counts would add 6 MB
+    n = 600
+    tracemalloc.start()
+    try:
+        graph = ArchGraph(n, [(i, i + 1) for i in range(n - 1)])
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 32_000_000
+    c = random_cnot_circuit(n, 8, 600)
+    routed = route_cnot_block(c, graph, Mapping.identity(n))
+    assert equivalence_failure(c, routed, graph) is None

@@ -20,7 +20,7 @@ from cnotroute.arch import (ArchGraph, _grow_steiner_graph, get_architecture,
                            list_architectures, path_from_successors)
 from cnotroute.rowgraph import _reduce_tracked
 
-from conftest import (entry_bound, grid_graph, grown_tree, op_parent,
+from conftest import (bfs_distances, entry_bound, grid_graph, grown_tree, op_parent,
                       random_connected_graph, random_reversible_rows,
                       reference_grow_steiner_graph, rows_reducible_along, tree_parent)
 from test_device_families import FAMILIES
@@ -171,9 +171,10 @@ def _reference_grow(g, terminals):
     """
     if len(terminals) == 1:
         return {next(iter(terminals)): ()}
+    dist = bfs_distances(g.n, g.edges)
 
     def nearest(first, second):
-        return min((g.dist[u][v], u, v) for u in first for v in second if u != v)
+        return min((dist[u][v], u, v) for u in first for v in second if u != v)
 
     adjacency = {}
 

@@ -41,11 +41,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cnotroute import heuristic  # noqa: E402
 from cnotroute.arch import ArchGraph, list_architectures  # noqa: E402
-from cnotroute.bench import (BenchConfig, random_cnot_circuit, run_benchmark,  # noqa: E402
-                             trial_seed)
+from cnotroute.bench import BenchConfig, run_benchmark, run_trial, trial_seed  # noqa: E402
 from cnotroute.circuit import Mapping  # noqa: E402
-from cnotroute.synthesis import (cnot_weight, postprocess, route_cnot_block,  # noqa: E402
-                                 verify_equivalence)
 
 # the paper's mean CNOTs after cleanup at 256 gates
 PAPER_MEANS_256 = {
@@ -72,12 +69,10 @@ def grid_mean(graph: ArchGraph, circuits: int, seed: int) -> float:
     gates = 4 * graph.n
     total = 0
     for i in range(circuits):
-        c = random_cnot_circuit(graph.n, gates, trial_seed(seed, gates, i))
-        routed = route_cnot_block(c, graph, m0)
-        final = postprocess(routed)
-        if not (verify_equivalence(c, routed, graph) and verify_equivalence(c, final, graph)):
+        trial = run_trial(graph, m0, gates, i, trial_seed(seed, gates, i), "none", True)
+        if not trial.verified:
             raise RuntimeError(f"{graph.name} circuit {i} at seed {seed} failed verification")
-        total += cnot_weight(final.circuit.gates)
+        total += trial.tr_final
     return total / circuits
 
 
