@@ -12,22 +12,22 @@ choice.  A terminal set is an int mask, bit t for node t, as the
 synthesizer reads it off a row of the inverse.  Each graph holds one
 tree cache, ``_SteinerCache``, a dict from terminal mask to
 ``SteinerEntry``: a lookup that misses grows the mask's one
-Steiner-style tree and stores its entry.  Growth keeps each tree node's neighbours as an int mask,
-and the entry holds those masks with the tree's schedule weight
-|V| - 1 + 2|S| and the mask of its terminals with two or more tree
-neighbours, the terms of the lower bound proved in
-``rowgraph._costs``; most grown trees are ruled out by that bound alone.
-The cache's ``tree`` method builds the unrooted tree (node -> ascending
-neighbour tuple) and its Steiner points from an entry's masks the first
-time the tree is priced or reduced, and keeps them in the entry in place
-of the masks; the tuples come from one table in the cache, so all of a
-graph's trees share one immutable tuple per neighbour set, and the table
-is cleared with the entries.  The cache is the package's one source of
-trees.  A tree does not depend on the root; pricing (``rowgraph._costs``)
-and reduction (``rowgraph._reduce_tracked``) both read it and pick the
-root themselves.  A grown tree is a tree whose leaves are terminals by
-the proof in ``_grow_steiner_graph``, which checks nothing at run time,
-and nothing that reads a tree checks it again.
+Steiner-style tree and stores its entry.  Growth keeps each tree node's
+neighbours as an int mask in a list with a slot per node, and the entry
+holds that list with the tree's schedule weight |V| - 1 + 2|S| and the
+mask of its terminals with two or more tree neighbours, the terms of the
+lower bound proved in ``rowgraph._costs``; most grown trees are ruled
+out by that bound alone.  The cache's ``tree`` method builds the
+unrooted tree in that same list the first time the tree is priced or
+reduced, and defines the package's one tree form; the neighbour tuples
+come from one table in the cache, so all of a graph's trees share one
+immutable tuple per neighbour set, and the table is cleared with the
+entries.  The cache is the package's one source of trees.  A tree does
+not depend on the root; pricing (``rowgraph._costs``) and reduction
+(``rowgraph._reduce_tracked``) both read it and pick the root
+themselves.  A grown tree is a tree whose leaves are terminals by the
+proof in ``_grow_steiner_graph``, which checks nothing at run time, and
+nothing that reads a tree checks it again.
 """
 
 from __future__ import annotations
@@ -254,18 +254,18 @@ class SteinerEntry:
     ``weight`` is the tree's schedule weight |V| - 1 + 2|S| and
     ``inner`` the mask of its terminals with two or more tree
     neighbours: the terms of the lower bound proved in
-    ``rowgraph._costs``, read in O(1) with no tree built.
-    ``adjacency`` and ``nodes`` are the masks ``_grow_steiner_graph``
-    returns, until ``_SteinerCache.tree`` builds ``tree`` and
-    ``steiner`` from them and sets them to None; ``tree`` and
-    ``steiner`` are None until then.
+    ``rowgraph._costs``, read in O(1) with no tree built.  ``nodes`` is
+    the mask of the tree's nodes.  ``tree`` is the one n-slot list that
+    ``_grow_steiner_graph`` returns: neighbour masks until
+    ``_SteinerCache.tree`` builds the tree in it, in the form that
+    method defines, and ``steiner`` is None until then.
     """
 
-    __slots__ = ("weight", "inner", "adjacency", "nodes", "tree", "steiner")
+    __slots__ = ("weight", "inner", "nodes", "tree", "steiner")
 
-    def __init__(self, weight: int, inner: int, adjacency: List[int], nodes: int):
-        self.weight, self.inner, self.adjacency, self.nodes = weight, inner, adjacency, nodes
-        self.tree = self.steiner = None
+    def __init__(self, weight: int, inner: int, tree: List[int], nodes: int):
+        self.weight, self.inner, self.nodes = weight, inner, nodes
+        self.tree, self.steiner = tree, None
 
 
 class _Supports(dict):
@@ -305,25 +305,29 @@ class _SteinerCache(dict):
         return entry
 
     def tree(self, entry: SteinerEntry, mask: int) -> tuple:
-        """(grown tree, Steiner points) of ``mask``'s entry, built once.
+        """(tree, steiner, size) of ``mask``'s entry, built once.
 
-        The tree is node -> ascending neighbour tuple, keys ascending,
-        each tuple read from ``tuples`` so that every tree of the graph
-        with the same neighbour set at some node shares one tuple object
-        for it; the Steiner points are its non-terminal nodes.  The first
-        call for an entry builds both from its masks, keeps them in the
-        entry and drops the masks; later calls return the same tree and
-        set.  Only pricing and reduction need them, so a tree whose bound
-        alone rules it out is never built.  A held entry is built even if
-        the cache has been cleared since it was fetched, so the tree is
-        not grown again.
+        This is the one tree form of the package.  ``tree`` is a list
+        with a slot per graph node: each tree node's slot holds its
+        ascending neighbour tuple, read from ``tuples`` so that every
+        tree of the graph with the same neighbour set at some node shares
+        one tuple object for it, and every other slot holds 0.
+        ``steiner`` is the mask of the tree's non-terminal nodes (its
+        Steiner points) and ``size`` the number of tree nodes |V|.  The
+        first call for an entry writes the tuples over the neighbour
+        masks in the entry's own growth list and sets the entry's
+        ``steiner``; later calls return the same list and mask.  Only
+        pricing and reduction need the tree, so a tree whose bound alone
+        rules it out is never built.  A held entry is built even if the
+        cache has been cleared since it was fetched, so the tree is not
+        grown again.
         """
-        if entry.tree is None:
-            adjacency, nodes, tuples = entry.adjacency, entry.nodes, self.tuples
-            entry.tree = {w: tuples[adjacency[w]] for w in vec_support(nodes)}
-            entry.steiner = frozenset(vec_support(nodes & ~mask))
-            entry.adjacency = entry.nodes = None
-        return entry.tree, entry.steiner
+        if entry.steiner is None:
+            tree, tuples = entry.tree, self.tuples
+            for w in vec_support(entry.nodes):
+                tree[w] = tuples[tree[w]]
+            entry.steiner = entry.nodes & ~mask
+        return entry.tree, entry.steiner, entry.nodes.bit_count()
 
 
 # ---------------------------------------------------------------------------

@@ -144,9 +144,14 @@ def _natural(token: str, what: str) -> int:
 
 
 def parse_circuit(text: str, source: str = "<circuit>") -> Circuit:
-    """Parse the line-based circuit format; strict about wire ranges."""
+    """Parse the line-based circuit format; strict about wire ranges.
+
+    ``Circuit`` is the one check of the wire ranges; a gate it rejects is
+    reported as a ``CircuitFormatError`` at that gate's line.
+    """
     n_wires = None
     gates: List[Gate] = []
+    lines: List[int] = []  # the line number of each gate
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -174,13 +179,17 @@ def parse_circuit(text: str, source: str = "<circuit>") -> Circuit:
                 g = make(_natural(x, "wire number"), _natural(y, "wire number"))
         except ValueError as exc:
             raise CircuitFormatError(f"{where}: {exc}") from exc
-        for w in g.wires():
-            if not 0 <= w < n_wires:
-                raise CircuitFormatError(f"{where}: wire {w} outside 0..{n_wires - 1}")
         gates.append(g)
+        lines.append(lineno)
     if n_wires is None:
         raise CircuitFormatError(f"{source}: missing 'qubits <n>' header")
-    return Circuit(n_wires, gates)
+    try:
+        return Circuit(n_wires, gates)
+    except ValueError as exc:
+        # the gate constructors checked all but the range, and Circuit
+        # names the first gate with a wire outside it
+        bad = next(i for i, g in enumerate(gates) if max(g.wires()) >= n_wires)
+        raise CircuitFormatError(f"{source}:{lines[bad]}: {exc}") from exc
 
 
 def format_circuit(c: Circuit) -> str:

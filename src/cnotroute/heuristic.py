@@ -139,8 +139,8 @@ def build_cost_table(graph: ArchGraph, rows: Sequence[int]) -> CostTable:
             else:
                 roots.append(u)
         if roots:
-            grown, steiner = graph._steiner.tree(graph._steiner[sup], sup)
-            for u, c in zip(roots, _costs(rows, grown, steiner, roots)):
+            built = graph._steiner.tree(graph._steiner[sup], sup)
+            for u, c in zip(roots, _costs(rows, *built, roots)):
                 entries[u][e] = c
     return CostTable(tuple(tuple(r) for r in entries), tuple(inv.rows),
                      tuple(range(n)), tuple(range(n)))

@@ -25,8 +25,9 @@ recurrence.  One walk, ``_order``, builds every reduction schedule, for
 ``_reduce_tracked`` and for ``_costs`` on large trees.
 
 Nothing here checks its input.  The only trees are the ones a graph's
-tree cache grows (``arch._SteinerCache.tree``), which are trees with
-terminal leaves by the growth proof in ``arch._grow_steiner_graph``.
+tree cache grows, in the one form its ``arch._SteinerCache.tree``
+defines, and they are trees with terminal leaves by the growth proof in
+``arch._grow_steiner_graph``.
 ``heuristic`` reduces at a node of a support, whose rows XOR to a unit
 vector by definition, and recovers from the ops the reduction has just
 returned, which ``_order`` built as ADDs and SWAPs of two distinct tree
@@ -71,14 +72,14 @@ def _hand_up(row: int, steiner: bool, below: list) -> tuple:
     return acc, f, r0, r1
 
 
-def _order(tree, steiner, root: int) -> List[RowOp]:
+def _order(tree, steiner: int, root: int) -> List[RowOp]:
     """The reduction schedule of ``tree`` at ``root``.
 
-    ``tree`` is a grown tree (node -> ascending neighbour tuple),
-    ``steiner`` its non-terminal nodes and ``root`` a terminal.  The
-    schedule is the post-order with children in neighbour order:
-    ("SWAP", child, parent) for each Steiner parent's first child,
-    ("ADD", parent, child) everywhere else.  Pushing each node's
+    ``tree`` and ``steiner`` are a built tree and its Steiner mask, in
+    the form ``arch._SteinerCache.tree`` defines, and ``root`` is a
+    terminal.  The schedule is the post-order with children in
+    neighbour order: ("SWAP", child, parent) for each Steiner parent's
+    first child, ("ADD", parent, child) everywhere else.  Pushing each node's
     children in order makes one stack walk a pre-order with children
     reversed; reversed, that is the schedule.  A child's op is fixed as
     its parent is expanded; the root is a terminal, so its children are
@@ -89,7 +90,7 @@ def _order(tree, steiner, root: int) -> List[RowOp]:
     while stack:
         node, up, op = stack.pop()
         pre.append(op)
-        swap = node in steiner
+        swap = steiner >> node & 1
         for c in tree[node]:
             if c != up:
                 stack.append((c, node, (SWAP, c, node) if swap else (ADD, node, c)))
@@ -103,16 +104,16 @@ def _order(tree, steiner, root: int) -> List[RowOp]:
 _RECURSIVE_NODES = 256
 
 
-def _costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) -> List[int]:
+def _costs(rows: Sequence[int], tree, steiner: int, size: int, roots: Sequence[int]) -> List[int]:
     """Reduce + recover weight of ``tree`` rooted at each of ``roots``.
 
-    ``tree`` is a grown tree (node -> ascending neighbour tuple),
-    ``steiner`` its non-terminal nodes and ``roots`` one or more of its
-    terminals: the pair ``arch._SteinerCache.tree`` returns, which
-    ``_reduce_tracked`` takes too.  Entry k equals the op weight (SWAP
-    3, ADD 1) that ``_reduce_tracked(rows, tree, steiner, roots[k])``
-    and then ``_recover`` would run on a copy of ``rows``, without
-    running either.
+    ``tree``, ``steiner`` and ``size`` are the triple
+    ``arch._SteinerCache.tree`` returns, in the form it defines, which
+    ``_reduce_tracked`` takes too, and ``roots`` are one or more of the
+    tree's terminals.  Entry k equals the op weight (SWAP 3, ADD 1) that
+    ``_reduce_tracked(rows, tree, steiner, size, roots[k])`` and then
+    ``_recover`` would run on a copy of ``rows``, without running
+    either.
 
     The value of a directed edge p -> c depends only on c's side of the
     tree, so it is shared by every root on p's side.  With x1 < ... < xm
@@ -164,7 +165,7 @@ def _costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) -> List[int
     leaves, so no call there recurses more than two edges deep.
     """
     memo = {}
-    shallow = len(tree) <= _RECURSIVE_NODES
+    shallow = size <= _RECURSIVE_NODES
 
     def hand(p, c):
         """The value of edge p -> c."""
@@ -173,18 +174,18 @@ def _costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) -> List[int
             return rows[c], False, 0, 0
         if shallow and len(nbs) == 2:  # most nodes of a grown tree lie on a path
             s, f, a0, a1 = hand(c, nbs[nbs[0] == p])
-            if c in steiner:
+            if steiner >> c & 1:
                 return s, f, a0, a1 + 3
             row = rows[c]
             w = a1 if f else a0
             return row ^ s, row != 0 and not row & (row - 1), w, w + 1
         v = memo.get((p, c))
         if v is None:
-            v = memo[p, c] = _hand_up(rows[c], c in steiner,
+            v = memo[p, c] = _hand_up(rows[c], steiner >> c & 1,
                                       [hand(c, x) for x in nbs if x != p])
         return v
 
-    base = len(tree) - 1 + 2 * len(steiner)
+    base = size - 1 + 2 * steiner.bit_count()
     out = []
     try:
         if not shallow:
@@ -206,16 +207,18 @@ def _costs(rows: Sequence[int], tree, steiner, roots: Sequence[int]) -> List[int
     return out
 
 
-def _reduce_tracked(rows: List[int], tree, steiner,
+def _reduce_tracked(rows: List[int], tree, steiner: int, size: int,
                     root: int) -> Tuple[Tuple[RowOp, ...], Set[int]]:
     """Reduce along ``tree`` rooted at ``root``, leaving f(root) a unit vector.
 
-    ``tree``, ``steiner`` and ``root`` are as ``_costs`` takes them, and
-    the terminal rows must XOR to a standard basis vector.  Runs
-    ``_order``'s schedule on ``rows`` in place.  Returns the ops run and
-    the set of nodes whose standard basis vectors were disturbed and
-    that ``_recover`` must restore.  SWAP entries migrate membership
-    from the child to the parent, following the payload.  The root is
+    ``tree``, ``steiner``, ``size`` and ``root`` are as ``_costs`` takes
+    them; ``size`` is not read, so the triple ``arch._SteinerCache.tree``
+    returns is passed whole.  The terminal rows must XOR to a standard
+    basis vector.  Runs ``_order``'s schedule on ``rows`` in place.
+    Returns the ops run and the set of nodes whose standard basis
+    vectors were disturbed and that ``_recover`` must restore.  SWAP
+    entries migrate membership from the child to the parent, following
+    the payload.  The root is
     never tracked: its row may pass through a unit vector while the
     terminal contributions accumulate, and recovery must not undo the
     reduction it serves.

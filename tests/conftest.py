@@ -106,17 +106,50 @@ def random_reversible_rows(rng: random.Random, graph: ArchGraph, n_ops: int) -> 
 
 
 def grown_tree(graph: ArchGraph, terminals) -> tuple:
-    """(tree, Steiner points) that ``graph``'s tree cache grows for ``terminals``."""
+    """(tree, steiner, size) that ``graph``'s tree cache builds for ``terminals``.
+
+    The triple is in the one form ``arch._SteinerCache.tree`` defines;
+    ``dict_form`` reads it back for assertions.
+    """
     mask = sum(1 << t for t in set(terminals))
     return graph._steiner.tree(graph._steiner[mask], mask)
 
 
-def entry_bound(rows, grown, steiner) -> int:
-    """|V| - 1 + 2|S| + U for a grown tree: U counts its terminals with two
+def cache_form(tree: dict, steiner) -> tuple:
+    """A hand-written tree and its Steiner points in the tree cache's form.
+
+    ``tree`` maps each node to its neighbours and ``steiner`` is a set of
+    nodes.  Returns (a list with a slot per node up to the largest: the
+    ascending neighbour tuple at a tree node, 0 elsewhere; the Steiner
+    mask; the node count), as ``arch._SteinerCache.tree`` returns them.
+    """
+    slots = [0] * (max(tree) + 1)
+    for w, nbs in tree.items():
+        slots[w] = tuple(sorted(nbs))
+    return slots, sum(1 << w for w in steiner), len(tree)
+
+
+def dict_form(tree, steiner: int, size: int) -> tuple:
+    """(node -> neighbour tuple, frozenset of Steiner points) of a tree in the cache's form.
+
+    Checks the form on the way: a tuple at exactly ``size`` slots, 0 at
+    every other slot, and Steiner points among the tree nodes.
+    """
+    nodes = {w: nbs for w, nbs in enumerate(tree) if type(nbs) is tuple}
+    assert len(nodes) == size
+    assert all(slot == 0 for slot in tree if type(slot) is not tuple)
+    points = frozenset(vec_support(steiner))
+    assert points <= nodes.keys()
+    return nodes, points
+
+
+def entry_bound(rows, tree, steiner: int, size: int) -> int:
+    """|V| - 1 + 2|S| + U for a built tree: U counts its terminals with two
     or more neighbours that hold a unit row."""
+    grown, points = dict_form(tree, steiner, size)
     interior = sum(1 for t, nbs in grown.items()
-                   if t not in steiner and len(nbs) >= 2 and is_unit(rows[t]))
-    return len(grown) - 1 + 2 * len(steiner) + interior
+                   if t not in points and len(nbs) >= 2 and is_unit(rows[t]))
+    return len(grown) - 1 + 2 * len(points) + interior
 
 
 def non_unit_nodes(rows) -> list:

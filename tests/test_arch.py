@@ -17,8 +17,9 @@ from cnotroute.gf2 import BitMatrix
 from cnotroute.rowgraph import _reduce_tracked
 
 from conftest import (assert_tables_match_reference, ball_distances, bfs_distances,
-                      floyd_warshall_with_path, grid_graph, grown_tree, op_parent,
-                      random_connected_graph, rows_reducible_along, tree_parent)
+                      cache_form, dict_form, floyd_warshall_with_path, grid_graph,
+                      grown_tree, op_parent, random_connected_graph,
+                      rows_reducible_along, tree_parent)
 
 
 def test_fw_simple_path():
@@ -122,23 +123,24 @@ def test_path_endpoints_and_adjacency():
 
 def test_tree_cache_single_edge():
     g = ArchGraph(3, [(0, 1), (1, 2)])
-    tree, steiner = grown_tree(g, {0, 1})
+    tree, steiner = dict_form(*grown_tree(g, {0, 1}))
     assert tree.keys() - steiner == {0, 1}
     assert tree_parent(tree, 0) == {1: 0}
 
 
 def test_tree_cache_whole_path():
     g = ArchGraph(4, [(0, 1), (1, 2), (2, 3)])
-    tree, steiner = grown_tree(g, {0, 1, 2, 3})
+    tree, steiner = dict_form(*grown_tree(g, {0, 1, 2, 3}))
     assert tree.keys() - steiner == {0, 1, 2, 3}
     assert tree_parent(tree, 0) == {1: 0, 2: 1, 3: 2}
 
 
 def test_tree_cache_single_terminal():
     g = ArchGraph(3, [(0, 1), (1, 2)])
-    tree, steiner = grown_tree(g, {1})
+    built = grown_tree(g, {1})
+    tree, steiner = dict_form(*built)
     assert tree == {1: ()} and steiner == frozenset()
-    assert _reduce_tracked([1, 2, 4], tree, steiner, 1) == ((), set())
+    assert _reduce_tracked([1, 2, 4], *built, 1) == ((), set())
 
 
 def test_steiner_cache_and_shared_neighbour_tuples_stay_bounded_on_a_star():
@@ -155,8 +157,8 @@ def test_steiner_cache_and_shared_neighbour_tuples_stay_bounded_on_a_star():
     cache = g._steiner
     for mask in masks:
         entry = cache[mask]
-        tree, steiner = cache.tree(entry, mask)
-        assert steiner == {0} and entry.inner == 0
+        tree, steiner, _ = cache.tree(entry, mask)
+        assert steiner == 1 << 0 and entry.inner == 0
         assert tree[0] is cache.tuples[mask]
         assert len(cache) <= _GROW_CACHE_CAP
         assert len(cache.tuples) <= len(cache) + 1
@@ -208,13 +210,15 @@ def _min_steiner_vertices(g, terminals):
 def test_tree_cache_grid_close_to_optimal(grid4):
     # Q2, Q6, Q9, Q11 on the 4x4 grid, rooted at Q2 (0-based: 1, 5, 8, 10).
     terminals = {1, 5, 8, 10}
-    tree, _ = grown_tree(grid4, terminals)
+    tree, _ = dict_form(*grown_tree(grid4, terminals))
     best = _min_steiner_vertices(grid4, terminals)
     assert best == 5
     assert len(tree) <= best + 2
 
 
-def _check_tree_invariants(g, tree, steiner, terminals, root):
+def _check_tree_invariants(g, built, terminals, root):
+    """``built`` is a tree in the cache's form, read through ``dict_form``."""
+    tree, steiner = dict_form(*built)
     assert tree.keys() - steiner == terminals
     parent = tree_parent(tree, root)
     assert parent.keys() | {root} == tree.keys()
@@ -229,7 +233,7 @@ def _check_tree_invariants(g, tree, steiner, terminals, root):
             assert v in terminals
     # one op per tree edge, child to parent, leaving the root a unit vector
     rows = rows_reducible_along([1 << i for i in range(g.n)], terminals)
-    ops, _ = _reduce_tracked(rows, tree, steiner, root)
+    ops, _ = _reduce_tracked(rows, *built, root)
     assert len(ops) == len(edges)
     assert op_parent(ops) == parent
     assert rows[root] == 1
@@ -243,14 +247,13 @@ def test_tree_cache_invariants_random():
         k = rng.randrange(1, n + 1)
         terminals = set(rng.sample(range(n), k))
         root = rng.choice(sorted(terminals))
-        tree, steiner = grown_tree(g, terminals)
-        _check_tree_invariants(g, tree, steiner, terminals, root)
+        _check_tree_invariants(g, grown_tree(g, terminals), terminals, root)
 
 
 def test_reduction_tree_schedule_shape():
     # R - S - T path with S a Steiner point: swap then add.
     tree = {0: (1,), 1: (0, 2), 2: (1,)}
-    ops, _ = _reduce_tracked([0b101, 0b010, 0b100], tree, frozenset({1}), 0)
+    ops, _ = _reduce_tracked([0b101, 0b010, 0b100], *cache_form(tree, {1}), 0)
     assert ops == (("SWAP", 2, 1), ("ADD", 0, 1))
     assert sum(3 if kind == "SWAP" else 1 for kind, _, _ in ops) == 4
 

@@ -53,6 +53,15 @@ def test_parse_rejects(text, message):
         parse_circuit(text)
 
 
+def test_a_wire_out_of_range_is_reported_at_its_gate_line():
+    # Circuit is the one range check; the parser names the line of the
+    # first gate it rejects, past blank lines and comments
+    text = "qubits 2\ncnot 0 1\n\n# comment\n1q H 1\ncnot 0 2\nswap 3 0\n"
+    message = r"^<circuit>:6: gate .* uses wire 2 outside 0\.\.1$"
+    with pytest.raises(CircuitFormatError, match=message):
+        parse_circuit(text)
+
+
 def test_gate_constructors_validate():
     with pytest.raises(ValueError):
         cnot(1, 1)

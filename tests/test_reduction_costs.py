@@ -20,15 +20,18 @@ from cnotroute.gf2 import BitMatrix, invert, is_unit, vec_support
 from cnotroute.heuristic import _open_columns, _reduce_pair
 from cnotroute.rowgraph import SWAP, _costs, _recover, _reduce_tracked
 
-from conftest import (diagonal_grid_graph, entry_bound, grown_tree, heavy_hex_graph,
-                      non_unit_nodes, random_connected_graph,
+from conftest import (cache_form, diagonal_grid_graph, dict_form, entry_bound, grown_tree,
+                      heavy_hex_graph, non_unit_nodes, random_connected_graph,
                       random_reversible_rows, rows_reducible_along)
 
 
-def _replay(rows, tree, steiner, root):
-    """Op weight of reducing along ``tree`` at ``root`` and recovering, on a copy of ``rows``."""
+def _replay(rows, built, root):
+    """Op weight of reducing along ``built`` at ``root`` and recovering, on a copy of ``rows``.
+
+    ``built`` is a tree in the cache's form.
+    """
     rows = list(rows)
-    ops, tracked = _reduce_tracked(rows, tree, steiner, root)
+    ops, tracked = _reduce_tracked(rows, *built, root)
     ops += tuple(_recover(rows, ops, tracked))
     return sum(3 if kind == SWAP else 1 for kind, _, _ in ops)
 
@@ -48,14 +51,15 @@ def _check_state(g, rows, stats):
     prices = {}
     for e in range(g.n):
         sup = vec_support(inv.rows[e])
-        grown, steiner = grown_tree(g, sup)
-        want = [_replay(rows, grown, steiner, u) for u in sup]
-        assert _costs(rows, grown, steiner, sup) == want
-        low = entry_bound(rows, grown, steiner)
+        built = grown_tree(g, sup)
+        grown, steiner = dict_form(*built)
+        want = [_replay(rows, built, u) for u in sup]
+        assert _costs(rows, *built, sup) == want
+        low = entry_bound(rows, *built)
         # a column that is not open has a one-node tree, of bound 0
         assert bounds.get(e, 0) == low
         for u, price in zip(sup, want):
-            assert _costs(rows, grown, steiner, [u]) == [price]
+            assert _costs(rows, *built, [u]) == [price]
             prices[u, e] = price
             least = low - (is_unit(rows[u]) and len(grown[u]) >= 2)
             assert price >= least, (u, e)
@@ -117,10 +121,10 @@ def _random_rows(rng, tree, terminals, ops):
 def _check_long_tree(rng, tree, terminals, roots):
     rows = _random_rows(rng, tree, terminals, 3 * len(tree))
     roots = roots + rng.sample(sorted(terminals), 6)
-    steiner = frozenset(tree) - terminals
-    got = _costs(rows, tree, steiner, roots)
+    built = cache_form(tree, frozenset(tree) - terminals)
+    got = _costs(rows, *built, roots)
     for root, price in zip(roots, got):
-        assert price == _replay(rows, tree, steiner, root)
+        assert price == _replay(rows, built, root)
 
 
 def test_long_path_prices_without_recursion():
@@ -152,14 +156,14 @@ def test_long_caterpillar_prices_without_recursion():
 
 def test_pricing_leaves_no_garbage_cycles():
     """Each call's memo is freed by reference counting, not by the cyclic GC."""
-    tree = {0: (1,), 1: (0, 2, 3), 2: (1,), 3: (1, 4), 4: (3,)}
+    built = cache_form({0: (1,), 1: (0, 2, 3), 2: (1,), 3: (1, 4), 4: (3,)}, {1})
     rows = [0b00011, 0b00110, 0b00100, 0b01000, 0b01110]
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
         for _ in range(100):
-            _costs(rows, tree, frozenset({1}), [0, 2, 3, 4])
+            _costs(rows, *built, [0, 2, 3, 4])
         assert gc.collect() == 0
     finally:
         if was_enabled:

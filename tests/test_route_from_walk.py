@@ -25,7 +25,7 @@ from cnotroute.rowgraph import ADD, _order, _recover, _reduce_tracked
 from cnotroute.synthesis import (_stops, complies, linear_matrix, relabel_circuit,
                                  route_cnot_block)
 
-from conftest import (grown_tree, ops_to_matrix, random_connected_graph,
+from conftest import (dict_form, grown_tree, ops_to_matrix, random_connected_graph,
                       random_reversible_rows, rows_reducible_along)
 from test_steiner_rooting import _reference_schedule
 
@@ -79,12 +79,13 @@ def test_the_cores_run_the_reference_schedule_at_every_root(n, seed):
     start = random_reversible_rows(rng, graph, rng.randrange(4 * n))
     terminals = frozenset(rng.sample(range(n), rng.randrange(2, min(n, 40) + 1)))
     start = rows_reducible_along(start, terminals)
-    grown, steiner = grown_tree(graph, terminals)
+    built = grown_tree(graph, terminals)
+    grown, _ = dict_form(*built)
     for root in sorted(terminals):
         schedule = _reference_schedule(grown, terminals, root)[0]
-        assert tuple(_order(grown, steiner, root)) == schedule
+        assert tuple(_order(*built[:2], root)) == schedule
         rows = list(start)
-        ops, tracked = _reduce_tracked(rows, grown, steiner, root)
+        ops, tracked = _reduce_tracked(rows, *built, root)
         assert ops == schedule
         assert rows == mat_mul(ops_to_matrix(ops, n), BitMatrix(n, start)).rows
         assert rows[root] == 1  # the terminal rows XOR to e_0

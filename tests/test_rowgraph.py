@@ -6,8 +6,8 @@ from cnotroute.arch import ArchGraph
 from cnotroute.gf2 import BitMatrix, invert, is_unit, mat_mul
 from cnotroute.rowgraph import _costs, _recover, _reduce_tracked
 
-from conftest import (grown_tree, non_unit_nodes, ops_to_matrix, random_connected_graph,
-                      random_reversible_rows, unit_combinations)
+from conftest import (cache_form, grown_tree, non_unit_nodes, ops_to_matrix,
+                      random_connected_graph, random_reversible_rows, unit_combinations)
 
 
 def test_node_add_worked_example(path4):
@@ -21,7 +21,7 @@ def test_node_add_worked_example(path4):
 def test_swap_counts_three_in_emission():
     # root 0, Steiner point 1, terminal 2; nothing needs recovery
     path = {0: (1,), 1: (0, 2), 2: (1,)}
-    assert _costs([0b101, 0b010, 0b100], path, {1}, [0]) == [3 + 1]
+    assert _costs([0b101, 0b010, 0b100], *cache_form(path, {1}), [0]) == [3 + 1]
 
 
 def test_tree_reduce_single_edge():

@@ -6,9 +6,10 @@ root must match the schedule built from a BFS rooting with ascending
 children.  Growth yields masks; the cache entry's weight and inner mask,
 read off them, must agree with the tree the graph's tree cache builds
 from them when it is first asked for, and that tree with a nearest-pair
-reference.  Growth's masks must equal those of the one-scan reference in
-``conftest`` on random graphs, wide ones included, and on the stock
-devices.
+reference.  The tree is built in place in the entry's growth list, with
+each node's tuple from the cache's shared table.  Growth's masks must
+equal those of the one-scan reference in ``conftest`` on random graphs,
+wide ones included, and on the stock devices.
 """
 
 import random
@@ -20,7 +21,7 @@ from cnotroute.arch import (ArchGraph, _grow_steiner_graph, get_architecture,
                            list_architectures, path_from_successors)
 from cnotroute.rowgraph import _reduce_tracked
 
-from conftest import (bfs_distances, entry_bound, grid_graph, grown_tree, op_parent,
+from conftest import (bfs_distances, dict_form, entry_bound, grid_graph, grown_tree, op_parent,
                       random_connected_graph, random_reversible_rows,
                       reference_grow_steiner_graph, rows_reducible_along, tree_parent)
 from test_device_families import FAMILIES
@@ -108,11 +109,12 @@ def test_every_root_matches_bfs_reference():
     rng = random.Random(2012)
     count = 0
     for g, terminals in _samples(2011, 200):
-        grown, steiner = grown_tree(g, terminals)
+        built = grown_tree(g, terminals)
+        grown, steiner = dict_form(*built)
         _check_tree_with_terminal_leaves(g, grown, terminals)
         assert steiner == grown.keys() - terminals
-        again, points = grown_tree(g, sorted(terminals))
-        assert again is grown and points is steiner
+        again, points, _ = grown_tree(g, sorted(terminals))
+        assert again is built[0] and points is built[1]
         rows = rows_reducible_along(
             random_reversible_rows(rng, g, 2 * (g.n - 1)), terminals)
         for root in sorted(terminals):
@@ -120,7 +122,7 @@ def test_every_root_matches_bfs_reference():
                 grown, terminals, root)
             assert cost == len(grown) - 1 + 2 * len(steiner)
             reduced = list(rows)
-            ops, _ = _reduce_tracked(reduced, grown, steiner, root)
+            ops, _ = _reduce_tracked(reduced, *built, root)
             assert ops == schedule
             assert reduced[root] == 1
             del parent[root]
@@ -137,7 +139,7 @@ def test_rooted_tree_keeps_exactly_the_grown_edges():
         n = rng.randrange(3, 16)
         g = random_connected_graph(rng, n)
         terminals = frozenset(rng.sample(range(n), rng.randrange(2, n + 1)))
-        grown, _ = grown_tree(g, terminals)
+        grown, _ = dict_form(*grown_tree(g, terminals))
         grown_edges = {(min(a, b), max(a, b))
                        for a, nbs in grown.items() for b in nbs}
         root = min(terminals)
@@ -157,10 +159,10 @@ def test_one_terminal_mask_gets_one_memoized_tree():
         mask = _mask(rng.sample(range(n), rng.randrange(1, n + 1)))
         cache = g._steiner
         entry = cache[mask]
-        tree, steiner = cache.tree(entry, mask)
+        tree, steiner, size = cache.tree(entry, mask)
         assert cache[mask] is entry
-        again, points = cache.tree(cache[mask], mask)
-        assert again is tree and points is steiner
+        again, points, again_size = cache.tree(cache[mask], mask)
+        assert again is tree and points is steiner and again_size == size
 
 
 def _reference_grow(g, terminals):
@@ -202,10 +204,10 @@ def test_incremental_growth_matches_nearest_pair_reference():
     triangle = ArchGraph(3, [(0, 1), (1, 2), (0, 2)])
     # neighbour masks per node, the tree's nodes, and the attach node 0
     assert _grow_steiner_graph(triangle, 0b111) == ([0b110, 0b001, 0b001], 0b111, 0b001)
-    assert grown_tree(triangle, {0, 1, 2})[0] == {0: (1, 2), 1: (0,), 2: (0,)}
+    assert dict_form(*grown_tree(triangle, {0, 1, 2}))[0] == {0: (1, 2), 1: (0,), 2: (0,)}
     count = 0
     for g, terminals in [(triangle, {0, 1, 2}), *_samples(2027, 200), *_wide_samples(2028)]:
-        assert grown_tree(g, terminals)[0] == _reference_grow(g, terminals)
+        assert dict_form(*grown_tree(g, terminals))[0] == _reference_grow(g, terminals)
         count += 1
     assert count == 601 + 30
 
@@ -233,6 +235,26 @@ def test_growth_equals_the_one_scan_reference(case):
     assert _grow_steiner_graph(graph, mask) == reference_grow_steiner_graph(graph, mask)
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(graphs_and_masks())
+def test_a_tree_is_built_in_its_growth_list_from_the_shared_tuples(case):
+    graph, mask = case
+    cache = graph._steiner
+    entry = cache[mask]
+    growth, nodes = entry.tree, entry.nodes
+    masks = list(growth)
+    tree, steiner, size = cache.tree(entry, mask)
+    assert tree is growth and len(tree) == graph.n
+    # a tuple exactly at the tree nodes, each the table's one tuple for its mask
+    assert [type(slot) is tuple for slot in tree] == [nodes >> w & 1 == 1 for w in range(graph.n)]
+    for w in range(graph.n):
+        if nodes >> w & 1:
+            assert tree[w] is cache.tuples[masks[w]]
+    assert steiner == nodes & ~mask and size == nodes.bit_count()
+    again = cache.tree(entry, mask)
+    assert again[0] is tree and again[1:] == (steiner, size)
+
+
 @st.composite
 def graphs_and_terminal_sets(draw):
     """(graph, terminal sets): a random connected graph on 2..24 nodes, a
@@ -258,9 +280,12 @@ def test_entry_bound_terms_agree_with_the_tree_built_on_first_use(case):
     for terminals in sets:
         mask = _mask(terminals)
         entry = graph._steiner[mask]
-        weight, inner, adjacency, nodes = entry.weight, entry.inner, entry.adjacency, entry.nodes
-        assert entry.tree is None and entry.steiner is None  # grown, not built
-        tree, steiner = grown_tree(graph, terminals)
+        weight, inner, growth, nodes = entry.weight, entry.inner, entry.tree, entry.nodes
+        adjacency = list(growth)
+        # grown, not built: the list holds neighbour masks
+        assert entry.steiner is None and all(type(x) is int for x in adjacency)
+        built = grown_tree(graph, terminals)
+        tree, steiner = dict_form(*built)
         assert tree == _reference_grow(graph, terminals)
         assert nodes == _mask(tree)
         assert adjacency == [_mask(tree.get(w, ())) for w in range(graph.n)]
@@ -269,8 +294,9 @@ def test_entry_bound_terms_agree_with_the_tree_built_on_first_use(case):
         assert inner == sum(1 << t for t in terminals if len(tree[t]) >= 2)
         # with every row a unit vector the reference bound counts all of inner
         units = [1 << u for u in range(graph.n)]
-        assert entry_bound(units, tree, steiner) == weight + inner.bit_count()
-        again, points = grown_tree(graph, terminals)
-        assert again is tree and points is steiner
+        assert entry_bound(units, *built) == weight + inner.bit_count()
+        again, points, _ = grown_tree(graph, terminals)
+        assert again is built[0] and points is built[1]
         assert graph._steiner[mask] is entry
-        assert entry.adjacency is None and entry.nodes is None  # the masks are dropped
+        # built in place: the growth list now holds the tree
+        assert built[0] is growth and entry.tree is growth and entry.nodes == nodes

@@ -26,7 +26,7 @@ from cnotroute.heuristic import (_cheapest_bounded, _open_block, _open_columns,
 from cnotroute.rowgraph import _costs
 from cnotroute.synthesis import linear_matrix
 
-from conftest import entry_bound, grown_tree, reference_reduction
+from conftest import dict_form, entry_bound, grown_tree, reference_reduction
 from test_pinned_output import routes
 
 
@@ -143,12 +143,13 @@ def test_bound_is_a_lower_bound_on_every_entry_and_the_loss():
         position = {u: i for i, u in enumerate(block.nodes)}
         minima = []
         for j, sup in enumerate(block.supports):
-            grown, steiner = grown_tree(graph, vec_support(sup))
+            built = grown_tree(graph, vec_support(sup))
+            grown, steiner = dict_form(*built)
             schedule = len(grown) - 1 + 2 * len(steiner)
-            assert bounds[j] == entry_bound(rows, grown, steiner)
+            assert bounds[j] == entry_bound(rows, *built)
             raised.append(bounds[j] > schedule)
             roots = [u for u in vec_support(sup) if u in position]
-            costs = _costs(rows, grown, steiner, roots)
+            costs = _costs(rows, *built, roots)
             assert schedule >= sup.bit_count() - 1
             assert costs == [block.entries[position[u]][j] for u in roots]
             assert all(r[j] >= bounds[j] for r in block.entries)
